@@ -94,7 +94,6 @@ from .cech import (
     cech_multicomplex,
     default_window,
     degree_classes,
-    local_cohomology_oracle,
     piece_pattern,
     verify_product_vs_interior,
 )
@@ -157,7 +156,6 @@ __all__ = [
     "koszul_complex",
     "koszul_split",
     "line_complex",
-    "local_cohomology_oracle",
     "localized_piece_dim",
     "monomial_divides",
     "monomial_mul",

@@ -9,14 +9,16 @@ Two independent routes are kept deliberately separate:
 
 * ``cech_complex`` / ``cech_multicomplex`` feed the lattice and filtration
   machinery (CochainComplex / Multicomplex / spectral);
-* ``local_cohomology_oracle`` builds its matrices inline and only calls the
-  exact rank routine, so it shares no complex-assembly code with the route it
-  is used to audit.
+* ``OracleCache`` builds its matrices inline and only calls the exact rank
+  routine, so it shares no complex-assembly code with the route it is used to
+  audit.  It never receives a lattice, and the lattice builders never read it.
 
 The piece pattern of a degree (which localizations are alive) determines
 every matrix in both routes, so degrees with equal patterns are
-computationally identical; ``degree_classes`` groups a window by pattern and
-the verifiers compute once per class.
+computationally identical; ``degree_classes`` groups a window by pattern.
+Every audit is split into a class step, run once at a class's representative
+degree (its first member), and an assembly that copies the class results to
+the member degrees.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .multicomplex import (
     Region,
     augment_interior,
     cohomology_map,
-    puncture,
     restrict,
     totalize,
 )
@@ -201,13 +202,13 @@ def cech_complex(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal,
     return CochainComplex(field, dims, d, blocks)
 
 
-def cech_multicomplex(problem: CechProblem, b: Exps, punctured: bool = False) -> Multicomplex:
+def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     """The n-axis lattice of iterated Čech slots at degree b.
 
     The entry at q = (q_1..q_n) is the sum over choices of a q_i-subset S_i of
     each group of the piece of R/J localized at the product of all chosen
     generators; axis i acts by that group's alternating-sign maps, and the
-    axes commute.  ``punctured`` removes the origin entry.
+    axes commute.  ``puncture`` of the result removes the origin entry.
     """
     if not problem.in_window(b):
         raise InputError(f"degree {b} outside the window {problem.window}")
@@ -276,8 +277,7 @@ def cech_multicomplex(problem: CechProblem, b: Exps, punctured: bool = False) ->
                     wrote = True
             if wrote:
                 diffs[(q, i)] = f.normalize(mat)
-    mc = Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, labels, pblocks)
-    return puncture(mc) if punctured else mc
+    return Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, labels, pblocks)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,16 @@ class CohomologyTable:
     window: Window
     convention: str
     dims: dict[tuple[int, Exps], int]
+
+    @staticmethod
+    def from_columns(problem: CechProblem, length: int, mode: str,
+                     columns: list[tuple[list[Exps], dict[int, int]]]) -> "CohomologyTable":
+        """Assemble the window table of a length-``length`` sequence from
+        per-class columns (members, {i: dim}); see ``OracleCache.column``."""
+        dims = {(i, b): h for members, col in columns for b in members for i, h in col.items()}
+        i_max = length if mode == "full" else max(length - 1, 0)
+        return CohomologyTable(problem.num_vars, 0, i_max, problem.window,
+                               "h" if mode == "full" else "hcheck", dims)
 
     def get(self, i: int, b: Exps) -> int:
         return self.dims.get((i, b), 0)
@@ -373,63 +383,6 @@ def _oracle_vectors(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal
     return dims, ranks
 
 
-def _vectors_to_raw(dims: list[int], ranks: list[int], truncated: bool) -> dict[int, int]:
-    """Raw-slot cohomology dims of the full complex, or of the complex with
-    slot 0 removed (same matrices, d_0 discarded)."""
-    length = len(dims) - 1
-    out = {}
-    for t in range(0 if not truncated else 1, length + 1):
-        up = ranks[t] if t < length else 0
-        down = ranks[t - 1] if t >= 1 and not (truncated and t == 1) else 0
-        h = dims[t] - up - down
-        if h:
-            out[t] = h
-    return out
-
-
-def local_cohomology_oracle(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal,
-                            window: Window, augmented: bool = True,
-                            jobs: int = 1) -> CohomologyTable:
-    """Independent dimension table over the window.
-
-    augmented=True: index i is the i-th cohomology of the full complex (the
-    module sits in slot 0).  augmented=False: the slot-0 module is removed
-    and index i means raw slot i+1 (the "hcheck" convention), so index 0 is
-    the kernel of the first surviving map.
-    """
-    num_vars = len(window[0])
-    degrees = [tuple(b) for b in window_degrees(window)]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            vecs = pool.starmap(
-                oracle_degree_job,
-                [(field, seq, quotient, b) for b in degrees],
-                chunksize=max(1, len(degrees) // (4 * jobs)),
-            )
-        results = dict(zip(degrees, vecs))
-    else:
-        results = {b: oracle_degree_job(field, seq, quotient, b) for b in degrees}
-    dims: dict[tuple[int, Exps], int] = {}
-    for b in degrees:
-        dvec, rvec = results[b]
-        raw = _vectors_to_raw(dvec, rvec, truncated=not augmented)
-        for t, h in raw.items():
-            i = t if augmented else t - 1
-            dims[(i, b)] = h
-    i_min = 0
-    i_max = len(seq) if augmented else len(seq) - 1
-    return CohomologyTable(num_vars, i_min, i_max, window,
-                           "h" if augmented else "hcheck", dims)
-
-
-def oracle_degree_job(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal,
-                      b: Exps) -> tuple[list[int], list[int]]:
-    """Pure per-degree oracle computation (safe to run in a worker process)."""
-    return _oracle_vectors(field, seq, quotient, b)
-
-
 class OracleCache:
     """Per-problem memo of oracle slot/rank vectors for every sequence the
     verifiers need, shared across variants and degrees.
@@ -489,24 +442,69 @@ class OracleCache:
             down = ranks[t - 1] if t >= 1 else 0
         return dims[t] - up - down
 
+    def column(self, kind: str, subset: tuple[int, ...], mode: str, b: Exps) -> dict[int, int]:
+        """Class step of ``table``: the nonzero entries {i: dim} at degree b."""
+        top = len(self.seq(kind, subset))
+        raw = {t: self.raw(kind, subset, mode, t, b) for t in range(top + 1)}
+        return {t if mode == "full" else t - 1: h for t, h in raw.items() if h}
+
     def table(self, kind: str, subset: tuple[int, ...], mode: str) -> CohomologyTable:
-        seq = self.seq(kind, subset)
-        p = self.problem
-        dims: dict[tuple[int, Exps], int] = {}
-        for b in p.degrees():
-            top = len(seq) if seq else 0
-            for t in range(0, top + 1):
-                h = self.raw(kind, subset, mode, t, b)
-                if h:
-                    i = t if mode == "full" else t - 1
-                    dims[(i, b)] = h
-        i_max = len(seq) if mode == "full" else max(len(seq) - 1, 0)
-        return CohomologyTable(p.num_vars, 0, i_max, p.window,
-                               "h" if mode == "full" else "hcheck", dims)
+        columns = [(members, self.column(kind, subset, mode, members[0]))
+                   for _pat, members in degree_classes(self.problem)]
+        return CohomologyTable.from_columns(self.problem, len(self.seq(kind, subset)), mode,
+                                            columns)
 
 
 # ---------------------------------------------------------------------------
 # verifications
+
+
+def issue_report(results: list[tuple[list[Exps], list[dict]]], key: str) -> dict:
+    """Assembly of an audit whose class step returns a list of issues: each
+    issue copied to every member degree (class order, then issue order, then
+    member order) and listed under ``key``."""
+    issues = [{"degree": list(b), **issue} for members, class_issues in results
+              for issue in class_issues for b in members]
+    return {"degrees_checked": sum(len(members) for members, _ in results), key: issues,
+            "pass": not issues}
+
+
+def verify_class(problem: CechProblem, mc: Multicomplex, cache: OracleCache,
+                 b0: Exps) -> list[dict]:
+    """Class step of ``verify_product_vs_interior``: the issues found at the
+    representative degree b0, whose lattice is ``mc``."""
+    n = problem.n
+    all_groups = tuple(range(n))
+    subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
+    plus_h = augment_interior(mc, all_groups).cohomology_dims()
+    prod_len = len(cache.seq("product", all_groups))
+    sub_h = {s: totalize(restrict(mc, Region.interior(s, n))).cohomology_dims() for s in subsets}
+    m_dim = localized_piece_dim(0, problem.quotient, b0)
+    dker_lattice = sub_h[all_groups].get(n, 0)
+    issues: list[dict] = []
+    top_i = max(prod_len + 1, max(plus_h, default=0) - n + 2)
+    for i in range(0, top_i + 1):
+        want = cache.raw("product", all_groups, "full", i, b0)
+        got = plus_h.get(i + n - 1, 0)
+        if got != want:
+            issues.append({"check": "h", "i": i, "got": got, "want": want})
+    for s in subsets:
+        p = len(s)
+        sub_len = len(cache.seq("product", s))
+        top = max(sub_len + 1, max(sub_h[s], default=0) - p + 2)
+        for i in range(1, top + 1):
+            want = cache.raw("product", s, "truncated", i, b0)
+            got = sub_h[s].get(i + p - 1, 0)
+            if got != want:
+                issues.append({"check": "truncated", "subset": list(s), "i": i,
+                               "got": got, "want": want})
+    dker_product = cache.raw("product", all_groups, "truncated", 1, b0)
+    if dker_lattice != dker_product:
+        issues.append({"check": "kernels", "got": dker_lattice, "want": dker_product})
+    four = plus_h.get(n - 1, 0) - m_dim + dker_lattice - plus_h.get(n, 0)
+    if four != 0:
+        issues.append({"check": "four_term", "value": four})
+    return issues
 
 
 def verify_product_vs_interior(problem: CechProblem, cache: OracleCache | None = None) -> dict:
@@ -523,54 +521,10 @@ def verify_product_vs_interior(problem: CechProblem, cache: OracleCache | None =
     Degrees are grouped by piece pattern; one computation covers each class.
     """
     cache = cache or OracleCache(problem)
-    n = problem.n
-    all_groups = tuple(range(n))
-    mismatches: list[dict] = []
-    checked = 0
-    subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
-    for _pat, members in degree_classes(problem):
-        b0 = members[0]
-        mc = cech_multicomplex(problem, b0)
-        plus = augment_interior(mc, all_groups)
-        plus_h = plus.cohomology_dims()
-        prod_len = len(cache.seq("product", all_groups))
-        sub_h = {}
-        for s in subsets:
-            sub_h[s] = totalize(restrict(mc, Region.interior(s, n))).cohomology_dims()
-        m_dim = localized_piece_dim(0, problem.quotient, b0)
-        dker_lattice = sub_h[all_groups].get(n, 0)
-        issues: list[dict] = []
-        top_i = max(prod_len + 1, max(plus_h, default=0) - n + 2)
-        for i in range(0, top_i + 1):
-            want = cache.raw("product", all_groups, "full", i, b0)
-            got = plus_h.get(i + n - 1, 0)
-            if got != want:
-                issues.append({"check": "h", "i": i, "got": got, "want": want})
-        for s in subsets:
-            p = len(s)
-            sub_len = len(cache.seq("product", s))
-            top = max(sub_len + 1, max(sub_h[s], default=0) - p + 2)
-            for i in range(1, top + 1):
-                want = cache.raw("product", s, "truncated", i, b0)
-                got = sub_h[s].get(i + p - 1, 0)
-                if got != want:
-                    issues.append({"check": "truncated", "subset": list(s), "i": i,
-                                   "got": got, "want": want})
-        dker_product = cache.raw("product", all_groups, "truncated", 1, b0)
-        if dker_lattice != dker_product:
-            issues.append({"check": "kernels", "got": dker_lattice, "want": dker_product})
-        four = plus_h.get(n - 1, 0) - m_dim + dker_lattice - plus_h.get(n, 0)
-        if four != 0:
-            issues.append({"check": "four_term", "value": four})
-        checked += len(members)
-        for issue in issues:
-            for b in members:
-                mismatches.append({"degree": list(b), **issue})
-    return {
-        "degrees_checked": checked,
-        "mismatches": mismatches,
-        "pass": not mismatches,
-    }
+    return issue_report([
+        (members, verify_class(problem, cech_multicomplex(problem, members[0]), cache, members[0]))
+        for _pat, members in degree_classes(problem)
+    ], "mismatches")
 
 
 class _AugmentedFiber:
@@ -580,7 +534,6 @@ class _AugmentedFiber:
 
     def __init__(self, problem: CechProblem, b: Exps):
         self.problem = problem
-        self.b = b
         n = problem.n
         mc = cech_multicomplex(problem, b)
         self.plus = augment_interior(mc, tuple(range(n)))
@@ -601,9 +554,6 @@ class _AugmentedFiber:
                         keys.append((q, combo))
             self.keys[m] = keys
             self.positions[m] = {k: i for i, k in enumerate(keys)}
-
-    def h_reps_dims(self) -> dict[int, int]:
-        return self.plus.cohomology_dims()
 
 
 def _step_chain(src: _AugmentedFiber, dst: _AugmentedFiber) -> dict[int, np.ndarray]:
@@ -663,7 +613,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     annihilated_pairs = 0
     inconclusive: list[dict] = []
     for b in problem.degrees():
-        hdims = fiber(b).h_reps_dims()
+        hdims = fiber(b).plus.cohomology_dims()
         for m, k in sorted(hdims.items()):
             if not k:
                 continue

@@ -8,6 +8,10 @@ Two commands:
   directory, and prints a one-line summary per task.  Exit code 0 means all
   verifications passed, 1 means the input was rejected, 2 means some
   verification failed.
+
+  Each degree class runs the class step of every task (``run_unit``), and
+  ``--jobs`` spreads the classes over worker processes; ``assemble_unit``
+  copies the class results to the member degrees, in class order.
 * ``selftest`` runs the randomized structural property suites on generated
   multicomplexes and small problems.  Deterministic for a fixed seed.
 
@@ -18,32 +22,30 @@ produce byte-identical outputs regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .cech import (
-    CechProblem,
-    OracleCache,
-    cech_multicomplex,
-    default_window,
-    degree_classes,
-    verify_product_vs_interior,
-)
+from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, default_window,
+                   degree_classes, issue_report, verify_class, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
-from .grading import MonomialIdeal, parse_monomial
+from .grading import Exps, MonomialIdeal, parse_monomial, product_sequence
 from .linalg import DEFAULT_PRIME, PrimeField, RationalField, is_prime, mul
 from .multicomplex import (
     CochainComplex,
+    Multicomplex,
     koszul_complex,
     sign_twist,
     tensor_product,
     totalize,
     validate,
 )
-from .mvss import infinity_filtration_report, mv_les, run_variant
+from .mvss import (ClassRun, MvssRun, degree_records, infinity_class, les_class, run_variant,
+                   variant_class)
 from .spectral import region_convergence_report, split_column_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
@@ -54,7 +56,7 @@ def _parse_field(obj) -> PrimeField | RationalField:
         raise InputError('field must be {"prime": p} or {"rational": true}')
     if "prime" in obj:
         p = obj["prime"]
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:  # bool is not an integer here
             raise InputError(f"modulus must be an integer >= 2, got {p!r}")
         if not is_prime(p):
             raise InputError(f"modulus not prime: {p}")
@@ -86,7 +88,7 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
             raise InputError(f"missing job field {key!r}")
     field = _parse_field(raw["field"])
     m = raw["variables"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise InputError(f"variables must be a positive integer, got {m!r}")
     quo = raw.get("quotient", [])
     if not isinstance(quo, list) or not all(isinstance(t, str) for t in quo):
@@ -106,7 +108,7 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
             not isinstance(w, list)
             or len(w) != 2
             or not all(isinstance(side, list) and len(side) == m for side in w)
-            or not all(isinstance(x, int) for side in w for x in side)
+            or not all(type(x) is int for side in w for x in side)
         ):
             raise InputError(f"window must be [[lo_1..lo_{m}], [hi_1..hi_{m}]]")
         window = (tuple(w[0]), tuple(w[1]))
@@ -123,7 +125,7 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
             tasks.append(t)
     tasks.sort(key=TASK_ORDER.index)
     pages = raw.get("pages")
-    if pages is not None and (not isinstance(pages, int) or pages < 0):
+    if pages is not None and (type(pages) is not int or pages < 0):
         raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     problem = CechProblem(field, m, gens, quotient, window)
     if "les" in tasks and problem.n != 2:
@@ -131,22 +133,59 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
     return problem, tasks, pages
 
 
-def _trim_pages(entries: list[dict], pages: int | None) -> list[dict]:
-    if pages is None:
-        return entries
-    out = []
-    for e in entries:
-        e2 = dict(e)
-        e2["pages"] = [pg for pg in e["pages"] if pg["r"] <= pages]
-        out.append(e2)
-    return out
+class DegreeClass:
+    """One degree class as its class steps see it: members, oracle cache, the
+    lattice at members[0] (built on first use) and the variant runs so far."""
+
+    def __init__(self, problem: CechProblem, members: list[Exps]):
+        self.problem = problem
+        self.members = members
+        self.cache = OracleCache(problem)
+        self.runs: dict[str, ClassRun] = {}
+
+    @functools.cached_property
+    def lattice(self) -> Multicomplex:
+        return cech_multicomplex(self.problem, self.members[0])
+
+    def run(self, variant: str, pages: int | None) -> ClassRun:
+        if variant not in self.runs:
+            self.runs[variant] = variant_class(self.problem, variant, self.lattice, self.cache,
+                                               self.members, pages_r=pages)
+        return self.runs[variant]
 
 
-def run_unit(problem: CechProblem, unit: str, pages: int | None) -> tuple[dict, dict[str, str]]:
-    """Execute one task; returns (report payload, files to write)."""
-    cache = OracleCache(problem)
+def run_unit(klass: DegreeClass, unit: str, pages: int | None):
+    """Class step of one task for one degree class: a small picklable result
+    that ``assemble_unit`` combines over all classes.  ``les`` reuses the
+    class's 1a and 2a runs."""
+    problem, cache, b0 = klass.problem, klass.cache, klass.members[0]
     if unit == "cohomology":
-        table = cache.table("product", tuple(range(problem.n)), "full")
+        return cache.column("product", tuple(range(problem.n)), "full", b0)
+    if unit == "verify34":
+        return verify_class(problem, klass.lattice, cache, b0)
+    if unit == "props2":
+        bad = validate(klass.lattice)
+        if klass.lattice.dims:
+            bad.extend(region_convergence_report(klass.lattice))
+        return [{"message": msg} for msg in bad]
+    if unit.startswith("mvss:"):
+        variant = unit.split(":", 1)[1]
+        run = klass.run(variant, pages)
+        if variant == "1a" and problem.n == 3:
+            return run, infinity_class(run, cache)
+        return run, None
+    if unit == "les":
+        return les_class(klass.run("1a", None), klass.run("2a", None), cache)
+    raise InputError(f"unknown task {unit!r}")
+
+
+def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
+                  results: list[tuple[list[Exps], object]]) -> tuple[dict, dict[str, str]]:
+    """A task's report payload and files from (members, class step result)
+    for every class, in class order."""
+    if unit == "cohomology":
+        length = len(product_sequence(problem.groups))
+        table = CohomologyTable.from_columns(problem, length, "full", results)
         payload = {
             "pass": True,
             "file": "cohomology.csv",
@@ -154,26 +193,14 @@ def run_unit(problem: CechProblem, unit: str, pages: int | None) -> tuple[dict, 
             "table": table.to_json(),
         }
         return payload, {"cohomology.csv": table.to_csv()}
-    if unit == "verify34":
-        rep = verify_product_vs_interior(problem, cache)
-        return rep, {}
-    if unit == "props2":
-        violations = []
-        checked = 0
-        for _pat, members in degree_classes(problem):
-            mc = cech_multicomplex(problem, members[0])
-            bad = validate(mc)
-            if mc.dims:
-                bad.extend(region_convergence_report(mc))
-            checked += len(members)
-            for msg in bad:
-                for b in members:
-                    violations.append({"degree": list(b), "message": msg})
-        return {"pass": not violations, "degrees_checked": checked, "violations": violations}, {}
+    if unit in ("verify34", "props2"):
+        return issue_report(results, "mismatches" if unit == "verify34" else "violations"), {}
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
-        run = run_variant(problem, variant, cache, pages_r=pages)
-        entries = _trim_pages(run.degree_report(), pages)
+        run = MvssRun(problem, variant, [
+            dataclasses.replace(cls, pages=[p for p in cls.pages if pages is None or p.r <= pages])
+            for _members, (cls, _inf) in results
+        ])
         payload = {
             "pass": run.ok,
             "summary": run.summary_text(),
@@ -185,47 +212,55 @@ def run_unit(problem: CechProblem, unit: str, pages: int | None) -> tuple[dict, 
             "file": f"pages_{variant}.json",
         }
         if variant == "1a" and problem.n == 3:
-            payload["infinity_filtration"] = infinity_filtration_report(run, cache)
+            payload["infinity_filtration"] = {
+                "variant": "1a", **degree_records([(m, inf) for m, (_cls, inf) in results])}
             payload["pass"] = payload["pass"] and payload["infinity_filtration"]["pass"]
         files = {
             f"pages_{variant}.json": json.dumps(
-                {"variant": variant, "degrees": entries}, sort_keys=True, indent=1
+                {"variant": variant, "degrees": run.degree_report()}, sort_keys=True, indent=1
             )
             + "\n"
         }
         return payload, files
-    if unit == "les":
-        rep = mv_les(problem, cache)
-        slim = {
-            "pass": rep["pass"],
-            "failures": rep["failures"],
-            "degrees_checked": len(rep["degrees"]),
-            "nontrivial_degrees": [
-                {
-                    "degree": e["degree"],
-                    "ranks": {
-                        k: {i: v for i, v in vv.items() if v} for k, vv in e["ranks"].items()
-                    },
-                }
-                for e in rep["degrees"]
-                if any(v for vv in e["dims"].values() for v in vv.values())
-            ],
-        }
-        return slim, {}
-    raise InputError(f"unknown task {unit!r}")
+    rep = degree_records(results)  # the one task left is les
+    slim = {
+        "pass": rep["pass"],
+        "failures": rep["failures"],
+        "degrees_checked": len(rep["degrees"]),
+        "nontrivial_degrees": [
+            {
+                "degree": e["degree"],
+                "ranks": {
+                    k: {i: v for i, v in vv.items() if v} for k, vv in e["ranks"].items()
+                },
+            }
+            for e in rep["degrees"]
+            if any(v for vv in e["dims"].values() for v in vv.values())
+        ],
+    }
+    return slim, {}
 
 
-def _unit_worker(args) -> tuple[str, dict, dict[str, str]]:
-    problem, unit, pages = args
-    try:
-        payload, files = run_unit(problem, unit, pages)
-    except (ContractError, InternalCheckError) as e:
-        payload, files = {"pass": False, "internal_error": str(e)}, {}
-    return unit, payload, files
+def _class_worker(args) -> list:
+    """Every task's class step for one degree class, in task order; a failing
+    step yields its error and the other tasks still run."""
+    problem, tasks, pages, members = args
+    klass = DegreeClass(problem, members)
+    out = []
+    for unit in tasks:
+        try:
+            out.append(run_unit(klass, unit, pages))
+        except (ContractError, InternalCheckError) as e:
+            out.append(type(e)(str(e)))  # a copy holds no frames of the class step
+    return out
 
 
 def cmd_compute(args) -> int:
     try:
+        if args.jobs < 0:
+            raise InputError(f"--jobs must be a nonnegative integer, got {args.jobs}")
+        if args.pages is not None and args.pages < 0:
+            raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
         problem, tasks, job_pages = load_job(args.job)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -234,15 +269,15 @@ def cmd_compute(args) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    work = [(problem, t, pages) for t in tasks]
+    classes = [members for _pat, members in degree_classes(problem)]
+    work = [(problem, tasks, pages, members) for members in classes]
     if jobs > 1 and len(work) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(jobs, len(work))) as pool:
-            results = pool.map(_unit_worker, work)
+            steps = pool.map(_class_worker, work, chunksize=1)
     else:
-        results = [_unit_worker(w) for w in work]
-    results.sort(key=lambda r: TASK_ORDER.index(r[0]))
+        steps = [_class_worker(w) for w in work]
     all_files: dict[str, str] = {}
     report = {
         "job": {
@@ -257,7 +292,15 @@ def cmd_compute(args) -> int:
         "results": {},
     }
     ok = True
-    for unit, payload, files in results:
+    for k, unit in enumerate(tasks):
+        results = [(members, step[k]) for members, step in zip(classes, steps)]
+        failed = next(((m[0], r) for m, r in results if isinstance(r, Exception)), None)
+        if failed is None:
+            payload, files = assemble_unit(problem, unit, pages, results)
+        else:
+            b0, err = failed
+            payload = {"pass": False, "internal_error": {"degree": list(b0), "message": str(err)}}
+            files = {}
         report["results"][unit] = payload
         all_files.update(files)
         ok = ok and payload.get("pass", True)
@@ -266,7 +309,7 @@ def cmd_compute(args) -> int:
     for name, content in sorted(all_files.items()):
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
             fh.write(content)
-    for unit, payload, _files in results:
+    for unit, payload in report["results"].items():
         status = "pass" if payload.get("pass", True) else "FAIL"
         extra = payload.get("summary", "")
         print(f"{unit}: {status}" + (f"  {extra}" if extra else ""))

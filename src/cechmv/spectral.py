@@ -90,7 +90,7 @@ class FilteredComplex:
         return self.p_max - self.p_min + 1
 
 
-def filtration_from_blocks(tot: CochainComplex, level_of_block, validate: bool = False) -> FilteredComplex:
+def filtration_from_blocks(tot: CochainComplex, level_of_block) -> FilteredComplex:
     """Filtration whose level-p space is spanned by the coordinates of the
     totalization blocks scoring >= p under ``level_of_block``."""
     f = tot.field
@@ -119,10 +119,7 @@ def filtration_from_blocks(tot: CochainComplex, level_of_block, validate: bool =
             for i, c in enumerate(keep):
                 basis[i, c] = 1
             levels[(p, m)] = Subspace(f, dim, basis)
-    fc = FilteredComplex(tot, p_min, p_max, levels)
-    if validate:
-        fc.validate()
-    return fc
+    return FilteredComplex(tot, p_min, p_max, levels)
 
 
 def coordinate_filtration(mc: Multicomplex, axis: int) -> FilteredComplex:

@@ -190,7 +190,7 @@ def test_page_structure_and_stabilization(sweep_results):
     for variant in VARIANTS:
         fc = None
         for cls in target["runs"][variant].classes:
-            fc = _assemble(target["problem"], variant, cls.members[0])
+            fc = _assemble(variant, cech_multicomplex(target["problem"], cls.members[0]))
             if fc.total.dims:
                 break
         if fc is None or not fc.total.dims:

@@ -16,18 +16,24 @@ from cechmv import (
     cech_multicomplex,
     default_window,
     degree_classes,
-    local_cohomology_oracle,
     piece_pattern,
+    puncture,
     totalize,
     validate,
     verify_product_vs_interior,
 )
-from cechmv.cech import _oracle_vectors, _vectors_to_raw
 
 F = PrimeField(65537)
 X = (1, 0)
 Y = (0, 1)
 NOJ2 = MonomialIdeal.zero(2)
+
+
+def oracle_table(seq, quotient, window, mode="full"):
+    """Window table of the Čech complex on ``seq``, read through the oracle
+    cache as the concatenation of a single group."""
+    prob = CechProblem(F, len(window[0]), (tuple(seq),), quotient, window)
+    return OracleCache(prob).table("concat", (0,), mode)
 
 
 def problem(groups, quotient="0", num_vars=2, window=None, field=F):
@@ -112,17 +118,19 @@ def test_oracle_matches_engine_route(rng):
     ]
     for J in (NOJ2, MonomialIdeal(2, ((2, 1),)), MonomialIdeal(2, (X,))):
         for seq in seqs:
+            cache = OracleCache(CechProblem(F, 2, (seq,), J, ((-3, -3), (3, 3))))
             for _ in range(8):
                 b = tuple(int(x) for x in rng.integers(-3, 4, size=2))
-                dims, ranks = _oracle_vectors(F, seq, J, b)
-                want = _vectors_to_raw(dims, ranks, truncated=False)
-                got = cech_complex(F, seq, J, b).cohomology_dims()
-                assert got == want, (seq, J.gens, b)
+                for mode, truncated in (("full", False), ("truncated", True)):
+                    raw = {t: cache.raw("concat", (0,), mode, t, b) for t in range(len(seq) + 1)}
+                    want = {t: h for t, h in raw.items() if h}
+                    got = cech_complex(F, seq, J, b, truncated=truncated).cohomology_dims()
+                    assert got == want, (seq, J.gens, b, mode)
 
 
 def test_oracle_table_single_ideal():
     J1 = MonomialIdeal.zero(1)
-    table = local_cohomology_oracle(F, ((1,),), J1, ((-2,), (2,)))
+    table = oracle_table(((1,),), J1, ((-2,), (2,)))
     assert table.convention == "h"
     for b in range(-2, 3):
         assert table.get(1, (b,)) == (1 if b < 0 else 0)
@@ -136,7 +144,7 @@ def test_oracle_table_single_ideal():
 
 def test_oracle_table_two_variables():
     # concatenated (x, y): top cohomology exactly on the negative quadrant
-    table = local_cohomology_oracle(F, (X, Y), NOJ2, ((-2, -2), (2, 2)))
+    table = oracle_table((X, Y), NOJ2, ((-2, -2), (2, 2)))
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 1 if b1 < 0 and b2 < 0 else 0
@@ -144,7 +152,7 @@ def test_oracle_table_two_variables():
             assert table.get(0, (b1, b2)) == 0
             assert table.get(1, (b1, b2)) == 0
     # single product generator (xy): cohomology in slot 1 off the positive quadrant
-    t2 = local_cohomology_oracle(F, ((1, 1),), NOJ2, ((-2, -2), (2, 2)))
+    t2 = oracle_table(((1, 1),), NOJ2, ((-2, -2), (2, 2)))
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 0 if (b1 >= 0 and b2 >= 0) else 1
@@ -154,7 +162,7 @@ def test_oracle_table_two_variables():
 def test_oracle_table_with_quotient():
     # M = k[x2]: only the x2 direction survives, cohomology on the b1 = 0 line
     J = MonomialIdeal(2, (X,))
-    table = local_cohomology_oracle(F, (X, Y), J, ((-2, -2), (2, 2)))
+    table = oracle_table((X, Y), J, ((-2, -2), (2, 2)))
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 1 if b1 == 0 and b2 < 0 else 0
@@ -162,23 +170,16 @@ def test_oracle_table_with_quotient():
             assert table.get(2, (b1, b2)) == 0
     # M = k: everything reduces to the origin in slot 0
     J0 = MonomialIdeal(2, (X, Y))
-    t0 = local_cohomology_oracle(F, (X, Y), J0, ((-2, -2), (2, 2)))
+    t0 = oracle_table((X, Y), J0, ((-2, -2), (2, 2)))
     assert dict(t0.dims) == {(0, (0, 0)): 1}
 
 
 def test_oracle_truncated_convention():
-    table = local_cohomology_oracle(F, ((1,),), MonomialIdeal.zero(1), ((-2,), (2,)),
-                                    augmented=False)
+    table = oracle_table(((1,),), MonomialIdeal.zero(1), ((-2,), (2,)), mode="truncated")
     assert table.convention == "hcheck"
     # index 0 is raw slot 1: the whole localization
     for b in range(-2, 3):
         assert table.get(0, (b,)) == 1
-
-
-def test_oracle_parallel_jobs_match_serial():
-    serial = local_cohomology_oracle(F, (X, Y), NOJ2, ((-2, -2), (2, 2)))
-    parallel = local_cohomology_oracle(F, (X, Y), NOJ2, ((-2, -2), (2, 2)), jobs=2)
-    assert serial.dims == parallel.dims
 
 
 def test_cech_multicomplex_shapes():
@@ -190,7 +191,7 @@ def test_cech_multicomplex_shapes():
     assert full.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert full.labels[(1, 1)] == ("{x1}|{x2}",)
     assert totalize(full, check=True).cohomology_dims() == {}
-    punct = cech_multicomplex(prob, (0, 0), punctured=True)
+    punct = puncture(cech_multicomplex(prob, (0, 0)))
     assert (0, 0) not in punct.dims
     with pytest.raises(InputError, match="outside the window"):
         cech_multicomplex(prob, (9, 9))
