@@ -31,7 +31,6 @@ from .linalg import (
     kernel_space,
     mul,
     nullity,
-    preimage,
     rank,
     rref,
     solve,
@@ -165,7 +164,6 @@ __all__ = [
     "nullity",
     "parse_monomial",
     "piece_pattern",
-    "preimage",
     "product_sequence",
     "puncture",
     "rank",

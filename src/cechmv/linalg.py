@@ -259,10 +259,6 @@ class Subspace:
     def zero(field: Field, ambient: int) -> "Subspace":
         return Subspace(field, ambient, field.zeros(0, ambient))
 
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, field.eye(ambient))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -280,26 +276,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient, self.dim))
-
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_rows(
-            self.field, self.ambient, np.concatenate([self.basis, other.basis], axis=0)
-        )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref of [[A A],[B 0]]; rows with zero left half give the
-        intersection in the right half."""
-        self._check_compatible(other)
-        n = self.ambient
-        f = self.field
-        top = np.concatenate([self.basis, self.basis], axis=1)
-        bot = np.concatenate([other.basis, f.zeros(other.dim, n)], axis=1)
-        R, piv = rref(f, np.concatenate([top, bot], axis=0))
-        rows = [R[i, n:] for i, c in enumerate(piv) if c >= n]
-        if not rows:
-            return Subspace.zero(f, n)
-        return Subspace.from_rows(f, n, np.array(rows, dtype=f.dtype))
 
     def contains_vector(self, v: np.ndarray) -> bool:
         r = self.field.normalize(np.array(v, dtype=self.field.dtype).reshape(1, -1))
@@ -326,35 +302,15 @@ class Subspace:
             raise ContractError("quotient_reps: argument is not a subspace of self")
         return self.basis[keep] if keep else self.field.zeros(0, self.ambient)
 
-    def annihilator(self) -> np.ndarray:
-        """Rows L with L v = 0 exactly for v in this subspace (dot pairing)."""
-        return kernel(self.field, self.basis)
-
     def _check_compatible(self, other: "Subspace") -> None:
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise ContractError(f"ambient mismatch {self.ambient} vs {other.ambient}")
 
 
-def image(field: Field, a: np.ndarray, space: Subspace | None = None) -> Subspace:
-    """Image of the map x -> a x, optionally restricted to ``space``."""
-    if space is None:
-        rows = a.T
-    else:
-        if space.ambient != a.shape[1]:
-            raise ContractError("image: space ambient must match map domain")
-        rows = mul(field, space.basis, a.T)
-    return Subspace.from_rows(field, a.shape[0], rows)
-
-
-def preimage(field: Field, a: np.ndarray, space: Subspace) -> Subspace:
-    """{x : a x in space}; codomain of ``a`` must be the ambient of ``space``."""
-    if space.ambient != a.shape[0]:
-        raise ContractError("preimage: space ambient must match map codomain")
-    if space.dim == space.ambient:
-        return Subspace.full(field, a.shape[1])
-    L = space.annihilator()
-    return Subspace.from_rows(field, a.shape[1], kernel(field, mul(field, L, a)))
+def image(field: Field, a: np.ndarray) -> Subspace:
+    """Image of the map x -> a x."""
+    return Subspace.from_rows(field, a.shape[0], a.T)
 
 
 def kernel_space(field: Field, a: np.ndarray) -> Subspace:

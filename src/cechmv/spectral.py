@@ -1,16 +1,20 @@
 """Spectral sequences of bounded descending filtrations, computed exactly.
 
-The engine works from the subspace-lattice description of the pages: with
-F^p(m) the level-p subspace in total degree m,
+Every filtration here is a coordinate filtration: each coordinate of the
+total complex carries one integer level, and F^p(m) is spanned by the
+degree-m coordinates of level >= p.  The engine works from the
+subspace-lattice description of the pages:
 
     Z_r(p, m) = F^p(m) cap d^{-1}(F^{p+r}(m+1)),
     B_r(p, m) = Z_{r-1}(p+1, m) + d(Z_{r-1}(p-r+1, m-1)),
-    E_r(p, q) = Z_r(p, p+q) / B_r(p, p+q),
+    E_r(p, q) = Z_r(p, p+q) / B_r(p, p+q).
 
-with levels clamped to [p_min, p_max+1] (F below the range is everything,
-above it zero).  Clamping makes the formulas literally constant once r
-exceeds the filtration width, so late pages are stable by construction and
-the differentials d_r of bidegree (r, 1-r) vanish there.
+Clamping is implicit: F^p is everything for p at or below the lowest level
+and zero above the highest, so the formulas are literally constant once r
+exceeds the filtration width, late pages are stable by construction and the
+differentials d_r of bidegree (r, 1-r) vanish there.  Z_r(p, m) is the
+kernel of d restricted to the columns of F^p(m) and the rows outside
+F^{p+r}(m+1).
 
 Representatives are chosen deterministically: Z and B carry canonical
 row-echelon bases, and the cell basis is the subset of Z's rows whose pivots
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,81 +50,55 @@ from .multicomplex import (
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """Cochain complex with a bounded descending filtration by subspaces."""
+    """Cochain complex with a bounded descending coordinate filtration:
+    ``levels[m]`` holds one integer level per coordinate of degree m, and
+    F^p(m) is spanned by the coordinates of level >= p."""
 
     total: CochainComplex
-    p_min: int
-    p_max: int
-    levels: dict[tuple[int, int], Subspace]
+    levels: dict[int, np.ndarray]
 
-    def level(self, p: int, m: int) -> Subspace:
-        dim = self.total.dim(m)
-        if p <= self.p_min:
-            return Subspace.full(self.total.field, dim)
-        if p > self.p_max:
-            return Subspace.zero(self.total.field, dim)
-        sub = self.levels.get((p, m))
-        if sub is None:
-            return Subspace.zero(self.total.field, dim)
-        return sub
+    @cached_property
+    def p_min(self) -> int:
+        return min((int(lv.min()) for lv in self.levels.values() if lv.size), default=0)
+
+    @cached_property
+    def p_max(self) -> int:
+        return max((int(lv.max()) for lv in self.levels.values() if lv.size), default=0)
+
+    def at_least(self, p: int, m: int) -> np.ndarray:
+        """Mask of the degree-m coordinates that span F^p(m)."""
+        return self.levels.get(m, _NO_LEVELS) >= p
 
     def validate(self) -> None:
-        f = self.total.field
-        for m in sorted(self.total.dims):
-            prev = self.level(self.p_min, m)
-            for p in range(self.p_min + 1, self.p_max + 1):
-                cur = self.level(p, m)
-                if not prev.contains(cur):
-                    raise ContractError(f"filtration not descending at level {p}, degree {m}")
-                prev = cur
-            d = self.total.matrix(m)
-            for p in range(self.p_min, self.p_max + 1):
-                sub = self.level(p, m)
-                if sub.dim == 0:
-                    continue
-                img = mul(f, d, sub.basis.T).T
-                tgt = self.level(p, m + 1)
-                for row in img:
-                    if np.any(row) and not tgt.contains_vector(row):
-                        raise ContractError(
-                            f"filtration not stable under d at level {p}, degree {m}"
-                        )
+        """Check that d lowers no level, so every F^p is a subcomplex."""
+        for m in sorted(self.total.d):
+            rows, cols = np.nonzero(self.total.d[m])
+            src, tgt = self.levels[m][cols], self.levels[m + 1][rows]
+            low = tgt < src
+            if np.any(low):
+                p = int(tgt[low].min()) + 1
+                raise ContractError(f"filtration not stable under d at level {p}, degree {m}")
 
     @property
     def width(self) -> int:
         return self.p_max - self.p_min + 1
 
 
+_NO_LEVELS = np.zeros(0, dtype=int)
+
+
 def filtration_from_blocks(tot: CochainComplex, level_of_block) -> FilteredComplex:
-    """Filtration whose level-p space is spanned by the coordinates of the
-    totalization blocks scoring >= p under ``level_of_block``."""
-    f = tot.field
-    if not tot.dims:
-        return FilteredComplex(tot, 0, 0, {})
-    scores: dict[int, list[tuple[int, int]]] = {}  # degree -> [(score, blockdim)]
-    all_scores = []
-    for m, blk in (tot.blocks or {}).items():
-        scored = [(level_of_block(key), d) for key, d in blk]
-        scores[m] = scored
-        all_scores.extend(s for s, _ in scored)
-    if not all_scores:
+    """Filtration that gives each coordinate of a totalization block the
+    block's score under ``level_of_block``."""
+    blocks = tot.blocks or {}
+    if tot.dims and not any(blocks.values()):
         raise ContractError("totalization carries no block data")
-    p_min, p_max = min(all_scores), max(all_scores)
-    levels: dict[tuple[int, int], Subspace] = {}
-    for m, scored in scores.items():
-        dim = tot.dim(m)
-        for p in range(p_min + 1, p_max + 1):
-            keep = []
-            off = 0
-            for s, d in scored:
-                if s >= p:
-                    keep.extend(range(off, off + d))
-                off += d
-            basis = f.zeros(len(keep), dim)
-            for i, c in enumerate(keep):
-                basis[i, c] = 1
-            levels[(p, m)] = Subspace(f, dim, basis)
-    return FilteredComplex(tot, p_min, p_max, levels)
+    levels = {
+        m: np.repeat(np.array([level_of_block(key) for key, _ in blk], dtype=int),
+                     [d for _, d in blk])
+        for m, blk in blocks.items()
+    }
+    return FilteredComplex(tot, levels)
 
 
 def coordinate_filtration(mc: Multicomplex, axis: int) -> FilteredComplex:
@@ -231,52 +210,29 @@ class SpectralSequence:
         self.fc = fc
         self.field = fc.total.field
         self.check = check
-        self._ann: dict = {}
-        self._dft: dict = {}
         self._z: dict = {}
         self._pages: dict[int, Page] = {}
         self._reps: dict = {}
 
-    # clamped filtration bookkeeping
-
     def _clamp(self, p: int) -> int:
         return min(max(p, self.fc.p_min), self.fc.p_max + 1)
-
-    def _annihilator(self, p: int, m: int) -> np.ndarray:
-        p = self._clamp(p)
-        key = (p, m)
-        if key not in self._ann:
-            self._ann[key] = self.fc.level(p, m).annihilator()
-        return self._ann[key]
-
-    def _d_of_level(self, p: int, m: int) -> np.ndarray:
-        """Images of the level-p basis vectors under d, as columns."""
-        p = self._clamp(p)
-        key = (p, m)
-        if key not in self._dft:
-            sub = self.fc.level(p, m)
-            self._dft[key] = mul(self.field, self.fc.total.matrix(m), sub.basis.T)
-        return self._dft[key]
 
     def z_space(self, p: int, t: int, m: int) -> Subspace:
         """F^p(m) cap d^{-1}(F^t(m+1)), levels clamped."""
         p, t = self._clamp(p), self._clamp(t)
         key = (p, t, m)
-        if key in self._z:
-            return self._z[key]
-        sub = self.fc.level(p, m)
-        if sub.dim == 0 or t <= self.fc.p_min or self.fc.total.dim(m + 1) == 0:
-            out = sub
-        else:
-            ann = self._annihilator(t, m + 1)
-            if ann.shape[0] == 0:
-                out = sub
+        if key not in self._z:
+            f = self.field
+            cols = self.fc.at_least(p, m)
+            rows = ~self.fc.at_least(t, m + 1)  # coordinates outside F^t(m+1)
+            if np.any(cols) and np.any(rows):
+                coeffs = kernel(f, self.fc.total.matrix(m)[rows][:, cols])
+                basis = f.zeros(coeffs.shape[0], cols.size)
+                basis[:, cols] = coeffs
+                self._z[key] = Subspace.from_rows(f, cols.size, basis)
             else:
-                coeffs = kernel(self.field, mul(self.field, ann, self._d_of_level(p, m)))
-                rows = mul(self.field, coeffs, sub.basis)
-                out = Subspace.from_rows(self.field, sub.ambient, rows)
-        self._z[key] = out
-        return out
+                self._z[key] = Subspace(f, cols.size, f.eye(cols.size)[cols])
+        return self._z[key]
 
     def _cell_spaces(self, r: int, p: int, m: int) -> tuple[Subspace, Subspace]:
         z = self.z_space(p, p + r, m)
@@ -399,12 +355,12 @@ class SpectralSequence:
         for m in tot.dims:
             im = image(f, tot.matrix(m - 1)) if tot.dim(m) else None
             for p in range(self.fc.p_min + 1, self.fc.p_max + 1):
-                sub = self.fc.level(p, m)
-                ker_dim = sub.dim - rank(f, self._d_of_level(p, m))
+                cols = self.fc.at_least(p, m)
+                ker_dim = int(np.count_nonzero(cols)) - rank(f, tot.matrix(m)[:, cols])
                 if im is None or im.dim == 0:
                     im_dim = 0
                 else:
-                    im_dim = im.dim - rank(f, mul(f, self._annihilator(p, m), im.basis.T))
+                    im_dim = im.dim - rank(f, im.basis.T[~cols])
                 level_dims[(p, m)] = ker_dim - im_dim
         return AbutmentFiltration(self.fc.p_min, self.fc.p_max, h_dims, level_dims)
 

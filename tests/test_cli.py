@@ -1,6 +1,7 @@
 """Command line front end: job parsing, outputs, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -120,6 +121,42 @@ def test_default_window_and_rational_field(tmp_path):
     assert report["job"]["window"] == [[-4], [4]]
     assert report["job"]["field"] == {"rational": True}
     assert report["results"]["cohomology"]["nonzero_entries"] == 3
+
+
+# the six-vertex real projective plane: its Stanley-Reisner ring has
+# H^2 = H^3 = k in degree 0 exactly when k has characteristic 2
+RP2_FACETS = [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
+              {2, 3, 5}, {3, 4, 6}, {2, 4, 5}, {3, 5, 6}, {2, 4, 6}]
+
+
+@pytest.mark.parametrize(
+    "field,h",
+    [({"prime": 2}, {2: 1, 3: 1}), ({"prime": 3}, {}), ({"rational": True}, {})],
+)
+def test_projective_plane_depends_on_characteristic(tmp_path, field, h):
+    nonfaces = [
+        "*".join(f"x{i}" for i in t)
+        for t in itertools.combinations(range(1, 7), 3)
+        if set(t) not in RP2_FACETS
+    ]
+    assert len(nonfaces) == 10
+    tasks = ["cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]
+    body = {
+        "field": field,
+        "variables": 6,
+        "quotient": nonfaces,
+        "groups": [[f"x{i}" for i in range(1, 7)]],
+        "window": [[0] * 6, [0] * 6],
+        "tasks": tasks,
+    }
+    out = tmp_path / "out"
+    assert main(["compute", write_job(tmp_path, body), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True
+    assert {t: r["pass"] for t, r in report["results"].items()} == {t: True for t in tasks}
+    rows = (out / "cohomology.csv").read_text().splitlines()
+    assert rows[0] == "i,b1,b2,b3,b4,b5,b6,dim"
+    assert rows[1:] == [f"{i},0,0,0,0,0,0,{h.get(i, 0)}" for i in range(7)]
 
 
 @pytest.mark.parametrize(

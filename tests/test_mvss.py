@@ -6,15 +6,19 @@ import pytest
 from cechmv import (
     CechProblem,
     InputError,
+    MonomialIdeal,
     OracleCache,
     PrimeField,
     RationalField,
     VARIANTS,
+    cech_multicomplex,
+    degree_classes,
     infinity_filtration_report,
     mv_les,
     run_all_variants,
     run_variant,
 )
+from cechmv.mvss import _assemble
 
 F = PrimeField(65537)
 
@@ -28,6 +32,40 @@ def problem(groups, quotient=(), num_vars=2, window=2, field=F):
 def test_unknown_variant_rejected():
     with pytest.raises(InputError, match="unknown variant"):
         run_variant(problem(["x1", "x2"]), "3c")
+
+
+def random_problem(rng):
+    """Up to 3 variables, up to 3 groups of up to 2 monomials, a quotient with
+    up to 2 generators, window [-2, 2]^m."""
+    m = int(rng.integers(1, 4))
+
+    def monomial():
+        g = tuple(int(x) for x in rng.integers(0, 3, size=m))
+        return g if any(g) else (1,) + (0,) * (m - 1)
+
+    groups = tuple(
+        tuple(sorted({monomial() for _ in range(int(rng.integers(1, 3)))}))
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    quotient = tuple(sorted({monomial() for _ in range(int(rng.integers(0, 3)))}))
+    return CechProblem(F, m, groups, MonomialIdeal(m, quotient), ((-2,) * m, (2,) * m))
+
+
+def test_production_filtrations_are_subcomplexes(rng):
+    """Every variant's filtration gives each coordinate one level and d lowers
+    no level, on every degree class of random problems."""
+    assembled = set()
+    for _ in range(12):
+        prob = random_problem(rng)
+        for _pat, members in degree_classes(prob):
+            mc = cech_multicomplex(prob, members[0])
+            for variant in VARIANTS:
+                fc = _assemble(variant, mc)
+                assert {d: len(lv) for d, lv in fc.levels.items()} == fc.total.dims
+                fc.validate()
+                if fc.total.dims:
+                    assembled.add(variant)
+    assert assembled == set(VARIANTS)
 
 
 def test_two_coordinate_ideals_all_variants():

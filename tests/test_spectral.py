@@ -10,7 +10,6 @@ from cechmv import (
     PrimeField,
     RationalField,
     SpectralSequence,
-    Subspace,
     complement_total_filtration,
     coordinate_filtration,
     edge_composite_check,
@@ -30,11 +29,7 @@ F = PrimeField(65537)
 def two_step():
     """0 -> k -> k -> 0 with the target one filtration level deeper."""
     total = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
-    levels = {
-        (1, 0): Subspace.zero(F, 1),
-        (1, 1): Subspace.full(F, 1),
-    }
-    return FilteredComplex(total, 0, 1, levels)
+    return FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
 
 
 def test_two_step_pages():
@@ -79,26 +74,9 @@ def test_pages_constant_beyond_width():
 
 def test_filtration_validate_rejects_unstable_levels():
     total = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
-    bad = FilteredComplex(
-        total, 0, 1, {(1, 0): Subspace.full(F, 1), (1, 1): Subspace.zero(F, 1)}
-    )
+    bad = FilteredComplex(total, {0: np.array([1]), 1: np.array([0])})
     with pytest.raises(ContractError, match="not stable under d at level 1, degree 0"):
         bad.validate()
-
-
-def test_filtration_validate_rejects_non_descending():
-    total = CochainComplex(F, {0: 2}, {})
-    fc = FilteredComplex(
-        total,
-        0,
-        2,
-        {
-            (1, 0): Subspace.from_rows(F, 2, F.array([[1, 0]])),
-            (2, 0): Subspace.from_rows(F, 2, F.array([[0, 1]])),
-        },
-    )
-    with pytest.raises(ContractError, match="descending at level 2, degree 0"):
-        fc.validate()
 
 
 def test_filtration_from_blocks_requires_block_data():
@@ -115,15 +93,13 @@ def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
     fc = coordinate_filtration(mc, 0)
     fc.validate()
     tot = totalize(mc)
-    for (p, m), sub in fc.levels.items():
-        # each level is spanned by unit vectors of blocks with q[0] >= p
-        want = 0
-        for q, d in tot.blocks.get(m, ()):
-            if q[0] >= p:
-                want += d
-        assert sub.dim == want
-        for row in sub.basis:
-            assert np.count_nonzero(row) == 1
+    assert sorted(fc.levels) == sorted(tot.blocks)
+    for m, blk in tot.blocks.items():
+        # each coordinate's level is the first lattice coordinate of its block
+        want = [q[0] for q, d in blk for _ in range(d)]
+        assert fc.levels[m].tolist() == want
+    firsts = [q[0] for blk in tot.blocks.values() for q, d in blk if d]
+    assert (fc.p_min, fc.p_max) == (min(firsts), max(firsts))
 
 
 def test_abutment_graded_sums_to_cohomology(rng):
@@ -172,7 +148,7 @@ def test_page_index_must_be_nonnegative():
 def test_rational_field_engine():
     total = CochainComplex(RationalField(), {0: 1, 1: 1}, {0: RationalField().array([[1]])})
     q = RationalField()
-    fc = FilteredComplex(total, 0, 1, {(1, 0): Subspace.zero(q, 1), (1, 1): Subspace.full(q, 1)})
+    fc = FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
     ss = SpectralSequence(fc)
     assert ss.page(1).map_rank(q, 0, 0) == 1
     assert ss.page(2).cells == {}
