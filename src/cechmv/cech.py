@@ -16,6 +16,11 @@ Two independent routes are kept deliberately separate:
 The piece pattern of a degree (which localizations are alive) determines
 every matrix in both routes, so degrees with equal patterns are
 computationally identical; ``degree_classes`` groups a window by pattern.
+A piece is alive when b_j >= 0 and b_j >= g_j hold for the right variables j
+and quotient generators g, so the pattern sees each b_j only through its
+interval among the thresholds {0} and {g_j}.  The window therefore splits
+into chambers (one interval per coordinate) of constant pattern, and
+``degree_classes`` evaluates the pattern once per chamber, never per degree.
 Every audit is split into a class step, run once at a class's representative
 degree (its first member), and an assembly that copies the class results to
 the member degrees.
@@ -23,6 +28,7 @@ the member degrees.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -131,16 +137,29 @@ def piece_pattern(problem: CechProblem, b: Exps) -> tuple[int, ...]:
 
 def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exps]]]:
     """Window degrees grouped by piece pattern, each class in lex order, the
-    classes ordered by their first member."""
-    by_pat: dict[tuple[int, ...], list[Exps]] = {}
-    order: list[tuple[int, ...]] = []
-    for b in problem.degrees():
-        pat = piece_pattern(problem, b)
-        if pat not in by_pat:
-            by_pat[pat] = []
-            order.append(pat)
-        by_pat[pat].append(b)
-    return [(pat, by_pat[pat]) for pat in order]
+    classes ordered by their first member.
+
+    Per coordinate j, the sorted thresholds {0} and {g_j : g a quotient
+    generator} cut the integers into intervals, and a degree's chamber is the
+    tuple of the intervals holding its coordinates.  Every test in
+    ``localized_piece_dim`` compares some b_j with one of these thresholds,
+    and those comparisons cannot change inside an interval, so the pattern is
+    constant on a chamber.  It is evaluated once per chamber the window meets,
+    at the chamber's first window degree in lex order.
+    """
+    cuts = [sorted({0, *(g[j] for g in problem.quotient.gens)})
+            for j in range(problem.num_vars)]
+    lo, hi = problem.window
+    intervals = [[bisect.bisect_right(c, v) for v in range(a, z + 1)]
+                 for c, a, z in zip(cuts, lo, hi)]
+    class_of: dict[tuple[int, ...], list[Exps]] = {}  # chamber -> its class's members
+    by_pat: dict[tuple[int, ...], list[Exps]] = {}  # in order of first member
+    for b, chamber in zip(window_degrees(problem.window), itertools.product(*intervals)):
+        members = class_of.get(chamber)
+        if members is None:
+            members = class_of[chamber] = by_pat.setdefault(piece_pattern(problem, b), [])
+        members.append(b)
+    return list(by_pat.items())
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +332,17 @@ class CohomologyTable:
     def get(self, i: int, b: Exps) -> int:
         return self.dims.get((i, b), 0)
 
-    def csv_rows(self):
-        header = ["i"] + [f"b{j + 1}" for j in range(self.num_vars)] + ["dim"]
-        yield header
-        for i in range(self.i_min, self.i_max + 1):
-            for b in window_degrees(self.window):
-                yield [i, *b, self.get(i, tuple(b))]
-
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.csv_rows()) + "\n"
+        keys = [",".join(map(str, b)) for b in window_degrees(self.window)]
+        by_i: dict[int, dict[str, int]] = {}
+        for (i, b), h in self.dims.items():
+            by_i.setdefault(i, {})[",".join(map(str, b))] = h
+        # one chunk per index i, so only one index's rows are alive at a time
+        chunks = [",".join(["i", *(f"b{j + 1}" for j in range(self.num_vars)), "dim"])]
+        for i in range(self.i_min, self.i_max + 1):
+            col = by_i.get(i, {})
+            chunks.append("\n".join(f"{i},{key},{col.get(key, 0)}" for key in keys))
+        return "\n".join(chunks) + "\n"
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .cech import CechProblem, OracleCache, cech_multicomplex, degree_classes
 from .errors import ContractError, InputError
 from .grading import Exps
-from .linalg import image, kernel_space, rank
+from .linalg import image, kernel_space
 from .multicomplex import Multicomplex, cube_extension, koszul_split, puncture
 from .spectral import (
     FilteredComplex,
@@ -130,11 +130,10 @@ class MvssRun:
         return not self.failures
 
     def degree_report(self) -> list[dict]:
-        f = self.problem.field
         return _per_degree([
             (cls.members, {
                 "variant": self.variant,
-                "pages": [pg.to_json(f) for pg in cls.pages],
+                "pages": [pg.to_json() for pg in cls.pages],
                 "stabilized_at": cls.stabilized_at,
                 "e1_check": {"pass": not cls.e1_mismatches, "mismatches": cls.e1_mismatches},
                 "abutment_check": {"pass": not cls.abutment_mismatches,
@@ -151,7 +150,7 @@ class MvssRun:
         )
 
 
-def _stabilized_at(field, pages: list[Page]) -> int | None:
+def _stabilized_at(pages: list[Page]) -> int | None:
     """Smallest r whose page equals every later computed page with all maps
     of rank zero; None if that never happens within the computed horizon."""
     last = len(pages) - 1
@@ -160,7 +159,7 @@ def _stabilized_at(field, pages: list[Page]) -> int | None:
         pg = pages[r]
         if pg.cells != pages[last].cells:
             break
-        if any(rank(field, m) for m in pg.maps.values()):
+        if any(pg.ranks.values()):
             break
         stable_from = r
     return stable_from
@@ -217,7 +216,7 @@ def variant_class(problem: CechProblem, variant: str, mc: Multicomplex, cache: O
         members=members,
         pages=pages,
         width=width,
-        stabilized_at=_stabilized_at(problem.field, pages),
+        stabilized_at=_stabilized_at(pages),
         einf_dims=einf,
         h_dims={m: d for m, d in ab.h_dims.items() if d} if fc.total.dims else {},
         e1_mismatches=e1_mism,
@@ -258,7 +257,6 @@ def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
     the class whose 1a and 2a runs are given."""
     problem = cache.problem
     b = run_1a.members[0]
-    f = problem.field
     top = sum(len(g) for g in problem.groups) + 2
     p1a = run_1a.pages[1]
     p2a = run_2a.pages[1]
@@ -268,8 +266,8 @@ def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
         for i in range(top)
     }
     h_prod = {i: cache.raw("product", (0, 1), "full", i, b) for i in range(top)}
-    alpha = {i: p1a.map_rank(f, 0, i) for i in range(top)}
-    beta = {i: p2a.map_rank(f, 1, i - 1) for i in range(top)}
+    alpha = {i: p1a.map_rank(0, i) for i in range(top)}
+    beta = {i: p2a.map_rank(1, i - 1) for i in range(top)}
     delta = {i: h_prod[i] - beta[i] for i in range(top)}
     joints = []
     ok = True
@@ -360,20 +358,15 @@ def infinity_class(cls: ClassRun, cache: OracleCache) -> dict:
         return p1.maps.get((p, q))
 
     def nullity(p, q):
-        mat = d1(p, q)
-        return p1.dim(p, q) - (rank(f, mat) if mat is not None else 0)
-
-    def rank2(p, q):
-        mat = p2.maps.get((p, q))
-        return rank(f, mat) if mat is not None else 0
+        return p1.dim(p, q) - p1.map_rank(p, q)
 
     rows = []
     ok = True
     for m in m_vals:
-        top = nullity(0, m) - rank2(0, m)
-        mid = nullity(1, m - 1) - (rank(f, d1(0, m - 1)) if d1(0, m - 1) is not None else 0)
-        coker = p1.dim(2, m - 2) - (rank(f, d1(1, m - 2)) if d1(1, m - 2) is not None else 0)
-        bottom = coker - rank2(0, m - 1)
+        top = nullity(0, m) - p2.map_rank(0, m)
+        mid = nullity(1, m - 1) - p1.map_rank(0, m - 1)
+        coker = p1.dim(2, m - 2) - p1.map_rank(1, m - 2)
+        bottom = coker - p2.map_rank(0, m - 1)
         want = {
             (0, m): einf.get((0, m), 0),
             (1, m - 1): einf.get((1, m - 1), 0),

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, InternalCheckError
-from .linalg import Field, Subspace, image, kernel, mul, rank, solve
+from .linalg import Subspace, image, kernel, mul, rank, solve
 from .multicomplex import (
     CochainComplex,
     Multicomplex,
@@ -131,25 +131,28 @@ def truncated_face_filtration(face_part: Multicomplex) -> FilteredComplex:
 
 @dataclass(frozen=True)
 class Page:
+    """Page r: the nonzero cells, the d_r matrix out of each cell, and each
+    matrix's rank (computed once, with the page)."""
+
     r: int
     cells: dict[tuple[int, int], int]
     maps: dict[tuple[int, int], np.ndarray]
+    ranks: dict[tuple[int, int], int]
 
     def dim(self, p: int, q: int) -> int:
         return self.cells.get((p, q), 0)
 
-    def map_rank(self, field: Field, p: int, q: int) -> int:
-        mat = self.maps.get((p, q))
-        return rank(field, mat) if mat is not None else 0
+    def map_rank(self, p: int, q: int) -> int:
+        return self.ranks.get((p, q), 0)
 
-    def to_json(self, field: Field) -> dict:
+    def to_json(self) -> dict:
         cells = [
             {"p": p, "q": q, "dim": d}
             for (p, q), d in sorted(self.cells.items())
         ]
         maps = [
-            {"from": [p, q], "rank": rank(field, mat)}
-            for (p, q), mat in sorted(self.maps.items())
+            {"from": [p, q], "rank": rk}
+            for (p, q), rk in sorted(self.ranks.items())
         ]
         return {"r": self.r, "cells": cells, "maps": maps}
 
@@ -302,7 +305,7 @@ class SpectralSequence:
                     cells[(p, m - p)] = d
         for (p, q) in cells:
             maps[(p, q)] = self.d_matrix(r, p, q)
-        page = Page(r, cells, maps)
+        page = Page(r, cells, maps, {pq: rank(self.field, mat) for pq, mat in maps.items()})
         if self.check:
             self._check_page(page)
         self._pages[r] = page
@@ -320,8 +323,8 @@ class SpectralSequence:
         seen = set(page.cells) | {(p + r, q - r + 1) for p, q in page.cells}
         for (p, q) in seen:
             dim = page.dim(p, q)
-            out_rank = page.map_rank(f, p, q)
-            in_rank = page.map_rank(f, p - r, q + r - 1)
+            out_rank = page.map_rank(p, q)
+            in_rank = page.map_rank(p - r, q + r - 1)
             expect = dim - out_rank - in_rank
             got = self.cell_dim(r + 1, p, q)
             if expect != got:

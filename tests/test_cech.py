@@ -22,6 +22,7 @@ from cechmv import (
     validate,
     verify_product_vs_interior,
 )
+from cechmv import cech
 
 F = PrimeField(65537)
 X = (1, 0)
@@ -70,6 +71,75 @@ def test_degrees_and_classes():
     pat = piece_pattern(prob, (-1, -1))
     members = dict((tuple(p), m) for p, m in classes)[pat]
     assert (-3, -2) in members and (-1, -1) in members and len(members) == 9
+
+
+def walk_classes(prob):
+    """Reference for ``degree_classes``: every window degree grouped by its
+    own piece pattern, classes in order of first member."""
+    classes = {}
+    for b in prob.degrees():
+        classes.setdefault(piece_pattern(prob, b), []).append(b)
+    return list(classes.items())
+
+
+WINDOW_SHAPES = ("around_zero", "negative", "positive", "no_zero", "single", "mixed")
+
+
+def chamber_problem(rng, m, shape):
+    """A quotient with 1-4 generators of exponents 0..3 (the unit ideal
+    included) and a window of the given shape in m variables; a "no_zero"
+    window is negative in some coordinates and positive in the others."""
+    gens = tuple(tuple(int(x) for x in rng.integers(0, 4, size=m))
+                 for _ in range(int(rng.integers(1, 5))))
+    w = 3 if m <= 3 else 2
+    lo, hi = [], []
+    for _ in range(m):
+        kind = shape
+        if shape == "no_zero":
+            kind = ("negative", "positive")[int(rng.integers(0, 2))]
+        if kind == "around_zero":
+            a, z = -int(rng.integers(1, w + 1)), int(rng.integers(0, w + 1))
+        elif kind == "negative":
+            z = -int(rng.integers(1, 3))
+            a = z - int(rng.integers(0, w))
+        elif kind == "positive":
+            a = int(rng.integers(1, 3))
+            z = a + int(rng.integers(0, w + 1))
+        elif kind == "single":
+            a = z = int(rng.integers(-3, 5))
+        else:
+            a = int(rng.integers(-4, 4))
+            z = a + int(rng.integers(0, w + 1))
+        lo.append(a)
+        hi.append(z)
+    return CechProblem(F, m, (((1,) * m,),), MonomialIdeal(m, gens), (tuple(lo), tuple(hi)))
+
+
+def test_chamber_classes_match_the_degree_walk():
+    rng = np.random.default_rng(20261018)
+    for case in range(300):
+        m = 1 + case % 5
+        prob = chamber_problem(rng, m, WINDOW_SHAPES[case // 5 % len(WINDOW_SHAPES)])
+        assert degree_classes(prob) == walk_classes(prob), (prob.quotient.gens, prob.window)
+
+
+def test_classification_evaluates_one_pattern_per_chamber(monkeypatch):
+    # the wide-window benchmark problem: default window [-3, 3]^2 x [-2, 2]^4
+    prob = CechProblem.from_text(F, 6, [["x1^2", "x2*x3"], ["x4*x5", "x6"]], ["x1^2*x2^2"])
+    original = cech.piece_pattern
+    calls = []
+
+    def counted(problem, b):
+        calls.append(b)
+        return original(problem, b)
+
+    monkeypatch.setattr(cech, "piece_pattern", counted)
+    classes = degree_classes(prob)
+    assert sum(len(members) for _, members in classes) == 30625 and len(classes) == 81
+    # thresholds {0, 2} cut x1 and x2 into 3 intervals, {0} cuts the others
+    # into 2: 3 * 3 * 2**4 chambers
+    assert len(calls) <= 144
+    assert all(prob.in_window(b) for b in calls)
 
 
 def test_cech_complex_hand_values():

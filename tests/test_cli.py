@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cechmv import InternalCheckError, SpectralSequence, cech, cli, mvss
+from cechmv import InternalCheckError, SpectralSequence, cech, cli, linalg, mvss, spectral
 from cechmv.cli import main
 
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
@@ -237,6 +237,30 @@ def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monk
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     assert calls == {"degree_classes": 1, "cech_multicomplex": classes}
+
+
+@pytest.mark.parametrize("body", [
+    dict(BASE_JOB, quotient=["x1^2*x2"], window=[[-2, -2], [2, 2]],
+         tasks=["mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les"]),
+    dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
+         window=[[-1, -1, -1], [1, 1, 1]], tasks=["mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]),
+])
+def test_compute_ranks_each_page_map_once(tmp_path, monkeypatch, body):
+    original = linalg.rank
+    ranked = []  # every ranked matrix stays alive, so no id is reused
+    times: dict[int, int] = {}
+
+    def counted(field, a):
+        ranked.append(a)
+        times[id(a)] = times.get(id(a), 0) + 1
+        return original(field, a)
+
+    for mod in (spectral, mvss):
+        if getattr(mod, "rank", None) is original:
+            monkeypatch.setattr(mod, "rank", counted)
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert ranked and max(times.values()) == 1
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):

@@ -39,10 +39,10 @@ def test_two_step_pages():
     ss = SpectralSequence(fc)
     p0 = ss.page(0)
     assert p0.cells == {(0, 0): 1, (1, 0): 1}
-    assert p0.map_rank(F, 0, 0) == 0
+    assert p0.map_rank(0, 0) == 0
     p1 = ss.page(1)
     assert p1.cells == {(0, 0): 1, (1, 0): 1}
-    assert p1.map_rank(F, 0, 0) == 1
+    assert p1.map_rank(0, 0) == 1
     p2 = ss.page(2)
     assert p2.cells == {}
     page_inf, ab = ss.infinity()
@@ -52,7 +52,7 @@ def test_two_step_pages():
 
 def test_two_step_page_json_and_text():
     ss = SpectralSequence(two_step())
-    body = ss.page(1).to_json(F)
+    body = ss.page(1).to_json()
     assert body == {
         "r": 1,
         "cells": [{"p": 0, "q": 0, "dim": 1}, {"p": 1, "q": 0, "dim": 1}],
@@ -69,7 +69,7 @@ def test_pages_constant_beyond_width():
     late = [ss.page(r) for r in range(2, 7)]
     for pg in late[1:]:
         assert pg.cells == late[0].cells
-        assert all(pg.map_rank(F, p, q) == 0 for (p, q) in pg.maps)
+        assert all(pg.map_rank(p, q) == 0 for (p, q) in pg.maps)
 
 
 def test_filtration_validate_rejects_unstable_levels():
@@ -147,10 +147,9 @@ def test_page_index_must_be_nonnegative():
 
 def test_rational_field_engine():
     total = CochainComplex(RationalField(), {0: 1, 1: 1}, {0: RationalField().array([[1]])})
-    q = RationalField()
     fc = FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
     ss = SpectralSequence(fc)
-    assert ss.page(1).map_rank(q, 0, 0) == 1
+    assert ss.page(1).map_rank(0, 0) == 1
     assert ss.page(2).cells == {}
 
 
