@@ -10,8 +10,8 @@ The package is organized bottom-up:
 * :mod:`cechmv.multicomplex` -- lattice-graded complexes with one
   differential per axis, region restriction, totalization, the wedge/face
   splitting and the cube extension.
-* :mod:`cechmv.spectral` -- the filtered-complex spectral sequence engine
-  with built-in page-to-page consistency checks.
+* :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
+  every page counted from ranks of level blocks of the differential.
 * :mod:`cechmv.cech` -- Čech complexes of monomial ideal sequences, the
   closed-form dimension oracle, and the product-vs-interior audits.
 * :mod:`cechmv.mvss` -- the four Mayer-Vietoris style spectral sequence

@@ -44,9 +44,9 @@ from .multicomplex import (
     totalize,
     validate,
 )
-from .mvss import (ClassRun, MvssRun, degree_records, infinity_class, les_class, run_variant,
-                   variant_class)
-from .spectral import region_convergence_report, split_column_report
+from .mvss import (ClassRun, MvssRun, _assemble, degree_records, infinity_class, les_class,
+                   run_variant, variant_class)
+from .spectral import FilteredComplex, region_convergence_report, split_column_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
 
@@ -135,22 +135,29 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
 
 class DegreeClass:
     """One degree class as its class steps see it: members, oracle cache, the
-    lattice at members[0] (built on first use) and the variant runs so far."""
+    lattice at members[0] (built on first use), the variants' filtered
+    complexes and runs so far."""
 
     def __init__(self, problem: CechProblem, members: list[Exps]):
         self.problem = problem
         self.members = members
         self.cache = OracleCache(problem)
+        self.complexes: dict[str, FilteredComplex] = {}
         self.runs: dict[str, ClassRun] = {}
 
     @functools.cached_property
     def lattice(self) -> Multicomplex:
         return cech_multicomplex(self.problem, self.members[0])
 
+    def filtered(self, variant: str) -> FilteredComplex:
+        if variant not in self.complexes:
+            self.complexes[variant] = _assemble(variant, self.lattice)
+        return self.complexes[variant]
+
     def run(self, variant: str, pages: int | None) -> ClassRun:
         if variant not in self.runs:
-            self.runs[variant] = variant_class(self.problem, variant, self.lattice, self.cache,
-                                               self.members, pages_r=pages)
+            self.runs[variant] = variant_class(self.problem, variant, self.filtered(variant),
+                                               self.cache, self.members, pages_r=pages)
         return self.runs[variant]
 
 
@@ -172,7 +179,7 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
         variant = unit.split(":", 1)[1]
         run = klass.run(variant, pages)
         if variant == "1a" and problem.n == 3:
-            return run, infinity_class(run, cache)
+            return run, infinity_class(run, klass.filtered("1a"), cache)
         return run, None
     if unit == "les":
         return les_class(klass.run("1a", None), klass.run("2a", None), cache)

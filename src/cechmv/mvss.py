@@ -27,11 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cech import CechProblem, OracleCache, cech_multicomplex, degree_classes
 from .errors import ContractError, InputError
 from .grading import Exps
 from .linalg import image, kernel_space
-from .multicomplex import Multicomplex, cube_extension, koszul_split, puncture
+from .multicomplex import (CochainComplex, Multicomplex, cohomology_map, cube_extension,
+                           koszul_split, puncture)
 from .spectral import (
     FilteredComplex,
     Page,
@@ -165,15 +168,15 @@ def _stabilized_at(pages: list[Page]) -> int | None:
     return stable_from
 
 
-def variant_class(problem: CechProblem, variant: str, mc: Multicomplex, cache: OracleCache,
-                  members: list[Exps], pages_r: int | None = None, check: bool = True) -> ClassRun:
-    """Class step of ``run_variant``: the spectral sequence of the class whose
-    full lattice is ``mc``, with its first page and abutment audited against
-    the oracle at the representative degree members[0]."""
+def variant_class(problem: CechProblem, variant: str, fc: FilteredComplex, cache: OracleCache,
+                  members: list[Exps], pages_r: int | None = None) -> ClassRun:
+    """Class step of ``run_variant``: the spectral sequence of the variant's
+    filtered complex ``fc`` of the class (``_assemble`` of its full lattice),
+    with its first page and abutment audited against the oracle at the
+    representative degree members[0]."""
     b0 = members[0]
     n = problem.n
-    fc = _assemble(variant, mc)
-    ss = SpectralSequence(fc, check=check)
+    ss = SpectralSequence(fc)
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
     pages = [ss.page(r) for r in range(r_top + 1)]
@@ -225,21 +228,22 @@ def variant_class(problem: CechProblem, variant: str, mc: Multicomplex, cache: O
 
 
 def _class_runs(problem: CechProblem, variants, cache: OracleCache,
-                pages_r: int | None = None, check: bool = True) -> dict[str, MvssRun]:
+                pages_r: int | None = None) -> dict[str, MvssRun]:
     """The given variants over the window, building each class's lattice once."""
     runs = {v: MvssRun(problem, v, []) for v in variants}
     for _pat, members in degree_classes(problem):
         mc = cech_multicomplex(problem, members[0])
         for v in variants:
-            runs[v].classes.append(variant_class(problem, v, mc, cache, members, pages_r, check))
+            runs[v].classes.append(
+                variant_class(problem, v, _assemble(v, mc), cache, members, pages_r))
     return runs
 
 
 def run_variant(problem: CechProblem, variant: str, cache: OracleCache | None = None,
-                pages_r: int | None = None, check: bool = True) -> MvssRun:
+                pages_r: int | None = None) -> MvssRun:
     """Compute the chosen spectral sequence over the whole window and audit
     its first page and abutment against the oracle."""
-    return _class_runs(problem, (variant,), cache or OracleCache(problem), pages_r, check)[variant]
+    return _class_runs(problem, (variant,), cache or OracleCache(problem), pages_r)[variant]
 
 
 def run_all_variants(problem: CechProblem, cache: OracleCache | None = None,
@@ -335,27 +339,54 @@ def infinity_filtration_report(run: MvssRun, cache: OracleCache | None = None) -
       middle piece   dim ker(psi') - rank(phi'),
       bottom piece   dim coker(psi'') - rank(d2 into the coker cell).
 
-    The middle piece is recomputed independently through subspace quotients.
+    The middle piece is recomputed independently through subspace quotients
+    of explicit first-page maps, for which each class's lattice is rebuilt.
     """
     problem = run.problem
     if problem.n != 3 or run.variant != "1a":
         raise InputError("infinity filtration report needs a three-group 1a run")
     cache = cache or OracleCache(problem)
-    records = [(cls.members, infinity_class(cls, cache)) for cls in run.classes]
+    records = [
+        (cls.members,
+         infinity_class(cls, _assemble("1a", cech_multicomplex(problem, cls.members[0])), cache))
+        for cls in run.classes
+    ]
     return {"variant": "1a", **degree_records(records)}
 
 
-def infinity_class(cls: ClassRun, cache: OracleCache) -> dict:
+def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, np.ndarray]:
+    """d_1 out of level p of a coordinate filtration, by total degree, in the
+    bases of ``cohomology_reps``.  The first page at level p is the cohomology
+    of the level-p diagonal block of d, and d_1 is induced by the block one
+    level up, which anticommutes with the diagonal blocks."""
+    tot = fc.total
+
+    def level(lv: int, shift: int) -> tuple[CochainComplex, dict[int, np.ndarray]]:
+        masks = {m: fc.levels[m] == lv for m in tot.dims}
+        dims = {m - shift: int(np.count_nonzero(mk)) for m, mk in masks.items()}
+        d = {m - shift: tot.matrix(m)[masks[m + 1]][:, mk]
+             for m, mk in masks.items() if m + 1 in masks}
+        return CochainComplex(tot.field, dims, d), masks
+
+    src, here = level(p, 0)
+    tgt, up = level(p + 1, 1)
+    chain = {m: tot.matrix(m)[up[m + 1]][:, mk] for m, mk in here.items() if m + 1 in up}
+    return cohomology_map(src, tgt, chain, check=False)
+
+
+def infinity_class(cls: ClassRun, fc: FilteredComplex, cache: OracleCache) -> dict:
     """Class step of ``infinity_filtration_report`` for one three-group 1a
-    class run: the rows at its representative degree and their verdict."""
+    class run whose filtered complex is ``fc``: the rows at its
+    representative degree and their verdict."""
     f = cache.problem.field
     b0 = cls.members[0]
     p1, p2 = cls.pages[1], cls.pages[2]
     einf = cls.einf_dims
     m_vals = sorted({p + q for (p, q) in einf} | {p + q for (p, q) in p1.cells} | {2, 3})
+    d1_maps = {p: _first_page_maps(fc, p) for p in (0, 1)}
 
     def d1(p, q):
-        return p1.maps.get((p, q))
+        return d1_maps[p][p + q] if p1.dim(p, q) else None
 
     def nullity(p, q):
         return p1.dim(p, q) - p1.map_rank(p, q)

@@ -1,0 +1,177 @@
+"""The subspace-lattice page engine, kept as a test reference.
+
+It computes the pages of a coordinate filtration from explicit subspaces,
+
+    Z_r(p, m) = F^p(m) cap d^{-1}(F^{p+r}(m+1)),
+    B_r(p, m) = Z_{r-1}(p+1, m) + d(Z_{r-1}(p-r+1, m-1)),
+    E_r(p, q) = Z_r(p, p+q) / B_r(p, p+q),
+
+with Z_r(p, m) the kernel of d restricted to the columns of F^p(m) and the
+rows outside F^{p+r}(m+1).  Representatives are the rows of Z's canonical
+basis whose pivots are not pivots of B, and each d_r matrix is solved
+exactly against the target's representative-plus-boundary basis.  Every page
+is checked: d_r composes to zero, and the cohomology of page r with respect
+to d_r has the dimensions of page r+1.
+
+The package computes its pages from ranks of level blocks instead
+(``cechmv.spectral``); the tests compare the two engines cell by cell and
+rank by rank.  Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from cechmv import ContractError, FilteredComplex, InternalCheckError
+from cechmv.linalg import Subspace, kernel, mul, rank, solve
+
+
+@dataclass(frozen=True)
+class ReferencePage:
+    """Page r: the nonzero cells, the d_r matrix out of each cell and its rank."""
+
+    r: int
+    cells: dict[tuple[int, int], int]
+    maps: dict[tuple[int, int], np.ndarray]
+    ranks: dict[tuple[int, int], int]
+
+    def dim(self, p: int, q: int) -> int:
+        return self.cells.get((p, q), 0)
+
+    def map_rank(self, p: int, q: int) -> int:
+        return self.ranks.get((p, q), 0)
+
+
+class ReferenceSpectralSequence:
+    """Subspace-lattice page computer for one FilteredComplex."""
+
+    def __init__(self, fc: FilteredComplex):
+        self.fc = fc
+        self.field = fc.total.field
+        self._z: dict = {}
+        self._pages: dict[int, ReferencePage] = {}
+        self._reps: dict = {}
+
+    def _clamp(self, p: int) -> int:
+        return min(max(p, self.fc.p_min), self.fc.p_max + 1)
+
+    def z_space(self, p: int, t: int, m: int) -> Subspace:
+        """F^p(m) cap d^{-1}(F^t(m+1)), levels clamped."""
+        p, t = self._clamp(p), self._clamp(t)
+        key = (p, t, m)
+        if key not in self._z:
+            f = self.field
+            cols = self.fc.at_least(p, m)
+            rows = ~self.fc.at_least(t, m + 1)  # coordinates outside F^t(m+1)
+            if np.any(cols) and np.any(rows):
+                coeffs = kernel(f, self.fc.total.matrix(m)[rows][:, cols])
+                basis = f.zeros(coeffs.shape[0], cols.size)
+                basis[:, cols] = coeffs
+                self._z[key] = Subspace.from_rows(f, cols.size, basis)
+            else:
+                self._z[key] = Subspace(f, cols.size, f.eye(cols.size)[cols])
+        return self._z[key]
+
+    def cell_spaces(self, r: int, p: int, m: int) -> tuple[Subspace, Subspace]:
+        z = self.z_space(p, p + r, m)
+        b_high = self.z_space(p + 1, p + r, m)
+        pre = self.z_space(p - r + 1, p, m - 1)
+        if pre.dim and self.fc.total.dim(m):
+            d_pre = mul(self.field, self.fc.total.matrix(m - 1), pre.basis.T).T
+            b = Subspace.from_rows(
+                self.field, z.ambient, np.concatenate([b_high.basis, d_pre], axis=0)
+            )
+        else:
+            b = b_high
+        return z, b
+
+    def reps(self, r: int, p: int, q: int) -> np.ndarray:
+        key = (r, p, q)
+        if key not in self._reps:
+            m = p + q
+            if self.fc.total.dim(m) == 0:
+                self._reps[key] = self.field.zeros(0, 0)
+            else:
+                z, b = self.cell_spaces(r, p, m)
+                self._reps[key] = z.quotient_reps(b)
+        return self._reps[key]
+
+    def cell_dim(self, r: int, p: int, q: int) -> int:
+        return self.reps(r, p, q).shape[0]
+
+    def d_matrix(self, r: int, p: int, q: int) -> np.ndarray:
+        """Matrix of d_r from cell (p,q) to cell (p+r, q-r+1), columns indexed
+        by source representatives."""
+        src = self.reps(r, p, q)
+        tp, tq = p + r, q - r + 1
+        tdim = self.cell_dim(r, tp, tq)
+        if src.shape[0] == 0:
+            return self.field.zeros(tdim, 0)
+        m = p + q
+        images = mul(self.field, self.fc.total.matrix(m), src.T).T
+        _, b = self.cell_spaces(r, tp, m + 1)
+        if tdim == 0:
+            for row in images:
+                if np.any(row) and not b.contains_vector(row):
+                    raise InternalCheckError(
+                        f"d_{r} image from ({p},{q}) misses the zero target cell"
+                    )
+            return self.field.zeros(0, src.shape[0])
+        treps = self.reps(r, tp, tq)
+        basis = np.concatenate([treps, b.basis], axis=0)
+        try:
+            coeffs = solve(self.field, basis.T, images.T)
+        except ContractError as e:
+            raise InternalCheckError(f"d_{r} image from ({p},{q}) not in target cell: {e}")
+        return coeffs[: treps.shape[0], :]
+
+    def page(self, r: int) -> ReferencePage:
+        if r < 0:
+            raise ContractError("page index must be nonnegative")
+        if r in self._pages:
+            return self._pages[r]
+        cells: dict[tuple[int, int], int] = {}
+        for m in sorted(self.fc.total.dims):
+            for p in range(self.fc.p_min, self.fc.p_max + 1):
+                d = self.cell_dim(r, p, m - p)
+                if d:
+                    cells[(p, m - p)] = d
+        maps = {(p, q): self.d_matrix(r, p, q) for (p, q) in cells}
+        page = ReferencePage(r, cells, maps,
+                             {pq: rank(self.field, mat) for pq, mat in maps.items()})
+        self._check_page(page)
+        self._pages[r] = page
+        return page
+
+    def _check_page(self, page: ReferencePage) -> None:
+        r = page.r
+        f = self.field
+        for (p, q), mat in page.maps.items():
+            nxt = page.maps.get((p + r, q - r + 1))
+            if nxt is not None and mat.shape[0] and mat.shape[1]:
+                if np.any(mul(f, nxt, mat)):
+                    raise InternalCheckError(f"d_{r} o d_{r} != 0 at ({p},{q})")
+        # recompute the next page from kernels and images of d_r
+        seen = set(page.cells) | {(p + r, q - r + 1) for p, q in page.cells}
+        for (p, q) in seen:
+            expect = page.dim(p, q) - page.map_rank(p, q) - page.map_rank(p - r, q + r - 1)
+            got = self.cell_dim(r + 1, p, q)
+            if expect != got:
+                raise InternalCheckError(
+                    f"page {r + 1} cell ({p},{q}) has dim {got}, homology of page {r} gives {expect}"
+                )
+
+
+def assert_agrees_with_reference(fc: FilteredComplex, pages, einf) -> ReferenceSpectralSequence:
+    """Assert that the package's ``pages`` of ``fc`` (pages 0, 1, ... in
+    order) have the reference's cells and d_r ranks, and that ``einf``, the
+    package's limit-page cells, equal the reference's page at the width."""
+    ref = ReferenceSpectralSequence(fc)
+    for pg in pages:
+        want = ref.page(pg.r)
+        assert pg.cells == want.cells, (pg.r, pg.cells, want.cells)
+        assert pg.ranks == want.ranks, (pg.r, pg.ranks, want.ranks)
+    assert einf == ref.page(max(fc.width, 1)).cells
+    return ref

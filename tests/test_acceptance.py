@@ -4,9 +4,13 @@ The shared sweep holds 50 deterministic random problems: up to 3 variables,
 up to 3 generator groups, up to 2 monomials per group with per-variable
 degree at most 2, quotient ideals with up to 2 generators, degree window
 [-4,4]^m, coefficients in F_65537.  One oracle cache per problem is reused
-by every gate.  Engine safety nets (d o d = 0 on every page and agreement of
-the two independent next-page computations) stay enabled throughout, so any
-violation inside the sweep aborts the run instead of passing silently.
+by every gate.  The package computes its pages from ranks of level blocks,
+which check only that no pair count is negative; the sweep also runs the
+subspace-lattice reference engine (``reference_spectral``) on every class
+and variant, which checks d o d = 0 and the agreement of its two independent
+next-page computations on every page, and asserts that both engines give the
+same cells, ranks and limit pages, so any violation fails the run instead of
+passing silently.
 """
 
 import json
@@ -32,6 +36,7 @@ from cechmv import (
 from cechmv.cli import main as cli_main
 from cechmv.mvss import VARIANTS, _assemble, _expected_abutment, _expected_e1
 from conftest import F, rand_tensor_mc
+from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 
 
 def random_problem(rng, m, n):
@@ -171,8 +176,9 @@ def test_page_structure_and_stabilization(sweep_results):
     """Gate 7: pages freeze no later than the filtration width, three-group
     runs of variant 1a freeze by page 3, and a fresh engine pass confirms
     that every page-r differential maps r columns right and r-1 rows down
-    and that pages past the width carry no further maps.  The two-path
-    consistency and square-zero checks ran on every page of the sweep."""
+    and that pages past the width carry no further maps.  The reference
+    engine's two-path consistency and square-zero checks ran on every page of
+    the sweep (``test_engines_agree_on_the_sweep``)."""
     results, _ = sweep_results
     n3_runs = 0
     for res in results:
@@ -195,17 +201,42 @@ def test_page_structure_and_stabilization(sweep_results):
                 break
         if fc is None or not fc.total.dims:
             continue
-        ss = SpectralSequence(fc, check=True)
+        ss = SpectralSequence(fc)
+        ref = ReferenceSpectralSequence(fc)
         w = fc.width
         for r in range(w + 2):
-            for (p, q), d in ss.page(r).cells.items():
-                mat = ss.d_matrix(r, p, q)
-                assert mat.shape == (ss.cell_dim(r, p + r, q - r + 1), d)
+            pg = ss.page(r)
+            assert set(pg.ranks) == set(pg.cells)
+            for (p, q), d in pg.cells.items():
+                assert pg.map_rank(p, q) <= min(d, pg.dim(p + r, q - r + 1))
+                mat = ref.d_matrix(r, p, q)
+                assert mat.shape == (ref.cell_dim(r, p + r, q - r + 1), d)
         late, later = ss.page(w + 1), ss.page(w + 3)
         assert late.cells == later.cells
-        assert all(not np.any(mat) for mat in later.maps.values())
+        assert not any(later.ranks.values())
         probed += 1
     assert probed > 0
+
+
+def test_engines_agree_on_the_sweep(sweep_results):
+    """Gate 7b: on every class and variant of the sweep, the package's pages
+    and the subspace-lattice reference have equal cells and d_r ranks on
+    pages 0..width+1 and equal limit pages."""
+    results, _ = sweep_results
+    compared = 0
+    for res in results:
+        runs = res["runs"]
+        for i, cls0 in enumerate(runs["1a"].classes):
+            mc = cech_multicomplex(res["problem"], cls0.members[0])
+            for variant, run in runs.items():
+                cls = run.classes[i]
+                fc = _assemble(variant, mc)
+                if not fc.total.dims:
+                    continue
+                assert len(cls.pages) == fc.width + 2, (variant, cls.members[0])
+                assert_agrees_with_reference(fc, cls.pages, cls.einf_dims)
+                compared += 1
+    assert compared == 620
 
 
 def test_sign_twist_involution_and_invariance():

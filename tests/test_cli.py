@@ -266,14 +266,16 @@ def test_compute_ranks_each_page_map_once(tmp_path, monkeypatch, body):
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):
     # the classes of (-1,0) and (0,-1) have variant-1a totals {1: 1, 2: 2};
     # the class of (-1,-1) comes first and must not be blamed
-    original = SpectralSequence._check_page
+    # the failure is planted in the pair counts, whose negativity check runs
+    # while page 0 is built
+    original = SpectralSequence._pairs
 
-    def failing(self, page):
+    def failing(self, m):
         if self.fc.total.dims == {1: 1, 2: 2}:
-            raise InternalCheckError(f"planted failure on page {page.r}")
-        original(self, page)
+            raise InternalCheckError("planted failure on page 0")
+        return original(self, m)
 
-    monkeypatch.setattr(SpectralSequence, "_check_page", failing)
+    monkeypatch.setattr(SpectralSequence, "_pairs", failing)
     job = write_job(tmp_path, dict(BASE_JOB, tasks=["verify34", "mvss:1a"]))
     out = tmp_path / "out"
     assert main(["compute", job, "--out", str(out), "--jobs", "1"]) == 2

@@ -1,0 +1,114 @@
+"""A harder engine sweep: the package's pages against the subspace-lattice
+reference (``reference_spectral``), cell by cell and rank by rank on pages
+0..width+1, and on the limit page.
+
+Per field (F_2, F_3, F_65537 and, with fewer problems because the reference
+is slow over Q, the rationals) it draws random Čech problems in 3..5
+variables with 1..3 groups of up to 3 generators of exponents up to 2 and a
+quotient with up to 2 generators.  At two degrees of each problem (the class
+with the most live localization pieces and one random class) it compares the
+four variant filtrations and props2's face filtration of the unpunctured
+face half; props2's other three region filtrations are variants 1a, 2b and
+2a, since Čech lattices are commutative.  It also draws random tensor
+multicomplexes with up to 3 axes and compares the coordinate,
+complement-total and nonzero-count filtrations and props2's four region
+filtrations of each.
+"""
+
+import numpy as np
+import pytest
+
+from cechmv import (
+    CechProblem,
+    MonomialIdeal,
+    PrimeField,
+    RationalField,
+    SpectralSequence,
+    cech_multicomplex,
+    complement_total_filtration,
+    coordinate_filtration,
+    cube_extension,
+    default_window,
+    degree_classes,
+    koszul_split,
+    nonzero_count_filtration,
+    puncture,
+    sign_twist,
+    truncated_face_filtration,
+)
+from cechmv.mvss import VARIANTS, _assemble
+from conftest import rand_tensor_mc
+from reference_spectral import assert_agrees_with_reference
+
+
+def random_problem(field, rng) -> CechProblem:
+    m = int(rng.integers(3, 6))
+
+    def monomial():
+        g = tuple(int(x) for x in rng.integers(0, 3, size=m) * (rng.random(m) < 0.5))
+        return g if any(g) else tuple(int(j == rng.integers(m)) for j in range(m))
+
+    groups = tuple(
+        tuple(sorted({monomial() for _ in range(int(rng.integers(1, 4)))}))
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    quotient = MonomialIdeal(m, tuple(sorted({monomial() for _ in range(int(rng.integers(0, 3)))})))
+    return CechProblem(field, m, groups, quotient, default_window(m, groups, quotient))
+
+
+def region_filtrations(mc):
+    """The four filtrations props2 audits (``region_convergence_report``)."""
+    cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
+    face = koszul_split(cmc).face_part
+    return {
+        "face": coordinate_filtration(face, 0),
+        "truncated face": truncated_face_filtration(face),
+        "count": nonzero_count_filtration(puncture(cmc)),
+        "cube count": nonzero_count_filtration(cube_extension(cmc), skip_axis=0),
+    }
+
+
+def filtered_complexes(field, rng, problems: int, tensors: int):
+    for k in range(problems):
+        prob = random_problem(field, rng)
+        classes = degree_classes(prob)
+        richest = max(classes, key=lambda c: sum(c[0]))
+        for b in (richest[1][0], classes[int(rng.integers(len(classes)))][1][0]):
+            mc = cech_multicomplex(prob, b)
+            for variant in VARIANTS:
+                yield (k, prob.groups, b, variant), _assemble(variant, mc)
+            yield (k, prob.groups, b, "face"), coordinate_filtration(koszul_split(mc).face_part, 0)
+    for k in range(tensors):
+        mc = rand_tensor_mc(field, rng, max_axes=3)
+        yield (k, "coordinate"), coordinate_filtration(mc, 0)
+        yield (k, "complement total"), complement_total_filtration(mc, 0)
+        yield (k, "count"), nonzero_count_filtration(mc)
+        for name, fc in region_filtrations(mc).items():
+            yield (k, name), fc
+
+
+# (field, Čech problems, tensor multicomplexes, filtered complexes compared)
+SWEEPS = [
+    (PrimeField(2), 20, 20, 298),
+    (PrimeField(3), 20, 20, 298),
+    (PrimeField(65537), 20, 20, 298),
+    (RationalField(), 5, 12, 133),
+]
+
+
+@pytest.mark.parametrize("field, problems, tensors, expected", SWEEPS,
+                         ids=[f.describe() for f, *_ in SWEEPS])
+def test_pages_match_the_reference_engine(field, problems, tensors, expected):
+    rng = np.random.default_rng(20261018)
+    compared = 0
+    for tag, fc in filtered_complexes(field, rng, problems, tensors):
+        if not fc.total.dims:
+            continue
+        fc.validate()
+        ss = SpectralSequence(fc)
+        try:
+            assert_agrees_with_reference(fc, ss.pages_up_to(fc.width + 1), ss.infinity()[0].cells)
+        except AssertionError as e:
+            raise AssertionError(f"{field.describe()} {tag}: {e}") from None
+        compared += 1
+    assert compared == expected
