@@ -7,6 +7,8 @@ The package is organized bottom-up:
   rationals (echelon forms, subspaces of a common ambient space).
 * :mod:`cechmv.grading` -- monomials, monomial ideals, and the dimensions of
   graded pieces of localizations.
+* :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
+  the report files.
 * :mod:`cechmv.multicomplex` -- lattice-graded complexes with one
   differential per axis, region restriction, totalization, the wedge/face
   splitting and the cube extension.

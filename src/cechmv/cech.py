@@ -46,6 +46,7 @@ from .grading import (
     support_mask,
     window_degrees,
 )
+from .jsonout import PerDegree, plain
 from .linalg import Field, mul, rank
 from .multicomplex import (
     COMMUTATIVE,
@@ -345,15 +346,16 @@ class CohomologyTable:
         return "\n".join(chunks) + "\n"
 
     def to_json(self) -> dict:
+        """The report's table object: its nonzero entries {"i", "b", "dim"}
+        in (i, b) order, one shared record per distinct (i, dim)."""
+        records: dict[tuple[int, int], dict] = {}
+        entries = [(b, records.setdefault((i, d), {"i": i, "dim": d}))
+                   for (i, b), d in sorted(self.dims.items()) if d]
         return {
             "convention": self.convention,
             "i_range": [self.i_min, self.i_max],
             "window": [list(self.window[0]), list(self.window[1])],
-            "entries": [
-                {"i": i, "b": list(b), "dim": d}
-                for (i, b), d in sorted(self.dims.items())
-                if d
-            ],
+            "entries": PerDegree("b", entries),
         }
 
 
@@ -482,12 +484,12 @@ class OracleCache:
 
 def issue_report(results: list[tuple[list[Exps], list[dict]]], key: str) -> dict:
     """Assembly of an audit whose class step returns a list of issues: each
-    issue copied to every member degree (class order, then issue order, then
-    member order) and listed under ``key``."""
-    issues = [{"degree": list(b), **issue} for members, class_issues in results
-              for issue in class_issues for b in members]
+    issue listed under ``key`` for every member degree (class order, then
+    issue order, then member order)."""
+    issues = PerDegree("degree", [(b, issue) for members, class_issues in results
+                                  for issue in class_issues for b in members])
     return {"degrees_checked": sum(len(members) for members, _ in results), key: issues,
-            "pass": not issues}
+            "pass": not issues.items}
 
 
 def verify_class(problem: CechProblem, mc: Multicomplex, cache: OracleCache,
@@ -542,10 +544,10 @@ def verify_product_vs_interior(problem: CechProblem, cache: OracleCache | None =
     Degrees are grouped by piece pattern; one computation covers each class.
     """
     cache = cache or OracleCache(problem)
-    return issue_report([
+    return plain(issue_report([
         (members, verify_class(problem, cech_multicomplex(problem, members[0]), cache, members[0]))
         for _pat, members in degree_classes(problem)
-    ], "mismatches")
+    ], "mismatches"))
 
 
 class _AugmentedFiber:

@@ -11,7 +11,8 @@ Two commands:
 
   Each degree class runs the class step of every task (``run_unit``), and
   ``--jobs`` spreads the classes over worker processes; ``assemble_unit``
-  copies the class results to the member degrees, in class order.
+  lists the class results under the member degrees, in class order, and
+  ``jsonout.dumps`` writes each class's record once.
 * ``selftest`` runs the randomized structural property suites on generated
   multicomplexes and small problems.  Deterministic for a fixed seed.
 
@@ -34,6 +35,7 @@ from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex,
                    degree_classes, issue_report, verify_class, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
 from .grading import Exps, MonomialIdeal, parse_monomial, product_sequence
+from .jsonout import PerDegree, dumps
 from .linalg import DEFAULT_PRIME, PrimeField, RationalField, is_prime, mul
 from .multicomplex import (
     CochainComplex,
@@ -222,28 +224,20 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
             payload["infinity_filtration"] = {
                 "variant": "1a", **degree_records([(m, inf) for m, (_cls, inf) in results])}
             payload["pass"] = payload["pass"] and payload["infinity_filtration"]["pass"]
-        files = {
-            f"pages_{variant}.json": json.dumps(
-                {"variant": variant, "degrees": run.degree_report()}, sort_keys=True, indent=1
-            )
-            + "\n"
-        }
-        return payload, files
+        return payload, {f"pages_{variant}.json": dumps({"variant": variant,
+                                                         "degrees": run.degrees()})}
     rep = degree_records(results)  # the one task left is les
+    nontrivial = [
+        (members, {"ranks": {k: {i: v for i, v in vv.items() if v}
+                             for k, vv in rec["ranks"].items()}})
+        for members, rec in results
+        if any(v for vv in rec["dims"].values() for v in vv.values())
+    ]
     slim = {
         "pass": rep["pass"],
         "failures": rep["failures"],
-        "degrees_checked": len(rep["degrees"]),
-        "nontrivial_degrees": [
-            {
-                "degree": e["degree"],
-                "ranks": {
-                    k: {i: v for i, v in vv.items() if v} for k, vv in e["ranks"].items()
-                },
-            }
-            for e in rep["degrees"]
-            if any(v for vv in e["dims"].values() for v in vv.values())
-        ],
+        "degrees_checked": len(rep["degrees"].items),
+        "nontrivial_degrees": PerDegree.by_degree(nontrivial),
     }
     return slim, {}
 
@@ -312,7 +306,7 @@ def cmd_compute(args) -> int:
         all_files.update(files)
         ok = ok and payload.get("pass", True)
     report["pass"] = ok
-    all_files["report.json"] = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    all_files["report.json"] = dumps(report)
     for name, content in sorted(all_files.items()):
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
             fh.write(content)

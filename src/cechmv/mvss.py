@@ -32,6 +32,7 @@ import numpy as np
 from .cech import CechProblem, OracleCache, cech_multicomplex, degree_classes
 from .errors import ContractError, InputError
 from .grading import Exps
+from .jsonout import PerDegree, plain
 from .linalg import image, kernel_space
 from .multicomplex import (CochainComplex, Multicomplex, cohomology_map, cube_extension,
                            koszul_split, puncture)
@@ -132,8 +133,9 @@ class MvssRun:
     def ok(self) -> bool:
         return not self.failures
 
-    def degree_report(self) -> list[dict]:
-        return _per_degree([
+    def degrees(self) -> PerDegree:
+        """The ``degrees`` list of ``pages_V.json``: one record per class."""
+        return PerDegree.by_degree([
             (cls.members, {
                 "variant": self.variant,
                 "pages": [pg.to_json() for pg in cls.pages],
@@ -144,6 +146,9 @@ class MvssRun:
             })
             for cls in self.classes
         ])
+
+    def degree_report(self) -> list[dict]:
+        return plain(self.degrees())
 
     def summary_text(self) -> str:
         n_deg = sum(len(c.members) for c in self.classes)
@@ -251,11 +256,6 @@ def run_all_variants(problem: CechProblem, cache: OracleCache | None = None,
     return _class_runs(problem, VARIANTS, cache or OracleCache(problem), pages_r)
 
 
-def _per_degree(results: list[tuple[list[Exps], dict]]) -> list[dict]:
-    return sorted(({"degree": list(b), **rec} for members, rec in results for b in members),
-                  key=lambda e: e["degree"])
-
-
 def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
     """Class step of ``mv_les``: the sequence at the representative degree of
     the class whose 1a and 2a runs are given."""
@@ -301,9 +301,9 @@ def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
 def degree_records(results: list[tuple[list[Exps], dict]]) -> dict:
     """Assembly of ``mv_les`` and ``infinity_filtration_report`` from
     (members, class record): the records per degree and the failing ones."""
-    degrees = _per_degree(results)
-    failures = [e for e in degrees if not e["pass"]]
-    return {"degrees": degrees, "failures": failures, "pass": not failures}
+    degrees = PerDegree.by_degree(results)
+    failures = PerDegree("degree", [(b, rec) for b, rec in degrees.items if not rec["pass"]])
+    return {"degrees": degrees, "failures": failures, "pass": not failures.items}
 
 
 def mv_les(problem: CechProblem, cache: OracleCache | None = None,
@@ -320,10 +320,10 @@ def mv_les(problem: CechProblem, cache: OracleCache | None = None,
     cache = cache or OracleCache(problem)
     if runs is None:
         runs = _class_runs(problem, ("1a", "2a"), cache)
-    return degree_records([
+    return plain(degree_records([
         (c1.members, les_class(c1, c2, cache))
         for c1, c2 in zip(runs["1a"].classes, runs["2a"].classes)
-    ])
+    ]))
 
 
 def infinity_filtration_report(run: MvssRun, cache: OracleCache | None = None) -> dict:
@@ -351,7 +351,7 @@ def infinity_filtration_report(run: MvssRun, cache: OracleCache | None = None) -
          infinity_class(cls, _assemble("1a", cech_multicomplex(problem, cls.members[0])), cache))
         for cls in run.classes
     ]
-    return {"variant": "1a", **degree_records(records)}
+    return plain({"variant": "1a", **degree_records(records)})
 
 
 def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, np.ndarray]:

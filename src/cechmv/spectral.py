@@ -233,9 +233,10 @@ class SpectralSequence:
             for s in range(lo, hi + 1):
                 for t in range(s, hi + 1):
                     v = n(s, t) - n(s + 1, t) - n(s, t - 1) + n(s + 1, t - 1)
-                    if v < 0:
+                    if v < 0:  # page t - s is the first whose d_r joins the two levels
                         raise InternalCheckError(
                             f"negative pair count {v} in degree {m} from level {s} to level {t}"
+                            f" (page {t - s}, cell ({s},{m - s}))"
                         )
                     if v:
                         mu[s, t] = v
@@ -273,7 +274,8 @@ class SpectralSequence:
             for p in range(self.fc.p_min, self.fc.p_max + 1):
                 if graded.get(p, 0) != page.dim(p, m - p):
                     raise InternalCheckError(
-                        f"E_inf cell ({p},{m - p}) = {page.dim(p, m - p)} but abutment graded piece is {graded.get(p, 0)}"
+                        f"E_inf (page {r_inf}) cell ({p},{m - p}) = {page.dim(p, m - p)}"
+                        f" but abutment graded piece is {graded.get(p, 0)}"
                     )
             if sum(graded.values()) != ab.h_dims.get(m, 0):
                 raise InternalCheckError(f"graded dims at degree {m} do not sum to dim H^{m}")

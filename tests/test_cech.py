@@ -23,6 +23,7 @@ from cechmv import (
     verify_product_vs_interior,
 )
 from cechmv import cech
+from cechmv.jsonout import plain
 
 F = PrimeField(65537)
 X = (1, 0)
@@ -208,7 +209,7 @@ def test_oracle_table_single_ideal():
     csv = table.to_csv()
     assert csv.splitlines()[0] == "i,b1,dim"
     assert len(csv.splitlines()) == 1 + 2 * 5
-    body = table.to_json()
+    body = plain(table.to_json())
     assert {"i": 1, "b": [-2], "dim": 1} in body["entries"]
 
 

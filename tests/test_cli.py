@@ -1,5 +1,6 @@
 """Command line front end: job parsing, outputs, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,9 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cechmv import InternalCheckError, SpectralSequence, cech, cli, linalg, mvss, spectral
+from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, SpectralSequence,
+                    cech, cli, linalg, mvss, spectral)
 from cechmv.cli import main
+from cechmv.jsonout import PerDegree, dumps, plain
+from cechmv.mvss import ClassRun, MvssRun
+from cechmv.spectral import Page
 
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -336,3 +343,139 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+def reference_dumps(obj) -> str:
+    """The whole-object encoding every JSON file must equal."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+# what the report trees hold: scalars, lists, and dicts keyed by strings or
+# by integers (the per-index maps of les)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+              st.text(max_size=4)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.text(max_size=4), kids, max_size=3),
+        st.dictionaries(st.integers(-12, 12), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def degree_lists(num_vars, min_size=0):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * num_vars), unique=True,
+                    min_size=min_size, max_size=8)
+
+
+@st.composite
+def per_degree_lists(draw):
+    key = draw(st.sampled_from(["degree", "b"]))
+    records = draw(st.lists(
+        st.dictionaries(st.text(max_size=4).filter(lambda k: k != key), json_values, max_size=4),
+        min_size=1, max_size=3))
+    degrees = draw(degree_lists(draw(st.integers(1, 3))))
+    # members of one record are drawn independently, so they interleave
+    return PerDegree(key, [(b, draw(st.sampled_from(records))) for b in degrees])
+
+
+report_trees = st.recursive(
+    st.one_of(json_values, per_degree_lists()),
+    lambda kids: st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_trees)
+def test_writer_matches_whole_object_dumps(tree):
+    assert dumps(tree) == reference_dumps(plain(tree))
+
+
+cell_maps = st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                            st.integers(0, 3), max_size=4)
+mismatch_lists = st.lists(st.fixed_dictionaries(
+    {"p": st.integers(-1, 3), "q": st.integers(-1, 3), "got": st.integers(0, 3),
+     "want": st.integers(0, 3)}), max_size=2)
+
+
+@st.composite
+def variant_results(draw):
+    """A problem, a variant, a page cap and synthetic class results (members,
+    (class run, infinity record or None)) as the mvss:V class step gives them."""
+    num_vars = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 3))
+    variant = draw(st.sampled_from(mvss.VARIANTS))
+    degrees = draw(degree_lists(num_vars, min_size=1))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(degrees), max_size=len(degrees)))
+    results = []
+    for label in sorted(set(labels)):
+        members = [b for b, lab in zip(degrees, labels) if lab == label]
+        pages = [Page(r, draw(cell_maps), draw(cell_maps)) for r in range(draw(st.integers(0, 4)))]
+        run = ClassRun(members, pages, max(len(pages) - 1, 1), draw(st.none() | st.integers(1, 4)),
+                       {}, {}, draw(mismatch_lists), draw(mismatch_lists))
+        inf = None
+        if variant == "1a" and n == 3:
+            inf = {"rows": draw(st.lists(st.fixed_dictionaries(
+                {"total_degree": st.integers(0, 4), "ok": st.booleans()}), max_size=2)),
+                   "pass": draw(st.booleans())}
+        results.append((members, (run, inf)))
+    gens = tuple(((1,) + (0,) * (num_vars - 1),) for _ in range(n))
+    problem = CechProblem(PrimeField(65537), num_vars, gens, MonomialIdeal(num_vars, ()),
+                          ((-3,) * num_vars, (3,) * num_vars))
+    return problem, variant, draw(st.none() | st.integers(0, 4)), results
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant_results())
+def test_pages_file_and_payload_match_whole_object_dumps(case):
+    problem, variant, pages, results = case
+    payload, files = cli.assemble_unit(problem, f"mvss:{variant}", pages, results)
+    kept = [dataclasses.replace(run, pages=[pg for pg in run.pages if pages is None or pg.r <= pages])
+            for _members, (run, _inf) in results]
+    degrees = MvssRun(problem, variant, kept).degree_report()
+    assert [e["degree"] for e in degrees] == sorted(list(b) for members, _ in results for b in members)
+    assert all(pg["r"] <= pages for e in degrees for pg in e["pages"] if pages is not None)
+    assert files[f"pages_{variant}.json"] == reference_dumps({"variant": variant, "degrees": degrees})
+    assert dumps(payload) == reference_dumps(plain(payload))
+    if variant == "1a" and problem.n == 3:
+        inf = plain(payload["infinity_filtration"])
+        assert [e["degree"] for e in inf["degrees"]] == [e["degree"] for e in degrees]
+        assert inf["failures"] == [e for e in inf["degrees"] if not e["pass"]]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("body", [
+    dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3*x1"]], quotient=["x2^2"],
+         window=[[-1, -1, -1], [1, 1, 1]],
+         tasks=["cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]),
+    dict(BASE_JOB, quotient=["x1^2*x2"], window=[[-2, -2], [2, 2]]),
+])
+def test_written_json_is_in_canonical_form(tmp_path, body, jobs):
+    out = tmp_path / "out"
+    assert main(["compute", write_job(tmp_path, body), "--out", str(out), "--jobs", jobs]) == 0
+    written = sorted(out.glob("*.json"))
+    assert len(written) == 1 + sum(t.startswith("mvss:") for t in body["tasks"])
+    for path in written:
+        text = path.read_text()
+        assert reference_dumps(json.loads(text)) == text, path.name
+    report = json.loads((out / "report.json").read_text())
+    assert ("infinity_filtration" in report["results"]["mvss:1a"]) == (len(body["groups"]) == 3)
+
+
+def test_negative_pair_count_names_page_and_cell(tmp_path, monkeypatch):
+    # with every level block "of rank" its row count R(b), the pair count
+    # mu_m(s, s+1) = -R(s) is negative; its pair would be met on page 1, by
+    # the d_1 out of the level-s cell of degree m
+    monkeypatch.setattr(spectral, "rank", lambda field, a: a.shape[0])
+    body = dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
+                window=[[0, 0, 0], [0, 0, 0]], tasks=["mvss:2b"])
+    out = tmp_path / "out"
+    assert main(["compute", write_job(tmp_path, body), "--out", str(out), "--jobs", "1"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["mvss:2b"]["internal_error"] == {
+        "degree": [0, 0, 0],
+        "message": "negative pair count -3 in degree 1 from level 2 to level 3"
+                   " (page 1, cell (2,-1))",
+    }

@@ -21,6 +21,8 @@ from cechmv import (
     tensor_product,
     totalize,
 )
+from cechmv.errors import InternalCheckError
+from cechmv.spectral import AbutmentFiltration
 from conftest import rand_complex, rand_tensor_mc
 from reference_spectral import assert_agrees_with_reference
 
@@ -49,6 +51,14 @@ def test_two_step_pages():
     page_inf, ab = ss.infinity()
     assert page_inf.cells == {}
     assert ab.h_dims == {0: 0, 1: 0}
+
+
+def test_limit_page_check_names_page_and_cell(monkeypatch):
+    # k in degree 0 at level 0 survives to the limit page, E_inf = E_1
+    fc = FilteredComplex(CochainComplex(F, {0: 1}, {}), {0: np.array([0])})
+    monkeypatch.setattr(AbutmentFiltration, "graded", lambda self, m: {})
+    with pytest.raises(InternalCheckError, match=r"E_inf \(page 1\) cell \(0,0\) = 1 but "):
+        SpectralSequence(fc).infinity()
 
 
 def test_two_step_page_json_and_text():
