@@ -13,7 +13,7 @@ The package is organized bottom-up:
   differential per axis, region restriction, totalization, the wedge/face
   splitting and the cube extension.
 * :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
-  every page counted from ranks of level blocks of the differential.
+  every page counted from the persistence pairs of one column reduction.
 * :mod:`cechmv.cech` -- Čech complexes of monomial ideal sequences, the
   closed-form dimension oracle, and the product-vs-interior audits.
 * :mod:`cechmv.mvss` -- the four Mayer-Vietoris style spectral sequence

@@ -41,6 +41,7 @@ from .multicomplex import (
     CochainComplex,
     Multicomplex,
     koszul_complex,
+    koszul_split,
     sign_twist,
     tensor_product,
     totalize,
@@ -398,7 +399,7 @@ def cmd_selftest(args) -> int:
     # suite 3: split-column collapse on random lattices
     for trial in range(20):
         mc = _random_tensor_mc(f, rng, args.max_vars)
-        for msg in split_column_report(mc):
+        for msg in split_column_report(mc, koszul_split(mc)):
             failures.append(f"trial {trial}: {msg}")
 
     # suite 4: page-one and abutment accounting for the four region sequences

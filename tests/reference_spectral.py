@@ -13,9 +13,12 @@ exactly against the target's representative-plus-boundary basis.  Every page
 is checked: d_r composes to zero, and the cohomology of page r with respect
 to d_r has the dimensions of page r+1.
 
-The package computes its pages from ranks of level blocks instead
-(``cechmv.spectral``); the tests compare the two engines cell by cell and
-rank by rank.  Nothing under ``src/`` imports this module.
+The package computes its pages from persistence pairs, read off one column
+reduction of d per degree (``cechmv.spectral``); the tests compare the two
+engines cell by cell and rank by rank.  A third route counts the pairs by
+inclusion-exclusion of ranks of level blocks (``rank_table_pairs``), and the
+tests compare it with the package's pair counts degree by degree.  Nothing
+under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -24,8 +27,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cechmv import ContractError, FilteredComplex, InternalCheckError
+from cechmv import ContractError, FilteredComplex, InternalCheckError, SpectralSequence
 from cechmv.linalg import Subspace, kernel, mul, rank, solve
+
+
+def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
+    """The nonzero mu_m(s, t) by inclusion-exclusion of level-block ranks:
+
+        N(a, b)    = rank of d_m on the rows of level <= b and the columns of
+                     level >= a,
+        mu_m(s, t) = N(s, t) - N(s+1, t) - N(s, t-1) + N(s+1, t-1).
+
+    A negative count is kept, so that a comparison shows it."""
+    lo, hi = fc.p_min, fc.p_max
+    cols = fc.levels.get(m, np.zeros(0, dtype=int))
+    rows = fc.levels.get(m + 1, np.zeros(0, dtype=int))
+    ranks: dict[tuple[int, int], int] = {}  # absent ones are 0
+    if cols.size and rows.size:
+        d = fc.total.matrix(m)
+        for b in range(lo, hi + 1):
+            block = d[rows <= b]
+            for a in range(lo, b + 1):
+                ranks[a, b] = rank(fc.total.field, block[:, cols >= a])
+
+    def n(a: int, b: int) -> int:
+        return ranks.get((a, b), 0)
+
+    mu = {}
+    for s in range(lo, hi + 1):
+        for t in range(s, hi + 1):
+            v = n(s, t) - n(s + 1, t) - n(s, t - 1) + n(s + 1, t - 1)
+            if v:
+                mu[s, t] = v
+    return mu
 
 
 @dataclass(frozen=True)
@@ -166,8 +200,13 @@ class ReferenceSpectralSequence:
 
 def assert_agrees_with_reference(fc: FilteredComplex, pages, einf) -> ReferenceSpectralSequence:
     """Assert that the package's ``pages`` of ``fc`` (pages 0, 1, ... in
-    order) have the reference's cells and d_r ranks, and that ``einf``, the
-    package's limit-page cells, equal the reference's page at the width."""
+    order) have the reference's cells and d_r ranks, that ``einf``, the
+    package's limit-page cells, equal the reference's page at the width, and
+    that the package's pair counts equal the rank table's in every degree."""
+    ss = SpectralSequence(fc)
+    for m in fc.total.dims:
+        got, want = ss._pairs(m), rank_table_pairs(fc, m)
+        assert got == want, (m, got, want)
     ref = ReferenceSpectralSequence(fc)
     for pg in pages:
         want = ref.page(pg.r)

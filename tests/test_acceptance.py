@@ -4,13 +4,14 @@ The shared sweep holds 50 deterministic random problems: up to 3 variables,
 up to 3 generator groups, up to 2 monomials per group with per-variable
 degree at most 2, quotient ideals with up to 2 generators, degree window
 [-4,4]^m, coefficients in F_65537.  One oracle cache per problem is reused
-by every gate.  The package computes its pages from ranks of level blocks,
-which check only that no pair count is negative; the sweep also runs the
-subspace-lattice reference engine (``reference_spectral``) on every class
-and variant, which checks d o d = 0 and the agreement of its two independent
-next-page computations on every page, and asserts that both engines give the
-same cells, ranks and limit pages, so any violation fails the run instead of
-passing silently.
+by every gate.  The package computes its pages from the persistence pairs
+of one column reduction per degree; the sweep also runs the subspace-lattice
+reference engine (``reference_spectral``) on every class and variant, which
+checks d o d = 0 and the agreement of its two independent next-page
+computations on every page, and asserts that both engines give the same
+cells, ranks and limit pages, and that the pair counts equal the
+inclusion-exclusion of level-block ranks, so any violation fails the run
+instead of passing silently.
 """
 
 import json
@@ -26,6 +27,7 @@ from cechmv import (
     SpectralSequence,
     cech_multicomplex,
     degree_classes,
+    koszul_split,
     mv_les,
     run_all_variants,
     sign_twist,
@@ -143,11 +145,11 @@ def test_kernel_and_cokernel_columns_collapse(sweep):
     for prob in sweep:
         for _pat, members in degree_classes(prob):
             mc = cech_multicomplex(prob, members[0])
-            assert split_column_report(mc) == [], (prob.groups, members[0])
+            assert split_column_report(mc, koszul_split(mc)) == [], (prob.groups, members[0])
     rng = np.random.default_rng(20240824)
     for trial in range(100):
         mc = rand_tensor_mc(F, rng, max_axes=4)
-        assert split_column_report(mc) == [], f"trial {trial}"
+        assert split_column_report(mc, koszul_split(mc)) == [], f"trial {trial}"
 
 
 def test_two_group_long_exact_sequence():
@@ -221,7 +223,8 @@ def test_page_structure_and_stabilization(sweep_results):
 def test_engines_agree_on_the_sweep(sweep_results):
     """Gate 7b: on every class and variant of the sweep, the package's pages
     and the subspace-lattice reference have equal cells and d_r ranks on
-    pages 0..width+1 and equal limit pages."""
+    pages 0..width+1 and equal limit pages, and in every degree the pair
+    counts equal the rank table's."""
     results, _ = sweep_results
     compared = 0
     for res in results:

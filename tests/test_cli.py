@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, SpectralSequence,
-                    cech, cli, linalg, mvss, spectral)
+                    cech, cli, mvss)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
 from cechmv.mvss import ClassRun, MvssRun
@@ -252,29 +252,27 @@ def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monk
     dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
          window=[[-1, -1, -1], [1, 1, 1]], tasks=["mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]),
 ])
-def test_compute_ranks_each_page_map_once(tmp_path, monkeypatch, body):
-    original = linalg.rank
-    ranked = []  # every ranked matrix stays alive, so no id is reused
-    times: dict[int, int] = {}
+def test_compute_reduces_each_degree_once(tmp_path, monkeypatch, body):
+    original = SpectralSequence._pairs
+    seqs = []  # every sequence stays alive, so no id is reused
+    reduced: dict[tuple[int, int], int] = {}
 
-    def counted(field, a):
-        ranked.append(a)
-        times[id(a)] = times.get(id(a), 0) + 1
-        return original(field, a)
+    def counted(self, m):
+        if m not in self._mu:
+            seqs.append(self)
+            reduced[id(self), m] = reduced.get((id(self), m), 0) + 1
+        return original(self, m)
 
-    for mod in (spectral, mvss):
-        if getattr(mod, "rank", None) is original:
-            monkeypatch.setattr(mod, "rank", counted)
+    monkeypatch.setattr(SpectralSequence, "_pairs", counted)
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
-    assert ranked and max(times.values()) == 1
+    assert reduced and max(reduced.values()) == 1
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):
     # the classes of (-1,0) and (0,-1) have variant-1a totals {1: 1, 2: 2};
     # the class of (-1,-1) comes first and must not be blamed
-    # the failure is planted in the pair counts, whose negativity check runs
-    # while page 0 is built
+    # the failure is planted in the pair counts, which page 0 reads first
     original = SpectralSequence._pairs
 
     def failing(self, m):
@@ -463,19 +461,3 @@ def test_written_json_is_in_canonical_form(tmp_path, body, jobs):
     report = json.loads((out / "report.json").read_text())
     assert ("infinity_filtration" in report["results"]["mvss:1a"]) == (len(body["groups"]) == 3)
 
-
-def test_negative_pair_count_names_page_and_cell(tmp_path, monkeypatch):
-    # with every level block "of rank" its row count R(b), the pair count
-    # mu_m(s, s+1) = -R(s) is negative; its pair would be met on page 1, by
-    # the d_1 out of the level-s cell of degree m
-    monkeypatch.setattr(spectral, "rank", lambda field, a: a.shape[0])
-    body = dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
-                window=[[0, 0, 0], [0, 0, 0]], tasks=["mvss:2b"])
-    out = tmp_path / "out"
-    assert main(["compute", write_job(tmp_path, body), "--out", str(out), "--jobs", "1"]) == 2
-    report = json.loads((out / "report.json").read_text())
-    assert report["results"]["mvss:2b"]["internal_error"] == {
-        "degree": [0, 0, 0],
-        "message": "negative pair count -3 in degree 1 from level 2 to level 3"
-                   " (page 1, cell (2,-1))",
-    }

@@ -1,6 +1,7 @@
 """A harder engine sweep: the package's pages against the subspace-lattice
 reference (``reference_spectral``), cell by cell and rank by rank on pages
-0..width+1, and on the limit page.
+0..width+1, and on the limit page, and the package's pair counts against the
+rank table of level blocks in every degree.
 
 Per field (F_2, F_3, F_65537 and, with fewer problems because the reference
 is slow over Q, the rationals) it draws random Čech problems in 3..5

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechmv import (
     CochainComplex,
@@ -14,6 +16,7 @@ from cechmv import (
     coordinate_filtration,
     edge_composite_check,
     filtration_from_blocks,
+    koszul_split,
     nonzero_count_filtration,
     region_convergence_report,
     sign_twist,
@@ -22,9 +25,10 @@ from cechmv import (
     totalize,
 )
 from cechmv.errors import InternalCheckError
+from cechmv.linalg import Subspace, image, kernel_space
 from cechmv.spectral import AbutmentFiltration
 from conftest import rand_complex, rand_tensor_mc
-from reference_spectral import assert_agrees_with_reference
+from reference_spectral import assert_agrees_with_reference, rank_table_pairs
 
 F = PrimeField(65537)
 
@@ -129,6 +133,63 @@ def test_abutment_graded_sums_to_cohomology(rng):
         assert isinstance(body["h"], list) and isinstance(body["graded"], list)
 
 
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(65537), RationalField()]
+
+
+@st.composite
+def level_labelled_matrices(draw):
+    """A filtered two-term complex k^c -> k^r: random levels in 0..top
+    (top = 0 gives a one-level filtration, and ties are common), entries in
+    -2..2 wherever the row level is at least the column level, and some rows
+    and columns zeroed."""
+    f = draw(st.sampled_from(FIELDS))
+    top = draw(st.integers(0, 3))
+    nc, nr = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cols = np.array(draw(st.lists(st.integers(0, top), min_size=nc, max_size=nc)), dtype=int)
+    rows = np.array(draw(st.lists(st.integers(0, top), min_size=nr, max_size=nr)), dtype=int)
+    a = np.array(draw(st.lists(st.integers(-2, 2), min_size=nr * nc, max_size=nr * nc)),
+                 dtype=int).reshape(nr, nc)
+    a[rows[:, None] < cols[None, :]] = 0
+    a[draw(st.lists(st.integers(0, nr - 1), max_size=nr)) if nr else []] = 0
+    a[:, draw(st.lists(st.integers(0, nc - 1), max_size=nc)) if nc else []] = 0
+    dims = {k: n for k, n in ((0, nc), (1, nr)) if n}
+    d = {0: f.array(a.tolist())} if nc and nr else {}
+    return FilteredComplex(CochainComplex(f, dims, d), {0: cols, 1: rows})
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_labelled_matrices())
+def test_pair_counts_match_the_rank_table(fc):
+    fc.validate()
+    assert SpectralSequence(fc)._pairs(0) == rank_table_pairs(fc, 0)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), RationalField()], ids=["F_2", "Q"])
+def test_abutment_levels_are_kernel_minus_image(field):
+    """dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p), from explicit
+    subspaces, is the abutment's level-p dimension of H^m."""
+    rng = np.random.default_rng(20261018)
+
+    def meet(u: Subspace, v: Subspace) -> int:
+        both = Subspace.from_rows(field, u.ambient, np.concatenate([u.basis, v.basis]))
+        return u.dim + v.dim - both.dim
+
+    nonzero_meets = 0  # cells where im d_{m-1} meets F^p
+    for _ in range(30):
+        mc = rand_tensor_mc(field, rng, max_axes=3)
+        cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
+        for fc in (coordinate_filtration(mc, 0), nonzero_count_filtration(cmc)):
+            tot, ab = fc.total, SpectralSequence(fc).abutment()
+            for m in tot.dims:
+                ker, im = kernel_space(field, tot.matrix(m)), image(field, tot.matrix(m - 1))
+                for p in range(fc.p_min + 1, fc.p_max + 1):
+                    fp = Subspace.from_rows(field, tot.dim(m), field.eye(tot.dim(m))[fc.at_least(p, m)])
+                    im_p = meet(im, fp)
+                    assert ab.level_dims[p, m] == meet(ker, fp) - im_p, (m, p)
+                    nonzero_meets += im_p > 0
+    assert nonzero_meets > 10
+
+
 def test_engine_internal_checks_run(rng):
     # the reference engine checks d o d = 0 and the two-path page comparison
     # on every page, and both engines must give the same cells and ranks
@@ -168,22 +229,24 @@ def test_rational_field_engine():
 def test_split_column_report_clean_on_random_lattices(rng):
     for _ in range(12):
         mc = rand_tensor_mc(F, rng, max_axes=3)
-        assert split_column_report(mc) == []
+        assert split_column_report(mc, koszul_split(mc)) == []
 
 
 def test_edge_composite_check(rng):
     # explicit square with identity maps: the composite is nonzero
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
     mc = tensor_product([seg, seg])
-    assert edge_composite_check(mc) == []
+    assert edge_composite_check(mc, koszul_split(mc)) == []
     # a factor with zero differential gives a zero composite; still consistent
     seg0 = CochainComplex(F, {0: 1, 1: 1}, {})
-    assert edge_composite_check(tensor_product([seg, seg0])) == []
+    mc = tensor_product([seg, seg0])
+    assert edge_composite_check(mc, koszul_split(mc)) == []
     # single axis: nothing to check
-    assert edge_composite_check(tensor_product([seg])) == []
+    mc = tensor_product([seg])
+    assert edge_composite_check(mc, koszul_split(mc)) == []
     for _ in range(6):
         m = rand_tensor_mc(F, rng, max_axes=3, twist=False)
-        assert edge_composite_check(m) == []
+        assert edge_composite_check(m, koszul_split(m)) == []
 
 
 def test_region_convergence_report_clean(rng):
