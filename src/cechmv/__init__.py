@@ -75,6 +75,7 @@ from .multicomplex import (
 from .spectral import (
     AbutmentFiltration,
     FilteredComplex,
+    LatticeSequences,
     Page,
     SpectralSequence,
     complement_total_filtration,
@@ -123,6 +124,7 @@ __all__ = [
     "InputError",
     "InternalCheckError",
     "KoszulSplit",
+    "LatticeSequences",
     "MonomialIdeal",
     "Multicomplex",
     "MvssRun",

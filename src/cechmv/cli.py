@@ -41,15 +41,14 @@ from .multicomplex import (
     CochainComplex,
     Multicomplex,
     koszul_complex,
-    koszul_split,
     sign_twist,
     tensor_product,
     totalize,
     validate,
 )
-from .mvss import (ClassRun, MvssRun, _assemble, degree_records, infinity_class, les_class,
+from .mvss import (FILTRATION, ClassRun, MvssRun, degree_records, infinity_class, les_class,
                    run_variant, variant_class)
-from .spectral import FilteredComplex, region_convergence_report, split_column_report
+from .spectral import LatticeSequences, region_convergence_report, split_column_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
 
@@ -138,28 +137,27 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
 
 class DegreeClass:
     """One degree class as its class steps see it: members, oracle cache, the
-    lattice at members[0] (built on first use), the variants' filtered
-    complexes and runs so far."""
+    lattice at members[0] and its ``LatticeSequences`` (both built on first
+    use, so props2 and the variants share one Koszul split, filtered complex
+    and spectral sequence each), and the variants' runs so far."""
 
     def __init__(self, problem: CechProblem, members: list[Exps]):
         self.problem = problem
         self.members = members
         self.cache = OracleCache(problem)
-        self.complexes: dict[str, FilteredComplex] = {}
         self.runs: dict[str, ClassRun] = {}
 
     @functools.cached_property
     def lattice(self) -> Multicomplex:
         return cech_multicomplex(self.problem, self.members[0])
 
-    def filtered(self, variant: str) -> FilteredComplex:
-        if variant not in self.complexes:
-            self.complexes[variant] = _assemble(variant, self.lattice)
-        return self.complexes[variant]
+    @functools.cached_property
+    def sequences(self) -> LatticeSequences:
+        return LatticeSequences(self.lattice)
 
     def run(self, variant: str, pages: int | None) -> ClassRun:
         if variant not in self.runs:
-            self.runs[variant] = variant_class(self.problem, variant, self.filtered(variant),
+            self.runs[variant] = variant_class(self.problem, variant, self.sequences,
                                                self.cache, self.members, pages_r=pages)
         return self.runs[variant]
 
@@ -176,13 +174,13 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
     if unit == "props2":
         bad = validate(klass.lattice)
         if klass.lattice.dims:
-            bad.extend(region_convergence_report(klass.lattice))
+            bad.extend(region_convergence_report(klass.lattice, klass.sequences))
         return [{"message": msg} for msg in bad]
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
         run = klass.run(variant, pages)
         if variant == "1a" and problem.n == 3:
-            return run, infinity_class(run, klass.filtered("1a"), cache)
+            return run, infinity_class(run, klass.sequences.filtered(FILTRATION["1a"]), cache)
         return run, None
     if unit == "les":
         return les_class(klass.run("1a", None), klass.run("2a", None), cache)
@@ -399,7 +397,7 @@ def cmd_selftest(args) -> int:
     # suite 3: split-column collapse on random lattices
     for trial in range(20):
         mc = _random_tensor_mc(f, rng, args.max_vars)
-        for msg in split_column_report(mc, koszul_split(mc)):
+        for msg in split_column_report(mc, LatticeSequences(mc).split):
             failures.append(f"trial {trial}: {msg}")
 
     # suite 4: page-one and abutment accounting for the four region sequences

@@ -188,7 +188,39 @@ def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def pivot_columns(field: Field, a: np.ndarray) -> list[int]:
+    """The pivot columns of ``rref(field, a)``, from forward elimination only.
+
+    Pivot columns are the columns outside the span of the columns to their
+    left, so any row echelon form has them.  Here no row is normalized,
+    swapped or cleared above its pivot: each column's first nonzero row not
+    yet holding a pivot becomes its pivot row and is subtracted from the
+    other such rows, on the columns from the pivot's on.
+    """
+    if not a.any():  # also every empty matrix
+        return []
+    a = field.normalize(np.array(a, dtype=field.dtype))
+    free = np.ones(a.shape[0], dtype=bool)  # rows not holding a pivot
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        if len(pivots) == a.shape[0]:
+            break
+        nz = np.flatnonzero((a[:, c] != 0) & free)
+        if not nz.size:
+            continue
+        i, rest = nz[0], nz[1:]
+        if rest.size:
+            factor = field.normalize(a[rest, c] * field.inv_scalar(a[i, c]))
+            a[rest, c:] = field.normalize(a[rest, c:] - np.outer(factor, a[i, c:]))
+        free[i] = False
+        pivots.append(c)
+    return pivots
+
+
 def rank(field: Field, a: np.ndarray) -> int:
+    """The number of pivots of ``rref``.  The oracle ranks through this
+    Gauss-Jordan elimination, and the lattice route's rank-only callers count
+    ``pivot_columns``, so the two routes rank with different eliminations."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     return len(rref(field, a)[1])

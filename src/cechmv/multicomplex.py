@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, Subspace, image, kernel_space, mul, rank, same_field
+from .linalg import Field, Subspace, image, kernel_space, mul, pivot_columns, same_field
 
 Point = tuple[int, ...]
 
@@ -75,7 +75,7 @@ class CochainComplex:
 
     def cohomology_dims(self) -> dict[int, int]:
         out = {}
-        rk = {m: rank(self.field, self.matrix(m)) for m in self.dims}
+        rk = {m: len(pivot_columns(self.field, self.matrix(m))) for m in self.dims}
         for m in self.dims:
             h = self.dim(m) - rk.get(m, 0) - rk.get(m - 1, 0) if self.dim(m) else 0
             if h:
@@ -335,35 +335,40 @@ class Region:
         raise ContractError(f"unknown region kind {self.kind}")
 
 
+def _keep_points(mc: Multicomplex, keep, box: tuple[Point, Point] | None = None) -> Multicomplex:
+    """The entries at the points where ``keep`` holds, with the maps between
+    them, their labels and their block provenance."""
+    dims = {q: d for q, d in mc.dims.items() if keep(q)}
+    diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
+    labels = {q: l for q, l in mc.labels.items() if q in dims} if mc.labels is not None else None
+    pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
+          if mc.point_blocks is not None else None)
+    return Multicomplex(mc.field, mc.n, box or mc.box, dims, diffs, mc.flavor, labels, pb)
+
+
 def restrict(mc: Multicomplex, region: Region) -> Multicomplex:
     """Zero out all entries outside the region, keeping the surviving maps."""
     if any(x < 0 for x in mc.box[0]):
         raise ContractError("regions are defined over nonnegative lattice points only")
-    dims = {q: d for q, d in mc.dims.items() if region.contains(q)}
-    diffs = {
-        (q, i): m
-        for (q, i), m in mc.diffs.items()
-        if q in dims and add_e(q, i) in dims
-    }
-    labels = {q: l for q, l in (mc.labels or {}).items() if q in dims} if mc.labels else None
-    pb = {q: b for q, b in (mc.point_blocks or {}).items() if q in dims} if mc.point_blocks else None
-    return Multicomplex(mc.field, mc.n, mc.box, dims, diffs, mc.flavor, labels, pb)
+    return _keep_points(mc, region.contains)
 
 
 def puncture(mc: Multicomplex) -> Multicomplex:
     return restrict(mc, Region.punctured_all(mc.n))
 
 
+def puncture_along(mc: Multicomplex, axis: int) -> Multicomplex:
+    """Drop the line through the origin along ``axis``: the points whose other
+    coordinates are all zero.  Along the wedge axis 0 of a Koszul split half,
+    this is the same half of the split of the punctured multicomplex."""
+    return _keep_points(mc, lambda q: any(x for i, x in enumerate(q) if i != axis))
+
+
 def drop_axis_top(mc: Multicomplex, axis: int, value: int) -> Multicomplex:
     """Quotient away the layer q[axis] == value (must be the top of the box)."""
     if value != mc.box[1][axis]:
         raise ContractError("can only drop the top layer of an axis")
-    dims = {q: d for q, d in mc.dims.items() if q[axis] != value}
-    diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
-    labels = {q: l for q, l in (mc.labels or {}).items() if q in dims} if mc.labels else None
-    pb = {q: b for q, b in (mc.point_blocks or {}).items() if q in dims} if mc.point_blocks else None
-    box = (mc.box[0], add_e(mc.box[1], axis, -1))
-    return Multicomplex(mc.field, mc.n, box, dims, diffs, mc.flavor, labels, pb)
+    return _keep_points(mc, lambda q: q[axis] != value, (mc.box[0], add_e(mc.box[1], axis, -1)))
 
 
 def line_complex(mc: Multicomplex, axis: int, base: Point) -> CochainComplex:

@@ -15,7 +15,10 @@ Each variant fixes one filtration of one complex built from the degree-b
   (sum-ideal) cohomology at raw slot m.
 * 2b - the same count filtration on the punctured lattice, truncated flavors.
 
-First pages and abutments are checked dimensionwise against the independent
+The four filtered complexes of a class, and their spectral sequences, come
+from the ``LatticeSequences`` of its lattice, which the region audits
+(``spectral.region_convergence_report``, the props2 task) read too.  First
+pages and abutments are checked dimensionwise against the independent
 oracle; degrees are grouped by piece pattern so each distinct computation
 runs once: ``variant_class``, ``les_class`` and ``infinity_class`` are the
 class steps, and ``MvssRun`` and ``degree_records`` assemble their results
@@ -34,33 +37,14 @@ from .errors import ContractError, InputError
 from .grading import Exps
 from .jsonout import PerDegree, plain
 from .linalg import image, kernel_space
-from .multicomplex import (CochainComplex, Multicomplex, cohomology_map, cube_extension,
-                           koszul_split, puncture)
-from .spectral import (
-    FilteredComplex,
-    Page,
-    SpectralSequence,
-    coordinate_filtration,
-    nonzero_count_filtration,
-    truncated_face_filtration,
-)
+from .multicomplex import CochainComplex, cohomology_map
+from .spectral import FilteredComplex, LatticeSequences, Page
 
 VARIANTS = ("1a", "1b", "2a", "2b")
 
-
-def _assemble(variant: str, mc: Multicomplex) -> FilteredComplex:
-    """The variant's filtered complex built from the full lattice ``mc``."""
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
-    if variant in ("1b", "2b"):
-        mc = puncture(mc)
-    if variant == "1a":
-        return truncated_face_filtration(koszul_split(mc).face_part)
-    if variant == "1b":
-        return coordinate_filtration(koszul_split(mc).face_part, 0)
-    if variant == "2a":
-        return nonzero_count_filtration(cube_extension(mc), skip_axis=0)
-    return nonzero_count_filtration(mc)
+# the LatticeSequences filtration of each variant
+FILTRATION = {"1a": "truncated face", "1b": "punctured face",
+              "2a": "cube count", "2b": "punctured count"}
 
 
 def _expected_e1(cache: OracleCache, variant: str, p: int, q: int, b: Exps) -> int:
@@ -173,15 +157,18 @@ def _stabilized_at(pages: list[Page]) -> int | None:
     return stable_from
 
 
-def variant_class(problem: CechProblem, variant: str, fc: FilteredComplex, cache: OracleCache,
+def variant_class(problem: CechProblem, variant: str, seqs: LatticeSequences, cache: OracleCache,
                   members: list[Exps], pages_r: int | None = None) -> ClassRun:
     """Class step of ``run_variant``: the spectral sequence of the variant's
-    filtered complex ``fc`` of the class (``_assemble`` of its full lattice),
-    with its first page and abutment audited against the oracle at the
-    representative degree members[0]."""
+    filtered complex, read from ``seqs``, the ``LatticeSequences`` of the
+    class's full lattice, with its first page and abutment audited against
+    the oracle at the representative degree members[0]."""
+    if variant not in FILTRATION:
+        raise InputError(f"unknown variant {variant!r}")
     b0 = members[0]
     n = problem.n
-    ss = SpectralSequence(fc)
+    ss = seqs.sequence(FILTRATION[variant])
+    fc = ss.fc
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
     pages = [ss.page(r) for r in range(r_top + 1)]
@@ -237,10 +224,9 @@ def _class_runs(problem: CechProblem, variants, cache: OracleCache,
     """The given variants over the window, building each class's lattice once."""
     runs = {v: MvssRun(problem, v, []) for v in variants}
     for _pat, members in degree_classes(problem):
-        mc = cech_multicomplex(problem, members[0])
+        seqs = LatticeSequences(cech_multicomplex(problem, members[0]))
         for v in variants:
-            runs[v].classes.append(
-                variant_class(problem, v, _assemble(v, mc), cache, members, pages_r))
+            runs[v].classes.append(variant_class(problem, v, seqs, cache, members, pages_r))
     return runs
 
 
@@ -346,11 +332,10 @@ def infinity_filtration_report(run: MvssRun, cache: OracleCache | None = None) -
     if problem.n != 3 or run.variant != "1a":
         raise InputError("infinity filtration report needs a three-group 1a run")
     cache = cache or OracleCache(problem)
-    records = [
-        (cls.members,
-         infinity_class(cls, _assemble("1a", cech_multicomplex(problem, cls.members[0])), cache))
-        for cls in run.classes
-    ]
+    records = []
+    for cls in run.classes:
+        seqs = LatticeSequences(cech_multicomplex(problem, cls.members[0]))
+        records.append((cls.members, infinity_class(cls, seqs.filtered(FILTRATION["1a"]), cache)))
     return plain({"variant": "1a", **degree_records(records)})
 
 

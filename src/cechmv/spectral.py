@@ -21,8 +21,15 @@ from the unpaired columns to its right.  With
 Gaps are below the filtration width, so pages past the width are stable and
 carry no nonzero differentials.  At infinity the antidiagonal dimensions are
 checked against the filtration induced on the cohomology of the total
-complex, computed separately from the pivots of two row reductions per
-degree (``SpectralSequence.abutment``).
+complex, computed separately from the pivot columns of two forward
+eliminations per degree (``SpectralSequence.abutment``).  ``infinity`` runs
+that check once per sequence and caches the limit page and abutment.
+
+``LatticeSequences`` holds what the audits read off one lattice: its one
+Koszul split, the five filtered complexes built from it (the four
+Mayer-Vietoris variants and the untruncated face filtration) and one
+spectral sequence per filtered complex, so the region audits and the variant
+runs of a degree class share every page and abutment.
 """
 
 from __future__ import annotations
@@ -34,15 +41,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, InternalCheckError
-from .linalg import Subspace, kernel, mul, rank, rref
+from .linalg import Subspace, kernel, mul, pivot_columns
 from .multicomplex import (
+    COMMUTATIVE,
     CochainComplex,
     KoszulSplit,
     Multicomplex,
     Point,
+    Region,
+    augment_interior,
     composite_along,
+    cube_extension,
     drop_axis_top,
     koszul_split,
+    line_complex,
+    puncture,
+    puncture_along,
+    restrict,
+    sign_twist,
     totalize,
 )
 
@@ -204,13 +220,15 @@ class AbutmentFiltration:
 
 
 class SpectralSequence:
-    """Page computer for one FilteredComplex; all methods cache internally."""
+    """Page computer for one FilteredComplex; pages, pair counts and the
+    checked limit of ``infinity`` are each computed once and cached."""
 
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
         self.field = fc.total.field
         self._mu: dict[int, dict[tuple[int, int], int]] = {}
         self._pages: dict[int, Page] = {}
+        self._infinity: tuple[Page, AbutmentFiltration] | None = None
 
     def _pairs(self, m: int) -> dict[tuple[int, int], int]:
         """The nonzero mu_m(s, t): how many persistence pairs of d_m join a
@@ -259,6 +277,13 @@ class SpectralSequence:
         return page
 
     def infinity(self) -> tuple[Page, AbutmentFiltration]:
+        """The limit page and the abutment, checked against each other cell
+        by cell; computed on the first call and cached."""
+        if self._infinity is None:
+            self._infinity = self._checked_infinity()
+        return self._infinity
+
+    def _checked_infinity(self) -> tuple[Page, AbutmentFiltration]:
         r_inf = max(self.fc.width, 1)
         page = self.page(r_inf)
         ab = self.abutment()
@@ -275,7 +300,7 @@ class SpectralSequence:
     def abutment(self) -> AbutmentFiltration:
         """Level dimensions dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p).
 
-        The pivots of ``rref`` form the greedy column basis.  With the columns
+        The pivot columns form the greedy column basis.  With the columns
         of d_m in descending level, rank(d_m on the columns of level >= p) is
         the number of pivots of level >= p; with the columns of d_{m-1}^T (the
         degree-m coordinates) in ascending level, rank(d_{m-1} on the rows of
@@ -300,9 +325,62 @@ class SpectralSequence:
 
 def _pivot_levels(field, a: np.ndarray, levels: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Levels of the pivot columns of ``a`` with its columns taken in ``order``."""
-    if not a.any():
-        return _NO_LEVELS
-    return levels[order[rref(field, a[:, order])[1]]]
+    return levels[order[pivot_columns(field, a[:, order])]]
+
+
+class LatticeSequences:
+    """The filtered complexes read off one lattice multicomplex, and one
+    spectral sequence per filtered complex, each built once, on first use.
+
+    All of them come from the commutative form ``cmc`` of the lattice (the
+    lattice itself unless it is anticommutative), and the three face
+    filtrations from its one Koszul split:
+
+      face             wedge degree on the face half;
+      truncated face   the same with the top wedge level dropped (variant 1a);
+      punctured face   wedge degree on the face half without the line over
+                       the lattice origin, which is the face half of the
+                       punctured lattice's split (variant 1b);
+      cube count       nonzero-coordinate count on the cube extension, the
+                       extra direction not counted (variant 2a);
+      punctured count  nonzero-coordinate count on the punctured lattice
+                       (variant 2b).
+    """
+
+    def __init__(self, mc: Multicomplex):
+        self.mc = mc
+        self._filtered: dict[str, FilteredComplex] = {}
+        self._sequences: dict[str, SpectralSequence] = {}
+
+    @cached_property
+    def cmc(self) -> Multicomplex:
+        return self.mc if self.mc.flavor == COMMUTATIVE else sign_twist(self.mc)
+
+    @cached_property
+    def split(self) -> KoszulSplit:
+        return koszul_split(self.cmc)
+
+    def filtered(self, kind: str) -> FilteredComplex:
+        if kind not in self._filtered:
+            if kind == "face":
+                fc = coordinate_filtration(self.split.face_part, 0)
+            elif kind == "truncated face":
+                fc = truncated_face_filtration(self.split.face_part)
+            elif kind == "punctured face":
+                fc = coordinate_filtration(puncture_along(self.split.face_part, 0), 0)
+            elif kind == "cube count":
+                fc = nonzero_count_filtration(cube_extension(self.cmc), skip_axis=0)
+            elif kind == "punctured count":
+                fc = nonzero_count_filtration(puncture(self.cmc))
+            else:
+                raise ContractError(f"unknown lattice filtration {kind!r}")
+            self._filtered[kind] = fc
+        return self._filtered[kind]
+
+    def sequence(self, kind: str) -> SpectralSequence:
+        if kind not in self._sequences:
+            self._sequences[kind] = SpectralSequence(self.filtered(kind))
+        return self._sequences[kind]
 
 
 def split_column_report(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
@@ -313,8 +391,6 @@ def split_column_report(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
     half only in wedge degree 0, both of dimension equal to the entry dim
     when q has all coordinates positive and zero otherwise.
     """
-    from .multicomplex import Region, line_complex
-
     bad: list[str] = []
     interior = Region.interior_all(mc.n)
     for q in mc.points():
@@ -421,7 +497,7 @@ def edge_composite_check(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
             seg = reps[k, o + col : o + col + d]
             a_mat[k] = f.normalize(a_mat[k] + sign * seg)
             col += d
-    if rank(f, a_mat) != c0:
+    if len(pivot_columns(f, a_mat)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
         return bad
 
@@ -459,115 +535,70 @@ def edge_composite_check(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
     return bad
 
 
-def region_convergence_report(mc: Multicomplex) -> list[str]:
+def region_convergence_report(mc: Multicomplex,
+                              seqs: LatticeSequences | None = None) -> list[str]:
     """Check the four region spectral sequences of a lattice multicomplex:
     first-page columns against directly computed restriction cohomologies and
-    abutments against the direct target cohomologies (all by dimension)."""
-    from .multicomplex import (
-        Region,
-        augment_interior,
-        cube_extension,
-        puncture,
-        restrict,
-        sign_twist,
-        COMMUTATIVE,
-    )
-
+    abutments against the direct target cohomologies (all by dimension).
+    The sequences and the Koszul split are read from ``seqs``, the lattice's
+    ``LatticeSequences`` (built here when not given)."""
+    seqs = LatticeSequences(mc) if seqs is None else seqs
     bad: list[str] = []
-    cmc = mc if mc.flavor == COMMUTATIVE else sign_twist(mc)
+    cmc = seqs.cmc
     n = mc.n
     subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
 
-    def h_of(cx) -> dict[int, int]:
-        return cx.cohomology_dims()
-
     face_h = {
-        I: h_of(totalize(restrict(cmc, Region.face(I, n, star=True))))
+        I: totalize(restrict(cmc, Region.face(I, n, star=True))).cohomology_dims()
         for p in range(n + 1)
         for I in subsets[p]
     }
     int_h = {
-        S: h_of(totalize(restrict(cmc, Region.interior(S, n))))
+        S: totalize(restrict(cmc, Region.interior(S, n))).cohomology_dims()
         for p in range(1, n + 1)
         for S in subsets[p]
     }
-    aug_h = {S: h_of(augment_interior(cmc, S)) for p in range(1, n + 1) for S in subsets[p]}
+    aug_h = {S: augment_interior(cmc, S).cohomology_dims()
+             for p in range(1, n + 1) for S in subsets[p]}
 
-    def check_e1(tag, ss, expected, p_range):
-        page = ss.page(1)
-        cells = set(page.cells) | set(expected)
-        for (p, q) in sorted(cells):
-            want = expected.get((p, q), 0)
-            got = page.dim(p, q)
-            if p not in p_range:
-                want = 0
-            if want != got:
-                bad.append(f"{tag}: E_1 cell ({p},{q}) = {got}, expected {want}")
-
-    def check_abutment(tag, ss, target_h):
-        _, ab = ss.infinity()
-        for m in sorted(set(ab.h_dims) | set(target_h)):
-            if ab.h_dims.get(m, 0) != target_h.get(m, 0):
-                bad.append(
-                    f"{tag}: abutment H^{m} = {ab.h_dims.get(m, 0)}, expected {target_h.get(m, 0)}"
-                )
-
-    split = koszul_split(cmc)
-
-    # face columns converging to the interior cohomology
-    fc1 = coordinate_filtration(split.face_part, 0)
-    if fc1.total.dims:
-        ss1 = SpectralSequence(fc1)
-        exp1: dict[tuple[int, int], int] = {}
-        for p in range(n + 1):
+    full = tuple(range(n))
+    # (tag, filtration, restriction cohomologies, whether column p of the
+    # first page holds them in total degree p+q (else q), its columns, and
+    # the cohomology it abuts to)
+    audits = (
+        # face columns converging to the interior cohomology
+        ("face filtration", "face", face_h, False, range(0, n + 1), lambda ss: int_h[full]),
+        # truncated face columns converging to the augmented interior
+        ("truncated face filtration", "truncated face", face_h, False, range(0, n),
+         lambda ss: aug_h[full]),
+        # nonzero-count filtration of the punctured complex
+        ("count filtration", "punctured count", int_h, True, range(1, n + 1),
+         lambda ss: ss.fc.total.cohomology_dims()),
+        # count filtration of the cube extension, converging to the full cohomology
+        ("cube count filtration", "cube count", aug_h, True, range(1, n + 1),
+         lambda ss: totalize(cmc).cohomology_dims()),
+    )
+    for tag, kind, region_h, total_degree, p_range, target in audits:
+        ss = seqs.sequence(kind)
+        if not ss.fc.total.dims:
+            continue
+        want: dict[tuple[int, int], int] = {}
+        for p in p_range:
             for I in subsets[p]:
-                for m, d in face_h[I].items():
-                    exp1[(p, m)] = exp1.get((p, m), 0) + d
-        check_e1("face filtration", ss1, exp1, range(0, n + 1))
-        check_abutment(
-            "face filtration",
-            ss1,
-            h_of(totalize(restrict(cmc, Region.interior_all(n)))),
-        )
+                for m, d in region_h[I].items():
+                    key = (p, m - p) if total_degree else (p, m)
+                    want[key] = want.get(key, 0) + d
+        e1 = ss.page(1)
+        for p, q in sorted(set(e1.cells) | set(want)):
+            if e1.dim(p, q) != want.get((p, q), 0):
+                bad.append(f"{tag}: E_1 cell ({p},{q}) = {e1.dim(p, q)}, "
+                           f"expected {want.get((p, q), 0)}")
+        got_h, want_h = ss.infinity()[1].h_dims, target(ss)
+        for m in sorted(set(got_h) | set(want_h)):
+            if got_h.get(m, 0) != want_h.get(m, 0):
+                bad.append(f"{tag}: abutment H^{m} = {got_h.get(m, 0)}, "
+                           f"expected {want_h.get(m, 0)}")
 
-    # truncated face columns converging to the augmented interior
-    fc2 = truncated_face_filtration(split.face_part)
-    if fc2.total.dims:
-        ss2 = SpectralSequence(fc2)
-        exp2: dict[tuple[int, int], int] = {}
-        for p in range(n):
-            for I in subsets[p]:
-                for m, d in face_h[I].items():
-                    exp2[(p, m)] = exp2.get((p, m), 0) + d
-        check_e1("truncated face filtration", ss2, exp2, range(0, n))
-        check_abutment("truncated face filtration", ss2, h_of(augment_interior(cmc, tuple(range(n)))))
-
-    # nonzero-count filtration of the punctured complex
-    pu = puncture(cmc)
-    if pu.dims:
-        fc3 = nonzero_count_filtration(pu)
-        ss3 = SpectralSequence(fc3)
-        exp3: dict[tuple[int, int], int] = {}
-        for p in range(1, n + 1):
-            for S in subsets[p]:
-                for m, d in int_h[S].items():
-                    exp3[(p, m - p)] = exp3.get((p, m - p), 0) + d
-        check_e1("count filtration", ss3, exp3, range(1, n + 1))
-        check_abutment("count filtration", ss3, h_of(totalize(pu)))
-
-    # count filtration of the cube extension, converging to the full cohomology
-    cube = cube_extension(cmc)
-    if cube.dims:
-        fc4 = nonzero_count_filtration(cube, skip_axis=0)
-        ss4 = SpectralSequence(fc4)
-        exp4: dict[tuple[int, int], int] = {}
-        for p in range(1, n + 1):
-            for S in subsets[p]:
-                for m, d in aug_h[S].items():
-                    exp4[(p, m - p)] = exp4.get((p, m - p), 0) + d
-        check_e1("cube count filtration", ss4, exp4, range(1, n + 1))
-        check_abutment("cube count filtration", ss4, h_of(totalize(cmc)))
-
-    bad.extend(split_column_report(mc, split))
-    bad.extend(edge_composite_check(cmc, split))
+    bad.extend(split_column_report(mc, seqs.split))
+    bad.extend(edge_composite_check(cmc, seqs.split))
     return bad

@@ -29,6 +29,7 @@ from cechmv import (
     degree_classes,
     koszul_split,
     mv_les,
+    puncture,
     run_all_variants,
     sign_twist,
     split_column_report,
@@ -36,7 +37,9 @@ from cechmv import (
     verify_product_vs_interior,
 )
 from cechmv.cli import main as cli_main
-from cechmv.mvss import VARIANTS, _assemble, _expected_abutment, _expected_e1
+from cechmv.multicomplex import puncture_along
+from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
+from cechmv.spectral import LatticeSequences
 from conftest import F, rand_tensor_mc
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 
@@ -137,6 +140,25 @@ def test_first_pages_match_cohomology_tables(sweep_results):
                     assert d == want, (variant, cls.members[0], p, q, d, want)
 
 
+def test_punctured_face_part_is_derived_from_the_one_split(sweep):
+    """On every class of the sweep, dropping the line over the lattice origin
+    from the face half of the lattice's split gives the face half of the
+    punctured lattice's split: the same box, entries, maps, point blocks and
+    labels.  Variant 1b is built that way."""
+    checked = 0
+    for prob in sweep:
+        for _pat, members in degree_classes(prob):
+            mc = cech_multicomplex(prob, members[0])
+            got = puncture_along(LatticeSequences(mc).split.face_part, 0)
+            want = koszul_split(puncture(mc)).face_part
+            assert (got.n, got.box, got.dims) == (want.n, want.box, want.dims)
+            assert got.diffs.keys() == want.diffs.keys()
+            assert all(np.array_equal(got.diffs[k], want.diffs[k]) for k in want.diffs)
+            assert (got.point_blocks, got.labels) == (want.point_blocks, want.labels)
+            checked += bool(want.dims)
+    assert checked > 100
+
+
 def test_kernel_and_cokernel_columns_collapse(sweep):
     """Gate 5: in each scaffold column of every lattice in the sweep, and of
     100 random tensor multicomplexes with up to 4 axes, the kernel part has
@@ -198,7 +220,8 @@ def test_page_structure_and_stabilization(sweep_results):
     for variant in VARIANTS:
         fc = None
         for cls in target["runs"][variant].classes:
-            fc = _assemble(variant, cech_multicomplex(target["problem"], cls.members[0]))
+            mc = cech_multicomplex(target["problem"], cls.members[0])
+            fc = LatticeSequences(mc).filtered(FILTRATION[variant])
             if fc.total.dims:
                 break
         if fc is None or not fc.total.dims:
@@ -230,10 +253,10 @@ def test_engines_agree_on_the_sweep(sweep_results):
     for res in results:
         runs = res["runs"]
         for i, cls0 in enumerate(runs["1a"].classes):
-            mc = cech_multicomplex(res["problem"], cls0.members[0])
+            seqs = LatticeSequences(cech_multicomplex(res["problem"], cls0.members[0]))
             for variant, run in runs.items():
                 cls = run.classes[i]
-                fc = _assemble(variant, mc)
+                fc = seqs.filtered(FILTRATION[variant])
                 if not fc.total.dims:
                     continue
                 assert len(cls.pages) == fc.width + 2, (variant, cls.members[0])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, SpectralSequence,
-                    cech, cli, mvss)
+                    cech, cli, multicomplex, mvss, spectral)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
 from cechmv.mvss import ClassRun, MvssRun
@@ -267,6 +267,52 @@ def test_compute_reduces_each_degree_once(tmp_path, monkeypatch, body):
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     assert reduced and max(reduced.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
+def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_path, monkeypatch,
+                                                                        name):
+    """Per degree class, props2 and the four variants read one Koszul split
+    and five spectral sequences (props2's face filtration and the variants'
+    four, which are props2's other three), and each sequence finds its
+    abutment once."""
+    body = json.loads((JOBS_DIR / f"{name}.json").read_text())
+    body["tasks"] = ["props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]
+    per_class: list[dict] = []
+    worker, split = cli._class_worker, spectral.koszul_split
+    init, abutment = SpectralSequence.__init__, SpectralSequence.abutment
+
+    def counted_worker(args):
+        per_class.append({"splits": 0, "sequences": [], "abutments": {}})
+        return worker(args)
+
+    def counted_split(mc):
+        per_class[-1]["splits"] += 1
+        return split(mc)
+
+    def counted_init(self, fc):
+        per_class[-1]["sequences"].append(self)  # kept alive, so no id is reused
+        init(self, fc)
+
+    def counted_abutment(self):
+        calls = per_class[-1]["abutments"]
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return abutment(self)
+
+    monkeypatch.setattr(cli, "_class_worker", counted_worker)
+    for mod in (cli, mvss, spectral, multicomplex):
+        if getattr(mod, "koszul_split", None) is split:
+            monkeypatch.setattr(mod, "koszul_split", counted_split)
+    monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
+    monkeypatch.setattr(SpectralSequence, "abutment", counted_abutment)
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    problem, _tasks, _pages = cli.load_job(job)
+    assert len(per_class) == len(cech.degree_classes(problem)) > 1
+    for calls in per_class:
+        assert calls["splits"] == 1
+        assert len(calls["sequences"]) == 5
+        assert calls["abutments"] == {id(ss): 1 for ss in calls["sequences"]}
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from cechmv import (
     rref,
     solve,
 )
+from cechmv.linalg import pivot_columns
 
 F = PrimeField(65537)
 Q = RationalField()
@@ -81,6 +82,42 @@ def test_rref_is_projection_and_rank_counts_pivots(data):
     assert np.array_equal(R, R2) and piv == piv2
     assert rank(F, a) == len(piv)
     assert rank(F, a) == rank(F, a.T)
+
+
+@st.composite
+def low_rank_matrix(draw):
+    """A rows x cols integer matrix of rank at most k (a product through k
+    dimensions), with some rows and columns zeroed; any size may be 0."""
+    rows, cols, k = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 4))
+    ints = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(ints, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return [[0 if i in zero_rows or j in zero_cols
+             else sum(left[i][t] * right[t][j] for t in range(k))
+             for j in range(cols)] for i in range(rows)], k
+
+
+@settings(max_examples=100, deadline=None)
+@given(low_rank_matrix(), st.integers(1, 3))
+def test_pivot_columns_equal_rref_pivots(drawn, den):
+    """The forward-only elimination finds the pivots of ``rref`` over small
+    and large primes, an object-dtype prime and Q, on empty, zero-padded and
+    rank-deficient matrices."""
+    data, k = drawn
+    rows, cols = len(data), len(data[0]) if data else 0
+    for f in (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q):
+        a = f.zeros(rows, cols)
+        for i, row in enumerate(data):
+            for j, x in enumerate(row):
+                a[i, j] = Fraction(x, den) if f is Q else x
+        a = f.normalize(a)
+        before = a.copy()
+        piv = pivot_columns(f, a)
+        assert piv == rref(f, a)[1], (f.describe(), data)
+        assert len(piv) <= k and rank(f, a) == len(piv)
+        assert np.array_equal(a, before)
 
 
 @settings(max_examples=60, deadline=None)

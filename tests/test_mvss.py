@@ -18,7 +18,8 @@ from cechmv import (
     run_all_variants,
     run_variant,
 )
-from cechmv.mvss import _assemble
+from cechmv.mvss import FILTRATION
+from cechmv.spectral import LatticeSequences
 
 F = PrimeField(65537)
 
@@ -58,9 +59,9 @@ def test_production_filtrations_are_subcomplexes(rng):
     for _ in range(12):
         prob = random_problem(rng)
         for _pat, members in degree_classes(prob):
-            mc = cech_multicomplex(prob, members[0])
+            seqs = LatticeSequences(cech_multicomplex(prob, members[0]))
             for variant in VARIANTS:
-                fc = _assemble(variant, mc)
+                fc = seqs.filtered(FILTRATION[variant])
                 assert {d: len(lv) for d, lv in fc.levels.items()} == fc.total.dims
                 fc.validate()
                 if fc.total.dims:

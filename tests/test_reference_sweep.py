@@ -37,7 +37,8 @@ from cechmv import (
     sign_twist,
     truncated_face_filtration,
 )
-from cechmv.mvss import VARIANTS, _assemble
+from cechmv.mvss import FILTRATION, VARIANTS
+from cechmv.spectral import LatticeSequences
 from conftest import rand_tensor_mc
 from reference_spectral import assert_agrees_with_reference
 
@@ -75,10 +76,10 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
         classes = degree_classes(prob)
         richest = max(classes, key=lambda c: sum(c[0]))
         for b in (richest[1][0], classes[int(rng.integers(len(classes)))][1][0]):
-            mc = cech_multicomplex(prob, b)
+            seqs = LatticeSequences(cech_multicomplex(prob, b))
             for variant in VARIANTS:
-                yield (k, prob.groups, b, variant), _assemble(variant, mc)
-            yield (k, prob.groups, b, "face"), coordinate_filtration(koszul_split(mc).face_part, 0)
+                yield (k, prob.groups, b, variant), seqs.filtered(FILTRATION[variant])
+            yield (k, prob.groups, b, "face"), seqs.filtered("face")
     for k in range(tensors):
         mc = rand_tensor_mc(field, rng, max_axes=3)
         yield (k, "coordinate"), coordinate_filtration(mc, 0)
