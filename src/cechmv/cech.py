@@ -59,6 +59,7 @@ from .multicomplex import (
     restrict,
     totalize,
 )
+from .spectral import LatticeSequences
 
 Window = tuple[Exps, Exps]
 
@@ -492,16 +493,17 @@ def issue_report(results: list[tuple[list[Exps], list[dict]]], key: str) -> dict
             "pass": not issues.items}
 
 
-def verify_class(problem: CechProblem, mc: Multicomplex, cache: OracleCache,
+def verify_class(problem: CechProblem, seqs: LatticeSequences, cache: OracleCache,
                  b0: Exps) -> list[dict]:
     """Class step of ``verify_product_vs_interior``: the issues found at the
-    representative degree b0, whose lattice is ``mc``."""
+    representative degree b0, whose lattice's region complexes ``seqs``
+    holds."""
     n = problem.n
     all_groups = tuple(range(n))
     subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
-    plus_h = augment_interior(mc, all_groups).cohomology_dims()
+    plus_h = seqs.region_h("augmented", all_groups)
     prod_len = len(cache.seq("product", all_groups))
-    sub_h = {s: totalize(restrict(mc, Region.interior(s, n))).cohomology_dims() for s in subsets}
+    sub_h = {s: seqs.region_h("interior", s) for s in subsets}
     m_dim = localized_piece_dim(0, problem.quotient, b0)
     dker_lattice = sub_h[all_groups].get(n, 0)
     issues: list[dict] = []
@@ -545,7 +547,8 @@ def verify_product_vs_interior(problem: CechProblem, cache: OracleCache | None =
     """
     cache = cache or OracleCache(problem)
     return plain(issue_report([
-        (members, verify_class(problem, cech_multicomplex(problem, members[0]), cache, members[0]))
+        (members, verify_class(problem, LatticeSequences(cech_multicomplex(problem, members[0])),
+                               cache, members[0]))
         for _pat, members in degree_classes(problem)
     ], "mismatches"))
 
@@ -559,24 +562,14 @@ class _AugmentedFiber:
         self.problem = problem
         n = problem.n
         mc = cech_multicomplex(problem, b)
-        self.plus = augment_interior(mc, tuple(range(n)))
-        self.keys: dict[int, list] = {}
-        self.positions: dict[int, dict] = {}
         inner = restrict(mc, Region.interior_all(n))
-        by_degree: dict[int, list[Point]] = {}
-        for q in inner.points():
-            by_degree.setdefault(sum(q), []).append(q)
-        for m in self.plus.dims:
-            keys: list = []
-            if m == n - 1:
-                if self.plus.dim(m):
-                    keys.append("aug")
-            else:
-                for q in sorted(by_degree.get(m, [])):
-                    for combo, _ in inner.point_blocks[q]:
-                        keys.append((q, combo))
-            self.keys[m] = keys
-            self.positions[m] = {k: i for i, k in enumerate(keys)}
+        self.plus = augment_interior(mc, tuple(range(n)), totalize(inner))
+
+        def basis(q) -> list:  # the origin entry is one piece, so one "aug" element
+            return ["aug"] if q == "aug" else [(q, combo) for combo, _ in inner.point_blocks[q]]
+
+        self.keys = {m: [k for q, _ in blk for k in basis(q)] for m, blk in self.plus.blocks.items()}
+        self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}
 
 
 def _step_chain(src: _AugmentedFiber, dst: _AugmentedFiber) -> dict[int, np.ndarray]:

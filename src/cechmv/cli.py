@@ -39,7 +39,6 @@ from .jsonout import PerDegree, dumps
 from .linalg import DEFAULT_PRIME, PrimeField, RationalField, is_prime, mul
 from .multicomplex import (
     CochainComplex,
-    Multicomplex,
     koszul_complex,
     sign_twist,
     tensor_product,
@@ -137,9 +136,10 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
 
 class DegreeClass:
     """One degree class as its class steps see it: members, oracle cache, the
-    lattice at members[0] and its ``LatticeSequences`` (both built on first
-    use, so props2 and the variants share one Koszul split, filtered complex
-    and spectral sequence each), and the variants' runs so far."""
+    ``LatticeSequences`` of the lattice at members[0] (built on first use, so
+    verify34, props2 and the variants share its one Koszul split, filtered
+    complexes, spectral sequences and region complexes), and the variants'
+    runs so far."""
 
     def __init__(self, problem: CechProblem, members: list[Exps]):
         self.problem = problem
@@ -148,12 +148,8 @@ class DegreeClass:
         self.runs: dict[str, ClassRun] = {}
 
     @functools.cached_property
-    def lattice(self) -> Multicomplex:
-        return cech_multicomplex(self.problem, self.members[0])
-
-    @functools.cached_property
     def sequences(self) -> LatticeSequences:
-        return LatticeSequences(self.lattice)
+        return LatticeSequences(cech_multicomplex(self.problem, self.members[0]))
 
     def run(self, variant: str, pages: int | None) -> ClassRun:
         if variant not in self.runs:
@@ -170,11 +166,12 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
     if unit == "cohomology":
         return cache.column("product", tuple(range(problem.n)), "full", b0)
     if unit == "verify34":
-        return verify_class(problem, klass.lattice, cache, b0)
+        return verify_class(problem, klass.sequences, cache, b0)
     if unit == "props2":
-        bad = validate(klass.lattice)
-        if klass.lattice.dims:
-            bad.extend(region_convergence_report(klass.lattice, klass.sequences))
+        mc = klass.sequences.mc
+        bad = validate(mc)
+        if mc.dims:
+            bad.extend(region_convergence_report(mc, klass.sequences))
         return [{"message": msg} for msg in bad]
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]

@@ -23,7 +23,7 @@ from .errors import ContractError, InputError
 
 Exps = tuple[int, ...]
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")  # ASCII digits only, used with fullmatch
 
 
 def parse_monomial(text: str, num_vars: int) -> Exps:
@@ -35,7 +35,7 @@ def parse_monomial(text: str, num_vars: int) -> Exps:
     if s == "1":
         return tuple(exps)
     for factor in s.split("*"):
-        m = _FACTOR_RE.match(factor)
+        m = _FACTOR_RE.fullmatch(factor)
         if not m:
             raise InputError(f"unparsable monomial factor: {factor!r}")
         idx = int(m.group(1))

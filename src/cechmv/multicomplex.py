@@ -239,6 +239,13 @@ def sign_twist(mc: Multicomplex) -> Multicomplex:
     return Multicomplex(mc.field, mc.n, mc.box, dict(mc.dims), new, flavor, mc.labels, mc.point_blocks)
 
 
+def block_slices(blocks: tuple) -> dict:
+    """The coordinates of each block of one degree of a totalization, as
+    ``block key -> slice``, from its ``((key, dim), ...)`` block list."""
+    ends = itertools.accumulate(d for _, d in blocks)
+    return {key: slice(end - d, end) for (key, d), end in zip(blocks, ends)}
+
+
 def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
     """Direct sum along total degree; commutative inputs get the sign twist on
     each block, anticommutative inputs are summed raw."""
@@ -247,10 +254,7 @@ def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
         by_degree.setdefault(sum(q), []).append(q)
     blocks = {m: tuple((q, mc.entry_dim(q)) for q in sorted(pts)) for m, pts in by_degree.items()}
     dims = {m: sum(d for _, d in blk) for m, blk in blocks.items()}
-    offsets = {
-        m: {q: off for (q, _), off in zip(blk, itertools.accumulate([0] + [d for _, d in blk[:-1]]))}
-        for m, blk in blocks.items()
-    }
+    spans = {m: block_slices(blk) for m, blk in blocks.items()}
     d = {}
     f = mc.field
     for m, blk in blocks.items():
@@ -258,7 +262,7 @@ def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
             continue
         mat = f.zeros(dims[m + 1], dims[m])
         wrote = False
-        for q, dq in blk:
+        for q, _ in blk:
             for i in range(mc.n):
                 tq = add_e(q, i)
                 if mc.entry_dim(tq) == 0 or (q, i) not in mc.diffs:
@@ -266,9 +270,7 @@ def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
                 block = mc.diffs[(q, i)]
                 if mc.flavor == COMMUTATIVE and sum(q[:i]) % 2:
                     block = f.normalize(-block)
-                r0 = offsets[m + 1][tq]
-                c0 = offsets[m][q]
-                mat[r0 : r0 + block.shape[0], c0 : c0 + dq] = block
+                mat[spans[m + 1][tq], spans[m][q]] = block
                 wrote = True
         if wrote:
             d[m] = mat
@@ -399,9 +401,11 @@ def composite_along(mc: Multicomplex, axes: tuple[int, ...]) -> np.ndarray:
     return mat
 
 
-def augment_interior(mc: Multicomplex, axes: tuple[int, ...]) -> CochainComplex:
-    """Totalization of the interior along ``axes`` with the origin entry glued
-    in one degree below the interior's start, via the composite differential.
+def augment_interior(mc: Multicomplex, axes: tuple[int, ...],
+                     tot: CochainComplex) -> CochainComplex:
+    """``tot``, the totalization of the interior of ``mc`` along ``axes``,
+    with the origin entry glued in one degree below the interior's start, via
+    the composite differential.
 
     For axes (i_1 < ... < i_p) the interior totalization starts in degree p
     with the single entry at e_{i_1}+...+e_{i_p}; the augmentation adds C^0 in
@@ -413,7 +417,6 @@ def augment_interior(mc: Multicomplex, axes: tuple[int, ...]) -> CochainComplex:
     if len(set(axes)) != len(axes) or any(i < 0 or i >= mc.n for i in axes):
         raise ContractError(f"bad axis subset {axes} for n={mc.n}")
     p = len(axes)
-    tot = totalize(restrict(mc, Region.interior(axes, mc.n)))
     c0 = mc.entry_dim((0,) * mc.n)
     if c0 == 0:
         return tot

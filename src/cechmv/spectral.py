@@ -27,9 +27,11 @@ that check once per sequence and caches the limit page and abutment.
 
 ``LatticeSequences`` holds what the audits read off one lattice: its one
 Koszul split, the five filtered complexes built from it (the four
-Mayer-Vietoris variants and the untruncated face filtration) and one
-spectral sequence per filtered complex, so the region audits and the variant
-runs of a degree class share every page and abutment.
+Mayer-Vietoris variants and the untruncated face filtration), one spectral
+sequence per filtered complex, and the face, interior and augmented-interior
+region complexes with their cohomology.  So the region audits, the
+product-vs-interior audit and the variant runs of a degree class share every
+page, abutment and region complex.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .multicomplex import (
     Point,
     Region,
     augment_interior,
+    block_slices,
     composite_along,
     cube_extension,
     drop_axis_top,
@@ -329,8 +332,10 @@ def _pivot_levels(field, a: np.ndarray, levels: np.ndarray, order: np.ndarray) -
 
 
 class LatticeSequences:
-    """The filtered complexes read off one lattice multicomplex, and one
-    spectral sequence per filtered complex, each built once, on first use.
+    """What the audits of a degree class read off its lattice multicomplex,
+    each built once, on first use: the filtered complexes, one spectral
+    sequence per filtered complex, and the totalization and cohomology of
+    each lattice region.
 
     All of them come from the commutative form ``cmc`` of the lattice (the
     lattice itself unless it is anticommutative), and the three face
@@ -345,12 +350,21 @@ class LatticeSequences:
                        extra direction not counted (variant 2a);
       punctured count  nonzero-coordinate count on the punctured lattice
                        (variant 2b).
+
+    The regions, keyed by (kind, axes):
+
+      face        the points that are zero on ``axes`` (``()``: the lattice);
+      interior    the points positive exactly on ``axes``;
+      augmented   that interior's totalization with the origin entry glued
+                  one degree below it (``augment_interior``).
     """
 
     def __init__(self, mc: Multicomplex):
         self.mc = mc
         self._filtered: dict[str, FilteredComplex] = {}
         self._sequences: dict[str, SpectralSequence] = {}
+        self._regions: dict[tuple[str, tuple[int, ...]], CochainComplex] = {}
+        self._region_h: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
 
     @cached_property
     def cmc(self) -> Multicomplex:
@@ -381,6 +395,27 @@ class LatticeSequences:
         if kind not in self._sequences:
             self._sequences[kind] = SpectralSequence(self.filtered(kind))
         return self._sequences[kind]
+
+    def region(self, kind: str, axes: tuple[int, ...]) -> CochainComplex:
+        key = (kind, axes)
+        if key not in self._regions:
+            if kind == "face":
+                tot = totalize(restrict(self.cmc, Region.face(axes, self.mc.n, star=True)))
+            elif kind == "interior":
+                tot = totalize(restrict(self.cmc, Region.interior(axes, self.mc.n)))
+            elif kind == "augmented":
+                tot = augment_interior(self.cmc, axes, self.region("interior", axes))
+            else:
+                raise ContractError(f"unknown lattice region {kind!r}")
+            self._regions[key] = tot
+        return self._regions[key]
+
+    def region_h(self, kind: str, axes: tuple[int, ...]) -> dict[int, int]:
+        """Cohomology dimensions of ``region(kind, axes)``."""
+        key = (kind, axes)
+        if key not in self._region_h:
+            self._region_h[key] = self.region(kind, axes).cohomology_dims()
+        return self._region_h[key]
 
 
 def split_column_report(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
@@ -441,23 +476,22 @@ def _cell_spaces(fc: FilteredComplex, r: int, p: int, q: int) -> tuple[Subspace,
     return z, b
 
 
-def edge_composite_check(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
-    """Verify that on the truncated face half of ``ks``, the Koszul split of
-    ``mc``, filtered by the total degree of the original directions, the
-    page-n map from cell (0, n-1) to (n, 0) is, up to one global sign, the
-    composite differential from the origin entry through (1,...,1).
+def edge_composite_check(seqs: LatticeSequences) -> list[str]:
+    """Verify that on the truncated face half of the Koszul split of
+    ``seqs.cmc`` (the complex of variant 1a), filtered by the total degree of
+    the original directions, the page-n map from cell (0, n-1) to (n, 0) is,
+    up to one global sign, the composite differential from the origin entry
+    through (1,...,1).
 
     Needs n >= 2: for n = 1 the two cells coincide and the statement is empty.
     """
+    mc = seqs.cmc
     n = mc.n
     if n < 2:
         return []
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
-    ones = (1,) * n
-    face = ks.face_part
-    trunc = drop_axis_top(face, 0, n)
-    fc = complement_total_filtration(trunc, 0)
+    fc = filtration_from_blocks(seqs.filtered("truncated face").total, lambda q: sum(q) - q[0])
     if not fc.total.dims:
         return []
     z, b = _cell_spaces(fc, n, 0, n - 1)
@@ -476,56 +510,38 @@ def edge_composite_check(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
     # identification of the source cell with the origin entry: extract the
     # block at wedge n-1 over q=0 and apply the last Koszul map
     tot = fc.total
-    blocks = tot.blocks[n - 1]
-    offs = {}
-    off = 0
-    for key, d in blocks:
-        offs[key] = (off, d)
-        off += d
     top_point = (n - 1,) + (0,) * n
-    if top_point not in offs:
+    src = block_slices(tot.blocks[n - 1]).get(top_point)
+    if src is None:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
-    o, width = offs[top_point]
-    pb = dict(face.point_blocks or {})[top_point]
-    a_mat = f.zeros(reps.shape[0], c0)
-    for k in range(reps.shape[0]):
-        col = 0
-        for subset, d in pb:
-            missing = next(i for i in range(n) if i not in subset)
-            sign = -1 if missing % 2 else 1
-            seg = reps[k, o + col : o + col + d]
-            a_mat[k] = f.normalize(a_mat[k] + sign * seg)
-            col += d
+    origin, a_mat = reps[:, src], f.zeros(c0, c0)
+    for subset, sl in block_slices(seqs.split.face_part.point_blocks[top_point]).items():
+        missing = next(i for i in range(n) if i not in subset)
+        a_mat = f.normalize(a_mat + (-1 if missing % 2 else 1) * origin[:, sl])
     if len(pivot_columns(f, a_mat)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
         return bad
 
     # target side: representatives must live in the wedge-0 block over (1,..,1)
-    tblocks = tot.blocks.get(n, ())
-    toffs = {}
-    off = 0
-    for key, d in tblocks:
-        toffs[key] = (off, d)
-        off += d
-    int_point = (0,) + ones
-    if int_point not in toffs:
+    tgt = block_slices(tot.blocks.get(n, ())).get((0,) + (1,) * n)
+    if tgt is None:
         if treps.shape[0] != 0:
             bad.append("target cell nonzero but the interior block is absent")
         return bad
-    to, tw = toffs[int_point]
     mask = np.ones(tot.dim(n), dtype=bool)
-    mask[to : to + tw] = False
+    mask[tgt] = False
     if treps.shape[0] and np.any(treps[:, mask]):
         bad.append("target-cell representatives stick out of the interior block")
         return bad
     if bsp.dim and np.any(bsp.basis[:, mask]):
         bad.append("target boundaries stick out of the interior block")
         return bad
-    w = Subspace.from_rows(f, tw, bsp.basis[:, to : to + tw]) if bsp.dim else Subspace.zero(f, tw)
+    tw = tgt.stop - tgt.start
+    w = Subspace.from_rows(f, tw, bsp.basis[:, tgt]) if bsp.dim else Subspace.zero(f, tw)
 
     # realize the map on the nose: class of d(rep_k) sliced to the interior block
-    images = mul(f, tot.matrix(n - 1), reps.T).T[:, to : to + tw]
+    images = mul(f, tot.matrix(n - 1), reps.T).T[:, tgt]
     expected = mul(f, a_mat, psi.T)  # rows: psi of the identified origin element
     for sign in (1, -1):
         diff = f.normalize(images - sign * expected)
@@ -540,26 +556,15 @@ def region_convergence_report(mc: Multicomplex,
     """Check the four region spectral sequences of a lattice multicomplex:
     first-page columns against directly computed restriction cohomologies and
     abutments against the direct target cohomologies (all by dimension).
-    The sequences and the Koszul split are read from ``seqs``, the lattice's
-    ``LatticeSequences`` (built here when not given)."""
+    The sequences, the Koszul split and the region complexes are read from
+    ``seqs``, the lattice's ``LatticeSequences`` (built here when not given)."""
     seqs = LatticeSequences(mc) if seqs is None else seqs
     bad: list[str] = []
-    cmc = seqs.cmc
     n = mc.n
     subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
-
-    face_h = {
-        I: totalize(restrict(cmc, Region.face(I, n, star=True))).cohomology_dims()
-        for p in range(n + 1)
-        for I in subsets[p]
-    }
-    int_h = {
-        S: totalize(restrict(cmc, Region.interior(S, n))).cohomology_dims()
-        for p in range(1, n + 1)
-        for S in subsets[p]
-    }
-    aug_h = {S: augment_interior(cmc, S).cohomology_dims()
-             for p in range(1, n + 1) for S in subsets[p]}
+    face_h = {I: seqs.region_h("face", I) for p in range(n + 1) for I in subsets[p]}
+    int_h = {S: seqs.region_h("interior", S) for p in range(1, n + 1) for S in subsets[p]}
+    aug_h = {S: seqs.region_h("augmented", S) for p in range(1, n + 1) for S in subsets[p]}
 
     full = tuple(range(n))
     # (tag, filtration, restriction cohomologies, whether column p of the
@@ -574,9 +579,10 @@ def region_convergence_report(mc: Multicomplex,
         # nonzero-count filtration of the punctured complex
         ("count filtration", "punctured count", int_h, True, range(1, n + 1),
          lambda ss: ss.fc.total.cohomology_dims()),
-        # count filtration of the cube extension, converging to the full cohomology
+        # count filtration of the cube extension, converging to the full
+        # cohomology (face () is the whole lattice)
         ("cube count filtration", "cube count", aug_h, True, range(1, n + 1),
-         lambda ss: totalize(cmc).cohomology_dims()),
+         lambda ss: face_h[()]),
     )
     for tag, kind, region_h, total_degree, p_range, target in audits:
         ss = seqs.sequence(kind)
@@ -600,5 +606,5 @@ def region_convergence_report(mc: Multicomplex,
                            f"expected {want_h.get(m, 0)}")
 
     bad.extend(split_column_report(mc, seqs.split))
-    bad.extend(edge_composite_check(cmc, seqs.split))
+    bad.extend(edge_composite_check(seqs))
     return bad

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, SpectralSequence,
-                    cech, cli, multicomplex, mvss, spectral)
+from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, Region,
+                    SpectralSequence, cech, cli, multicomplex, mvss, spectral)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
 from cechmv.mvss import ClassRun, MvssRun
@@ -313,6 +313,104 @@ def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_pat
         assert calls["splits"] == 1
         assert len(calls["sequences"]) == 5
         assert calls["abutments"] == {id(ss): 1 for ss in calls["sequences"]}
+
+
+def count_regions(monkeypatch) -> list[dict]:
+    """Wrap ``restrict``, ``totalize``, ``augment_interior``, ``koszul_split``
+    and ``SpectralSequence`` at every binding; one dict of counts per degree
+    class, keyed by region (``augmented`` by axes)."""
+    per_class: list[dict] = []
+    worker, init = cli._class_worker, SpectralSequence.__init__
+    restrict, totalize = multicomplex.restrict, multicomplex.totalize
+    augment, split = multicomplex.augment_interior, multicomplex.koszul_split
+
+    def bump(kind, key):
+        counts = per_class[-1][kind]
+        counts[key] = counts.get(key, 0) + 1
+
+    def counted_worker(args):
+        per_class.append({"restricted": {}, "totalized": {}, "augmented": {}, "splits": {},
+                          "sequences": {}, "region_of": {}, "alive": []})
+        return worker(args)
+
+    def counted_restrict(mc, region):
+        out = restrict(mc, region)
+        per_class[-1]["alive"].append(out)  # kept alive, so no id is reused
+        per_class[-1]["region_of"][id(out)] = region
+        bump("restricted", region)
+        return out
+
+    def counted_totalize(mc, *args, **kwargs):
+        out = totalize(mc, *args, **kwargs)
+        region = per_class[-1]["region_of"].get(id(mc))
+        if region is not None:
+            per_class[-1]["alive"].append(out)
+            per_class[-1]["region_of"][id(out)] = region
+            bump("totalized", region)
+        return out
+
+    def counted_augment(mc, axes, tot):
+        # glued onto the one totalization of its own interior
+        assert per_class[-1]["region_of"][id(tot)] == Region.interior(axes, mc.n)
+        bump("augmented", axes)
+        return augment(mc, axes, tot)
+
+    def counted_split(mc):
+        bump("splits", None)
+        return split(mc)
+
+    def counted_init(self, fc):
+        bump("sequences", None)
+        init(self, fc)
+
+    monkeypatch.setattr(cli, "_class_worker", counted_worker)
+    monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
+    for original, wrapper in ((restrict, counted_restrict), (totalize, counted_totalize),
+                              (augment, counted_augment), (split, counted_split)):
+        for mod in (cli, cech, mvss, spectral, multicomplex):
+            name = original.__name__
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return per_class
+
+
+@pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
+def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypatch, name):
+    """Per degree class, verify34 and props2 restrict the lattice to each
+    face, interior and punctured region once and totalize it once, and glue
+    each augmented interior once, onto that interior's totalization."""
+    body = json.loads((JOBS_DIR / f"{name}.json").read_text())
+    body["tasks"] = ["verify34", "props2"]
+    per_class = count_regions(monkeypatch)
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    problem, _tasks, _pages = cli.load_job(job)
+    n = problem.n
+    subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
+    assert len(per_class) == len(cech.degree_classes(problem)) > 1
+    faces_built = 0
+    for calls in per_class:
+        assert set(calls["restricted"].values()) == {1}
+        assert calls["totalized"] == calls["restricted"]
+        assert {Region.interior(s, n) for s in subsets} <= set(calls["restricted"])
+        faces_built += any(r.kind == "face" for r in calls["restricted"])
+        assert set(calls["augmented"].values()) == {1}
+        assert tuple(range(n)) in calls["augmented"]
+    assert faces_built  # props2 read the face regions of some class
+
+
+@pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
+def test_verify34_builds_no_split_sequence_or_face_region(tmp_path, monkeypatch, name):
+    body = json.loads((JOBS_DIR / f"{name}.json").read_text())
+    body["tasks"] = ["cohomology", "verify34"]
+    per_class = count_regions(monkeypatch)
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert len(per_class) > 1
+    for calls in per_class:
+        assert calls["splits"] == {} and calls["sequences"] == {}
+        assert {r.kind for r in calls["restricted"]} == {"interior"}
+        assert len(calls["augmented"]) == 1
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):

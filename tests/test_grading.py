@@ -1,5 +1,7 @@
 """Monomial parsing, monomial ideals, and graded piece dimensions."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from cechmv import (
     support_mask,
     window_degrees,
 )
+from cechmv import cli
 
 
 def test_parse_monomial_basics():
@@ -43,6 +46,25 @@ def test_parse_monomial_basics():
 def test_parse_monomial_errors_name_the_token(text, msg):
     with pytest.raises(InputError, match=msg):
         parse_monomial(text, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "x\u0661",        # ARABIC-INDIC DIGIT ONE
+    "x1^\u0663",      # ARABIC-INDIC DIGIT THREE
+    "x1^\uff13",      # FULLWIDTH DIGIT THREE
+    "x\U0001d7d9",    # MATHEMATICAL DOUBLE-STRUCK DIGIT ONE
+    "x1\n",
+    "x2*x1\n",
+])
+def test_monomials_take_ascii_digits_only(tmp_path, text):
+    with pytest.raises(InputError, match="unparsable"):
+        parse_monomial(text, 3)
+    job = {"field": {"prime": 5}, "variables": 3, "groups": [[text]], "tasks": ["cohomology"]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    with pytest.raises(InputError, match="unparsable"):
+        cli.load_job(str(path))
+    assert cli.main(["compute", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 exps = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4).map(tuple)

@@ -189,23 +189,24 @@ def test_composite_along():
 
 def test_augment_interior_unit_square():
     mc = unit_square()
-    plus = augment_interior(mc, (0, 1))
+    inner = totalize(restrict(mc, Region.interior_all(2)))
+    plus = augment_interior(mc, (0, 1), inner)
     assert plus.dims == {1: 1, 2: 1}
     assert plus.matrix(1).tolist() == [[1]]
     assert plus.blocks[1] == (("aug", 1),)
     assert plus.cohomology_dims() == {}
     with pytest.raises(InputError, match="nonempty axis subset"):
-        augment_interior(mc, ())
+        augment_interior(mc, (), inner)
     with pytest.raises(ContractError):
-        augment_interior(mc, (0, 0))
+        augment_interior(mc, (0, 0), inner)
     with pytest.raises(ContractError):
-        augment_interior(mc, (0, 7))
+        augment_interior(mc, (0, 7), inner)
 
 
 def test_augment_interior_single_axis():
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
     mc = tensor_product([seg])
-    plus = augment_interior(mc, (0,))
+    plus = augment_interior(mc, (0,), totalize(restrict(mc, Region.interior((0,), 1))))
     assert plus.dims == {0: 1, 1: 1}
     assert plus.cohomology_dims() == {}
 

@@ -9,6 +9,7 @@ from cechmv import (
     CochainComplex,
     ContractError,
     FilteredComplex,
+    LatticeSequences,
     PrimeField,
     RationalField,
     SpectralSequence,
@@ -236,17 +237,17 @@ def test_edge_composite_check(rng):
     # explicit square with identity maps: the composite is nonzero
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
     mc = tensor_product([seg, seg])
-    assert edge_composite_check(mc, koszul_split(mc)) == []
+    assert edge_composite_check(LatticeSequences(mc)) == []
     # a factor with zero differential gives a zero composite; still consistent
     seg0 = CochainComplex(F, {0: 1, 1: 1}, {})
     mc = tensor_product([seg, seg0])
-    assert edge_composite_check(mc, koszul_split(mc)) == []
+    assert edge_composite_check(LatticeSequences(mc)) == []
     # single axis: nothing to check
     mc = tensor_product([seg])
-    assert edge_composite_check(mc, koszul_split(mc)) == []
+    assert edge_composite_check(LatticeSequences(mc)) == []
     for _ in range(6):
         m = rand_tensor_mc(F, rng, max_axes=3, twist=False)
-        assert edge_composite_check(m, koszul_split(m)) == []
+        assert edge_composite_check(LatticeSequences(m)) == []
 
 
 def test_region_convergence_report_clean(rng):
