@@ -12,6 +12,10 @@ Two independent routes are kept deliberately separate:
 * ``OracleCache`` builds its matrices inline and only calls the exact rank
   routine, so it shares no complex-assembly code with the route it is used to
   audit.  It never receives a lattice, and the lattice builders never read it.
+  It ranks the Čech complex of each sequence's support reduction (one
+  squarefree monomial per minimal generator support), which has the same
+  local cohomology because that depends only on the radical; the lattice
+  route always works on the whole sequence.
 
 The piece pattern of a degree (which localizations are alive) determines
 every matrix in both routes, so degrees with equal patterns are
@@ -411,10 +415,21 @@ class OracleCache:
     """Per-problem memo of oracle slot/rank vectors for every sequence the
     verifiers need, shared across variants and degrees.
 
-    Degrees with equal piece patterns share vectors.  ``raw`` exposes raw-slot
-    cohomology of the full ("full") or slot-0-dropped ("truncated") complex on
-    the concatenation ("concat") or generator-products ("product") of a subset
-    of groups.
+    ``raw`` exposes raw-slot cohomology of the full ("full") or
+    slot-0-dropped ("truncated") complex on the concatenation ("concat") or
+    generator-products ("product") of a subset of groups.
+
+    The vectors are those of the *support-reduced* sequence (``reduced``): one
+    squarefree monomial per minimal support of the sequence's generators.
+    This is exact.  The full complex's cohomology is H^i_I(M) with I the ideal
+    of the sequence, which depends only on rad(I), and the reduced sequence
+    generates rad(I).  The truncated complex agrees with it above slot 1, and
+    its slot 1 is h^1 + dim M_b - h^0, again a function of rad(I) alone.  A
+    Čech complex has no slots above its length, so ``raw`` reads every slot
+    above the reduced length as 0.  Degrees with equal piece patterns, and
+    sequences that reduce alike, share vectors.  Everything else reads the
+    unreduced ``seq``: its length sets the table ranges and the verifiers'
+    loops, and the lattice route never sees the reduction.
     """
 
     def __init__(self, problem: CechProblem):
@@ -422,6 +437,7 @@ class OracleCache:
         self._pat: dict[Exps, tuple[int, ...]] = {}
         self._vecs: dict[tuple, tuple[list[int], list[int]]] = {}
         self._seqs: dict[tuple, tuple[Exps, ...]] = {}
+        self._reduced: dict[tuple[Exps, ...], tuple[Exps, ...]] = {}
 
     def pattern(self, b: Exps) -> tuple[int, ...]:
         if b not in self._pat:
@@ -440,10 +456,22 @@ class OracleCache:
                 raise InputError(f"unknown sequence kind {kind!r}")
         return self._seqs[key]
 
+    def reduced(self, seq: tuple[Exps, ...]) -> tuple[Exps, ...]:
+        """The sorted squarefree monomials whose supports are the minimal
+        supports of ``seq``'s generators."""
+        if seq not in self._reduced:
+            masks = {support_mask(g) for g in seq}
+            minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+            self._reduced[seq] = tuple(sorted(
+                tuple((m >> j) & 1 for j in range(self.problem.num_vars)) for m in minimal))
+        return self._reduced[seq]
+
     def vectors(self, seq: tuple[Exps, ...], b: Exps) -> tuple[list[int], list[int]]:
-        key = (seq, self.pattern(b))
+        """Slot dimensions and differential ranks of the reduced sequence."""
+        red = self.reduced(seq)
+        key = (red, self.pattern(b))
         if key not in self._vecs:
-            self._vecs[key] = _oracle_vectors(self.problem.field, seq,
+            self._vecs[key] = _oracle_vectors(self.problem.field, red,
                                               self.problem.quotient, b)
         return self._vecs[key]
 
@@ -458,7 +486,9 @@ class OracleCache:
         if t < 0 or t > len(seq) or (mode == "truncated" and t == 0):
             return 0
         dims, ranks = self.vectors(seq, b)
-        length = len(seq)
+        length = len(ranks)  # the reduced length: no slot lies above it
+        if t > length:
+            return 0
         up = ranks[t] if t < length else 0
         if mode == "truncated":
             down = ranks[t - 1] if t >= 2 else 0
@@ -608,18 +638,23 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     if not any(inside(monomial_mul(b, g)) for b in problem.degrees() for g in set(gens)):
         raise InputError("window too small to test annihilation for any exponent")
 
-    fibers: dict[Exps, _AugmentedFiber] = {}
-    induced_cache: dict[tuple[Exps, Exps], dict[int, np.ndarray]] = {}
+    # a fiber, and the map between two fibers, depend on their degrees only
+    # through the piece patterns, so each is built once per pattern
+    cache = cache or OracleCache(problem)
+    fibers: dict[tuple[int, ...], _AugmentedFiber] = {}
+    induced_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, np.ndarray]] = {}
 
     def fiber(b: Exps) -> _AugmentedFiber:
-        if b not in fibers:
-            fibers[b] = _AugmentedFiber(problem, b)
-        return fibers[b]
+        pat = cache.pattern(b)
+        if pat not in fibers:
+            fibers[pat] = _AugmentedFiber(problem, b)
+        return fibers[pat]
 
     def induced(b: Exps, g: Exps) -> dict[int, np.ndarray]:
-        key = (b, g)
+        nxt = monomial_mul(b, g)
+        key = (cache.pattern(b), cache.pattern(nxt))
         if key not in induced_cache:
-            src, dst = fiber(b), fiber(monomial_mul(b, g))
+            src, dst = fiber(b), fiber(nxt)
             induced_cache[key] = cohomology_map(src.plus, dst.plus, _step_chain(src, dst))
         return induced_cache[key]
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,46 @@ def test_example_jobs_match_recorded_digests(tmp_path, name, jobs):
                  "--jobs", jobs]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == EXAMPLE_DIGESTS[name]
+
+
+def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
+    """Both jobs pass every task, and the oracle ranks no matrix with more rows
+    than C(L', L'//2) (Sperner's bound on a slot of the reduced complex), L'
+    the number of minimal supports of the sequence.  A complex on the whole
+    sequence breaks the bound at its first large matrix, or on entry when the
+    sequence is longer than L' (the 64-term product), so it fails at once
+    instead of running for minutes."""
+    supports = []  # L' of the sequence whose vectors are being computed
+    vectors, oracle_vectors, rank = cech.OracleCache.vectors, cech._oracle_vectors, cech.rank
+
+    def bounded_vectors(self, seq, b):
+        masks = {cech.support_mask(g) for g in seq}
+        supports.append(sum(1 for m in masks if not any(o != m and o & m == o for o in masks)))
+        try:
+            return vectors(self, seq, b)
+        finally:
+            supports.pop()
+
+    def bounded_oracle_vectors(field, seq, quotient, b):
+        assert len(seq) <= supports[-1], f"oracle complex on {len(seq)} terms"
+        return oracle_vectors(field, seq, quotient, b)
+
+    def bounded_rank(field, mat):
+        bound = math.comb(supports[-1], supports[-1] // 2)
+        assert mat.shape[0] <= bound, f"oracle matrix {mat.shape}, bound {bound}"
+        return rank(field, mat)
+
+    monkeypatch.setattr(cech.OracleCache, "vectors", bounded_vectors)
+    monkeypatch.setattr(cech, "_oracle_vectors", bounded_oracle_vectors)
+    monkeypatch.setattr(cech, "rank", bounded_rank)
+    for name in ("two_by_four", "twelve_generators"):
+        out = tmp_path / name
+        assert main(["compute", str(JOBS_DIR / f"{name}.json"), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        tasks = json.loads((JOBS_DIR / f"{name}.json").read_text())["tasks"]
+        assert report["pass"] is True and sorted(report["results"]) == sorted(tasks)
+        assert all(report["results"][t]["pass"] is True for t in tasks)
 
 
 def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monkeypatch):
