@@ -32,7 +32,6 @@ from .linalg import (
     kernel,
     kernel_space,
     mul,
-    nullity,
     rank,
     rref,
     solve,
@@ -43,10 +42,8 @@ from .grading import (
     localized_piece_dim,
     monomial_divides,
     monomial_mul,
-    multiplication_map,
     parse_monomial,
     product_sequence,
-    shift_map_dim,
     support_mask,
     window_degrees,
 )
@@ -163,9 +160,7 @@ __all__ = [
     "monomial_divides",
     "monomial_mul",
     "mul",
-    "multiplication_map",
     "mv_les",
-    "nullity",
     "parse_monomial",
     "piece_pattern",
     "product_sequence",
@@ -176,7 +171,6 @@ __all__ = [
     "rref",
     "run_all_variants",
     "run_variant",
-    "shift_map_dim",
     "sign_twist",
     "solve",
     "split_column_report",

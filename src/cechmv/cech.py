@@ -255,7 +255,6 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     ]
     dims: dict[Point, int] = {}
     pblocks: dict[Point, tuple] = {}
-    labels: dict[Point, tuple[str, ...]] = {}
     index: dict[Point, dict[tuple, int]] = {}
     box_lo = (0,) * n
     box_hi = tuple(sizes)
@@ -272,11 +271,6 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
             continue
         dims[q] = len(kept)
         pblocks[q] = tuple((combo, 1) for combo in kept)
-        labels[q] = tuple(
-            "|".join("{" + ",".join(format_monomial(groups[i][k]) for k in s) + "}"
-                     for i, s in enumerate(combo))
-            for combo in kept
-        )
         index[q] = {combo: pos for pos, combo in enumerate(kept)}
     diffs: dict[tuple[Point, int], np.ndarray] = {}
     for q, kept_idx in index.items():
@@ -302,7 +296,7 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
                     wrote = True
             if wrote:
                 diffs[(q, i)] = f.normalize(mat)
-    return Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, labels, pblocks)
+    return Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, pblocks)
 
 
 # ---------------------------------------------------------------------------

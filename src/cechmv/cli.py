@@ -259,12 +259,14 @@ def cmd_compute(args) -> int:
         if args.pages is not None and args.pages < 0:
             raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
         problem, tasks, job_pages = load_job(args.job)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot create output directory: {e}") from None
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     pages = args.pages if args.pages is not None else job_pages
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     classes = [members for _pat, members in degree_classes(problem)]
     work = [(problem, tasks, pages, members) for members in classes]
@@ -304,13 +306,13 @@ def cmd_compute(args) -> int:
     report["pass"] = ok
     all_files["report.json"] = dumps(report)
     for name, content in sorted(all_files.items()):
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(content)
     for unit, payload in report["results"].items():
         status = "pass" if payload.get("pass", True) else "FAIL"
         extra = payload.get("summary", "")
         print(f"{unit}: {status}" + (f"  {extra}" if extra else ""))
-    print(f"wrote {', '.join(sorted(all_files))} to {outdir}")
+    print(f"wrote {', '.join(sorted(all_files))} to {args.out}")
     return 0 if ok else 2
 
 
@@ -349,6 +351,11 @@ def _random_tensor_mc(f, rng, max_axes: int):
 
 
 def cmd_selftest(args) -> int:
+    for flag, value, least in (("--seed", args.seed, 0), ("--max-vars", args.max_vars, 1),
+                               ("--max-groups", args.max_groups, 1)):
+        if value < least:
+            print(f"error: {flag} must be an integer >= {least}, got {value}", file=sys.stderr)
+            return 1
     rng = np.random.default_rng(args.seed)
     f = PrimeField(DEFAULT_PRIME)
     failures: list[str] = []

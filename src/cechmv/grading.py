@@ -27,14 +27,15 @@ _FACTOR_RE = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")  # ASCII digits only, used 
 
 
 def parse_monomial(text: str, num_vars: int) -> Exps:
-    """Parse ``x1^2*x3`` style text (1-based variables) into an exponent tuple."""
-    s = text.replace(" ", "")
-    if not s:
+    """Parse ``x1^2*x3`` style text (1-based variables) into an exponent tuple.
+    Spaces around a factor are dropped; a space inside one is an error."""
+    factors = [t.strip(" ") for t in text.split("*")]
+    if factors == [""]:
         raise InputError("empty monomial")
     exps = [0] * num_vars
-    if s == "1":
+    if factors == ["1"]:
         return tuple(exps)
-    for factor in s.split("*"):
+    for factor in factors:
         m = _FACTOR_RE.fullmatch(factor)
         if not m:
             raise InputError(f"unparsable monomial factor: {factor!r}")
@@ -90,12 +91,6 @@ class MonomialIdeal:
     def zero(num_vars: int) -> "MonomialIdeal":
         return MonomialIdeal(num_vars, ())
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
-    def describe(self) -> str:
-        return "(" + ", ".join(format_monomial(g) for g in self.gens) + ")" if self.gens else "(0)"
-
 
 def localized_piece_dim(support: int, ideal: MonomialIdeal, degree: Exps) -> int:
     """dim of ((R/J)_w)_degree where w has the given support bitmask."""
@@ -109,27 +104,6 @@ def localized_piece_dim(support: int, ideal: MonomialIdeal, degree: Exps) -> int
         if all((support >> j) & 1 or g[j] <= degree[j] for j in range(m)):
             return 0
     return 1
-
-
-def multiplication_map(src_support: int, dst_support: int, ideal: MonomialIdeal, degree: Exps) -> int:
-    """Coefficient (0 or 1) of the localization map (M_w)_b -> (M_{ww'})_b.
-
-    Basis monomials are the degree-b monomials themselves, so when both pieces
-    are alive the canonical map sends basis to basis.
-    """
-    if src_support & ~dst_support:
-        raise ContractError("multiplication_map: source support must lie inside target support")
-    if localized_piece_dim(src_support, ideal, degree) == 0:
-        return 0
-    return localized_piece_dim(dst_support, ideal, degree)
-
-
-def shift_map_dim(support: int, ideal: MonomialIdeal, degree: Exps, shift: Exps) -> int:
-    """Coefficient (0 or 1) of multiplication by a monomial of degree ``shift``
-    as a map (M_w)_degree -> (M_w)_{degree+shift}."""
-    if localized_piece_dim(support, ideal, degree) == 0:
-        return 0
-    return localized_piece_dim(support, ideal, monomial_mul(degree, shift))
 
 
 def product_sequence(groups: tuple[tuple[Exps, ...], ...]) -> tuple[Exps, ...]:

@@ -92,11 +92,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def lift_signed(self, a: np.ndarray) -> np.ndarray:
-        """Residues lifted to the symmetric range (-p/2, p/2]."""
-        half = self.p // 2
-        return np.where(a > half, a - self.p, a)
-
     def describe(self) -> str:
         return f"F_{self.p}"
 
@@ -132,9 +127,6 @@ class RationalField:
 
     def inv_scalar(self, a):
         return Fraction(1, 1) / a
-
-    def lift_signed(self, a: np.ndarray) -> np.ndarray:
-        return a
 
     def describe(self) -> str:
         return "Q"
@@ -224,10 +216,6 @@ def rank(field: Field, a: np.ndarray) -> int:
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     return len(rref(field, a)[1])
-
-
-def nullity(field: Field, a: np.ndarray) -> int:
-    return a.shape[1] - rank(field, a)
 
 
 def kernel(field: Field, a: np.ndarray) -> np.ndarray:

@@ -15,23 +15,22 @@ Totalization sums the entries along total degree; in the commutative flavor
 the blocks are sign-twisted exactly as above, in the anticommutative flavor
 they are summed as-is.
 
-The region machinery (faces, punctured faces, interiors, face complements)
-produces the subquotients whose totalizations the rest of the package
-compares: restriction to a face is a quotient of the original multicomplex,
-the other three kinds are subcomplexes of the relevant face quotient, and all
-of them are implemented uniformly by discarding entries outside the region.
+The region machinery (faces, punctured faces, interiors) produces the
+subquotients whose totalizations the rest of the package compares:
+restriction to a face is a quotient of the original multicomplex, the other
+two kinds are subcomplexes of the relevant face quotient, and all of them are
+implemented uniformly by discarding entries outside the region.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, Subspace, image, kernel_space, mul, pivot_columns, same_field
+from .linalg import Field, image, kernel_space, mul, pivot_columns, same_field
 
 Point = tuple[int, ...]
 
@@ -134,7 +133,6 @@ class Multicomplex:
     dims: dict[Point, int]
     diffs: dict[tuple[Point, int], np.ndarray]
     flavor: str
-    labels: dict[Point, tuple[str, ...]] | None = None
     point_blocks: dict[Point, tuple] | None = None  # provenance of per-point sums
 
     def entry_dim(self, q: Point) -> int:
@@ -148,43 +146,6 @@ class Multicomplex:
 
     def points(self) -> list[Point]:
         return sorted(self.dims)
-
-    def label(self, q: Point) -> tuple[str, ...]:
-        if self.labels and q in self.labels:
-            return self.labels[q]
-        return tuple(f"{q}:{k}" for k in range(self.entry_dim(q)))
-
-    def dump_text(self) -> str:
-        lines = [f"multicomplex n={self.n} flavor={self.flavor} box={self.box}"]
-        for q in self.points():
-            lines.append(f"  {q}: dim {self.entry_dim(q)}  [{', '.join(self.label(q))}]")
-            for i in range(self.n):
-                if (q, i) in self.diffs and np.any(self.diffs[(q, i)]):
-                    mat = self.field.lift_signed(self.diffs[(q, i)])
-                    lines.append(f"    d[{i}] -> {add_e(q, i)}: {mat.tolist()}")
-        return "\n".join(lines)
-
-    def dump_json(self) -> str:
-        body = {
-            "n": self.n,
-            "flavor": self.flavor,
-            "box": [list(self.box[0]), list(self.box[1])],
-            "entries": [
-                {"point": list(q), "dim": self.entry_dim(q), "labels": list(self.label(q))}
-                for q in self.points()
-            ],
-            "differentials": [
-                {
-                    "point": list(q),
-                    "axis": i,
-                    "matrix": [[str(x) for x in row] for row in self.field.lift_signed(m)]
-                    if m.size
-                    else [],
-                }
-                for (q, i), m in sorted(self.diffs.items())
-            ],
-        }
-        return json.dumps(body, sort_keys=True)
 
 
 def validate(mc: Multicomplex) -> list[str]:
@@ -201,8 +162,6 @@ def validate(mc: Multicomplex) -> list[str]:
             bad.append(f"point {q} outside box")
         if d <= 0:
             bad.append(f"nonpositive dim at {q}")
-        if mc.labels and len(mc.labels.get(q, ())) != d:
-            bad.append(f"label count mismatch at {q}")
     for (q, i), mat in mc.diffs.items():
         want = (mc.entry_dim(add_e(q, i)), mc.entry_dim(q))
         if mat.shape != want:
@@ -236,7 +195,7 @@ def sign_twist(mc: Multicomplex) -> Multicomplex:
         s = sum(q[:i]) % 2
         new[(q, i)] = mc.field.normalize(-mat) if s else mat
     flavor = ANTICOMMUTATIVE if mc.flavor == COMMUTATIVE else COMMUTATIVE
-    return Multicomplex(mc.field, mc.n, mc.box, dict(mc.dims), new, flavor, mc.labels, mc.point_blocks)
+    return Multicomplex(mc.field, mc.n, mc.box, dict(mc.dims), new, flavor, mc.point_blocks)
 
 
 def block_slices(blocks: tuple) -> dict:
@@ -285,9 +244,9 @@ class Region:
     """Lattice region over nonnegative points.
 
     kind 'face': q_i = 0 off ``axes``;  'punctured': face minus the origin;
-    'interior': q_i > 0 exactly on ``axes``;  'complement': everything outside
-    the face.  ``star=True`` in the constructors means ``axes`` names the
-    coordinates forced to zero instead (the face spanned by the others).
+    'interior': q_i > 0 exactly on ``axes``.  ``star=True`` in the
+    constructors means ``axes`` names the coordinates forced to zero instead
+    (the face spanned by the others).
     """
 
     kind: str
@@ -305,16 +264,8 @@ class Region:
         return Region("face", Region._resolve(axes, n, star))
 
     @staticmethod
-    def punctured(axes, n: int, star: bool = False) -> "Region":
-        return Region("punctured", Region._resolve(axes, n, star))
-
-    @staticmethod
     def interior(axes, n: int, star: bool = False) -> "Region":
         return Region("interior", Region._resolve(axes, n, star))
-
-    @staticmethod
-    def complement(axes, n: int, star: bool = False) -> "Region":
-        return Region("complement", Region._resolve(axes, n, star))
 
     @staticmethod
     def punctured_all(n: int) -> "Region":
@@ -332,20 +283,17 @@ class Region:
             return on_face and any(q)
         if self.kind == "interior":
             return all((x > 0) == (i in self.axes) for i, x in enumerate(q))
-        if self.kind == "complement":
-            return not on_face
         raise ContractError(f"unknown region kind {self.kind}")
 
 
 def _keep_points(mc: Multicomplex, keep, box: tuple[Point, Point] | None = None) -> Multicomplex:
     """The entries at the points where ``keep`` holds, with the maps between
-    them, their labels and their block provenance."""
+    them and their block provenance."""
     dims = {q: d for q, d in mc.dims.items() if keep(q)}
     diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
-    labels = {q: l for q, l in mc.labels.items() if q in dims} if mc.labels is not None else None
     pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
           if mc.point_blocks is not None else None)
-    return Multicomplex(mc.field, mc.n, box or mc.box, dims, diffs, mc.flavor, labels, pb)
+    return Multicomplex(mc.field, mc.n, box or mc.box, dims, diffs, mc.flavor, pb)
 
 
 def restrict(mc: Multicomplex, region: Region) -> Multicomplex:
@@ -449,15 +397,12 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
     lo = tuple(r[0] for r in ranges)
     hi = tuple(max(r[1], r[0]) for r in ranges)
     dims: dict[Point, int] = {}
-    labels: dict[Point, tuple[str, ...]] = {}
     for q in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         d = 1
         for cx, v in zip(factors, q):
             d *= cx.dim(v)
         if d:
             dims[q] = d
-            parts = [[f"{i}.{v}.{k}" for k in range(cx.dim(v))] for i, (cx, v) in enumerate(zip(factors, q))]
-            labels[q] = tuple("*".join(t) for t in itertools.product(*parts))
     diffs = {}
     for q in dims:
         for i in range(n):
@@ -473,7 +418,7 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
                 post *= cx.dim(v)
             mat = np.kron(np.kron(np.eye(pre, dtype=int), di), np.eye(post, dtype=int))
             diffs[(q, i)] = f.normalize(np.array(mat, dtype=f.dtype))
-    return Multicomplex(f, n, (lo, hi), dims, diffs, COMMUTATIVE, labels)
+    return Multicomplex(f, n, (lo, hi), dims, diffs, COMMUTATIVE)
 
 
 def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
@@ -529,10 +474,8 @@ def koszul_split(mc: Multicomplex) -> KoszulSplit:
     def build(keep) -> Multicomplex:
         dims: dict[Point, int] = {}
         pblocks: dict[Point, tuple] = {}
-        labels: dict[Point, tuple[str, ...]] = {}
         for q in mc.points():
             dq = mc.entry_dim(q)
-            base = mc.label(q)
             for p in range(n + 1):
                 allowed = [I for I in subsets[p] if keep(I, q)]
                 if not allowed:
@@ -540,9 +483,6 @@ def koszul_split(mc: Multicomplex) -> KoszulSplit:
                 point = (p,) + q
                 dims[point] = dq * len(allowed)
                 pblocks[point] = tuple((I, dq) for I in allowed)
-                labels[point] = tuple(
-                    f"e{{{','.join(str(i + 1) for i in I)}}}|{lbl}" for I in allowed for lbl in base
-                )
         diffs: dict[tuple[Point, int], np.ndarray] = {}
         for point, total in dims.items():
             p, q = point[0], point[1:]
@@ -592,7 +532,7 @@ def koszul_split(mc: Multicomplex) -> KoszulSplit:
                     diffs[(point, i + 1)] = mat
         lo = (0,) + mc.box[0]
         hi = (n,) + mc.box[1]
-        return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, labels, pblocks)
+        return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, pblocks)
 
     complement = build(lambda I, q: any(q[i] > 0 for i in I))
     face = build(lambda I, q: all(q[i] == 0 for i in I))
@@ -613,15 +553,12 @@ def cube_extension(mc: Multicomplex) -> Multicomplex:
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
     dims: dict[Point, int] = {(0,) + q: d for q, d in mc.dims.items()}
-    labels: dict[Point, tuple[str, ...]] = {(0,) + q: mc.label(q) for q in mc.points()}
     diffs: dict[tuple[Point, int], np.ndarray] = {
         ((0,) + q, i + 1): m for (q, i), m in mc.diffs.items()
     }
     if c0:
-        base = mc.label((0,) * n)
         for q in itertools.product((0, 1), repeat=n):
             dims[(-1,) + q] = c0
-            labels[(-1,) + q] = tuple(f"cube{q}|{l}" for l in base)
         for q in itertools.product((0, 1), repeat=n):
             support = tuple(i for i, x in enumerate(q) if x)
             psi = composite_along(mc, support)
@@ -632,4 +569,4 @@ def cube_extension(mc: Multicomplex) -> Multicomplex:
                     diffs[((-1,) + q, i + 1)] = f.eye(c0)
     lo = (-1,) + mc.box[0]
     hi = (0,) + tuple(max(b, 1) if c0 else b for b in mc.box[1])
-    return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, labels)
+    return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE)

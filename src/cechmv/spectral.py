@@ -172,19 +172,6 @@ class Page:
         ]
         return {"r": self.r, "cells": cells, "maps": maps}
 
-    def to_text(self) -> str:
-        if not self.cells:
-            return f"E_{self.r}: empty"
-        ps = sorted({p for p, _ in self.cells})
-        qs = sorted({q for _, q in self.cells})
-        lines = [f"E_{self.r} (rows q, columns p={ps[0]}..{ps[-1]})"]
-        header = "      " + " ".join(f"p={p:<4d}" for p in ps)
-        lines.append(header)
-        for q in reversed(qs):
-            row = " ".join(f"{self.dim(p, q):<6d}" for p in ps)
-            lines.append(f"q={q:<4d}{row}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class AbutmentFiltration:
@@ -210,16 +197,6 @@ class AbutmentFiltration:
             if d:
                 out[p] = d
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "h": [{"degree": m, "dim": d} for m, d in sorted(self.h_dims.items()) if d],
-            "graded": [
-                {"degree": m, "p": p, "dim": d}
-                for m in sorted(self.h_dims)
-                for p, d in sorted(self.graded(m).items())
-            ],
-        }
 
 
 class SpectralSequence:

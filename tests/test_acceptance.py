@@ -143,8 +143,8 @@ def test_first_pages_match_cohomology_tables(sweep_results):
 def test_punctured_face_part_is_derived_from_the_one_split(sweep):
     """On every class of the sweep, dropping the line over the lattice origin
     from the face half of the lattice's split gives the face half of the
-    punctured lattice's split: the same box, entries, maps, point blocks and
-    labels.  Variant 1b is built that way."""
+    punctured lattice's split: the same box, entries, maps and point blocks.
+    Variant 1b is built that way."""
     checked = 0
     for prob in sweep:
         for _pat, members in degree_classes(prob):
@@ -154,7 +154,7 @@ def test_punctured_face_part_is_derived_from_the_one_split(sweep):
             assert (got.n, got.box, got.dims) == (want.n, want.box, want.dims)
             assert got.diffs.keys() == want.diffs.keys()
             assert all(np.array_equal(got.diffs[k], want.diffs[k]) for k in want.diffs)
-            assert (got.point_blocks, got.labels) == (want.point_blocks, want.labels)
+            assert got.point_blocks == want.point_blocks
             checked += bool(want.dims)
     assert checked > 100
 

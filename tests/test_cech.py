@@ -264,7 +264,7 @@ def test_cech_multicomplex_shapes():
     assert validate(mc) == []
     full = cech_multicomplex(prob, (0, 0))
     assert full.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert full.labels[(1, 1)] == ("{x1}|{x2}",)
+    assert full.point_blocks[(1, 1)] == ((((0,), (0,)), 1),)
     assert totalize(full, check=True).cohomology_dims() == {}
     punct = puncture(cech_multicomplex(prob, (0, 0)))
     assert (0, 0) not in punct.dims

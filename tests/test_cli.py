@@ -211,6 +211,17 @@ def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
+    job = write_job(tmp_path, BASE_JOB)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["compute", job, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot create output directory" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
 def test_example_jobs_match_recorded_digests(tmp_path, name, jobs):
@@ -503,6 +514,18 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert main(["selftest", "--seed", "3", "--max-vars", "2", "--max-groups", "2"]) == 0
     out1 = capsys.readouterr().out
     assert "selftest passed" in out1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--max-vars", "0"], "--max-vars"),
+    (["--max-groups", "0"], "--max-groups"),
+    (["--seed", "-1"], "--seed"),
+])
+def test_selftest_refuses_bad_arguments(capsys, flags, message):
+    assert main(["selftest", *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_selftest_corruption_hook_reports_locus(capsys):

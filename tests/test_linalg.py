@@ -19,7 +19,6 @@ from cechmv import (
     kernel,
     kernel_space,
     mul,
-    nullity,
     rank,
     rref,
     solve,
@@ -134,7 +133,7 @@ def test_kernel_annihilates_and_has_full_nullity(data):
     for f in (F, Q):
         a = f.array(data)
         k = kernel(f, a)
-        assert k.shape[0] == nullity(f, a)
+        assert k.shape[0] == a.shape[1] - rank(f, a)
         if k.shape[0]:
             assert not np.any(mul(f, a, k.T))
         assert rank(f, k) == k.shape[0]

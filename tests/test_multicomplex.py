@@ -1,7 +1,5 @@
 """Lattice multicomplexes: validation, signs, totalization, regions, scaffolds."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -133,7 +131,6 @@ def test_tensor_product_dims_and_validity(rng):
         assert validate(mc) == []
         for q, d in mc.dims.items():
             assert d > 0
-            assert len(mc.label(q)) == d
 
 
 def test_region_membership():
@@ -142,12 +139,8 @@ def test_region_membership():
     assert face0.contains((3, 0)) and face0.contains((0, 0)) and not face0.contains((1, 1))
     # star names the coordinates forced to zero instead
     assert Region.face({1}, n, star=True).contains((3, 0))
-    punct = Region.punctured({0}, n)
-    assert punct.contains((2, 0)) and not punct.contains((0, 0))
     inter = Region.interior({0}, n)
     assert inter.contains((1, 0)) and not inter.contains((1, 1)) and not inter.contains((0, 0))
-    comp = Region.complement({0}, n)
-    assert comp.contains((1, 1)) and comp.contains((0, 2)) and not comp.contains((4, 0))
     assert Region.interior_all(n).contains((2, 3))
     with pytest.raises(ContractError):
         Region.face({5}, n)
@@ -272,12 +265,3 @@ def test_cohomology_reps_shapes():
     reps, ker, im = cx.cohomology_reps(0)
     assert reps.shape == (1, 2) and ker.dim == 1 and im.dim == 0
     assert cx.cohomology_dims() == {0: 1}
-
-
-def test_dumps_are_readable():
-    mc = unit_square()
-    text = mc.dump_text()
-    assert "flavor=commutative" in text and "(1, 1)" in text
-    body = json.loads(mc.dump_json())
-    assert body["n"] == 2
-    assert len(body["entries"]) == 4

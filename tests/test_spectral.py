@@ -74,9 +74,6 @@ def test_two_step_page_json_and_text():
         "cells": [{"p": 0, "q": 0, "dim": 1}, {"p": 1, "q": 0, "dim": 1}],
         "maps": [{"from": [0, 0], "rank": 1}, {"from": [1, 0], "rank": 0}],
     }
-    text = ss.page(1).to_text()
-    assert "E_1" in text and "p=0" in text
-    assert SpectralSequence(two_step()).page(5).to_text() == "E_5: empty"
 
 
 def test_pages_constant_beyond_width():
@@ -130,8 +127,6 @@ def test_abutment_graded_sums_to_cohomology(rng):
         for m, d in ab.h_dims.items():
             assert d == h.get(m, 0)
             assert sum(ab.graded(m).values()) == d
-        body = ab.to_json()
-        assert isinstance(body["h"], list) and isinstance(body["graded"], list)
 
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(65537), RationalField()]
