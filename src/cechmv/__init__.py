@@ -18,7 +18,8 @@ The package is organized bottom-up:
   closed-form dimension oracle, and the product-vs-interior audits.
 * :mod:`cechmv.mvss` -- the four Mayer-Vietoris style spectral sequence
   assemblies, their oracle audits, and the two-group long exact sequence.
-* :mod:`cechmv.cli` -- the ``cechmv`` command line front end.
+* :mod:`cechmv.cli` -- ``compute``, the one driver of a whole degree
+  window, and the ``cechmv`` command line front end.
 """
 
 from .errors import ContractError, FieldMismatchError, InputError, InternalCheckError
@@ -94,18 +95,20 @@ from .cech import (
     default_window,
     degree_classes,
     piece_pattern,
-    verify_product_vs_interior,
 )
-from .mvss import (
-    VARIANTS,
-    MvssRun,
-    infinity_filtration_report,
-    mv_les,
-    run_all_variants,
-    run_variant,
-)
+from .mvss import VARIANTS, MvssRun
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # imported on first use, so `python -m cechmv.cli` does not find the
+    # module already loaded by its own package
+    if name == "compute":
+        from .cli import compute
+
+        return compute
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ANTICOMMUTATIVE",
@@ -140,6 +143,7 @@ __all__ = [
     "cohomology_map",
     "complement_total_filtration",
     "composite_along",
+    "compute",
     "coordinate_filtration",
     "cube_extension",
     "default_window",
@@ -149,7 +153,6 @@ __all__ = [
     "filtration_from_blocks",
     "format_monomial",
     "image",
-    "infinity_filtration_report",
     "is_prime",
     "kernel",
     "kernel_space",
@@ -160,7 +163,6 @@ __all__ = [
     "monomial_divides",
     "monomial_mul",
     "mul",
-    "mv_les",
     "parse_monomial",
     "piece_pattern",
     "product_sequence",
@@ -169,8 +171,6 @@ __all__ = [
     "region_convergence_report",
     "restrict",
     "rref",
-    "run_all_variants",
-    "run_variant",
     "sign_twist",
     "solve",
     "split_column_report",
@@ -179,6 +179,5 @@ __all__ = [
     "totalize",
     "truncated_face_filtration",
     "validate",
-    "verify_product_vs_interior",
     "window_degrees",
 ]

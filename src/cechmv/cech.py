@@ -27,7 +27,9 @@ into chambers (one interval per coordinate) of constant pattern, and
 ``degree_classes`` evaluates the pattern once per chamber, never per degree.
 Every audit is split into a class step, run once at a class's representative
 degree (its first member), and an assembly that copies the class results to
-the member degrees.
+the member degrees: ``verify_product_vs_interior`` is the class step of the
+verify34 task and ``issue_report`` its assembly.  ``cli.compute`` runs the
+class steps over a whole window.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .grading import (
     support_mask,
     window_degrees,
 )
-from .jsonout import PerDegree, plain
+from .jsonout import PerDegree
 from .linalg import Field, mul, rank
 from .multicomplex import (
     COMMUTATIVE,
@@ -517,11 +519,22 @@ def issue_report(results: list[tuple[list[Exps], list[dict]]], key: str) -> dict
             "pass": not issues.items}
 
 
-def verify_class(problem: CechProblem, seqs: LatticeSequences, cache: OracleCache,
-                 b0: Exps) -> list[dict]:
-    """Class step of ``verify_product_vs_interior``: the issues found at the
-    representative degree b0, whose lattice's region complexes ``seqs``
-    holds."""
+def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cache: OracleCache,
+                               b0: Exps) -> list[dict]:
+    """Audit, at the representative degree b0 of a degree class, whose
+    lattice's region complexes ``seqs`` holds, the dimension identities tying
+    the interior of the Čech lattice to the single product-sequence complex:
+
+    * raw H^{i+n-1} of the augmented interior equals the product oracle's H^i;
+    * for every nonempty group subset of size p, raw H^{i+p-1} of the interior
+      totalization equals the subset's product oracle at truncated slot i;
+    * the two first-slot kernels (lattice route and product route) agree;
+    * the four-term dimension identity
+      h^{n-1} - dim M_b + dim ker - h^n = 0 holds.
+
+    Returns the issues found; ``issue_report`` lists them under every member
+    degree.
+    """
     n = problem.n
     all_groups = tuple(range(n))
     subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
@@ -554,27 +567,6 @@ def verify_class(problem: CechProblem, seqs: LatticeSequences, cache: OracleCach
     if four != 0:
         issues.append({"check": "four_term", "value": four})
     return issues
-
-
-def verify_product_vs_interior(problem: CechProblem, cache: OracleCache | None = None) -> dict:
-    """Audit, per window degree, the dimension identities tying the interior
-    of the Čech lattice to the single product-sequence complex:
-
-    * raw H^{i+n-1} of the augmented interior equals the product oracle's H^i;
-    * for every nonempty group subset of size p, raw H^{i+p-1} of the interior
-      totalization equals the subset's product oracle at truncated slot i;
-    * the two first-slot kernels (lattice route and product route) agree;
-    * the four-term dimension identity
-      h^{n-1} - dim M_b + dim ker - h^n = 0 holds.
-
-    Degrees are grouped by piece pattern; one computation covers each class.
-    """
-    cache = cache or OracleCache(problem)
-    return plain(issue_report([
-        (members, verify_class(problem, LatticeSequences(cech_multicomplex(problem, members[0])),
-                               cache, members[0]))
-        for _pat, members in degree_classes(problem)
-    ], "mismatches"))
 
 
 class _AugmentedFiber:
@@ -624,12 +616,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     if bound < 1:
         raise InputError("annihilation bound must be at least 1")
     gens = product_sequence(problem.groups)
-    lo, hi = problem.window
-
-    def inside(b: Exps) -> bool:
-        return all(a <= x <= c for x, a, c in zip(b, lo, hi))
-
-    if not any(inside(monomial_mul(b, g)) for b in problem.degrees() for g in set(gens)):
+    if not any(problem.in_window(monomial_mul(b, g)) for b in problem.degrees() for g in set(gens)):
         raise InputError("window too small to test annihilation for any exponent")
 
     # a fiber, and the map between two fibers, depend on their degrees only
@@ -670,7 +657,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
                 ran_out = False
                 for nstep in range(1, bound + 1):
                     nxt = monomial_mul(cur, g)
-                    if not inside(nxt):
+                    if not problem.in_window(nxt):
                         ran_out = True
                         break
                     step = induced(cur, g).get(m)

@@ -9,10 +9,14 @@ Two commands:
   verifications passed, 1 means the input was rejected, 2 means some
   verification failed.
 
-  Each degree class runs the class step of every task (``run_unit``), and
-  ``--jobs`` spreads the classes over worker processes; ``assemble_unit``
-  lists the class results under the member degrees, in class order, and
-  ``jsonout.dumps`` writes each class's record once.
+  ``compute`` is the one driver of a whole window, for the command and the
+  library alike: each degree class runs the class step of every task
+  (``run_unit``, which calls ``cech.verify_product_vs_interior``,
+  ``mvss.run_variant``, ``mvss.infinity_filtration_report`` and
+  ``mvss.mv_les``), and ``--jobs`` spreads the classes over worker
+  processes; ``assemble_unit`` lists the class results under the member
+  degrees, in class order, and ``jsonout.dumps`` writes each class's record
+  once.
 * ``selftest`` runs the randomized structural property suites on generated
   multicomplexes and small problems.  Deterministic for a fixed seed.
 
@@ -31,12 +35,12 @@ import sys
 
 import numpy as np
 
-from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, default_window,
-                   degree_classes, issue_report, verify_class, verify_product_vs_interior)
+from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, degree_classes,
+                   issue_report, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
-from .grading import Exps, MonomialIdeal, parse_monomial, product_sequence
-from .jsonout import PerDegree, dumps
-from .linalg import DEFAULT_PRIME, PrimeField, RationalField, is_prime, mul
+from .grading import Exps, MonomialIdeal, product_sequence
+from .jsonout import PerDegree, dumps, plain
+from .linalg import DEFAULT_PRIME, PrimeField, RationalField, mul
 from .multicomplex import (
     CochainComplex,
     koszul_complex,
@@ -45,8 +49,8 @@ from .multicomplex import (
     totalize,
     validate,
 )
-from .mvss import (FILTRATION, ClassRun, MvssRun, degree_records, infinity_class, les_class,
-                   run_variant, variant_class)
+from .mvss import (FILTRATION, ClassRun, MvssRun, degree_records, infinity_filtration_report,
+                   mv_les, run_variant)
 from .spectral import LatticeSequences, region_convergence_report, split_column_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
@@ -59,8 +63,6 @@ def _parse_field(obj) -> PrimeField | RationalField:
         p = obj["prime"]
         if type(p) is not int or p < 2:  # bool is not an integer here
             raise InputError(f"modulus must be an integer >= 2, got {p!r}")
-        if not is_prime(p):
-            raise InputError(f"modulus not prime: {p}")
         return PrimeField(p)
     if "rational" in obj:
         if obj["rational"] is not True:
@@ -101,8 +103,7 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
         or not all(isinstance(g, list) and g and all(isinstance(t, str) for t in g) for g in groups)
     ):
         raise InputError("groups must be a nonempty list of nonempty monomial lists")
-    gens = tuple(tuple(parse_monomial(t, m) for t in g) for g in groups)
-    quotient = MonomialIdeal(m, tuple(parse_monomial(t, m) for t in quo))
+    window = None
     if "window" in raw:
         w = raw["window"]
         if (
@@ -113,25 +114,25 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
         ):
             raise InputError(f"window must be [[lo_1..lo_{m}], [hi_1..hi_{m}]]")
         window = (tuple(w[0]), tuple(w[1]))
-    else:
-        window = default_window(m, gens, quotient)
-    tasks_raw = raw["tasks"]
-    if not isinstance(tasks_raw, list) or not tasks_raw or not all(isinstance(t, str) for t in tasks_raw):
+    tasks = raw["tasks"]
+    if not isinstance(tasks, list) or not tasks or not all(isinstance(t, str) for t in tasks):
         raise InputError("tasks must be a nonempty list of task names")
-    tasks: list[str] = []
-    for t in tasks_raw:
-        if t not in TASK_ORDER:
-            raise InputError(f"unknown task {t!r}; choose from {', '.join(TASK_ORDER)}")
-        if t not in tasks:
-            tasks.append(t)
-    tasks.sort(key=TASK_ORDER.index)
     pages = raw.get("pages")
     if pages is not None and (type(pages) is not int or pages < 0):
         raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
-    problem = CechProblem(field, m, gens, quotient, window)
+    problem = CechProblem.from_text(field, m, groups, quo, window)
+    return problem, check_tasks(problem, tasks), pages
+
+
+def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
+    """The tasks to run on ``problem``, each once, in ``TASK_ORDER``; refuses
+    an unknown task, and ``les`` unless there are exactly two groups."""
+    for t in tasks:
+        if t not in TASK_ORDER:
+            raise InputError(f"unknown task {t!r}; choose from {', '.join(TASK_ORDER)}")
     if "les" in tasks and problem.n != 2:
         raise InputError("task 'les' needs exactly two generator groups")
-    return problem, tasks, pages
+    return [t for t in TASK_ORDER if t in tasks]
 
 
 class DegreeClass:
@@ -153,8 +154,8 @@ class DegreeClass:
 
     def run(self, variant: str, pages: int | None) -> ClassRun:
         if variant not in self.runs:
-            self.runs[variant] = variant_class(self.problem, variant, self.sequences,
-                                               self.cache, self.members, pages_r=pages)
+            self.runs[variant] = run_variant(self.problem, variant, self.sequences,
+                                             self.cache, self.members, pages_r=pages)
         return self.runs[variant]
 
 
@@ -166,7 +167,7 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
     if unit == "cohomology":
         return cache.column("product", tuple(range(problem.n)), "full", b0)
     if unit == "verify34":
-        return verify_class(problem, klass.sequences, cache, b0)
+        return verify_product_vs_interior(problem, klass.sequences, cache, b0)
     if unit == "props2":
         mc = klass.sequences.mc
         bad = validate(mc)
@@ -177,10 +178,11 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
         variant = unit.split(":", 1)[1]
         run = klass.run(variant, pages)
         if variant == "1a" and problem.n == 3:
-            return run, infinity_class(run, klass.sequences.filtered(FILTRATION["1a"]), cache)
+            fc = klass.sequences.filtered(FILTRATION["1a"])
+            return run, infinity_filtration_report(run, fc, cache)
         return run, None
     if unit == "les":
-        return les_class(klass.run("1a", None), klass.run("2a", None), cache)
+        return mv_les(klass.run("1a", None), klass.run("2a", None), cache)
     raise InputError(f"unknown task {unit!r}")
 
 
@@ -252,22 +254,14 @@ def _class_worker(args) -> list:
     return out
 
 
-def cmd_compute(args) -> int:
-    try:
-        if args.jobs < 0:
-            raise InputError(f"--jobs must be a nonnegative integer, got {args.jobs}")
-        if args.pages is not None and args.pages < 0:
-            raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
-        problem, tasks, job_pages = load_job(args.job)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as e:
-            raise InputError(f"cannot create output directory: {e}") from None
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    pages = args.pages if args.pages is not None else job_pages
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
+            jobs: int = 1) -> tuple[dict, dict[str, str]]:
+    """Run ``tasks`` over the window of ``problem``: classify the window once,
+    run the class step of every task per degree class, in ``jobs`` worker
+    processes, and assemble each task over the classes.  Returns the report
+    and the contents of every output file by name, ``report.json`` among
+    them."""
+    tasks = check_tasks(problem, tasks)
     classes = [members for _pat, members in degree_classes(problem)]
     work = [(problem, tasks, pages, members) for members in classes]
     if jobs > 1 and len(work) > 1:
@@ -277,7 +271,7 @@ def cmd_compute(args) -> int:
             steps = pool.map(_class_worker, work, chunksize=1)
     else:
         steps = [_class_worker(w) for w in work]
-    all_files: dict[str, str] = {}
+    files: dict[str, str] = {}
     report = {
         "job": {
             "field": {"prime": problem.field.p} if isinstance(problem.field, PrimeField) else {"rational": True},
@@ -295,25 +289,44 @@ def cmd_compute(args) -> int:
         results = [(members, step[k]) for members, step in zip(classes, steps)]
         failed = next(((m[0], r) for m, r in results if isinstance(r, Exception)), None)
         if failed is None:
-            payload, files = assemble_unit(problem, unit, pages, results)
+            payload, unit_files = assemble_unit(problem, unit, pages, results)
         else:
             b0, err = failed
             payload = {"pass": False, "internal_error": {"degree": list(b0), "message": str(err)}}
-            files = {}
+            unit_files = {}
         report["results"][unit] = payload
-        all_files.update(files)
+        files.update(unit_files)
         ok = ok and payload.get("pass", True)
     report["pass"] = ok
-    all_files["report.json"] = dumps(report)
-    for name, content in sorted(all_files.items()):
+    files["report.json"] = dumps(report)
+    return report, files
+
+
+def cmd_compute(args) -> int:
+    try:
+        if args.jobs < 0:
+            raise InputError(f"--jobs must be a nonnegative integer, got {args.jobs}")
+        if args.pages is not None and args.pages < 0:
+            raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
+        problem, tasks, job_pages = load_job(args.job)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot create output directory: {e}") from None
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    pages = args.pages if args.pages is not None else job_pages
+    report, files = compute(problem, tasks, pages, args.jobs or os.cpu_count() or 1)
+    for name, content in sorted(files.items()):
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(content)
     for unit, payload in report["results"].items():
         status = "pass" if payload.get("pass", True) else "FAIL"
         extra = payload.get("summary", "")
         print(f"{unit}: {status}" + (f"  {extra}" if extra else ""))
-    print(f"wrote {', '.join(sorted(all_files))} to {args.out}")
-    return 0 if ok else 2
+    print(f"wrote {', '.join(sorted(files))} to {args.out}")
+    return 0 if report["pass"] else 2
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +436,11 @@ def cmd_selftest(args) -> int:
             groups.append(tuple(grp))
         quotient = MonomialIdeal(m, ())
         prob = CechProblem(f, m, tuple(groups), quotient, ((-2,) * m, (2,) * m))
-        cache = OracleCache(prob)
-        rep = verify_product_vs_interior(prob, cache)
-        if not rep["pass"]:
-            failures.append(f"problem trial {trial}: {rep['mismatches'][:2]}")
-        run = run_variant(prob, "2a", cache)
-        if not run.ok:
-            failures.append(f"problem trial {trial} 2a: {run.failures[:2]}")
+        report, _files = compute(prob, ["verify34", "mvss:2a"])
+        for unit, res in plain(report["results"]).items():
+            if not res["pass"]:
+                issues = res.get("mismatches") or res.get("failures") or [res.get("internal_error")]
+                failures.append(f"problem trial {trial} {unit}: {issues[:2]}")
 
     if failures:
         print(f"selftest FAILED ({len(failures)} problems):")

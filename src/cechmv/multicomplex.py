@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, image, kernel_space, mul, pivot_columns, same_field
+from .linalg import Field, image, kernel_space, mul, pivot_columns, same_field, solve
 
 Point = tuple[int, ...]
 
@@ -94,8 +94,6 @@ def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, np
     Returns one matrix per degree where both sides have entries, written in
     the representative bases of ``cohomology_reps``.
     """
-    from .linalg import solve  # local import keeps module load order simple
-
     same_field(cxa.field, cxb.field)
     f = cxa.field
     if check:

@@ -1,4 +1,5 @@
-"""Drivers for the four lattice spectral sequences of a Čech problem.
+"""Class steps of the four lattice spectral sequences of a Čech problem, of
+the two-group long exact sequence and of the three-group limit filtration.
 
 Each variant fixes one filtration of one complex built from the degree-b
 Čech lattice:
@@ -19,10 +20,11 @@ The four filtered complexes of a class, and their spectral sequences, come
 from the ``LatticeSequences`` of its lattice, which the region audits
 (``spectral.region_convergence_report``, the props2 task) read too.  First
 pages and abutments are checked dimensionwise against the independent
-oracle; degrees are grouped by piece pattern so each distinct computation
-runs once: ``variant_class``, ``les_class`` and ``infinity_class`` are the
-class steps, and ``MvssRun`` and ``degree_records`` assemble their results
-over the member degrees.
+oracle.  Every function here works on one degree class, at its
+representative degree: ``run_variant``, ``mv_les`` and
+``infinity_filtration_report`` are the class steps of the ``mvss:V`` and
+``les`` tasks, and ``MvssRun`` and ``degree_records`` assemble their results
+over the member degrees.  ``cli.compute`` runs them over a whole window.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cech import CechProblem, OracleCache, cech_multicomplex, degree_classes
+# mvss builds no lattice; the name stays bound here because the benchmark's
+# tracer test (perfbench/test_perfbench.py) checks its binding in this module
+from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
 from .errors import InputError
 from .grading import Exps
-from .jsonout import PerDegree, plain
+from .jsonout import PerDegree
 from .linalg import image, kernel_space
 from .multicomplex import CochainComplex, cohomology_map
 from .spectral import FilteredComplex, LatticeSequences, Page
@@ -131,9 +135,6 @@ class MvssRun:
             for cls in self.classes
         ])
 
-    def degree_report(self) -> list[dict]:
-        return plain(self.degrees())
-
     def summary_text(self) -> str:
         n_deg = sum(len(c.members) for c in self.classes)
         status = "pass" if self.ok else f"FAIL ({len(self.failures)} mismatches)"
@@ -157,9 +158,9 @@ def _stabilized_at(pages: list[Page]) -> int | None:
     return stable_from
 
 
-def variant_class(problem: CechProblem, variant: str, seqs: LatticeSequences, cache: OracleCache,
-                  members: list[Exps], pages_r: int | None = None) -> ClassRun:
-    """Class step of ``run_variant``: the spectral sequence of the variant's
+def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cache: OracleCache,
+                members: list[Exps], pages_r: int | None = None) -> ClassRun:
+    """The chosen spectral sequence for one degree class: the variant's
     filtered complex, read from ``seqs``, the ``LatticeSequences`` of the
     class's full lattice, with its first page and abutment audited against
     the oracle at the representative degree members[0]."""
@@ -217,32 +218,15 @@ def variant_class(problem: CechProblem, variant: str, seqs: LatticeSequences, ca
     )
 
 
-def _class_runs(problem: CechProblem, variants, cache: OracleCache,
-                pages_r: int | None = None) -> dict[str, MvssRun]:
-    """The given variants over the window, building each class's lattice once."""
-    runs = {v: MvssRun(problem, v, []) for v in variants}
-    for _pat, members in degree_classes(problem):
-        seqs = LatticeSequences(cech_multicomplex(problem, members[0]))
-        for v in variants:
-            runs[v].classes.append(variant_class(problem, v, seqs, cache, members, pages_r))
-    return runs
+def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
+    """The two-group long exact sequence at the representative degree of the
+    class whose 1a and 2a runs are given, its exactness verified by rank
+    bookkeeping.
 
-
-def run_variant(problem: CechProblem, variant: str, cache: OracleCache | None = None,
-                pages_r: int | None = None) -> MvssRun:
-    """Compute the chosen spectral sequence over the whole window and audit
-    its first page and abutment against the oracle."""
-    return _class_runs(problem, (variant,), cache or OracleCache(problem), pages_r)[variant]
-
-
-def run_all_variants(problem: CechProblem, cache: OracleCache | None = None,
-                     pages_r: int | None = None) -> dict[str, MvssRun]:
-    return _class_runs(problem, VARIANTS, cache or OracleCache(problem), pages_r)
-
-
-def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
-    """Class step of ``mv_les``: the sequence at the representative degree of
-    the class whose 1a and 2a runs are given."""
+    The connecting rank is inferred from exactness at the product term; the
+    two independent joint identities (at the sum term and at the middle term)
+    are then checked against the boundary maps of the two first pages.
+    """
     problem = cache.problem
     b = run_1a.members[0]
     top = sum(len(g) for g in problem.groups) + 2
@@ -283,58 +267,11 @@ def les_class(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
 
 
 def degree_records(results: list[tuple[list[Exps], dict]]) -> dict:
-    """Assembly of ``mv_les`` and ``infinity_filtration_report`` from
+    """Assembly of ``mv_les`` or ``infinity_filtration_report`` results from
     (members, class record): the records per degree and the failing ones."""
     degrees = PerDegree.by_degree(results)
     failures = PerDegree("degree", [(b, rec) for b, rec in degrees.items if not rec["pass"]])
     return {"degrees": degrees, "failures": failures, "pass": not failures.items}
-
-
-def mv_les(problem: CechProblem, cache: OracleCache | None = None,
-           runs: dict[str, MvssRun] | None = None) -> dict:
-    """Assemble the two-group long exact sequence per degree and verify its
-    exactness by rank bookkeeping.
-
-    The connecting rank is inferred from exactness at the product term; the
-    two independent joint identities (at the sum term and at the middle term)
-    are then checked against the boundary maps of the two first pages.
-    """
-    if problem.n != 2:
-        raise InputError("long exact sequence driver needs exactly two groups")
-    cache = cache or OracleCache(problem)
-    if runs is None:
-        runs = _class_runs(problem, ("1a", "2a"), cache)
-    return plain(degree_records([
-        (c1.members, les_class(c1, c2, cache))
-        for c1, c2 in zip(runs["1a"].classes, runs["2a"].classes)
-    ]))
-
-
-def infinity_filtration_report(run: MvssRun, cache: OracleCache | None = None) -> dict:
-    """For a three-group 1a run, recompute the three graded pieces of each
-    abutment degree from the first- and second-page maps and match them
-    against the engine's limit page and the oracle.
-
-    With d1 maps written phi (out of the leftmost column in the top relevant
-    row), phi' and psi' (one row down), psi'' (two rows down), the pieces of
-    the abutment at total degree m are:
-
-      top piece      dim ker(phi)  - rank(d2 out of the phi cell),
-      middle piece   dim ker(psi') - rank(phi'),
-      bottom piece   dim coker(psi'') - rank(d2 into the coker cell).
-
-    The middle piece is recomputed independently through subspace quotients
-    of explicit first-page maps, for which each class's lattice is rebuilt.
-    """
-    problem = run.problem
-    if problem.n != 3 or run.variant != "1a":
-        raise InputError("infinity filtration report needs a three-group 1a run")
-    cache = cache or OracleCache(problem)
-    records = []
-    for cls in run.classes:
-        seqs = LatticeSequences(cech_multicomplex(problem, cls.members[0]))
-        records.append((cls.members, infinity_class(cls, seqs.filtered(FILTRATION["1a"]), cache)))
-    return plain({"variant": "1a", **degree_records(records)})
 
 
 def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, np.ndarray]:
@@ -357,10 +294,23 @@ def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, np.ndarray]:
     return cohomology_map(src, tgt, chain, check=False)
 
 
-def infinity_class(cls: ClassRun, fc: FilteredComplex, cache: OracleCache) -> dict:
-    """Class step of ``infinity_filtration_report`` for one three-group 1a
-    class run whose filtered complex is ``fc``: the rows at its
-    representative degree and their verdict."""
+def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: OracleCache) -> dict:
+    """For one three-group 1a class run whose filtered complex is ``fc``,
+    recompute the three graded pieces of each abutment degree at the
+    representative degree from the first- and second-page maps and match
+    them against the engine's limit page and the oracle.
+
+    With d1 maps written phi (out of the leftmost column in the top relevant
+    row), phi' and psi' (one row down), psi'' (two rows down), the pieces of
+    the abutment at total degree m are:
+
+      top piece      dim ker(phi)  - rank(d2 out of the phi cell),
+      middle piece   dim ker(psi') - rank(phi'),
+      bottom piece   dim coker(psi'') - rank(d2 into the coker cell).
+
+    The middle piece is recomputed independently through subspace quotients
+    of explicit first-page maps, built from ``fc``.
+    """
     f = cache.problem.field
     b0 = cls.members[0]
     p1, p2 = cls.pages[1], cls.pages[2]

@@ -1,4 +1,5 @@
-"""Shared generators for randomized structural tests.
+"""Shared generators for randomized structural tests, and the degree classes
+of a problem as the CLI's class steps see them.
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -9,7 +10,9 @@ not the generator.
 import numpy as np
 import pytest
 
-from cechmv import CochainComplex, PrimeField, sign_twist, tensor_product
+from cechmv import (CochainComplex, MvssRun, PrimeField, VARIANTS, degree_classes, sign_twist,
+                    tensor_product)
+from cechmv.cli import DegreeClass
 
 F = PrimeField(65537)
 
@@ -43,6 +46,19 @@ def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, twist=True):
     if twist and rng.integers(0, 2):
         mc = sign_twist(mc)
     return mc
+
+
+def class_of(problem, b) -> DegreeClass:
+    """The degree class holding b."""
+    return next(DegreeClass(problem, members) for _pat, members in degree_classes(problem)
+                if b in members)
+
+
+def window_runs(problem, variants=VARIANTS) -> dict[str, MvssRun]:
+    """Every variant's class runs over the window, in class order; each class
+    builds its lattice once for all variants."""
+    klasses = [DegreeClass(problem, members) for _pat, members in degree_classes(problem)]
+    return {v: MvssRun(problem, v, [k.run(v, None) for k in klasses]) for v in variants}
 
 
 @pytest.fixture

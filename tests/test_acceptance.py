@@ -26,21 +26,20 @@ from cechmv import (
     OracleCache,
     SpectralSequence,
     cech_multicomplex,
+    compute,
     degree_classes,
     koszul_split,
-    mv_les,
     puncture,
-    run_all_variants,
     sign_twist,
     split_column_report,
     totalize,
-    verify_product_vs_interior,
 )
-from cechmv.cli import main as cli_main
+from cechmv.cli import main as cli_main, run_unit
+from cechmv.jsonout import plain
 from cechmv.multicomplex import puncture_along
 from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
 from cechmv.spectral import LatticeSequences
-from conftest import F, rand_tensor_mc
+from conftest import F, class_of, rand_tensor_mc, window_runs
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 
 
@@ -75,12 +74,12 @@ def sweep_results(sweep):
     results = []
     t0 = time.perf_counter()
     for prob in sweep:
-        cache = OracleCache(prob)
-        results.append({"problem": prob, "cache": cache,
-                        "verify": verify_product_vs_interior(prob, cache)})
+        report, _files = compute(prob, ["verify34"])
+        results.append({"problem": prob, "cache": OracleCache(prob),
+                        "verify": plain(report["results"]["verify34"])})
     elapsed = time.perf_counter() - t0
     for res in results:
-        res["runs"] = run_all_variants(res["problem"], res["cache"])
+        res["runs"] = window_runs(res["problem"])
     return results, elapsed
 
 
@@ -182,14 +181,13 @@ def test_two_group_long_exact_sequence():
     rng = np.random.default_rng(20240825)
     for k in range(20):
         prob = random_problem(rng, k % 3 + 1, 2)
-        rep = mv_les(prob)
+        rep = plain(compute(prob, ["les"])[0]["results"]["les"])
         assert rep["pass"], rep["failures"][:2]
     hand = CechProblem(
         F, 2, (((1, 0),), ((0, 1),)), MonomialIdeal(2, ()), ((-2, -2), (2, 2))
     )
-    rep = mv_les(hand)
-    assert rep["pass"]
-    entry = next(e for e in rep["degrees"] if e["degree"] == [-1, -1])
+    assert compute(hand, ["les"])[0]["results"]["les"]["pass"]
+    entry = run_unit(class_of(hand, (-1, -1)), "les", None)
     assert all(v == 0 for v in entry["dims"]["middle"].values())
     assert {i: v for i, v in entry["dims"]["product"].items() if v} == {1: 1}
     assert {i: v for i, v in entry["dims"]["sum"].items() if v} == {2: 1}

@@ -18,13 +18,13 @@ from cechmv import (
     annihilation_report,
     cech_complex,
     cech_multicomplex,
+    compute,
     default_window,
     degree_classes,
     piece_pattern,
     puncture,
     totalize,
     validate,
-    verify_product_vs_interior,
 )
 from cechmv import cech
 from cechmv.jsonout import plain
@@ -300,6 +300,12 @@ def test_oracle_cache_raw_and_tables():
         cache.seq("weird", (0,))
 
 
+def verify34(prob) -> dict:
+    """The verify34 payload of a whole-window run."""
+    report, _files = compute(prob, ["verify34"])
+    return plain(report["results"]["verify34"])
+
+
 def test_verify_product_vs_interior_passes():
     for prob in (
         problem(["x1", "x2"], window=((-3, -3), (3, 3))),
@@ -307,7 +313,7 @@ def test_verify_product_vs_interior_passes():
         problem(["x1", "x2"], quotient=["x1^2*x2"], window=((-2, -2), (2, 2))),
         problem([["x1"]], num_vars=1, window=((-2,), (2,))),
     ):
-        rep = verify_product_vs_interior(prob)
+        rep = verify34(prob)
         assert rep["pass"], rep["mismatches"][:4]
         assert rep["degrees_checked"] == len(prob.degrees())
 
@@ -316,14 +322,14 @@ def test_verify_three_groups_three_vars():
     prob = CechProblem.from_text(
         F, 3, [["x1*x2"], ["x2*x3"], ["x1*x3"]], [], window=((-2, -2, -2), (2, 2, 2))
     )
-    rep = verify_product_vs_interior(prob)
+    rep = verify34(prob)
     assert rep["pass"] and rep["degrees_checked"] == 125
 
 
 def test_verify_rational_field():
     prob = CechProblem.from_text(RationalField(), 2, [["x1"], ["x2"]], [],
                                  window=((-2, -2), (2, 2)))
-    assert verify_product_vs_interior(prob)["pass"]
+    assert verify34(prob)["pass"]
 
 
 def test_annihilation_hand_case():

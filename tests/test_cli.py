@@ -298,6 +298,46 @@ def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monk
     assert calls == {"degree_classes": 1, "cech_multicomplex": classes}
 
 
+@pytest.mark.parametrize("body,per_class", [
+    (dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
+          window=[[-1, -1, -1], [1, 1, 1]],
+          tasks=["verify34", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]),
+     {"verify_product_vs_interior": 1, "run_variant": 4, "infinity_filtration_report": 1,
+      "mv_les": 0}),
+    (dict(BASE_JOB, window=[[-2, -2], [2, 2]], tasks=["les"]),
+     {"verify_product_vs_interior": 0, "run_variant": 2, "infinity_filtration_report": 0,
+      "mv_les": 1}),
+])
+def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_class):
+    """The class steps ``compute`` runs are the functions the benchmark
+    tracer wraps by name, at every ``cechmv`` module that binds them, so the
+    tracer's per-layer metrics for them count real work: one call per degree
+    class, and per class and variant for ``run_variant`` (``les`` runs 1a and
+    2a itself when no ``mvss`` task has)."""
+    calls = dict.fromkeys(per_class, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    binders = [mod for name, mod in sys.modules.items()
+               if name == "cechmv" or name.startswith("cechmv.")]
+    for name in calls:
+        original = getattr(cech if name == "verify_product_vs_interior" else mvss, name)
+        for mod in binders:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(name, original))
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    problem, _tasks, _pages = cli.load_job(job)
+    classes = len(cech.degree_classes(problem))
+    assert classes > 1
+    assert calls == {name: k * classes for name, k in per_class.items()}
+
+
 @pytest.mark.parametrize("body", [
     dict(BASE_JOB, quotient=["x1^2*x2"], window=[[-2, -2], [2, 2]],
          tasks=["mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les"]),
@@ -640,7 +680,7 @@ def test_pages_file_and_payload_match_whole_object_dumps(case):
     payload, files = cli.assemble_unit(problem, f"mvss:{variant}", pages, results)
     kept = [dataclasses.replace(run, pages=[pg for pg in run.pages if pages is None or pg.r <= pages])
             for _members, (run, _inf) in results]
-    degrees = MvssRun(problem, variant, kept).degree_report()
+    degrees = plain(MvssRun(problem, variant, kept).degrees())
     assert [e["degree"] for e in degrees] == sorted(list(b) for members, _ in results for b in members)
     assert all(pg["r"] <= pages for e in degrees for pg in e["pages"] if pages is not None)
     assert files[f"pages_{variant}.json"] == reference_dumps({"variant": variant, "degrees": degrees})
