@@ -90,7 +90,6 @@ from .cech import (
     CohomologyTable,
     OracleCache,
     annihilation_report,
-    cech_complex,
     cech_multicomplex,
     default_window,
     degree_classes,
@@ -138,7 +137,6 @@ __all__ = [
     "VARIANTS",
     "annihilation_report",
     "augment_interior",
-    "cech_complex",
     "cech_multicomplex",
     "cohomology_map",
     "complement_total_filtration",

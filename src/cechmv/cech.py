@@ -7,8 +7,9 @@ generator sequence and matrices with entries in {-1, 0, +1}.
 
 Two independent routes are kept deliberately separate:
 
-* ``cech_complex`` / ``cech_multicomplex`` feed the lattice and filtration
-  machinery (CochainComplex / Multicomplex / spectral);
+* ``cech_multicomplex`` feeds the lattice and filtration machinery
+  (CochainComplex / Multicomplex / spectral); the Čech complex of one
+  sequence is its one-group lattice, totalized;
 * ``OracleCache`` builds its matrices inline and only calls the exact rank
   routine, so it shares no complex-assembly code with the route it is used to
   audit.  It never receives a lattice, and the lattice builders never read it.
@@ -56,7 +57,6 @@ from .jsonout import PerDegree
 from .linalg import Field, mul, rank
 from .multicomplex import (
     COMMUTATIVE,
-    CochainComplex,
     Multicomplex,
     Point,
     Region,
@@ -172,61 +172,6 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
 
 # ---------------------------------------------------------------------------
 # engine-side constructions
-
-
-def cech_complex(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal,
-                 b: Exps, truncated: bool = False) -> CochainComplex:
-    """Degree-b slice of the Čech complex on ``seq`` over R/J.
-
-    Slot t is the sum over t-element index subsets S of the piece of
-    (R/J) localized at the product over S; maps are alternating-sign
-    localization maps.  ``truncated`` drops slot 0.
-    """
-    if not seq:
-        raise InputError("empty generator sequence")
-    length = len(seq)
-    masks = {}
-    piece = {}
-
-    def alive(s: tuple[int, ...]) -> int:
-        if s not in piece:
-            mk = 0
-            for i in s:
-                mk |= support_mask(seq[i])
-            masks[s] = mk
-            piece[s] = localized_piece_dim(mk, quotient, b)
-        return piece[s]
-
-    kept: dict[int, list[tuple[int, ...]]] = {}
-    for t in range(0 if not truncated else 1, length + 1):
-        lst = [s for s in itertools.combinations(range(length), t) if alive(s)]
-        if lst:
-            kept[t] = lst
-    dims = {t: len(lst) for t, lst in kept.items()}
-    d = {}
-    for t, lst in kept.items():
-        nxt = kept.get(t + 1)
-        if not nxt:
-            continue
-        index = {s: k for k, s in enumerate(nxt)}
-        mat = field.zeros(len(nxt), len(lst))
-        wrote = False
-        for col, s in enumerate(lst):
-            inside = set(s)
-            for j in range(length):
-                if j in inside:
-                    continue
-                tgt = tuple(sorted(inside | {j}))
-                row = index.get(tgt)
-                if row is None:
-                    continue
-                sign = -1 if sum(1 for i in s if i < j) % 2 else 1
-                mat[row, col] = sign
-                wrote = True
-        if wrote:
-            d[t] = field.normalize(mat)
-    blocks = {t: tuple((s, 1) for s in lst) for t, lst in kept.items()}
-    return CochainComplex(field, dims, d, blocks)
 
 
 def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:

@@ -5,9 +5,12 @@ dtype once the modulus is large enough that int64 products could overflow)
 and Python ints / fractions.Fraction for the rationals.  All elimination is
 exact; no floating point anywhere.
 
-Pivoting is deterministic: leftmost nonzero column, first nonzero row.  Every
-subspace is stored through its reduced row echelon basis, so equal subspaces
-have equal basis arrays and all downstream bases are reproducible.
+Two functions eliminate.  ``rref`` is Gauss-Jordan elimination with
+deterministic pivoting (leftmost nonzero column, first nonzero row); the
+oracle's ``rank`` and every basis (``kernel``, ``solve``, ``Subspace``) come
+from it, so equal subspaces have equal basis arrays and all downstream bases
+are reproducible.  ``pivot_pairs`` is the persistence reduction; the lattice
+route's pages, abutments and cohomology dimensions are counts of its pairs.
 """
 
 from __future__ import annotations
@@ -180,39 +183,42 @@ def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def pivot_columns(field: Field, a: np.ndarray) -> list[int]:
-    """The pivot columns of ``rref(field, a)``, from forward elimination only.
+def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
+    """The persistence pairs (row, column) of ``a``, from one reduction of a
+    copy: rows are taken from the bottom up, each is paired with the leftmost
+    unpaired column nonzero in it and is cleared from the unpaired columns to
+    its right (the standard persistence reduction, read by rows).
 
-    Pivot columns are the columns outside the span of the columns to their
-    left, so any row echelon form has them.  Here no row is normalized,
-    swapped or cleared above its pivot: each column's first nonzero row not
-    yet holding a pivot becomes its pivot row and is subtracted from the
-    other such rows, on the columns from the pivot's on.
+    By the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov):
+
+    * the paired columns are the pivot columns of ``rref(field, a)``;
+    * for every r and c, the pairs inside the bottom r rows and the left c
+      columns number the rank of that block.
     """
     if not a.any():  # also every empty matrix
         return []
     a = field.normalize(np.array(a, dtype=field.dtype))
-    free = np.ones(a.shape[0], dtype=bool)  # rows not holding a pivot
-    pivots: list[int] = []
-    for c in range(a.shape[1]):
-        if len(pivots) == a.shape[0]:
-            break
-        nz = np.flatnonzero((a[:, c] != 0) & free)
+    free = np.ones(a.shape[1], dtype=bool)  # columns not yet paired
+    pairs: list[tuple[int, int]] = []
+    for i in np.flatnonzero(a.any(axis=1))[::-1]:  # zero rows stay zero
+        nz = np.flatnonzero((a[i] != 0) & free)
         if not nz.size:
             continue
-        i, rest = nz[0], nz[1:]
-        if rest.size:
-            factor = field.normalize(a[rest, c] * field.inv_scalar(a[i, c]))
-            a[rest, c:] = field.normalize(a[rest, c:] - np.outer(factor, a[i, c:]))
-        free[i] = False
-        pivots.append(c)
-    return pivots
+        j, right = nz[0], nz[1:]
+        if right.size:  # rows below i are zero in all free columns
+            c = field.normalize(a[i, right] * field.inv_scalar(a[i, j]))
+            a[:i, right] = field.normalize(a[:i, right] - np.outer(a[:i, j], c))
+        free[j] = False
+        pairs.append((int(i), int(j)))
+        if len(pairs) == a.shape[1]:
+            break
+    return pairs
 
 
 def rank(field: Field, a: np.ndarray) -> int:
     """The number of pivots of ``rref``.  The oracle ranks through this
-    Gauss-Jordan elimination, and the lattice route's rank-only callers count
-    ``pivot_columns``, so the two routes rank with different eliminations."""
+    Gauss-Jordan elimination, and the lattice route counts ``pivot_pairs``,
+    so the two routes rank with different eliminations."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     return len(rref(field, a)[1])

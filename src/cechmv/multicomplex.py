@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, image, kernel_space, mul, pivot_columns, same_field, solve
+from .linalg import Field, image, kernel_space, mul, pivot_pairs, same_field, solve
 
 Point = tuple[int, ...]
 
@@ -74,7 +74,7 @@ class CochainComplex:
 
     def cohomology_dims(self) -> dict[int, int]:
         out = {}
-        rk = {m: len(pivot_columns(self.field, self.matrix(m))) for m in self.dims}
+        rk = {m: len(pivot_pairs(self.field, self.matrix(m))) for m in self.dims}
         for m in self.dims:
             h = self.dim(m) - rk.get(m, 0) - rk.get(m - 1, 0) if self.dim(m) else 0
             if h:

@@ -172,7 +172,7 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
     fc = ss.fc
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
-    pages = [ss.page(r) for r in range(r_top + 1)]
+    pages = ss.pages_up_to(r_top)
     page_inf, ab = ss.infinity()
     einf = dict(page_inf.cells)
 

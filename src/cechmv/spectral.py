@@ -5,12 +5,11 @@ total complex carries one integer level, and F^p(m) is spanned by the
 degree-m coordinates of level >= p.  For such a filtration every cell and
 every differential rank is a count of persistence pairs (the pairing lemma of
 Cohen-Steiner, Edelsbrunner and Morozov; pages from pairs as in Basu and
-Parida).  The pairs of d_m come from one column reduction per degree, the
-standard persistence algorithm (Edelsbrunner, Letscher and Zomorodian;
-Zomorodian and Carlsson): with the columns (degree-m coordinates) and rows
-(degree-(m+1) coordinates) in descending level, each row, from the bottom
-up, is paired with the leftmost unpaired column nonzero in it, and is cleared
-from the unpaired columns to its right.  With
+Parida).  The pairs of d_m come from one reduction per degree,
+``linalg.pivot_pairs``, the standard persistence algorithm (Edelsbrunner,
+Letscher and Zomorodian; Zomorodian and Carlsson), with the columns
+(degree-m coordinates) and rows (degree-(m+1) coordinates) in descending
+level.  With
 
     mu_m(s, t) = number of pairs of a level-s column and a level-t row,
 
@@ -21,9 +20,10 @@ from the unpaired columns to its right.  With
 Gaps are below the filtration width, so pages past the width are stable and
 carry no nonzero differentials.  At infinity the antidiagonal dimensions are
 checked against the filtration induced on the cohomology of the total
-complex, computed separately from the pivot columns of two forward
-eliminations per degree (``SpectralSequence.abutment``).  ``infinity`` runs
-that check once per sequence and caches the limit page and abutment.
+complex, computed separately from the paired columns of the same reduction
+on two more orderings per degree (``SpectralSequence.abutment``).
+``infinity`` runs that check once per sequence and caches the limit page and
+abutment.
 
 ``LatticeSequences`` holds what the audits read off one lattice: its one
 Koszul split, the five filtered complexes built from it (the four
@@ -37,13 +37,14 @@ page, abutment and region complex.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, InternalCheckError
-from .linalg import Subspace, kernel, mul, pivot_columns
+from .linalg import Subspace, kernel, mul, pivot_pairs
 from .multicomplex import (
     COMMUTATIVE,
     CochainComplex,
@@ -214,24 +215,10 @@ class SpectralSequence:
         """The nonzero mu_m(s, t): how many persistence pairs of d_m join a
         level-s coordinate of degree m to a level-t coordinate of degree m+1."""
         if m not in self._mu:
-            f = self.field
             cols, rows = (self.fc.levels.get(k, _NO_LEVELS) for k in (m, m + 1))
             ci, ri = np.argsort(-cols, kind="stable"), np.argsort(-rows, kind="stable")
-            a = f.normalize(self.fc.total.matrix(m)[ri][:, ci])
-            free = np.ones(cols.size, dtype=bool)  # columns not yet paired
-            mu: dict[tuple[int, int], int] = {}
-            for i in np.flatnonzero(a.any(axis=1))[::-1]:  # zero rows stay zero
-                nz = np.flatnonzero((a[i] != 0) & free)
-                if not nz.size:
-                    continue
-                j, right = nz[0], nz[1:]
-                if right.size:  # rows below i are zero in all free columns
-                    c = f.normalize(a[i, right] * f.inv_scalar(a[i, j]))
-                    a[:i, right] = f.normalize(a[:i, right] - np.outer(a[:i, j], c))
-                free[j] = False
-                key = (int(cols[ci[j]]), int(rows[ri[i]]))
-                mu[key] = mu.get(key, 0) + 1
-            self._mu[m] = mu
+            pairs = pivot_pairs(self.field, self.fc.total.matrix(m)[ri][:, ci])
+            self._mu[m] = Counter((int(cols[ci[j]]), int(rows[ri[i]])) for i, j in pairs)
         return self._mu[m]
 
     def page(self, r: int) -> Page:
@@ -280,12 +267,13 @@ class SpectralSequence:
     def abutment(self) -> AbutmentFiltration:
         """Level dimensions dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p).
 
-        The pivot columns form the greedy column basis.  With the columns
-        of d_m in descending level, rank(d_m on the columns of level >= p) is
-        the number of pivots of level >= p; with the columns of d_{m-1}^T (the
-        degree-m coordinates) in ascending level, rank(d_{m-1} on the rows of
-        level < p) is the number of pivots of level < p, so the pivots of
-        level >= p count dim(im d_{m-1} cap F^p)."""
+        The paired columns of ``pivot_pairs`` are the pivot columns, which
+        form the greedy column basis.  With the columns of d_m in descending
+        level, rank(d_m on the columns of level >= p) is the number of pivots
+        of level >= p; with the columns of d_{m-1}^T (the degree-m
+        coordinates) in ascending level, rank(d_{m-1} on the rows of level
+        < p) is the number of pivots of level < p, so the pivots of level
+        >= p count dim(im d_{m-1} cap F^p)."""
         f, tot = self.field, self.fc.total
         h_dims: dict[int, int] = {}
         level_dims: dict[tuple[int, int], int] = {}
@@ -305,7 +293,7 @@ class SpectralSequence:
 
 def _pivot_levels(field, a: np.ndarray, levels: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Levels of the pivot columns of ``a`` with its columns taken in ``order``."""
-    return levels[order[pivot_columns(field, a[:, order])]]
+    return levels[order[[j for _, j in pivot_pairs(field, a[:, order])]]]
 
 
 class LatticeSequences:
@@ -496,7 +484,7 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     for subset, sl in block_slices(seqs.split.face_part.point_blocks[top_point]).items():
         missing = next(i for i in range(n) if i not in subset)
         a_mat = f.normalize(a_mat + (-1 if missing % 2 else 1) * origin[:, sl])
-    if len(pivot_columns(f, a_mat)) != c0:
+    if len(pivot_pairs(f, a_mat)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
         return bad
 

@@ -16,7 +16,6 @@ from cechmv import (
     PrimeField,
     RationalField,
     annihilation_report,
-    cech_complex,
     cech_multicomplex,
     compute,
     default_window,
@@ -40,6 +39,12 @@ def oracle_table(seq, quotient, window, mode="full"):
     cache as the concatenation of a single group."""
     prob = CechProblem(F, len(window[0]), (tuple(seq),), quotient, window)
     return OracleCache(prob).table("concat", (0,), mode)
+
+
+def cech_slice(seq, quotient, b, truncated=False):
+    """Degree-b slice of the Čech complex on ``seq``: its one-group lattice, totalized."""
+    mc = cech_multicomplex(CechProblem(F, len(b), (tuple(seq),), quotient, (b, b)), b)
+    return totalize(puncture(mc) if truncated else mc)
 
 
 def problem(groups, quotient="0", num_vars=2, window=None, field=F):
@@ -149,27 +154,27 @@ def test_classification_evaluates_one_pattern_per_chamber(monkeypatch):
 
 def test_cech_complex_hand_values():
     J1 = MonomialIdeal.zero(1)
-    cx = cech_complex(F, ((1,),), J1, (-1,))
+    cx = cech_slice(((1,),), J1, (-1,))
     assert cx.dims == {1: 1}
     assert cx.cohomology_dims() == {1: 1}
-    cx0 = cech_complex(F, ((1,),), J1, (0,))
+    cx0 = cech_slice(((1,),), J1, (0,))
     assert cx0.dims == {0: 1, 1: 1}
     assert cx0.matrix(0).tolist() == [[1]]
     assert cx0.cohomology_dims() == {}
-    two = cech_complex(F, (X, Y), NOJ2, (-1, -1))
+    two = cech_slice((X, Y), NOJ2, (-1, -1))
     assert two.dims == {2: 1}
     assert two.cohomology_dims() == {2: 1}
-    assert two.blocks[2] == (((0, 1), 1),)
-    with pytest.raises(InputError, match="empty generator sequence"):
-        cech_complex(F, (), NOJ2, (0, 0))
+    assert two.blocks[2] == (((2,), 1),)
+    with pytest.raises(InputError, match="group 1 is empty"):
+        cech_slice((), NOJ2, (0, 0))
 
 
 def test_cech_complex_truncated():
     J1 = MonomialIdeal.zero(1)
-    t = cech_complex(F, ((1,),), J1, (2,), truncated=True)
+    t = cech_slice(((1,),), J1, (2,), truncated=True)
     assert t.dims == {1: 1}
     assert t.cohomology_dims() == {1: 1}
-    full = cech_complex(F, ((1,),), J1, (2,))
+    full = cech_slice(((1,),), J1, (2,))
     assert full.cohomology_dims() == {}
 
 
@@ -178,7 +183,7 @@ def test_cech_complex_signs_give_square_zero(rng):
     seq = ((1, 0, 0), (1, 1, 0), (0, 0, 1), (0, 1, 1))
     for _ in range(10):
         b = tuple(int(x) for x in rng.integers(-2, 3, size=3))
-        cx = cech_complex(F, seq, J3, b)
+        cx = cech_slice(seq, J3, b)
         cx.check_complex()
 
 
@@ -199,7 +204,7 @@ def test_oracle_matches_engine_route(rng):
                 for mode, truncated in (("full", False), ("truncated", True)):
                     raw = {t: cache.raw("concat", (0,), mode, t, b) for t in range(len(seq) + 1)}
                     want = {t: h for t, h in raw.items() if h}
-                    got = cech_complex(F, seq, J, b, truncated=truncated).cohomology_dims()
+                    got = cech_slice(seq, J, b, truncated=truncated).cohomology_dims()
                     assert got == want, (seq, J.gens, b, mode)
 
 

@@ -47,6 +47,22 @@ EXAMPLE_DIGESTS = {
     },
 }
 
+# every file the two wall jobs write
+WALL_DIGESTS = {
+    "two_by_four": {
+        "cohomology.csv": "d42c70ecd29379fe3f438ba468dafd86a667d37df0c48f4aa10202b96258f6b1",
+        "pages_1a.json": "c06c911b839ef63c45a672535f272fa9ee1088c82f6a74254cd23514c3c0584a",
+        "pages_1b.json": "3c6b91bcf7f11476ce15aab5f7d9c89c1bb1696748f94c48e283be0cfa91efba",
+        "pages_2a.json": "68ba58d593ec92c2a843161e7c98427003626680147576af14817737ef440da4",
+        "pages_2b.json": "d4b8e22e6c32133928d847e87cb544f6f1b8fa706ce946aec083d3a1ae6ea7f7",
+        "report.json": "9301761746c417d6d7111aacf80da2319b2c20c7a549b8fe338aa074497bf962",
+    },
+    "twelve_generators": {
+        "cohomology.csv": "655ef36cae90ddb28745cd599dfc30c933e3c0668b99c677761f2e5d37dc37c9",
+        "report.json": "afb41532cd55e8b9cd8f403168d0764c66374e842d20b106bcb78d0609c0b414",
+    },
+}
+
 BASE_JOB = {
     "field": {"prime": 65537},
     "variables": 2,
@@ -233,12 +249,12 @@ def test_example_jobs_match_recorded_digests(tmp_path, name, jobs):
 
 
 def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
-    """Both jobs pass every task, and the oracle ranks no matrix with more rows
-    than C(L', L'//2) (Sperner's bound on a slot of the reduced complex), L'
-    the number of minimal supports of the sequence.  A complex on the whole
-    sequence breaks the bound at its first large matrix, or on entry when the
-    sequence is longer than L' (the 64-term product), so it fails at once
-    instead of running for minutes."""
+    """Both jobs pass every task and write the recorded bytes, and the oracle
+    ranks no matrix with more rows than C(L', L'//2) (Sperner's bound on a
+    slot of the reduced complex), L' the number of minimal supports of the
+    sequence.  A complex on the whole sequence breaks the bound at its first
+    large matrix, or on entry when the sequence is longer than L' (the
+    64-term product), so it fails at once instead of running for minutes."""
     supports = []  # L' of the sequence whose vectors are being computed
     vectors, oracle_vectors, rank = cech.OracleCache.vectors, cech._oracle_vectors, cech.rank
 
@@ -270,6 +286,8 @@ def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
         tasks = json.loads((JOBS_DIR / f"{name}.json").read_text())["tasks"]
         assert report["pass"] is True and sorted(report["results"]) == sorted(tasks)
         assert all(report["results"][t]["pass"] is True for t in tasks)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == WALL_DIGESTS[name]
 
 
 def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monkeypatch):

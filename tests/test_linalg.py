@@ -23,7 +23,7 @@ from cechmv import (
     rref,
     solve,
 )
-from cechmv.linalg import pivot_columns
+from cechmv.linalg import pivot_pairs
 
 F = PrimeField(65537)
 Q = RationalField()
@@ -100,10 +100,12 @@ def low_rank_matrix(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(low_rank_matrix(), st.integers(1, 3))
-def test_pivot_columns_equal_rref_pivots(drawn, den):
-    """The forward-only elimination finds the pivots of ``rref`` over small
-    and large primes, an object-dtype prime and Q, on empty, zero-padded and
-    rank-deficient matrices."""
+def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
+    """The persistence pairs hold each row and each column at most once,
+    their columns are the pivots of ``rref``, and for every r and c the pairs
+    inside the bottom r rows and the left c columns count that block's rank,
+    over small and large primes, an object-dtype prime and Q, on empty,
+    zero-padded and rank-deficient matrices."""
     data, k = drawn
     rows, cols = len(data), len(data[0]) if data else 0
     for f in (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q):
@@ -113,9 +115,13 @@ def test_pivot_columns_equal_rref_pivots(drawn, den):
                 a[i, j] = Fraction(x, den) if f is Q else x
         a = f.normalize(a)
         before = a.copy()
-        piv = pivot_columns(f, a)
-        assert piv == rref(f, a)[1], (f.describe(), data)
-        assert len(piv) <= k and rank(f, a) == len(piv)
+        pairs = pivot_pairs(f, a)
+        assert sorted(j for _, j in pairs) == rref(f, a)[1], (f.describe(), data)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) <= k
+        for r in range(rows + 1):
+            for c in range(cols + 1):
+                inside = sum(1 for i, j in pairs if i >= rows - r and j < c)
+                assert inside == rank(f, a[rows - r:, :c]), (f.describe(), data, r, c)
         assert np.array_equal(a, before)
 
 
