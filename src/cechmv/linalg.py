@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over a prime field or the rationals.
+"""Exact linear algebra over a prime field or the rationals.
 
 Matrices are plain numpy arrays: int64 residues for a prime field (object
 dtype once the modulus is large enough that int64 products could overflow)
 and Python ints / fractions.Fraction for the rationals.  All elimination is
 exact; no floating point anywhere.
 
-Two functions eliminate.  ``rref`` is Gauss-Jordan elimination with
+Two functions eliminate.  ``rref`` is dense Gauss-Jordan elimination with
 deterministic pivoting (leftmost nonzero column, first nonzero row); the
 oracle's ``rank`` and every basis (``kernel``, ``solve``, ``Subspace``) come
 from it, so equal subspaces have equal basis arrays and all downstream bases
-are reproducible.  ``pivot_pairs`` is the persistence reduction; the lattice
+are reproducible.  ``pivot_pairs`` is the persistence reduction, run on
+sparse ``{row: value}`` columns read from the dense input; the lattice
 route's pages, abutments and cohomology dimensions are counts of its pairs.
 """
 
@@ -24,8 +25,9 @@ from .errors import ContractError, FieldMismatchError, InputError
 
 DEFAULT_PRIME = 65537
 
-# int64 is safe while p**2 * ncols stays below 2**63; this bound keeps a
-# comfortable margin for matrices with a few thousand columns.
+# In the int64 arrays of ``rref`` and ``mul``, products stay exact while
+# p**2 * ncols stays below 2**63; this bound keeps a comfortable margin for
+# matrices with a few thousand columns.  (``pivot_pairs`` works in Python ints.)
 _INT64_PRIME_LIMIT = 3_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -184,10 +186,13 @@ def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
-    """The persistence pairs (row, column) of ``a``, from one reduction of a
-    copy: rows are taken from the bottom up, each is paired with the leftmost
-    unpaired column nonzero in it and is cleared from the unpaired columns to
-    its right (the standard persistence reduction, read by rows).
+    """The persistence pairs (row, column) of ``a``, from the standard column
+    reduction on sparse columns (as in PHAT): each column of ``a`` becomes a
+    ``{row: value}`` dict, and the columns are reduced left to right.  While
+    a column's lowest nonzero row is the pivot of an earlier reduced column,
+    that column is subtracted to clear it; a column left nonzero is paired
+    with its lowest row.  Arithmetic is exact (Python ints mod p, or
+    fractions over Q) and ``a`` is not modified.
 
     By the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov):
 
@@ -197,28 +202,34 @@ def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     """
     if not a.any():  # also every empty matrix
         return []
-    a = field.normalize(np.array(a, dtype=field.dtype))
-    free = np.ones(a.shape[1], dtype=bool)  # columns not yet paired
+    columns: list[dict[int, object]] = [{} for _ in range(a.shape[1])]
+    rows, cols = np.nonzero(a)  # row-major; a strided scan of a.T is far slower
+    for i, j, v in zip(rows.tolist(), cols.tolist(), field.normalize(a[rows, cols]).tolist()):
+        if v:
+            columns[j][i] = v
+    reduced: dict[int, tuple[dict[int, object], object]] = {}  # pivot row -> (column, 1/pivot)
     pairs: list[tuple[int, int]] = []
-    for i in np.flatnonzero(a.any(axis=1))[::-1]:  # zero rows stay zero
-        nz = np.flatnonzero((a[i] != 0) & free)
-        if not nz.size:
-            continue
-        j, right = nz[0], nz[1:]
-        if right.size:  # rows below i are zero in all free columns
-            c = field.normalize(a[i, right] * field.inv_scalar(a[i, j]))
-            a[:i, right] = field.normalize(a[:i, right] - np.outer(a[:i, j], c))
-        free[j] = False
-        pairs.append((int(i), int(j)))
-        if len(pairs) == a.shape[1]:
-            break
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            if low not in reduced:
+                reduced[low] = (col, field.inv_scalar(col[low]))
+                pairs.append((low, j))
+                break
+            other, inv = reduced[low]
+            c = col[low] * inv
+            for i, x in other.items():
+                y = field.normalize(col.pop(i, 0) - c * x)
+                if y:
+                    col[i] = y
     return pairs
 
 
 def rank(field: Field, a: np.ndarray) -> int:
-    """The number of pivots of ``rref``.  The oracle ranks through this
+    """The number of pivots of ``rref``.  The oracle ranks through this dense
     Gauss-Jordan elimination, and the lattice route counts ``pivot_pairs``,
-    so the two routes rank with different eliminations."""
+    a column reduction on sparse columns, so the two routes rank with
+    different eliminations on different representations."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     return len(rref(field, a)[1])

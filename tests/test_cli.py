@@ -47,7 +47,7 @@ EXAMPLE_DIGESTS = {
     },
 }
 
-# every file the two wall jobs write
+# every file the wall jobs write
 WALL_DIGESTS = {
     "two_by_four": {
         "cohomology.csv": "d42c70ecd29379fe3f438ba468dafd86a667d37df0c48f4aa10202b96258f6b1",
@@ -60,6 +60,10 @@ WALL_DIGESTS = {
     "twelve_generators": {
         "cohomology.csv": "655ef36cae90ddb28745cd599dfc30c933e3c0668b99c677761f2e5d37dc37c9",
         "report.json": "afb41532cd55e8b9cd8f403168d0764c66374e842d20b106bcb78d0609c0b414",
+    },
+    "fifteen_generators": {
+        "cohomology.csv": "21a119ffa7cfce413ed9fbf3f3a41d2a8715ab4368e7b7e7df08798adc08fb6d",
+        "report.json": "3a51c06fe7e1eb62fa36df864d2b2a42c11ca6ab6307961d4df940fd7443f95b",
     },
 }
 
@@ -249,7 +253,7 @@ def test_example_jobs_match_recorded_digests(tmp_path, name, jobs):
 
 
 def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
-    """Both jobs pass every task and write the recorded bytes, and the oracle
+    """The wall jobs pass every task and write the recorded bytes, and the oracle
     ranks no matrix with more rows than C(L', L'//2) (Sperner's bound on a
     slot of the reduced complex), L' the number of minimal supports of the
     sequence.  A complex on the whole sequence breaks the bound at its first
@@ -278,7 +282,7 @@ def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(cech.OracleCache, "vectors", bounded_vectors)
     monkeypatch.setattr(cech, "_oracle_vectors", bounded_oracle_vectors)
     monkeypatch.setattr(cech, "rank", bounded_rank)
-    for name in ("two_by_four", "twelve_generators"):
+    for name in WALL_DIGESTS:
         out = tmp_path / name
         assert main(["compute", str(JOBS_DIR / f"{name}.json"), "--out", str(out),
                      "--jobs", "1"]) == 0

@@ -98,14 +98,33 @@ def low_rank_matrix(draw):
              for j in range(cols)] for i in range(rows)], k
 
 
+@st.composite
+def sparse_matrix(draw):
+    """A rows x cols 0/±1 matrix, up to 24 x 24 and at most 15% nonzero, whose
+    entries sit in at most half of its rows and half of its columns: the
+    shape of a Čech differential, with many all-zero columns and many
+    columns sharing low rows, so the column reduction runs long chains."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    live = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max(n // 2, 1), unique=True))
+            for n in (rows, cols)]
+    n = draw(st.integers(0, min(rows * cols * 15 // 100, len(live[0]) * len(live[1]))))
+    cells = draw(st.lists(st.tuples(*map(st.sampled_from, live)), min_size=n, max_size=n,
+                          unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    data = [[0] * cols for _ in range(rows)]
+    for (i, j), s in zip(cells, signs):
+        data[i][j] = s
+    return data, min(rows, cols)
+
+
 @settings(max_examples=100, deadline=None)
-@given(low_rank_matrix(), st.integers(1, 3))
+@given(st.one_of(low_rank_matrix(), sparse_matrix()), st.integers(1, 3))
 def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
     """The persistence pairs hold each row and each column at most once,
     their columns are the pivots of ``rref``, and for every r and c the pairs
     inside the bottom r rows and the left c columns count that block's rank,
     over small and large primes, an object-dtype prime and Q, on empty,
-    zero-padded and rank-deficient matrices."""
+    zero-padded and rank-deficient matrices and on sparse 0/±1 ones."""
     data, k = drawn
     rows, cols = len(data), len(data[0]) if data else 0
     for f in (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q):
