@@ -11,7 +11,8 @@ oracle's ``rank`` and every basis (``kernel``, ``solve``, ``Subspace``) come
 from it, so equal subspaces have equal basis arrays and all downstream bases
 are reproducible.  ``pivot_pairs`` is the persistence reduction, run on
 sparse ``{row: value}`` columns read from the dense input; the lattice
-route's pages, abutments and cohomology dimensions are counts of its pairs.
+route's pages and cohomology dimensions are counts of its pairs, and its
+abutments are read off the limit pages.
 """
 
 from __future__ import annotations

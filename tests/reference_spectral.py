@@ -17,8 +17,10 @@ The package computes its pages from persistence pairs, read off one column
 reduction of d per degree (``cechmv.spectral``); the tests compare the two
 engines cell by cell and rank by rank.  A third route counts the pairs by
 inclusion-exclusion of ranks of level blocks (``rank_table_pairs``), and the
-tests compare it with the package's pair counts degree by degree.  Nothing
-under ``src/`` imports this module.
+tests compare it with the package's pair counts degree by degree.  The
+package reads the abutment off its limit page; ``reference_abutment`` computes
+it from kernels and images instead.  Nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cechmv import ContractError, FilteredComplex, InternalCheckError, SpectralSequence
-from cechmv.linalg import Subspace, kernel, mul, rank, solve
+from cechmv import (AbutmentFiltration, ContractError, FilteredComplex, InternalCheckError,
+                    SpectralSequence)
+from cechmv.linalg import Subspace, image, kernel, kernel_space, mul, rank, solve
 
 
 def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
@@ -60,6 +63,29 @@ def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
             if v:
                 mu[s, t] = v
     return mu
+
+
+def reference_abutment(fc: FilteredComplex) -> tuple[AbutmentFiltration, dict]:
+    """The abutment of ``fc`` from dense subspaces, and the image levels:
+
+        h^m                 = dim ker d_m - dim im d_{m-1},
+        level p of H^m      = dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p),
+        image_levels[p, m]  = dim(im d_{m-1} cap F^p),
+
+    for p_min < p <= p_max.  A subspace meets the coordinate subspace F^p in
+    the kernel of its projection onto the coordinates outside F^p."""
+    f, tot = fc.total.field, fc.total
+    h_dims: dict[int, int] = {}
+    level_dims: dict[tuple[int, int], int] = {}
+    image_levels: dict[tuple[int, int], int] = {}
+    for m in tot.dims:
+        ker, im = kernel_space(f, tot.matrix(m)), image(f, tot.matrix(m - 1))
+        h_dims[m] = ker.dim - im.dim
+        for p in range(fc.p_min + 1, fc.p_max + 1):
+            outside = ~fc.at_least(p, m)
+            image_levels[p, m] = im.dim - rank(f, im.basis[:, outside])
+            level_dims[p, m] = ker.dim - rank(f, ker.basis[:, outside]) - image_levels[p, m]
+    return AbutmentFiltration(h_dims, level_dims), image_levels
 
 
 @dataclass(frozen=True)

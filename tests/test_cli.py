@@ -61,6 +61,14 @@ WALL_DIGESTS = {
         "cohomology.csv": "655ef36cae90ddb28745cd599dfc30c933e3c0668b99c677761f2e5d37dc37c9",
         "report.json": "afb41532cd55e8b9cd8f403168d0764c66374e842d20b106bcb78d0609c0b414",
     },
+    "four_ideals": {
+        "cohomology.csv": "dffb50d7cb203d0b0dd76e2d9a6f0797d3fba6a36fc446bfcbb6571f42d7f00e",
+        "pages_1a.json": "7099c7a765b4787656d7cbca50eaeaeeb8b0f31e883630dea48f1ea153e80673",
+        "pages_1b.json": "8745fd28837107e5d5e2acf9f05fda5b42a5f75abbe7b083f36bdd8685ef605f",
+        "pages_2a.json": "bfb7e19f1f87a8b379e11434da99e9c4413c9c5e940922e913bb29b4fc3207fb",
+        "pages_2b.json": "440d48b0db558df20f2e112ddd23765acd670dc453cfd9e87b9b6fa14d95bfeb",
+        "report.json": "bdcedf459a8d1d98ceecb4cb663420d8733c65339d5de186966fac1a9d0ab0fd",
+    },
     "fifteen_generators": {
         "cohomology.csv": "21a119ffa7cfce413ed9fbf3f3a41d2a8715ab4368e7b7e7df08798adc08fb6d",
         "report.json": "3a51c06fe7e1eb62fa36df864d2b2a42c11ca6ab6307961d4df940fd7443f95b",

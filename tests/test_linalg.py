@@ -138,9 +138,12 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
         assert sorted(j for _, j in pairs) == rref(f, a)[1], (f.describe(), data)
         assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) <= k
         for r in range(rows + 1):
+            # the rank of the bottom r rows' left c columns is the number of
+            # their pivots left of c, so one rref gives every c
+            pivots = rref(f, a[rows - r:])[1]
             for c in range(cols + 1):
                 inside = sum(1 for i, j in pairs if i >= rows - r and j < c)
-                assert inside == rank(f, a[rows - r:, :c]), (f.describe(), data, r, c)
+                assert inside == sum(1 for j in pivots if j < c), (f.describe(), data, r, c)
         assert np.array_equal(a, before)
 
 

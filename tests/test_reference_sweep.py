@@ -1,7 +1,8 @@
 """A harder engine sweep: the package's pages against the subspace-lattice
 reference (``reference_spectral``), cell by cell and rank by rank on pages
-0..width+1, and on the limit page, and the package's pair counts against the
-rank table of level blocks in every degree.
+0..width+1, and on the limit page, the package's abutment against the
+reference's kernels and images (``reference_abutment``), and the package's
+pair counts against the rank table of level blocks in every degree.
 
 Per field (F_2, F_3, F_65537 and, with fewer problems because the reference
 is slow over Q, the rationals) it draws random Čech problems in 3..5
@@ -40,7 +41,7 @@ from cechmv import (
 from cechmv.mvss import FILTRATION, VARIANTS
 from cechmv.spectral import LatticeSequences
 from conftest import rand_tensor_mc
-from reference_spectral import assert_agrees_with_reference
+from reference_spectral import assert_agrees_with_reference, reference_abutment
 
 
 def random_problem(field, rng) -> CechProblem:
@@ -108,8 +109,11 @@ def test_pages_match_the_reference_engine(field, problems, tensors, expected):
             continue
         fc.validate()
         ss = SpectralSequence(fc)
+        page_inf, ab = ss.infinity()
         try:
-            assert_agrees_with_reference(fc, ss.pages_up_to(fc.width + 1), ss.infinity()[0].cells)
+            assert_agrees_with_reference(fc, ss.pages_up_to(fc.width + 1), page_inf.cells)
+            want = reference_abutment(fc)[0]
+            assert ab == want, ("abutment", ab, want)
         except AssertionError as e:
             raise AssertionError(f"{field.describe()} {tag}: {e}") from None
         compared += 1

@@ -25,11 +25,8 @@ from cechmv import (
     tensor_product,
     totalize,
 )
-from cechmv.errors import InternalCheckError
-from cechmv.linalg import Subspace, image, kernel_space
-from cechmv.spectral import AbutmentFiltration
 from conftest import rand_complex, rand_tensor_mc
-from reference_spectral import assert_agrees_with_reference, rank_table_pairs
+from reference_spectral import assert_agrees_with_reference, rank_table_pairs, reference_abutment
 
 F = PrimeField(65537)
 
@@ -56,14 +53,6 @@ def test_two_step_pages():
     page_inf, ab = ss.infinity()
     assert page_inf.cells == {}
     assert ab.h_dims == {0: 0, 1: 0}
-
-
-def test_limit_page_check_names_page_and_cell(monkeypatch):
-    # k in degree 0 at level 0 survives to the limit page, E_inf = E_1
-    fc = FilteredComplex(CochainComplex(F, {0: 1}, {}), {0: np.array([0])})
-    monkeypatch.setattr(AbutmentFiltration, "graded", lambda self, m: {})
-    with pytest.raises(InternalCheckError, match=r"E_inf \(page 1\) cell \(0,0\) = 1 but "):
-        SpectralSequence(fc).infinity()
 
 
 def test_two_step_page_json_and_text():
@@ -126,7 +115,6 @@ def test_abutment_graded_sums_to_cohomology(rng):
         h = fc.total.cohomology_dims()
         for m, d in ab.h_dims.items():
             assert d == h.get(m, 0)
-            assert sum(ab.graded(m).values()) == d
 
 
 FIELDS = [PrimeField(2), PrimeField(3), PrimeField(65537), RationalField()]
@@ -163,26 +151,17 @@ def test_pair_counts_match_the_rank_table(fc):
 @pytest.mark.parametrize("field", [PrimeField(2), RationalField()], ids=["F_2", "Q"])
 def test_abutment_levels_are_kernel_minus_image(field):
     """dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p), from explicit
-    subspaces, is the abutment's level-p dimension of H^m."""
+    subspaces (``reference_abutment``), is the abutment's level-p dimension of
+    H^m."""
     rng = np.random.default_rng(20261018)
-
-    def meet(u: Subspace, v: Subspace) -> int:
-        both = Subspace.from_rows(field, u.ambient, np.concatenate([u.basis, v.basis]))
-        return u.dim + v.dim - both.dim
-
     nonzero_meets = 0  # cells where im d_{m-1} meets F^p
     for _ in range(30):
         mc = rand_tensor_mc(field, rng, max_axes=3)
         cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
         for fc in (coordinate_filtration(mc, 0), nonzero_count_filtration(cmc)):
-            tot, ab = fc.total, SpectralSequence(fc).abutment()
-            for m in tot.dims:
-                ker, im = kernel_space(field, tot.matrix(m)), image(field, tot.matrix(m - 1))
-                for p in range(fc.p_min + 1, fc.p_max + 1):
-                    fp = Subspace.from_rows(field, tot.dim(m), field.eye(tot.dim(m))[fc.at_least(p, m)])
-                    im_p = meet(im, fp)
-                    assert ab.level_dims[p, m] == meet(ker, fp) - im_p, (m, p)
-                    nonzero_meets += im_p > 0
+            want, image_levels = reference_abutment(fc)
+            assert SpectralSequence(fc).abutment() == want
+            nonzero_meets += sum(d > 0 for d in image_levels.values())
     assert nonzero_meets > 10
 
 
