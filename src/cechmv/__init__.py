@@ -4,7 +4,8 @@ independent dimension oracles for auditing them.
 The package is organized bottom-up:
 
 * :mod:`cechmv.linalg` -- exact linear algebra over prime fields and the
-  rationals (echelon forms, subspaces of a common ambient space).
+  rationals (the oracle's dense rank, the sparse column reduction and the
+  sparse echelon subspaces built by it).
 * :mod:`cechmv.grading` -- monomials, monomial ideals, and the dimensions of
   graded pieces of localizations.
 * :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
@@ -28,14 +29,10 @@ from .linalg import (
     PrimeField,
     RationalField,
     Subspace,
-    image,
     is_prime,
-    kernel,
-    kernel_space,
     mul,
     rank,
     rref,
-    solve,
 )
 from .grading import (
     MonomialIdeal,
@@ -150,10 +147,7 @@ __all__ = [
     "edge_composite_check",
     "filtration_from_blocks",
     "format_monomial",
-    "image",
     "is_prime",
-    "kernel",
-    "kernel_space",
     "koszul_complex",
     "koszul_split",
     "line_complex",
@@ -170,7 +164,6 @@ __all__ = [
     "restrict",
     "rref",
     "sign_twist",
-    "solve",
     "split_column_report",
     "support_mask",
     "tensor_product",

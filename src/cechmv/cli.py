@@ -242,7 +242,8 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
 
 def _class_worker(args) -> list:
     """Every task's class step for one degree class, in task order; a failing
-    step yields its error and the other tasks still run."""
+    step, or one that runs out of memory, yields its error and the other
+    tasks still run."""
     problem, tasks, pages, members = args
     klass = DegreeClass(problem, members)
     out = []
@@ -251,6 +252,9 @@ def _class_worker(args) -> list:
             out.append(run_unit(klass, unit, pages))
         except (ContractError, InternalCheckError) as e:
             out.append(type(e)(str(e)))  # a copy holds no frames of the class step
+        except MemoryError as e:
+            # numpy's subclass takes (shape, dtype), so the copy is a plain one
+            out.append(MemoryError(str(e)))
     return out
 
 

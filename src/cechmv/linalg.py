@@ -5,14 +5,15 @@ dtype once the modulus is large enough that int64 products could overflow)
 and Python ints / fractions.Fraction for the rationals.  All elimination is
 exact; no floating point anywhere.
 
-Two functions eliminate.  ``rref`` is dense Gauss-Jordan elimination with
-deterministic pivoting (leftmost nonzero column, first nonzero row); the
-oracle's ``rank`` and every basis (``kernel``, ``solve``, ``Subspace``) come
-from it, so equal subspaces have equal basis arrays and all downstream bases
-are reproducible.  ``pivot_pairs`` is the persistence reduction, run on
-sparse ``{row: value}`` columns read from the dense input; the lattice
-route's pages and cohomology dimensions are counts of its pairs, and its
-abutments are read off the limit pages.
+Two eliminations.  ``rref`` is dense Gauss-Jordan elimination with
+deterministic pivoting (leftmost nonzero column, first nonzero row); only
+the oracle's ``rank`` uses it.  ``reduce_column`` is the column reduction of
+persistence, on sparse ``{row: value}`` columns, and it does every
+elimination of the lattice route: ``pivot_pairs`` counts its pairs, so the
+pages and cohomology dimensions, and ``Subspace`` keeps its reduced columns
+as a sparse echelon basis, so kernels, images, quotient representatives and
+coordinates (Cohen-Steiner, Edelsbrunner and Morozov).  Both are
+deterministic, so all downstream bases are reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ DEFAULT_PRIME = 65537
 
 # In the int64 arrays of ``rref`` and ``mul``, products stay exact while
 # p**2 * ncols stays below 2**63; this bound keeps a comfortable margin for
-# matrices with a few thousand columns.  (``pivot_pairs`` works in Python ints.)
+# matrices with a few thousand columns.  (``reduce_column`` works in Python ints.)
 _INT64_PRIME_LIMIT = 3_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -186,14 +187,55 @@ def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def to_columns(field: Field, a: np.ndarray) -> list[dict[int, object]]:
+    """The columns of ``a`` as sparse ``{row: value}`` dicts of Python scalars."""
+    columns: list[dict[int, object]] = [{} for _ in range(a.shape[1])]
+    rows, cols = np.nonzero(a)  # row-major; a strided scan of a.T is far slower
+    for i, j, v in zip(rows.tolist(), cols.tolist(), field.normalize(a[rows, cols]).tolist()):
+        if v:
+            columns[j][i] = v
+    return columns
+
+
+def from_columns(field: Field, columns: list[dict[int, object]], rows: int) -> np.ndarray:
+    """The ``rows`` x len(columns) matrix whose columns are ``columns``."""
+    a = field.zeros(rows, len(columns))
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            a[i, j] = v
+    return a
+
+
+def reduce_column(field: Field, col: dict[int, object],
+                  reduced: dict[int, tuple[dict[int, object], object]],
+                  coeffs: dict[int, object] | None = None) -> int | None:
+    """Reduce the ``{row: value}`` column ``col`` in place against
+    ``reduced``, ``{pivot row: (column, 1/pivot)}``: while the lowest nonzero
+    row of ``col`` is the pivot row of a reduced column, subtract the multiple
+    of that column that clears it, and record the multiple in ``coeffs``
+    (keyed by the pivot row) when given.  Returns the lowest row left, or
+    None once ``col`` is zero.  Arithmetic is exact (Python ints mod p, or
+    fractions over Q)."""
+    while col:
+        low = max(col)
+        if low not in reduced:
+            return low
+        other, inv = reduced[low]
+        c = col[low] * inv
+        if coeffs is not None:
+            coeffs[low] = field.normalize(c)
+        for i, x in other.items():
+            y = field.normalize(col.pop(i, 0) - c * x)
+            if y:
+                col[i] = y
+    return None
+
+
 def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     """The persistence pairs (row, column) of ``a``, from the standard column
-    reduction on sparse columns (as in PHAT): each column of ``a`` becomes a
-    ``{row: value}`` dict, and the columns are reduced left to right.  While
-    a column's lowest nonzero row is the pivot of an earlier reduced column,
-    that column is subtracted to clear it; a column left nonzero is paired
-    with its lowest row.  Arithmetic is exact (Python ints mod p, or
-    fractions over Q) and ``a`` is not modified.
+    reduction on sparse columns (as in PHAT): the columns of ``a`` are
+    reduced left to right by ``reduce_column``, and a column left nonzero is
+    paired with its lowest row.  ``a`` is not modified.
 
     By the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov):
 
@@ -203,26 +245,13 @@ def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     """
     if not a.any():  # also every empty matrix
         return []
-    columns: list[dict[int, object]] = [{} for _ in range(a.shape[1])]
-    rows, cols = np.nonzero(a)  # row-major; a strided scan of a.T is far slower
-    for i, j, v in zip(rows.tolist(), cols.tolist(), field.normalize(a[rows, cols]).tolist()):
-        if v:
-            columns[j][i] = v
-    reduced: dict[int, tuple[dict[int, object], object]] = {}  # pivot row -> (column, 1/pivot)
+    reduced: dict[int, tuple[dict[int, object], object]] = {}
     pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            if low not in reduced:
-                reduced[low] = (col, field.inv_scalar(col[low]))
-                pairs.append((low, j))
-                break
-            other, inv = reduced[low]
-            c = col[low] * inv
-            for i, x in other.items():
-                y = field.normalize(col.pop(i, 0) - c * x)
-                if y:
-                    col[i] = y
+    for j, col in enumerate(to_columns(field, a)):
+        low = reduce_column(field, col, reduced)
+        if low is not None:
+            reduced[low] = (col, field.inv_scalar(col[low]))
+            pairs.append((low, j))
     return pairs
 
 
@@ -236,120 +265,78 @@ def rank(field: Field, a: np.ndarray) -> int:
     return len(rref(field, a)[1])
 
 
-def kernel(field: Field, a: np.ndarray) -> np.ndarray:
-    """Basis (rows) of the right kernel {x : a x = 0}."""
-    cols = a.shape[1]
-    if a.shape[0] == 0:
-        return field.eye(cols)
-    R, piv = rref(field, a)
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = field.zeros(len(free), cols)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(piv):
-            basis[k, c] = -R[i, f]
-    return field.normalize(basis)
-
-
-def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One exact solution X of a X = b (b may have several columns).
-
-    Free variables are set to zero, so the solution is deterministic.  Raises
-    ContractError if the system is inconsistent.
-    """
-    if a.shape[0] != b.shape[0]:
-        raise ContractError(f"solve shape mismatch {a.shape} vs {b.shape}")
-    aug = np.concatenate([a, b], axis=1)
-    R, piv = rref(field, aug)
-    ncols = a.shape[1]
-    if any(c >= ncols for c in piv):
-        raise ContractError("inconsistent linear system")
-    x = field.zeros(ncols, b.shape[1])
-    for i, c in enumerate(piv):
-        x[c] = R[i, ncols:]
-    return x
-
-
-def _leading(row: np.ndarray) -> int:
-    nz = np.flatnonzero(row)
-    return int(nz[0]) if nz.size else -1
-
-
-@dataclass(frozen=True)
 class Subspace:
-    """Subspace of k^ambient, held by its canonical reduced-row-echelon basis."""
+    """A subspace of k^ambient, held by a sparse echelon basis: ``{row:
+    value}`` columns with pairwise distinct lowest rows, built by
+    ``reduce_column``.  ``pivots`` maps each lowest row to (column,
+    1/pivot), in the order of ``columns``.  The set of lowest rows is the
+    set of lowest rows of the subspace's nonzero vectors, so it does not
+    depend on the echelon basis chosen."""
 
-    field: Field
-    ambient: int
-    basis: np.ndarray  # (dim, ambient)
+    def __init__(self, field: Field, ambient: int):
+        self.field = field
+        self.ambient = ambient
+        self.columns: list[dict[int, object]] = []
+        self.pivots: dict[int, tuple[dict[int, object], object]] = {}
 
-    @staticmethod
-    def from_rows(field: Field, ambient: int, rows: np.ndarray) -> "Subspace":
-        if rows.shape[0] == 0:
-            return Subspace(field, ambient, field.zeros(0, ambient))
-        if rows.shape[1] != ambient:
-            raise ContractError(f"row length {rows.shape[1]} != ambient {ambient}")
-        R, piv = rref(field, rows)
-        return Subspace(field, ambient, R[: len(piv)])
+    @classmethod
+    def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
+        """The span of the ``{row: value}`` ``vectors``, each reduced against
+        the ones before it; a vector whose lowest row is new is kept as it
+        is."""
+        s = cls(field, ambient)
+        for v in vectors:
+            v = dict(v)
+            low = reduce_column(field, v, s.pivots)
+            if low is not None:
+                s.columns.append(v)
+                s.pivots[low] = (v, field.inv_scalar(v[low]))
+        return s
 
-    @staticmethod
-    def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, field.zeros(0, ambient))
+    @classmethod
+    def image(cls, field: Field, a: np.ndarray) -> "Subspace":
+        """The image of x -> a x: the reduced columns of ``a``."""
+        return cls.span(field, a.shape[0], to_columns(field, a))
+
+    @classmethod
+    def kernel(cls, field: Field, a: np.ndarray) -> "Subspace":
+        """The kernel {x : a x = 0}.  The columns of ``a`` stacked under the
+        identity are reduced left to right; a column whose ``a`` part
+        reduces to zero is a kernel vector, and its lowest row is its own
+        index."""
+        n = a.shape[1]
+        reduced: dict[int, tuple[dict[int, object], object]] = {}
+        kernel = []
+        for j, col in enumerate(to_columns(field, a)):
+            col = {n + i: v for i, v in col.items()}
+            col[j] = 1
+            low = reduce_column(field, col, reduced)
+            if low < n:
+                kernel.append(col)
+            else:
+                reduced[low] = (col, field.inv_scalar(col[low]))
+        return cls.span(field, n, kernel)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.columns)
 
-    def pivots(self) -> list[int]:
-        return [_leading(row) for row in self.basis]
+    def coordinates(self, v: dict[int, object]) -> list | None:
+        """The coefficients of the ``{row: value}`` vector ``v`` on
+        ``columns``, or None when ``v`` is outside the subspace."""
+        coeffs: dict[int, object] = {}
+        if reduce_column(self.field, dict(v), self.pivots, coeffs) is not None:
+            return None
+        return [coeffs.get(low, 0) for low in self.pivots]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis.shape == other.basis.shape
-            and bool(np.array_equal(self.basis, other.basis))
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.dim))
-
-    def contains_vector(self, v: np.ndarray) -> bool:
-        r = self.field.normalize(np.array(v, dtype=self.field.dtype).reshape(1, -1))
-        for i, c in enumerate(self.pivots()):
-            if r[0, c]:
-                r = self.field.normalize(r - r[0, c] * self.basis[i : i + 1])
-        return not np.any(r)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis)
-
-    def quotient_reps(self, sub: "Subspace") -> np.ndarray:
-        """Rows of this basis completing ``sub`` to this space.
-
-        Requires sub <= self.  Because both bases are canonical, the pivot
-        columns of ``sub`` are a subset of ours and the complementary rows
-        span a complement of ``sub`` inside ``self``.
-        """
-        self._check_compatible(sub)
-        sub_piv = set(sub.pivots())
-        keep = [i for i, c in enumerate(self.pivots()) if c not in sub_piv]
+    def quotient_reps(self, sub: "Subspace") -> list[dict[int, object]]:
+        """The basis columns whose lowest rows are not lowest rows of
+        ``sub``.  For ``sub`` inside this space they complete any basis of
+        ``sub`` to one of this space."""
+        same_field(self.field, sub.field)
+        if self.ambient != sub.ambient:
+            raise ContractError(f"ambient mismatch {self.ambient} vs {sub.ambient}")
+        keep = [col for low, (col, _) in self.pivots.items() if low not in sub.pivots]
         if len(keep) != self.dim - sub.dim:
             raise ContractError("quotient_reps: argument is not a subspace of self")
-        return self.basis[keep] if keep else self.field.zeros(0, self.ambient)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        same_field(self.field, other.field)
-        if self.ambient != other.ambient:
-            raise ContractError(f"ambient mismatch {self.ambient} vs {other.ambient}")
-
-
-def image(field: Field, a: np.ndarray) -> Subspace:
-    """Image of the map x -> a x."""
-    return Subspace.from_rows(field, a.shape[0], a.T)
-
-
-def kernel_space(field: Field, a: np.ndarray) -> Subspace:
-    return Subspace.from_rows(field, a.shape[1], kernel(field, a))
+        return keep

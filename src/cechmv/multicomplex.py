@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, image, kernel_space, mul, pivot_pairs, same_field, solve
+from .linalg import Field, Subspace, from_columns, mul, pivot_pairs, same_field, to_columns
 
 Point = tuple[int, ...]
 
@@ -82,9 +83,12 @@ class CochainComplex:
         return out
 
     def cohomology_reps(self, m: int):
-        """(representative rows, kernel, image) at degree ``m``."""
-        ker = kernel_space(self.field, self.matrix(m))
-        im = image(self.field, self.matrix(m - 1))
+        """(representatives, kernel, image) at degree ``m``, the two spaces
+        as ``Subspace``s.  The representatives are the kernel's basis
+        columns whose lowest rows are not lowest rows of the image, so they
+        complete the image to the kernel."""
+        ker = Subspace.kernel(self.field, self.matrix(m))
+        im = Subspace.image(self.field, self.matrix(m - 1))
         return ker.quotient_reps(im), ker, im
 
 
@@ -92,7 +96,10 @@ def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, np
     """Map induced on cohomology by a chain map ``chain[m]: cxa^m -> cxb^m``.
 
     Returns one matrix per degree where both sides have entries, written in
-    the representative bases of ``cohomology_reps``.
+    the representatives of ``cohomology_reps``.  The coordinates of each
+    image are read off one reduction against the target's image columns
+    followed by its representatives; their lowest rows are distinct, so
+    that reduction keeps every one of them as it is.
     """
     same_field(cxa.field, cxb.field)
     f = cxa.field
@@ -104,22 +111,22 @@ def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, np
                 raise ContractError(f"not a chain map at degree {m}")
     out = {}
     for m in sorted(set(cxa.dims) | set(cxb.dims)):
-        reps_a = cxa.cohomology_reps(m)[0] if cxa.dim(m) else f.zeros(0, 0)
+        reps_a = cxa.cohomology_reps(m)[0] if cxa.dim(m) else []
         if cxb.dim(m) == 0:
-            if reps_a.shape[0]:
-                out[m] = f.zeros(0, reps_a.shape[0])
+            if reps_a:
+                out[m] = f.zeros(0, len(reps_a))
             continue
         reps_b, _, im_b = cxb.cohomology_reps(m)
-        if reps_a.shape[0] == 0 and reps_b.shape[0] == 0:
+        if not reps_a and not reps_b:
             continue
         fm = chain.get(m, f.zeros(cxb.dim(m), cxa.dim(m)))
-        images = mul(f, reps_a, fm.T)  # rows: chain-image of each representative
-        basis = np.concatenate([reps_b, im_b.basis], axis=0)
-        if basis.shape[0] == 0:
-            out[m] = f.zeros(0, reps_a.shape[0])
-            continue
-        coeffs = solve(f, basis.T, images.T)  # columns express each image
-        out[m] = coeffs[: reps_b.shape[0], :]
+        target = Subspace.span(f, cxb.dim(m), im_b.columns + reps_b)
+        out[m] = f.zeros(len(reps_b), len(reps_a))
+        for j, v in enumerate(to_columns(f, mul(f, fm, from_columns(f, reps_a, cxa.dim(m))))):
+            coords = target.coordinates(v)
+            if coords is None:
+                raise ContractError(f"a degree-{m} class maps outside the cocycles")
+            out[m][:, j] = coords[im_b.dim:]
     return out
 
 
@@ -447,94 +454,102 @@ def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
     return CochainComplex(field, dims, d)
 
 
-@dataclass(frozen=True)
 class KoszulSplit:
-    """The unit-Koszul scaffold over a multicomplex, split into the subobject
-    supported off the coordinate faces and the face-supported quotient."""
+    """The unit-Koszul scaffold over a commutative multicomplex, split into
+    the subobject supported off the coordinate faces and the face-supported
+    quotient.  Each half is built on first read."""
 
-    complement_part: Multicomplex  # wedge slot I keeps points with some q_i > 0, i in I
-    face_part: Multicomplex  # wedge slot I keeps points with q_i = 0 for all i in I
+    def __init__(self, mc: Multicomplex):
+        self.mc = mc
+
+    @cached_property
+    def complement_part(self) -> Multicomplex:
+        """Wedge slot I keeps the points with some q_i > 0, i in I."""
+        return _koszul_half(self.mc, lambda I, q: any(q[i] > 0 for i in I))
+
+    @cached_property
+    def face_part(self) -> Multicomplex:
+        """Wedge slot I keeps the points with q_i = 0 for all i in I."""
+        return _koszul_half(self.mc, lambda I, q: all(q[i] == 0 for i in I))
 
 
 def koszul_split(mc: Multicomplex) -> KoszulSplit:
-    """Build the two halves of the unit-Koszul scaffold on ``mc``.
+    """The two halves of the unit-Koszul scaffold on ``mc``.
 
-    Axis 0 of the results is the wedge degree p; slots are indexed by the
+    Axis 0 of the halves is the wedge degree p; slots are indexed by the
     p-subsets I of the original axes in lexicographic order.  Anticommutative
     inputs are sign-twisted first so the scaffold is uniformly commutative.
     """
-    if mc.flavor == ANTICOMMUTATIVE:
-        mc = sign_twist(mc)
+    return KoszulSplit(sign_twist(mc) if mc.flavor == ANTICOMMUTATIVE else mc)
+
+
+def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
+    """The half of the scaffold on ``mc`` whose wedge slot I at point q is
+    kept when ``keep(I, q)``."""
     n = mc.n
     f = mc.field
     subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
-
-    def build(keep) -> Multicomplex:
-        dims: dict[Point, int] = {}
-        pblocks: dict[Point, tuple] = {}
-        for q in mc.points():
-            dq = mc.entry_dim(q)
-            for p in range(n + 1):
-                allowed = [I for I in subsets[p] if keep(I, q)]
-                if not allowed:
-                    continue
-                point = (p,) + q
-                dims[point] = dq * len(allowed)
-                pblocks[point] = tuple((I, dq) for I in allowed)
-        diffs: dict[tuple[Point, int], np.ndarray] = {}
-        for point, total in dims.items():
-            p, q = point[0], point[1:]
-            dq = mc.entry_dim(q)
-            allowed = [I for I, _ in pblocks[point]]
-            offs = {I: k * dq for k, I in enumerate(allowed)}
-            # wedge axis
-            target = (p + 1,) + q
-            if target in dims:
-                t_allowed = [I for I, _ in pblocks[target]]
-                t_offs = {I: k * dq for k, I in enumerate(t_allowed)}
-                mat = f.zeros(dims[target], total)
-                wrote = False
-                for I in allowed:
-                    inside = set(I)
-                    for j in range(n):
-                        if j in inside:
-                            continue
-                        t = tuple(sorted(inside | {j}))
-                        if t not in t_offs:
-                            continue
-                        sign = -1 if sum(1 for i in I if i < j) % 2 else 1
-                        r0, c0 = t_offs[t], offs[I]
-                        for k in range(dq):
-                            mat[r0 + k, c0 + k] = sign
-                        wrote = True
-                if wrote:
-                    diffs[(point, 0)] = f.normalize(mat)
-            # multicomplex axes
-            for i in range(n):
-                tq = add_e(q, i)
-                tpoint = (p,) + tq
-                if tpoint not in dims or (q, i) not in mc.diffs:
-                    continue
-                t_allowed = [I for I, _ in pblocks[tpoint]]
-                t_offs = {I: k * mc.entry_dim(tq) for k, I in enumerate(t_allowed)}
-                block = mc.diffs[(q, i)]
-                mat = f.zeros(dims[tpoint], total)
-                wrote = False
-                for I in allowed:
-                    if I not in t_offs:
+    dims: dict[Point, int] = {}
+    pblocks: dict[Point, tuple] = {}
+    for q in mc.points():
+        dq = mc.entry_dim(q)
+        for p in range(n + 1):
+            allowed = [I for I in subsets[p] if keep(I, q)]
+            if not allowed:
+                continue
+            point = (p,) + q
+            dims[point] = dq * len(allowed)
+            pblocks[point] = tuple((I, dq) for I in allowed)
+    diffs: dict[tuple[Point, int], np.ndarray] = {}
+    for point, total in dims.items():
+        p, q = point[0], point[1:]
+        dq = mc.entry_dim(q)
+        allowed = [I for I, _ in pblocks[point]]
+        offs = {I: k * dq for k, I in enumerate(allowed)}
+        # wedge axis
+        target = (p + 1,) + q
+        if target in dims:
+            t_allowed = [I for I, _ in pblocks[target]]
+            t_offs = {I: k * dq for k, I in enumerate(t_allowed)}
+            mat = f.zeros(dims[target], total)
+            wrote = False
+            for I in allowed:
+                inside = set(I)
+                for j in range(n):
+                    if j in inside:
                         continue
-                    r0, c0 = t_offs[I], offs[I]
-                    mat[r0 : r0 + block.shape[0], c0 : c0 + dq] = block
+                    t = tuple(sorted(inside | {j}))
+                    if t not in t_offs:
+                        continue
+                    sign = -1 if sum(1 for i in I if i < j) % 2 else 1
+                    r0, c0 = t_offs[t], offs[I]
+                    for k in range(dq):
+                        mat[r0 + k, c0 + k] = sign
                     wrote = True
-                if wrote:
-                    diffs[(point, i + 1)] = mat
-        lo = (0,) + mc.box[0]
-        hi = (n,) + mc.box[1]
-        return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, pblocks)
-
-    complement = build(lambda I, q: any(q[i] > 0 for i in I))
-    face = build(lambda I, q: all(q[i] == 0 for i in I))
-    return KoszulSplit(complement, face)
+            if wrote:
+                diffs[(point, 0)] = f.normalize(mat)
+        # multicomplex axes
+        for i in range(n):
+            tq = add_e(q, i)
+            tpoint = (p,) + tq
+            if tpoint not in dims or (q, i) not in mc.diffs:
+                continue
+            t_allowed = [I for I, _ in pblocks[tpoint]]
+            t_offs = {I: k * mc.entry_dim(tq) for k, I in enumerate(t_allowed)}
+            block = mc.diffs[(q, i)]
+            mat = f.zeros(dims[tpoint], total)
+            wrote = False
+            for I in allowed:
+                if I not in t_offs:
+                    continue
+                r0, c0 = t_offs[I], offs[I]
+                mat[r0 : r0 + block.shape[0], c0 : c0 + dq] = block
+                wrote = True
+            if wrote:
+                diffs[(point, i + 1)] = mat
+    lo = (0,) + mc.box[0]
+    hi = (n,) + mc.box[1]
+    return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, pblocks)
 
 
 def cube_extension(mc: Multicomplex) -> Multicomplex:

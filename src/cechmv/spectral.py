@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .linalg import Subspace, kernel, mul, pivot_pairs
+from .linalg import Subspace, from_columns, mul, pivot_pairs, to_columns
 from .multicomplex import (
     COMMUTATIVE,
     CochainComplex,
@@ -380,20 +380,18 @@ def _cell_spaces(fc: FilteredComplex, r: int, p: int, q: int) -> tuple[Subspace,
 
     def z_space(p: int, t: int, m: int) -> Subspace:
         cols = fc.at_least(p, m)
-        rows = ~fc.at_least(t, m + 1)
-        if not (np.any(cols) and np.any(rows)):
-            return Subspace(f, cols.size, f.eye(cols.size)[cols])
-        coeffs = kernel(f, tot.matrix(m)[rows][:, cols])
-        basis = f.zeros(coeffs.shape[0], cols.size)
-        basis[:, cols] = coeffs
-        return Subspace.from_rows(f, cols.size, basis)
+        ker = Subspace.kernel(f, tot.matrix(m)[~fc.at_least(t, m + 1)][:, cols])
+        # the columns of F^p(m) ascend, so relabelling keeps the lowest rows distinct
+        index = np.flatnonzero(cols).tolist()
+        return Subspace.span(f, cols.size, ({index[i]: v for i, v in c.items()}
+                                            for c in ker.columns))
 
     m = p + q
     z, b = z_space(p, p + r, m), z_space(p + 1, p + r, m)
     pre = z_space(p - r + 1, p, m - 1)
     if pre.dim and tot.dim(m):
-        d_pre = mul(f, tot.matrix(m - 1), pre.basis.T).T
-        b = Subspace.from_rows(f, z.ambient, np.concatenate([b.basis, d_pre], axis=0))
+        d_pre = mul(f, tot.matrix(m - 1), from_columns(f, pre.columns, pre.ambient))
+        b = Subspace.span(f, z.ambient, b.columns + to_columns(f, d_pre))
     return z, b
 
 
@@ -417,10 +415,9 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
         return []
     z, b = _cell_spaces(fc, n, 0, n - 1)
     reps = z.quotient_reps(b)
-    src_dim = reps.shape[0]
     bad: list[str] = []
-    if src_dim != c0:
-        bad.append(f"page-{n} cell (0,{n - 1}) has dim {src_dim}, expected dim {c0} of the origin entry")
+    if len(reps) != c0:
+        bad.append(f"page-{n} cell (0,{n - 1}) has dim {len(reps)}, expected dim {c0} of the origin entry")
         return bad
     if c0 == 0:
         return bad
@@ -436,6 +433,7 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     if src is None:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
+    reps = from_columns(f, reps, tot.dim(n - 1)).T  # rows: the source representatives
     origin, a_mat = reps[:, src], f.zeros(c0, c0)
     for subset, sl in block_slices(seqs.split.face_part.point_blocks[top_point]).items():
         missing = next(i for i in range(n) if i not in subset)
@@ -447,26 +445,21 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     # target side: representatives must live in the wedge-0 block over (1,..,1)
     tgt = block_slices(tot.blocks.get(n, ())).get((0,) + (1,) * n)
     if tgt is None:
-        if treps.shape[0] != 0:
+        if treps:
             bad.append("target cell nonzero but the interior block is absent")
         return bad
-    mask = np.ones(tot.dim(n), dtype=bool)
-    mask[tgt] = False
-    if treps.shape[0] and np.any(treps[:, mask]):
-        bad.append("target-cell representatives stick out of the interior block")
+    if any(not tgt.start <= i < tgt.stop for col in treps + bsp.columns for i in col):
+        bad.append("target-cell representatives or boundaries stick out of the interior block")
         return bad
-    if bsp.dim and np.any(bsp.basis[:, mask]):
-        bad.append("target boundaries stick out of the interior block")
-        return bad
-    tw = tgt.stop - tgt.start
-    w = Subspace.from_rows(f, tw, bsp.basis[:, tgt]) if bsp.dim else Subspace.zero(f, tw)
+    w = Subspace.span(f, tgt.stop - tgt.start,
+                      ({i - tgt.start: v for i, v in col.items()} for col in bsp.columns))
 
     # realize the map on the nose: class of d(rep_k) sliced to the interior block
-    images = mul(f, tot.matrix(n - 1), reps.T).T[:, tgt]
-    expected = mul(f, a_mat, psi.T)  # rows: psi of the identified origin element
+    images = mul(f, tot.matrix(n - 1), reps.T)[tgt]
+    expected = mul(f, psi, a_mat.T)  # columns: psi of the identified origin element
     for sign in (1, -1):
         diff = f.normalize(images - sign * expected)
-        if all(not np.any(row) or w.contains_vector(row) for row in diff):
+        if all(w.coordinates(col) is not None for col in to_columns(f, diff)):
             return bad
     bad.append("page-n edge map differs from the composite differential by more than a sign")
     return bad

@@ -19,8 +19,14 @@ engines cell by cell and rank by rank.  A third route counts the pairs by
 inclusion-exclusion of ranks of level blocks (``rank_table_pairs``), and the
 tests compare it with the package's pair counts degree by degree.  The
 package reads the abutment off its limit page; ``reference_abutment`` computes
-it from kernels and images instead.  Nothing under ``src/`` imports this
-module.
+it from kernels and images instead.
+
+Every subspace here comes from the dense Gauss-Jordan elimination ``rref``
+(``kernel``, ``solve``, ``image``, ``kernel_space`` and ``Subspace``, held by
+its canonical reduced-row-echelon basis), while the package's bases come from
+its sparse column reduction (``cechmv.linalg.Subspace``), so the two routes
+share no elimination code on the lattice side.  Nothing under ``src/``
+imports this module.
 """
 
 from __future__ import annotations
@@ -31,7 +37,122 @@ import numpy as np
 
 from cechmv import (AbutmentFiltration, ContractError, FilteredComplex, InternalCheckError,
                     SpectralSequence)
-from cechmv.linalg import Subspace, image, kernel, kernel_space, mul, rank, solve
+from cechmv.linalg import Field, mul, rank, rref, same_field
+
+
+def kernel(field: Field, a: np.ndarray) -> np.ndarray:
+    """Basis (rows) of the right kernel {x : a x = 0}."""
+    cols = a.shape[1]
+    if a.shape[0] == 0:
+        return field.eye(cols)
+    R, piv = rref(field, a)
+    pivset = set(piv)
+    free = [c for c in range(cols) if c not in pivset]
+    basis = field.zeros(len(free), cols)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for i, c in enumerate(piv):
+            basis[k, c] = -R[i, f]
+    return field.normalize(basis)
+
+
+def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One exact solution X of a X = b (b may have several columns).
+
+    Free variables are set to zero, so the solution is deterministic.  Raises
+    ContractError if the system is inconsistent.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ContractError(f"solve shape mismatch {a.shape} vs {b.shape}")
+    aug = np.concatenate([a, b], axis=1)
+    R, piv = rref(field, aug)
+    ncols = a.shape[1]
+    if any(c >= ncols for c in piv):
+        raise ContractError("inconsistent linear system")
+    x = field.zeros(ncols, b.shape[1])
+    for i, c in enumerate(piv):
+        x[c] = R[i, ncols:]
+    return x
+
+
+def _leading(row: np.ndarray) -> int:
+    nz = np.flatnonzero(row)
+    return int(nz[0]) if nz.size else -1
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Subspace of k^ambient, held by its canonical reduced-row-echelon basis."""
+
+    field: Field
+    ambient: int
+    basis: np.ndarray  # (dim, ambient)
+
+    @staticmethod
+    def from_rows(field: Field, ambient: int, rows: np.ndarray) -> "Subspace":
+        if rows.shape[0] == 0:
+            return Subspace(field, ambient, field.zeros(0, ambient))
+        if rows.shape[1] != ambient:
+            raise ContractError(f"row length {rows.shape[1]} != ambient {ambient}")
+        R, piv = rref(field, rows)
+        return Subspace(field, ambient, R[: len(piv)])
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    def pivots(self) -> list[int]:
+        return [_leading(row) for row in self.basis]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self.basis.shape == other.basis.shape
+            and bool(np.array_equal(self.basis, other.basis))
+        )
+
+    def __hash__(self):
+        return hash((self.ambient, self.dim))
+
+    def contains_vector(self, v: np.ndarray) -> bool:
+        r = self.field.normalize(np.array(v, dtype=self.field.dtype).reshape(1, -1))
+        for i, c in enumerate(self.pivots()):
+            if r[0, c]:
+                r = self.field.normalize(r - r[0, c] * self.basis[i : i + 1])
+        return not np.any(r)
+
+    def contains(self, other: "Subspace") -> bool:
+        self._check_compatible(other)
+        return all(self.contains_vector(row) for row in other.basis)
+
+    def quotient_reps(self, sub: "Subspace") -> np.ndarray:
+        """Rows of this basis completing ``sub`` to this space.
+
+        Requires sub <= self.  Because both bases are canonical, the pivot
+        columns of ``sub`` are a subset of ours and the complementary rows
+        span a complement of ``sub`` inside ``self``.
+        """
+        self._check_compatible(sub)
+        sub_piv = set(sub.pivots())
+        keep = [i for i, c in enumerate(self.pivots()) if c not in sub_piv]
+        if len(keep) != self.dim - sub.dim:
+            raise ContractError("quotient_reps: argument is not a subspace of self")
+        return self.basis[keep] if keep else self.field.zeros(0, self.ambient)
+
+    def _check_compatible(self, other: "Subspace") -> None:
+        same_field(self.field, other.field)
+        if self.ambient != other.ambient:
+            raise ContractError(f"ambient mismatch {self.ambient} vs {other.ambient}")
+
+
+def image(field: Field, a: np.ndarray) -> Subspace:
+    """Image of the map x -> a x."""
+    return Subspace.from_rows(field, a.shape[0], a.T)
+
+
+def kernel_space(field: Field, a: np.ndarray) -> Subspace:
+    return Subspace.from_rows(field, a.shape[1], kernel(field, a))
 
 
 def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:

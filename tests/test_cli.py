@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -558,6 +559,31 @@ def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):
     }
     assert report["results"]["verify34"]["pass"] is True
     assert not (out / "pages_1a.json").exists()
+
+
+def test_memory_error_in_a_class_step_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    """A class step that runs out of memory fails its task like an internal
+    error, naming the first class's degree, with exit 2 and no traceback.
+    numpy raises its own subclass, whose constructor takes (shape, dtype)."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    err = _ArrayMemoryError((6300, 6075), np.dtype(np.int64))
+
+    def out_of_memory(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(cli, "verify_product_vs_interior", out_of_memory)
+    job = write_job(tmp_path, dict(BASE_JOB, tasks=["cohomology", "verify34"]))
+    out = tmp_path / "out"
+    assert main(["compute", job, "--out", str(out), "--jobs", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["results"]["verify34"] == {
+        "pass": False, "internal_error": {"degree": [-1, -1], "message": str(err)}}
+    assert report["results"]["cohomology"]["pass"] is True
 
 
 def test_compute_rejects_missing_fields(tmp_path, capsys):

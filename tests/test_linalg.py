@@ -1,4 +1,6 @@
-"""Exact linear algebra: echelon forms, kernels, solving, subspace calculus."""
+"""Exact linear algebra: echelon forms, persistence pairs, the sparse echelon
+subspaces of the package against the dense reference, and the dense
+reference's kernels, solving and subspace calculus."""
 
 from fractions import Fraction
 
@@ -8,25 +10,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechmv import (
+    CochainComplex,
     ContractError,
     FieldMismatchError,
     InputError,
     PrimeField,
     RationalField,
-    Subspace,
-    image,
+    cohomology_map,
     is_prime,
-    kernel,
-    kernel_space,
     mul,
     rank,
     rref,
-    solve,
 )
+from cechmv import linalg
 from cechmv.linalg import pivot_pairs
+from conftest import rand_complex
+# the dense reference: kernels, solutions and subspaces from rref
+from reference_spectral import Subspace, image, kernel, kernel_space, solve
 
 F = PrimeField(65537)
 Q = RationalField()
+# small and large primes, an object-dtype prime and Q
+FIELDS = (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q)
+
+
+def _field_matrix(f, data, den=1):
+    """``data``, integer rows, over ``f``; each entry divided by ``den`` over Q."""
+    rows, cols = len(data), len(data[0]) if data else 0
+    a = f.zeros(rows, cols)
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            a[i, j] = Fraction(x, den) if f is Q else x
+    return f.normalize(a)
 
 # minors of a 6x6 integer matrix with entries in [-2,2] are bounded by
 # 6! * 2^6 = 46080 < 65537, so ranks over Q and over F_65537 must agree
@@ -127,12 +142,8 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
     zero-padded and rank-deficient matrices and on sparse 0/±1 ones."""
     data, k = drawn
     rows, cols = len(data), len(data[0]) if data else 0
-    for f in (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q):
-        a = f.zeros(rows, cols)
-        for i, row in enumerate(data):
-            for j, x in enumerate(row):
-                a[i, j] = Fraction(x, den) if f is Q else x
-        a = f.normalize(a)
+    for f in FIELDS:
+        a = _field_matrix(f, data, den)
         before = a.copy()
         pairs = pivot_pairs(f, a)
         assert sorted(j for _, j in pairs) == rref(f, a)[1], (f.describe(), data)
@@ -255,3 +266,102 @@ def test_determinism_identical_bytes():
     s1 = Subspace.from_rows(F, 8, F.array(data))
     s2 = Subspace.from_rows(F, 8, F.array(data))
     assert np.array_equal(s1.basis, s2.basis)
+
+
+def _assert_same_space(f, sparse, dense):
+    """Equal dimensions, and each side holds the other's basis."""
+    assert sparse.ambient == dense.ambient and sparse.dim == dense.dim
+    assert all(dense.contains_vector(v)
+               for v in linalg.from_columns(f, sparse.columns, sparse.ambient).T)
+    assert all(sparse.coordinates(v) is not None
+               for v in linalg.to_columns(f, dense.basis.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(low_rank_matrix(), sparse_matrix()), st.integers(1, 3), st.data())
+def test_sparse_subspace_matches_the_dense_reference(drawn, den, data):
+    """Over F_2, F_3, F_65537, F_{2^31-1} and Q, the sparse echelon kernel,
+    image and span have the dense reference's dimensions and each contains
+    the other; ``coordinates`` rebuilds a vector inside and returns None for
+    one outside; ``quotient_reps`` completes a subspace."""
+    picks = data.draw(st.lists(st.integers(0, 1 << 30), min_size=2, max_size=2))
+    for f in FIELDS:
+        a = _field_matrix(f, drawn[0], den)
+        ker = linalg.Subspace.kernel(f, a)
+        _assert_same_space(f, ker, kernel_space(f, a))
+        _assert_same_space(f, linalg.Subspace.image(f, a), image(f, a))
+        _assert_same_space(f, linalg.Subspace.span(f, a.shape[1], linalg.to_columns(f, a.T)),
+                           Subspace.from_rows(f, a.shape[1], a))
+        assert len(ker.pivots) == ker.dim  # one column per lowest row
+        n = ker.ambient
+        # inside: a combination of the basis gives back its coefficients
+        coeffs = [f.normalize((picks[k % 2] >> k) % 5) for k in range(ker.dim)]
+        basis = linalg.from_columns(f, ker.columns, n)
+        v = f.normalize(basis @ f.array([coeffs]).T) if ker.dim else f.zeros(n, 1)
+        assert ker.coordinates(linalg.to_columns(f, v)[0]) == coeffs
+        # outside: a unit vector at a row that is not a lowest row
+        free = [i for i in range(n) if i not in ker.pivots]
+        if free:
+            assert ker.coordinates({free[picks[0] % len(free)]: 1}) is None
+        # a subspace from sums of consecutive basis columns, completed by
+        # the quotient representatives to the whole kernel
+        sums = [linalg.to_columns(f, f.normalize(basis[:, k:k + 1] + basis[:, k + 1:k + 2]))[0]
+                for k in range(ker.dim - 1)][: picks[1] % (ker.dim + 1)]
+        sub = linalg.Subspace.span(f, n, sums)
+        reps = ker.quotient_reps(sub)
+        assert len(reps) == ker.dim - sub.dim
+        whole = linalg.Subspace.span(f, n, sub.columns + reps)
+        assert whole.dim == ker.dim
+        _assert_same_space(f, whole, kernel_space(f, a))
+
+
+def _direct_sum(f, x, y):
+    dims = {m: x.dim(m) + y.dim(m) for m in set(x.dims) | set(y.dims)}
+    d = {}
+    for m in dims:
+        if m + 1 in dims:
+            blk = f.zeros(dims[m + 1], dims[m])
+            blk[: x.dim(m + 1), : x.dim(m)] = x.matrix(m)
+            blk[x.dim(m + 1):, x.dim(m):] = y.matrix(m)
+            d[m] = blk
+    return CochainComplex(f, dims, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cohomology_reps_and_maps_match_the_dense_reference(seed):
+    """Over the five fields: ``cohomology_reps`` has ``cohomology_dims()``
+    representatives, and ``cohomology_map`` of a random chain map has the
+    rank the dense reference gives.  The chain map projects C + D onto the
+    summand C of C + E and adds a random null-homotopic term d h + h d, so
+    its rank in degree m is also dim H^m(C)."""
+    rng = np.random.default_rng(seed)
+    for f in FIELDS:
+        c, d, e = (rand_complex(f, rng) for _ in range(3))
+        src, tgt = _direct_sum(f, c, d), _direct_sum(f, c, e)
+        degrees = sorted(set(src.dims) | set(tgt.dims))
+        for cx in (src, tgt):
+            h = cx.cohomology_dims()
+            assert {m: len(cx.cohomology_reps(m)[0]) for m in cx.dims} == \
+                {m: h.get(m, 0) for m in cx.dims}
+        homotopy = {m: f.zeros(tgt.dim(m - 1), src.dim(m)) for m in degrees}
+        for h in homotopy.values():
+            for (i, j), x in np.ndenumerate(rng.integers(0, 5, size=h.shape)):
+                h[i, j] = int(x)
+        chain = {}
+        for m in degrees:
+            proj = f.zeros(tgt.dim(m), src.dim(m))
+            proj[: c.dim(m), : c.dim(m)] = f.eye(c.dim(m))
+            dh = mul(f, tgt.matrix(m - 1), homotopy[m])
+            hd = mul(f, homotopy.get(m + 1, f.zeros(tgt.dim(m), src.dim(m + 1))), src.matrix(m))
+            chain[m] = f.normalize(proj + dh + hd)
+        out = cohomology_map(src, tgt, chain)
+        h_c = c.cohomology_dims()
+        for m in degrees:
+            got = rank(f, out[m]) if m in out else 0
+            cycles = kernel(f, src.matrix(m))
+            bounds = image(f, tgt.matrix(m - 1))
+            imgs = mul(f, chain[m], cycles.T).T
+            want = Subspace.from_rows(f, tgt.dim(m), np.concatenate([imgs, bounds.basis])).dim \
+                - bounds.dim
+            assert got == want == h_c.get(m, 0), (f.describe(), m, got, want)
