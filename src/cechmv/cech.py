@@ -39,8 +39,6 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .grading import (
     Exps,
@@ -54,7 +52,7 @@ from .grading import (
     window_degrees,
 )
 from .jsonout import PerDegree
-from .linalg import Field, mul, rank
+from .linalg import Columns, Field, identity, mul, rank
 from .multicomplex import (
     COMMUTATIVE,
     Multicomplex,
@@ -219,30 +217,27 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
         dims[q] = len(kept)
         pblocks[q] = tuple((combo, 1) for combo in kept)
         index[q] = {combo: pos for pos, combo in enumerate(kept)}
-    diffs: dict[tuple[Point, int], np.ndarray] = {}
+    signs = (f.normalize(1), f.normalize(-1))
+    diffs: dict[tuple[Point, int], Columns] = {}
     for q, kept_idx in index.items():
         for i in range(n):
             tq = q[:i] + (q[i] + 1,) + q[i + 1 :]
             tidx = index.get(tq)
             if tidx is None:
                 continue
-            mat = f.zeros(dims[tq], dims[q])
-            wrote = False
-            for combo, col in kept_idx.items():
+            columns: Columns = []
+            for combo in kept_idx:  # in column order
                 s = combo[i]
-                inside = set(s)
+                col = {}
                 for j in range(sizes[i]):
-                    if j in inside:
+                    if j in s:
                         continue
-                    tcombo = combo[:i] + (tuple(sorted(inside | {j})),) + combo[i + 1 :]
+                    tcombo = combo[:i] + (tuple(sorted((*s, j))),) + combo[i + 1 :]
                     row = tidx.get(tcombo)
-                    if row is None:
-                        continue
-                    sign = -1 if sum(1 for k in s if k < j) % 2 else 1
-                    mat[row, col] = sign
-                    wrote = True
-            if wrote:
-                diffs[(q, i)] = f.normalize(mat)
+                    if row is not None:
+                        col[row] = signs[sum(1 for k in s if k < j) % 2]
+                columns.append(col)
+            diffs[(q, i)] = columns
     return Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, pblocks)
 
 
@@ -267,7 +262,7 @@ class CohomologyTable:
     dims: dict[tuple[int, Exps], int]
 
     @staticmethod
-    def from_columns(problem: CechProblem, length: int, mode: str,
+    def from_classes(problem: CechProblem, length: int, mode: str,
                      columns: list[tuple[list[Exps], dict[int, int]]]) -> "CohomologyTable":
         """Assemble the window table of a length-``length`` sequence from
         per-class columns (members, {i: dim}); see ``OracleCache.column``."""
@@ -446,7 +441,7 @@ class OracleCache:
     def table(self, kind: str, subset: tuple[int, ...], mode: str) -> CohomologyTable:
         columns = [(members, self.column(kind, subset, mode, members[0]))
                    for _pat, members in degree_classes(self.problem)]
-        return CohomologyTable.from_columns(self.problem, len(self.seq(kind, subset)), mode,
+        return CohomologyTable.from_classes(self.problem, len(self.seq(kind, subset)), mode,
                                             columns)
 
 
@@ -533,18 +528,13 @@ class _AugmentedFiber:
         self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}
 
 
-def _step_chain(src: _AugmentedFiber, dst: _AugmentedFiber) -> dict[int, np.ndarray]:
+def _step_chain(src: _AugmentedFiber, dst: _AugmentedFiber) -> dict[int, Columns]:
     """Multiplication-by-monomial chain map between two fibers: each basis
     element maps to its namesake if that one is still alive."""
-    f = src.problem.field
     chain = {}
     for m in sorted(set(src.plus.dims) | set(dst.plus.dims)):
-        mat = f.zeros(dst.plus.dim(m), src.plus.dim(m))
-        for col, key in enumerate(src.keys.get(m, [])):
-            row = dst.positions.get(m, {}).get(key)
-            if row is not None:
-                mat[row, col] = 1
-        chain[m] = mat
+        rows = dst.positions.get(m, {})
+        chain[m] = [{rows[key]: 1} if key in rows else {} for key in src.keys.get(m, [])]
     return chain
 
 
@@ -568,7 +558,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     # through the piece patterns, so each is built once per pattern
     cache = cache or OracleCache(problem)
     fibers: dict[tuple[int, ...], _AugmentedFiber] = {}
-    induced_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, np.ndarray]] = {}
+    induced_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Columns]] = {}
 
     def fiber(b: Exps) -> _AugmentedFiber:
         pat = cache.pattern(b)
@@ -576,7 +566,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
             fibers[pat] = _AugmentedFiber(problem, b)
         return fibers[pat]
 
-    def induced(b: Exps, g: Exps) -> dict[int, np.ndarray]:
+    def induced(b: Exps, g: Exps) -> dict[int, Columns]:
         nxt = monomial_mul(b, g)
         key = (cache.pattern(b), cache.pattern(nxt))
         if key not in induced_cache:
@@ -596,7 +586,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
                 continue
             for g in sorted(set(gens)):
                 total_pairs += k
-                cum = f.eye(k)
+                cum = identity(k)
                 cur = b
                 found = [None] * k
                 ran_out = False
@@ -605,12 +595,10 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
                     if not problem.in_window(nxt):
                         ran_out = True
                         break
-                    step = induced(cur, g).get(m)
-                    if step is None:
-                        step = f.zeros(0, cum.shape[0])
-                    cum = mul(f, step, cum)
+                    # no map at m means no classes at cur, so cum has no rows
+                    cum = mul(f, induced(cur, g).get(m, []), cum)
                     for col in range(k):
-                        if found[col] is None and not np.any(cum[:, col] if cum.size else []):
+                        if found[col] is None and not cum[col]:
                             found[col] = nstep
                     cur = nxt
                     if all(x is not None for x in found):

@@ -192,7 +192,7 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
     for every class, in class order."""
     if unit == "cohomology":
         length = len(product_sequence(problem.groups))
-        table = CohomologyTable.from_columns(problem, length, "full", results)
+        table = CohomologyTable.from_classes(problem, length, "full", results)
         payload = {
             "pass": True,
             "file": "cohomology.csv",
@@ -350,11 +350,12 @@ def _random_complex(f, rng, max_len=3, max_dim=3) -> CochainComplex:
     d = {}
     for t in sorted(dims):
         if t + 1 in dims:
-            d[t] = f.array(rng.integers(0, 5, size=(dims[t + 1], dims[t])).tolist())
+            draw = rng.integers(0, 5, size=(dims[t + 1], dims[t])).T.tolist()
+            d[t] = [{i: v % f.p for i, v in enumerate(col) if v % f.p} for col in draw]
     # square-zero by construction: zero out a map whenever it composes badly
     for t in sorted(d):
-        if t + 1 in d and np.any(mul(f, d[t + 1], d[t])):
-            d[t + 1] = f.array(np.zeros_like(d[t + 1], dtype=int).tolist())
+        if t + 1 in d and any(mul(f, d[t + 1], d[t])):
+            d[t + 1] = [{} for _ in d[t + 1]]
     return CochainComplex(f, dims, d)
 
 
@@ -381,10 +382,10 @@ def cmd_selftest(args) -> int:
         cx = koszul_complex(f, 2, 1)
         mc = tensor_product([cx, cx])
         key = ((0, 0), 0)
-        mat = mc.diffs[key].copy()
-        r, c = (int(x) for x in np.argwhere(mat != 0)[0])
-        mat[r, c] = -mat[r, c]
-        mc.diffs[key] = f.normalize(mat)
+        mat = [dict(col) for col in mc.diffs[key]]
+        r, c = min((r, c) for c, col in enumerate(mat) for r in col)  # first in row-major order
+        mat[c][r] = f.normalize(-mat[c][r])
+        mc.diffs[key] = mat
         bad = validate(mc)
         if bad:
             print("sign corruption detected:")
@@ -409,7 +410,7 @@ def cmd_selftest(args) -> int:
         tw = sign_twist(mc)
         back = sign_twist(tw)
         for key, mat in mc.diffs.items():
-            if np.any(back.diffs[key] != mat):
+            if back.diffs[key] != mat:
                 failures.append(f"twist not involutive at {key} (trial {trial})")
                 break
         if totalize(mc).cohomology_dims() != totalize(tw).cohomology_dims():

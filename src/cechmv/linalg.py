@@ -1,19 +1,24 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are plain numpy arrays: int64 residues for a prime field (object
-dtype once the modulus is large enough that int64 products could overflow)
-and Python ints / fractions.Fraction for the rationals.  All elimination is
-exact; no floating point anywhere.
+The lattice route has one matrix format: a list of sparse ``{row: value}``
+columns, with every value normalized (Python ints mod p, or ints and
+fractions.Fraction over Q) and no zero entries.  A matrix's row count is not
+stored; it is the dimension of the target space, which the complex holding
+the matrix already knows.  ``mul`` multiplies two such lists and
+``submatrix`` selects and relabels rows and columns by index.  All
+elimination is exact; no floating point anywhere.
 
-Two eliminations.  ``rref`` is dense Gauss-Jordan elimination with
+Two eliminations.  ``rref`` is dense Gauss-Jordan elimination on numpy arrays
+(int64 residues, object dtype once the modulus is large enough that int64
+products could overflow, Python ints and fractions over Q) with
 deterministic pivoting (leftmost nonzero column, first nonzero row); only
 the oracle's ``rank`` uses it.  ``reduce_column`` is the column reduction of
-persistence, on sparse ``{row: value}`` columns, and it does every
-elimination of the lattice route: ``pivot_pairs`` counts its pairs, so the
-pages and cohomology dimensions, and ``Subspace`` keeps its reduced columns
-as a sparse echelon basis, so kernels, images, quotient representatives and
-coordinates (Cohen-Steiner, Edelsbrunner and Morozov).  Both are
-deterministic, so all downstream bases are reproducible.
+persistence, on sparse columns, and it does every elimination of the
+lattice route: ``pivot_pairs`` counts its pairs, so the pages and cohomology
+dimensions, and ``Subspace`` keeps its reduced columns as a sparse echelon
+basis, so kernels, images, quotient representatives and coordinates
+(Cohen-Steiner, Edelsbrunner and Morozov).  Both are deterministic, so all
+downstream bases are reproducible.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from .errors import ContractError, FieldMismatchError, InputError
 
 DEFAULT_PRIME = 65537
 
-# In the int64 arrays of ``rref`` and ``mul``, products stay exact while
-# p**2 * ncols stays below 2**63; this bound keeps a comfortable margin for
-# matrices with a few thousand columns.  (``reduce_column`` works in Python ints.)
+# In the int64 arrays of ``rref``, products stay exact while p**2 * ncols
+# stays below 2**63; this bound keeps a comfortable margin for matrices with a
+# few thousand columns.  (The sparse columns hold Python ints.)
 _INT64_PRIME_LIMIT = 3_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -90,9 +95,6 @@ class PrimeField:
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=self.dtype)
 
-    def eye(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=self.dtype)
-
     def inv_scalar(self, a):
         a = int(a) % self.p
         if a == 0:
@@ -126,12 +128,6 @@ class RationalField:
         a[:] = 0
         return a
 
-    def eye(self, n: int) -> np.ndarray:
-        a = self.zeros(n, n)
-        for i in range(n):
-            a[i, i] = 1
-        return a
-
     def inv_scalar(self, a):
         return Fraction(1, 1) / a
 
@@ -147,12 +143,40 @@ def same_field(a: Field, b: Field) -> None:
         raise FieldMismatchError(f"mixed coefficient fields: {a.describe()} vs {b.describe()}")
 
 
-def mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return field.zeros(a.shape[0], b.shape[1])
-    return field.normalize(a @ b)
+Columns = list[dict[int, object]]
+
+
+def mul(field: Field, a: Columns, b: Columns) -> Columns:
+    """The product ``a`` x ``b`` of two column lists: column j is the
+    combination of the columns of ``a`` with the coefficients of column j of
+    ``b``, so ``a`` needs one column per row of ``b``."""
+    out = []
+    for col in b:
+        acc: dict[int, object] = {}
+        for k, x in col.items():
+            for i, y in a[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: v for i, v in ((i, field.normalize(v)) for i, v in acc.items()) if v})
+    return out
+
+
+def identity(n: int) -> Columns:
+    """The column list of the n x n identity."""
+    return [{k: 1} for k in range(n)]
+
+
+def neg(field: Field, a: Columns) -> Columns:
+    """The column list of -``a``."""
+    return [{i: field.normalize(-v) for i, v in col.items()} for col in a]
+
+
+def submatrix(a: Columns, rows, cols) -> Columns:
+    """The matrix whose entry (i, j) is the entry (rows[i], cols[j]) of
+    ``a``: the columns ``cols`` of ``a`` on the rows ``rows``, both index
+    sequences, relabelled by their positions there.  No column is copied
+    densely, and ``a`` is not modified."""
+    pos = {r: i for i, r in enumerate(rows)}
+    return [{pos[r]: v for r, v in a[j].items() if r in pos} for j in cols]
 
 
 def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -187,25 +211,6 @@ def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def to_columns(field: Field, a: np.ndarray) -> list[dict[int, object]]:
-    """The columns of ``a`` as sparse ``{row: value}`` dicts of Python scalars."""
-    columns: list[dict[int, object]] = [{} for _ in range(a.shape[1])]
-    rows, cols = np.nonzero(a)  # row-major; a strided scan of a.T is far slower
-    for i, j, v in zip(rows.tolist(), cols.tolist(), field.normalize(a[rows, cols]).tolist()):
-        if v:
-            columns[j][i] = v
-    return columns
-
-
-def from_columns(field: Field, columns: list[dict[int, object]], rows: int) -> np.ndarray:
-    """The ``rows`` x len(columns) matrix whose columns are ``columns``."""
-    a = field.zeros(rows, len(columns))
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            a[i, j] = v
-    return a
-
-
 def reduce_column(field: Field, col: dict[int, object],
                   reduced: dict[int, tuple[dict[int, object], object]],
                   coeffs: dict[int, object] | None = None) -> int | None:
@@ -231,11 +236,11 @@ def reduce_column(field: Field, col: dict[int, object],
     return None
 
 
-def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
-    """The persistence pairs (row, column) of ``a``, from the standard column
-    reduction on sparse columns (as in PHAT): the columns of ``a`` are
-    reduced left to right by ``reduce_column``, and a column left nonzero is
-    paired with its lowest row.  ``a`` is not modified.
+def pivot_pairs(field: Field, a: Columns) -> list[tuple[int, int]]:
+    """The persistence pairs (row, column) of the column list ``a``, from the
+    standard column reduction (as in PHAT): copies of the columns are reduced
+    left to right by ``reduce_column``, and a column left nonzero is paired
+    with its lowest row.  ``a`` is not modified.
 
     By the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov):
 
@@ -243,11 +248,10 @@ def pivot_pairs(field: Field, a: np.ndarray) -> list[tuple[int, int]]:
     * for every r and c, the pairs inside the bottom r rows and the left c
       columns number the rank of that block.
     """
-    if not a.any():  # also every empty matrix
-        return []
     reduced: dict[int, tuple[dict[int, object], object]] = {}
     pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(to_columns(field, a)):
+    for j, col in enumerate(a):
+        col = dict(col)
         low = reduce_column(field, col, reduced)
         if low is not None:
             reduced[low] = (col, field.inv_scalar(col[low]))
@@ -294,20 +298,15 @@ class Subspace:
         return s
 
     @classmethod
-    def image(cls, field: Field, a: np.ndarray) -> "Subspace":
-        """The image of x -> a x: the reduced columns of ``a``."""
-        return cls.span(field, a.shape[0], to_columns(field, a))
-
-    @classmethod
-    def kernel(cls, field: Field, a: np.ndarray) -> "Subspace":
-        """The kernel {x : a x = 0}.  The columns of ``a`` stacked under the
-        identity are reduced left to right; a column whose ``a`` part
-        reduces to zero is a kernel vector, and its lowest row is its own
-        index."""
-        n = a.shape[1]
+    def kernel(cls, field: Field, a: Columns) -> "Subspace":
+        """The kernel {x : a x = 0} of the column list ``a``.  The columns of
+        ``a`` stacked under the identity are reduced left to right; a column
+        whose ``a`` part reduces to zero is a kernel vector, and its lowest
+        row is its own index."""
+        n = len(a)
         reduced: dict[int, tuple[dict[int, object], object]] = {}
         kernel = []
-        for j, col in enumerate(to_columns(field, a)):
+        for j, col in enumerate(a):
             col = {n + i: v for i, v in col.items()}
             col[j] = 1
             low = reduce_column(field, col, reduced)

@@ -20,6 +20,9 @@ subquotients whose totalizations the rest of the package compares:
 restriction to a face is a quotient of the original multicomplex, the other
 two kinds are subcomplexes of the relevant face quotient, and all of them are
 implemented uniformly by discarding entries outside the region.
+
+Every map is a list of sparse ``{row: value}`` columns (``linalg``), and
+every builder here writes its columns directly.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Field, Subspace, from_columns, mul, pivot_pairs, same_field, to_columns
+from .linalg import Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field
 
 Point = tuple[int, ...]
 
@@ -45,20 +46,21 @@ def add_e(q: Point, i: int, step: int = 1) -> Point:
 
 @dataclass(frozen=True)
 class CochainComplex:
-    """Single complex with integer degrees; matrices act on column vectors."""
+    """Single complex with integer degrees; ``d[m]`` is the column list of
+    the map from degree m to degree m + 1."""
 
     field: Field
     dims: dict[int, int]
-    d: dict[int, np.ndarray]
+    d: dict[int, Columns]
     blocks: dict[int, tuple] | None = None  # degree -> ((block key, dim), ...)
 
     def dim(self, m: int) -> int:
         return self.dims.get(m, 0)
 
-    def matrix(self, m: int) -> np.ndarray:
+    def matrix(self, m: int) -> Columns:
         mat = self.d.get(m)
         if mat is None:
-            return self.field.zeros(self.dim(m + 1), self.dim(m))
+            return [{} for _ in range(self.dim(m))]
         return mat
 
     def degree_range(self) -> tuple[int, int]:
@@ -69,8 +71,7 @@ class CochainComplex:
     def check_complex(self) -> None:
         for m in sorted(self.dims):
             if self.dim(m) and self.dim(m + 1) and self.dim(m + 2):
-                prod = mul(self.field, self.matrix(m + 1), self.matrix(m))
-                if np.any(prod):
+                if any(mul(self.field, self.matrix(m + 1), self.matrix(m))):
                     raise InternalCheckError(f"d o d != 0 at degree {m}")
 
     def cohomology_dims(self) -> dict[int, int]:
@@ -88,45 +89,47 @@ class CochainComplex:
         columns whose lowest rows are not lowest rows of the image, so they
         complete the image to the kernel."""
         ker = Subspace.kernel(self.field, self.matrix(m))
-        im = Subspace.image(self.field, self.matrix(m - 1))
+        im = Subspace.span(self.field, self.dim(m), self.matrix(m - 1))
         return ker.quotient_reps(im), ker, im
 
 
-def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, np.ndarray], check: bool = True) -> dict[int, np.ndarray]:
+def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, Columns],
+                   check: bool = True) -> dict[int, Columns]:
     """Map induced on cohomology by a chain map ``chain[m]: cxa^m -> cxb^m``.
 
-    Returns one matrix per degree where both sides have entries, written in
-    the representatives of ``cohomology_reps``.  The coordinates of each
+    Returns one column list per degree where both sides have entries, written
+    in the representatives of ``cohomology_reps``.  The coordinates of each
     image are read off one reduction against the target's image columns
     followed by its representatives; their lowest rows are distinct, so
     that reduction keeps every one of them as it is.
     """
     same_field(cxa.field, cxb.field)
     f = cxa.field
+
+    def chain_at(m: int) -> Columns:
+        return chain[m] if m in chain else [{} for _ in range(cxa.dim(m))]
+
     if check:
         for m in cxa.dims:
-            lhs = mul(f, chain.get(m + 1, f.zeros(cxb.dim(m + 1), cxa.dim(m + 1))), cxa.matrix(m))
-            rhs = mul(f, cxb.matrix(m), chain.get(m, f.zeros(cxb.dim(m), cxa.dim(m))))
-            if np.any(f.normalize(lhs - rhs)):
+            if mul(f, chain_at(m + 1), cxa.matrix(m)) != mul(f, cxb.matrix(m), chain_at(m)):
                 raise ContractError(f"not a chain map at degree {m}")
     out = {}
     for m in sorted(set(cxa.dims) | set(cxb.dims)):
         reps_a = cxa.cohomology_reps(m)[0] if cxa.dim(m) else []
         if cxb.dim(m) == 0:
             if reps_a:
-                out[m] = f.zeros(0, len(reps_a))
+                out[m] = [{} for _ in reps_a]
             continue
         reps_b, _, im_b = cxb.cohomology_reps(m)
         if not reps_a and not reps_b:
             continue
-        fm = chain.get(m, f.zeros(cxb.dim(m), cxa.dim(m)))
         target = Subspace.span(f, cxb.dim(m), im_b.columns + reps_b)
-        out[m] = f.zeros(len(reps_b), len(reps_a))
-        for j, v in enumerate(to_columns(f, mul(f, fm, from_columns(f, reps_a, cxa.dim(m))))):
+        out[m] = []
+        for v in mul(f, chain_at(m), reps_a):
             coords = target.coordinates(v)
             if coords is None:
                 raise ContractError(f"a degree-{m} class maps outside the cocycles")
-            out[m][:, j] = coords[im_b.dim:]
+            out[m].append({i: c for i, c in enumerate(coords[im_b.dim:]) if c})
     return out
 
 
@@ -136,17 +139,17 @@ class Multicomplex:
     n: int
     box: tuple[Point, Point]  # inclusive (lo, hi)
     dims: dict[Point, int]
-    diffs: dict[tuple[Point, int], np.ndarray]
+    diffs: dict[tuple[Point, int], Columns]
     flavor: str
     point_blocks: dict[Point, tuple] | None = None  # provenance of per-point sums
 
     def entry_dim(self, q: Point) -> int:
         return self.dims.get(q, 0)
 
-    def diff(self, q: Point, i: int) -> np.ndarray:
+    def diff(self, q: Point, i: int) -> Columns:
         mat = self.diffs.get((q, i))
         if mat is None:
-            return self.field.zeros(self.entry_dim(add_e(q, i)), self.entry_dim(q))
+            return [{} for _ in range(self.entry_dim(q))]
         return mat
 
     def points(self) -> list[Point]:
@@ -168,27 +171,29 @@ def validate(mc: Multicomplex) -> list[str]:
         if d <= 0:
             bad.append(f"nonpositive dim at {q}")
     for (q, i), mat in mc.diffs.items():
-        want = (mc.entry_dim(add_e(q, i)), mc.entry_dim(q))
-        if mat.shape != want:
-            bad.append(f"matrix at {q} axis {i} has shape {mat.shape}, expected {want}")
+        rows, cols = mc.entry_dim(add_e(q, i)), mc.entry_dim(q)
+        if len(mat) != cols:
+            bad.append(f"matrix at {q} axis {i} has the wrong shape: {len(mat)} columns, "
+                       f"expected {cols}")
+        elif any(not 0 <= r < rows for col in mat for r in col):
+            bad.append(f"matrix at {q} axis {i} has the wrong shape: a row outside "
+                       f"0..{rows - 1}")
     if bad:
         return bad
     f = mc.field
-    sign = 1 if mc.flavor == COMMUTATIVE else -1
     for q in mc.points():
         for i in range(mc.n):
             qi = add_e(q, i)
             if mc.entry_dim(qi) and mc.entry_dim(add_e(qi, i)):
-                if np.any(mul(f, mc.diff(qi, i), mc.diff(q, i))):
-                    raise_point = f"square of axis-{i} differential nonzero at {q}"
-                    bad.append(raise_point)
+                if any(mul(f, mc.diff(qi, i), mc.diff(q, i))):
+                    bad.append(f"square of axis-{i} differential nonzero at {q}")
             for j in range(i + 1, mc.n):
                 target = add_e(qi, j)
                 if mc.entry_dim(target) == 0 or mc.entry_dim(q) == 0:
                     continue
                 one = mul(f, mc.diff(qi, j), mc.diff(q, i))
                 two = mul(f, mc.diff(add_e(q, j), i), mc.diff(q, j))
-                if np.any(f.normalize(one - sign * two)):
+                if one != (two if mc.flavor == COMMUTATIVE else neg(f, two)):
                     bad.append(f"axes {i},{j} fail the {mc.flavor} relation at {q}")
     return bad
 
@@ -198,7 +203,7 @@ def sign_twist(mc: Multicomplex) -> Multicomplex:
     new = {}
     for (q, i), mat in mc.diffs.items():
         s = sum(q[:i]) % 2
-        new[(q, i)] = mc.field.normalize(-mat) if s else mat
+        new[(q, i)] = neg(mc.field, mat) if s else mat
     flavor = ANTICOMMUTATIVE if mc.flavor == COMMUTATIVE else COMMUTATIVE
     return Multicomplex(mc.field, mc.n, mc.box, dict(mc.dims), new, flavor, mc.point_blocks)
 
@@ -218,26 +223,28 @@ def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
         by_degree.setdefault(sum(q), []).append(q)
     blocks = {m: tuple((q, mc.entry_dim(q)) for q in sorted(pts)) for m, pts in by_degree.items()}
     dims = {m: sum(d for _, d in blk) for m, blk in blocks.items()}
-    spans = {m: block_slices(blk) for m, blk in blocks.items()}
+    starts = {m: {key: sl.start for key, sl in block_slices(blk).items()}
+              for m, blk in blocks.items()}
     d = {}
     f = mc.field
     for m, blk in blocks.items():
         if m + 1 not in dims:
             continue
-        mat = f.zeros(dims[m + 1], dims[m])
-        wrote = False
-        for q, _ in blk:
+        columns: Columns = []
+        for q, dq in blk:
+            cols: Columns = [{} for _ in range(dq)]
             for i in range(mc.n):
                 tq = add_e(q, i)
                 if mc.entry_dim(tq) == 0 or (q, i) not in mc.diffs:
                     continue
                 block = mc.diffs[(q, i)]
                 if mc.flavor == COMMUTATIVE and sum(q[:i]) % 2:
-                    block = f.normalize(-block)
-                mat[spans[m + 1][tq], spans[m][q]] = block
-                wrote = True
-        if wrote:
-            d[m] = mat
+                    block = neg(f, block)
+                r0 = starts[m + 1][tq]
+                for col, bcol in zip(cols, block):
+                    col.update((r0 + r, v) for r, v in bcol.items())
+            columns.extend(cols)
+        d[m] = columns
     out = CochainComplex(f, dims, d, blocks)
     if check:
         out.check_complex()
@@ -342,12 +349,11 @@ def line_complex(mc: Multicomplex, axis: int, base: Point) -> CochainComplex:
     return CochainComplex(mc.field, dims, d)
 
 
-def composite_along(mc: Multicomplex, axes: tuple[int, ...]) -> np.ndarray:
+def composite_along(mc: Multicomplex, axes: tuple[int, ...]) -> Columns:
     """Composite differential from the origin entry along the given axes, in
-    the listed order.  Zero entries along the path give a zero matrix of the
-    right shape."""
+    the listed order.  Zero entries along the path give zero columns."""
     pt = (0,) * mc.n
-    mat = mc.field.eye(mc.entry_dim(pt))
+    mat = identity(mc.entry_dim(pt))
     for i in axes:
         mat = mul(mc.field, mc.diff(pt, i), mat)
         pt = add_e(pt, i)
@@ -379,7 +385,7 @@ def augment_interior(mc: Multicomplex, axes: tuple[int, ...],
     d = dict(tot.d)
     if tot.dim(p):
         d[p - 1] = comp
-        if tot.dim(p + 1) and np.any(mul(mc.field, tot.matrix(p), comp)):
+        if tot.dim(p + 1) and any(mul(mc.field, tot.matrix(p), comp)):
             raise InternalCheckError("augmentation composite does not land in the kernel")
     blocks = dict(tot.blocks or {})
     blocks[p - 1] = (("aug", c0),)
@@ -414,15 +420,16 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
             tq = add_e(q, i)
             if tq not in dims:
                 continue
-            di = factors[i].matrix(q[i])
+            di, rows = factors[i].matrix(q[i]), factors[i].dim(q[i] + 1)
             pre = 1
             for cx, v in zip(factors[:i], q[:i]):
                 pre *= cx.dim(v)
             post = 1
             for cx, v in zip(factors[i + 1 :], q[i + 1 :]):
                 post *= cx.dim(v)
-            mat = np.kron(np.kron(np.eye(pre, dtype=int), di), np.eye(post, dtype=int))
-            diffs[(q, i)] = f.normalize(np.array(mat, dtype=f.dtype))
+            # I_pre (x) d_i (x) I_post: coordinate (a, j, c) is (a * dim + j) * post + c
+            diffs[(q, i)] = [{(a * rows + r) * post + c: v for r, v in col.items()}
+                             for a in range(pre) for col in di for c in range(post)]
     return Multicomplex(f, n, (lo, hi), dims, diffs, COMMUTATIVE)
 
 
@@ -437,21 +444,27 @@ def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
     for p in range(n):
         if not dims.get(p) or not dims.get(p + 1):
             continue
-        mat = field.zeros(dims[p + 1], dims[p])
         index = {s: k for k, s in enumerate(subsets[p + 1])}
-        for col, s in enumerate(subsets[p]):
-            inside = set(s)
-            for j in range(n):
-                if j in inside:
-                    continue
-                t = tuple(sorted(inside | {j}))
-                sign = -1 if sum(1 for i in s if i < j) % 2 else 1
-                r0 = index[t] * coeff_dim
-                c0 = col * coeff_dim
-                for k in range(coeff_dim):
-                    mat[r0 + k, c0 + k] = sign
-        d[p] = field.normalize(mat)
+        columns: Columns = []
+        for s in subsets[p]:
+            signs = _wedge_signs(field, s, n, index)
+            columns.extend({r * coeff_dim + k: v for r, v in signs.items()}
+                           for k in range(coeff_dim))
+        d[p] = columns
     return CochainComplex(field, dims, d)
+
+
+def _wedge_signs(field: Field, s: tuple[int, ...], n: int, index: dict) -> dict[int, object]:
+    """The Koszul map on the wedge slot ``s``: ``{index[t]: sign}`` over the
+    slots t = s + {j} that ``index`` holds, with sign (-1)^#{i in s : i < j}."""
+    out = {}
+    for j in range(n):
+        if j in s:
+            continue
+        t = tuple(sorted((*s, j)))
+        if t in index:
+            out[index[t]] = field.normalize(-1 if sum(1 for i in s if i < j) % 2 else 1)
+    return out
 
 
 class KoszulSplit:
@@ -500,53 +513,36 @@ def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
             point = (p,) + q
             dims[point] = dq * len(allowed)
             pblocks[point] = tuple((I, dq) for I in allowed)
-    diffs: dict[tuple[Point, int], np.ndarray] = {}
-    for point, total in dims.items():
+    diffs: dict[tuple[Point, int], Columns] = {}
+    for point in dims:
         p, q = point[0], point[1:]
         dq = mc.entry_dim(q)
         allowed = [I for I, _ in pblocks[point]]
-        offs = {I: k * dq for k, I in enumerate(allowed)}
         # wedge axis
         target = (p + 1,) + q
         if target in dims:
-            t_allowed = [I for I, _ in pblocks[target]]
-            t_offs = {I: k * dq for k, I in enumerate(t_allowed)}
-            mat = f.zeros(dims[target], total)
-            wrote = False
+            t_index = {I: k for k, (I, _) in enumerate(pblocks[target])}
+            columns: Columns = []
             for I in allowed:
-                inside = set(I)
-                for j in range(n):
-                    if j in inside:
-                        continue
-                    t = tuple(sorted(inside | {j}))
-                    if t not in t_offs:
-                        continue
-                    sign = -1 if sum(1 for i in I if i < j) % 2 else 1
-                    r0, c0 = t_offs[t], offs[I]
-                    for k in range(dq):
-                        mat[r0 + k, c0 + k] = sign
-                    wrote = True
-            if wrote:
-                diffs[(point, 0)] = f.normalize(mat)
+                signs = _wedge_signs(f, I, n, t_index)
+                columns.extend({r * dq + k: v for r, v in signs.items()} for k in range(dq))
+            diffs[(point, 0)] = columns
         # multicomplex axes
         for i in range(n):
             tq = add_e(q, i)
             tpoint = (p,) + tq
             if tpoint not in dims or (q, i) not in mc.diffs:
                 continue
-            t_allowed = [I for I, _ in pblocks[tpoint]]
-            t_offs = {I: k * mc.entry_dim(tq) for k, I in enumerate(t_allowed)}
+            t_offs = {I: k * mc.entry_dim(tq) for k, (I, _) in enumerate(pblocks[tpoint])}
             block = mc.diffs[(q, i)]
-            mat = f.zeros(dims[tpoint], total)
-            wrote = False
+            columns = []
             for I in allowed:
-                if I not in t_offs:
-                    continue
-                r0, c0 = t_offs[I], offs[I]
-                mat[r0 : r0 + block.shape[0], c0 : c0 + dq] = block
-                wrote = True
-            if wrote:
-                diffs[(point, i + 1)] = mat
+                if I in t_offs:
+                    r0 = t_offs[I]
+                    columns.extend({r0 + r: v for r, v in col.items()} for col in block)
+                else:
+                    columns.extend({} for _ in range(dq))
+            diffs[(point, i + 1)] = columns
     lo = (0,) + mc.box[0]
     hi = (n,) + mc.box[1]
     return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, pblocks)
@@ -566,7 +562,7 @@ def cube_extension(mc: Multicomplex) -> Multicomplex:
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
     dims: dict[Point, int] = {(0,) + q: d for q, d in mc.dims.items()}
-    diffs: dict[tuple[Point, int], np.ndarray] = {
+    diffs: dict[tuple[Point, int], Columns] = {
         ((0,) + q, i + 1): m for (q, i), m in mc.diffs.items()
     }
     if c0:
@@ -575,11 +571,11 @@ def cube_extension(mc: Multicomplex) -> Multicomplex:
         for q in itertools.product((0, 1), repeat=n):
             support = tuple(i for i, x in enumerate(q) if x)
             psi = composite_along(mc, support)
-            if (0,) + q in dims and np.any(psi):
+            if (0,) + q in dims and any(psi):
                 diffs[((-1,) + q, 0)] = psi
             for i in range(n):
                 if q[i] == 0:
-                    diffs[((-1,) + q, i + 1)] = f.eye(c0)
+                    diffs[((-1,) + q, i + 1)] = identity(c0)
     lo = (-1,) + mc.box[0]
     hi = (0,) + tuple(max(b, 1) if c0 else b for b in mc.box[1])
     return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE)

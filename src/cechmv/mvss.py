@@ -40,7 +40,7 @@ from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
 from .errors import InputError
 from .grading import Exps
 from .jsonout import PerDegree
-from .linalg import mul, pivot_pairs
+from .linalg import Columns, mul, pivot_pairs, submatrix
 from .multicomplex import CochainComplex, cohomology_map
 from .spectral import FilteredComplex, LatticeSequences, Page
 
@@ -274,23 +274,23 @@ def degree_records(results: list[tuple[list[Exps], dict]]) -> dict:
     return {"degrees": degrees, "failures": failures, "pass": not failures.items}
 
 
-def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, np.ndarray]:
+def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, Columns]:
     """d_1 out of level p of a coordinate filtration, by total degree, in the
     bases of ``cohomology_reps``.  The first page at level p is the cohomology
     of the level-p diagonal block of d, and d_1 is induced by the block one
     level up, which anticommutes with the diagonal blocks."""
     tot = fc.total
 
-    def level(lv: int, shift: int) -> tuple[CochainComplex, dict[int, np.ndarray]]:
-        masks = {m: fc.levels[m] == lv for m in tot.dims}
-        dims = {m - shift: int(np.count_nonzero(mk)) for m, mk in masks.items()}
-        d = {m - shift: tot.matrix(m)[masks[m + 1]][:, mk]
-             for m, mk in masks.items() if m + 1 in masks}
-        return CochainComplex(tot.field, dims, d), masks
+    def level(lv: int, shift: int) -> tuple[CochainComplex, dict[int, list[int]]]:
+        index = {m: np.flatnonzero(fc.levels[m] == lv).tolist() for m in tot.dims}
+        dims = {m - shift: len(ix) for m, ix in index.items()}
+        d = {m - shift: submatrix(tot.matrix(m), index[m + 1], ix)
+             for m, ix in index.items() if m + 1 in index}
+        return CochainComplex(tot.field, dims, d), index
 
     src, here = level(p, 0)
     tgt, up = level(p + 1, 1)
-    chain = {m: tot.matrix(m)[up[m + 1]][:, mk] for m, mk in here.items() if m + 1 in up}
+    chain = {m: submatrix(tot.matrix(m), up[m + 1], ix) for m, ix in here.items() if m + 1 in up}
     return cohomology_map(src, tgt, chain, check=False)
 
 
@@ -345,9 +345,9 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
         # quotient has dimension cols(psi') - rank psi' - rank phi'
         psi_p, phi_p = d1(1, m - 1), d1(0, m - 1)
         if psi_p is not None:
-            phi_p = f.zeros(psi_p.shape[1], 0) if phi_p is None else phi_p
-            if np.any(mul(f, psi_p, phi_p)) or mid != (
-                    psi_p.shape[1] - len(pivot_pairs(f, psi_p)) - len(pivot_pairs(f, phi_p))):
+            phi_p = [] if phi_p is None else phi_p
+            if any(mul(f, psi_p, phi_p)) or mid != (
+                    len(psi_p) - len(pivot_pairs(f, psi_p)) - len(pivot_pairs(f, phi_p))):
                 row_ok = False
         rows.append(
             {

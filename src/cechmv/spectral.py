@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .linalg import Subspace, from_columns, mul, pivot_pairs, to_columns
+from .linalg import Subspace, mul, pivot_pairs, submatrix
 from .multicomplex import (
     COMMUTATIVE,
     CochainComplex,
@@ -89,12 +89,11 @@ class FilteredComplex:
     def validate(self) -> None:
         """Check that d lowers no level, so every F^p is a subcomplex."""
         for m in sorted(self.total.d):
-            rows, cols = np.nonzero(self.total.d[m])
-            src, tgt = self.levels[m][cols], self.levels[m + 1][rows]
-            low = tgt < src
-            if np.any(low):
-                p = int(tgt[low].min()) + 1
-                raise ContractError(f"filtration not stable under d at level {p}, degree {m}")
+            src, tgt = self.levels[m].tolist(), self.levels[m + 1].tolist()
+            low = [tgt[i] for j, col in enumerate(self.total.d[m]) for i in col if tgt[i] < src[j]]
+            if low:
+                raise ContractError(f"filtration not stable under d at level {min(low) + 1}, "
+                                    f"degree {m}")
 
     @property
     def width(self) -> int:
@@ -198,8 +197,8 @@ class SpectralSequence:
         level-s coordinate of degree m to a level-t coordinate of degree m+1."""
         if m not in self._mu:
             cols, rows = (self.fc.levels.get(k, _NO_LEVELS) for k in (m, m + 1))
-            ci, ri = np.argsort(-cols, kind="stable"), np.argsort(-rows, kind="stable")
-            pairs = pivot_pairs(self.field, self.fc.total.matrix(m)[ri][:, ci])
+            ci, ri = (np.argsort(-lv, kind="stable").tolist() for lv in (cols, rows))
+            pairs = pivot_pairs(self.field, submatrix(self.fc.total.matrix(m), ri, ci))
             self._mu[m] = Counter((int(cols[ci[j]]), int(rows[ri[i]])) for i, j in pairs)
         return self._mu[m]
 
@@ -379,19 +378,18 @@ def _cell_spaces(fc: FilteredComplex, r: int, p: int, q: int) -> tuple[Subspace,
     f, tot = fc.total.field, fc.total
 
     def z_space(p: int, t: int, m: int) -> Subspace:
-        cols = fc.at_least(p, m)
-        ker = Subspace.kernel(f, tot.matrix(m)[~fc.at_least(t, m + 1)][:, cols])
+        cols = np.flatnonzero(fc.at_least(p, m)).tolist()
+        rows = np.flatnonzero(~fc.at_least(t, m + 1)).tolist()
+        ker = Subspace.kernel(f, submatrix(tot.matrix(m), rows, cols))
         # the columns of F^p(m) ascend, so relabelling keeps the lowest rows distinct
-        index = np.flatnonzero(cols).tolist()
-        return Subspace.span(f, cols.size, ({index[i]: v for i, v in c.items()}
-                                            for c in ker.columns))
+        return Subspace.span(f, tot.dim(m), ({cols[i]: v for i, v in c.items()}
+                                             for c in ker.columns))
 
     m = p + q
     z, b = z_space(p, p + r, m), z_space(p + 1, p + r, m)
     pre = z_space(p - r + 1, p, m - 1)
     if pre.dim and tot.dim(m):
-        d_pre = mul(f, tot.matrix(m - 1), from_columns(f, pre.columns, pre.ambient))
-        b = Subspace.span(f, z.ambient, b.columns + to_columns(f, d_pre))
+        b = Subspace.span(f, z.ambient, b.columns + mul(f, tot.matrix(m - 1), pre.columns))
     return z, b
 
 
@@ -433,12 +431,14 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     if src is None:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
-    reps = from_columns(f, reps, tot.dim(n - 1)).T  # rows: the source representatives
-    origin, a_mat = reps[:, src], f.zeros(c0, c0)
+    ident = [{} for _ in range(tot.dim(n - 1))]
     for subset, sl in block_slices(seqs.split.face_part.point_blocks[top_point]).items():
         missing = next(i for i in range(n) if i not in subset)
-        a_mat = f.normalize(a_mat + (-1 if missing % 2 else 1) * origin[:, sl])
-    if len(pivot_pairs(f, a_mat)) != c0:
+        sign = f.normalize(-1 if missing % 2 else 1)
+        for k in range(sl.stop - sl.start):
+            ident[src.start + sl.start + k] = {k: sign}
+    origin = mul(f, ident, reps)  # the origin element of each source representative
+    if len(pivot_pairs(f, origin)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
         return bad
 
@@ -455,11 +455,13 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
                       ({i - tgt.start: v for i, v in col.items()} for col in bsp.columns))
 
     # realize the map on the nose: class of d(rep_k) sliced to the interior block
-    images = mul(f, tot.matrix(n - 1), reps.T)[tgt]
-    expected = mul(f, psi, a_mat.T)  # columns: psi of the identified origin element
+    images = submatrix(mul(f, tot.matrix(n - 1), reps), range(tgt.start, tgt.stop),
+                       range(len(reps)))
+    expected = mul(f, psi, origin)  # psi of the identified origin element
     for sign in (1, -1):
-        diff = f.normalize(images - sign * expected)
-        if all(w.coordinates(col) is not None for col in to_columns(f, diff)):
+        # column k of images + expected, times e_k - sign e_{c0+k}: their difference
+        diff = mul(f, images + expected, [{k: 1, c0 + k: f.normalize(-sign)} for k in range(c0)])
+        if all(w.coordinates(col) is not None for col in diff):
             return bad
     bad.append("page-n edge map differs from the composite differential by more than a sign")
     return bad

@@ -1,5 +1,7 @@
-"""Shared generators for randomized structural tests, and the degree classes
-of a problem as the CLI's class steps see them.
+"""Shared generators for randomized structural tests, the degree classes
+of a problem as the CLI's class steps see them, and the two converters
+between dense numpy matrices and the package's sparse ``{row: value}``
+column lists.
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -15,6 +17,22 @@ from cechmv import (CochainComplex, MvssRun, PrimeField, VARIANTS, degree_classe
 from cechmv.cli import DegreeClass
 
 F = PrimeField(65537)
+
+
+def columns(f, a) -> list[dict]:
+    """The dense matrix ``a`` (array or nested lists) as a column list of
+    normalized nonzero entries."""
+    a = f.normalize(np.asarray(a).astype(f.dtype))
+    return [{i: v for i, v in enumerate(col) if v} for col in a.T.tolist()]
+
+
+def dense(f, cols: list[dict], rows: int) -> np.ndarray:
+    """The ``rows`` x len(cols) numpy matrix of the column list ``cols``."""
+    a = f.zeros(rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            a[i, j] = v
+    return a
 
 
 def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
@@ -36,7 +54,7 @@ def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
             comp = d[t + 1] @ d[t]
             if np.any(f.normalize(comp)):
                 d[t + 1] = f.zeros(*d[t + 1].shape)
-    return CochainComplex(f, dims, d)
+    return CochainComplex(f, dims, {t: columns(f, a) for t, a in d.items()})
 
 
 def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, twist=True):

@@ -25,8 +25,10 @@ Every subspace here comes from the dense Gauss-Jordan elimination ``rref``
 (``kernel``, ``solve``, ``image``, ``kernel_space`` and ``Subspace``, held by
 its canonical reduced-row-echelon basis), while the package's bases come from
 its sparse column reduction (``cechmv.linalg.Subspace``), so the two routes
-share no elimination code on the lattice side.  Nothing under ``src/``
-imports this module.
+share no elimination code on the lattice side.  The reference reads the
+package's sparse column lists densely (``matrix``) and multiplies with its
+own dense product ``mul``, so it shares no arithmetic with the package's
+``cechmv.linalg.mul`` either.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -37,14 +39,36 @@ import numpy as np
 
 from cechmv import (AbutmentFiltration, ContractError, FilteredComplex, InternalCheckError,
                     SpectralSequence)
-from cechmv.linalg import Field, mul, rank, rref, same_field
+from cechmv.linalg import Field, rank, rref, same_field
+from conftest import dense
+
+
+def eye(field: Field, n: int) -> np.ndarray:
+    a = field.zeros(n, n)
+    for i in range(n):
+        a[i, i] = 1
+    return a
+
+
+def mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dense product ``a`` x ``b``."""
+    if a.shape[1] != b.shape[0]:
+        raise ContractError(f"matmul shape mismatch {a.shape} x {b.shape}")
+    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+        return field.zeros(a.shape[0], b.shape[1])
+    return field.normalize(a @ b)
+
+
+def matrix(cx, m: int) -> np.ndarray:
+    """The differential of the complex ``cx`` out of degree m, dense."""
+    return dense(cx.field, cx.matrix(m), cx.dim(m + 1))
 
 
 def kernel(field: Field, a: np.ndarray) -> np.ndarray:
     """Basis (rows) of the right kernel {x : a x = 0}."""
     cols = a.shape[1]
     if a.shape[0] == 0:
-        return field.eye(cols)
+        return eye(field, cols)
     R, piv = rref(field, a)
     pivset = set(piv)
     free = [c for c in range(cols) if c not in pivset]
@@ -168,7 +192,7 @@ def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
     rows = fc.levels.get(m + 1, np.zeros(0, dtype=int))
     ranks: dict[tuple[int, int], int] = {}  # absent ones are 0
     if cols.size and rows.size:
-        d = fc.total.matrix(m)
+        d = matrix(fc.total, m)
         for b in range(lo, hi + 1):
             block = d[rows <= b]
             for a in range(lo, b + 1):
@@ -200,7 +224,7 @@ def reference_abutment(fc: FilteredComplex) -> tuple[AbutmentFiltration, dict]:
     level_dims: dict[tuple[int, int], int] = {}
     image_levels: dict[tuple[int, int], int] = {}
     for m in tot.dims:
-        ker, im = kernel_space(f, tot.matrix(m)), image(f, tot.matrix(m - 1))
+        ker, im = kernel_space(f, matrix(tot, m)), image(f, matrix(tot, m - 1))
         h_dims[m] = ker.dim - im.dim
         for p in range(fc.p_min + 1, fc.p_max + 1):
             outside = ~fc.at_least(p, m)
@@ -247,12 +271,12 @@ class ReferenceSpectralSequence:
             cols = self.fc.at_least(p, m)
             rows = ~self.fc.at_least(t, m + 1)  # coordinates outside F^t(m+1)
             if np.any(cols) and np.any(rows):
-                coeffs = kernel(f, self.fc.total.matrix(m)[rows][:, cols])
+                coeffs = kernel(f, matrix(self.fc.total, m)[rows][:, cols])
                 basis = f.zeros(coeffs.shape[0], cols.size)
                 basis[:, cols] = coeffs
                 self._z[key] = Subspace.from_rows(f, cols.size, basis)
             else:
-                self._z[key] = Subspace(f, cols.size, f.eye(cols.size)[cols])
+                self._z[key] = Subspace(f, cols.size, eye(f, cols.size)[cols])
         return self._z[key]
 
     def cell_spaces(self, r: int, p: int, m: int) -> tuple[Subspace, Subspace]:
@@ -260,7 +284,7 @@ class ReferenceSpectralSequence:
         b_high = self.z_space(p + 1, p + r, m)
         pre = self.z_space(p - r + 1, p, m - 1)
         if pre.dim and self.fc.total.dim(m):
-            d_pre = mul(self.field, self.fc.total.matrix(m - 1), pre.basis.T).T
+            d_pre = mul(self.field, matrix(self.fc.total, m - 1), pre.basis.T).T
             b = Subspace.from_rows(
                 self.field, z.ambient, np.concatenate([b_high.basis, d_pre], axis=0)
             )
@@ -291,7 +315,7 @@ class ReferenceSpectralSequence:
         if src.shape[0] == 0:
             return self.field.zeros(tdim, 0)
         m = p + q
-        images = mul(self.field, self.fc.total.matrix(m), src.T).T
+        images = mul(self.field, matrix(self.fc.total, m), src.T).T
         _, b = self.cell_spaces(r, tp, m + 1)
         if tdim == 0:
             for row in images:

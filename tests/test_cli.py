@@ -74,6 +74,11 @@ WALL_DIGESTS = {
         "cohomology.csv": "21a119ffa7cfce413ed9fbf3f3a41d2a8715ab4368e7b7e7df08798adc08fb6d",
         "report.json": "3a51c06fe7e1eb62fa36df864d2b2a42c11ca6ab6307961d4df940fd7443f95b",
     },
+    "fifteen_generators_face": {
+        "pages_1a.json": "4d5764b62391a7a884b3e6e5b1804453b49da0fb9a6d5e5c616fc82b2c9b12b6",
+        "pages_1b.json": "6543b68fbddc3b0be40dcb9cbae585c5f9fa40bb4c2e58246599aca1c84f6d95",
+        "report.json": "98e3eb25c9f9ecbdabfa46004648d5cf97c73d02a09e825125a9147709af8f1d",
+    },
 }
 
 BASE_JOB = {

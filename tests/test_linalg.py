@@ -1,7 +1,9 @@
-"""Exact linear algebra: echelon forms, persistence pairs, the sparse echelon
-subspaces of the package against the dense reference, and the dense
-reference's kernels, solving and subspace calculus."""
+"""Exact linear algebra: echelon forms, the column-list product and
+submatrices, persistence pairs, the sparse echelon subspaces of the package
+against the dense reference, and the dense reference's kernels, solving and
+subspace calculus."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +25,11 @@ from cechmv import (
     rref,
 )
 from cechmv import linalg
-from cechmv.linalg import pivot_pairs
-from conftest import rand_complex
-# the dense reference: kernels, solutions and subspaces from rref
-from reference_spectral import Subspace, image, kernel, kernel_space, solve
+from cechmv.linalg import pivot_pairs, submatrix
+from conftest import columns, dense, rand_complex
+# the dense reference: its own product, kernels, solutions and subspaces from rref
+from reference_spectral import Subspace, eye, image, kernel, kernel_space, matrix, solve
+from reference_spectral import mul as dense_mul
 
 F = PrimeField(65537)
 Q = RationalField()
@@ -34,9 +37,10 @@ Q = RationalField()
 FIELDS = (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q)
 
 
-def _field_matrix(f, data, den=1):
-    """``data``, integer rows, over ``f``; each entry divided by ``den`` over Q."""
-    rows, cols = len(data), len(data[0]) if data else 0
+def _field_matrix(f, data, den=1, cols=None):
+    """``data``, integer rows, over ``f``; each entry divided by ``den`` over Q.
+    ``cols`` gives the width when ``data`` has no rows."""
+    rows, cols = len(data), (len(data[0]) if data else 0) if cols is None else cols
     a = f.zeros(rows, cols)
     for i, row in enumerate(data):
         for j, x in enumerate(row):
@@ -144,8 +148,9 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
     rows, cols = len(data), len(data[0]) if data else 0
     for f in FIELDS:
         a = _field_matrix(f, data, den)
-        before = a.copy()
-        pairs = pivot_pairs(f, a)
+        cols_a = columns(f, a)
+        before = copy.deepcopy(cols_a)
+        pairs = pivot_pairs(f, cols_a)
         assert sorted(j for _, j in pairs) == rref(f, a)[1], (f.describe(), data)
         assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) <= k
         for r in range(rows + 1):
@@ -155,7 +160,50 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
             for c in range(cols + 1):
                 inside = sum(1 for i, j in pairs if i >= rows - r and j < c)
                 assert inside == sum(1 for j in pivots if j < c), (f.describe(), data, r, c)
-        assert np.array_equal(a, before)
+        assert cols_a == before
+
+
+@st.composite
+def product_pair(draw):
+    """Integer matrices a (r x k) and b (k x c) with entries in -3..3 and
+    some columns of b zeroed; any of r, k and c may be 0, so zero-row
+    targets and empty inner dimensions occur."""
+    r, k, c = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    ints = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(ints, min_size=c, max_size=c), min_size=k, max_size=k))
+    zero = draw(st.sets(st.integers(0, max(c - 1, 0))))
+    return (k, c), a, [[0 if j in zero else x for j, x in enumerate(row)] for row in b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pair(), st.integers(1, 3))
+def test_mul_equals_the_dense_product(drawn, den):
+    """Over F_2, F_3, F_65537, F_{2^31-1} and Q, the product of two column
+    lists is the column list of the dense product, with one column per
+    column of the right factor, zero columns and zero-row targets
+    included."""
+    (k, c), a, b = drawn
+    for f in FIELDS:
+        da, db = _field_matrix(f, a, den, cols=k), _field_matrix(f, b, den, cols=c)
+        got = mul(f, columns(f, da), columns(f, db))
+        assert len(got) == c
+        assert got == columns(f, dense_mul(f, da, db)), (f.describe(), a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(low_rank_matrix(), sparse_matrix()), st.data())
+def test_submatrix_equals_numpy_fancy_indexing(drawn, data):
+    """``submatrix`` selects and relabels as numpy fancy indexing does, for
+    permutations of the rows and columns and for boolean masks of them."""
+    a = _field_matrix(F, drawn[0])
+    rows, cols = a.shape
+    ri, ci = (data.draw(st.permutations(range(n))) for n in (rows, cols))
+    assert submatrix(columns(F, a), ri, ci) == columns(F, a[ri][:, ci])
+    rmask, cmask = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                             dtype=bool) for n in (rows, cols))
+    got = submatrix(columns(F, a), np.flatnonzero(rmask).tolist(), np.flatnonzero(cmask).tolist())
+    assert got == columns(F, a[rmask][:, cmask])
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,13 +222,13 @@ def test_kernel_annihilates_and_has_full_nullity(data):
         k = kernel(f, a)
         assert k.shape[0] == a.shape[1] - rank(f, a)
         if k.shape[0]:
-            assert not np.any(mul(f, a, k.T))
+            assert not np.any(dense_mul(f, a, k.T))
         assert rank(f, k) == k.shape[0]
 
 
 def test_kernel_of_empty_map_is_identity():
     a = F.zeros(0, 4)
-    assert np.array_equal(kernel(F, a), F.eye(4))
+    assert np.array_equal(kernel(F, a), eye(F, 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,9 +236,9 @@ def test_kernel_of_empty_map_is_identity():
 def test_solve_recovers_images(data):
     a = F.array(data)
     x0 = F.array(np.arange(a.shape[1]).reshape(-1, 1).tolist())
-    b = mul(F, a, x0)
+    b = dense_mul(F, a, x0)
     x = solve(F, a, b)
-    assert np.array_equal(mul(F, a, x), b)
+    assert np.array_equal(dense_mul(F, a, x), b)
 
 
 def test_solve_detects_inconsistency():
@@ -218,7 +266,7 @@ def test_rational_fractions_supported():
     assert rank(Q, a) == 1
     k = kernel(Q, a)
     assert k.shape[0] == 1
-    assert not np.any(mul(Q, a, k.T))
+    assert not np.any(dense_mul(Q, a, k.T))
 
 
 def test_subspace_canonical_basis_and_equality():
@@ -232,7 +280,7 @@ def test_subspace_canonical_basis_and_equality():
 
 
 def test_quotient_reps_complete_a_subspace():
-    whole = Subspace.from_rows(F, 3, F.eye(3))
+    whole = Subspace.from_rows(F, 3, eye(F, 3))
     sub = Subspace.from_rows(F, 3, F.array([[1, 0, 0]]))
     reps = whole.quotient_reps(sub)
     assert reps.shape == (2, 3)
@@ -251,8 +299,8 @@ def test_image_preimage_kernel_space():
 
 
 def test_field_mismatch_is_reported():
-    s = Subspace.from_rows(F, 2, F.eye(2))
-    t = Subspace.from_rows(Q, 2, Q.eye(2))
+    s = Subspace.from_rows(F, 2, eye(F, 2))
+    t = Subspace.from_rows(Q, 2, eye(Q, 2))
     with pytest.raises(FieldMismatchError):
         s.contains(t)
 
@@ -268,13 +316,11 @@ def test_determinism_identical_bytes():
     assert np.array_equal(s1.basis, s2.basis)
 
 
-def _assert_same_space(f, sparse, dense):
+def _assert_same_space(f, sparse, ref):
     """Equal dimensions, and each side holds the other's basis."""
-    assert sparse.ambient == dense.ambient and sparse.dim == dense.dim
-    assert all(dense.contains_vector(v)
-               for v in linalg.from_columns(f, sparse.columns, sparse.ambient).T)
-    assert all(sparse.coordinates(v) is not None
-               for v in linalg.to_columns(f, dense.basis.T))
+    assert sparse.ambient == ref.ambient and sparse.dim == ref.dim
+    assert all(ref.contains_vector(v) for v in dense(f, sparse.columns, sparse.ambient).T)
+    assert all(sparse.coordinates(v) is not None for v in columns(f, ref.basis.T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,25 +333,25 @@ def test_sparse_subspace_matches_the_dense_reference(drawn, den, data):
     picks = data.draw(st.lists(st.integers(0, 1 << 30), min_size=2, max_size=2))
     for f in FIELDS:
         a = _field_matrix(f, drawn[0], den)
-        ker = linalg.Subspace.kernel(f, a)
+        ker = linalg.Subspace.kernel(f, columns(f, a))
         _assert_same_space(f, ker, kernel_space(f, a))
-        _assert_same_space(f, linalg.Subspace.image(f, a), image(f, a))
-        _assert_same_space(f, linalg.Subspace.span(f, a.shape[1], linalg.to_columns(f, a.T)),
+        _assert_same_space(f, linalg.Subspace.span(f, a.shape[0], columns(f, a)), image(f, a))
+        _assert_same_space(f, linalg.Subspace.span(f, a.shape[1], columns(f, a.T)),
                            Subspace.from_rows(f, a.shape[1], a))
         assert len(ker.pivots) == ker.dim  # one column per lowest row
         n = ker.ambient
         # inside: a combination of the basis gives back its coefficients
         coeffs = [f.normalize((picks[k % 2] >> k) % 5) for k in range(ker.dim)]
-        basis = linalg.from_columns(f, ker.columns, n)
+        basis = dense(f, ker.columns, n)
         v = f.normalize(basis @ f.array([coeffs]).T) if ker.dim else f.zeros(n, 1)
-        assert ker.coordinates(linalg.to_columns(f, v)[0]) == coeffs
+        assert ker.coordinates(columns(f, v)[0]) == coeffs
         # outside: a unit vector at a row that is not a lowest row
         free = [i for i in range(n) if i not in ker.pivots]
         if free:
             assert ker.coordinates({free[picks[0] % len(free)]: 1}) is None
         # a subspace from sums of consecutive basis columns, completed by
         # the quotient representatives to the whole kernel
-        sums = [linalg.to_columns(f, f.normalize(basis[:, k:k + 1] + basis[:, k + 1:k + 2]))[0]
+        sums = [columns(f, f.normalize(basis[:, k:k + 1] + basis[:, k + 1:k + 2]))[0]
                 for k in range(ker.dim - 1)][: picks[1] % (ker.dim + 1)]
         sub = linalg.Subspace.span(f, n, sums)
         reps = ker.quotient_reps(sub)
@@ -321,9 +367,9 @@ def _direct_sum(f, x, y):
     for m in dims:
         if m + 1 in dims:
             blk = f.zeros(dims[m + 1], dims[m])
-            blk[: x.dim(m + 1), : x.dim(m)] = x.matrix(m)
-            blk[x.dim(m + 1):, x.dim(m):] = y.matrix(m)
-            d[m] = blk
+            blk[: x.dim(m + 1), : x.dim(m)] = matrix(x, m)
+            blk[x.dim(m + 1):, x.dim(m):] = matrix(y, m)
+            d[m] = columns(f, blk)
     return CochainComplex(f, dims, d)
 
 
@@ -351,17 +397,18 @@ def test_cohomology_reps_and_maps_match_the_dense_reference(seed):
         chain = {}
         for m in degrees:
             proj = f.zeros(tgt.dim(m), src.dim(m))
-            proj[: c.dim(m), : c.dim(m)] = f.eye(c.dim(m))
-            dh = mul(f, tgt.matrix(m - 1), homotopy[m])
-            hd = mul(f, homotopy.get(m + 1, f.zeros(tgt.dim(m), src.dim(m + 1))), src.matrix(m))
+            proj[: c.dim(m), : c.dim(m)] = eye(f, c.dim(m))
+            dh = dense_mul(f, matrix(tgt, m - 1), homotopy[m])
+            hd = dense_mul(f, homotopy.get(m + 1, f.zeros(tgt.dim(m), src.dim(m + 1))),
+                           matrix(src, m))
             chain[m] = f.normalize(proj + dh + hd)
-        out = cohomology_map(src, tgt, chain)
-        h_c = c.cohomology_dims()
+        out = cohomology_map(src, tgt, {m: columns(f, a) for m, a in chain.items()})
+        h_c, h_tgt = c.cohomology_dims(), tgt.cohomology_dims()
         for m in degrees:
-            got = rank(f, out[m]) if m in out else 0
-            cycles = kernel(f, src.matrix(m))
-            bounds = image(f, tgt.matrix(m - 1))
-            imgs = mul(f, chain[m], cycles.T).T
+            got = rank(f, dense(f, out[m], h_tgt.get(m, 0))) if m in out else 0
+            cycles = kernel(f, matrix(src, m))
+            bounds = image(f, matrix(tgt, m - 1))
+            imgs = dense_mul(f, chain[m], cycles.T).T
             want = Subspace.from_rows(f, tgt.dim(m), np.concatenate([imgs, bounds.basis])).dim \
                 - bounds.dim
             assert got == want == h_c.get(m, 0), (f.describe(), m, got, want)

@@ -28,14 +28,14 @@ from cechmv import (
     totalize,
     validate,
 )
-from conftest import rand_tensor_mc
+from conftest import columns, dense, rand_tensor_mc
 
 F = PrimeField(65537)
 
 
 def unit_square():
     """k at every vertex of the unit square, all maps the identity."""
-    seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     return tensor_product([seg, seg])
 
 
@@ -54,15 +54,16 @@ def test_validate_reports_structural_problems():
     bad_dims = dict(mc.dims)
     bad_dims[(0, 0)] = 0
     assert any("nonpositive" in s for s in validate(Multicomplex(F, 2, mc.box, bad_dims, mc.diffs, mc.flavor)))
-    bad_diffs = dict(mc.diffs)
-    bad_diffs[((0, 0), 0)] = F.zeros(3, 3)
-    assert any("shape" in s for s in validate(Multicomplex(F, 2, mc.box, mc.dims, bad_diffs, mc.flavor)))
+    for wrong in (F.zeros(3, 3), F.zeros(1, 2), F.array([[1], [1]])):
+        bad_diffs = dict(mc.diffs)
+        bad_diffs[((0, 0), 0)] = columns(F, wrong)  # 3 columns, 2 columns, a row out of range
+        assert any("shape" in s for s in validate(Multicomplex(F, 2, mc.box, mc.dims, bad_diffs, mc.flavor)))
 
 
 def test_validate_catches_sign_errors():
     mc = unit_square()
     flipped = dict(mc.diffs)
-    flipped[((0, 0), 0)] = F.normalize(-flipped[((0, 0), 0)])
+    flipped[((0, 0), 0)] = columns(F, -dense(F, flipped[((0, 0), 0)], 1))
     bad = validate(Multicomplex(F, 2, mc.box, mc.dims, flipped, COMMUTATIVE))
     assert any("commutative relation" in s for s in bad)
     # the same data declared anticommutative is consistent
@@ -71,7 +72,7 @@ def test_validate_catches_sign_errors():
 
 def test_validate_catches_nonzero_square():
     seg3 = CochainComplex(
-        F, {0: 1, 1: 1, 2: 1}, {0: F.array([[1]]), 1: F.array([[1]])}
+        F, {0: 1, 1: 1, 2: 1}, {0: columns(F, [[1]]), 1: columns(F, [[1]])}
     )
     mc = tensor_product([seg3])
     assert any("square of axis-0" in s for s in validate(mc))
@@ -86,16 +87,16 @@ def test_sign_twist_is_involutive_and_toggles_flavor(rng):
         back = sign_twist(tw)
         assert back.flavor == mc.flavor
         for key, mat in mc.diffs.items():
-            assert np.array_equal(back.diffs[key], mat)
+            assert back.diffs[key] == mat
 
 
 def test_totalize_unit_square_signs():
     tot = totalize(unit_square(), check=True)
     assert tot.dims == {0: 1, 1: 2, 2: 1}
     assert tot.blocks[1] == (((0, 1), 1), ((1, 0), 1))
-    assert tot.matrix(0).tolist() == [[1], [1]]
+    assert dense(F, tot.matrix(0), 2).tolist() == [[1], [1]]
     # the (1,0) -> (1,1) block along axis 1 picks up the sign
-    assert tot.matrix(1).tolist() == [[1, 65536]]
+    assert dense(F, tot.matrix(1), 1).tolist() == [[1, 65536]]
     assert tot.cohomology_dims() == {}
 
 
@@ -110,7 +111,7 @@ def test_totalize_invariant_under_sign_twist(rng):
 def test_totalize_check_flags_corruption():
     mc = unit_square()
     bad = dict(mc.diffs)
-    bad[((0, 0), 0)] = F.array([[2]])
+    bad[((0, 0), 0)] = columns(F, [[2]])
     broken = Multicomplex(F, 2, mc.box, mc.dims, bad, COMMUTATIVE)
     with pytest.raises(InternalCheckError, match="d o d != 0"):
         totalize(broken, check=True)
@@ -169,15 +170,15 @@ def test_line_complex():
     mc = unit_square()
     col = line_complex(mc, 1, (1, 0))
     assert col.dims == {0: 1, 1: 1}
-    assert col.matrix(0).tolist() == [[1]]
+    assert dense(F, col.matrix(0), 1).tolist() == [[1]]
     col.check_complex()
 
 
 def test_composite_along():
     mc = unit_square()
-    assert composite_along(mc, (0, 1)).tolist() == [[1]]
-    assert composite_along(mc, (1, 0)).tolist() == [[1]]
-    assert composite_along(mc, ()).tolist() == [[1]]
+    assert dense(F, composite_along(mc, (0, 1)), 1).tolist() == [[1]]
+    assert dense(F, composite_along(mc, (1, 0)), 1).tolist() == [[1]]
+    assert dense(F, composite_along(mc, ()), 1).tolist() == [[1]]
 
 
 def test_augment_interior_unit_square():
@@ -185,7 +186,7 @@ def test_augment_interior_unit_square():
     inner = totalize(restrict(mc, Region.interior_all(2)))
     plus = augment_interior(mc, (0, 1), inner)
     assert plus.dims == {1: 1, 2: 1}
-    assert plus.matrix(1).tolist() == [[1]]
+    assert dense(F, plus.matrix(1), 1).tolist() == [[1]]
     assert plus.blocks[1] == (("aug", 1),)
     assert plus.cohomology_dims() == {}
     with pytest.raises(InputError, match="nonempty axis subset"):
@@ -197,7 +198,7 @@ def test_augment_interior_unit_square():
 
 
 def test_augment_interior_single_axis():
-    seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     mc = tensor_product([seg])
     plus = augment_interior(mc, (0,), totalize(restrict(mc, Region.interior((0,), 1))))
     assert plus.dims == {0: 1, 1: 1}
@@ -248,20 +249,20 @@ def test_koszul_split_blocks_are_lexicographic():
 
 
 def test_cohomology_map_identity_and_checks():
-    cx = CochainComplex(F, {0: 2, 1: 1}, {0: F.array([[1, 0]])})
-    ident = {0: F.eye(2), 1: F.eye(1)}
+    cx = CochainComplex(F, {0: 2, 1: 1}, {0: columns(F, [[1, 0]])})
+    ident = {0: columns(F, np.eye(2, dtype=int)), 1: columns(F, [[1]])}
     out = cohomology_map(cx, cx, ident)
-    assert out[0].tolist() == [[1]]
-    bad = {0: F.array([[0, 1], [1, 0]]), 1: F.eye(1)}
+    assert dense(F, out[0], 1).tolist() == [[1]]
+    bad = {0: columns(F, [[0, 1], [1, 0]]), 1: columns(F, [[1]])}
     with pytest.raises(ContractError, match="chain map"):
         cohomology_map(cx, cx, bad)
-    zero = {0: F.zeros(2, 2), 1: F.zeros(1, 1)}
+    zero = {0: columns(F, F.zeros(2, 2)), 1: columns(F, F.zeros(1, 1))}
     out = cohomology_map(cx, cx, zero, check=False)
-    assert out[0].tolist() == [[0]]
+    assert dense(F, out[0], 1).tolist() == [[0]]
 
 
 def test_cohomology_reps_shapes():
-    cx = CochainComplex(F, {0: 2, 1: 1}, {0: F.array([[1, 0]])})
+    cx = CochainComplex(F, {0: 2, 1: 1}, {0: columns(F, [[1, 0]])})
     reps, ker, im = cx.cohomology_reps(0)  # reps: sparse {row: value} columns
     assert len(reps) == 1 and ker.dim == 1 and im.dim == 0
     assert reps == [{1: 1}]

@@ -25,7 +25,7 @@ from cechmv import (
     tensor_product,
     totalize,
 )
-from conftest import rand_complex, rand_tensor_mc
+from conftest import columns, rand_complex, rand_tensor_mc
 from reference_spectral import assert_agrees_with_reference, rank_table_pairs, reference_abutment
 
 F = PrimeField(65537)
@@ -33,7 +33,7 @@ F = PrimeField(65537)
 
 def two_step():
     """0 -> k -> k -> 0 with the target one filtration level deeper."""
-    total = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
+    total = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     return FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
 
 
@@ -75,7 +75,7 @@ def test_pages_constant_beyond_width():
 
 
 def test_filtration_validate_rejects_unstable_levels():
-    total = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
+    total = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     bad = FilteredComplex(total, {0: np.array([1]), 1: np.array([0])})
     with pytest.raises(ContractError, match="not stable under d at level 1, degree 0"):
         bad.validate()
@@ -137,7 +137,7 @@ def level_labelled_matrices(draw):
     a[draw(st.lists(st.integers(0, nr - 1), max_size=nr)) if nr else []] = 0
     a[:, draw(st.lists(st.integers(0, nc - 1), max_size=nc)) if nc else []] = 0
     dims = {k: n for k, n in ((0, nc), (1, nr)) if n}
-    d = {0: f.array(a.tolist())} if nc and nr else {}
+    d = {0: columns(f, a)} if nc and nr else {}
     return FilteredComplex(CochainComplex(f, dims, d), {0: cols, 1: rows})
 
 
@@ -194,7 +194,7 @@ def test_page_index_must_be_nonnegative():
 
 
 def test_rational_field_engine():
-    total = CochainComplex(RationalField(), {0: 1, 1: 1}, {0: RationalField().array([[1]])})
+    total = CochainComplex(RationalField(), {0: 1, 1: 1}, {0: columns(RationalField(), [[1]])})
     fc = FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
     ss = SpectralSequence(fc)
     assert ss.page(1).map_rank(0, 0) == 1
@@ -209,7 +209,7 @@ def test_split_column_report_clean_on_random_lattices(rng):
 
 def test_edge_composite_check(rng):
     # explicit square with identity maps: the composite is nonzero
-    seg = CochainComplex(F, {0: 1, 1: 1}, {0: F.array([[1]])})
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     mc = tensor_product([seg, seg])
     assert edge_composite_check(LatticeSequences(mc)) == []
     # a factor with zero differential gives a zero composite; still consistent
@@ -232,7 +232,7 @@ def test_region_convergence_report_clean(rng):
 
 def test_region_convergence_report_rational():
     q = RationalField()
-    seg = CochainComplex(q, {0: 1, 1: 2}, {0: q.array([[1], [2]])})
-    seg2 = CochainComplex(q, {0: 2, 1: 1}, {0: q.array([[3, 1]])})
+    seg = CochainComplex(q, {0: 1, 1: 2}, {0: columns(q, [[1], [2]])})
+    seg2 = CochainComplex(q, {0: 2, 1: 1}, {0: columns(q, [[3, 1]])})
     mc = tensor_product([seg, seg2])
     assert region_convergence_report(mc) == []
