@@ -4,8 +4,9 @@ independent dimension oracles for auditing them.
 The package is organized bottom-up:
 
 * :mod:`cechmv.linalg` -- exact linear algebra over prime fields and the
-  rationals (the oracle's dense rank, the sparse column reduction and the
-  sparse echelon subspaces built by it).
+  rationals (the oracle's dense rank, the package's only dense matrices;
+  the sparse column reduction and the sparse echelon subspaces built by
+  it).
 * :mod:`cechmv.grading` -- monomials, monomial ideals, and the dimensions of
   graded pieces of localizations.
 * :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
@@ -14,7 +15,8 @@ The package is organized bottom-up:
   differential per axis, region restriction, totalization, the wedge/face
   splitting and the cube extension.
 * :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
-  every page counted from the persistence pairs of one column reduction.
+  with one list of int levels per degree, every page counted from the
+  persistence pairs of one column reduction.
 * :mod:`cechmv.cech` -- Čech complexes of monomial ideal sequences, the
   closed-form dimension oracle, and the product-vs-interior audits.
 * :mod:`cechmv.mvss` -- the four Mayer-Vietoris style spectral sequence

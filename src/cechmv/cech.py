@@ -247,7 +247,8 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions per (index i, multidegree b) over a window.
+    """Dimensions per (index i, multidegree b) over a window, for i in
+    0..i_max.
 
     ``convention`` records what index 0 means: "h" tables hold the cohomology
     of the full complex by raw slot degree; "hcheck" tables hold the truncated
@@ -255,7 +256,6 @@ class CohomologyTable:
     """
 
     num_vars: int
-    i_min: int
     i_max: int
     window: Window
     convention: str
@@ -268,7 +268,7 @@ class CohomologyTable:
         per-class columns (members, {i: dim}); see ``OracleCache.column``."""
         dims = {(i, b): h for members, col in columns for b in members for i, h in col.items()}
         i_max = length if mode == "full" else max(length - 1, 0)
-        return CohomologyTable(problem.num_vars, 0, i_max, problem.window,
+        return CohomologyTable(problem.num_vars, i_max, problem.window,
                                "h" if mode == "full" else "hcheck", dims)
 
     def get(self, i: int, b: Exps) -> int:
@@ -281,7 +281,7 @@ class CohomologyTable:
             by_i.setdefault(i, {})[",".join(map(str, b))] = h
         # one chunk per index i, so only one index's rows are alive at a time
         chunks = [",".join(["i", *(f"b{j + 1}" for j in range(self.num_vars)), "dim"])]
-        for i in range(self.i_min, self.i_max + 1):
+        for i in range(self.i_max + 1):
             col = by_i.get(i, {})
             chunks.append("\n".join(f"{i},{key},{col.get(key, 0)}" for key in keys))
         return "\n".join(chunks) + "\n"
@@ -294,7 +294,7 @@ class CohomologyTable:
                    for (i, b), d in sorted(self.dims.items()) if d]
         return {
             "convention": self.convention,
-            "i_range": [self.i_min, self.i_max],
+            "i_range": [0, self.i_max],
             "window": [list(self.window[0]), list(self.window[1])],
             "entries": PerDegree("b", entries),
         }

@@ -12,13 +12,16 @@ Two eliminations.  ``rref`` is dense Gauss-Jordan elimination on numpy arrays
 (int64 residues, object dtype once the modulus is large enough that int64
 products could overflow, Python ints and fractions over Q) with
 deterministic pivoting (leftmost nonzero column, first nonzero row); only
-the oracle's ``rank`` uses it.  ``reduce_column`` is the column reduction of
-persistence, on sparse columns, and it does every elimination of the
-lattice route: ``pivot_pairs`` counts its pairs, so the pages and cohomology
-dimensions, and ``Subspace`` keeps its reduced columns as a sparse echelon
-basis, so kernels, images, quotient representatives and coordinates
-(Cohen-Steiner, Edelsbrunner and Morozov).  Both are deterministic, so all
-downstream bases are reproducible.
+the oracle's ``rank`` uses it, and its arrays, which the oracle fills from
+``field.zeros``, are the only numpy matrices of the package.
+``reduce_column`` is the column reduction of persistence, on sparse columns,
+and it does every elimination of the lattice route.  ``Subspace.insert``
+reduces a column and stores it when it is left nonzero, the one place a
+reduced column is stored: ``pivot_pairs`` counts the pairs of its
+insertions, so the pages and cohomology dimensions, and ``Subspace`` keeps
+the stored columns as a sparse echelon basis, so kernels, images, quotient
+representatives and coordinates (Cohen-Steiner, Edelsbrunner and Morozov).
+Both are deterministic, so all downstream bases are reproducible.
 """
 
 from __future__ import annotations
@@ -76,19 +79,6 @@ class PrimeField:
     def dtype(self):
         return np.int64 if self.p <= _INT64_PRIME_LIMIT else object
 
-    def array(self, data) -> np.ndarray:
-        try:
-            a = np.array(data, dtype=self.dtype)
-        except TypeError as e:
-            raise FieldMismatchError(f"non-integer entry in a prime-field matrix: {e}")
-        if a.ndim != 2:
-            raise ContractError(f"matrix data must be 2-d, got shape {a.shape}")
-        if self.dtype is object:
-            for x in a.flat:
-                if not isinstance(x, int):
-                    raise FieldMismatchError(f"non-integer entry in a prime-field matrix: {x!r}")
-        return a % self.p
-
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a % self.p
 
@@ -110,15 +100,6 @@ class RationalField:
     @property
     def dtype(self):
         return object
-
-    def array(self, data) -> np.ndarray:
-        a = np.array(data, dtype=object)
-        if a.ndim != 2:
-            raise ContractError(f"matrix data must be 2-d, got shape {a.shape}")
-        for x in a.flat:
-            if not isinstance(x, (int, Fraction)):
-                raise FieldMismatchError(f"entry is neither int nor Fraction: {x!r}")
-        return a
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -238,9 +219,9 @@ def reduce_column(field: Field, col: dict[int, object],
 
 def pivot_pairs(field: Field, a: Columns) -> list[tuple[int, int]]:
     """The persistence pairs (row, column) of the column list ``a``, from the
-    standard column reduction (as in PHAT): copies of the columns are reduced
-    left to right by ``reduce_column``, and a column left nonzero is paired
-    with its lowest row.  ``a`` is not modified.
+    standard column reduction (as in PHAT): the columns are inserted left to
+    right into one ``Subspace``, and a column left nonzero is paired with its
+    lowest row.  ``a`` is not modified.
 
     By the pairing lemma (Cohen-Steiner, Edelsbrunner and Morozov):
 
@@ -248,15 +229,8 @@ def pivot_pairs(field: Field, a: Columns) -> list[tuple[int, int]]:
     * for every r and c, the pairs inside the bottom r rows and the left c
       columns number the rank of that block.
     """
-    reduced: dict[int, tuple[dict[int, object], object]] = {}
-    pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(a):
-        col = dict(col)
-        low = reduce_column(field, col, reduced)
-        if low is not None:
-            reduced[low] = (col, field.inv_scalar(col[low]))
-            pairs.append((low, j))
-    return pairs
+    s = Subspace(field, None)
+    return [(low, j) for j, col in enumerate(a) if (low := s.insert(col)) is not None]
 
 
 def rank(field: Field, a: np.ndarray) -> int:
@@ -272,49 +246,47 @@ def rank(field: Field, a: np.ndarray) -> int:
 class Subspace:
     """A subspace of k^ambient, held by a sparse echelon basis: ``{row:
     value}`` columns with pairwise distinct lowest rows, built by
-    ``reduce_column``.  ``pivots`` maps each lowest row to (column,
-    1/pivot), in the order of ``columns``.  The set of lowest rows is the
-    set of lowest rows of the subspace's nonzero vectors, so it does not
-    depend on the echelon basis chosen."""
+    ``insert``.  ``pivots`` maps each lowest row to (column, 1/pivot), in
+    the order of ``columns``.  The set of lowest rows is the set of lowest
+    rows of the subspace's nonzero vectors, so it does not depend on the
+    echelon basis chosen.  ``ambient`` is None for the working spaces of
+    ``pivot_pairs`` and ``kernel``, whose row count is not needed."""
 
-    def __init__(self, field: Field, ambient: int):
+    def __init__(self, field: Field, ambient: int | None):
         self.field = field
         self.ambient = ambient
         self.columns: list[dict[int, object]] = []
         self.pivots: dict[int, tuple[dict[int, object], object]] = {}
 
+    def insert(self, v: dict[int, object]) -> int | None:
+        """Reduce a copy of the ``{row: value}`` vector ``v`` against the
+        basis and keep it when it is left nonzero.  Returns its lowest row,
+        or None when ``v`` is in the span already.  ``v`` is not modified."""
+        v = dict(v)
+        low = reduce_column(self.field, v, self.pivots)
+        if low is not None:
+            self.columns.append(v)
+            self.pivots[low] = (v, self.field.inv_scalar(v[low]))
+        return low
+
     @classmethod
     def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        """The span of the ``{row: value}`` ``vectors``, each reduced against
-        the ones before it; a vector whose lowest row is new is kept as it
-        is."""
+        """The span of the ``{row: value}`` ``vectors``, inserted in order."""
         s = cls(field, ambient)
         for v in vectors:
-            v = dict(v)
-            low = reduce_column(field, v, s.pivots)
-            if low is not None:
-                s.columns.append(v)
-                s.pivots[low] = (v, field.inv_scalar(v[low]))
+            s.insert(v)
         return s
 
     @classmethod
     def kernel(cls, field: Field, a: Columns) -> "Subspace":
         """The kernel {x : a x = 0} of the column list ``a``.  The columns of
-        ``a`` stacked under the identity are reduced left to right; a column
+        ``a`` stacked under the identity are inserted left to right; a column
         whose ``a`` part reduces to zero is a kernel vector, and its lowest
-        row is its own index."""
+        row is its own index, so storing it changes no later reduction."""
         n = len(a)
-        reduced: dict[int, tuple[dict[int, object], object]] = {}
-        kernel = []
-        for j, col in enumerate(a):
-            col = {n + i: v for i, v in col.items()}
-            col[j] = 1
-            low = reduce_column(field, col, reduced)
-            if low < n:
-                kernel.append(col)
-            else:
-                reduced[low] = (col, field.inv_scalar(col[low]))
-        return cls.span(field, n, kernel)
+        s = cls.span(field, None, ({j: 1, **{n + i: v for i, v in col.items()}}
+                                   for j, col in enumerate(a)))
+        return cls.span(field, n, (col for low, (col, _) in s.pivots.items() if low < n))
 
     @property
     def dim(self) -> int:

@@ -215,7 +215,7 @@ def block_slices(blocks: tuple) -> dict:
     return {key: slice(end - d, end) for (key, d), end in zip(blocks, ends)}
 
 
-def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
+def totalize(mc: Multicomplex) -> CochainComplex:
     """Direct sum along total degree; commutative inputs get the sign twist on
     each block, anticommutative inputs are summed raw."""
     by_degree: dict[int, list[Point]] = {}
@@ -245,10 +245,7 @@ def totalize(mc: Multicomplex, check: bool = False) -> CochainComplex:
                     col.update((r0 + r, v) for r, v in bcol.items())
             columns.extend(cols)
         d[m] = columns
-    out = CochainComplex(f, dims, d, blocks)
-    if check:
-        out.check_complex()
-    return out
+    return CochainComplex(f, dims, d, blocks)
 
 
 @dataclass(frozen=True)

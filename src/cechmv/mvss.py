@@ -32,8 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 # mvss builds no lattice; the name stays bound here because the benchmark's
 # tracer test (perfbench/test_perfbench.py) checks its binding in this module
 from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
@@ -282,7 +280,7 @@ def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, Columns]:
     tot = fc.total
 
     def level(lv: int, shift: int) -> tuple[CochainComplex, dict[int, list[int]]]:
-        index = {m: np.flatnonzero(fc.levels[m] == lv).tolist() for m in tot.dims}
+        index = {m: [i for i, x in enumerate(fc.levels[m]) if x == lv] for m in tot.dims}
         dims = {m - shift: len(ix) for m, ix in index.items()}
         d = {m - shift: submatrix(tot.matrix(m), index[m + 1], ix)
              for m, ix in index.items() if m + 1 in index}

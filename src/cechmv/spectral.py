@@ -1,15 +1,15 @@
 """Spectral sequences of bounded descending filtrations, computed exactly.
 
 Every filtration here is a coordinate filtration: each coordinate of the
-total complex carries one integer level, and F^p(m) is spanned by the
-degree-m coordinates of level >= p.  For such a filtration every cell and
-every differential rank is a count of persistence pairs (the pairing lemma of
-Cohen-Steiner, Edelsbrunner and Morozov; pages from pairs as in Basu and
-Parida).  The pairs of d_m come from one reduction per degree,
+total complex carries one integer level (``levels[m]`` is a list of Python
+ints), and F^p(m) is spanned by the degree-m coordinates of level >= p.  For
+such a filtration every cell and every differential rank is a count of
+persistence pairs (the pairing lemma of Cohen-Steiner, Edelsbrunner and
+Morozov; pages from pairs as in Basu and Parida).  The pairs of d_m come from one reduction per degree,
 ``linalg.pivot_pairs``, the standard persistence algorithm (Edelsbrunner,
 Letscher and Zomorodian; Zomorodian and Carlsson), with the columns
 (degree-m coordinates) and rows (degree-(m+1) coordinates) in descending
-level.  With
+level, ties in coordinate order.  With
 
     mu_m(s, t) = number of pairs of a level-s column and a level-t row,
 
@@ -38,8 +38,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import ContractError
 from .linalg import Subspace, mul, pivot_pairs, submatrix
@@ -72,24 +70,20 @@ class FilteredComplex:
     F^p(m) is spanned by the coordinates of level >= p."""
 
     total: CochainComplex
-    levels: dict[int, np.ndarray]
+    levels: dict[int, list[int]]
 
     @cached_property
     def p_min(self) -> int:
-        return min((int(lv.min()) for lv in self.levels.values() if lv.size), default=0)
+        return min((min(lv) for lv in self.levels.values() if lv), default=0)
 
     @cached_property
     def p_max(self) -> int:
-        return max((int(lv.max()) for lv in self.levels.values() if lv.size), default=0)
-
-    def at_least(self, p: int, m: int) -> np.ndarray:
-        """Mask of the degree-m coordinates that span F^p(m)."""
-        return self.levels.get(m, _NO_LEVELS) >= p
+        return max((max(lv) for lv in self.levels.values() if lv), default=0)
 
     def validate(self) -> None:
         """Check that d lowers no level, so every F^p is a subcomplex."""
         for m in sorted(self.total.d):
-            src, tgt = self.levels[m].tolist(), self.levels[m + 1].tolist()
+            src, tgt = self.levels[m], self.levels[m + 1]
             low = [tgt[i] for j, col in enumerate(self.total.d[m]) for i in col if tgt[i] < src[j]]
             if low:
                 raise ContractError(f"filtration not stable under d at level {min(low) + 1}, "
@@ -100,20 +94,14 @@ class FilteredComplex:
         return self.p_max - self.p_min + 1
 
 
-_NO_LEVELS = np.zeros(0, dtype=int)
-
-
 def filtration_from_blocks(tot: CochainComplex, level_of_block) -> FilteredComplex:
     """Filtration that gives each coordinate of a totalization block the
     block's score under ``level_of_block``."""
     blocks = tot.blocks or {}
     if tot.dims and not any(blocks.values()):
         raise ContractError("totalization carries no block data")
-    levels = {
-        m: np.repeat(np.array([level_of_block(key) for key, _ in blk], dtype=int),
-                     [d for _, d in blk])
-        for m, blk in blocks.items()
-    }
+    levels = {m: [lv for key, d in blk for lv in [level_of_block(key)] * d]
+              for m, blk in blocks.items()}
     return FilteredComplex(tot, levels)
 
 
@@ -196,10 +184,10 @@ class SpectralSequence:
         """The nonzero mu_m(s, t): how many persistence pairs of d_m join a
         level-s coordinate of degree m to a level-t coordinate of degree m+1."""
         if m not in self._mu:
-            cols, rows = (self.fc.levels.get(k, _NO_LEVELS) for k in (m, m + 1))
-            ci, ri = (np.argsort(-lv, kind="stable").tolist() for lv in (cols, rows))
+            cols, rows = (self.fc.levels.get(k, []) for k in (m, m + 1))
+            ci, ri = (sorted(range(len(lv)), key=lambda i: -lv[i]) for lv in (cols, rows))
             pairs = pivot_pairs(self.field, submatrix(self.fc.total.matrix(m), ri, ci))
-            self._mu[m] = Counter((int(cols[ci[j]]), int(rows[ri[i]])) for i, j in pairs)
+            self._mu[m] = Counter((cols[ci[j]], rows[ri[i]]) for i, j in pairs)
         return self._mu[m]
 
     def page(self, r: int) -> Page:
@@ -212,9 +200,9 @@ class SpectralSequence:
         ranks: dict[tuple[int, int], int] = {}
         for m in sorted(self.fc.total.dims):
             out, into = self._pairs(m), self._pairs(m - 1)
-            levels = self.fc.levels.get(m, _NO_LEVELS)
+            count = Counter(self.fc.levels.get(m, []))
             for p in range(self.fc.p_min, self.fc.p_max + 1):
-                d = int(np.count_nonzero(levels == p)) - sum(
+                d = count[p] - sum(
                     out.get((p, p + g), 0) + into.get((p - g, p), 0) for g in gaps
                 )
                 if d:
@@ -378,8 +366,8 @@ def _cell_spaces(fc: FilteredComplex, r: int, p: int, q: int) -> tuple[Subspace,
     f, tot = fc.total.field, fc.total
 
     def z_space(p: int, t: int, m: int) -> Subspace:
-        cols = np.flatnonzero(fc.at_least(p, m)).tolist()
-        rows = np.flatnonzero(~fc.at_least(t, m + 1)).tolist()
+        cols = [i for i, lv in enumerate(fc.levels.get(m, [])) if lv >= p]
+        rows = [i for i, lv in enumerate(fc.levels.get(m + 1, [])) if lv < t]
         ker = Subspace.kernel(f, submatrix(tot.matrix(m), rows, cols))
         # the columns of F^p(m) ascend, so relabelling keeps the lowest rows distinct
         return Subspace.span(f, tot.dim(m), ({cols[i]: v for i, v in c.items()}

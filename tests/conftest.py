@@ -48,7 +48,7 @@ def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
     d = {}
     for t in sorted(dims):
         if t + 1 in dims:
-            d[t] = f.array(rng.integers(0, 5, size=(dims[t + 1], dims[t])).tolist())
+            d[t] = f.normalize(rng.integers(0, 5, size=(dims[t + 1], dims[t])).astype(f.dtype))
     for t in sorted(d):
         if t + 1 in d:
             comp = d[t + 1] @ d[t]

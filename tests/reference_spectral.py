@@ -99,6 +99,16 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def levels(fc: FilteredComplex, m: int) -> np.ndarray:
+    """The levels of the degree-m coordinates of ``fc``, as an integer array."""
+    return np.array(fc.levels.get(m, []), dtype=int)
+
+
+def at_least(fc: FilteredComplex, p: int, m: int) -> np.ndarray:
+    """Mask of the degree-m coordinates that span F^p(m)."""
+    return levels(fc, m) >= p
+
+
 def _leading(row: np.ndarray) -> int:
     nz = np.flatnonzero(row)
     return int(nz[0]) if nz.size else -1
@@ -188,8 +198,7 @@ def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
 
     A negative count is kept, so that a comparison shows it."""
     lo, hi = fc.p_min, fc.p_max
-    cols = fc.levels.get(m, np.zeros(0, dtype=int))
-    rows = fc.levels.get(m + 1, np.zeros(0, dtype=int))
+    cols, rows = levels(fc, m), levels(fc, m + 1)
     ranks: dict[tuple[int, int], int] = {}  # absent ones are 0
     if cols.size and rows.size:
         d = matrix(fc.total, m)
@@ -227,7 +236,7 @@ def reference_abutment(fc: FilteredComplex) -> tuple[AbutmentFiltration, dict]:
         ker, im = kernel_space(f, matrix(tot, m)), image(f, matrix(tot, m - 1))
         h_dims[m] = ker.dim - im.dim
         for p in range(fc.p_min + 1, fc.p_max + 1):
-            outside = ~fc.at_least(p, m)
+            outside = ~at_least(fc, p, m)
             image_levels[p, m] = im.dim - rank(f, im.basis[:, outside])
             level_dims[p, m] = ker.dim - rank(f, ker.basis[:, outside]) - image_levels[p, m]
     return AbutmentFiltration(h_dims, level_dims), image_levels
@@ -268,8 +277,8 @@ class ReferenceSpectralSequence:
         key = (p, t, m)
         if key not in self._z:
             f = self.field
-            cols = self.fc.at_least(p, m)
-            rows = ~self.fc.at_least(t, m + 1)  # coordinates outside F^t(m+1)
+            cols = at_least(self.fc, p, m)
+            rows = ~at_least(self.fc, t, m + 1)  # coordinates outside F^t(m+1)
             if np.any(cols) and np.any(rows):
                 coeffs = kernel(f, matrix(self.fc.total, m)[rows][:, cols])
                 basis = f.zeros(coeffs.shape[0], cols.size)

@@ -271,7 +271,9 @@ def test_cech_multicomplex_shapes():
     full = cech_multicomplex(prob, (0, 0))
     assert full.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert full.point_blocks[(1, 1)] == ((((0,), (0,)), 1),)
-    assert totalize(full, check=True).cohomology_dims() == {}
+    tot = totalize(full)
+    tot.check_complex()
+    assert tot.cohomology_dims() == {}
     punct = puncture(cech_multicomplex(prob, (0, 0)))
     assert (0, 0) not in punct.dims
     with pytest.raises(InputError, match="outside the window"):
@@ -284,7 +286,7 @@ def test_cech_multicomplex_two_generator_group(rng):
         b = tuple(int(x) for x in rng.integers(-2, 3, size=2))
         mc = cech_multicomplex(prob, b)
         assert validate(mc) == []
-        totalize(mc, check=True)
+        totalize(mc).check_complex()
 
 
 def test_oracle_cache_raw_and_tables():

@@ -118,3 +118,18 @@ def test_pages_match_the_reference_engine(field, problems, tensors, expected):
             raise AssertionError(f"{field.describe()} {tag}: {e}") from None
         compared += 1
     assert compared == expected
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), RationalField()], ids=["F_2", "Q"])
+def test_levels_and_pages_hold_python_ints(field):
+    """Every filtration of ``LatticeSequences`` (and of the tensor draws)
+    holds its levels as lists of Python ints, and every page cell and rank is
+    a Python int."""
+    rng = np.random.default_rng(20261019)
+    for tag, fc in filtered_complexes(field, rng, 3, 3):
+        assert all(type(lv) is list and all(type(x) is int for x in lv)
+                   for lv in fc.levels.values()), tag
+        ss = SpectralSequence(fc)
+        for pg in ss.pages_up_to(fc.width + 1) + [ss.infinity()[0]]:
+            values = list(pg.cells.values()) + list(pg.ranks.values())
+            assert all(type(x) is int for x in values), (tag, pg.r)

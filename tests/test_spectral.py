@@ -34,7 +34,7 @@ F = PrimeField(65537)
 def two_step():
     """0 -> k -> k -> 0 with the target one filtration level deeper."""
     total = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
-    return FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
+    return FilteredComplex(total, {0: [0], 1: [1]})
 
 
 def test_two_step_pages():
@@ -76,7 +76,7 @@ def test_pages_constant_beyond_width():
 
 def test_filtration_validate_rejects_unstable_levels():
     total = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
-    bad = FilteredComplex(total, {0: np.array([1]), 1: np.array([0])})
+    bad = FilteredComplex(total, {0: [1], 1: [0]})
     with pytest.raises(ContractError, match="not stable under d at level 1, degree 0"):
         bad.validate()
 
@@ -99,7 +99,7 @@ def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
     for m, blk in tot.blocks.items():
         # each coordinate's level is the first lattice coordinate of its block
         want = [q[0] for q, d in blk for _ in range(d)]
-        assert fc.levels[m].tolist() == want
+        assert fc.levels[m] == want
     firsts = [q[0] for blk in tot.blocks.values() for q, d in blk if d]
     assert (fc.p_min, fc.p_max) == (min(firsts), max(firsts))
 
@@ -122,18 +122,18 @@ FIELDS = [PrimeField(2), PrimeField(3), PrimeField(65537), RationalField()]
 
 @st.composite
 def level_labelled_matrices(draw):
-    """A filtered two-term complex k^c -> k^r: random levels in 0..top
-    (top = 0 gives a one-level filtration, and ties are common), entries in
-    -2..2 wherever the row level is at least the column level, and some rows
-    and columns zeroed."""
+    """A filtered two-term complex k^c -> k^r: random levels in bottom..top,
+    with bottom in -3..0 and top in 0..3 (bottom = top = 0 gives a one-level
+    filtration, and ties are common), entries in -2..2 wherever the row level
+    is at least the column level, and some rows and columns zeroed."""
     f = draw(st.sampled_from(FIELDS))
-    top = draw(st.integers(0, 3))
+    bottom, top = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
     nc, nr = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    cols = np.array(draw(st.lists(st.integers(0, top), min_size=nc, max_size=nc)), dtype=int)
-    rows = np.array(draw(st.lists(st.integers(0, top), min_size=nr, max_size=nr)), dtype=int)
+    cols = draw(st.lists(st.integers(bottom, top), min_size=nc, max_size=nc))
+    rows = draw(st.lists(st.integers(bottom, top), min_size=nr, max_size=nr))
     a = np.array(draw(st.lists(st.integers(-2, 2), min_size=nr * nc, max_size=nr * nc)),
                  dtype=int).reshape(nr, nc)
-    a[rows[:, None] < cols[None, :]] = 0
+    a[np.array(rows, dtype=int)[:, None] < np.array(cols, dtype=int)[None, :]] = 0
     a[draw(st.lists(st.integers(0, nr - 1), max_size=nr)) if nr else []] = 0
     a[:, draw(st.lists(st.integers(0, nc - 1), max_size=nc)) if nc else []] = 0
     dims = {k: n for k, n in ((0, nc), (1, nr)) if n}
@@ -146,6 +146,16 @@ def level_labelled_matrices(draw):
 def test_pair_counts_match_the_rank_table(fc):
     fc.validate()
     assert SpectralSequence(fc)._pairs(0) == rank_table_pairs(fc, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_labelled_matrices())
+def test_level_engine_matches_the_reference(fc):
+    """Pages 0..width+1 and the abutment of the drawn filtrations, negative
+    levels included, against the subspace-lattice reference."""
+    ss = SpectralSequence(fc)
+    assert_agrees_with_reference(fc, ss.pages_up_to(fc.width + 1), ss.infinity()[0].cells)
+    assert ss.abutment() == reference_abutment(fc)[0]
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), RationalField()], ids=["F_2", "Q"])
@@ -195,7 +205,7 @@ def test_page_index_must_be_nonnegative():
 
 def test_rational_field_engine():
     total = CochainComplex(RationalField(), {0: 1, 1: 1}, {0: columns(RationalField(), [[1]])})
-    fc = FilteredComplex(total, {0: np.array([0]), 1: np.array([1])})
+    fc = FilteredComplex(total, {0: [0], 1: [1]})
     ss = SpectralSequence(fc)
     assert ss.page(1).map_rank(0, 0) == 1
     assert ss.page(2).cells == {}
