@@ -12,8 +12,8 @@ The package is organized bottom-up:
 * :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
   the report files.
 * :mod:`cechmv.multicomplex` -- lattice-graded complexes with one
-  differential per axis, region restriction, totalization, the wedge/face
-  splitting and the cube extension.
+  differential per axis, totalization, the restriction of a totalization
+  to a region, the wedge/face splitting and the cube extension.
 * :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
   with one list of int levels per degree, every page counted from the
   persistence pairs of one column reduction.
@@ -53,16 +53,13 @@ from .multicomplex import (
     CochainComplex,
     KoszulSplit,
     Multicomplex,
-    Region,
     augment_interior,
     cohomology_map,
     composite_along,
     cube_extension,
-    drop_axis_top,
     koszul_complex,
     koszul_split,
     line_complex,
-    puncture,
     restrict,
     sign_twist,
     tensor_product,
@@ -75,14 +72,12 @@ from .spectral import (
     LatticeSequences,
     Page,
     SpectralSequence,
-    complement_total_filtration,
     coordinate_filtration,
     edge_composite_check,
     filtration_from_blocks,
     nonzero_count_filtration,
     region_convergence_report,
     split_column_report,
-    truncated_face_filtration,
 )
 from .cech import (
     CechProblem,
@@ -130,7 +125,6 @@ __all__ = [
     "Page",
     "PrimeField",
     "RationalField",
-    "Region",
     "SpectralSequence",
     "Subspace",
     "VARIANTS",
@@ -138,14 +132,12 @@ __all__ = [
     "augment_interior",
     "cech_multicomplex",
     "cohomology_map",
-    "complement_total_filtration",
     "composite_along",
     "compute",
     "coordinate_filtration",
     "cube_extension",
     "default_window",
     "degree_classes",
-    "drop_axis_top",
     "edge_composite_check",
     "filtration_from_blocks",
     "format_monomial",
@@ -160,7 +152,6 @@ __all__ = [
     "parse_monomial",
     "piece_pattern",
     "product_sequence",
-    "puncture",
     "rank",
     "region_convergence_report",
     "restrict",
@@ -170,7 +161,6 @@ __all__ = [
     "support_mask",
     "tensor_product",
     "totalize",
-    "truncated_face_filtration",
     "validate",
     "window_degrees",
 ]

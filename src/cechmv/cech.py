@@ -57,7 +57,6 @@ from .multicomplex import (
     COMMUTATIVE,
     Multicomplex,
     Point,
-    Region,
     augment_interior,
     cohomology_map,
     restrict,
@@ -178,7 +177,8 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     The entry at q = (q_1..q_n) is the sum over choices of a q_i-subset S_i of
     each group of the piece of R/J localized at the product of all chosen
     generators; axis i acts by that group's alternating-sign maps, and the
-    axes commute.  ``puncture`` of the result removes the origin entry.
+    axes commute.  The totalization of the result ``mc`` without its origin
+    entry is ``restrict(totalize(mc), any)``.
     """
     if not problem.in_window(b):
         raise InputError(f"degree {b} outside the window {problem.window}")
@@ -516,13 +516,12 @@ class _AugmentedFiber:
 
     def __init__(self, problem: CechProblem, b: Exps):
         self.problem = problem
-        n = problem.n
         mc = cech_multicomplex(problem, b)
-        inner = restrict(mc, Region.interior_all(n))
-        self.plus = augment_interior(mc, tuple(range(n)), totalize(inner))
+        # the interior: the points with every coordinate positive
+        self.plus = augment_interior(mc, tuple(range(problem.n)), restrict(totalize(mc), all))
 
         def basis(q) -> list:  # the origin entry is one piece, so one "aug" element
-            return ["aug"] if q == "aug" else [(q, combo) for combo, _ in inner.point_blocks[q]]
+            return ["aug"] if q == "aug" else [(q, combo) for combo, _ in mc.point_blocks[q]]
 
         self.keys = {m: [k for q, _ in blk for k in basis(q)] for m, blk in self.plus.blocks.items()}
         self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}

@@ -121,6 +121,7 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
     if pages is not None and (type(pages) is not int or pages < 0):
         raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     problem = CechProblem.from_text(field, m, groups, quo, window)
+    check_pages(problem, pages, "pages")
     return problem, check_tasks(problem, tasks), pages
 
 
@@ -133,6 +134,16 @@ def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
     if "les" in tasks and problem.n != 2:
         raise InputError("task 'les' needs exactly two generator groups")
     return [t for t in TASK_ORDER if t in tasks]
+
+
+def check_pages(problem: CechProblem, pages: int | None, name: str) -> None:
+    """Refuses a ``pages`` past n + 2 for n groups: every filtration is at
+    most n + 1 wide, so no page after n + 1 changes, and a default run
+    writes pages up to n + 2 at most."""
+    top = problem.n + 2
+    if pages is not None and pages > top:
+        raise InputError(f"{name} must be at most {top}, n + 2 for n = {problem.n} generator "
+                         f"groups (no page after {top - 1} changes), got {pages}")
 
 
 class DegreeClass:
@@ -313,6 +324,7 @@ def cmd_compute(args) -> int:
         if args.pages is not None and args.pages < 0:
             raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
         problem, tasks, job_pages = load_job(args.job)
+        check_pages(problem, args.pages, "--pages")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:

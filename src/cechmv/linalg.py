@@ -41,10 +41,13 @@ DEFAULT_PRIME = 65537
 _INT64_PRIME_LIMIT = 3_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least odd composite that is a strong pseudoprime to every base
+# above (Sorenson and Webster, Math. Comp. 2017): the test is exact below it
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below ``_MR_EXACT_BELOW``."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -72,6 +75,9 @@ class PrimeField:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        if self.p >= _MR_EXACT_BELOW:
+            raise InputError(f"modulus {self.p} is too large: primality is decided exactly "
+                             f"only below {_MR_EXACT_BELOW}")
         if not is_prime(self.p):
             raise InputError(f"modulus not prime: {self.p}")
 

@@ -15,11 +15,11 @@ Totalization sums the entries along total degree; in the commutative flavor
 the blocks are sign-twisted exactly as above, in the anticommutative flavor
 they are summed as-is.
 
-The region machinery (faces, punctured faces, interiors) produces the
-subquotients whose totalizations the rest of the package compares:
-restriction to a face is a quotient of the original multicomplex, the other
-two kinds are subcomplexes of the relevant face quotient, and all of them are
-implemented uniformly by discarding entries outside the region.
+Every region the rest of the package compares (faces, punctured faces,
+interiors, the top-dropped face half) is a subquotient of one totalization:
+a face is a quotient complex, the other kinds are subcomplexes of the
+relevant face quotient, and ``restrict`` selects any of them as the blocks of
+the totalization whose lattice points lie in the region.
 
 Every map is a list of sparse ``{row: value}`` columns (``linalg``), and
 every builder here writes its columns directly.
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field
+from .linalg import (Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field,
+                     submatrix)
 
 Point = tuple[int, ...]
 
@@ -248,86 +249,30 @@ def totalize(mc: Multicomplex) -> CochainComplex:
     return CochainComplex(f, dims, d, blocks)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Lattice region over nonnegative points.
+def restrict(tot: CochainComplex, keep) -> CochainComplex:
+    """The blocks of ``tot``, a totalization, whose lattice points satisfy
+    ``keep``, with the maps between them: each degree keeps its surviving
+    blocks in order, and degrees left empty are dropped.
 
-    kind 'face': q_i = 0 off ``axes``;  'punctured': face minus the origin;
-    'interior': q_i > 0 exactly on ``axes``.  ``star=True`` in the
-    constructors means ``axes`` names the coordinates forced to zero instead
-    (the face spanned by the others).
-    """
-
-    kind: str
-    axes: frozenset[int]
-
-    @staticmethod
-    def _resolve(axes, n: int, star: bool) -> frozenset[int]:
-        ax = frozenset(axes)
-        if any(i < 0 or i >= n for i in ax):
-            raise ContractError(f"region axes {sorted(ax)} out of range for n={n}")
-        return frozenset(range(n)) - ax if star else ax
-
-    @staticmethod
-    def face(axes, n: int, star: bool = False) -> "Region":
-        return Region("face", Region._resolve(axes, n, star))
-
-    @staticmethod
-    def interior(axes, n: int, star: bool = False) -> "Region":
-        return Region("interior", Region._resolve(axes, n, star))
-
-    @staticmethod
-    def punctured_all(n: int) -> "Region":
-        return Region("punctured", frozenset(range(n)))
-
-    @staticmethod
-    def interior_all(n: int) -> "Region":
-        return Region("interior", frozenset(range(n)))
-
-    def contains(self, q: Point) -> bool:
-        on_face = all(x == 0 for i, x in enumerate(q) if i not in self.axes)
-        if self.kind == "face":
-            return on_face
-        if self.kind == "punctured":
-            return on_face and any(q)
-        if self.kind == "interior":
-            return all((x > 0) == (i in self.axes) for i, x in enumerate(q))
-        raise ContractError(f"unknown region kind {self.kind}")
-
-
-def _keep_points(mc: Multicomplex, keep, box: tuple[Point, Point] | None = None) -> Multicomplex:
-    """The entries at the points where ``keep`` holds, with the maps between
-    them and their block provenance."""
-    dims = {q: d for q, d in mc.dims.items() if keep(q)}
-    diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
-    pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
-          if mc.point_blocks is not None else None)
-    return Multicomplex(mc.field, mc.n, box or mc.box, dims, diffs, mc.flavor, pb)
-
-
-def restrict(mc: Multicomplex, region: Region) -> Multicomplex:
-    """Zero out all entries outside the region, keeping the surviving maps."""
-    if any(x < 0 for x in mc.box[0]):
-        raise ContractError("regions are defined over nonnegative lattice points only")
-    return _keep_points(mc, region.contains)
-
-
-def puncture(mc: Multicomplex) -> Multicomplex:
-    return restrict(mc, Region.punctured_all(mc.n))
-
-
-def puncture_along(mc: Multicomplex, axis: int) -> Multicomplex:
-    """Drop the line through the origin along ``axis``: the points whose other
-    coordinates are all zero.  Along the wedge axis 0 of a Koszul split half,
-    this is the same half of the split of the punctured multicomplex."""
-    return _keep_points(mc, lambda q: any(x for i, x in enumerate(q) if i != axis))
-
-
-def drop_axis_top(mc: Multicomplex, axis: int, value: int) -> Multicomplex:
-    """Quotient away the layer q[axis] == value (must be the top of the box)."""
-    if value != mc.box[1][axis]:
-        raise ContractError("can only drop the top layer of an axis")
-    return _keep_points(mc, lambda q: q[axis] != value, (mc.box[0], add_e(mc.box[1], axis, -1)))
+    Every region the audits read is such a block selection.  A set of points
+    closed upward (every point above a kept one is kept) gives a subcomplex,
+    one closed downward a quotient complex, and the meet of one of each (an
+    interior) a subquotient."""
+    if tot.blocks is None:
+        raise ContractError("only a totalization can be restricted to lattice points")
+    kept: dict[int, tuple[tuple, list[int]]] = {}
+    for m, blk in tot.blocks.items():
+        slices = block_slices(blk)
+        keys = tuple((key, d) for key, d in blk if keep(key))
+        if keys:
+            kept[m] = (keys, [i for key, _ in keys
+                              for i in range(slices[key].start, slices[key].stop)])
+    if sum(len(keys) for keys, _ in kept.values()) == sum(map(len, tot.blocks.values())):
+        return tot  # every block kept
+    d = {m: submatrix(tot.matrix(m), kept[m + 1][1], cols)
+         for m, (_, cols) in kept.items() if m + 1 in kept}
+    return CochainComplex(tot.field, {m: len(cols) for m, (_, cols) in kept.items()}, d,
+                          {m: keys for m, (keys, _) in kept.items()})
 
 
 def line_complex(mc: Multicomplex, axis: int, base: Point) -> CochainComplex:

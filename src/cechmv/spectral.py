@@ -38,6 +38,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ContractError
 from .linalg import Subspace, mul, pivot_pairs, submatrix
@@ -47,16 +48,12 @@ from .multicomplex import (
     KoszulSplit,
     Multicomplex,
     Point,
-    Region,
     augment_interior,
     block_slices,
     composite_along,
     cube_extension,
-    drop_axis_top,
     koszul_split,
     line_complex,
-    puncture,
-    puncture_along,
     restrict,
     sign_twist,
     totalize,
@@ -110,11 +107,6 @@ def coordinate_filtration(mc: Multicomplex, axis: int) -> FilteredComplex:
     return filtration_from_blocks(totalize(mc), lambda q: q[axis])
 
 
-def complement_total_filtration(mc: Multicomplex, axis: int) -> FilteredComplex:
-    """Filter by the total degree of all coordinates except one."""
-    return filtration_from_blocks(totalize(mc), lambda q: sum(q) - q[axis])
-
-
 def nonzero_count_filtration(mc: Multicomplex, skip_axis: int | None = None) -> FilteredComplex:
     """Filter by how many coordinates are nonzero, optionally ignoring one
     axis entirely (used for the cube-extended complex, whose extra direction
@@ -124,13 +116,6 @@ def nonzero_count_filtration(mc: Multicomplex, skip_axis: int | None = None) -> 
         return sum(1 for i, x in enumerate(q) if x != 0 and i != skip_axis)
 
     return filtration_from_blocks(totalize(mc), score)
-
-
-def truncated_face_filtration(face_part: Multicomplex) -> FilteredComplex:
-    """Wedge-degree filtration of the face half of the Koszul split with its
-    top wedge level removed; levels run over 0..n-1."""
-    n = face_part.n - 1
-    return coordinate_filtration(drop_axis_top(face_part, 0, n), 0)
 
 
 @dataclass(frozen=True)
@@ -242,29 +227,32 @@ class SpectralSequence:
 class LatticeSequences:
     """What the audits of a degree class read off its lattice multicomplex,
     each built once, on first use: the filtered complexes, one spectral
-    sequence per filtered complex, and the totalization and cohomology of
-    each lattice region.
+    sequence per filtered complex, and the complex and cohomology of each
+    lattice region.
 
-    All of them come from the commutative form ``cmc`` of the lattice (the
-    lattice itself unless it is anticommutative), and the three face
-    filtrations from its one Koszul split:
+    All of them come from three totalizations: of the commutative form
+    ``cmc`` of the lattice (the lattice itself unless it is
+    anticommutative), of the face half of its one Koszul split, and of its
+    cube extension.  Every other complex is a block selection of one of the
+    three (``restrict``), so the five filtered complexes are
 
       face             wedge degree on the face half;
-      truncated face   the same with the top wedge level dropped (variant 1a);
-      punctured face   wedge degree on the face half without the line over
-                       the lattice origin, which is the face half of the
-                       punctured lattice's split (variant 1b);
+      truncated face   the same without the top wedge level n (variant 1a);
+      punctured face   the same without the line over the lattice origin,
+                       which is the face half of the punctured lattice's
+                       split (variant 1b);
       cube count       nonzero-coordinate count on the cube extension, the
                        extra direction not counted (variant 2a);
-      punctured count  nonzero-coordinate count on the punctured lattice
-                       (variant 2b).
+      punctured count  nonzero-coordinate count on the lattice without its
+                       origin (variant 2b).
 
     The regions, keyed by (kind, axes):
 
-      face        the points that are zero on ``axes`` (``()``: the lattice);
+      face        the points of the lattice that are zero on ``axes``
+                  (``()``: the lattice);
       interior    the points positive exactly on ``axes``;
-      augmented   that interior's totalization with the origin entry glued
-                  one degree below it (``augment_interior``).
+      augmented   that interior with the origin entry glued one degree below
+                  it (``augment_interior``).
     """
 
     def __init__(self, mc: Multicomplex):
@@ -282,18 +270,32 @@ class LatticeSequences:
     def split(self) -> KoszulSplit:
         return koszul_split(self.cmc)
 
+    @cached_property
+    def total(self) -> CochainComplex:
+        return totalize(self.cmc)
+
+    @cached_property
+    def face_total(self) -> CochainComplex:
+        return totalize(self.split.face_part)
+
+    @cached_property
+    def cube_total(self) -> CochainComplex:
+        return totalize(cube_extension(self.cmc))
+
     def filtered(self, kind: str) -> FilteredComplex:
         if kind not in self._filtered:
+            n, wedge = self.mc.n, itemgetter(0)
             if kind == "face":
-                fc = coordinate_filtration(self.split.face_part, 0)
+                fc = filtration_from_blocks(self.face_total, wedge)
             elif kind == "truncated face":
-                fc = truncated_face_filtration(self.split.face_part)
+                fc = filtration_from_blocks(restrict(self.face_total, lambda k: k[0] < n), wedge)
             elif kind == "punctured face":
-                fc = coordinate_filtration(puncture_along(self.split.face_part, 0), 0)
+                fc = filtration_from_blocks(restrict(self.face_total, lambda k: any(k[1:])), wedge)
             elif kind == "cube count":
-                fc = nonzero_count_filtration(cube_extension(self.cmc), skip_axis=0)
+                fc = filtration_from_blocks(self.cube_total, lambda k: sum(1 for x in k[1:] if x))
             elif kind == "punctured count":
-                fc = nonzero_count_filtration(puncture(self.cmc))
+                fc = filtration_from_blocks(restrict(self.total, any),
+                                            lambda q: sum(1 for x in q if x))
             else:
                 raise ContractError(f"unknown lattice filtration {kind!r}")
             self._filtered[kind] = fc
@@ -308,9 +310,10 @@ class LatticeSequences:
         key = (kind, axes)
         if key not in self._regions:
             if kind == "face":
-                tot = totalize(restrict(self.cmc, Region.face(axes, self.mc.n, star=True)))
+                tot = restrict(self.total, lambda q: not any(q[i] for i in axes))
             elif kind == "interior":
-                tot = totalize(restrict(self.cmc, Region.interior(axes, self.mc.n)))
+                tot = restrict(self.total,
+                               lambda q: all((x > 0) == (i in axes) for i, x in enumerate(q)))
             elif kind == "augmented":
                 tot = augment_interior(self.cmc, axes, self.region("interior", axes))
             else:
@@ -335,9 +338,8 @@ def split_column_report(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
     when q has all coordinates positive and zero otherwise.
     """
     bad: list[str] = []
-    interior = Region.interior_all(mc.n)
     for q in mc.points():
-        want = mc.entry_dim(q) if interior.contains(q) else 0
+        want = mc.entry_dim(q) if all(x > 0 for x in q) else 0
         for part, name, good_deg in (
             (ks.complement_part, "complement half", 1),
             (ks.face_part, "face half", 0),

@@ -12,9 +12,10 @@ not the generator.
 import numpy as np
 import pytest
 
-from cechmv import (CochainComplex, MvssRun, PrimeField, VARIANTS, degree_classes, sign_twist,
-                    tensor_product)
+from cechmv import (CochainComplex, Multicomplex, MvssRun, PrimeField, VARIANTS, degree_classes,
+                    sign_twist, tensor_product)
 from cechmv.cli import DegreeClass
+from cechmv.multicomplex import add_e
 
 F = PrimeField(65537)
 
@@ -64,6 +65,18 @@ def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, twist=True):
     if twist and rng.integers(0, 2):
         mc = sign_twist(mc)
     return mc
+
+
+def keep_points(mc: Multicomplex, keep) -> Multicomplex:
+    """The entries of ``mc`` at the points where ``keep`` holds, with the maps
+    between them and their block provenance: the reference for
+    ``multicomplex.restrict``, which selects the same blocks of the
+    totalization."""
+    dims = {q: d for q, d in mc.dims.items() if keep(q)}
+    diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
+    pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
+          if mc.point_blocks is not None else None)
+    return Multicomplex(mc.field, mc.n, mc.box, dims, diffs, mc.flavor, pb)
 
 
 def class_of(problem, b) -> DegreeClass:

@@ -14,6 +14,7 @@ inclusion-exclusion of level-block ranks, so any violation fails the run
 instead of passing silently.
 """
 
+import itertools
 import json
 import time
 
@@ -29,17 +30,16 @@ from cechmv import (
     compute,
     degree_classes,
     koszul_split,
-    puncture,
+    restrict,
     sign_twist,
     split_column_report,
     totalize,
 )
 from cechmv.cli import main as cli_main, run_unit
 from cechmv.jsonout import plain
-from cechmv.multicomplex import puncture_along
 from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
 from cechmv.spectral import LatticeSequences
-from conftest import F, class_of, rand_tensor_mc, window_runs
+from conftest import F, class_of, keep_points, rand_tensor_mc, window_runs
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 
 
@@ -141,21 +141,55 @@ def test_first_pages_match_cohomology_tables(sweep_results):
 
 def test_punctured_face_part_is_derived_from_the_one_split(sweep):
     """On every class of the sweep, dropping the line over the lattice origin
-    from the face half of the lattice's split gives the face half of the
-    punctured lattice's split: the same box, entries, maps and point blocks.
-    Variant 1b is built that way."""
+    from the totalized face half of the lattice's split gives the totalized
+    face half of the punctured lattice's split: the same maps, dimensions and
+    blocks.  Variant 1b is built that way."""
     checked = 0
     for prob in sweep:
         for _pat, members in degree_classes(prob):
             mc = cech_multicomplex(prob, members[0])
-            got = puncture_along(LatticeSequences(mc).split.face_part, 0)
-            want = koszul_split(puncture(mc)).face_part
-            assert (got.n, got.box, got.dims) == (want.n, want.box, want.dims)
-            assert got.diffs.keys() == want.diffs.keys()
-            assert all(got.diffs[k] == want.diffs[k] for k in want.diffs)
-            assert got.point_blocks == want.point_blocks
+            got = restrict(LatticeSequences(mc).face_total, lambda k: any(k[1:]))
+            want = totalize(koszul_split(keep_points(mc, any)).face_part)
+            assert got == want, members[0]
             checked += bool(want.dims)
     assert checked > 100
+
+
+def region_predicates(mc):
+    """(name, keep) for every region of the points of ``mc``: each face and
+    each interior (zero on, or positive exactly on, a subset of the axes),
+    the punctured lattice and each top-dropped layer."""
+    for p in range(mc.n + 1):
+        for axes in itertools.combinations(range(mc.n), p):
+            yield ("face", axes), lambda q, axes=axes: not any(q[i] for i in axes)
+            yield ("interior", axes), lambda q, axes=axes: all(
+                (x > 0) == (i in axes) for i, x in enumerate(q))
+    yield "punctured", any
+    for i, top in enumerate(mc.box[1]):
+        yield ("top dropped", i), lambda q, i=i, top=top: q[i] < top
+
+
+def test_restrict_is_the_totalized_point_restriction(sweep):
+    """``restrict(totalize(mc), keep)`` equals the totalization of the entries
+    of ``mc`` where ``keep`` holds (``keep_points``), for every face,
+    interior, punctured and top-dropped region: on 40 random tensor
+    multicomplexes, half of them anticommutative, and the face halves of
+    their splits, and on the lattice of every class of the sweep."""
+    rng = np.random.default_rng(20261019)
+    lattices = []
+    for k in range(40):
+        mc = rand_tensor_mc(F, rng, twist=False)
+        lattices += [sign_twist(mc) if k % 2 else mc, koszul_split(mc).face_part]
+    lattices += [cech_multicomplex(prob, members[0])
+                 for prob in sweep for _pat, members in degree_classes(prob)]
+    selected = 0
+    for mc in lattices:
+        tot = totalize(mc)
+        for name, keep in region_predicates(mc):
+            got = restrict(tot, keep)
+            assert got == totalize(keep_points(mc, keep)), (mc.n, mc.flavor, name)
+            selected += 0 < sum(got.dims.values()) < sum(tot.dims.values())
+    assert selected > 1000
 
 
 def test_kernel_and_cokernel_columns_collapse(sweep):

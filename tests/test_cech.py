@@ -21,7 +21,7 @@ from cechmv import (
     default_window,
     degree_classes,
     piece_pattern,
-    puncture,
+    restrict,
     totalize,
     validate,
 )
@@ -45,7 +45,8 @@ def oracle_table(seq, quotient, window, mode="full"):
 def cech_slice(seq, quotient, b, truncated=False):
     """Degree-b slice of the Čech complex on ``seq``: its one-group lattice, totalized."""
     mc = cech_multicomplex(CechProblem(F, len(b), (tuple(seq),), quotient, (b, b)), b)
-    return totalize(puncture(mc) if truncated else mc)
+    tot = totalize(mc)
+    return restrict(tot, any) if truncated else tot
 
 
 def problem(groups, quotient="0", num_vars=2, window=None, field=F):
@@ -274,8 +275,8 @@ def test_cech_multicomplex_shapes():
     tot = totalize(full)
     tot.check_complex()
     assert tot.cohomology_dims() == {}
-    punct = puncture(cech_multicomplex(prob, (0, 0)))
-    assert (0, 0) not in punct.dims
+    punct = restrict(tot, any)
+    assert punct.dims == {1: 2, 2: 1} and 0 not in punct.blocks  # no origin entry
     with pytest.raises(InputError, match="outside the window"):
         cech_multicomplex(prob, (9, 9))
 

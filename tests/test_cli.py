@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmv import (CechProblem, InternalCheckError, MonomialIdeal, PrimeField, Region,
+from cechmv import (CechProblem, InternalCheckError, LatticeSequences, MonomialIdeal, PrimeField,
                     SpectralSequence, cech, cli, multicomplex, mvss, spectral)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
@@ -223,6 +223,9 @@ def test_projective_plane_depends_on_characteristic(tmp_path, field, h):
         ({"window": [[False, False], [True, True]]}, "window"),
         ({"pages": True}, "pages"),
         ({"field": {"prime": True}}, "integer"),
+        # psi_12 = 1287836182261 * 2575672364521 passes all twelve Miller-Rabin bases
+        ({"field": {"prime": 3317044064679887385961981}}, "too large"),
+        ({"pages": 1000000}, "pages must be at most 4"),
     ],
 )
 def test_compute_rejects_bad_jobs(tmp_path, capsys, patch, message):
@@ -235,7 +238,8 @@ def test_compute_rejects_bad_jobs(tmp_path, capsys, patch, message):
 
 @pytest.mark.parametrize(
     "flags,message",
-    [(["--pages", "-1"], "--pages"), (["--jobs", "-1"], "--jobs")],
+    [(["--pages", "-1"], "--pages"), (["--jobs", "-1"], "--jobs"),
+     (["--pages", "1000000"], "--pages must be at most 4")],
 )
 def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     job = write_job(tmp_path, BASE_JOB)
@@ -243,6 +247,24 @@ def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert main(["compute", job, "--out", str(out), *flags]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["job", "flag"])
+def test_pages_past_n_plus_2_are_refused(tmp_path, capsys, where):
+    """Every filtration of n groups is at most n + 1 wide, so a default run
+    writes pages up to n + 2; a larger ``pages`` is refused before any work."""
+    n = len(BASE_JOB["groups"])
+    for pages, code in ((n + 2, 0), (n + 3, 1)):
+        body = dict(BASE_JOB, tasks=["mvss:1a"], **({"pages": pages} if where == "job" else {}))
+        flags = ["--pages", str(pages)] if where == "flag" else []
+        out = tmp_path / f"out{pages}"
+        assert main(["compute", write_job(tmp_path, body), "--out", str(out), *flags]) == code
+        if code:
+            assert f"must be at most {n + 2}" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            degrees = json.loads((out / "pages_1a.json").read_text())["degrees"]
+            assert max(pg["r"] for e in degrees for pg in e["pages"]) <= n + 2
 
 
 def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
@@ -443,43 +465,73 @@ def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_pat
         assert calls["abutments"] == {id(ss): 1 for ss in calls["sequences"]}
 
 
-def count_regions(monkeypatch) -> list[dict]:
-    """Wrap ``restrict``, ``totalize``, ``augment_interior``, ``koszul_split``
-    and ``SpectralSequence`` at every binding; one dict of counts per degree
-    class, keyed by region (``augmented`` by axes)."""
+def count_builds(monkeypatch) -> list[dict]:
+    """Wrap ``totalize``, ``restrict``, ``augment_interior``, ``koszul_split``,
+    ``cube_extension``, ``SpectralSequence`` and the builders of
+    ``LatticeSequences`` at every binding; one dict of counts per degree
+    class:
+
+      totalized   per input ("lattice", "face half", "cube" or "other"), the
+                  totalizations of it;
+      restricted  per region ``("region", kind, axes)`` or filtered complex
+                  ``("filtered", kind)``, the restrictions made to build it;
+      augmented   per axes, the interiors glued to the origin entry.
+    """
     per_class: list[dict] = []
     worker, init = cli._class_worker, SpectralSequence.__init__
+    seqs_init, region, filtered = (LatticeSequences.__init__, LatticeSequences.region,
+                                   LatticeSequences.filtered)
     restrict, totalize = multicomplex.restrict, multicomplex.totalize
-    augment, split = multicomplex.augment_interior, multicomplex.koszul_split
+    augment, split, cube = (multicomplex.augment_interior, multicomplex.koszul_split,
+                            multicomplex.cube_extension)
+    building: list[tuple] = []  # the regions and filtered complexes being built, innermost last
 
     def bump(kind, key):
         counts = per_class[-1][kind]
         counts[key] = counts.get(key, 0) + 1
 
     def counted_worker(args):
-        per_class.append({"restricted": {}, "totalized": {}, "augmented": {}, "splits": {},
-                          "sequences": {}, "region_of": {}, "alive": []})
+        per_class.append({"totalized": {}, "restricted": {}, "augmented": {}, "splits": {},
+                          "sequences": {}, "lattices": [], "cubes": [], "made_by": {},
+                          "alive": []})
         return worker(args)
 
-    def counted_restrict(mc, region):
-        out = restrict(mc, region)
-        per_class[-1]["alive"].append(out)  # kept alive, so no id is reused
-        per_class[-1]["region_of"][id(out)] = region
-        bump("restricted", region)
-        return out
+    def counted_seqs_init(self, mc):
+        per_class[-1]["lattices"].append(self)
+        seqs_init(self, mc)
 
-    def counted_totalize(mc, *args, **kwargs):
-        out = totalize(mc, *args, **kwargs)
-        region = per_class[-1]["region_of"].get(id(mc))
-        if region is not None:
-            per_class[-1]["alive"].append(out)
-            per_class[-1]["region_of"][id(out)] = region
-            bump("totalized", region)
+    def builder(method, label):
+        def wrapped(self, kind, *args):
+            building.append((label, kind, *args))
+            try:
+                return method(self, kind, *args)
+            finally:
+                building.pop()
+        return wrapped
+
+    def counted_totalize(mc):
+        (seqs,) = per_class[-1]["lattices"]
+        ks = seqs.__dict__.get("split")
+        if mc is seqs.__dict__.get("cmc"):
+            bump("totalized", "lattice")
+        elif ks is not None and mc is ks.__dict__.get("face_part"):
+            bump("totalized", "face half")
+        elif any(mc is c for c in per_class[-1]["cubes"]):
+            bump("totalized", "cube")
+        else:
+            bump("totalized", "other")
+        return totalize(mc)
+
+    def counted_restrict(tot, keep):
+        out = restrict(tot, keep)
+        per_class[-1]["alive"].append(out)  # kept alive, so no id is reused
+        per_class[-1]["made_by"].setdefault(id(out), []).append(building[-1])
+        bump("restricted", building[-1])
         return out
 
     def counted_augment(mc, axes, tot):
-        # glued onto the one totalization of its own interior
-        assert per_class[-1]["region_of"][id(tot)] == Region.interior(axes, mc.n)
+        # glued onto the one restriction to its own interior
+        assert ("region", "interior", axes) in per_class[-1]["made_by"][id(tot)]
         bump("augmented", axes)
         return augment(mc, axes, tot)
 
@@ -487,14 +539,23 @@ def count_regions(monkeypatch) -> list[dict]:
         bump("splits", None)
         return split(mc)
 
+    def counted_cube(mc):
+        out = cube(mc)
+        per_class[-1]["cubes"].append(out)
+        return out
+
     def counted_init(self, fc):
         bump("sequences", None)
         init(self, fc)
 
     monkeypatch.setattr(cli, "_class_worker", counted_worker)
     monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
+    monkeypatch.setattr(LatticeSequences, "__init__", counted_seqs_init)
+    monkeypatch.setattr(LatticeSequences, "region", builder(region, "region"))
+    monkeypatch.setattr(LatticeSequences, "filtered", builder(filtered, "filtered"))
     for original, wrapper in ((restrict, counted_restrict), (totalize, counted_totalize),
-                              (augment, counted_augment), (split, counted_split)):
+                              (augment, counted_augment), (split, counted_split),
+                              (cube, counted_cube)):
         for mod in (cli, cech, mvss, spectral, multicomplex):
             name = original.__name__
             if getattr(mod, name, None) is original:
@@ -504,40 +565,44 @@ def count_regions(monkeypatch) -> list[dict]:
 
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
 def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypatch, name):
-    """Per degree class, verify34 and props2 restrict the lattice to each
-    face, interior and punctured region once and totalize it once, and glue
-    each augmented interior once, onto that interior's totalization."""
+    """Per degree class, verify34 and props2 totalize the lattice, the face
+    half of its split and its cube extension at most once each, build every
+    region and filtered complex with at most one restriction of one of them,
+    and glue each augmented interior once, onto that interior."""
     body = json.loads((JOBS_DIR / f"{name}.json").read_text())
     body["tasks"] = ["verify34", "props2"]
-    per_class = count_regions(monkeypatch)
+    per_class = count_builds(monkeypatch)
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     problem, _tasks, _pages = cli.load_job(job)
     n = problem.n
     subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
     assert len(per_class) == len(cech.degree_classes(problem)) > 1
-    faces_built = 0
+    faces_built = all_three = 0
     for calls in per_class:
+        assert set(calls["totalized"]) <= {"lattice", "face half", "cube"}
+        assert set(calls["totalized"].values()) == {1}
+        all_three += len(calls["totalized"]) == 3
         assert set(calls["restricted"].values()) == {1}
-        assert calls["totalized"] == calls["restricted"]
-        assert {Region.interior(s, n) for s in subsets} <= set(calls["restricted"])
-        faces_built += any(r.kind == "face" for r in calls["restricted"])
+        assert {("region", "interior", s) for s in subsets} <= set(calls["restricted"])
+        faces_built += ("region", "face", ()) in calls["restricted"]
         assert set(calls["augmented"].values()) == {1}
         assert tuple(range(n)) in calls["augmented"]
-    assert faces_built  # props2 read the face regions of some class
+    assert faces_built and all_three  # props2 read the face regions and every filtration
 
 
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
 def test_verify34_builds_no_split_sequence_or_face_region(tmp_path, monkeypatch, name):
     body = json.loads((JOBS_DIR / f"{name}.json").read_text())
     body["tasks"] = ["cohomology", "verify34"]
-    per_class = count_regions(monkeypatch)
+    per_class = count_builds(monkeypatch)
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     assert len(per_class) > 1
     for calls in per_class:
         assert calls["splits"] == {} and calls["sequences"] == {}
-        assert {r.kind for r in calls["restricted"]} == {"interior"}
+        assert calls["totalized"] == {"lattice": 1}
+        assert {key[:2] for key in calls["restricted"]} == {("region", "interior")}
         assert len(calls["augmented"]) == 1
 
 

@@ -72,6 +72,14 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(91)
 
 
+def test_prime_field_refuses_moduli_past_the_exact_primality_test():
+    psi12 = 3317044064679887385961981  # the least strong pseudoprime to the 12 bases
+    assert psi12 == 1287836182261 * 2575672364521 and is_prime(psi12)
+    with pytest.raises(InputError, match="too large"):
+        PrimeField(psi12)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
 def test_rref_hand_example():
     a = _field_matrix(F, [[2, 4], [1, 2]])
     R, piv = rref(F, a)

@@ -12,16 +12,13 @@ from cechmv import (
     InternalCheckError,
     Multicomplex,
     PrimeField,
-    Region,
     augment_interior,
     cohomology_map,
     composite_along,
     cube_extension,
-    drop_axis_top,
     koszul_complex,
     koszul_split,
     line_complex,
-    puncture,
     restrict,
     sign_twist,
     tensor_product,
@@ -136,36 +133,18 @@ def test_tensor_product_dims_and_validity(rng):
             assert d > 0
 
 
-def test_region_membership():
-    n = 2
-    face0 = Region.face({0}, n)  # q2 = 0
-    assert face0.contains((3, 0)) and face0.contains((0, 0)) and not face0.contains((1, 1))
-    # star names the coordinates forced to zero instead
-    assert Region.face({1}, n, star=True).contains((3, 0))
-    inter = Region.interior({0}, n)
-    assert inter.contains((1, 0)) and not inter.contains((1, 1)) and not inter.contains((0, 0))
-    assert Region.interior_all(n).contains((2, 3))
-    with pytest.raises(ContractError):
-        Region.face({5}, n)
-
-
-def test_restrict_and_puncture():
-    mc = unit_square()
-    inner = restrict(mc, Region.interior_all(2))
-    assert set(inner.dims) == {(1, 1)}
-    assert inner.diffs == {}
-    pu = puncture(mc)
-    assert set(pu.dims) == {(0, 1), (1, 0), (1, 1)}
-    assert ((0, 1), 0) in pu.diffs and ((0, 0), 0) not in pu.diffs
-
-
-def test_drop_axis_top():
-    mc = unit_square()
-    dropped = drop_axis_top(mc, 0, 1)
-    assert set(dropped.dims) == {(0, 0), (0, 1)}
-    assert dropped.box[1] == (0, 1)
-    with pytest.raises(ContractError, match="top layer"):
-        drop_axis_top(mc, 0, 0)
+def test_restrict_keeps_the_selected_blocks_in_order():
+    tot = totalize(unit_square())
+    inner = restrict(tot, all)
+    assert (inner.dims, inner.d, inner.blocks) == ({2: 1}, {}, {2: (((1, 1), 1),)})
+    punctured = restrict(tot, any)
+    assert punctured.dims == {1: 2, 2: 1}
+    assert punctured.blocks[1] == (((0, 1), 1), ((1, 0), 1))
+    assert punctured.d == {1: tot.d[1]}
+    assert restrict(tot, lambda q: True) is tot
+    assert restrict(tot, lambda q: False).dims == {}
+    with pytest.raises(ContractError, match="totalization"):
+        restrict(CochainComplex(F, {0: 1}, {}), all)
 
 
 def test_line_complex():
@@ -185,7 +164,7 @@ def test_composite_along():
 
 def test_augment_interior_unit_square():
     mc = unit_square()
-    inner = totalize(restrict(mc, Region.interior_all(2)))
+    inner = restrict(totalize(mc), all)
     plus = augment_interior(mc, (0, 1), inner)
     assert plus.dims == {1: 1, 2: 1}
     assert dense(F, plus.matrix(1), 1).tolist() == [[1]]
@@ -202,7 +181,7 @@ def test_augment_interior_unit_square():
 def test_augment_interior_single_axis():
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     mc = tensor_product([seg])
-    plus = augment_interior(mc, (0,), totalize(restrict(mc, Region.interior((0,), 1))))
+    plus = augment_interior(mc, (0,), restrict(totalize(mc), all))
     assert plus.dims == {0: 1, 1: 1}
     assert plus.cohomology_dims() == {}
 

@@ -27,16 +27,12 @@ from cechmv import (
     RationalField,
     SpectralSequence,
     cech_multicomplex,
-    complement_total_filtration,
     coordinate_filtration,
-    cube_extension,
     default_window,
     degree_classes,
-    koszul_split,
+    filtration_from_blocks,
     nonzero_count_filtration,
-    puncture,
-    sign_twist,
-    truncated_face_filtration,
+    totalize,
 )
 from cechmv.mvss import FILTRATION, VARIANTS
 from cechmv.spectral import LatticeSequences
@@ -59,16 +55,8 @@ def random_problem(field, rng) -> CechProblem:
     return CechProblem(field, m, groups, quotient, default_window(m, groups, quotient))
 
 
-def region_filtrations(mc):
-    """The four filtrations props2 audits (``region_convergence_report``)."""
-    cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
-    face = koszul_split(cmc).face_part
-    return {
-        "face": coordinate_filtration(face, 0),
-        "truncated face": truncated_face_filtration(face),
-        "count": nonzero_count_filtration(puncture(cmc)),
-        "cube count": nonzero_count_filtration(cube_extension(cmc), skip_axis=0),
-    }
+# the four filtrations props2 audits (``region_convergence_report``)
+REGION_FILTRATIONS = ("face", "truncated face", "punctured count", "cube count")
 
 
 def filtered_complexes(field, rng, problems: int, tensors: int):
@@ -84,10 +72,12 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
     for k in range(tensors):
         mc = rand_tensor_mc(field, rng, max_axes=3)
         yield (k, "coordinate"), coordinate_filtration(mc, 0)
-        yield (k, "complement total"), complement_total_filtration(mc, 0)
+        yield (k, "complement total"), filtration_from_blocks(totalize(mc),
+                                                              lambda q: sum(q) - q[0])
         yield (k, "count"), nonzero_count_filtration(mc)
-        for name, fc in region_filtrations(mc).items():
-            yield (k, name), fc
+        seqs = LatticeSequences(mc)
+        for kind in REGION_FILTRATIONS:
+            yield (k, kind), seqs.filtered(kind)
 
 
 # (field, Čech problems, tensor multicomplexes, filtered complexes compared)

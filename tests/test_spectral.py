@@ -13,7 +13,6 @@ from cechmv import (
     PrimeField,
     RationalField,
     SpectralSequence,
-    complement_total_filtration,
     coordinate_filtration,
     edge_composite_check,
     filtration_from_blocks,
@@ -181,7 +180,7 @@ def test_engine_internal_checks_run(rng):
     for _ in range(5):
         cx = rand_complex(F, rng, max_len=4)
         mc = tensor_product([cx, rand_complex(F, rng)])
-        fc = complement_total_filtration(mc, 0)
+        fc = filtration_from_blocks(totalize(mc), lambda q: sum(q) - q[0])
         ss = SpectralSequence(fc)
         assert_agrees_with_reference(fc, ss.pages_up_to(fc.width + 1), ss.infinity()[0].cells)
 
