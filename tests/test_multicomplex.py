@@ -10,6 +10,7 @@ from cechmv import (
     ContractError,
     InputError,
     InternalCheckError,
+    LatticeSequences,
     Multicomplex,
     PrimeField,
     augment_interior,
@@ -25,7 +26,7 @@ from cechmv import (
     totalize,
     validate,
 )
-from conftest import columns, dense, rand_tensor_mc
+from conftest import columns, dense, keep_points, rand_tensor_mc
 
 F = PrimeField(65537)
 
@@ -133,7 +134,25 @@ def test_tensor_product_dims_and_validity(rng):
             assert d > 0
 
 
-def test_restrict_keeps_the_selected_blocks_in_order():
+def points(tot):
+    """The lattice points whose blocks ``tot`` holds."""
+    return {key for blk in tot.blocks.values() for key, _ in blk}
+
+
+def test_region_membership():
+    seg = CochainComplex(F, {v: 1 for v in range(4)}, {})  # k at 0..3, zero maps
+    ls = LatticeSequences(tensor_product([seg, seg]))
+    face = points(ls.region("face", (1,)))  # q2 = 0
+    assert {(3, 0), (0, 0)} <= face and (1, 1) not in face
+    assert points(ls.region("face", ())) == set(ls.mc.dims)
+    inter = points(ls.region("interior", (0,)))
+    assert (1, 0) in inter and (1, 1) not in inter and (0, 0) not in inter
+    assert (2, 3) in points(ls.region("interior", (0, 1)))
+    with pytest.raises(ContractError, match="unknown lattice region"):
+        ls.region("corner", (0,))
+
+
+def test_restrict_and_puncture():
     tot = totalize(unit_square())
     inner = restrict(tot, all)
     assert (inner.dims, inner.d, inner.blocks) == ({2: 1}, {}, {2: (((1, 1), 1),)})
@@ -145,6 +164,16 @@ def test_restrict_keeps_the_selected_blocks_in_order():
     assert restrict(tot, lambda q: False).dims == {}
     with pytest.raises(ContractError, match="totalization"):
         restrict(CochainComplex(F, {0: 1}, {}), all)
+
+
+def test_drop_axis_top():
+    mc = unit_square()
+    dropped = restrict(totalize(mc), lambda q: q[0] < mc.box[1][0])
+    assert points(dropped) == {(0, 0), (0, 1)}
+    assert dropped == totalize(keep_points(mc, lambda q: q[0] < 1))
+    # variant 1a's face filtration drops the top wedge level n the same way
+    ls = LatticeSequences(mc)
+    assert ls.filtered("truncated face").p_max < mc.n == ls.filtered("face").p_max
 
 
 def test_line_complex():
