@@ -121,7 +121,6 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
     if pages is not None and (type(pages) is not int or pages < 0):
         raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     problem = CechProblem.from_text(field, m, groups, quo, window)
-    check_pages(problem, pages, "pages")
     return problem, check_tasks(problem, tasks), pages
 
 
@@ -324,7 +323,8 @@ def cmd_compute(args) -> int:
         if args.pages is not None and args.pages < 0:
             raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
         problem, tasks, job_pages = load_job(args.job)
-        check_pages(problem, args.pages, "--pages")
+        pages = args.pages if args.pages is not None else job_pages
+        check_pages(problem, pages, "pages" if args.pages is None else "--pages")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:
@@ -332,7 +332,6 @@ def cmd_compute(args) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    pages = args.pages if args.pages is not None else job_pages
     report, files = compute(problem, tasks, pages, args.jobs or os.cpu_count() or 1)
     for name, content in sorted(files.items()):
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:

@@ -161,9 +161,13 @@ def submatrix(a: Columns, rows, cols) -> Columns:
     """The matrix whose entry (i, j) is the entry (rows[i], cols[j]) of
     ``a``: the columns ``cols`` of ``a`` on the rows ``rows``, both index
     sequences, relabelled by their positions there.  No column is copied
-    densely, and ``a`` is not modified."""
+    densely, and ``a`` is not modified: a column whose rows all keep their
+    index (they lie below the first row that moves or is dropped) is shared
+    with ``a``, not copied."""
     pos = {r: i for i, r in enumerate(rows)}
-    return [{pos[r]: v for r, v in a[j].items() if r in pos} for j in cols]
+    fixed = next((i for i in range(len(pos)) if pos.get(i) != i), len(pos))
+    return [a[j] if max(a[j], default=-1) < fixed
+            else {pos[r]: v for r, v in a[j].items() if r in pos} for j in cols]
 
 
 def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -232,6 +232,7 @@ def totalize(mc: Multicomplex) -> CochainComplex:
         if m + 1 not in dims:
             continue
         columns: Columns = []
+        row_ids = list(range(dims[m + 1]))  # one int object per row, shared by its entries
         for q, dq in blk:
             cols: Columns = [{} for _ in range(dq)]
             for i in range(mc.n):
@@ -243,7 +244,7 @@ def totalize(mc: Multicomplex) -> CochainComplex:
                     block = neg(f, block)
                 r0 = starts[m + 1][tq]
                 for col, bcol in zip(cols, block):
-                    col.update((r0 + r, v) for r, v in bcol.items())
+                    col.update((row_ids[r0 + r], v) for r, v in bcol.items())
             columns.extend(cols)
         d[m] = columns
     return CochainComplex(f, dims, d, blocks)

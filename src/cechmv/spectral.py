@@ -47,7 +47,6 @@ from .multicomplex import (
     CochainComplex,
     KoszulSplit,
     Multicomplex,
-    Point,
     augment_interior,
     block_slices,
     composite_along,
@@ -102,20 +101,17 @@ def filtration_from_blocks(tot: CochainComplex, level_of_block) -> FilteredCompl
     return FilteredComplex(tot, levels)
 
 
-def coordinate_filtration(mc: Multicomplex, axis: int) -> FilteredComplex:
-    """Filter the totalization by the value of one lattice coordinate."""
-    return filtration_from_blocks(totalize(mc), lambda q: q[axis])
+def coordinate_filtration(tot: CochainComplex, axis: int) -> FilteredComplex:
+    """Filter a totalization by the value of one lattice coordinate."""
+    return filtration_from_blocks(tot, itemgetter(axis))
 
 
-def nonzero_count_filtration(mc: Multicomplex, skip_axis: int | None = None) -> FilteredComplex:
-    """Filter by how many coordinates are nonzero, optionally ignoring one
-    axis entirely (used for the cube-extended complex, whose extra direction
-    does not participate in the count)."""
-
-    def score(q: Point) -> int:
-        return sum(1 for i, x in enumerate(q) if x != 0 and i != skip_axis)
-
-    return filtration_from_blocks(totalize(mc), score)
+def nonzero_count_filtration(tot: CochainComplex, skip_axis: int | None = None) -> FilteredComplex:
+    """Filter a totalization by how many coordinates are nonzero, optionally
+    ignoring one axis entirely (used for the cube-extended complex, whose
+    extra direction does not participate in the count)."""
+    return filtration_from_blocks(
+        tot, lambda q: sum(1 for i, x in enumerate(q) if x != 0 and i != skip_axis))
 
 
 @dataclass(frozen=True)
@@ -284,18 +280,17 @@ class LatticeSequences:
 
     def filtered(self, kind: str) -> FilteredComplex:
         if kind not in self._filtered:
-            n, wedge = self.mc.n, itemgetter(0)
+            n = self.mc.n
             if kind == "face":
-                fc = filtration_from_blocks(self.face_total, wedge)
+                fc = coordinate_filtration(self.face_total, 0)
             elif kind == "truncated face":
-                fc = filtration_from_blocks(restrict(self.face_total, lambda k: k[0] < n), wedge)
+                fc = coordinate_filtration(restrict(self.face_total, lambda k: k[0] < n), 0)
             elif kind == "punctured face":
-                fc = filtration_from_blocks(restrict(self.face_total, lambda k: any(k[1:])), wedge)
+                fc = coordinate_filtration(restrict(self.face_total, lambda k: any(k[1:])), 0)
             elif kind == "cube count":
-                fc = filtration_from_blocks(self.cube_total, lambda k: sum(1 for x in k[1:] if x))
+                fc = nonzero_count_filtration(self.cube_total, skip_axis=0)
             elif kind == "punctured count":
-                fc = filtration_from_blocks(restrict(self.total, any),
-                                            lambda q: sum(1 for x in q if x))
+                fc = nonzero_count_filtration(restrict(self.total, any))
             else:
                 raise ContractError(f"unknown lattice filtration {kind!r}")
             self._filtered[kind] = fc

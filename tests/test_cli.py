@@ -267,6 +267,15 @@ def test_pages_past_n_plus_2_are_refused(tmp_path, capsys, where):
             assert max(pg["r"] for e in degrees for pg in e["pages"]) <= n + 2
 
 
+def test_a_valid_pages_flag_overrides_an_oversized_job_pages(tmp_path):
+    """Only the ``pages`` in effect is checked: ``--pages`` wins over the job's."""
+    body = dict(BASE_JOB, tasks=["mvss:1a"], pages=1000000)
+    out = tmp_path / "out"
+    assert main(["compute", write_job(tmp_path, body), "--out", str(out), "--pages", "1"]) == 0
+    degrees = json.loads((out / "pages_1a.json").read_text())["degrees"]
+    assert max(pg["r"] for e in degrees for pg in e["pages"]) == 1
+
+
 def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
     job = write_job(tmp_path, BASE_JOB)
     out = tmp_path / "taken"

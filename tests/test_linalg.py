@@ -201,6 +201,12 @@ def test_submatrix_equals_numpy_fancy_indexing(drawn, data):
                              dtype=bool) for n in (rows, cols))
     got = submatrix(columns(F, a), np.flatnonzero(rmask).tolist(), np.flatnonzero(cmask).tolist())
     assert got == columns(F, a[rmask][:, cmask])
+    # a column with no entry at or below the first dropped row is shared, the others are copies
+    cols_a = columns(F, a)
+    got = submatrix(cols_a, np.flatnonzero(rmask).tolist(), range(cols))
+    fixed = int(np.argmin(rmask)) if not rmask.all() else rows
+    assert [g is c for g, c in zip(got, cols_a)] == [max(c, default=-1) < fixed for c in cols_a]
+    assert cols_a == columns(F, a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -160,6 +160,7 @@ def test_restrict_and_puncture():
     assert punctured.dims == {1: 2, 2: 1}
     assert punctured.blocks[1] == (((0, 1), 1), ((1, 0), 1))
     assert punctured.d == {1: tot.d[1]}
+    assert all(c is t for c, t in zip(punctured.d[1], tot.d[1]))  # shared, not copied
     assert restrict(tot, lambda q: True) is tot
     assert restrict(tot, lambda q: False).dims == {}
     with pytest.raises(ContractError, match="totalization"):

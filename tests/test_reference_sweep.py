@@ -71,10 +71,10 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
             yield (k, prob.groups, b, "face"), seqs.filtered("face")
     for k in range(tensors):
         mc = rand_tensor_mc(field, rng, max_axes=3)
-        yield (k, "coordinate"), coordinate_filtration(mc, 0)
+        yield (k, "coordinate"), coordinate_filtration(totalize(mc), 0)
         yield (k, "complement total"), filtration_from_blocks(totalize(mc),
                                                               lambda q: sum(q) - q[0])
-        yield (k, "count"), nonzero_count_filtration(mc)
+        yield (k, "count"), nonzero_count_filtration(totalize(mc))
         seqs = LatticeSequences(mc)
         for kind in REGION_FILTRATIONS:
             yield (k, kind), seqs.filtered(kind)

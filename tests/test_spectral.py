@@ -91,7 +91,7 @@ def test_filtration_from_blocks_requires_block_data():
 
 def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
     mc = rand_tensor_mc(F, rng, max_axes=2, twist=False)
-    fc = coordinate_filtration(mc, 0)
+    fc = coordinate_filtration(totalize(mc), 0)
     fc.validate()
     tot = totalize(mc)
     assert sorted(fc.levels) == sorted(tot.blocks)
@@ -106,7 +106,8 @@ def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
 def test_abutment_graded_sums_to_cohomology(rng):
     for _ in range(6):
         mc = rand_tensor_mc(F, rng, max_axes=3)
-        fc = nonzero_count_filtration(mc if mc.flavor == "commutative" else sign_twist(mc))
+        cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
+        fc = nonzero_count_filtration(totalize(cmc))
         if not fc.total.dims:
             continue
         ss = SpectralSequence(fc)
@@ -167,7 +168,7 @@ def test_abutment_levels_are_kernel_minus_image(field):
     for _ in range(30):
         mc = rand_tensor_mc(field, rng, max_axes=3)
         cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
-        for fc in (coordinate_filtration(mc, 0), nonzero_count_filtration(cmc)):
+        for fc in (coordinate_filtration(totalize(mc), 0), nonzero_count_filtration(totalize(cmc))):
             want, image_levels = reference_abutment(fc)
             assert SpectralSequence(fc).abutment() == want
             nonzero_meets += sum(d > 0 for d in image_levels.values())
@@ -187,7 +188,7 @@ def test_engine_internal_checks_run(rng):
 
 def test_d_matrix_shapes_follow_bidegree(rng):
     mc = rand_tensor_mc(F, rng, max_axes=2, twist=False)
-    fc = coordinate_filtration(mc, 0)
+    fc = coordinate_filtration(totalize(mc), 0)
     ss = SpectralSequence(fc)
     for r in range(0, fc.width + 1):
         pg = ss.page(r)
