@@ -83,7 +83,6 @@ from .cech import (
     CechProblem,
     CohomologyTable,
     OracleCache,
-    annihilation_report,
     cech_multicomplex,
     default_window,
     degree_classes,
@@ -128,7 +127,6 @@ __all__ = [
     "SpectralSequence",
     "Subspace",
     "VARIANTS",
-    "annihilation_report",
     "augment_interior",
     "cech_multicomplex",
     "cohomology_map",

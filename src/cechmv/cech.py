@@ -37,31 +37,22 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError
 from .grading import (
     Exps,
     MonomialIdeal,
-    format_monomial,
     localized_piece_dim,
-    monomial_mul,
     parse_monomial,
     product_sequence,
     support_mask,
     window_degrees,
 )
 from .jsonout import PerDegree
-from .linalg import Columns, Field, identity, mul, rank
-from .multicomplex import (
-    COMMUTATIVE,
-    Multicomplex,
-    Point,
-    augment_interior,
-    cohomology_map,
-    restrict,
-    totalize,
-)
+from .linalg import Columns, Field, rank
+from .multicomplex import COMMUTATIVE, Multicomplex, Point
 from .spectral import LatticeSequences
 
 Window = tuple[Exps, Exps]
@@ -275,16 +266,42 @@ class CohomologyTable:
         return self.dims.get((i, b), 0)
 
     def to_csv(self) -> str:
-        keys = [",".join(map(str, b)) for b in window_degrees(self.window)]
-        by_i: dict[int, dict[str, int]] = {}
+        """The dense table as CSV: the header ``i,b1,...,bm,dim``, then one
+        row ``i,b1,...,bm,dim`` per index i in 0..i_max and window degree b,
+        index-major with the degrees in lex order, zeros included.  Entries
+        of ``dims`` above ``i_max`` or outside the window are not written.
+
+        Every zero row ``b1,...,bm,0`` is built once and shared by all
+        indices; each index's chunk is one ``str.join`` over them whose
+        separator carries the ``i,`` prefix, with that index's nonzero cells
+        patched in for the join only.
+        """
+        lo, hi = self.window
+        values = [[str(v) for v in range(a, z + 1)] for a, z in zip(lo, hi)]
+        strides = [1] * len(lo)
+        for j in range(len(lo) - 1, 0, -1):
+            strides[j - 1] = strides[j] * len(values[j])
+        rows = list(map(",".join, itertools.product(*values, ("0",))))
+        base = sum(map(operator.mul, lo, strides))  # so that lo sits at 0
+        # i -> (lex position, dim); the loop below reads only i in 0..i_max
+        cells: dict[int, list[tuple[int, int]]] = {}
         for (i, b), h in self.dims.items():
-            by_i.setdefault(i, {})[",".join(map(str, b))] = h
-        # one chunk per index i, so only one index's rows are alive at a time
+            if len(b) == len(lo) and all(map(operator.le, lo, b)) and all(map(operator.le, b, hi)):
+                cells.setdefault(i, []).append((sum(map(operator.mul, b, strides)) - base, h))
         chunks = [",".join(["i", *(f"b{j + 1}" for j in range(self.num_vars)), "dim"])]
         for i in range(self.i_max + 1):
-            col = by_i.get(i, {})
-            chunks.append("\n".join(f"{i},{key},{col.get(key, 0)}" for key in keys))
-        return "\n".join(chunks) + "\n"
+            patched = cells.get(i, [])
+            zeros = [rows[pos] for pos, _ in patched]
+            for (pos, h), zero in zip(patched, zeros):
+                rows[pos] = f"{zero[:-1]}{h}"
+            chunks.append(f"{i}," + f"\n{i},".join(rows) if rows else "")
+            for (pos, _), zero in zip(patched, zeros):
+                rows[pos] = zero
+        # the peak is the final join: free the zero rows before it, and add
+        # the trailing newline as an empty last chunk, not by copying the text
+        del rows
+        chunks.append("")
+        return "\n".join(chunks)
 
     def to_json(self) -> dict:
         """The report's table object: its nonzero entries {"i", "b", "dim"}
@@ -507,118 +524,3 @@ def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cac
     if four != 0:
         issues.append({"check": "four_term", "value": four})
     return issues
-
-
-class _AugmentedFiber:
-    """Degree-b augmented interior complex plus the bookkeeping needed to map
-    its basis elements across degrees (each element is a choice of generator
-    subsets, whose localization support never changes)."""
-
-    def __init__(self, problem: CechProblem, b: Exps):
-        self.problem = problem
-        mc = cech_multicomplex(problem, b)
-        # the interior: the points with every coordinate positive
-        self.plus = augment_interior(mc, tuple(range(problem.n)), restrict(totalize(mc), all))
-
-        def basis(q) -> list:  # the origin entry is one piece, so one "aug" element
-            return ["aug"] if q == "aug" else [(q, combo) for combo, _ in mc.point_blocks[q]]
-
-        self.keys = {m: [k for q, _ in blk for k in basis(q)] for m, blk in self.plus.blocks.items()}
-        self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}
-
-
-def _step_chain(src: _AugmentedFiber, dst: _AugmentedFiber) -> dict[int, Columns]:
-    """Multiplication-by-monomial chain map between two fibers: each basis
-    element maps to its namesake if that one is still alive."""
-    chain = {}
-    for m in sorted(set(src.plus.dims) | set(dst.plus.dims)):
-        rows = dst.positions.get(m, {})
-        chain[m] = [{rows[key]: 1} if key in rows else {} for key in src.keys.get(m, [])]
-    return chain
-
-
-def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | None = None) -> dict:
-    """Check that every cohomology class of the augmented interior complex is
-    killed, within the window, by a power of each generator-product monomial.
-
-    For each degree b with classes, each product generator g and each power
-    N <= bound with b + N*deg(g) still in the window, the induced map on
-    cohomology is composed step by step; a class counts as annihilated once
-    its image vanishes.  Classes whose testing walks leave the window before
-    vanishing are reported as inconclusive, not failed.
-    """
-    if bound < 1:
-        raise InputError("annihilation bound must be at least 1")
-    gens = product_sequence(problem.groups)
-    if not any(problem.in_window(monomial_mul(b, g)) for b in problem.degrees() for g in set(gens)):
-        raise InputError("window too small to test annihilation for any exponent")
-
-    # a fiber, and the map between two fibers, depend on their degrees only
-    # through the piece patterns, so each is built once per pattern
-    cache = cache or OracleCache(problem)
-    fibers: dict[tuple[int, ...], _AugmentedFiber] = {}
-    induced_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Columns]] = {}
-
-    def fiber(b: Exps) -> _AugmentedFiber:
-        pat = cache.pattern(b)
-        if pat not in fibers:
-            fibers[pat] = _AugmentedFiber(problem, b)
-        return fibers[pat]
-
-    def induced(b: Exps, g: Exps) -> dict[int, Columns]:
-        nxt = monomial_mul(b, g)
-        key = (cache.pattern(b), cache.pattern(nxt))
-        if key not in induced_cache:
-            src, dst = fiber(b), fiber(nxt)
-            induced_cache[key] = cohomology_map(src.plus, dst.plus, _step_chain(src, dst))
-        return induced_cache[key]
-
-    f = problem.field
-    rows: list[dict] = []
-    total_pairs = 0
-    annihilated_pairs = 0
-    inconclusive: list[dict] = []
-    for b in problem.degrees():
-        hdims = fiber(b).plus.cohomology_dims()
-        for m, k in sorted(hdims.items()):
-            if not k:
-                continue
-            for g in sorted(set(gens)):
-                total_pairs += k
-                cum = identity(k)
-                cur = b
-                found = [None] * k
-                ran_out = False
-                for nstep in range(1, bound + 1):
-                    nxt = monomial_mul(cur, g)
-                    if not problem.in_window(nxt):
-                        ran_out = True
-                        break
-                    # no map at m means no classes at cur, so cum has no rows
-                    cum = mul(f, induced(cur, g).get(m, []), cum)
-                    for col in range(k):
-                        if found[col] is None and not cum[col]:
-                            found[col] = nstep
-                    cur = nxt
-                    if all(x is not None for x in found):
-                        break
-                done = sum(1 for x in found if x is not None)
-                annihilated_pairs += done
-                row = {
-                    "degree": list(b),
-                    "slot": m,
-                    "generator": format_monomial(g),
-                    "classes": k,
-                    "annihilated_at": [x if x is not None else None for x in found],
-                }
-                rows.append(row)
-                if done < k:
-                    inconclusive.append({**row, "window_exhausted": ran_out})
-    return {
-        "bound": bound,
-        "pairs": total_pairs,
-        "annihilated": annihilated_pairs,
-        "inconclusive": inconclusive,
-        "rows": rows,
-        "pass": not inconclusive,
-    }

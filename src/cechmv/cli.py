@@ -271,17 +271,19 @@ def _class_worker(args) -> list:
 def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
             jobs: int = 1) -> tuple[dict, dict[str, str]]:
     """Run ``tasks`` over the window of ``problem``: classify the window once,
-    run the class step of every task per degree class, in ``jobs`` worker
-    processes, and assemble each task over the classes.  Returns the report
+    run the class step of every task per degree class, in at most ``jobs``
+    worker processes and never more than the classes or the CPUs, and
+    assemble each task over the classes.  Returns the report
     and the contents of every output file by name, ``report.json`` among
     them."""
     tasks = check_tasks(problem, tasks)
     classes = [members for _pat, members in degree_classes(problem)]
     work = [(problem, tasks, pages, members) for members in classes]
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(jobs, len(work))) as pool:
+        with multiprocessing.Pool(workers) as pool:
             steps = pool.map(_class_worker, work, chunksize=1)
     else:
         steps = [_class_worker(w) for w in work]

@@ -4,18 +4,21 @@ the lattice route to the product-sequence route."""
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cechmv import (
     CechProblem,
+    CohomologyTable,
     InputError,
     MonomialIdeal,
     OracleCache,
     PrimeField,
     RationalField,
-    annihilation_report,
     cech_multicomplex,
     compute,
     default_window,
@@ -24,10 +27,12 @@ from cechmv import (
     restrict,
     totalize,
     validate,
+    window_degrees,
 )
 from cechmv import cech
 from cechmv.jsonout import plain
 from conftest import dense
+from reference_annihilation import annihilation_report
 
 F = PrimeField(65537)
 X = (1, 0)
@@ -254,6 +259,86 @@ def test_oracle_table_with_quotient():
     J0 = MonomialIdeal(2, (X, Y))
     t0 = oracle_table((X, Y), J0, ((-2, -2), (2, 2)))
     assert dict(t0.dims) == {(0, (0, 0)): 1}
+
+
+def reference_csv(table: CohomologyTable) -> str:
+    """The dense CSV of ``table`` written row by row: one f-string and one
+    lookup, keyed by the degree's text, per (index, degree)."""
+    keys = [",".join(map(str, b)) for b in window_degrees(table.window)]
+    by_i: dict[int, dict[str, int]] = {}
+    for (i, b), h in table.dims.items():
+        by_i.setdefault(i, {})[",".join(map(str, b))] = h
+    chunks = [",".join(["i", *(f"b{j + 1}" for j in range(table.num_vars)), "dim"])]
+    for i in range(table.i_max + 1):
+        col = by_i.get(i, {})
+        chunks.append("\n".join(f"{i},{key},{col.get(key, 0)}" for key in keys))
+    return "\n".join(chunks) + "\n"
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables over 1..6 coordinates, each negative-only, positive-only, mixed
+    or of width 1, with sparse or dense ``dims``, explicit zeros, and entries
+    above ``i_max``, below 0 or outside the window, which are not written."""
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["negative", "positive", "mixed", "single"]))
+        if kind == "negative":
+            z = -draw(st.integers(1, 3))
+            a = z - draw(st.integers(0, 2))
+        elif kind == "positive":
+            a = draw(st.integers(1, 3))
+            z = a + draw(st.integers(0, 2))
+        elif kind == "mixed":
+            a, z = -draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        else:
+            a = z = draw(st.integers(-3, 3))
+        lo.append(a)
+        hi.append(z)
+    window = (tuple(lo), tuple(hi))
+    i_max = draw(st.integers(0, 5))
+    degrees = list(window_degrees(window))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    dims = {(i, b): rng.randrange(12) for i in range(i_max + 1) for b in degrees
+            if rng.random() < density}
+    for _ in range(draw(st.integers(0, 4))):
+        b = list(rng.choice(degrees))
+        j = rng.randrange(len(b))
+        b[j] = rng.choice([lo[j] - 1, hi[j] + 1])
+        dims[(rng.randrange(i_max + 1), tuple(b))] = rng.randrange(1, 12)
+    for _ in range(draw(st.integers(0, 4))):
+        i = rng.choice([-1, i_max + 1, i_max + 3])
+        dims[(i, rng.choice(degrees))] = rng.randrange(1, 12)
+    return CohomologyTable(len(lo), i_max, window, "h", dims)
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_tables())
+@example(CohomologyTable(2, 1, ((0, 1), (1, 0)), "h", {(0, (0, 0)): 1}))  # an empty window
+def test_csv_writer_matches_the_row_by_row_reference(table):
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_csv_writer_peak_memory_stays_below_the_reference_on_a_wide_window():
+    # the wide-window benchmark workload's problem: 30,625 degrees, i_max 4.
+    # The writer holds one list of per-degree rows, frees it before the final
+    # join and never copies the joined text, which puts its peak near 0.55 of
+    # the reference's; a second per-degree list, rows kept through the final
+    # join, or one more copy of the text each lift it above 0.74
+    prob = CechProblem.from_text(F, 6, [["x1^2", "x2*x3"], ["x4*x5", "x6"]], ["x1^2*x2^2"])
+    table = OracleCache(prob).table("product", (0, 1), "full")
+    peaks, texts = [], []
+    for writer in (reference_csv, CohomologyTable.to_csv):
+        tracemalloc.start()
+        try:
+            texts.append(writer(table))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(texts[0].splitlines()) == 1 + 5 * 30625
+    assert texts[1] == texts[0]
+    assert peaks[1] <= 0.65 * peaks[0], peaks
 
 
 def test_oracle_truncated_convention():

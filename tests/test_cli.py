@@ -339,6 +339,36 @@ def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
         assert got == WALL_DIGESTS[name]
 
 
+def test_compute_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    import multiprocessing
+
+    body = dict(BASE_JOB, window=[[-2, -2], [2, 2]])
+    problem, tasks, _pages = cli.load_job(write_job(tmp_path, body))
+    assert len(cech.degree_classes(problem)) > 3
+    started = []
+
+    class SerialPool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    report, files = cli.compute(problem, tasks, jobs=10**6)
+    assert started == [3]
+    assert (report, files) == cli.compute(problem, tasks, jobs=1)
+
+
 def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monkeypatch):
     body = dict(BASE_JOB, window=[[-2, -2], [2, 2]],
                 tasks=["cohomology", "verify34", "props2", "mvss:1a", "mvss:1b",
