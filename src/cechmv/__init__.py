@@ -13,7 +13,7 @@ The package is organized bottom-up:
   the report files.
 * :mod:`cechmv.multicomplex` -- lattice-graded complexes with one
   differential per axis, totalization, the restriction of a totalization
-  to a region, the wedge/face splitting and the cube extension.
+  to a region, the face half of the Koszul split and the cube extension.
 * :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
   with one list of int levels per degree, every page counted from the
   persistence pairs of one column reduction.
@@ -51,7 +51,6 @@ from .multicomplex import (
     ANTICOMMUTATIVE,
     COMMUTATIVE,
     CochainComplex,
-    KoszulSplit,
     Multicomplex,
     augment_interior,
     cohomology_map,
@@ -115,7 +114,6 @@ __all__ = [
     "FilteredComplex",
     "InputError",
     "InternalCheckError",
-    "KoszulSplit",
     "LatticeSequences",
     "MonomialIdeal",
     "Multicomplex",

@@ -432,7 +432,7 @@ def cmd_selftest(args) -> int:
     # suite 3: split-column collapse on random lattices
     for trial in range(20):
         mc = _random_tensor_mc(f, rng, args.max_vars)
-        for msg in split_column_report(mc, LatticeSequences(mc).split):
+        for msg in split_column_report(mc, LatticeSequences(mc).face_half):
             failures.append(f"trial {trial}: {msg}")
 
     # suite 4: page-one and abutment accounting for the four region sequences

@@ -21,6 +21,11 @@ a face is a quotient complex, the other kinds are subcomplexes of the
 relevant face quotient, and ``restrict`` selects any of them as the blocks of
 the totalization whose lattice points lie in the region.
 
+The unit-Koszul scaffold on a lattice splits into a subobject supported off
+the coordinate faces and a face-supported quotient.  Only the quotient, the
+face half (``koszul_split``), feeds a spectral sequence, so it is the only
+half built over a whole lattice.
+
 Every map is a list of sparse ``{row: value}`` columns (``linalg``), and
 every builder here writes its columns directly.
 """
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ContractError, InputError, InternalCheckError
 from .linalg import (Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field,
@@ -410,33 +414,18 @@ def _wedge_signs(field: Field, s: tuple[int, ...], n: int, index: dict) -> dict[
     return out
 
 
-class KoszulSplit:
-    """The unit-Koszul scaffold over a commutative multicomplex, split into
-    the subobject supported off the coordinate faces and the face-supported
-    quotient.  Each half is built on first read."""
+def koszul_split(mc: Multicomplex) -> Multicomplex:
+    """The face half of the unit-Koszul scaffold on ``mc``: the quotient of
+    the scaffold supported on the coordinate faces, where wedge slot I keeps
+    the points with q_i = 0 for all i in I.
 
-    def __init__(self, mc: Multicomplex):
-        self.mc = mc
-
-    @cached_property
-    def complement_part(self) -> Multicomplex:
-        """Wedge slot I keeps the points with some q_i > 0, i in I."""
-        return _koszul_half(self.mc, lambda I, q: any(q[i] > 0 for i in I))
-
-    @cached_property
-    def face_part(self) -> Multicomplex:
-        """Wedge slot I keeps the points with q_i = 0 for all i in I."""
-        return _koszul_half(self.mc, lambda I, q: all(q[i] == 0 for i in I))
-
-
-def koszul_split(mc: Multicomplex) -> KoszulSplit:
-    """The two halves of the unit-Koszul scaffold on ``mc``.
-
-    Axis 0 of the halves is the wedge degree p; slots are indexed by the
+    Axis 0 of the half is the wedge degree p; slots are indexed by the
     p-subsets I of the original axes in lexicographic order.  Anticommutative
     inputs are sign-twisted first so the scaffold is uniformly commutative.
+    The other half is never built over a lattice (``spectral._split_columns``).
     """
-    return KoszulSplit(sign_twist(mc) if mc.flavor == ANTICOMMUTATIVE else mc)
+    cmc = sign_twist(mc) if mc.flavor == ANTICOMMUTATIVE else mc
+    return _koszul_half(cmc, lambda I, q: all(q[i] == 0 for i in I))
 
 
 def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:

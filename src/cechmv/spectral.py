@@ -23,13 +23,17 @@ and it also gives the abutment: over a field the graded pieces of the
 filtration induced on H^m are the E_inf cells of total degree m
 (``SpectralSequence.abutment``).  ``infinity`` caches both once per sequence.
 
-``LatticeSequences`` holds what the audits read off one lattice: its one
-Koszul split, the five filtered complexes built from it (the four
-Mayer-Vietoris variants and the untruncated face filtration), one spectral
-sequence per filtered complex, and the face, interior and augmented-interior
-region complexes with their cohomology.  So the region audits, the
-product-vs-interior audit and the variant runs of a degree class share every
-page, abutment and region complex.
+``LatticeSequences`` holds what the audits read off one lattice: the face
+half of its one Koszul split, the five filtered complexes built from it and
+the lattice (the four Mayer-Vietoris variants and the untruncated face
+filtration), one spectral sequence per filtered complex, and the face,
+interior and augmented-interior region complexes with their cohomology.  So
+the region audits, the product-vs-interior audit and the variant runs of a
+degree class share every page, abutment and region complex.
+
+The split audit (``split_column_report``) reads the complement half of the
+split from one-point lattices, once per (field, coordinate signs, entry
+dimension) in each process, so that half is never built over a lattice.
 """
 
 from __future__ import annotations
@@ -37,16 +41,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from .errors import ContractError
-from .linalg import Subspace, mul, pivot_pairs, submatrix
+from .linalg import Field, Subspace, mul, pivot_pairs, submatrix
 from .multicomplex import (
     COMMUTATIVE,
     CochainComplex,
-    KoszulSplit,
     Multicomplex,
+    Point,
+    _koszul_half,
     augment_interior,
     block_slices,
     composite_along,
@@ -228,8 +233,8 @@ class LatticeSequences:
 
     All of them come from three totalizations: of the commutative form
     ``cmc`` of the lattice (the lattice itself unless it is
-    anticommutative), of the face half of its one Koszul split, and of its
-    cube extension.  Every other complex is a block selection of one of the
+    anticommutative), of its face half (``koszul_split``), and of its cube
+    extension.  Every other complex is a block selection of one of the
     three (``restrict``), so the five filtered complexes are
 
       face             wedge degree on the face half;
@@ -263,7 +268,7 @@ class LatticeSequences:
         return self.mc if self.mc.flavor == COMMUTATIVE else sign_twist(self.mc)
 
     @cached_property
-    def split(self) -> KoszulSplit:
+    def face_half(self) -> Multicomplex:
         return koszul_split(self.cmc)
 
     @cached_property
@@ -272,7 +277,7 @@ class LatticeSequences:
 
     @cached_property
     def face_total(self) -> CochainComplex:
-        return totalize(self.split.face_part)
+        return totalize(self.face_half)
 
     @cached_property
     def cube_total(self) -> CochainComplex:
@@ -324,24 +329,51 @@ class LatticeSequences:
         return self._region_h[key]
 
 
-def split_column_report(mc: Multicomplex, ks: KoszulSplit) -> list[str]:
-    """Per-point audit of ``ks``, the two halves of the Koszul split of ``mc``.
+@cache
+def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
+    """The wedge columns of the two halves of the Koszul split at a lattice
+    point whose coordinates have the signs ``signs`` (each -1, 0 or 1) and
+    whose entry has dimension ``dim``, each with its cohomology:
+    ``((complement, h), (face, h))``.
+
+    Neither column depends on the lattice's maps, so both are those of the
+    one-point lattice at ``signs``, each checked and reduced once per key."""
+    point = Multicomplex(field, len(signs), (signs, signs), {signs: dim}, {}, COMMUTATIVE)
+    complement, face = (line_complex(_koszul_half(point, keep), 0, (0,) + signs) for keep in (
+        lambda I, q: any(q[i] > 0 for i in I),  # off the coordinate faces
+        lambda I, q: all(q[i] == 0 for i in I),  # on them, as in ``koszul_split``
+    ))
+    complement.check_complex()
+    face.check_complex()
+    return (complement, complement.cohomology_dims()), (face, face.cohomology_dims())
+
+
+def split_column_report(mc: Multicomplex, face_half: Multicomplex) -> list[str]:
+    """Per-point audit of the Koszul split of ``mc``, whose face half is
+    ``face_half`` (``koszul_split(mc)``).
 
     For each lattice point q of the input, the wedge-direction column of the
     complement half must have cohomology only in wedge degree 1 and the face
     half only in wedge degree 0, both of dimension equal to the entry dim
     when q has all coordinates positive and zero otherwise.
+
+    The complement column's cohomology is the cached one of its key
+    (``_split_columns``).  The face column is read from ``face_half``; when
+    it equals the key's reference column it has the cached cohomology, and
+    otherwise it is checked and reduced here.
     """
     bad: list[str] = []
     for q in mc.points():
-        want = mc.entry_dim(q) if all(x > 0 for x in q) else 0
-        for part, name, good_deg in (
-            (ks.complement_part, "complement half", 1),
-            (ks.face_part, "face half", 0),
-        ):
-            col = line_complex(part, 0, (0,) + q)
+        dq = mc.entry_dim(q)
+        want = dq if all(x > 0 for x in q) else 0
+        (_, complement_h), (face_ref, face_h) = _split_columns(
+            mc.field, tuple((x > 0) - (x < 0) for x in q), dq)
+        col = line_complex(face_half, 0, (0,) + q)
+        if col.dims != face_ref.dims or col.d != face_ref.d:
             col.check_complex()
-            h = col.cohomology_dims()
+            face_h = col.cohomology_dims()
+        for h, name, good_deg in ((complement_h, "complement half", 1),
+                                  (face_h, "face half", 0)):
             if h.get(good_deg, 0) != want:
                 bad.append(
                     f"{name} column at {q}: H^{good_deg} = {h.get(good_deg, 0)}, expected {want}"
@@ -417,7 +449,7 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
     ident = [{} for _ in range(tot.dim(n - 1))]
-    for subset, sl in block_slices(seqs.split.face_part.point_blocks[top_point]).items():
+    for subset, sl in block_slices(seqs.face_half.point_blocks[top_point]).items():
         missing = next(i for i in range(n) if i not in subset)
         sign = f.normalize(-1 if missing % 2 else 1)
         for k in range(sl.stop - sl.start):
@@ -506,6 +538,6 @@ def region_convergence_report(mc: Multicomplex,
                 bad.append(f"{tag}: abutment H^{m} = {got_h.get(m, 0)}, "
                            f"expected {want_h.get(m, 0)}")
 
-    bad.extend(split_column_report(mc, seqs.split))
+    bad.extend(split_column_report(mc, seqs.face_half))
     bad.extend(edge_composite_check(seqs))
     return bad

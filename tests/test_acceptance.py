@@ -25,22 +25,27 @@ from cechmv import (
     CechProblem,
     MonomialIdeal,
     OracleCache,
+    PrimeField,
+    RationalField,
     SpectralSequence,
     cech_multicomplex,
     compute,
     degree_classes,
     koszul_split,
+    line_complex,
     restrict,
     sign_twist,
     split_column_report,
+    tensor_product,
     totalize,
 )
 from cechmv.cli import main as cli_main, run_unit
 from cechmv.jsonout import plain
 from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
-from cechmv.spectral import LatticeSequences
-from conftest import F, class_of, keep_points, rand_tensor_mc, window_runs
+from cechmv.spectral import LatticeSequences, _split_columns
+from conftest import F, class_of, keep_points, rand_complex, rand_tensor_mc, window_runs
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
+from reference_split import koszul_half
 
 
 def random_problem(rng, m, n):
@@ -149,7 +154,7 @@ def test_punctured_face_part_is_derived_from_the_one_split(sweep):
         for _pat, members in degree_classes(prob):
             mc = cech_multicomplex(prob, members[0])
             got = restrict(LatticeSequences(mc).face_total, lambda k: any(k[1:]))
-            want = totalize(koszul_split(keep_points(mc, any)).face_part)
+            want = totalize(koszul_split(keep_points(mc, any)))
             assert got == want, members[0]
             checked += bool(want.dims)
     assert checked > 100
@@ -179,7 +184,7 @@ def test_restrict_is_the_totalized_point_restriction(sweep):
     lattices = []
     for k in range(40):
         mc = rand_tensor_mc(F, rng, twist=False)
-        lattices += [sign_twist(mc) if k % 2 else mc, koszul_split(mc).face_part]
+        lattices += [sign_twist(mc) if k % 2 else mc, koszul_split(mc)]
     lattices += [cech_multicomplex(prob, members[0])
                  for prob in sweep for _pat, members in degree_classes(prob)]
     selected = 0
@@ -205,6 +210,39 @@ def test_kernel_and_cokernel_columns_collapse(sweep):
     for trial in range(100):
         mc = rand_tensor_mc(F, rng, max_axes=4)
         assert split_column_report(mc, koszul_split(mc)) == [], f"trial {trial}"
+
+
+def test_cached_split_columns_are_the_whole_half_columns(sweep):
+    """Gate: at every point of the sweep's lattices and of 100 random tensor
+    multicomplexes, 25 each over F_2, F_3, F_65537 and Q (20 with up to 4
+    axes, about half of them sign-twisted, and 5 whose factors start at
+    degree -2 or -1), the complement and face columns cached for the point's
+    key (field, coordinate signs, entry dim) are ``line_complex`` of the
+    whole-lattice halves, with their cohomology.  The key separates fields:
+    F_2 and F_3 get distinct entries at the same pattern."""
+    lattices = [cech_multicomplex(prob, members[0])
+                for prob in sweep for _pat, members in degree_classes(prob)]
+    for k, f in enumerate((PrimeField(2), PrimeField(3), F, RationalField())):
+        rng = np.random.default_rng(20261019 + k)
+        lattices += [rand_tensor_mc(f, rng, max_axes=4) for _ in range(20)]
+        lattices += [tensor_product([rand_complex(f, rng, min_start=-2) for _ in range(n)])
+                     for n in (1, 2, 2, 3, 3)]
+    keys = set()
+    for mc in lattices:
+        halves = [koszul_half(mc, kind) for kind in ("complement", "face")]
+        for q in mc.points():
+            key = (mc.field, tuple((x > 0) - (x < 0) for x in q), mc.entry_dim(q))
+            keys.add(key)
+            for (col, h), half in zip(_split_columns(*key), halves):
+                want = line_complex(half, 0, (0,) + q)
+                assert col == want, (mc.n, q)
+                assert h == want.cohomology_dims(), (mc.n, q)
+    assert len(keys) > 100 and {key[0] for key in keys} == {PrimeField(2), PrimeField(3), F,
+                                                           RationalField()}
+    assert any(-1 in key[1] for key in keys)
+    face2, face3 = (_split_columns(PrimeField(p), (0, 0), 1)[1][0] for p in (2, 3))
+    assert face2.field == PrimeField(2) and face3.field == PrimeField(3)
+    assert face2.d != face3.d  # the wedge sign -1 is 1 over F_2 and 2 over F_3
 
 
 def test_two_group_long_exact_sequence():

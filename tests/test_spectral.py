@@ -1,5 +1,7 @@
 """Filtered complexes and their spectral sequences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from cechmv import (
     CochainComplex,
     ContractError,
     FilteredComplex,
+    InternalCheckError,
     LatticeSequences,
     PrimeField,
     RationalField,
@@ -24,8 +27,9 @@ from cechmv import (
     tensor_product,
     totalize,
 )
-from conftest import columns, rand_complex, rand_tensor_mc
+from conftest import columns, keep_points, rand_complex, rand_tensor_mc
 from reference_spectral import assert_agrees_with_reference, rank_table_pairs, reference_abutment
+from reference_split import koszul_half, reference_split_column_report
 
 F = PrimeField(65537)
 
@@ -215,6 +219,51 @@ def test_split_column_report_clean_on_random_lattices(rng):
     for _ in range(12):
         mc = rand_tensor_mc(F, rng, max_axes=3)
         assert split_column_report(mc, koszul_split(mc)) == []
+
+
+def split_mutation_cases(rng, want_zeros: int, count: int = 12):
+    """(lattice, point) pairs of random lattices with up to 3 axes whose
+    split audit is clean, one per lattice, the point with at least
+    ``want_zeros`` zero coordinates."""
+    cases = []
+    while len(cases) < count:
+        mc = rand_tensor_mc(F, rng, max_axes=3)
+        points = [q for q in mc.points() if sum(x == 0 for x in q) >= want_zeros]
+        if points:
+            assert split_column_report(mc, koszul_split(mc)) == []
+            cases.append((mc, points[int(rng.integers(0, len(points)))]))
+    return cases
+
+
+def test_split_column_report_raises_on_a_scaled_wedge_entry(rng):
+    """One wedge entry of the face half scaled by 2, at a point with two
+    zero coordinates (so its column has three degrees), breaks d o d = 0
+    there: the audit raises what the per-point reference raises."""
+    for mc, q in split_mutation_cases(rng, want_zeros=2):
+        face = koszul_split(mc)
+        wedge = [dict(col) for col in face.diffs[((0,) + q, 0)]]
+        row = next(iter(wedge[0]))
+        wedge[0][row] = F.normalize(2 * wedge[0][row])
+        bad = dataclasses.replace(face, diffs={**face.diffs, ((0,) + q, 0): wedge})
+        with pytest.raises(InternalCheckError) as want:
+            reference_split_column_report(mc, koszul_half(mc, "complement"), bad)
+        with pytest.raises(InternalCheckError, match="d o d != 0") as got:
+            split_column_report(mc, bad)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("want_zeros", [0, 1])
+def test_split_column_report_flags_a_dropped_wedge_slot(rng, want_zeros):
+    """The face half without the top wedge slot of the column over one
+    point (its column stays a complex) gets the per-point reference's
+    messages, and at least one."""
+    for mc, q in split_mutation_cases(rng, want_zeros):
+        face = koszul_split(mc)
+        top = max(point for point in face.dims if point[1:] == q)
+        bad = keep_points(face, lambda point: point != top)
+        got = split_column_report(mc, bad)
+        assert got, (q, top)
+        assert got == reference_split_column_report(mc, koszul_half(mc, "complement"), bad)
 
 
 def test_edge_composite_check(rng):
