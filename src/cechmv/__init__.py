@@ -48,8 +48,6 @@ from .grading import (
     window_degrees,
 )
 from .multicomplex import (
-    ANTICOMMUTATIVE,
-    COMMUTATIVE,
     CochainComplex,
     Multicomplex,
     augment_interior,
@@ -60,7 +58,6 @@ from .multicomplex import (
     koszul_split,
     line_complex,
     restrict,
-    sign_twist,
     tensor_product,
     totalize,
     validate,
@@ -102,9 +99,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ANTICOMMUTATIVE",
     "AbutmentFiltration",
-    "COMMUTATIVE",
     "CechProblem",
     "CochainComplex",
     "CohomologyTable",
@@ -152,7 +147,6 @@ __all__ = [
     "region_convergence_report",
     "restrict",
     "rref",
-    "sign_twist",
     "split_column_report",
     "support_mask",
     "tensor_product",

@@ -52,7 +52,7 @@ from .grading import (
 )
 from .jsonout import PerDegree
 from .linalg import Columns, Field, rank
-from .multicomplex import COMMUTATIVE, Multicomplex, Point
+from .multicomplex import Multicomplex, Point
 from .spectral import LatticeSequences
 
 Window = tuple[Exps, Exps]
@@ -192,8 +192,6 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     dims: dict[Point, int] = {}
     pblocks: dict[Point, tuple] = {}
     index: dict[Point, dict[tuple, int]] = {}
-    box_lo = (0,) * n
-    box_hi = tuple(sizes)
     for q in itertools.product(*[range(sz + 1) for sz in sizes]):
         kept = []
         for combo in itertools.product(*[subset_lists[i][q[i]] for i in range(n)]):
@@ -229,7 +227,7 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
                         col[row] = signs[sum(1 for k in s if k < j) % 2]
                 columns.append(col)
             diffs[(q, i)] = columns
-    return Multicomplex(f, n, (box_lo, box_hi), dims, diffs, COMMUTATIVE, pblocks)
+    return Multicomplex(f, n, dims, diffs, pblocks)
 
 
 # ---------------------------------------------------------------------------

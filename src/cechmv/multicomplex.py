@@ -1,19 +1,14 @@
 """Lattice-graded multicomplexes and the constructions the spectral runs feed on.
 
 A multicomplex here is a finite family of vector spaces C^q indexed by lattice
-points q inside a box, with one differential per coordinate direction raising
-that coordinate by 1.  Two flavors are supported:
+points q, with one differential per coordinate direction raising that
+coordinate by 1: d^i and d^j commute for i != j, and d^i twice in the same
+direction composes to zero.
 
-  commutative      d^i and d^j commute for i != j,
-  anticommutative  d^i and d^j anticommute for i != j,
-
-both with d^i twice in the same direction composing to zero.  The sign
-transform rescaling d^{q,i} by (-1)^(q_1+...+q_{i-1}) toggles the flavor and
-is an involution.
-
-Totalization sums the entries along total degree; in the commutative flavor
-the blocks are sign-twisted exactly as above, in the anticommutative flavor
-they are summed as-is.
+Totalization sums the entries along total degree, rescaling each block
+d^{q,i} by (-1)^(q_1+...+q_{i-1}).  That rescaling is all that separates the
+commuting convention from the anticommuting one, so only the commuting one
+is stored.
 
 Every region the rest of the package compares (faces, punctured faces,
 interiors, the top-dropped face half) is a subquotient of one totalization:
@@ -34,15 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ContractError, InputError, InternalCheckError
 from .linalg import (Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field,
                      submatrix)
 
 Point = tuple[int, ...]
-
-COMMUTATIVE = "commutative"
-ANTICOMMUTATIVE = "anticommutative"
 
 
 def add_e(q: Point, i: int, step: int = 1) -> Point:
@@ -140,13 +133,23 @@ def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, Co
 
 @dataclass(frozen=True)
 class Multicomplex:
+    """Entries ``dims[q]`` at lattice points q of arity n and commuting maps
+    ``diffs[q, i]`` from q to q + e_i."""
+
     field: Field
     n: int
-    box: tuple[Point, Point]  # inclusive (lo, hi)
     dims: dict[Point, int]
     diffs: dict[tuple[Point, int], Columns]
-    flavor: str
     point_blocks: dict[Point, tuple] | None = None  # provenance of per-point sums
+
+    @cached_property
+    def box(self) -> tuple[Point, Point]:
+        """The bounding box (lo, hi) of the points, inclusive; lo > hi when
+        there are none."""
+        if not self.dims:
+            return (0,) * self.n, (-1,) * self.n
+        axes = list(zip(*self.dims))
+        return tuple(map(min, axes)), tuple(map(max, axes))
 
     def entry_dim(self, q: Point) -> int:
         return self.dims.get(q, 0)
@@ -164,15 +167,9 @@ class Multicomplex:
 def validate(mc: Multicomplex) -> list[str]:
     """Structural audit; returns a list of violations (empty means valid)."""
     bad: list[str] = []
-    lo, hi = mc.box
-    if len(lo) != mc.n or len(hi) != mc.n or any(a > b for a, b in zip(lo, hi)):
-        bad.append(f"malformed box {mc.box}")
-        return bad
     for q, d in mc.dims.items():
         if len(q) != mc.n:
             bad.append(f"point {q} has wrong arity")
-        elif not all(a <= x <= b for x, a, b in zip(q, lo, hi)):
-            bad.append(f"point {q} outside box")
         if d <= 0:
             bad.append(f"nonpositive dim at {q}")
     for (q, i), mat in mc.diffs.items():
@@ -198,19 +195,9 @@ def validate(mc: Multicomplex) -> list[str]:
                     continue
                 one = mul(f, mc.diff(qi, j), mc.diff(q, i))
                 two = mul(f, mc.diff(add_e(q, j), i), mc.diff(q, j))
-                if one != (two if mc.flavor == COMMUTATIVE else neg(f, two)):
-                    bad.append(f"axes {i},{j} fail the {mc.flavor} relation at {q}")
+                if one != two:
+                    bad.append(f"axes {i},{j} fail the commutative relation at {q}")
     return bad
-
-
-def sign_twist(mc: Multicomplex) -> Multicomplex:
-    """Rescale d^{q,i} by (-1)^(q_1+...+q_{i-1}); involutive, toggles flavor."""
-    new = {}
-    for (q, i), mat in mc.diffs.items():
-        s = sum(q[:i]) % 2
-        new[(q, i)] = neg(mc.field, mat) if s else mat
-    flavor = ANTICOMMUTATIVE if mc.flavor == COMMUTATIVE else COMMUTATIVE
-    return Multicomplex(mc.field, mc.n, mc.box, dict(mc.dims), new, flavor, mc.point_blocks)
 
 
 def block_slices(blocks: tuple) -> dict:
@@ -221,8 +208,8 @@ def block_slices(blocks: tuple) -> dict:
 
 
 def totalize(mc: Multicomplex) -> CochainComplex:
-    """Direct sum along total degree; commutative inputs get the sign twist on
-    each block, anticommutative inputs are summed raw."""
+    """Direct sum along total degree, block d^{q,i} rescaled by
+    (-1)^(q_1+...+q_{i-1})."""
     by_degree: dict[int, list[Point]] = {}
     for q in mc.points():
         by_degree.setdefault(sum(q), []).append(q)
@@ -244,7 +231,7 @@ def totalize(mc: Multicomplex) -> CochainComplex:
                 if mc.entry_dim(tq) == 0 or (q, i) not in mc.diffs:
                     continue
                 block = mc.diffs[(q, i)]
-                if mc.flavor == COMMUTATIVE and sum(q[:i]) % 2:
+                if sum(q[:i]) % 2:
                     block = neg(f, block)
                 r0 = starts[m + 1][tq]
                 for col, bcol in zip(cols, block):
@@ -352,10 +339,8 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
         same_field(f, cx.field)
     n = len(factors)
     ranges = [cx.degree_range() for cx in factors]
-    lo = tuple(r[0] for r in ranges)
-    hi = tuple(max(r[1], r[0]) for r in ranges)
     dims: dict[Point, int] = {}
-    for q in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+    for q in itertools.product(*[range(a, b + 1) for a, b in ranges]):
         d = 1
         for cx, v in zip(factors, q):
             d *= cx.dim(v)
@@ -377,7 +362,7 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
             # I_pre (x) d_i (x) I_post: coordinate (a, j, c) is (a * dim + j) * post + c
             diffs[(q, i)] = [{(a * rows + r) * post + c: v for r, v in col.items()}
                              for a in range(pre) for col in di for c in range(post)]
-    return Multicomplex(f, n, (lo, hi), dims, diffs, COMMUTATIVE)
+    return Multicomplex(f, n, dims, diffs)
 
 
 def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
@@ -420,12 +405,10 @@ def koszul_split(mc: Multicomplex) -> Multicomplex:
     the points with q_i = 0 for all i in I.
 
     Axis 0 of the half is the wedge degree p; slots are indexed by the
-    p-subsets I of the original axes in lexicographic order.  Anticommutative
-    inputs are sign-twisted first so the scaffold is uniformly commutative.
-    The other half is never built over a lattice (``spectral._split_columns``).
+    p-subsets I of the original axes in lexicographic order.  The other half
+    is never built over a lattice (``spectral._split_columns``).
     """
-    cmc = sign_twist(mc) if mc.flavor == ANTICOMMUTATIVE else mc
-    return _koszul_half(cmc, lambda I, q: all(q[i] == 0 for i in I))
+    return _koszul_half(mc, lambda I, q: all(q[i] == 0 for i in I))
 
 
 def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
@@ -475,21 +458,17 @@ def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
                 else:
                     columns.extend({} for _ in range(dq))
             diffs[(point, i + 1)] = columns
-    lo = (0,) + mc.box[0]
-    hi = (n,) + mc.box[1]
-    return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE, pblocks)
+    return Multicomplex(f, n + 1, dims, diffs, pblocks)
 
 
 def cube_extension(mc: Multicomplex) -> Multicomplex:
-    """Extend a commutative multicomplex by the unit hypercube on its origin
-    entry, glued one layer below via the composite differentials.
+    """Extend a multicomplex by the unit hypercube on its origin entry, glued
+    one layer below via the composite differentials.
 
     The result lives in {-1,0} x N^n: layer 0 is ``mc``; layer -1 carries a
     copy of C^0 on each vertex of {0,1}^n with identity maps inside the cube
     and the composite map down to layer 0.
     """
-    if mc.flavor != COMMUTATIVE:
-        raise ContractError("cube extension needs a commutative multicomplex")
     n = mc.n
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
@@ -508,6 +487,4 @@ def cube_extension(mc: Multicomplex) -> Multicomplex:
             for i in range(n):
                 if q[i] == 0:
                     diffs[((-1,) + q, i + 1)] = identity(c0)
-    lo = (-1,) + mc.box[0]
-    hi = (0,) + tuple(max(b, 1) if c0 else b for b in mc.box[1])
-    return Multicomplex(f, n + 1, (lo, hi), dims, diffs, COMMUTATIVE)
+    return Multicomplex(f, n + 1, dims, diffs)

@@ -14,7 +14,8 @@ Each variant fixes one filtration of one complex built from the degree-b
 * 2a - nonzero-coordinate-count filtration of the cube-extended lattice;
   first page made of subset-product cohomologies, abutting the concatenated
   (sum-ideal) cohomology at raw slot m.
-* 2b - the same count filtration on the punctured lattice, truncated flavors.
+* 2b - the same count filtration on the punctured lattice; first page and
+  abutment in the truncated mode.
 
 The four filtered complexes of a class, and their spectral sequences, come
 from the ``LatticeSequences`` of its lattice, which the region audits

@@ -47,7 +47,6 @@ from operator import itemgetter
 from .errors import ContractError
 from .linalg import Field, Subspace, mul, pivot_pairs, submatrix
 from .multicomplex import (
-    COMMUTATIVE,
     CochainComplex,
     Multicomplex,
     Point,
@@ -59,7 +58,6 @@ from .multicomplex import (
     koszul_split,
     line_complex,
     restrict,
-    sign_twist,
     totalize,
 )
 
@@ -231,10 +229,8 @@ class LatticeSequences:
     sequence per filtered complex, and the complex and cohomology of each
     lattice region.
 
-    All of them come from three totalizations: of the commutative form
-    ``cmc`` of the lattice (the lattice itself unless it is
-    anticommutative), of its face half (``koszul_split``), and of its cube
-    extension.  Every other complex is a block selection of one of the
+    All of them come from three totalizations: of the lattice, of its face
+    half (``koszul_split``), and of its cube extension.  Every other complex is a block selection of one of the
     three (``restrict``), so the five filtered complexes are
 
       face             wedge degree on the face half;
@@ -264,16 +260,12 @@ class LatticeSequences:
         self._region_h: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
 
     @cached_property
-    def cmc(self) -> Multicomplex:
-        return self.mc if self.mc.flavor == COMMUTATIVE else sign_twist(self.mc)
-
-    @cached_property
     def face_half(self) -> Multicomplex:
-        return koszul_split(self.cmc)
+        return koszul_split(self.mc)
 
     @cached_property
     def total(self) -> CochainComplex:
-        return totalize(self.cmc)
+        return totalize(self.mc)
 
     @cached_property
     def face_total(self) -> CochainComplex:
@@ -281,7 +273,7 @@ class LatticeSequences:
 
     @cached_property
     def cube_total(self) -> CochainComplex:
-        return totalize(cube_extension(self.cmc))
+        return totalize(cube_extension(self.mc))
 
     def filtered(self, kind: str) -> FilteredComplex:
         if kind not in self._filtered:
@@ -315,7 +307,7 @@ class LatticeSequences:
                 tot = restrict(self.total,
                                lambda q: all((x > 0) == (i in axes) for i, x in enumerate(q)))
             elif kind == "augmented":
-                tot = augment_interior(self.cmc, axes, self.region("interior", axes))
+                tot = augment_interior(self.mc, axes, self.region("interior", axes))
             else:
                 raise ContractError(f"unknown lattice region {kind!r}")
             self._regions[key] = tot
@@ -338,7 +330,7 @@ def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
 
     Neither column depends on the lattice's maps, so both are those of the
     one-point lattice at ``signs``, each checked and reduced once per key."""
-    point = Multicomplex(field, len(signs), (signs, signs), {signs: dim}, {}, COMMUTATIVE)
+    point = Multicomplex(field, len(signs), {signs: dim}, {})
     complement, face = (line_complex(_koszul_half(point, keep), 0, (0,) + signs) for keep in (
         lambda I, q: any(q[i] > 0 for i in I),  # off the coordinate faces
         lambda I, q: all(q[i] == 0 for i in I),  # on them, as in ``koszul_split``
@@ -412,14 +404,14 @@ def _cell_spaces(fc: FilteredComplex, r: int, p: int, q: int) -> tuple[Subspace,
 
 def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     """Verify that on the truncated face half of the Koszul split of
-    ``seqs.cmc`` (the complex of variant 1a), filtered by the total degree of
+    ``seqs.mc`` (the complex of variant 1a), filtered by the total degree of
     the original directions, the page-n map from cell (0, n-1) to (n, 0) is,
     up to one global sign, the composite differential from the origin entry
     through (1,...,1).
 
     Needs n >= 2: for n = 1 the two cells coincide and the statement is empty.
     """
-    mc = seqs.cmc
+    mc = seqs.mc
     n = mc.n
     if n < 2:
         return []

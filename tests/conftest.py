@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cechmv import (CochainComplex, Multicomplex, MvssRun, PrimeField, VARIANTS, degree_classes,
-                    sign_twist, tensor_product)
+                    tensor_product)
 from cechmv.cli import DegreeClass
 from cechmv.multicomplex import add_e
 
@@ -58,13 +58,15 @@ def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
     return CochainComplex(f, dims, {t: columns(f, a) for t, a in d.items()})
 
 
-def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, twist=True):
+def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, coin=True):
+    """The tensor product of up to ``max_axes`` random complexes.  With
+    ``coin`` one more integer is drawn and discarded: the generator once
+    flipped a coin there, and seeded tests keep their lattices."""
     n = int(rng.integers(1, max_axes + 1))
     factors = [rand_complex(f, rng, max_dim=max_dim) for _ in range(n)]
-    mc = tensor_product(factors)
-    if twist and rng.integers(0, 2):
-        mc = sign_twist(mc)
-    return mc
+    if coin:
+        rng.integers(0, 2)
+    return tensor_product(factors)
 
 
 def keep_points(mc: Multicomplex, keep) -> Multicomplex:
@@ -76,7 +78,7 @@ def keep_points(mc: Multicomplex, keep) -> Multicomplex:
     diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
     pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
           if mc.point_blocks is not None else None)
-    return Multicomplex(mc.field, mc.n, mc.box, dims, diffs, mc.flavor, pb)
+    return Multicomplex(mc.field, mc.n, dims, diffs, pb)
 
 
 def class_of(problem, b) -> DegreeClass:

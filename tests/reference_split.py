@@ -7,7 +7,7 @@ half over the whole lattice, and ``reference_split_column_report`` reads,
 checks and reduces both halves' columns at every point, with no cache.
 """
 
-from cechmv import ANTICOMMUTATIVE, Multicomplex, line_complex, sign_twist
+from cechmv import Multicomplex, line_complex
 from cechmv.multicomplex import _koszul_half
 
 RULES = {
@@ -20,9 +20,8 @@ RULES = {
 
 def koszul_half(mc: Multicomplex, kind: str) -> Multicomplex:
     """The ``kind`` ("complement" or "face") half of the unit-Koszul scaffold
-    on ``mc``, sign-twisted first when ``mc`` is anticommutative."""
-    cmc = sign_twist(mc) if mc.flavor == ANTICOMMUTATIVE else mc
-    return _koszul_half(cmc, RULES[kind])
+    on ``mc``."""
+    return _koszul_half(mc, RULES[kind])
 
 
 def reference_split_column_report(mc: Multicomplex, complement: Multicomplex,

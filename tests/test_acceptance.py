@@ -34,16 +34,17 @@ from cechmv import (
     koszul_split,
     line_complex,
     restrict,
-    sign_twist,
     split_column_report,
     tensor_product,
     totalize,
 )
 from cechmv.cli import main as cli_main, run_unit
 from cechmv.jsonout import plain
+from cechmv.multicomplex import add_e, block_slices
 from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
 from cechmv.spectral import LatticeSequences, _split_columns
-from conftest import F, class_of, keep_points, rand_complex, rand_tensor_mc, window_runs
+from conftest import (F, class_of, dense, keep_points, rand_complex, rand_tensor_mc,
+                      window_runs)
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 from reference_split import koszul_half
 
@@ -178,13 +179,13 @@ def test_restrict_is_the_totalized_point_restriction(sweep):
     """``restrict(totalize(mc), keep)`` equals the totalization of the entries
     of ``mc`` where ``keep`` holds (``keep_points``), for every face,
     interior, punctured and top-dropped region: on 40 random tensor
-    multicomplexes, half of them anticommutative, and the face halves of
-    their splits, and on the lattice of every class of the sweep."""
+    multicomplexes and the face halves of their splits, and on the lattice
+    of every class of the sweep."""
     rng = np.random.default_rng(20261019)
     lattices = []
-    for k in range(40):
-        mc = rand_tensor_mc(F, rng, twist=False)
-        lattices += [sign_twist(mc) if k % 2 else mc, koszul_split(mc)]
+    for _ in range(40):
+        mc = rand_tensor_mc(F, rng, coin=False)
+        lattices += [mc, koszul_split(mc)]
     lattices += [cech_multicomplex(prob, members[0])
                  for prob in sweep for _pat, members in degree_classes(prob)]
     selected = 0
@@ -192,7 +193,7 @@ def test_restrict_is_the_totalized_point_restriction(sweep):
         tot = totalize(mc)
         for name, keep in region_predicates(mc):
             got = restrict(tot, keep)
-            assert got == totalize(keep_points(mc, keep)), (mc.n, mc.flavor, name)
+            assert got == totalize(keep_points(mc, keep)), (mc.n, name)
             selected += 0 < sum(got.dims.values()) < sum(tot.dims.values())
     assert selected > 1000
 
@@ -215,11 +216,11 @@ def test_kernel_and_cokernel_columns_collapse(sweep):
 def test_cached_split_columns_are_the_whole_half_columns(sweep):
     """Gate: at every point of the sweep's lattices and of 100 random tensor
     multicomplexes, 25 each over F_2, F_3, F_65537 and Q (20 with up to 4
-    axes, about half of them sign-twisted, and 5 whose factors start at
-    degree -2 or -1), the complement and face columns cached for the point's
-    key (field, coordinate signs, entry dim) are ``line_complex`` of the
-    whole-lattice halves, with their cohomology.  The key separates fields:
-    F_2 and F_3 get distinct entries at the same pattern."""
+    axes, and 5 whose factors start at degree -2 or -1), the complement and
+    face columns cached for the point's key (field, coordinate signs, entry
+    dim) are ``line_complex`` of the whole-lattice halves, with their
+    cohomology.  The key separates fields: F_2 and F_3 get distinct entries
+    at the same pattern."""
     lattices = [cech_multicomplex(prob, members[0])
                 for prob in sweep for _pat, members in degree_classes(prob)]
     for k, f in enumerate((PrimeField(2), PrimeField(3), F, RationalField())):
@@ -335,19 +336,26 @@ def test_engines_agree_on_the_sweep(sweep_results):
     assert compared == 620
 
 
-def test_sign_twist_involution_and_invariance():
-    """Gate 8: the sign twist is an involution on 100 random multicomplexes
-    and leaves every totalized cohomology dimension unchanged."""
+def test_totalized_blocks_carry_the_commuting_sign():
+    """Gate 8: on 100 random tensor multicomplexes with up to 4 axes, the
+    total differential, built densely block by block, has block (q, i) equal
+    to (-1)^(q_1+...+q_{i-1}) times ``mc.diffs[q, i]`` and zeros elsewhere."""
     rng = np.random.default_rng(20240826)
     for trial in range(100):
         mc = rand_tensor_mc(F, rng, max_axes=4)
-        tw = sign_twist(mc)
-        back = sign_twist(tw)
-        assert back.flavor == mc.flavor, trial
-        assert set(back.diffs) == set(mc.diffs), trial
-        for key, mat in mc.diffs.items():
-            assert back.diffs[key] == mat, (trial, key)
-        assert totalize(mc).cohomology_dims() == totalize(tw).cohomology_dims(), trial
+        tot = totalize(mc)
+        for m, blk in tot.blocks.items():
+            rows, cols = block_slices(tot.blocks.get(m + 1, ())), block_slices(blk)
+            want = F.zeros(tot.dim(m + 1), tot.dim(m))
+            for q, _ in blk:
+                for i in range(mc.n):
+                    if (q, i) in mc.diffs:
+                        tq = add_e(q, i)
+                        sign = -1 if sum(q[:i]) % 2 else 1
+                        want[rows[tq], cols[q]] = F.normalize(
+                            sign * dense(F, mc.diffs[q, i], mc.entry_dim(tq)))
+            got = dense(F, tot.matrix(m), tot.dim(m + 1))
+            assert (got == want).all(), (trial, m)
 
 
 def test_report_bytes_deterministic(tmp_path):

@@ -287,6 +287,17 @@ def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
+def test_an_unwritable_output_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    job = write_job(tmp_path, BASE_JOB)
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)  # a directory where the report goes
+    assert main(["compute", job, "--out", str(out), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: cannot write report.json: " in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert (out / "report.json").is_dir()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
 def test_example_jobs_match_recorded_digests(tmp_path, name, jobs):
@@ -550,7 +561,7 @@ def count_builds(monkeypatch) -> list[dict]:
 
     def counted_totalize(mc):
         (seqs,) = per_class[-1]["lattices"]
-        if mc is seqs.__dict__.get("cmc"):
+        if mc is seqs.mc:
             bump("totalized", "lattice")
         elif mc is seqs.__dict__.get("face_half"):
             bump("totalized", "face half")
@@ -730,13 +741,6 @@ def test_selftest_refuses_bad_arguments(capsys, flags, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
-
-
-def test_selftest_corruption_hook_reports_locus(capsys):
-    assert main(["selftest", "--corrupt-signs"]) == 2
-    out = capsys.readouterr().out
-    assert "d o d != 0" in out
-    assert "axis-0" in out
 
 
 def test_console_entry_point():

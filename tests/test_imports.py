@@ -1,6 +1,7 @@
-"""Module layout: the lattice route holds Python ints, fractions and lists or
-dicts of them, so numpy stays private to the oracle's dense elimination
-(``linalg``) and to the selftest's random draws (``cli``)."""
+"""Module layout and public surface: the lattice route holds Python ints,
+fractions and lists or dicts of them, so numpy stays private to the oracle's
+dense elimination (``linalg``) and to the selftest's random draws (``cli``);
+every name ``cechmv.__all__`` lists resolves."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,8 @@ def test_only_the_oracle_and_the_cli_import_numpy():
     assert {p.name for p in modules} >= NUMPY_MODULES | {"spectral.py", "mvss.py"}
     found = {p.name: numpy_imports(p) for p in modules}
     assert {name for name, lines in found.items() if lines} == NUMPY_MODULES, found
+
+
+def test_every_public_name_resolves():
+    assert "compute" in cechmv.__all__  # bound on first use, by the module's __getattr__
+    assert [name for name in cechmv.__all__ if not hasattr(cechmv, name)] == []

@@ -1,11 +1,12 @@
 """Lattice multicomplexes: validation, signs, totalization, regions, scaffolds."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cechmv import (
-    ANTICOMMUTATIVE,
-    COMMUTATIVE,
     CochainComplex,
     ContractError,
     InputError,
@@ -14,18 +15,21 @@ from cechmv import (
     Multicomplex,
     PrimeField,
     augment_interior,
+    cech_multicomplex,
     cohomology_map,
     composite_along,
     cube_extension,
+    degree_classes,
     koszul_complex,
     koszul_split,
     line_complex,
     restrict,
-    sign_twist,
     tensor_product,
     totalize,
     validate,
 )
+from cechmv.cli import load_job
+from cechmv.spectral import _split_columns
 from conftest import columns, dense, keep_points, rand_tensor_mc
 from reference_split import koszul_half
 
@@ -41,32 +45,41 @@ def unit_square():
 def test_validate_accepts_unit_square():
     mc = unit_square()
     assert validate(mc) == []
-    assert mc.flavor == COMMUTATIVE
     assert mc.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
 
 
 def test_validate_reports_structural_problems():
     mc = unit_square()
     bad_dims = dict(mc.dims)
-    bad_dims[(5, 5)] = 1
-    assert any("outside box" in s for s in validate(Multicomplex(F, 2, mc.box, bad_dims, mc.diffs, mc.flavor)))
-    bad_dims = dict(mc.dims)
     bad_dims[(0, 0)] = 0
-    assert any("nonpositive" in s for s in validate(Multicomplex(F, 2, mc.box, bad_dims, mc.diffs, mc.flavor)))
+    assert any("nonpositive" in s for s in validate(Multicomplex(F, 2, bad_dims, mc.diffs)))
     for wrong in (F.zeros(3, 3), F.zeros(1, 2), [[1], [1]]):
         bad_diffs = dict(mc.diffs)
         bad_diffs[((0, 0), 0)] = columns(F, wrong)  # 3 columns, 2 columns, a row out of range
-        assert any("shape" in s for s in validate(Multicomplex(F, 2, mc.box, mc.dims, bad_diffs, mc.flavor)))
+        assert any("shape" in s for s in validate(Multicomplex(F, 2, mc.dims, bad_diffs)))
 
 
 def test_validate_catches_sign_errors():
     mc = unit_square()
     flipped = dict(mc.diffs)
     flipped[((0, 0), 0)] = columns(F, -dense(F, flipped[((0, 0), 0)], 1))
-    bad = validate(Multicomplex(F, 2, mc.box, mc.dims, flipped, COMMUTATIVE))
+    bad = validate(Multicomplex(F, 2, mc.dims, flipped))
     assert any("commutative relation" in s for s in bad)
-    # the same data declared anticommutative is consistent
-    assert validate(Multicomplex(F, 2, mc.box, mc.dims, flipped, ANTICOMMUTATIVE)) == []
+
+
+def test_validate_names_the_axis_of_a_corrupted_sign():
+    """Negating the first entry of the axis-0 map at the origin of the
+    Koszul square breaks d o d = 0 along axis 0 and the commuting square."""
+    cx = koszul_complex(F, 2, 1)
+    mc = tensor_product([cx, cx])
+    key = ((0, 0), 0)
+    mat = [dict(col) for col in mc.diffs[key]]
+    r, c = min((r, c) for c, col in enumerate(mat) for r in col)  # first in row-major order
+    mat[c][r] = F.normalize(-mat[c][r])
+    assert validate(Multicomplex(F, 2, mc.dims, {**mc.diffs, key: mat})) == [
+        "square of axis-0 differential nonzero at (0, 0)",
+        "axes 0,1 fail the commutative relation at (0, 0)",
+    ]
 
 
 def test_validate_catches_nonzero_square():
@@ -75,18 +88,6 @@ def test_validate_catches_nonzero_square():
     )
     mc = tensor_product([seg3])
     assert any("square of axis-0" in s for s in validate(mc))
-
-
-def test_sign_twist_is_involutive_and_toggles_flavor(rng):
-    for _ in range(15):
-        mc = rand_tensor_mc(F, rng)
-        tw = sign_twist(mc)
-        assert tw.flavor != mc.flavor
-        assert validate(tw) == []
-        back = sign_twist(tw)
-        assert back.flavor == mc.flavor
-        for key, mat in mc.diffs.items():
-            assert back.diffs[key] == mat
 
 
 def test_totalize_unit_square_signs():
@@ -100,20 +101,11 @@ def test_totalize_unit_square_signs():
     assert tot.cohomology_dims() == {}
 
 
-def test_totalize_invariant_under_sign_twist(rng):
-    for _ in range(15):
-        mc = rand_tensor_mc(F, rng)
-        a, b = totalize(mc), totalize(sign_twist(mc))
-        a.check_complex()
-        b.check_complex()
-        assert a.cohomology_dims() == b.cohomology_dims()
-
-
 def test_totalize_check_flags_corruption():
     mc = unit_square()
     bad = dict(mc.diffs)
     bad[((0, 0), 0)] = columns(F, [[2]])
-    broken = Multicomplex(F, 2, mc.box, mc.dims, bad, COMMUTATIVE)
+    broken = Multicomplex(F, 2, mc.dims, bad)
     with pytest.raises(InternalCheckError, match="d o d != 0"):
         totalize(broken).check_complex()
 
@@ -129,7 +121,7 @@ def test_koszul_complex_is_exact():
 
 def test_tensor_product_dims_and_validity(rng):
     for _ in range(10):
-        mc = rand_tensor_mc(F, rng, twist=False)
+        mc = rand_tensor_mc(F, rng, coin=False)
         assert validate(mc) == []
         for q, d in mc.dims.items():
             assert d > 0
@@ -186,6 +178,65 @@ def test_line_complex():
     col.check_complex()
 
 
+def reference_line(mc, axis, base):
+    """The complex along ``axis`` through ``base``, read from ``dims`` and
+    ``diffs`` alone."""
+    on_line = [q for q in mc.dims if q[:axis] + q[axis + 1:] == base[:axis] + base[axis + 1:]]
+    dims = {q[axis]: mc.dims[q] for q in on_line}
+    d = {q[axis]: mc.diffs[q, axis] for q in on_line
+         if q[axis] + 1 in dims and (q, axis) in mc.diffs}
+    return CochainComplex(mc.field, dims, d)
+
+
+def assert_box_and_lines(mc):
+    """``mc.box`` is the bounding box of its points (lo > hi on every axis
+    when it has none), and ``line_complex`` along every axis through every
+    point is the reference line."""
+    if mc.dims:
+        assert mc.box == (tuple(min(q[i] for q in mc.dims) for i in range(mc.n)),
+                          tuple(max(q[i] for q in mc.dims) for i in range(mc.n)))
+    else:
+        lo, hi = mc.box
+        assert len(lo) == len(hi) == mc.n and all(a > b for a, b in zip(lo, hi))
+    for q in mc.dims:
+        for axis in range(mc.n):
+            assert line_complex(mc, axis, q) == reference_line(mc, axis, q), (q, axis)
+
+
+def test_box_is_derived_from_the_points(rng):
+    """The bounding box and the lines of Čech lattices (one per degree class
+    of two committed jobs, one with a quotient that empties entries), of
+    tensor products with zero-dimension gaps, of face halves and cube
+    extensions of random lattices, and of both Koszul halves of one-point
+    lattices, whose complement half is empty at points with no positive
+    coordinate."""
+    jobs = Path(__file__).resolve().parents[1] / "jobs"
+    for name in ("two_ideals", "mixed_quotient"):
+        problem, _tasks, _pages = load_job(str(jobs / f"{name}.json"))
+        for _pat, members in degree_classes(problem):
+            assert_box_and_lines(cech_multicomplex(problem, members[0]))
+    gap = CochainComplex(F, {-1: 2, 1: 1, 2: 1}, {1: columns(F, [[1]])})  # nothing at 0
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
+    for factors in ([gap], [gap, seg], [seg, gap, gap]):
+        assert_box_and_lines(tensor_product(factors))
+    assert (0,) not in tensor_product([gap]).dims
+    assert tensor_product([gap, seg]).box == ((-1, 0), (2, 1))
+    for _ in range(8):
+        mc = rand_tensor_mc(F, rng)
+        for lattice in (mc, koszul_split(mc), cube_extension(mc)):
+            assert_box_and_lines(lattice)
+    empty = Multicomplex(F, 3, {}, {})
+    assert empty.box == ((0, 0, 0), (-1, -1, -1))
+    assert line_complex(empty, 1, (0, 0, 0)).dims == {}
+    for signs in itertools.product((-1, 0, 1), repeat=2):
+        point = Multicomplex(F, 2, {signs: 2}, {})
+        halves = [koszul_half(point, kind) for kind in ("complement", "face")]
+        assert bool(halves[0].dims) == any(x > 0 for x in signs)
+        for half, (col, _h) in zip(halves, _split_columns(F, signs, 2)):
+            assert_box_and_lines(half)
+            assert col == line_complex(half, 0, (0,) + signs)
+
+
 def test_composite_along():
     mc = unit_square()
     assert dense(F, composite_along(mc, (0, 1)), 1).tolist() == [[1]]
@@ -226,12 +277,10 @@ def test_cube_extension_shape_and_cohomology(rng):
     assert cube.entry_dim((0, 1, 1)) == 1
     # the cube layer is acyclic, so total cohomology is unchanged
     for _ in range(10):
-        m = rand_tensor_mc(F, rng, twist=False)
+        m = rand_tensor_mc(F, rng, coin=False)
         tot = totalize(cube_extension(m))
         tot.check_complex()
         assert tot.cohomology_dims() == totalize(m).cohomology_dims()
-    with pytest.raises(ContractError, match="commutative"):
-        cube_extension(sign_twist(mc))
 
 
 def test_koszul_split_partitions_the_scaffold(rng):
@@ -244,7 +293,6 @@ def test_koszul_split_partitions_the_scaffold(rng):
         for part in (complement, face):
             assert part.n == n + 1
             assert validate(part) == []
-            assert part.flavor == COMMUTATIVE
         for q, dq in mc.dims.items():
             for p in range(n + 1):
                 point = (p,) + q

@@ -22,7 +22,6 @@ from cechmv import (
     koszul_split,
     nonzero_count_filtration,
     region_convergence_report,
-    sign_twist,
     split_column_report,
     tensor_product,
     totalize,
@@ -94,7 +93,7 @@ def test_filtration_from_blocks_requires_block_data():
 
 
 def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
-    mc = rand_tensor_mc(F, rng, max_axes=2, twist=False)
+    mc = rand_tensor_mc(F, rng, max_axes=2, coin=False)
     fc = coordinate_filtration(totalize(mc), 0)
     fc.validate()
     tot = totalize(mc)
@@ -110,8 +109,7 @@ def test_coordinate_filtration_levels_are_coordinate_subspaces(rng):
 def test_abutment_graded_sums_to_cohomology(rng):
     for _ in range(6):
         mc = rand_tensor_mc(F, rng, max_axes=3)
-        cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
-        fc = nonzero_count_filtration(totalize(cmc))
+        fc = nonzero_count_filtration(totalize(mc))
         if not fc.total.dims:
             continue
         ss = SpectralSequence(fc)
@@ -171,8 +169,8 @@ def test_abutment_levels_are_kernel_minus_image(field):
     nonzero_meets = 0  # cells where im d_{m-1} meets F^p
     for _ in range(30):
         mc = rand_tensor_mc(field, rng, max_axes=3)
-        cmc = mc if mc.flavor == "commutative" else sign_twist(mc)
-        for fc in (coordinate_filtration(totalize(mc), 0), nonzero_count_filtration(totalize(cmc))):
+        tot = totalize(mc)
+        for fc in (coordinate_filtration(tot, 0), nonzero_count_filtration(tot)):
             want, image_levels = reference_abutment(fc)
             assert SpectralSequence(fc).abutment() == want
             nonzero_meets += sum(d > 0 for d in image_levels.values())
@@ -191,7 +189,7 @@ def test_engine_internal_checks_run(rng):
 
 
 def test_d_matrix_shapes_follow_bidegree(rng):
-    mc = rand_tensor_mc(F, rng, max_axes=2, twist=False)
+    mc = rand_tensor_mc(F, rng, max_axes=2, coin=False)
     fc = coordinate_filtration(totalize(mc), 0)
     ss = SpectralSequence(fc)
     for r in range(0, fc.width + 1):
@@ -279,7 +277,7 @@ def test_edge_composite_check(rng):
     mc = tensor_product([seg])
     assert edge_composite_check(LatticeSequences(mc)) == []
     for _ in range(6):
-        m = rand_tensor_mc(F, rng, max_axes=3, twist=False)
+        m = rand_tensor_mc(F, rng, max_axes=3, coin=False)
         assert edge_composite_check(LatticeSequences(m)) == []
 
 
