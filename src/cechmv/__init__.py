@@ -4,9 +4,10 @@ independent dimension oracles for auditing them.
 The package is organized bottom-up:
 
 * :mod:`cechmv.linalg` -- exact linear algebra over prime fields and the
-  rationals (the oracle's dense rank, the package's only dense matrices;
-  the sparse column reduction and the sparse echelon subspaces built by
-  it).
+  rationals (the oracle's dense rank on ``Dense`` lists of rows, the
+  package's only dense matrices; the sparse column reduction and the
+  sparse echelon subspaces built by it).  Nothing on the compute path
+  imports numpy; only the ``selftest`` command draws from it.
 * :mod:`cechmv.grading` -- monomials, monomial ideals, and the dimensions of
   graded pieces of localizations.
 * :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
@@ -28,6 +29,7 @@ The package is organized bottom-up:
 from .errors import ContractError, FieldMismatchError, InputError, InternalCheckError
 from .linalg import (
     DEFAULT_PRIME,
+    Dense,
     PrimeField,
     RationalField,
     Subspace,
@@ -105,6 +107,7 @@ __all__ = [
     "CohomologyTable",
     "ContractError",
     "DEFAULT_PRIME",
+    "Dense",
     "FieldMismatchError",
     "FilteredComplex",
     "InputError",

@@ -35,7 +35,6 @@ class steps over a whole window.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from .grading import (
     window_degrees,
 )
 from .jsonout import PerDegree
-from .linalg import Columns, Field, rank
+from .linalg import Columns, Dense, Field, rank
 from .multicomplex import Multicomplex, Point
 from .spectral import LatticeSequences
 
@@ -136,26 +135,30 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
     classes ordered by their first member.
 
     Per coordinate j, the sorted thresholds {0} and {g_j : g a quotient
-    generator} cut the integers into intervals, and a degree's chamber is the
-    tuple of the intervals holding its coordinates.  Every test in
-    ``localized_piece_dim`` compares some b_j with one of these thresholds,
-    and those comparisons cannot change inside an interval, so the pattern is
-    constant on a chamber.  It is evaluated once per chamber the window meets,
-    at the chamber's first window degree in lex order.
+    generator} cut the integers into intervals, and so the window's values
+    of b_j into runs, each inside one interval; a chamber is a product of
+    runs, one per coordinate.  Every test in ``localized_piece_dim`` compares
+    some b_j with one of these thresholds, and those comparisons cannot
+    change inside an interval, so the pattern is constant on a chamber.  The
+    chambers are walked once, in lex order, and the pattern is evaluated at
+    each chamber's first degree (the starts of its runs), which is also the
+    first member of its class when the chamber is the class's first.  A
+    class's members are the products of its chambers' runs, merged in lex
+    order when it has several chambers.
     """
-    cuts = [sorted({0, *(g[j] for g in problem.quotient.gens)})
-            for j in range(problem.num_vars)]
     lo, hi = problem.window
-    intervals = [[bisect.bisect_right(c, v) for v in range(a, z + 1)]
-                 for c, a, z in zip(cuts, lo, hi)]
-    class_of: dict[tuple[int, ...], list[Exps]] = {}  # chamber -> its class's members
-    by_pat: dict[tuple[int, ...], list[Exps]] = {}  # in order of first member
-    for b, chamber in zip(window_degrees(problem.window), itertools.product(*intervals)):
-        members = class_of.get(chamber)
-        if members is None:
-            members = class_of[chamber] = by_pat.setdefault(piece_pattern(problem, b), [])
-        members.append(b)
-    return list(by_pat.items())
+    runs = []
+    for j, (a, z) in enumerate(zip(lo, hi)):
+        starts = [a, *sorted({t for t in (0, *(g[j] for g in problem.quotient.gens))
+                              if a < t <= z})]
+        runs.append([range(s, e) for s, e in zip(starts, [*starts[1:], z + 1])])
+    by_pat: dict[tuple[int, ...], list[tuple[range, ...]]] = {}  # in order of first member
+    for chamber in itertools.product(*runs):
+        pat = piece_pattern(problem, tuple(r.start for r in chamber))
+        by_pat.setdefault(pat, []).append(chamber)
+    return [(pat, list(itertools.product(*chambers[0])) if len(chambers) == 1
+             else sorted(itertools.chain.from_iterable(itertools.product(*c) for c in chambers)))
+            for pat, chambers in by_pat.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +345,14 @@ def _oracle_vectors(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal
         for t in range(length + 1)
     ]
     dims = [len(k) for k in kept]
+    signs = (field.normalize(1), field.normalize(-1))
     ranks = []
     for t in range(length):
         if not dims[t] or not dims[t + 1]:
             ranks.append(0)
             continue
         index = {s: k for k, s in enumerate(kept[t + 1])}
-        mat = field.zeros(dims[t + 1], dims[t])
+        mat = Dense.zeros(dims[t + 1], dims[t])
         for col, s in enumerate(kept[t]):
             inside = set(s)
             for j in range(length):
@@ -357,8 +361,8 @@ def _oracle_vectors(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal
                 row = index.get(tuple(sorted(inside | {j})))
                 if row is None:
                     continue
-                mat[row, col] = -1 if sum(1 for i in s if i < j) % 2 else 1
-        ranks.append(rank(field, field.normalize(mat)))
+                mat[row][col] = signs[sum(1 for i in s if i < j) % 2]
+        ranks.append(rank(field, mat))
     return dims, ranks
 
 

@@ -33,8 +33,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, degree_classes,
                    issue_report, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
@@ -261,7 +259,8 @@ def _class_worker(args) -> list:
         except (ContractError, InternalCheckError) as e:
             out.append(type(e)(str(e)))  # a copy holds no frames of the class step
         except MemoryError as e:
-            # numpy's subclass takes (shape, dtype), so the copy is a plain one
+            # a plain copy, not type(e)(str(e)): a subclass's constructor may
+            # take other arguments, as numpy's (shape, dtype) does
             out.append(MemoryError(str(e)))
     return out
 
@@ -386,6 +385,8 @@ def cmd_selftest(args) -> int:
         if value < least:
             print(f"error: {flag} must be an integer >= {least}, got {value}", file=sys.stderr)
             return 1
+    import numpy as np  # the random draws of the selftest only: compute never loads numpy
+
     rng = np.random.default_rng(args.seed)
     f = PrimeField(DEFAULT_PRIME)
     failures: list[str] = []

@@ -8,12 +8,11 @@ the matrix already knows.  ``mul`` multiplies two such lists and
 ``submatrix`` selects and relabels rows and columns by index.  All
 elimination is exact; no floating point anywhere.
 
-Two eliminations.  ``rref`` is dense Gauss-Jordan elimination on numpy arrays
-(int64 residues, object dtype once the modulus is large enough that int64
-products could overflow, Python ints and fractions over Q) with
-deterministic pivoting (leftmost nonzero column, first nonzero row); only
-the oracle's ``rank`` uses it, and its arrays, which the oracle fills from
-``field.zeros``, are the only numpy matrices of the package.
+Two eliminations.  ``rref`` is dense Gauss-Jordan elimination on a
+``Dense`` matrix, a list of rows of normalized field elements with its
+``shape``, with deterministic pivoting (leftmost nonzero column, first
+nonzero row); only the oracle's ``rank`` uses it, and the oracle's matrices
+are the package's only dense ones.  Neither elimination uses numpy.
 ``reduce_column`` is the column reduction of persistence, on sparse columns,
 and it does every elimination of the lattice route.  ``Subspace.insert``
 reduces a column and stores it when it is left nonzero, the one place a
@@ -29,16 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ContractError, FieldMismatchError, InputError
 
 DEFAULT_PRIME = 65537
-
-# In the int64 arrays of ``rref``, products stay exact while p**2 * ncols
-# stays below 2**63; this bound keeps a comfortable margin for matrices with a
-# few thousand columns.  (The sparse columns hold Python ints.)
-_INT64_PRIME_LIMIT = 3_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least odd composite that is a strong pseudoprime to every base
@@ -81,15 +73,8 @@ class PrimeField:
         if not is_prime(self.p):
             raise InputError(f"modulus not prime: {self.p}")
 
-    @property
-    def dtype(self):
-        return np.int64 if self.p <= _INT64_PRIME_LIMIT else object
-
-    def normalize(self, a: np.ndarray) -> np.ndarray:
+    def normalize(self, a):
         return a % self.p
-
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=self.dtype)
 
     def inv_scalar(self, a):
         a = int(a) % self.p
@@ -103,16 +88,7 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
-    @property
-    def dtype(self):
-        return object
-
-    def normalize(self, a: np.ndarray) -> np.ndarray:
-        return a
-
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        a = np.zeros((rows, cols), dtype=object)
-        a[:] = 0
+    def normalize(self, a):
         return a
 
     def inv_scalar(self, a):
@@ -170,36 +146,58 @@ def submatrix(a: Columns, rows, cols) -> Columns:
             else {pos[r]: v for r, v in a[j].items() if r in pos} for j in cols]
 
 
-def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+class Dense(list):
+    """A dense matrix: a list of rows, each a list of normalized field
+    elements (Python ints mod p, or ints and fractions over Q), and its
+    ``shape``, which the rows alone do not give when there are none."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, rows, cols: int):
+        super().__init__(rows)
+        self.cols = cols
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "Dense":
+        return cls([[0] * cols for _ in range(rows)], cols)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.cols
+
+
+def rref(field: Field, a: Dense) -> tuple[Dense, list[int]]:
     """Reduced row echelon form of a copy of ``a``; returns (R, pivot columns).
 
     Deterministic pivoting: scan columns left to right, take the first row
     with a nonzero entry, normalize it to 1 and clear the column above and
     below.
     """
-    a = field.normalize(np.array(a, dtype=field.dtype))
+    norm = field.normalize
     rows, cols = a.shape
+    m = [[norm(x) for x in row] for row in a]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        i = next((i for i in range(r, rows) if m[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        v = a[r, c]
+        m[r], m[i] = m[i], m[r]
+        v = m[r][c]
         if v != 1:
-            a[r] = field.normalize(a[r] * field.inv_scalar(v))
-        other = np.flatnonzero(a[:, c])
-        other = other[other != r]
-        if other.size:
-            a[other] = field.normalize(a[other] - np.outer(a[other, c], a[r]))
+            inv = field.inv_scalar(v)
+            m[r] = [norm(x * inv) for x in m[r]]
+        top = [(j, z) for j, z in enumerate(m[r]) if z]
+        for k, row in enumerate(m):
+            x = row[c]
+            if x and k != r:
+                for j, z in top:
+                    row[j] = norm(row[j] - x * z)
         pivots.append(c)
         r += 1
-    return a, pivots
+    return Dense(m, cols), pivots
 
 
 def reduce_column(field: Field, col: dict[int, object],
@@ -243,7 +241,7 @@ def pivot_pairs(field: Field, a: Columns) -> list[tuple[int, int]]:
     return [(low, j) for j, col in enumerate(a) if (low := s.insert(col)) is not None]
 
 
-def rank(field: Field, a: np.ndarray) -> int:
+def rank(field: Field, a: Dense) -> int:
     """The number of pivots of ``rref``.  The oracle ranks through this dense
     Gauss-Jordan elimination, and the lattice route counts ``pivot_pairs``,
     a column reduction on sparse columns, so the two routes rank with

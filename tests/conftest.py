@@ -1,7 +1,7 @@
 """Shared generators for randomized structural tests, the degree classes
-of a problem as the CLI's class steps see them, and the two converters
-between dense numpy matrices and the package's sparse ``{row: value}``
-column lists.
+of a problem as the CLI's class steps see them, the two converters between
+dense numpy matrices and the package's sparse ``{row: value}`` column lists,
+and the one from numpy matrices to the package's dense ``Dense`` rows.
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -12,10 +12,11 @@ not the generator.
 import numpy as np
 import pytest
 
-from cechmv import (CochainComplex, Multicomplex, MvssRun, PrimeField, VARIANTS, degree_classes,
-                    tensor_product)
+from cechmv import (CochainComplex, Dense, Multicomplex, MvssRun, PrimeField, VARIANTS,
+                    degree_classes, tensor_product)
 from cechmv.cli import DegreeClass
 from cechmv.multicomplex import add_e
+from reference_dense import dtype, zeros
 
 F = PrimeField(65537)
 
@@ -23,17 +24,23 @@ F = PrimeField(65537)
 def columns(f, a) -> list[dict]:
     """The dense matrix ``a`` (array or nested lists) as a column list of
     normalized nonzero entries."""
-    a = f.normalize(np.asarray(a).astype(f.dtype))
+    a = f.normalize(np.asarray(a).astype(dtype(f)))
     return [{i: v for i, v in enumerate(col) if v} for col in a.T.tolist()]
 
 
 def dense(f, cols: list[dict], rows: int) -> np.ndarray:
     """The ``rows`` x len(cols) numpy matrix of the column list ``cols``."""
-    a = f.zeros(rows, len(cols))
+    a = zeros(f, rows, len(cols))
     for j, col in enumerate(cols):
         for i, v in col.items():
             a[i, j] = v
     return a
+
+
+def as_dense(a: np.ndarray) -> Dense:
+    """The numpy matrix ``a`` as the package's ``Dense`` rows of Python ints
+    or fractions, of the same shape."""
+    return Dense(a.tolist(), a.shape[1])
 
 
 def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
@@ -49,12 +56,12 @@ def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):
     d = {}
     for t in sorted(dims):
         if t + 1 in dims:
-            d[t] = f.normalize(rng.integers(0, 5, size=(dims[t + 1], dims[t])).astype(f.dtype))
+            d[t] = f.normalize(rng.integers(0, 5, size=(dims[t + 1], dims[t])).astype(dtype(f)))
     for t in sorted(d):
         if t + 1 in d:
             comp = d[t + 1] @ d[t]
             if np.any(f.normalize(comp)):
-                d[t + 1] = f.zeros(*d[t + 1].shape)
+                d[t + 1] = zeros(f, *d[t + 1].shape)
     return CochainComplex(f, dims, {t: columns(f, a) for t, a in d.items()})
 
 

@@ -21,14 +21,14 @@ tests compare it with the package's pair counts degree by degree.  The
 package reads the abutment off its limit page; ``reference_abutment`` computes
 it from kernels and images instead.
 
-Every subspace here comes from the dense Gauss-Jordan elimination ``rref``
-(``kernel``, ``solve``, ``image``, ``kernel_space`` and ``Subspace``, held by
-its canonical reduced-row-echelon basis), while the package's bases come from
-its sparse column reduction (``cechmv.linalg.Subspace``), so the two routes
-share no elimination code on the lattice side.  The reference reads the
-package's sparse column lists densely (``matrix``) and multiplies with its
-own dense product ``mul``, so it shares no arithmetic with the package's
-``cechmv.linalg.mul`` either.  Nothing under ``src/`` imports this module.
+Every subspace here comes from the numpy Gauss-Jordan elimination ``rref`` of
+``reference_dense`` (``kernel``, ``solve``, ``image``, ``kernel_space`` and
+``Subspace``, held by its canonical reduced-row-echelon basis), while the
+package's bases come from its sparse column reduction
+(``cechmv.linalg.Subspace``), so the two routes share no elimination code on
+the lattice side.  The reference reads the package's sparse column lists
+densely (``matrix``) and multiplies with its own dense product ``mul``, so
+it shares no arithmetic with the package's ``cechmv.linalg.mul`` either.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ import numpy as np
 
 from cechmv import (AbutmentFiltration, ContractError, FilteredComplex, InternalCheckError,
                     SpectralSequence)
-from cechmv.linalg import Field, rank, rref, same_field
+from cechmv.linalg import Field, same_field
 from conftest import dense
+from reference_dense import dtype, rank, rref, zeros
 
 
 def eye(field: Field, n: int) -> np.ndarray:
-    a = field.zeros(n, n)
+    a = zeros(field, n, n)
     for i in range(n):
         a[i, i] = 1
     return a
@@ -55,7 +56,7 @@ def mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ContractError(f"matmul shape mismatch {a.shape} x {b.shape}")
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return field.zeros(a.shape[0], b.shape[1])
+        return zeros(field, a.shape[0], b.shape[1])
     return field.normalize(a @ b)
 
 
@@ -72,7 +73,7 @@ def kernel(field: Field, a: np.ndarray) -> np.ndarray:
     R, piv = rref(field, a)
     pivset = set(piv)
     free = [c for c in range(cols) if c not in pivset]
-    basis = field.zeros(len(free), cols)
+    basis = zeros(field, len(free), cols)
     for k, f in enumerate(free):
         basis[k, f] = 1
         for i, c in enumerate(piv):
@@ -93,7 +94,7 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ncols = a.shape[1]
     if any(c >= ncols for c in piv):
         raise ContractError("inconsistent linear system")
-    x = field.zeros(ncols, b.shape[1])
+    x = zeros(field, ncols, b.shape[1])
     for i, c in enumerate(piv):
         x[c] = R[i, ncols:]
     return x
@@ -125,7 +126,7 @@ class Subspace:
     @staticmethod
     def from_rows(field: Field, ambient: int, rows: np.ndarray) -> "Subspace":
         if rows.shape[0] == 0:
-            return Subspace(field, ambient, field.zeros(0, ambient))
+            return Subspace(field, ambient, zeros(field, 0, ambient))
         if rows.shape[1] != ambient:
             raise ContractError(f"row length {rows.shape[1]} != ambient {ambient}")
         R, piv = rref(field, rows)
@@ -150,7 +151,7 @@ class Subspace:
         return hash((self.ambient, self.dim))
 
     def contains_vector(self, v: np.ndarray) -> bool:
-        r = self.field.normalize(np.array(v, dtype=self.field.dtype).reshape(1, -1))
+        r = self.field.normalize(np.array(v, dtype=dtype(self.field)).reshape(1, -1))
         for i, c in enumerate(self.pivots()):
             if r[0, c]:
                 r = self.field.normalize(r - r[0, c] * self.basis[i : i + 1])
@@ -172,7 +173,7 @@ class Subspace:
         keep = [i for i, c in enumerate(self.pivots()) if c not in sub_piv]
         if len(keep) != self.dim - sub.dim:
             raise ContractError("quotient_reps: argument is not a subspace of self")
-        return self.basis[keep] if keep else self.field.zeros(0, self.ambient)
+        return self.basis[keep] if keep else zeros(self.field, 0, self.ambient)
 
     def _check_compatible(self, other: "Subspace") -> None:
         same_field(self.field, other.field)
@@ -281,7 +282,7 @@ class ReferenceSpectralSequence:
             rows = ~at_least(self.fc, t, m + 1)  # coordinates outside F^t(m+1)
             if np.any(cols) and np.any(rows):
                 coeffs = kernel(f, matrix(self.fc.total, m)[rows][:, cols])
-                basis = f.zeros(coeffs.shape[0], cols.size)
+                basis = zeros(f, coeffs.shape[0], cols.size)
                 basis[:, cols] = coeffs
                 self._z[key] = Subspace.from_rows(f, cols.size, basis)
             else:
@@ -306,7 +307,7 @@ class ReferenceSpectralSequence:
         if key not in self._reps:
             m = p + q
             if self.fc.total.dim(m) == 0:
-                self._reps[key] = self.field.zeros(0, 0)
+                self._reps[key] = zeros(self.field, 0, 0)
             else:
                 z, b = self.cell_spaces(r, p, m)
                 self._reps[key] = z.quotient_reps(b)
@@ -322,7 +323,7 @@ class ReferenceSpectralSequence:
         tp, tq = p + r, q - r + 1
         tdim = self.cell_dim(r, tp, tq)
         if src.shape[0] == 0:
-            return self.field.zeros(tdim, 0)
+            return zeros(self.field, tdim, 0)
         m = p + q
         images = mul(self.field, matrix(self.fc.total, m), src.T).T
         _, b = self.cell_spaces(r, tp, m + 1)
@@ -332,7 +333,7 @@ class ReferenceSpectralSequence:
                     raise InternalCheckError(
                         f"d_{r} image from ({p},{q}) misses the zero target cell"
                     )
-            return self.field.zeros(0, src.shape[0])
+            return zeros(self.field, 0, src.shape[0])
         treps = self.reps(r, tp, tq)
         basis = np.concatenate([treps, b.basis], axis=0)
         try:

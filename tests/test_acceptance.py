@@ -45,6 +45,7 @@ from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
 from cechmv.spectral import LatticeSequences, _split_columns
 from conftest import (F, class_of, dense, keep_points, rand_complex, rand_tensor_mc,
                       window_runs)
+from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 from reference_split import koszul_half
 
@@ -346,7 +347,7 @@ def test_totalized_blocks_carry_the_commuting_sign():
         tot = totalize(mc)
         for m, blk in tot.blocks.items():
             rows, cols = block_slices(tot.blocks.get(m + 1, ())), block_slices(blk)
-            want = F.zeros(tot.dim(m + 1), tot.dim(m))
+            want = zeros(F, tot.dim(m + 1), tot.dim(m))
             for q, _ in blk:
                 for i in range(mc.n):
                     if (q, i) in mc.diffs:

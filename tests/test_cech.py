@@ -1,6 +1,7 @@
 """Čech complexes, the independent dimension oracle, and the audits tying
 the lattice route to the product-sequence route."""
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -138,6 +139,78 @@ def test_chamber_classes_match_the_degree_walk():
         m = 1 + case % 5
         prob = chamber_problem(rng, m, WINDOW_SHAPES[case // 5 % len(WINDOW_SHAPES)])
         assert degree_classes(prob) == walk_classes(prob), (prob.quotient.gens, prob.window)
+
+
+def per_degree_classes(prob):
+    """Reference for ``degree_classes``: the chamber grouping as it was first
+    written, one step per window degree.  Each degree's chamber is the tuple
+    of the threshold intervals holding its coordinates; the pattern is
+    evaluated at the first window degree of each chamber, and every degree
+    is appended to its chamber's class."""
+    cuts = [sorted({0, *(g[j] for g in prob.quotient.gens)}) for j in range(prob.num_vars)]
+    lo, hi = prob.window
+    intervals = [[bisect.bisect_right(c, v) for v in range(a, z + 1)]
+                 for c, a, z in zip(cuts, lo, hi)]
+    class_of = {}
+    by_pat = {}
+    for b, chamber in zip(window_degrees(prob.window), itertools.product(*intervals)):
+        members = class_of.get(chamber)
+        if members is None:
+            members = class_of[chamber] = by_pat.setdefault(piece_pattern(prob, b), [])
+        members.append(b)
+    return list(by_pat.items())
+
+
+@st.composite
+def chamber_problems(draw):
+    """1-4 variables, a quotient of 0-4 generators with exponents 0..3, so
+    thresholds repeat across generators and coincide with 0, and per
+    coordinate a negative, positive, mixed (through 0) or width-1 range."""
+    m = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), max_size=4))
+    lo, hi = [], []
+    for kind in draw(st.lists(st.sampled_from(("negative", "positive", "mixed", "width1")),
+                              min_size=m, max_size=m)):
+        if kind == "negative":
+            z = draw(st.integers(-4, -1))
+            a = draw(st.integers(z - 4, z))
+        elif kind == "positive":
+            a = draw(st.integers(1, 4))
+            z = draw(st.integers(a, a + 4))
+        elif kind == "mixed":
+            a, z = draw(st.integers(-4, 0)), draw(st.integers(0, 5))
+        else:
+            a = z = draw(st.integers(-4, 5))
+        lo.append(a)
+        hi.append(z)
+    return CechProblem(F, m, (((1,) * m,),), MonomialIdeal(m, tuple(gens)),
+                       (tuple(lo), tuple(hi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chamber_problems())
+@example(CechProblem(F, 3, (((1, 1, 1),),), MonomialIdeal(3, ((2, 1, 0), (2, 0, 1), (0, 2, 2))),
+                     ((-2, -1, 0), (3, 3, 0))))
+def test_chamber_runs_match_the_per_degree_classes(prob):
+    """``degree_classes``, walking products of runs once per chamber, gives
+    the per-degree reference's classes, members and order, and evaluates
+    the pattern once per chamber the window meets."""
+    calls = []
+
+    def counted(problem, b):
+        calls.append(b)
+        return piece_pattern(problem, b)
+
+    want = per_degree_classes(prob)
+    cuts = [sorted({0, *(g[j] for g in prob.quotient.gens)}) for j in range(prob.num_vars)]
+    chambers = {tuple(map(bisect.bisect_right, cuts, b)) for b in prob.degrees()}
+    original, cech.piece_pattern = cech.piece_pattern, counted
+    try:
+        got = degree_classes(prob)
+    finally:
+        cech.piece_pattern = original
+    assert got == want, (prob.quotient.gens, prob.window)
+    assert len(calls) == len(set(calls)) == len(chambers)
 
 
 def test_classification_evaluates_one_pattern_per_chamber(monkeypatch):

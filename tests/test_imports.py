@@ -1,36 +1,69 @@
-"""Module layout and public surface: the lattice route holds Python ints,
-fractions and lists or dicts of them, so numpy stays private to the oracle's
-dense elimination (``linalg``) and to the selftest's random draws (``cli``);
-every name ``cechmv.__all__`` lists resolves."""
+"""Module layout and public surface: the package computes with Python ints,
+fractions and lists or dicts of them, so no module imports numpy at module
+level and only the selftest's random draws (``cli.cmd_selftest``) import it,
+inside the function; neither importing ``cechmv.cli`` nor a ``compute`` run
+loads it; every name ``cechmv.__all__`` lists resolves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cechmv
 
-NUMPY_MODULES = {"linalg.py", "cli.py"}
+SRC = Path(cechmv.__file__).resolve().parents[1]
+JOBS_DIR = Path(__file__).resolve().parents[1] / "jobs"
 
 
-def numpy_imports(path: Path) -> list[int]:
-    """The line numbers of the statements in ``path`` that import numpy."""
-    lines = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "numpy" for name in names):
-            lines.append(node.lineno)
-    return lines
+def numpy_imports(path: Path) -> list[tuple[str | None, int]]:
+    """(enclosing function or None at module level, line) of every statement
+    in ``path`` that imports numpy."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append((func, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
 
 
-def test_only_the_oracle_and_the_cli_import_numpy():
+def test_only_the_selftest_imports_numpy_and_inside_the_function():
     modules = sorted(Path(cechmv.__file__).parent.glob("*.py"))
-    assert {p.name for p in modules} >= NUMPY_MODULES | {"spectral.py", "mvss.py"}
+    assert {p.name for p in modules} >= {"linalg.py", "cech.py", "cli.py", "spectral.py"}
     found = {p.name: numpy_imports(p) for p in modules}
-    assert {name for name, lines in found.items() if lines} == NUMPY_MODULES, found
+    assert {name: [func for func, _ in lines] for name, lines in found.items() if lines} == {
+        "cli.py": ["cmd_selftest"]}, found
+
+
+def test_import_and_compute_leave_numpy_unloaded(tmp_path):
+    """A fresh interpreter imports ``cechmv.cli`` and runs ``compute`` on the
+    two-ideal job in process; numpy is in ``sys.modules`` after neither."""
+    code = (
+        "import sys\n"
+        "import cechmv.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "rc = cechmv.cli.main(['compute', sys.argv[1], '--out', sys.argv[2], '--jobs', '1'])\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(rc, loaded)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(JOBS_DIR / "two_ideals.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [False, False]", proc.stdout
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_every_public_name_resolves():

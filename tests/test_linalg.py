@@ -1,7 +1,7 @@
-"""Exact linear algebra: echelon forms, the column-list product and
-submatrices, persistence pairs, the sparse echelon subspaces of the package
-against the dense reference, and the dense reference's kernels, solving and
-subspace calculus."""
+"""Exact linear algebra: echelon forms on ``Dense`` rows against the numpy
+reference, the column-list product and submatrices, persistence pairs, the
+sparse echelon subspaces of the package against the dense reference, and the
+dense reference's kernels, solving and subspace calculus."""
 
 import copy
 from fractions import Fraction
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cechmv import (
     CochainComplex,
     ContractError,
+    Dense,
     FieldMismatchError,
     InputError,
     PrimeField,
@@ -26,14 +27,18 @@ from cechmv import (
 )
 from cechmv import linalg
 from cechmv.linalg import pivot_pairs, submatrix
-from conftest import columns, dense, rand_complex
-# the dense reference: its own product, kernels, solutions and subspaces from rref
+from conftest import as_dense, columns, dense, rand_complex
+# the dense reference: numpy arrays and their rref, and its own product,
+# kernels, solutions and subspaces from that rref
+from reference_dense import dtype, zeros
+from reference_dense import rank as dense_rank
+from reference_dense import rref as dense_rref
 from reference_spectral import Subspace, eye, image, kernel, kernel_space, matrix, solve
 from reference_spectral import mul as dense_mul
 
 F = PrimeField(65537)
 Q = RationalField()
-# small and large primes, an object-dtype prime and Q
+# small and large primes, a prime past the reference's int64 bound and Q
 FIELDS = (PrimeField(2), PrimeField(3), F, PrimeField(2**31 - 1), Q)
 
 
@@ -41,7 +46,7 @@ def _field_matrix(f, data, den=1, cols=None):
     """``data``, integer rows, over ``f``; each entry divided by ``den`` over Q.
     ``cols`` gives the width when ``data`` has no rows."""
     rows, cols = len(data), (len(data[0]) if data else 0) if cols is None else cols
-    a = f.zeros(rows, cols)
+    a = zeros(f, rows, cols)
     for i, row in enumerate(data):
         for j, x in enumerate(row):
             a[i, j] = Fraction(x, den) if f is Q else x
@@ -81,22 +86,22 @@ def test_prime_field_refuses_moduli_past_the_exact_primality_test():
 
 
 def test_rref_hand_example():
-    a = _field_matrix(F, [[2, 4], [1, 2]])
+    a = as_dense(_field_matrix(F, [[2, 4], [1, 2]]))
     R, piv = rref(F, a)
     assert piv == [0]
-    assert R[0].tolist() == [1, 2]
-    assert not np.any(R[1])
+    assert R[0] == [1, 2]
+    assert not any(R[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_rref_is_projection_and_rank_counts_pivots(data):
     a = _field_matrix(F, data)
-    R, piv = rref(F, a)
+    R, piv = rref(F, as_dense(a))
     R2, piv2 = rref(F, R)
-    assert np.array_equal(R, R2) and piv == piv2
-    assert rank(F, a) == len(piv)
-    assert rank(F, a) == rank(F, a.T)
+    assert R == R2 and R.shape == R2.shape and piv == piv2
+    assert rank(F, as_dense(a)) == len(piv)
+    assert rank(F, as_dense(a)) == rank(F, as_dense(a.T))
 
 
 @st.composite
@@ -139,7 +144,7 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
     """The persistence pairs hold each row and each column at most once,
     their columns are the pivots of ``rref``, and for every r and c the pairs
     inside the bottom r rows and the left c columns count that block's rank,
-    over small and large primes, an object-dtype prime and Q, on empty,
+    over small and large primes, a prime past the int64 bound and Q, on empty,
     zero-padded and rank-deficient matrices and on sparse 0/±1 ones."""
     data, k = drawn
     rows, cols = len(data), len(data[0]) if data else 0
@@ -148,16 +153,40 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
         cols_a = columns(f, a)
         before = copy.deepcopy(cols_a)
         pairs = pivot_pairs(f, cols_a)
-        assert sorted(j for _, j in pairs) == rref(f, a)[1], (f.describe(), data)
+        assert sorted(j for _, j in pairs) == rref(f, as_dense(a))[1], (f.describe(), data)
         assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) <= k
         for r in range(rows + 1):
             # the rank of the bottom r rows' left c columns is the number of
             # their pivots left of c, so one rref gives every c
-            pivots = rref(f, a[rows - r:])[1]
+            pivots = rref(f, as_dense(a[rows - r:]))[1]
             for c in range(cols + 1):
                 inside = sum(1 for i, j in pairs if i >= rows - r and j < c)
                 assert inside == sum(1 for j in pivots if j < c), (f.describe(), data, r, c)
         assert cols_a == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(low_rank_matrix(), sparse_matrix()), st.integers(1, 3))
+def test_rref_on_dense_rows_matches_the_numpy_reference(drawn, den):
+    """Over F_2, F_3, F_65537, F_{2^31-1} (past the reference's int64 bound)
+    and Q, ``rref`` on ``Dense`` rows gives the numpy reference's R, pivots
+    and shape, with normalized Python entries, and ``rank`` its pivot count,
+    on low-rank and sparse 0/±1 matrices and on their 0 x k and k x 0
+    slices; the argument is not modified."""
+    data, _ = drawn
+    for f in FIELDS:
+        a = _field_matrix(f, data, den)
+        for part in (a, a[:0], a[:, :0]):
+            d = as_dense(part)
+            before = copy.deepcopy(d)
+            R, piv = rref(f, d)
+            want, want_piv = dense_rref(f, part)
+            assert isinstance(R, Dense) and R.shape == want.shape == part.shape
+            assert R == want.tolist() and piv == want_piv, (f.describe(), data)
+            if f is not Q:
+                assert all(type(x) is int and 0 <= x < f.p for row in R for x in row)
+            assert rank(f, d) == len(piv) == dense_rank(f, part)
+            assert d == before and d.shape == before.shape
 
 
 @st.composite
@@ -212,8 +241,8 @@ def test_submatrix_equals_numpy_fancy_indexing(drawn, data):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_rank_agrees_between_prime_field_and_rationals(data):
-    qa = _field_matrix(Q, data)
-    fa = _field_matrix(F, data)
+    qa = as_dense(_field_matrix(Q, data))
+    fa = as_dense(_field_matrix(F, data))
     assert rank(Q, qa) == rank(F, fa)
 
 
@@ -223,14 +252,14 @@ def test_kernel_annihilates_and_has_full_nullity(data):
     for f in (F, Q):
         a = _field_matrix(f, data)
         k = kernel(f, a)
-        assert k.shape[0] == a.shape[1] - rank(f, a)
+        assert k.shape[0] == a.shape[1] - dense_rank(f, a)
         if k.shape[0]:
             assert not np.any(dense_mul(f, a, k.T))
-        assert rank(f, k) == k.shape[0]
+        assert dense_rank(f, k) == k.shape[0]
 
 
 def test_kernel_of_empty_map_is_identity():
-    a = F.zeros(0, 4)
+    a = zeros(F, 0, 4)
     assert np.array_equal(kernel(F, a), eye(F, 4))
 
 
@@ -256,18 +285,18 @@ def test_large_prime_object_dtype_matches_int64_path():
     rng = np.random.default_rng(5)
     big = PrimeField(2**31 - 1)
     mid = PrimeField(1000003)
-    assert big.dtype is object
+    assert dtype(big) is object
     for _ in range(20):
         data = rng.integers(0, 2, size=(5, 5)).tolist()
-        r = rank(F, _field_matrix(F, data))
-        assert rank(big, _field_matrix(big, data)) == r
-        assert rank(mid, _field_matrix(mid, data)) == r
-        assert rank(Q, _field_matrix(Q, data)) == r
+        r = rank(F, as_dense(_field_matrix(F, data)))
+        assert rank(big, as_dense(_field_matrix(big, data))) == r
+        assert rank(mid, as_dense(_field_matrix(mid, data))) == r
+        assert rank(Q, as_dense(_field_matrix(Q, data))) == r
 
 
 def test_rational_fractions_supported():
     a = _field_matrix(Q, [[Fraction(1, 2), 1], [1, 2]])
-    assert rank(Q, a) == 1
+    assert rank(Q, as_dense(a)) == 1
     k = kernel(Q, a)
     assert k.shape[0] == 1
     assert not np.any(dense_mul(Q, a, k.T))
@@ -312,9 +341,9 @@ def test_field_mismatch_is_reported():
 def test_determinism_identical_bytes():
     rng = np.random.default_rng(11)
     data = rng.integers(0, 7, size=(6, 8)).tolist()
-    r1, p1 = rref(F, _field_matrix(F, data))
-    r2, p2 = rref(F, _field_matrix(F, data))
-    assert np.array_equal(r1, r2) and p1 == p2
+    r1, p1 = rref(F, as_dense(_field_matrix(F, data)))
+    r2, p2 = rref(F, as_dense(_field_matrix(F, data)))
+    assert r1 == r2 and p1 == p2
     s1 = Subspace.from_rows(F, 8, _field_matrix(F, data))
     s2 = Subspace.from_rows(F, 8, _field_matrix(F, data))
     assert np.array_equal(s1.basis, s2.basis)
@@ -347,7 +376,7 @@ def test_sparse_subspace_matches_the_dense_reference(drawn, den, data):
         # inside: a combination of the basis gives back its coefficients
         coeffs = [f.normalize((picks[k % 2] >> k) % 5) for k in range(ker.dim)]
         basis = dense(f, ker.columns, n)
-        v = f.normalize(basis @ _field_matrix(f, [coeffs]).T) if ker.dim else f.zeros(n, 1)
+        v = f.normalize(basis @ _field_matrix(f, [coeffs]).T) if ker.dim else zeros(f, n, 1)
         assert ker.coordinates(columns(f, v)[0]) == coeffs
         # outside: a unit vector at a row that is not a lowest row
         free = [i for i in range(n) if i not in ker.pivots]
@@ -370,7 +399,7 @@ def _direct_sum(f, x, y):
     d = {}
     for m in dims:
         if m + 1 in dims:
-            blk = f.zeros(dims[m + 1], dims[m])
+            blk = zeros(f, dims[m + 1], dims[m])
             blk[: x.dim(m + 1), : x.dim(m)] = matrix(x, m)
             blk[x.dim(m + 1):, x.dim(m):] = matrix(y, m)
             d[m] = columns(f, blk)
@@ -394,22 +423,22 @@ def test_cohomology_reps_and_maps_match_the_dense_reference(seed):
             h = cx.cohomology_dims()
             assert {m: len(cx.cohomology_reps(m)[0]) for m in cx.dims} == \
                 {m: h.get(m, 0) for m in cx.dims}
-        homotopy = {m: f.zeros(tgt.dim(m - 1), src.dim(m)) for m in degrees}
+        homotopy = {m: zeros(f, tgt.dim(m - 1), src.dim(m)) for m in degrees}
         for h in homotopy.values():
             for (i, j), x in np.ndenumerate(rng.integers(0, 5, size=h.shape)):
                 h[i, j] = int(x)
         chain = {}
         for m in degrees:
-            proj = f.zeros(tgt.dim(m), src.dim(m))
+            proj = zeros(f, tgt.dim(m), src.dim(m))
             proj[: c.dim(m), : c.dim(m)] = eye(f, c.dim(m))
             dh = dense_mul(f, matrix(tgt, m - 1), homotopy[m])
-            hd = dense_mul(f, homotopy.get(m + 1, f.zeros(tgt.dim(m), src.dim(m + 1))),
+            hd = dense_mul(f, homotopy.get(m + 1, zeros(f, tgt.dim(m), src.dim(m + 1))),
                            matrix(src, m))
             chain[m] = f.normalize(proj + dh + hd)
         out = cohomology_map(src, tgt, {m: columns(f, a) for m, a in chain.items()})
         h_c, h_tgt = c.cohomology_dims(), tgt.cohomology_dims()
         for m in degrees:
-            got = rank(f, dense(f, out[m], h_tgt.get(m, 0))) if m in out else 0
+            got = dense_rank(f, dense(f, out[m], h_tgt.get(m, 0))) if m in out else 0
             cycles = kernel(f, matrix(src, m))
             bounds = image(f, matrix(tgt, m - 1))
             imgs = dense_mul(f, chain[m], cycles.T).T

@@ -31,6 +31,7 @@ from cechmv import (
 from cechmv.cli import load_job
 from cechmv.spectral import _split_columns
 from conftest import columns, dense, keep_points, rand_tensor_mc
+from reference_dense import zeros
 from reference_split import koszul_half
 
 F = PrimeField(65537)
@@ -53,7 +54,7 @@ def test_validate_reports_structural_problems():
     bad_dims = dict(mc.dims)
     bad_dims[(0, 0)] = 0
     assert any("nonpositive" in s for s in validate(Multicomplex(F, 2, bad_dims, mc.diffs)))
-    for wrong in (F.zeros(3, 3), F.zeros(1, 2), [[1], [1]]):
+    for wrong in (zeros(F, 3, 3), zeros(F, 1, 2), [[1], [1]]):
         bad_diffs = dict(mc.diffs)
         bad_diffs[((0, 0), 0)] = columns(F, wrong)  # 3 columns, 2 columns, a row out of range
         assert any("shape" in s for s in validate(Multicomplex(F, 2, mc.dims, bad_diffs)))
@@ -318,7 +319,7 @@ def test_cohomology_map_identity_and_checks():
     bad = {0: columns(F, [[0, 1], [1, 0]]), 1: columns(F, [[1]])}
     with pytest.raises(ContractError, match="chain map"):
         cohomology_map(cx, cx, bad)
-    zero = {0: columns(F, F.zeros(2, 2)), 1: columns(F, F.zeros(1, 1))}
+    zero = {0: columns(F, zeros(F, 2, 2)), 1: columns(F, zeros(F, 1, 1))}
     out = cohomology_map(cx, cx, zero, check=False)
     assert dense(F, out[0], 1).tolist() == [[0]]
 
