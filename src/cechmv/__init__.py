@@ -6,8 +6,7 @@ The package is organized bottom-up:
 * :mod:`cechmv.linalg` -- exact linear algebra over prime fields and the
   rationals (the oracle's dense rank on ``Dense`` lists of rows, the
   package's only dense matrices; the sparse column reduction and the
-  sparse echelon subspaces built by it).  Nothing on the compute path
-  imports numpy; only the ``selftest`` command draws from it.
+  sparse echelon subspaces built by it).  No module imports numpy.
 * :mod:`cechmv.grading` -- monomials, monomial ideals, and the dimensions of
   graded pieces of localizations.
 * :mod:`cechmv.jsonout` -- per-degree record lists and the JSON writer of
@@ -53,7 +52,6 @@ from .multicomplex import (
     CochainComplex,
     Multicomplex,
     augment_interior,
-    cohomology_map,
     composite_along,
     cube_extension,
     koszul_complex,
@@ -65,7 +63,6 @@ from .multicomplex import (
     validate,
 )
 from .spectral import (
-    AbutmentFiltration,
     FilteredComplex,
     LatticeSequences,
     Page,
@@ -101,7 +98,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AbutmentFiltration",
     "CechProblem",
     "CochainComplex",
     "CohomologyTable",
@@ -125,7 +121,6 @@ __all__ = [
     "VARIANTS",
     "augment_interior",
     "cech_multicomplex",
-    "cohomology_map",
     "composite_along",
     "compute",
     "coordinate_filtration",

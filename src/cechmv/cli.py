@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import os
+import random
 import sys
 
 from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, degree_classes,
@@ -152,17 +153,19 @@ class DegreeClass:
         self.problem = problem
         self.members = members
         self.cache = OracleCache(problem)
-        self.runs: dict[str, ClassRun] = {}
+        self.runs: dict[tuple[str, int | None], ClassRun] = {}
 
     @functools.cached_property
     def sequences(self) -> LatticeSequences:
         return LatticeSequences(cech_multicomplex(self.problem, self.members[0]))
 
     def run(self, variant: str, pages: int | None) -> ClassRun:
-        if variant not in self.runs:
-            self.runs[variant] = run_variant(self.problem, variant, self.sequences,
-                                             self.cache, self.members, pages_r=pages)
-        return self.runs[variant]
+        """The class run of ``variant`` with pages up to ``pages``, made once
+        per (variant, pages)."""
+        if (variant, pages) not in self.runs:
+            self.runs[variant, pages] = run_variant(self.problem, variant, self.sequences,
+                                                    self.cache, self.members, pages_r=pages)
+        return self.runs[variant, pages]
 
 
 def run_unit(klass: DegreeClass, unit: str, pages: int | None):
@@ -188,7 +191,7 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
             return run, infinity_filtration_report(run, fc, cache)
         return run, None
     if unit == "les":
-        return mv_les(klass.run("1a", None), klass.run("2a", None), cache)
+        return mv_les(klass.run("1a", pages), klass.run("2a", pages), cache)
     raise InputError(f"unknown task {unit!r}")
 
 
@@ -352,11 +355,11 @@ def cmd_compute(args) -> int:
 
 
 def _random_complex(f, rng, max_len=3, max_dim=3) -> CochainComplex:
-    length = int(rng.integers(1, max_len + 1))
+    length = rng.randint(1, max_len)
     dims = {}
-    start = int(rng.integers(0, 2))
+    start = rng.randint(0, 1)
     for t in range(start, start + length):
-        d = int(rng.integers(0, max_dim + 1))
+        d = rng.randint(0, max_dim)
         if d:
             dims[t] = d
     if not dims:
@@ -364,8 +367,8 @@ def _random_complex(f, rng, max_len=3, max_dim=3) -> CochainComplex:
     d = {}
     for t in sorted(dims):
         if t + 1 in dims:
-            draw = rng.integers(0, 5, size=(dims[t + 1], dims[t])).T.tolist()
-            d[t] = [{i: v % f.p for i, v in enumerate(col) if v % f.p} for col in draw]
+            d[t] = [{i: v for i in range(dims[t + 1]) if (v := rng.randrange(5))}
+                    for _ in range(dims[t])]
     # square-zero by construction: zero out a map whenever it composes badly
     for t in sorted(d):
         if t + 1 in d and any(mul(f, d[t + 1], d[t])):
@@ -374,7 +377,7 @@ def _random_complex(f, rng, max_len=3, max_dim=3) -> CochainComplex:
 
 
 def _random_tensor_mc(f, rng, max_axes: int):
-    n = int(rng.integers(1, max_axes + 1))
+    n = rng.randint(1, max_axes)
     factors = [_random_complex(f, rng) for _ in range(n)]
     return tensor_product(factors)
 
@@ -385,9 +388,7 @@ def cmd_selftest(args) -> int:
         if value < least:
             print(f"error: {flag} must be an integer >= {least}, got {value}", file=sys.stderr)
             return 1
-    import numpy as np  # the random draws of the selftest only: compute never loads numpy
-
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     f = PrimeField(DEFAULT_PRIME)
     failures: list[str] = []
 
@@ -414,13 +415,13 @@ def cmd_selftest(args) -> int:
 
     # suite 4: small random problems end to end
     for trial in range(5):
-        m = int(rng.integers(1, args.max_vars + 1))
-        n = int(rng.integers(1, args.max_groups + 1))
+        m = rng.randint(1, args.max_vars)
+        n = rng.randint(1, args.max_groups)
         groups = []
         for _ in range(n):
             grp = []
-            for _ in range(int(rng.integers(1, 3))):
-                g = tuple(int(x) for x in rng.integers(0, 3, size=m))
+            for _ in range(rng.randint(1, 2)):
+                g = tuple(rng.randrange(3) for _ in range(m))
                 grp.append(g if any(g) else tuple([1] + [0] * (m - 1)))
             groups.append(tuple(grp))
         quotient = MonomialIdeal(m, ())

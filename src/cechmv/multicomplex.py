@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import (Columns, Field, Subspace, identity, mul, neg, pivot_pairs, same_field,
-                     submatrix)
+from .linalg import Columns, Field, identity, mul, neg, pivot_pairs, same_field, submatrix
 
 Point = tuple[int, ...]
 
@@ -80,55 +79,6 @@ class CochainComplex:
             if h:
                 out[m] = h
         return out
-
-    def cohomology_reps(self, m: int):
-        """(representatives, kernel, image) at degree ``m``, the two spaces
-        as ``Subspace``s.  The representatives are the kernel's basis
-        columns whose lowest rows are not lowest rows of the image, so they
-        complete the image to the kernel."""
-        ker = Subspace.kernel(self.field, self.matrix(m))
-        im = Subspace.span(self.field, self.dim(m), self.matrix(m - 1))
-        return ker.quotient_reps(im), ker, im
-
-
-def cohomology_map(cxa: CochainComplex, cxb: CochainComplex, chain: dict[int, Columns],
-                   check: bool = True) -> dict[int, Columns]:
-    """Map induced on cohomology by a chain map ``chain[m]: cxa^m -> cxb^m``.
-
-    Returns one column list per degree where both sides have entries, written
-    in the representatives of ``cohomology_reps``.  The coordinates of each
-    image are read off one reduction against the target's image columns
-    followed by its representatives; their lowest rows are distinct, so
-    that reduction keeps every one of them as it is.
-    """
-    same_field(cxa.field, cxb.field)
-    f = cxa.field
-
-    def chain_at(m: int) -> Columns:
-        return chain[m] if m in chain else [{} for _ in range(cxa.dim(m))]
-
-    if check:
-        for m in cxa.dims:
-            if mul(f, chain_at(m + 1), cxa.matrix(m)) != mul(f, cxb.matrix(m), chain_at(m)):
-                raise ContractError(f"not a chain map at degree {m}")
-    out = {}
-    for m in sorted(set(cxa.dims) | set(cxb.dims)):
-        reps_a = cxa.cohomology_reps(m)[0] if cxa.dim(m) else []
-        if cxb.dim(m) == 0:
-            if reps_a:
-                out[m] = [{} for _ in reps_a]
-            continue
-        reps_b, _, im_b = cxb.cohomology_reps(m)
-        if not reps_a and not reps_b:
-            continue
-        target = Subspace.span(f, cxb.dim(m), im_b.columns + reps_b)
-        out[m] = []
-        for v in mul(f, chain_at(m), reps_a):
-            coords = target.coordinates(v)
-            if coords is None:
-                raise ContractError(f"a degree-{m} class maps outside the cocycles")
-            out[m].append({i: c for i, c in enumerate(coords[im_b.dim:]) if c})
-    return out
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,7 @@ from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
 from .errors import InputError
 from .grading import Exps
 from .jsonout import PerDegree
-from .linalg import Columns, mul, pivot_pairs, submatrix
-from .multicomplex import CochainComplex, cohomology_map
+from .linalg import Columns, Subspace, mul, submatrix
 from .spectral import FilteredComplex, LatticeSequences, Page
 
 VARIANTS = ("1a", "1b", "2a", "2b")
@@ -172,7 +171,7 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
     pages = ss.pages_up_to(r_top)
-    page_inf, ab = ss.infinity()
+    page_inf, h_dims = ss.infinity()
     einf = dict(page_inf.cells)
 
     # first-page audit (engine coordinates)
@@ -195,13 +194,11 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
             e1_mism.append({"p": p, "q": q, "got": d, "want": 0})
 
     # abutment audit
-    m_vals = set(ab.h_dims) | set(fc.total.dims)
     span = n + sum(len(g) for g in problem.groups) + 2
-    m_vals.update(range(0, span))
     ab_mism = []
-    for m in sorted(m_vals):
+    for m in sorted(set(fc.total.dims) | set(range(span))):
         want = _expected_abutment(cache, variant, m, b0)
-        got = ab.h_dims.get(m, 0) if fc.total.dims else 0
+        got = h_dims.get(m, 0)
         if got != want:
             ab_mism.append({"m": m, "got": got, "want": want})
 
@@ -211,7 +208,7 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
         width=width,
         stabilized_at=_stabilized_at(pages),
         einf_dims=einf,
-        h_dims={m: d for m, d in ab.h_dims.items() if d} if fc.total.dims else {},
+        h_dims=h_dims,
         e1_mismatches=e1_mism,
         abutment_mismatches=ab_mism,
     )
@@ -273,24 +270,32 @@ def degree_records(results: list[tuple[list[Exps], dict]]) -> dict:
     return {"degrees": degrees, "failures": failures, "pass": not failures.items}
 
 
-def _first_page_maps(fc: FilteredComplex, p: int) -> dict[int, Columns]:
-    """d_1 out of level p of a coordinate filtration, by total degree, in the
-    bases of ``cohomology_reps``.  The first page at level p is the cohomology
-    of the level-p diagonal block of d, and d_1 is induced by the block one
-    level up, which anticommutes with the diagonal blocks."""
-    tot = fc.total
+def _middle_piece(fc: FilteredComplex, m: int) -> tuple[int, bool]:
+    """The middle piece of the abutment at total degree m of a three-group
+    1a filtration, and whether psi' phi' = 0, from the dimensions of spans
+    over the level blocks of d.  With Z_p and B_p the cycles and boundaries
+    of the level-p diagonal block and D_pq the block from level p to q:
 
-    def level(lv: int, shift: int) -> tuple[CochainComplex, dict[int, list[int]]]:
-        index = {m: [i for i, x in enumerate(fc.levels[m]) if x == lv] for m in tot.dims}
-        dims = {m - shift: len(ix) for m, ix in index.items()}
-        d = {m - shift: submatrix(tot.matrix(m), index[m + 1], ix)
-             for m, ix in index.items() if m + 1 in index}
-        return CochainComplex(tot.field, dims, d), index
+      rank phi' = dim(B_1 + D_01 Z_0) - dim B_1,
+      rank psi' = dim(B_2 + D_12 Z_1) - dim B_2,
+      middle    = dim Z_1 - dim B_1 - rank psi' - rank phi',
 
-    src, here = level(p, 0)
-    tgt, up = level(p + 1, 1)
-    chain = {m: submatrix(tot.matrix(m), up[m + 1], ix) for m, ix in here.items() if m + 1 in up}
-    return cohomology_map(src, tgt, chain, check=False)
+    and psi' phi' = 0 exactly when D_12 D_01 Z_0 lies in B_2."""
+    f = fc.total.field
+
+    def block(k: int, p: int, q: int) -> Columns:  # D_pq out of degree k
+        rows, cols = ([i for i, x in enumerate(fc.levels.get(j, [])) if x == lv]
+                      for j, lv in ((k + 1, q), (k, p)))
+        return submatrix(fc.total.matrix(k), rows, cols)
+
+    def grows(sub: Subspace, vectors: Columns) -> int:  # dim(sub + span(vectors)) - dim sub
+        return Subspace.span(f, None, sub.columns + vectors).dim - sub.dim
+
+    z0, z1 = Subspace.kernel(f, block(m - 1, 0, 0)), Subspace.kernel(f, block(m, 1, 1))
+    b1, b2 = Subspace.span(f, None, block(m - 1, 1, 1)), Subspace.span(f, None, block(m, 2, 2))
+    phi_z0, d12 = mul(f, block(m - 1, 0, 1), z0.columns), block(m, 1, 2)
+    rank_psi, rank_phi = grows(b2, mul(f, d12, z1.columns)), grows(b1, phi_z0)
+    return z1.dim - b1.dim - rank_psi - rank_phi, not grows(b2, mul(f, d12, phi_z0))
 
 
 def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: OracleCache) -> dict:
@@ -307,18 +312,14 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
       middle piece   dim ker(psi') - rank(phi'),
       bottom piece   dim coker(psi'') - rank(d2 into the coker cell).
 
-    The middle piece is recomputed independently from the ranks of explicit
-    first-page maps, built from ``fc``.
+    Where the middle cell of the first page is nonzero, the middle piece is
+    recomputed independently from the dimensions of spans over the level
+    blocks of ``fc`` (``_middle_piece``), which also checks psi' phi' = 0.
     """
-    f = cache.problem.field
     b0 = cls.members[0]
     p1, p2 = cls.pages[1], cls.pages[2]
     einf = cls.einf_dims
     m_vals = sorted({p + q for (p, q) in einf} | {p + q for (p, q) in p1.cells} | {2, 3})
-    d1_maps = {p: _first_page_maps(fc, p) for p in (0, 1)}
-
-    def d1(p, q):
-        return d1_maps[p][p + q] if p1.dim(p, q) else None
 
     def nullity(p, q):
         return p1.dim(p, q) - p1.map_rank(p, q)
@@ -338,16 +339,8 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
         got = {(0, m): top, (1, m - 1): mid, (2, m - 2): bottom}
         oracle_total = cache.raw("product", (0, 1, 2), "full", m - 2, b0)
         row_ok = got == want and sum(got.values()) == oracle_total
-
-        # middle piece again, from the ranks of the explicit first-page maps:
-        # ker psi' contains im phi' exactly when psi' phi' = 0, and then the
-        # quotient has dimension cols(psi') - rank psi' - rank phi'
-        psi_p, phi_p = d1(1, m - 1), d1(0, m - 1)
-        if psi_p is not None:
-            phi_p = [] if phi_p is None else phi_p
-            if any(mul(f, psi_p, phi_p)) or mid != (
-                    len(psi_p) - len(pivot_pairs(f, psi_p)) - len(pivot_pairs(f, phi_p))):
-                row_ok = False
+        if p1.dim(1, m - 1) and _middle_piece(fc, m) != (mid, True):
+            row_ok = False
         rows.append(
             {
                 "total_degree": m,

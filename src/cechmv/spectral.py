@@ -19,9 +19,10 @@ level, ties in coordinate order.  With
 
 Gaps are below the filtration width, so pages past the width are stable and
 carry no nonzero differentials.  The limit page is the page at the width,
-and it also gives the abutment: over a field the graded pieces of the
-filtration induced on H^m are the E_inf cells of total degree m
-(``SpectralSequence.abutment``).  ``infinity`` caches both once per sequence.
+and it is also the abutment: over a field the graded pieces of the
+filtration induced on H^m are the E_inf cells of total degree m, so
+``SpectralSequence.infinity`` returns the limit page with {m: dim H^m}, the
+sums of its cells, once per sequence.
 
 ``LatticeSequences`` holds what the audits read off one lattice: the face
 half of its one Koszul split, the five filtered complexes built from it and
@@ -143,16 +144,6 @@ class Page:
         return {"r": self.r, "cells": cells, "maps": maps}
 
 
-@dataclass(frozen=True)
-class AbutmentFiltration:
-    """Dimensions of the filtration induced on the cohomology of the total
-    complex: ``h_dims[m]`` is dim H^m, and ``level_dims[p, m]`` the dim of the
-    level-p part of H^m for p_min < p <= p_max."""
-
-    h_dims: dict[int, int]
-    level_dims: dict[tuple[int, int], int]
-
-
 class SpectralSequence:
     """Page computer for one FilteredComplex; pages, pair counts and the
     limit of ``infinity`` are each computed once and cached."""
@@ -162,7 +153,7 @@ class SpectralSequence:
         self.field = fc.total.field
         self._mu: dict[int, dict[tuple[int, int], int]] = {}
         self._pages: dict[int, Page] = {}
-        self._infinity: tuple[Page, AbutmentFiltration] | None = None
+        self._infinity: tuple[Page, dict[int, int]] | None = None
 
     def _pairs(self, m: int) -> dict[tuple[int, int], int]:
         """The nonzero mu_m(s, t): how many persistence pairs of d_m join a
@@ -196,28 +187,17 @@ class SpectralSequence:
         self._pages[r] = page
         return page
 
-    def infinity(self) -> tuple[Page, AbutmentFiltration]:
-        """The limit page and the abutment, computed on the first call and
+    def infinity(self) -> tuple[Page, dict[int, int]]:
+        """The limit page and the abutment {m: dim H^m}, the sums of the
+        page's cells of each total degree; computed on the first call and
         cached."""
         if self._infinity is None:
-            self._infinity = (self.page(max(self.fc.width, 1)), self.abutment())
+            page = self.page(max(self.fc.width, 1))
+            h_dims = Counter()
+            for (p, q), d in page.cells.items():
+                h_dims[p + q] += d
+            self._infinity = (page, dict(h_dims))
         return self._infinity
-
-    def abutment(self) -> AbutmentFiltration:
-        """The abutment, read off the limit page.  Over a field the graded
-        pieces of a bounded filtration of H^m are the E_inf cells of total
-        degree m, so the level-p part of H^m has dimension
-        sum_{p' >= p} dim E_inf(p', m - p')."""
-        fc, page = self.fc, self.page(max(self.fc.width, 1))
-        h_dims: dict[int, int] = {}
-        level_dims: dict[tuple[int, int], int] = {}
-        for m in fc.total.dims:
-            above = 0
-            for p in range(fc.p_max, fc.p_min, -1):
-                above += page.dim(p, m - p)
-                level_dims[p, m] = above
-            h_dims[m] = above + page.dim(fc.p_min, m - fc.p_min)
-        return AbutmentFiltration(h_dims, level_dims)
 
     def pages_up_to(self, r_top: int) -> list[Page]:
         return [self.page(r) for r in range(r_top + 1)]
@@ -254,7 +234,6 @@ class LatticeSequences:
 
     def __init__(self, mc: Multicomplex):
         self.mc = mc
-        self._filtered: dict[str, FilteredComplex] = {}
         self._sequences: dict[str, SpectralSequence] = {}
         self._regions: dict[tuple[str, tuple[int, ...]], CochainComplex] = {}
         self._region_h: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
@@ -276,7 +255,10 @@ class LatticeSequences:
         return totalize(cube_extension(self.mc))
 
     def filtered(self, kind: str) -> FilteredComplex:
-        if kind not in self._filtered:
+        return self.sequence(kind).fc
+
+    def sequence(self, kind: str) -> SpectralSequence:
+        if kind not in self._sequences:
             n = self.mc.n
             if kind == "face":
                 fc = coordinate_filtration(self.face_total, 0)
@@ -290,12 +272,7 @@ class LatticeSequences:
                 fc = nonzero_count_filtration(restrict(self.total, any))
             else:
                 raise ContractError(f"unknown lattice filtration {kind!r}")
-            self._filtered[kind] = fc
-        return self._filtered[kind]
-
-    def sequence(self, kind: str) -> SpectralSequence:
-        if kind not in self._sequences:
-            self._sequences[kind] = SpectralSequence(self.filtered(kind))
+            self._sequences[kind] = SpectralSequence(fc)
         return self._sequences[kind]
 
     def region(self, kind: str, axes: tuple[int, ...]) -> CochainComplex:
@@ -524,7 +501,7 @@ def region_convergence_report(mc: Multicomplex,
             if e1.dim(p, q) != want.get((p, q), 0):
                 bad.append(f"{tag}: E_1 cell ({p},{q}) = {e1.dim(p, q)}, "
                            f"expected {want.get((p, q), 0)}")
-        got_h, want_h = ss.infinity()[1].h_dims, target(ss)
+        got_h, want_h = ss.infinity()[1], target(ss)
         for m in sorted(set(got_h) | set(want_h)):
             if got_h.get(m, 0) != want_h.get(m, 0):
                 bad.append(f"{tag}: abutment H^{m} = {got_h.get(m, 0)}, "

@@ -14,7 +14,8 @@ from cechmv.cech import CechProblem, OracleCache
 from cechmv.errors import InputError
 from cechmv.grading import Exps, format_monomial, monomial_mul, product_sequence
 from cechmv.linalg import Columns, identity, mul
-from cechmv.multicomplex import augment_interior, cohomology_map, restrict, totalize
+from cechmv.multicomplex import augment_interior, restrict, totalize
+from reference_cohomology import cohomology_map
 
 
 class _AugmentedFiber:

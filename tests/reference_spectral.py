@@ -18,8 +18,9 @@ reduction of d per degree (``cechmv.spectral``); the tests compare the two
 engines cell by cell and rank by rank.  A third route counts the pairs by
 inclusion-exclusion of ranks of level blocks (``rank_table_pairs``), and the
 tests compare it with the package's pair counts degree by degree.  The
-package reads the abutment off its limit page; ``reference_abutment`` computes
-it from kernels and images instead.
+package reads the abutment off its limit page (``limit_abutment`` adds the
+levels of the filtration it induces); ``reference_abutment`` computes both
+from kernels and images instead.
 
 Every subspace here comes from the numpy Gauss-Jordan elimination ``rref`` of
 ``reference_dense`` (``kernel``, ``solve``, ``image``, ``kernel_space`` and
@@ -37,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cechmv import (AbutmentFiltration, ContractError, FilteredComplex, InternalCheckError,
-                    SpectralSequence)
+from cechmv import ContractError, FilteredComplex, InternalCheckError, SpectralSequence
 from cechmv.linalg import Field, same_field
 from conftest import dense
 from reference_dense import dtype, rank, rref, zeros
@@ -220,8 +220,24 @@ def rank_table_pairs(fc: FilteredComplex, m: int) -> dict[tuple[int, int], int]:
     return mu
 
 
-def reference_abutment(fc: FilteredComplex) -> tuple[AbutmentFiltration, dict]:
-    """The abutment of ``fc`` from dense subspaces, and the image levels:
+def limit_abutment(ss: SpectralSequence) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """The package's abutment {m: dim H^m} (``ss.infinity()``) and the
+    dimensions of the levels of the filtration it induces on H^m, read off
+    the limit page: over a field the level-p part of H^m has dimension
+    sum_{p' >= p} dim E_inf(p', m - p'), for p_min < p <= p_max."""
+    fc, (page, h_dims) = ss.fc, ss.infinity()
+    level_dims: dict[tuple[int, int], int] = {}
+    for m in fc.total.dims:
+        above = 0
+        for p in range(fc.p_max, fc.p_min, -1):
+            above += page.dim(p, m - p)
+            level_dims[p, m] = above
+    return h_dims, level_dims
+
+
+def reference_abutment(fc: FilteredComplex) -> tuple[dict, dict, dict]:
+    """The abutment of ``fc`` from dense subspaces, as ``limit_abutment``
+    gives it (zero dimensions of H^m left out), and the image levels:
 
         h^m                 = dim ker d_m - dim im d_{m-1},
         level p of H^m      = dim(ker d_m cap F^p) - dim(im d_{m-1} cap F^p),
@@ -235,12 +251,13 @@ def reference_abutment(fc: FilteredComplex) -> tuple[AbutmentFiltration, dict]:
     image_levels: dict[tuple[int, int], int] = {}
     for m in tot.dims:
         ker, im = kernel_space(f, matrix(tot, m)), image(f, matrix(tot, m - 1))
-        h_dims[m] = ker.dim - im.dim
+        if ker.dim - im.dim:
+            h_dims[m] = ker.dim - im.dim
         for p in range(fc.p_min + 1, fc.p_max + 1):
             outside = ~at_least(fc, p, m)
             image_levels[p, m] = im.dim - rank(f, im.basis[:, outside])
             level_dims[p, m] = ker.dim - rank(f, ker.basis[:, outside]) - image_levels[p, m]
-    return AbutmentFiltration(h_dims, level_dims), image_levels
+    return h_dims, level_dims, image_levels
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,19 @@ inclusion-exclusion of level-block ranks, so any violation fails the run
 instead of passing silently.
 """
 
+import dataclasses
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cechmv import (
     CechProblem,
+    ContractError,
+    FilteredComplex,
     MonomialIdeal,
     OracleCache,
     PrimeField,
@@ -38,16 +42,20 @@ from cechmv import (
     tensor_product,
     totalize,
 )
-from cechmv.cli import main as cli_main, run_unit
+from cechmv.cli import DegreeClass, load_job, main as cli_main, run_unit
 from cechmv.jsonout import plain
 from cechmv.multicomplex import add_e, block_slices
-from cechmv.mvss import FILTRATION, VARIANTS, _expected_abutment, _expected_e1
+from cechmv.mvss import (FILTRATION, VARIANTS, _expected_abutment, _expected_e1, _middle_piece,
+                         infinity_filtration_report)
 from cechmv.spectral import LatticeSequences, _split_columns
 from conftest import (F, class_of, dense, keep_points, rand_complex, rand_tensor_mc,
                       window_runs)
+from reference_cohomology import reference_middle_pieces
 from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
 from reference_split import koszul_half
+
+JOBS_DIR = Path(__file__).resolve().parents[1] / "jobs"
 
 
 def random_problem(rng, m, n):
@@ -335,6 +343,75 @@ def test_engines_agree_on_the_sweep(sweep_results):
                 assert_agrees_with_reference(fc, cls.pages, cls.einf_dims)
                 compared += 1
     assert compared == 620
+
+
+def three_group_filtrations(problems, field):
+    """(problem, class members, variant-1a filtered complex) of every class
+    of the three-group ``problems``, over ``field``."""
+    for prob in problems:
+        if prob.n == 3:
+            prob = dataclasses.replace(prob, field=field)
+            for _pat, members in degree_classes(prob):
+                yield prob, members, LatticeSequences(
+                    cech_multicomplex(prob, members[0])).filtered(FILTRATION["1a"])
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, RationalField()],
+                         ids=lambda f: f.describe())
+def test_middle_piece_matches_the_first_page_route(sweep, field):
+    """Gate 7c: on every variant-1a filtration of the three-group classes of
+    the sweep and of ``jobs/three_ideals.json``, the middle piece and the
+    psi' phi' = 0 check read from spans over the level blocks of d
+    (``mvss._middle_piece``) equal the ranks of the explicit first-page maps
+    in bases of representatives (``reference_middle_pieces``), in every
+    total degree where a block is nonempty."""
+    problems = sweep + [load_job(str(JOBS_DIR / "three_ideals.json"))[0]]
+    seen = {"classes": 0, "middle cells": 0, "middle pieces": 0}
+    for _prob, members, fc in three_group_filtrations(problems, field):
+        degrees = sorted(set(fc.total.dims) | {m + 1 for m in fc.total.dims})
+        got = {m: _middle_piece(fc, m) for m in degrees}
+        assert got == reference_middle_pieces(fc, degrees), (members[0], got)
+        e1 = SpectralSequence(fc).page(1)
+        seen["classes"] += 1
+        seen["middle cells"] += sum(1 for m in degrees if e1.dim(1, m - 1))
+        seen["middle pieces"] += sum(1 for mid, _zero in got.values() if mid)
+    assert seen == {"classes": 84, "middle cells": 44, "middle pieces": 3}, seen
+
+
+def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
+    """Gate 7d: scaling one entry of the variant-1a total complex between two
+    levels by 2 fails some row of ``infinity_filtration_report`` for some
+    entries of the three-group sweep classes, only ever a row whose middle
+    cell of the first page is nonzero (the pages read are those of the
+    unscaled complex), and every entry whose scaling the first-page route
+    (``reference_middle_pieces``) catches or cannot map fails a row too."""
+    scaled = caught = 0
+    for prob, members, fc in three_group_filtrations(sweep, F):
+        klass = DegreeClass(prob, members)
+        run = klass.run("1a", None)
+        assert infinity_filtration_report(run, fc, klass.cache)["pass"], members[0]
+        e1 = run.pages[1]
+        for m, cols in fc.total.d.items():
+            for j, col in enumerate(cols):
+                for i, x in col.items():
+                    if fc.levels[m][j] == fc.levels[m + 1][i]:
+                        continue
+                    d = {**fc.total.d, m: cols[:j] + [{**col, i: F.normalize(2 * x)}] + cols[j + 1:]}
+                    bent = FilteredComplex(dataclasses.replace(fc.total, d=d), fc.levels)
+                    rows = infinity_filtration_report(run, bent, klass.cache)["rows"]
+                    bad = [r["total_degree"] for r in rows if not r["ok"]]
+                    assert all(e1.dim(1, t - 1) for t in bad), (members[0], m, i, j, bad)
+                    gated = [r for r in rows if e1.dim(1, r["total_degree"] - 1)]
+                    try:
+                        ref = reference_middle_pieces(bent, [r["total_degree"] for r in gated])
+                        ref_caught = any(ref[r["total_degree"]] != (r["pieces"]["middle"][0], True)
+                                         for r in gated)
+                    except ContractError:  # a cycle of level 1 left the cycles of level 2
+                        ref_caught = True
+                    assert bad or not ref_caught, (members[0], m, i, j)
+                    scaled += 1
+                    caught += bool(bad)
+    assert (caught, scaled) == (232, 817)
 
 
 def test_totalized_blocks_carry_the_commuting_sign():

@@ -475,12 +475,12 @@ def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_pat
     """Per degree class, props2 and the four variants read one Koszul split
     and five spectral sequences (props2's face filtration and the variants'
     four, which are props2's other three), and each sequence finds its
-    abutment once."""
+    limit page and abutment once."""
     body = json.loads((JOBS_DIR / f"{name}.json").read_text())
     body["tasks"] = ["props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b"]
     per_class: list[dict] = []
     worker, split = cli._class_worker, spectral.koszul_split
-    init, abutment = SpectralSequence.__init__, SpectralSequence.abutment
+    init, infinity = SpectralSequence.__init__, SpectralSequence.infinity
 
     def counted_worker(args):
         per_class.append({"splits": 0, "sequences": [], "abutments": {}})
@@ -494,17 +494,18 @@ def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_pat
         per_class[-1]["sequences"].append(self)  # kept alive, so no id is reused
         init(self, fc)
 
-    def counted_abutment(self):
-        calls = per_class[-1]["abutments"]
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return abutment(self)
+    def counted_infinity(self):
+        if self._infinity is None:  # a cached call computes nothing
+            calls = per_class[-1]["abutments"]
+            calls[id(self)] = calls.get(id(self), 0) + 1
+        return infinity(self)
 
     monkeypatch.setattr(cli, "_class_worker", counted_worker)
     for mod in (cli, mvss, spectral, multicomplex):
         if getattr(mod, "koszul_split", None) is split:
             monkeypatch.setattr(mod, "koszul_split", counted_split)
     monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
-    monkeypatch.setattr(SpectralSequence, "abutment", counted_abutment)
+    monkeypatch.setattr(SpectralSequence, "infinity", counted_infinity)
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     problem, _tasks, _pages = cli.load_job(job)
@@ -529,8 +530,8 @@ def count_builds(monkeypatch) -> list[dict]:
     """
     per_class: list[dict] = []
     worker, init = cli._class_worker, SpectralSequence.__init__
-    seqs_init, region, filtered = (LatticeSequences.__init__, LatticeSequences.region,
-                                   LatticeSequences.filtered)
+    seqs_init, region, sequence = (LatticeSequences.__init__, LatticeSequences.region,
+                                   LatticeSequences.sequence)
     restrict, totalize = multicomplex.restrict, multicomplex.totalize
     augment, split, cube = (multicomplex.augment_interior, multicomplex.koszul_split,
                             multicomplex.cube_extension)
@@ -601,7 +602,8 @@ def count_builds(monkeypatch) -> list[dict]:
     monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
     monkeypatch.setattr(LatticeSequences, "__init__", counted_seqs_init)
     monkeypatch.setattr(LatticeSequences, "region", builder(region, "region"))
-    monkeypatch.setattr(LatticeSequences, "filtered", builder(filtered, "filtered"))
+    # a filtered complex is built with its spectral sequence
+    monkeypatch.setattr(LatticeSequences, "sequence", builder(sequence, "filtered"))
     for original, wrapper in ((restrict, counted_restrict), (totalize, counted_totalize),
                               (augment, counted_augment), (split, counted_split),
                               (cube, counted_cube)):

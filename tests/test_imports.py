@@ -1,8 +1,8 @@
 """Module layout and public surface: the package computes with Python ints,
-fractions and lists or dicts of them, so no module imports numpy at module
-level and only the selftest's random draws (``cli.cmd_selftest``) import it,
-inside the function; neither importing ``cechmv.cli`` nor a ``compute`` run
-loads it; every name ``cechmv.__all__`` lists resolves."""
+fractions and lists or dicts of them, and the selftest draws from the
+standard library's ``random``, so no module imports numpy; neither importing
+``cechmv.cli`` nor a ``compute`` run loads it, and the selftest passes with
+numpy blocked; every name ``cechmv.__all__`` lists resolves."""
 
 import ast
 import os
@@ -38,12 +38,25 @@ def numpy_imports(path: Path) -> list[tuple[str | None, int]]:
     return found
 
 
-def test_only_the_selftest_imports_numpy_and_inside_the_function():
+def test_no_module_imports_numpy():
     modules = sorted(Path(cechmv.__file__).parent.glob("*.py"))
     assert {p.name for p in modules} >= {"linalg.py", "cech.py", "cli.py", "spectral.py"}
     found = {p.name: numpy_imports(p) for p in modules}
-    assert {name: [func for func, _ in lines] for name, lines in found.items() if lines} == {
-        "cli.py": ["cmd_selftest"]}, found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_selftest_passes_with_numpy_blocked():
+    """A fresh interpreter in which ``import numpy`` fails runs the selftest."""
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import cechmv.cli\n"
+            "sys.exit(cechmv.cli.main(['selftest', '--seed', '7', '--max-vars', '2', "
+            "'--max-groups', '2']))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest passed" in proc.stdout
 
 
 def test_import_and_compute_leave_numpy_unloaded(tmp_path):

@@ -16,6 +16,7 @@ from cechmv import (
     compute,
     degree_classes,
 )
+from cechmv import cli
 from cechmv.cli import DegreeClass, run_unit
 from cechmv.jsonout import plain
 from cechmv.mvss import FILTRATION
@@ -203,3 +204,29 @@ def test_infinity_filtration_with_overlapping_supports():
     assert res["failures"] == []
     rep = res["infinity_filtration"]
     assert rep["pass"], rep["failures"][:2]
+
+
+def test_class_runs_are_kept_per_page_count(monkeypatch):
+    """A class run is kept per (variant, pages): a ``les`` step does not hand
+    its runs to a later ``mvss:1a`` step that asks for more pages, and
+    ``compute`` still runs each variant once per class, since ``les`` asks
+    for the pages in effect."""
+    prob = problem(["x1", "x2"])
+    klass = class_of(prob, (-2, -2))
+    run_unit(klass, "les", None)
+    run, _inf = run_unit(klass, "mvss:1a", 4)
+    fresh, _inf = run_unit(class_of(prob, (-2, -2)), "mvss:1a", 4)
+    assert [pg.r for pg in run.pages] == [pg.r for pg in fresh.pages] == [0, 1, 2, 3, 4]
+
+    calls = []
+    original = cli.run_variant
+
+    def counted(problem, variant, *args, **kwargs):
+        calls.append(variant)
+        return original(problem, variant, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_variant", counted)
+    report, _files = compute(prob, ["mvss:1a", "mvss:2a", "les"], pages=4)
+    assert report["pass"]
+    classes = len(degree_classes(prob))
+    assert sorted(calls) == ["1a"] * classes + ["2a"] * classes
