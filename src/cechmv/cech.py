@@ -31,6 +31,14 @@ degree (its first member), and an assembly that copies the class results to
 the member degrees: ``verify_product_vs_interior`` is the class step of the
 verify34 task and ``issue_report`` its assembly.  ``cli.compute`` runs the
 class steps over a whole window.
+
+A variable permutation sigma that maps every group, and the quotient's
+generators, onto themselves maps the lattice at b isomorphically onto the
+lattice at sigma(b), point by point, and every oracle sequence onto itself.
+So classes whose patterns sigma relates give equal class results, and they
+fall into orbits; ``class_orbits`` finds them among transpositions and
+double transpositions of the variables, and ``cli.compute`` runs one class
+step per orbit.
 """
 
 from __future__ import annotations
@@ -159,6 +167,95 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
     return [(pat, list(itertools.product(*chambers[0])) if len(chambers) == 1
              else sorted(itertools.chain.from_iterable(itertools.product(*c) for c in chambers)))
             for pat, chambers in by_pat.items()]
+
+
+def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
+    """Variable permutations that map every group, and the quotient's
+    generators, onto themselves, each compared as a multiset; a permutation
+    sigma is the tuple with sigma[j] the image of variable j.
+
+    Only transpositions and products of two disjoint transpositions are
+    tried, and only swaps of variables with equal signatures (the sorted
+    exponents of the variable in each group and in the quotient), which every
+    such sigma preserves.  Every candidate is verified, so each returned
+    sigma is a symmetry; one that is missed only costs reuse."""
+    m = problem.num_vars
+    gens = problem.quotient.gens
+    signatures = [(tuple(tuple(sorted(g[j] for g in grp)) for grp in problem.groups),
+                   tuple(sorted(g[j] for g in gens))) for j in range(m)]
+    swaps = [(a, c) for a, c in itertools.combinations(range(m), 2)
+             if signatures[a] == signatures[c]]
+    candidates = [[s] for s in swaps] + [[s, t] for s, t in itertools.combinations(swaps, 2)
+                                          if not set(s) & set(t)]
+    kept = []
+    for swap_list in candidates:
+        sigma = list(range(m))
+        for a, c in swap_list:
+            sigma[a], sigma[c] = c, a
+
+        def image(g: Exps) -> Exps:  # sigma(g)_{sigma(j)} = g_j; sigma is an involution
+            return tuple(g[sigma[j]] for j in range(m))
+
+        if (sorted(map(image, gens)) == list(gens)
+                and all(sorted(map(image, grp)) == sorted(grp) for grp in problem.groups)):
+            kept.append(tuple(sigma))
+    return kept
+
+
+def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[int]:
+    """For each degree class, given by its piece pattern in class order, the
+    index of the first class of its orbit under ``variable_symmetries``.
+
+    A symmetry sigma relabels the variables of the quotient's generators
+    onto the same generators, so the pattern of sigma(b) is that of b with
+    the masks relabelled: pattern(sigma b)[sigma(mask)] = pattern(b)[mask].  The orbits are the connected components of the
+    classes under "sigma maps one pattern to the other".
+
+    Every class step of an orbit gives the same result, so ``cli.compute``
+    runs it once, at the orbit's first class.  A class step reads its degree
+    only through the pattern, so it suffices to compare b with b' =
+    sigma(b).  sigma maps each group onto itself, so it permutes the
+    generators of group i by some pi_i with supp(g_{pi_i(k)}) =
+    sigma(supp(g_k)), and the generator subset S_i of a lattice entry at b
+    is alive exactly when pi_i(S_i) is alive at b'.  So the two lattices
+    have the same points and entry dimensions, and S -> pi(S) with the sign
+    of each reordering is an isomorphism of multicomplexes that maps no
+    entry off its lattice point.  It commutes with the Koszul split, the
+    totalizations, the coordinate filtrations and the regions, which are all
+    defined point by point, so every dimension and rank of their pages and
+    cohomologies agrees.  The oracle's sequences (concatenations and
+    products of groups, and their support reductions) are mapped onto
+    themselves too, so its Čech complexes at b and b' are isomorphic and
+    its ranks agree.  The points q, the axis order and every group subset a
+    record names are unchanged, so every issue and failure record agrees as
+    well.  A permutation of the groups is not used: it would move points and
+    group subsets, and verify34's ``subset`` and props2's point ``q`` would
+    have to be relabelled.
+    """
+    orbit = list(range(len(patterns)))
+    sigmas = variable_symmetries(problem) if len(patterns) > 1 else []
+    if not sigmas:
+        return orbit
+    index = {pat: k for k, pat in enumerate(patterns)}
+
+    def root(k: int) -> int:
+        while orbit[k] != k:
+            orbit[k] = orbit[orbit[k]]
+            k = orbit[k]
+        return k
+
+    for sigma in sigmas:
+        image = [0] * (1 << problem.num_vars)  # image[mask] = sigma(mask), itself an involution
+        for mask in range(1, len(image)):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
+        relabel = operator.itemgetter(*image)  # a pattern of b to that of sigma(b)
+        for k, pat in enumerate(patterns):
+            other = index.get(relabel(pat))
+            if other is not None:
+                a, c = root(k), root(other)
+                orbit[max(a, c)] = min(a, c)  # so each root is its component's first class
+    return [root(k) for k in range(len(patterns))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ Two commands:
   could not be written, 2 means some verification failed.
 
   ``compute`` is the one driver of a whole window, for the command and the
-  library alike: each degree class runs the class step of every task
-  (``run_unit``, which calls ``cech.verify_product_vs_interior``,
-  ``mvss.run_variant``, ``mvss.infinity_filtration_report`` and
-  ``mvss.mv_les``), and ``--jobs`` spreads the classes over worker
-  processes; ``assemble_unit`` lists the class results under the member
-  degrees, in class order, and ``jsonout.dumps`` writes each class's record
-  once.
+  library alike: the first class of each orbit of degree classes
+  (``cech.class_orbits``) runs the class step of every task (``run_unit``,
+  which calls ``cech.verify_product_vs_interior``, ``mvss.run_variant``,
+  ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) for the whole
+  orbit, and ``--jobs`` spreads the orbits over worker processes;
+  ``assemble_unit`` lists the class results under the member degrees, in
+  class order, and ``jsonout.dumps`` writes each class's record once.
 * ``selftest`` runs the randomized structural property suites on generated
   multicomplexes and small problems.  Deterministic for a fixed seed.
 
@@ -34,8 +34,8 @@ import os
 import random
 import sys
 
-from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, degree_classes,
-                   issue_report, verify_product_vs_interior)
+from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, class_orbits,
+                   degree_classes, issue_report, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
 from .grading import Exps, MonomialIdeal, product_sequence
 from .jsonout import PerDegree, dumps, plain
@@ -198,7 +198,8 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
 def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
                   results: list[tuple[list[Exps], object]]) -> tuple[dict, dict[str, str]]:
     """A task's report payload and files from (members, class step result)
-    for every class, in class order."""
+    for every class, in class order.  The classes of one symmetry orbit
+    share one step result, so a class run takes its members from here."""
     if unit == "cohomology":
         length = len(product_sequence(problem.groups))
         table = CohomologyTable.from_classes(problem, length, "full", results)
@@ -214,8 +215,9 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
         run = MvssRun(problem, variant, [
-            dataclasses.replace(cls, pages=[p for p in cls.pages if pages is None or p.r <= pages])
-            for _members, (cls, _inf) in results
+            dataclasses.replace(cls, members=members,
+                                pages=[p for p in cls.pages if pages is None or p.r <= pages])
+            for members, (cls, _inf) in results
         ])
         payload = {
             "pass": run.ok,
@@ -271,22 +273,28 @@ def _class_worker(args) -> list:
 def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
             jobs: int = 1) -> tuple[dict, dict[str, str]]:
     """Run ``tasks`` over the window of ``problem``: classify the window once,
-    run the class step of every task per degree class, in at most ``jobs``
-    worker processes and never more than the classes or the CPUs, and
-    assemble each task over the classes.  Returns the report
-    and the contents of every output file by name, ``report.json`` among
-    them."""
+    run the class step of every task once per orbit of degree classes
+    (``cech.class_orbits``), at the orbit's first class, in at most ``jobs``
+    worker processes and never more than the orbits or the CPUs, give every
+    class its orbit's step results, and assemble each task over the classes.
+    Returns the report and the contents of every output file by name,
+    ``report.json`` among them."""
     tasks = check_tasks(problem, tasks)
-    classes = [members for _pat, members in degree_classes(problem)]
-    work = [(problem, tasks, pages, members) for members in classes]
+    by_pattern = degree_classes(problem)
+    classes = [members for _pat, members in by_pattern]
+    orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
+    reps = sorted(set(orbit))
+    work = [(problem, tasks, pages, classes[r]) for r in reps]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            steps = pool.map(_class_worker, work, chunksize=1)
+            rep_steps = pool.map(_class_worker, work, chunksize=1)
     else:
-        steps = [_class_worker(w) for w in work]
+        rep_steps = [_class_worker(w) for w in work]
+    step_of = dict(zip(reps, rep_steps))
+    steps = [step_of[r] for r in orbit]
     files: dict[str, str] = {}
     report = {
         "job": {

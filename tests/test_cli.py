@@ -406,6 +406,30 @@ def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monk
     assert calls == {"degree_classes": 1, "cech_multicomplex": classes}
 
 
+def test_compute_builds_one_lattice_per_orbit_of_symmetric_classes(tmp_path, monkeypatch):
+    """The symmetric companion of the test above: x1 <-> x2 maps both groups
+    onto themselves, so the classes of (-1, 0) and (0, -1) form one orbit,
+    and the lattice builds equal the orbits, fewer than the classes."""
+    body = dict(BASE_JOB, groups=[["x1", "x2"], ["x1*x2"]],
+                tasks=["cohomology", "verify34", "props2", "mvss:1a", "mvss:1b",
+                       "mvss:2a", "mvss:2b", "les"])
+    job = write_job(tmp_path, body)
+    problem, _tasks, _pages = cli.load_job(job)
+    patterns = [pat for pat, _members in cech.degree_classes(problem)]
+    orbits = len(set(cech.class_orbits(problem, patterns)))
+    assert (len(patterns), orbits) == (4, 3)
+    builds = []
+    original = cech.cech_multicomplex
+
+    def counted(problem, b):
+        builds.append(b)
+        return original(problem, b)
+
+    monkeypatch.setattr(cli, "cech_multicomplex", counted)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert builds == [(-1, -1), (-1, 0), (0, 0)]
+
+
 @pytest.mark.parametrize("body,per_class", [
     (dict(BASE_JOB, variables=3, groups=[["x1"], ["x2"], ["x3"]],
           window=[[-1, -1, -1], [1, 1, 1]],
@@ -421,7 +445,8 @@ def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_cl
     tracer wraps by name, at every ``cechmv`` module that binds them, so the
     tracer's per-layer metrics for them count real work: one call per degree
     class, and per class and variant for ``run_variant`` (``les`` runs 1a and
-    2a itself when no ``mvss`` task has)."""
+    2a itself when no ``mvss`` task has).  No variable permutation fixes
+    these jobs' groups, so every class is its own orbit."""
     calls = dict.fromkeys(per_class, 0)
 
     def counted(name, original):
@@ -682,6 +707,37 @@ def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):
     assert not (out / "pages_1a.json").exists()
 
 
+def test_failure_under_orbit_reuse_is_reported_as_class_by_class(tmp_path, monkeypatch):
+    """A fault that every class hits, on a job whose classes share steps
+    across orbits: the failing task names the same degree and message as a
+    run with every class its own orbit, because the first failing class is
+    the first class of its orbit and runs its own step."""
+    body = json.loads((JOBS_DIR / "two_by_four.json").read_text())
+    problem = CechProblem.from_text(PrimeField(65537), 4, body["groups"],
+                                    window=((-1,) * 4, (1,) * 4))
+    patterns = [pat for pat, _members in cech.degree_classes(problem)]
+    assert len(set(cech.class_orbits(problem, patterns))) < len(patterns)
+    original = SpectralSequence._pairs
+
+    def failing(self, m):
+        dims = sorted(self.fc.total.dims.items())
+        if dims:
+            raise InternalCheckError(f"planted failure in degree {m} of a total with dims {dims}")
+        return original(self, m)
+
+    monkeypatch.setattr(SpectralSequence, "_pairs", failing)
+    tasks = ["cohomology", "verify34", "mvss:1b", "mvss:2a", "les"]
+    reused = cli.compute(problem, tasks)
+    monkeypatch.setattr(cli, "class_orbits", lambda problem, patterns: list(range(len(patterns))))
+    alone = cli.compute(problem, tasks)
+    assert reused == alone
+    for unit in ("mvss:1b", "mvss:2a", "les"):
+        error = reused[0]["results"][unit]["internal_error"]
+        assert error["degree"] == [-1, -1, -1, -1]
+        assert error["message"].startswith("planted failure in degree")
+    assert reused[0]["results"]["verify34"]["pass"] is True
+
+
 def test_memory_error_in_a_class_step_is_an_internal_error(tmp_path, monkeypatch, capsys):
     """A class step that runs out of memory fails its task like an internal
     error, naming the first class's degree, with exit 2 and no traceback.
@@ -727,10 +783,32 @@ def test_compute_rejects_unreadable_or_invalid_files(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_selftest_passes_and_is_deterministic(capsys):
-    assert main(["selftest", "--seed", "3", "--max-vars", "2", "--max-groups", "2"]) == 0
-    out1 = capsys.readouterr().out
-    assert "selftest passed" in out1
+def test_selftest_passes_and_is_deterministic(capsys, monkeypatch):
+    """Two runs with one seed draw the same lattices and the same problems
+    for ``compute``, and another seed draws other ones."""
+    drawn: list = []
+    lattice, compute = cli._random_tensor_mc, cli.compute
+
+    def recorded_lattice(*args):
+        mc = lattice(*args)
+        drawn.append((mc.dims, mc.diffs))
+        return mc
+
+    def recorded_compute(problem, tasks, *args, **kwargs):
+        drawn.append((problem, tasks))
+        return compute(problem, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_random_tensor_mc", recorded_lattice)
+    monkeypatch.setattr(cli, "compute", recorded_compute)
+    runs = []
+    for seed in ("3", "3", "4"):
+        drawn.clear()
+        assert main(["selftest", "--seed", seed, "--max-vars", "2", "--max-groups", "2"]) == 0
+        assert "selftest passed" in capsys.readouterr().out
+        runs.append(list(drawn))
+    assert len(runs[0]) == 20 + 12 + 5
+    assert runs[0] == runs[1]
+    assert runs[0][:32] != runs[2][:32] and runs[0][32:] != runs[2][32:]
 
 
 @pytest.mark.parametrize("flags,message", [

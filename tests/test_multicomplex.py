@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cechmv import (
+    CechProblem,
     CochainComplex,
     ContractError,
     InputError,
@@ -14,6 +15,7 @@ from cechmv import (
     LatticeSequences,
     Multicomplex,
     PrimeField,
+    RationalField,
     augment_interior,
     cech_multicomplex,
     composite_along,
@@ -28,6 +30,8 @@ from cechmv import (
     validate,
 )
 from cechmv.cli import load_job
+from cechmv.linalg import mul
+from cechmv.multicomplex import add_e
 from cechmv.spectral import _split_columns
 from conftest import columns, dense, keep_points, rand_tensor_mc
 from reference_cohomology import cohomology_map, cohomology_reps
@@ -89,6 +93,55 @@ def test_validate_catches_nonzero_square():
     )
     mc = tensor_product([seg3])
     assert any("square of axis-0" in s for s in validate(mc))
+
+
+def validate_by_products(mc: Multicomplex) -> list[str]:
+    """The relations of ``validate`` checked the way it once did: each
+    product normalized by ``mul`` and compared whole."""
+    f, bad = mc.field, []
+    for q in mc.points():
+        for i in range(mc.n):
+            qi = add_e(q, i)
+            if mc.entry_dim(qi) and mc.entry_dim(add_e(qi, i)):
+                if any(mul(f, mc.diff(qi, i), mc.diff(q, i))):
+                    bad.append(f"square of axis-{i} differential nonzero at {q}")
+            for j in range(i + 1, mc.n):
+                if mc.entry_dim(add_e(qi, j)) and mc.entry_dim(q) and (
+                        mul(f, mc.diff(qi, j), mc.diff(q, i))
+                        != mul(f, mc.diff(add_e(q, j), i), mc.diff(q, j))):
+                    bad.append(f"axes {i},{j} fail the commutative relation at {q}")
+    return bad
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, RationalField()],
+                         ids=["F_2", "F_3", "F_65537", "Q"])
+def test_validate_matches_the_normalized_products(field):
+    """On random tensor lattices and Čech lattices, every other one with
+    one entry of one map raised by 1, ``validate`` lists exactly the
+    relations that the normalized products break."""
+    rng = np.random.default_rng(11)
+    problem = load_job(str(Path(__file__).resolve().parents[1] / "jobs" / "two_by_four.json"))[0]
+    problem = CechProblem(field, problem.num_vars, problem.groups, problem.quotient,
+                          problem.window)
+    lattices = [rand_tensor_mc(field, rng, max_axes=3) for _ in range(40)]
+    lattices += [cech_multicomplex(problem, members[0])
+                 for _pat, members in degree_classes(problem)[:8]]
+    broken = 0
+    for k, mc in enumerate(lattices):
+        if k % 2 and mc.diffs:
+            keys = sorted(mc.diffs)
+            q, i = keys[int(rng.integers(len(keys)))]
+            mat = [dict(col) for col in mc.diffs[q, i]]
+            col = mat[int(rng.integers(len(mat)))]
+            row = int(rng.integers(mc.entry_dim(add_e(q, i))))
+            col[row] = field.normalize(col.get(row, 0) + 1)
+            if not col[row]:
+                del col[row]
+            mc = Multicomplex(field, mc.n, mc.dims, {**mc.diffs, (q, i): mat})
+        bad = validate(mc)
+        assert bad == validate_by_products(mc)
+        broken += bool(bad)
+    assert broken >= 5
 
 
 def test_totalize_unit_square_signs():
