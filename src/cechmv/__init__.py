@@ -22,7 +22,12 @@ The package is organized bottom-up:
 * :mod:`cechmv.mvss` -- the four Mayer-Vietoris style spectral sequence
   assemblies, their oracle audits, and the two-group long exact sequence.
 * :mod:`cechmv.cli` -- ``compute``, the one driver of a whole degree
-  window, and the ``cechmv`` command line front end.
+  window, and the ``cechmv`` command line front end, whose ``selftest``
+  runs ``compute`` on small random problems.
+
+Every module holds only what ``compute`` runs; the builders of test
+fixtures (tensor products of complexes, Koszul complexes) and the
+representative-based references live with the tests.
 """
 
 from .errors import ContractError, FieldMismatchError, InputError, InternalCheckError
@@ -54,11 +59,9 @@ from .multicomplex import (
     augment_interior,
     composite_along,
     cube_extension,
-    koszul_complex,
     koszul_split,
     line_complex,
     restrict,
-    tensor_product,
     totalize,
     validate,
 )
@@ -131,7 +134,6 @@ __all__ = [
     "filtration_from_blocks",
     "format_monomial",
     "is_prime",
-    "koszul_complex",
     "koszul_split",
     "line_complex",
     "localized_piece_dim",
@@ -147,7 +149,6 @@ __all__ = [
     "rref",
     "split_column_report",
     "support_mask",
-    "tensor_product",
     "totalize",
     "validate",
     "window_degrees",

@@ -32,13 +32,15 @@ the member degrees: ``verify_product_vs_interior`` is the class step of the
 verify34 task and ``issue_report`` its assembly.  ``cli.compute`` runs the
 class steps over a whole window.
 
-A variable permutation sigma that maps every group, and the quotient's
-generators, onto themselves maps the lattice at b isomorphically onto the
-lattice at sigma(b), point by point, and every oracle sequence onto itself.
-So classes whose patterns sigma relates give equal class results, and they
-fall into orbits; ``class_orbits`` finds them among transpositions and
-double transpositions of the variables, and ``cli.compute`` runs one class
-step per orbit.
+A variable permutation sigma that maps every group onto itself relabels the
+support masks of a pattern, and a class step reads its degree only through
+its pattern.  So when sigma maps the pattern of one class onto the pattern
+of another, sigma maps the first lattice isomorphically onto the second,
+point by point, and every oracle sequence onto itself, and the two classes
+give equal class results; the quotient plays no part.  The classes fall
+into orbits; ``class_orbits`` finds them among transpositions and double
+transpositions of the variables, and ``cli.compute`` runs one class step
+per orbit.
 """
 
 from __future__ import annotations
@@ -170,19 +172,18 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
 
 
 def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
-    """Variable permutations that map every group, and the quotient's
-    generators, onto themselves, each compared as a multiset; a permutation
-    sigma is the tuple with sigma[j] the image of variable j.
+    """Variable permutations that map every group onto itself, compared as
+    a multiset; a permutation sigma is the tuple with sigma[j] the image of
+    variable j.  The quotient need not be fixed (``class_orbits``).
 
     Only transpositions and products of two disjoint transpositions are
     tried, and only swaps of variables with equal signatures (the sorted
-    exponents of the variable in each group and in the quotient), which every
-    such sigma preserves.  Every candidate is verified, so each returned
-    sigma is a symmetry; one that is missed only costs reuse."""
+    exponents of the variable in each group), which every such sigma
+    preserves.  Every candidate is verified, so each returned sigma is a
+    symmetry; one that is missed only costs reuse."""
     m = problem.num_vars
-    gens = problem.quotient.gens
-    signatures = [(tuple(tuple(sorted(g[j] for g in grp)) for grp in problem.groups),
-                   tuple(sorted(g[j] for g in gens))) for j in range(m)]
+    signatures = [tuple(tuple(sorted(g[j] for g in grp)) for grp in problem.groups)
+                  for j in range(m)]
     swaps = [(a, c) for a, c in itertools.combinations(range(m), 2)
              if signatures[a] == signatures[c]]
     candidates = [[s] for s in swaps] + [[s, t] for s, t in itertools.combinations(swaps, 2)
@@ -196,8 +197,7 @@ def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
         def image(g: Exps) -> Exps:  # sigma(g)_{sigma(j)} = g_j; sigma is an involution
             return tuple(g[sigma[j]] for j in range(m))
 
-        if (sorted(map(image, gens)) == list(gens)
-                and all(sorted(map(image, grp)) == sorted(grp) for grp in problem.groups)):
+        if all(sorted(map(image, grp)) == sorted(grp) for grp in problem.groups):
             kept.append(tuple(sigma))
     return kept
 
@@ -206,31 +206,36 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
     """For each degree class, given by its piece pattern in class order, the
     index of the first class of its orbit under ``variable_symmetries``.
 
-    A symmetry sigma relabels the variables of the quotient's generators
-    onto the same generators, so the pattern of sigma(b) is that of b with
-    the masks relabelled: pattern(sigma b)[sigma(mask)] = pattern(b)[mask].  The orbits are the connected components of the
-    classes under "sigma maps one pattern to the other".
+    A symmetry sigma acts on patterns by relabelling the support masks:
+    (sigma P)[sigma(mask)] = P[mask].  The orbits are the connected
+    components of the classes under "sigma maps one present pattern to the
+    other"; only patterns that some degree of the window has are linked.
 
     Every class step of an orbit gives the same result, so ``cli.compute``
     runs it once, at the orbit's first class.  A class step reads its degree
-    only through the pattern, so it suffices to compare b with b' =
-    sigma(b).  sigma maps each group onto itself, so it permutes the
-    generators of group i by some pi_i with supp(g_{pi_i(k)}) =
-    sigma(supp(g_k)), and the generator subset S_i of a lattice entry at b
-    is alive exactly when pi_i(S_i) is alive at b'.  So the two lattices
-    have the same points and entry dimensions, and S -> pi(S) with the sign
-    of each reordering is an isomorphism of multicomplexes that maps no
-    entry off its lattice point.  It commutes with the Koszul split, the
-    totalizations, the coordinate filtrations and the regions, which are all
-    defined point by point, so every dimension and rank of their pages and
-    cohomologies agrees.  The oracle's sequences (concatenations and
-    products of groups, and their support reductions) are mapped onto
-    themselves too, so its Čech complexes at b and b' are isomorphic and
-    its ranks agree.  The points q, the axis order and every group subset a
-    record names are unchanged, so every issue and failure record agrees as
-    well.  A permutation of the groups is not used: it would move points and
-    group subsets, and verify34's ``subset`` and props2's point ``q`` would
-    have to be relabelled.
+    only through its pattern (the lattice's live entries, the oracle's
+    ``_vecs`` key and ``raw``'s mask-0 read), so the proof is in patterns
+    alone.  Let classes with patterns P and P' = sigma P be present.
+    sigma maps each group onto itself, so it permutes the generators of
+    group i by some pi_i with supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a
+    generator subset S_i is alive under P exactly when pi_i(S_i) is alive
+    under P', the support mask of the product being relabelled by sigma.
+    So the two lattices have the same points and entry dimensions, and
+    S -> pi(S) with the sign of each reordering is an isomorphism of
+    multicomplexes that maps no entry off its lattice point.  It commutes
+    with the Koszul split, the totalizations, the coordinate filtrations and
+    the regions, which are all defined point by point, so every dimension
+    and rank of their pages and cohomologies agrees.  The oracle's sequences
+    (concatenations and products of groups, and their support reductions)
+    are mapped onto themselves too, so its Čech complexes under P and P'
+    are isomorphic and its ranks agree.  The points q, the axis order and
+    every group subset a record names are unchanged, so every issue and
+    failure record agrees as well.  Whether sigma fixes the quotient does
+    not enter: it only decides whether P' is the pattern of sigma(b), and
+    two classes are linked only when P' is present.  A permutation of the
+    groups is not used: it would move points and group subsets, and
+    verify34's ``subset`` and props2's point ``q`` would have to be
+    relabelled.
     """
     orbit = list(range(len(patterns)))
     sigmas = variable_symmetries(problem) if len(patterns) > 1 else []

@@ -17,8 +17,8 @@ Two commands:
   orbit, and ``--jobs`` spreads the orbits over worker processes;
   ``assemble_unit`` lists the class results under the member degrees, in
   class order, and ``jsonout.dumps`` writes each class's record once.
-* ``selftest`` runs the randomized structural property suites on generated
-  multicomplexes and small problems.  Deterministic for a fixed seed.
+* ``selftest`` runs ``compute`` on small random problems and checks that
+  every task passes.  Deterministic for a fixed seed.
 
 Report files contain no timestamps or absolute paths, so identical inputs
 produce byte-identical outputs regardless of worker count.
@@ -39,16 +39,11 @@ from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex,
 from .errors import ContractError, InputError, InternalCheckError
 from .grading import Exps, MonomialIdeal, product_sequence
 from .jsonout import PerDegree, dumps, plain
-from .linalg import DEFAULT_PRIME, PrimeField, RationalField, mul
-from .multicomplex import (
-    CochainComplex,
-    koszul_complex,
-    tensor_product,
-    validate,
-)
+from .linalg import DEFAULT_PRIME, PrimeField, RationalField
+from .multicomplex import validate
 from .mvss import (FILTRATION, ClassRun, MvssRun, degree_records, infinity_filtration_report,
                    mv_les, run_variant)
-from .spectral import LatticeSequences, region_convergence_report, split_column_report
+from .spectral import LatticeSequences, region_convergence_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
 
@@ -181,7 +176,7 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
         mc = klass.sequences.mc
         bad = validate(mc)
         if mc.dims:
-            bad.extend(region_convergence_report(mc, klass.sequences))
+            bad.extend(region_convergence_report(klass.sequences))
         return [{"message": msg} for msg in bad]
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
@@ -362,34 +357,6 @@ def cmd_compute(args) -> int:
 # selftest
 
 
-def _random_complex(f, rng, max_len=3, max_dim=3) -> CochainComplex:
-    length = rng.randint(1, max_len)
-    dims = {}
-    start = rng.randint(0, 1)
-    for t in range(start, start + length):
-        d = rng.randint(0, max_dim)
-        if d:
-            dims[t] = d
-    if not dims:
-        dims = {0: 1}
-    d = {}
-    for t in sorted(dims):
-        if t + 1 in dims:
-            d[t] = [{i: v for i in range(dims[t + 1]) if (v := rng.randrange(5))}
-                    for _ in range(dims[t])]
-    # square-zero by construction: zero out a map whenever it composes badly
-    for t in sorted(d):
-        if t + 1 in d and any(mul(f, d[t + 1], d[t])):
-            d[t + 1] = [{} for _ in d[t + 1]]
-    return CochainComplex(f, dims, d)
-
-
-def _random_tensor_mc(f, rng, max_axes: int):
-    n = rng.randint(1, max_axes)
-    factors = [_random_complex(f, rng) for _ in range(n)]
-    return tensor_product(factors)
-
-
 def cmd_selftest(args) -> int:
     for flag, value, least in (("--seed", args.seed, 0), ("--max-vars", args.max_vars, 1),
                                ("--max-groups", args.max_groups, 1)):
@@ -399,29 +366,6 @@ def cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     f = PrimeField(DEFAULT_PRIME)
     failures: list[str] = []
-
-    # suite 1: scaffold exactness
-    for n in range(1, max(2, args.max_groups) + 1):
-        for dim in (1, 2):
-            cx = koszul_complex(f, n, dim)
-            cx.check_complex()
-            h = cx.cohomology_dims()
-            if h:
-                failures.append(f"scaffold n={n} dim={dim} not exact: {h}")
-
-    # suite 2: split-column collapse on random lattices
-    for trial in range(20):
-        mc = _random_tensor_mc(f, rng, args.max_vars)
-        for msg in split_column_report(mc, LatticeSequences(mc).face_half):
-            failures.append(f"trial {trial}: {msg}")
-
-    # suite 3: page-one and abutment accounting for the four region sequences
-    for trial in range(12):
-        mc = _random_tensor_mc(f, rng, min(args.max_vars, 3))
-        for msg in region_convergence_report(mc):
-            failures.append(f"trial {trial}: {msg}")
-
-    # suite 4: small random problems end to end
     for trial in range(5):
         m = rng.randint(1, args.max_vars)
         n = rng.randint(1, args.max_groups)
@@ -445,8 +389,7 @@ def cmd_selftest(args) -> int:
         for msg in failures[:20]:
             print(f"  {msg}")
         return 2
-    print("selftest passed: scaffold exactness, split collapse, region accounting, "
-          "end-to-end problems")
+    print("selftest passed: end-to-end problems")
     return 0
 
 
@@ -462,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--jobs", type=int, default=0, help="worker processes (default: cpu count)")
     pc.add_argument("--pages", type=int, default=None, help="highest page to include in dumps")
     pc.set_defaults(func=cmd_compute)
-    ps = sub.add_parser("selftest", help="run the randomized property suites")
+    ps = sub.add_parser("selftest", help="run compute on small random problems")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--max-vars", type=int, default=3)
     ps.add_argument("--max-groups", type=int, default=3)

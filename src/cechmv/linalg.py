@@ -18,8 +18,8 @@ and it does every elimination of the lattice route.  ``Subspace.insert``
 reduces a column and stores it when it is left nonzero, the one place a
 reduced column is stored: ``pivot_pairs`` counts the pairs of its
 insertions, so the pages and cohomology dimensions, and ``Subspace`` keeps
-the stored columns as a sparse echelon basis, so kernels, images, quotient
-representatives and coordinates (Cohen-Steiner, Edelsbrunner and Morozov).
+the stored columns as a sparse echelon basis, so kernels, images and spans
+(Cohen-Steiner, Edelsbrunner and Morozov).
 Both are deterministic, so all downstream bases are reproducible.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, FieldMismatchError, InputError
+from .errors import FieldMismatchError, InputError
 
 DEFAULT_PRIME = 65537
 
@@ -201,23 +201,19 @@ def rref(field: Field, a: Dense) -> tuple[Dense, list[int]]:
 
 
 def reduce_column(field: Field, col: dict[int, object],
-                  reduced: dict[int, tuple[dict[int, object], object]],
-                  coeffs: dict[int, object] | None = None) -> int | None:
+                  reduced: dict[int, tuple[dict[int, object], object]]) -> int | None:
     """Reduce the ``{row: value}`` column ``col`` in place against
     ``reduced``, ``{pivot row: (column, 1/pivot)}``: while the lowest nonzero
     row of ``col`` is the pivot row of a reduced column, subtract the multiple
-    of that column that clears it, and record the multiple in ``coeffs``
-    (keyed by the pivot row) when given.  Returns the lowest row left, or
-    None once ``col`` is zero.  Arithmetic is exact (Python ints mod p, or
-    fractions over Q)."""
+    of that column that clears it.  Returns the lowest row left, or None once
+    ``col`` is zero.  Arithmetic is exact (Python ints mod p, or fractions
+    over Q)."""
     while col:
         low = max(col)
         if low not in reduced:
             return low
         other, inv = reduced[low]
         c = col[low] * inv
-        if coeffs is not None:
-            coeffs[low] = field.normalize(c)
         for i, x in other.items():
             y = field.normalize(col.pop(i, 0) - c * x)
             if y:
@@ -299,23 +295,3 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.columns)
-
-    def coordinates(self, v: dict[int, object]) -> list | None:
-        """The coefficients of the ``{row: value}`` vector ``v`` on
-        ``columns``, or None when ``v`` is outside the subspace."""
-        coeffs: dict[int, object] = {}
-        if reduce_column(self.field, dict(v), self.pivots, coeffs) is not None:
-            return None
-        return [coeffs.get(low, 0) for low in self.pivots]
-
-    def quotient_reps(self, sub: "Subspace") -> list[dict[int, object]]:
-        """The basis columns whose lowest rows are not lowest rows of
-        ``sub``.  For ``sub`` inside this space they complete any basis of
-        ``sub`` to one of this space."""
-        same_field(self.field, sub.field)
-        if self.ambient != sub.ambient:
-            raise ContractError(f"ambient mismatch {self.ambient} vs {sub.ambient}")
-        keep = [col for low, (col, _) in self.pivots.items() if low not in sub.pivots]
-        if len(keep) != self.dim - sub.dim:
-            raise ContractError("quotient_reps: argument is not a subspace of self")
-        return keep

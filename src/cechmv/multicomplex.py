@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ContractError, InputError, InternalCheckError
-from .linalg import Columns, Field, identity, mul, neg, pivot_pairs, same_field, submatrix
+from .linalg import Columns, Field, identity, mul, neg, pivot_pairs, submatrix
 
 Point = tuple[int, ...]
 
@@ -292,66 +292,6 @@ def augment_interior(mc: Multicomplex, axes: tuple[int, ...],
     blocks = dict(tot.blocks or {})
     blocks[p - 1] = (("aug", c0),)
     return CochainComplex(mc.field, dims, d, blocks)
-
-
-def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
-    """Outer tensor product of single complexes, one lattice axis per factor.
-
-    Direction i acts by the factor differential on slot i and the identity on
-    the others; no signs are introduced, so the result is commutative.
-    """
-    if not factors:
-        raise ContractError("tensor_product needs at least one factor")
-    f = factors[0].field
-    for cx in factors[1:]:
-        same_field(f, cx.field)
-    n = len(factors)
-    ranges = [cx.degree_range() for cx in factors]
-    dims: dict[Point, int] = {}
-    for q in itertools.product(*[range(a, b + 1) for a, b in ranges]):
-        d = 1
-        for cx, v in zip(factors, q):
-            d *= cx.dim(v)
-        if d:
-            dims[q] = d
-    diffs = {}
-    for q in dims:
-        for i in range(n):
-            tq = add_e(q, i)
-            if tq not in dims:
-                continue
-            di, rows = factors[i].matrix(q[i]), factors[i].dim(q[i] + 1)
-            pre = 1
-            for cx, v in zip(factors[:i], q[:i]):
-                pre *= cx.dim(v)
-            post = 1
-            for cx, v in zip(factors[i + 1 :], q[i + 1 :]):
-                post *= cx.dim(v)
-            # I_pre (x) d_i (x) I_post: coordinate (a, j, c) is (a * dim + j) * post + c
-            diffs[(q, i)] = [{(a * rows + r) * post + c: v for r, v in col.items()}
-                             for a in range(pre) for col in di for c in range(post)]
-    return Multicomplex(f, n, dims, diffs)
-
-
-def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
-    """Cochain Koszul complex on n unit coefficients with values in k^coeff_dim.
-
-    Exact for every n >= 1; used as a scaffold and as a self-test fixture.
-    """
-    subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
-    dims = {p: len(subsets[p]) * coeff_dim for p in range(n + 1) if len(subsets[p]) * coeff_dim}
-    d = {}
-    for p in range(n):
-        if not dims.get(p) or not dims.get(p + 1):
-            continue
-        index = {s: k for k, s in enumerate(subsets[p + 1])}
-        columns: Columns = []
-        for s in subsets[p]:
-            signs = _wedge_signs(field, s, n, index)
-            columns.extend({r * coeff_dim + k: v for r, v in signs.items()}
-                           for k in range(coeff_dim))
-        d[p] = columns
-    return CochainComplex(field, dims, d)
 
 
 def _wedge_signs(field: Field, s: tuple[int, ...], n: int, index: dict) -> dict[int, object]:

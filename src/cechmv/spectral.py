@@ -383,8 +383,28 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     """Verify that on the truncated face half of the Koszul split of
     ``seqs.mc`` (the complex of variant 1a), filtered by the total degree of
     the original directions, the page-n map from cell (0, n-1) to (n, 0) is,
-    up to one global sign, the composite differential from the origin entry
-    through (1,...,1).
+    up to one global sign, the composite differential psi from the origin
+    entry through (1,...,1).
+
+    The check reads spans, never representatives.  With Z, B = Z_n, B_n of
+    cell (0, n-1) (``_cell_spaces``), W = B_n of cell (n, 0) inside the
+    interior block (0, 1..1), and iota the identification of the wedge-(n-1)
+    block over the origin with the origin entry, it checks
+
+      dim Z - dim B = c0, the origin entry's dimension;
+      rank iota(Z) = c0;
+      for one sign s, W + span{(d z - s psi iota z)|block : z in Z} = W.
+
+    These say that iota is an isomorphism Z/B -> C^0 and that d_n = s psi
+    iota on the page, because iota(B) = 0 and d(B) lies in B_n(n, 0):
+
+      B = Z_{n-1}(1, n-1) + d(Z_{n-1}(1-n, n-2)).  The first summand has
+      level >= 1, so it has no component at the level-0 block (n-1, 0..0),
+      and d maps it into d(Z_{n-1}(1, n-1)), a summand of B_n(n, 0).  In a
+      lattice on nonnegative points the only block that maps into
+      (n-1, 0..0) is (n-2, 0..0), by the Koszul map kappa, and iota is the
+      last Koszul map (its sign (-1)^missing is ``_wedge_signs``'), so
+      iota kappa = 0 kills the second summand, and d d = 0 its image.
 
     Needs n >= 2: for n = 1 the two cells coincide and the statement is empty.
     """
@@ -398,19 +418,16 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     if not fc.total.dims:
         return []
     z, b = _cell_spaces(fc, n, 0, n - 1)
-    reps = z.quotient_reps(b)
     bad: list[str] = []
-    if len(reps) != c0:
-        bad.append(f"page-{n} cell (0,{n - 1}) has dim {len(reps)}, expected dim {c0} of the origin entry")
+    if z.dim - b.dim != c0:
+        bad.append(f"page-{n} cell (0,{n - 1}) has dim {z.dim - b.dim}, expected dim {c0} of the origin entry")
         return bad
     if c0 == 0:
         return bad
     psi = composite_along(mc, tuple(range(n)))
     tz, bsp = _cell_spaces(fc, n, n, 0)
-    treps = tz.quotient_reps(bsp)
 
-    # identification of the source cell with the origin entry: extract the
-    # block at wedge n-1 over q=0 and apply the last Koszul map
+    # iota: extract the block at wedge n-1 over q=0 and apply the last Koszul map
     tot = fc.total
     top_point = (n - 1,) + (0,) * n
     src = block_slices(tot.blocks[n - 1]).get(top_point)
@@ -423,44 +440,45 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
         sign = f.normalize(-1 if missing % 2 else 1)
         for k in range(sl.stop - sl.start):
             ident[src.start + sl.start + k] = {k: sign}
-    origin = mul(f, ident, reps)  # the origin element of each source representative
+    origin = mul(f, ident, z.columns)
     if len(pivot_pairs(f, origin)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
         return bad
 
-    # target side: representatives must live in the wedge-0 block over (1,..,1)
+    # target side: Z_n and B_n of cell (n, 0) must live in the wedge-0 block over (1,..,1)
     tgt = block_slices(tot.blocks.get(n, ())).get((0,) + (1,) * n)
     if tgt is None:
-        if treps:
+        if tz.dim > bsp.dim:
             bad.append("target cell nonzero but the interior block is absent")
         return bad
-    if any(not tgt.start <= i < tgt.stop for col in treps + bsp.columns for i in col):
+    if any(not tgt.start <= i < tgt.stop for col in tz.columns + bsp.columns for i in col):
         bad.append("target-cell representatives or boundaries stick out of the interior block")
         return bad
-    w = Subspace.span(f, tgt.stop - tgt.start,
-                      ({i - tgt.start: v for i, v in col.items()} for col in bsp.columns))
+    w = [{i - tgt.start: v for i, v in col.items()} for col in bsp.columns]  # a basis of W
 
-    # realize the map on the nose: class of d(rep_k) sliced to the interior block
-    images = submatrix(mul(f, tot.matrix(n - 1), reps), range(tgt.start, tgt.stop),
-                       range(len(reps)))
-    expected = mul(f, psi, origin)  # psi of the identified origin element
+    # d z sliced to the interior block, and psi of its origin element
+    images = submatrix(mul(f, tot.matrix(n - 1), z.columns), range(tgt.start, tgt.stop),
+                       range(z.dim))
+    expected = mul(f, psi, origin)
     for sign in (1, -1):
-        # column k of images + expected, times e_k - sign e_{c0+k}: their difference
-        diff = mul(f, images + expected, [{k: 1, c0 + k: f.normalize(-sign)} for k in range(c0)])
-        if all(w.coordinates(col) is not None for col in diff):
+        # column k of images + expected, times e_k - sign e_{dim Z+k}: their difference
+        diff = mul(f, images + expected, [{k: 1, z.dim + k: f.normalize(-sign)}
+                                          for k in range(z.dim)])
+        if Subspace.span(f, tgt.stop - tgt.start, w + diff).dim == len(w):
             return bad
     bad.append("page-n edge map differs from the composite differential by more than a sign")
     return bad
 
 
-def region_convergence_report(mc: Multicomplex,
-                              seqs: LatticeSequences | None = None) -> list[str]:
-    """Check the four region spectral sequences of a lattice multicomplex:
-    first-page columns against directly computed restriction cohomologies and
-    abutments against the direct target cohomologies (all by dimension).
-    The sequences, the Koszul split and the region complexes are read from
-    ``seqs``, the lattice's ``LatticeSequences`` (built here when not given)."""
-    seqs = LatticeSequences(mc) if seqs is None else seqs
+def region_convergence_report(seqs: LatticeSequences) -> list[str]:
+    """Check the four region spectral sequences of the lattice multicomplex
+    ``seqs.mc``: first-page columns against directly computed restriction
+    cohomologies and abutments against the direct target cohomologies (all
+    by dimension), then the Koszul split (``split_column_report``) and the
+    page-n edge map (``edge_composite_check``).  The sequences, the split
+    and the region complexes are read from ``seqs``, the lattice's
+    ``LatticeSequences``."""
+    mc = seqs.mc
     bad: list[str] = []
     n = mc.n
     subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}

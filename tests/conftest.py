@@ -1,7 +1,9 @@
-"""Shared generators for randomized structural tests, the degree classes
-of a problem as the CLI's class steps see them, the two converters between
-dense numpy matrices and the package's sparse ``{row: value}`` column lists,
-and the one from numpy matrices to the package's dense ``Dense`` rows.
+"""Shared generators for randomized structural tests, the two builders of
+test lattices and complexes (``tensor_product``, ``koszul_complex``), the
+degree classes of a problem as the CLI's class steps see them, the two
+converters between dense numpy matrices and the package's sparse
+``{row: value}`` column lists, and the one from numpy matrices to the
+package's dense ``Dense`` rows.
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -9,13 +11,16 @@ generated multicomplex is valid by design and the tests probe the machinery,
 not the generator.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from cechmv import (CochainComplex, Dense, Multicomplex, MvssRun, PrimeField, VARIANTS,
-                    degree_classes, tensor_product)
+from cechmv import (CochainComplex, ContractError, Dense, Multicomplex, MvssRun, PrimeField,
+                    VARIANTS, degree_classes)
 from cechmv.cli import DegreeClass
-from cechmv.multicomplex import add_e
+from cechmv.linalg import Columns, Field, same_field
+from cechmv.multicomplex import Point, _wedge_signs, add_e
 from reference_dense import dtype, zeros
 
 F = PrimeField(65537)
@@ -41,6 +46,67 @@ def as_dense(a: np.ndarray) -> Dense:
     """The numpy matrix ``a`` as the package's ``Dense`` rows of Python ints
     or fractions, of the same shape."""
     return Dense(a.tolist(), a.shape[1])
+
+
+def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
+    """Outer tensor product of single complexes, one lattice axis per factor.
+
+    Direction i acts by the factor differential on slot i and the identity on
+    the others; no signs are introduced, so the result is commutative.
+    """
+    if not factors:
+        raise ContractError("tensor_product needs at least one factor")
+    f = factors[0].field
+    for cx in factors[1:]:
+        same_field(f, cx.field)
+    n = len(factors)
+    ranges = [cx.degree_range() for cx in factors]
+    dims: dict[Point, int] = {}
+    for q in itertools.product(*[range(a, b + 1) for a, b in ranges]):
+        d = 1
+        for cx, v in zip(factors, q):
+            d *= cx.dim(v)
+        if d:
+            dims[q] = d
+    diffs = {}
+    for q in dims:
+        for i in range(n):
+            tq = add_e(q, i)
+            if tq not in dims:
+                continue
+            di, rows = factors[i].matrix(q[i]), factors[i].dim(q[i] + 1)
+            pre = 1
+            for cx, v in zip(factors[:i], q[:i]):
+                pre *= cx.dim(v)
+            post = 1
+            for cx, v in zip(factors[i + 1 :], q[i + 1 :]):
+                post *= cx.dim(v)
+            # I_pre (x) d_i (x) I_post: coordinate (a, j, c) is (a * dim + j) * post + c
+            diffs[(q, i)] = [{(a * rows + r) * post + c: v for r, v in col.items()}
+                             for a in range(pre) for col in di for c in range(post)]
+    return Multicomplex(f, n, dims, diffs)
+
+
+def koszul_complex(field: Field, n: int, coeff_dim: int) -> CochainComplex:
+    """Cochain Koszul complex on n unit coefficients with values in k^coeff_dim.
+
+    Exact for every n >= 1.
+    """
+    subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
+    dims = {p: len(subsets[p]) * coeff_dim for p in range(n + 1) if len(subsets[p]) * coeff_dim}
+    d = {}
+    for p in range(n):
+        if not dims.get(p) or not dims.get(p + 1):
+            continue
+        index = {s: k for k, s in enumerate(subsets[p + 1])}
+        columns: Columns = []
+        for s in subsets[p]:
+            signs = _wedge_signs(field, s, n, index)
+            columns.extend({r * coeff_dim + k: v for r, v in signs.items()}
+                           for k in range(coeff_dim))
+        d[p] = columns
+    return CochainComplex(field, dims, d)
+
 
 
 def rand_complex(f, rng, max_len=3, max_dim=3, min_start=0):

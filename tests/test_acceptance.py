@@ -39,7 +39,6 @@ from cechmv import (
     line_complex,
     restrict,
     split_column_report,
-    tensor_product,
     totalize,
 )
 from cechmv.cli import DegreeClass, load_job, main as cli_main, run_unit
@@ -49,7 +48,7 @@ from cechmv.mvss import (FILTRATION, VARIANTS, _expected_abutment, _expected_e1,
                          infinity_filtration_report)
 from cechmv.spectral import LatticeSequences, _split_columns
 from conftest import (F, class_of, dense, keep_points, rand_complex, rand_tensor_mc,
-                      window_runs)
+                      tensor_product, window_runs)
 from reference_cohomology import reference_middle_pieces
 from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference

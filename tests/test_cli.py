@@ -784,21 +784,15 @@ def test_compute_rejects_unreadable_or_invalid_files(tmp_path, capsys):
 
 
 def test_selftest_passes_and_is_deterministic(capsys, monkeypatch):
-    """Two runs with one seed draw the same lattices and the same problems
-    for ``compute``, and another seed draws other ones."""
+    """Two runs with one seed pass the same five problems to ``compute``,
+    and another seed passes other ones."""
     drawn: list = []
-    lattice, compute = cli._random_tensor_mc, cli.compute
-
-    def recorded_lattice(*args):
-        mc = lattice(*args)
-        drawn.append((mc.dims, mc.diffs))
-        return mc
+    compute = cli.compute
 
     def recorded_compute(problem, tasks, *args, **kwargs):
         drawn.append((problem, tasks))
         return compute(problem, tasks, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_random_tensor_mc", recorded_lattice)
     monkeypatch.setattr(cli, "compute", recorded_compute)
     runs = []
     for seed in ("3", "3", "4"):
@@ -806,9 +800,9 @@ def test_selftest_passes_and_is_deterministic(capsys, monkeypatch):
         assert main(["selftest", "--seed", seed, "--max-vars", "2", "--max-groups", "2"]) == 0
         assert "selftest passed" in capsys.readouterr().out
         runs.append(list(drawn))
-    assert len(runs[0]) == 20 + 12 + 5
+    assert len(runs[0]) == 5
     assert runs[0] == runs[1]
-    assert runs[0][:32] != runs[2][:32] and runs[0][32:] != runs[2][32:]
+    assert runs[0] != runs[2]
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -27,7 +27,7 @@ from cechmv import (
 from cechmv import linalg
 from cechmv.linalg import pivot_pairs, submatrix
 from conftest import as_dense, columns, dense, rand_complex
-from reference_cohomology import cohomology_map, cohomology_reps
+from reference_cohomology import cohomology_map, cohomology_reps, coordinates, quotient_reps
 # the dense reference: numpy arrays and their rref, and its own product,
 # kernels, solutions and subspaces from that rref
 from reference_dense import dtype, zeros
@@ -353,7 +353,7 @@ def _assert_same_space(f, sparse, ref):
     """Equal dimensions, and each side holds the other's basis."""
     assert sparse.ambient == ref.ambient and sparse.dim == ref.dim
     assert all(ref.contains_vector(v) for v in dense(f, sparse.columns, sparse.ambient).T)
-    assert all(sparse.coordinates(v) is not None for v in columns(f, ref.basis.T))
+    assert all(coordinates(sparse, v) is not None for v in columns(f, ref.basis.T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,17 +377,17 @@ def test_sparse_subspace_matches_the_dense_reference(drawn, den, data):
         coeffs = [f.normalize((picks[k % 2] >> k) % 5) for k in range(ker.dim)]
         basis = dense(f, ker.columns, n)
         v = f.normalize(basis @ _field_matrix(f, [coeffs]).T) if ker.dim else zeros(f, n, 1)
-        assert ker.coordinates(columns(f, v)[0]) == coeffs
+        assert coordinates(ker, columns(f, v)[0]) == coeffs
         # outside: a unit vector at a row that is not a lowest row
         free = [i for i in range(n) if i not in ker.pivots]
         if free:
-            assert ker.coordinates({free[picks[0] % len(free)]: 1}) is None
+            assert coordinates(ker, {free[picks[0] % len(free)]: 1}) is None
         # a subspace from sums of consecutive basis columns, completed by
         # the quotient representatives to the whole kernel
         sums = [columns(f, f.normalize(basis[:, k:k + 1] + basis[:, k + 1:k + 2]))[0]
                 for k in range(ker.dim - 1)][: picks[1] % (ker.dim + 1)]
         sub = linalg.Subspace.span(f, n, sums)
-        reps = ker.quotient_reps(sub)
+        reps = quotient_reps(ker, sub)
         assert len(reps) == ker.dim - sub.dim
         whole = linalg.Subspace.span(f, n, sub.columns + reps)
         assert whole.dim == ker.dim

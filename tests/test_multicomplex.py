@@ -21,11 +21,9 @@ from cechmv import (
     composite_along,
     cube_extension,
     degree_classes,
-    koszul_complex,
     koszul_split,
     line_complex,
     restrict,
-    tensor_product,
     totalize,
     validate,
 )
@@ -33,7 +31,7 @@ from cechmv.cli import load_job
 from cechmv.linalg import mul
 from cechmv.multicomplex import add_e
 from cechmv.spectral import _split_columns
-from conftest import columns, dense, keep_points, rand_tensor_mc
+from conftest import columns, dense, keep_points, koszul_complex, rand_tensor_mc, tensor_product
 from reference_cohomology import cohomology_map, cohomology_reps
 from reference_dense import zeros
 from reference_split import koszul_half

@@ -14,7 +14,9 @@ face half; props2's other three region filtrations are variants 1a, 2b and
 2a, since Čech lattices are commutative.  It also draws random tensor
 multicomplexes with up to 3 axes and compares the coordinate,
 complement-total and nonzero-count filtrations and props2's four region
-filtrations of each.
+filtrations of each.  On every class lattice of the same problems it also
+compares the page-n edge check read from spans with the representative
+route (``reference_cohomology.reference_edge_composite_check``).
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ from cechmv import (
     coordinate_filtration,
     default_window,
     degree_classes,
+    edge_composite_check,
     filtration_from_blocks,
     nonzero_count_filtration,
     totalize,
@@ -37,6 +40,7 @@ from cechmv import (
 from cechmv.mvss import FILTRATION, VARIANTS
 from cechmv.spectral import LatticeSequences
 from conftest import rand_tensor_mc
+from reference_cohomology import reference_edge_composite_check
 from reference_spectral import assert_agrees_with_reference, limit_abutment, reference_abutment
 
 
@@ -107,6 +111,26 @@ def test_pages_match_the_reference_engine(field, problems, tensors, expected):
             raise AssertionError(f"{field.describe()} {tag}: {e}") from None
         compared += 1
     assert compared == expected
+
+
+@pytest.mark.parametrize("field, problems, tensors, expected", SWEEPS,
+                         ids=[f.describe() for f, *_ in SWEEPS])
+def test_edge_check_from_spans_matches_the_representatives(field, problems, tensors, expected):
+    """On every class lattice of the sweep's Čech problems both routes of the
+    page-n edge check are clean, and the check is not vacuous: some
+    lattices have two or more groups and a nonzero origin entry."""
+    rng = np.random.default_rng(20261018)
+    live = 0
+    for k in range(problems):
+        prob = random_problem(field, rng)
+        classes = degree_classes(prob)
+        rng.integers(len(classes))  # the sweep's draw of a random class, so the problems agree
+        for _pat, members in classes:
+            seqs = LatticeSequences(cech_multicomplex(prob, members[0]))
+            got, want = edge_composite_check(seqs), reference_edge_composite_check(seqs)
+            assert got == want == [], (field.describe(), k, members[0], got, want)
+            live += prob.n >= 2 and seqs.mc.entry_dim((0,) * prob.n) > 0
+    assert live >= 5
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), RationalField()], ids=["F_2", "Q"])

@@ -23,10 +23,14 @@ from cechmv import (
     nonzero_count_filtration,
     region_convergence_report,
     split_column_report,
-    tensor_product,
     totalize,
+    validate,
 )
-from conftest import columns, keep_points, rand_complex, rand_tensor_mc
+from cechmv import spectral
+from cechmv.multicomplex import composite_along
+import reference_cohomology
+from conftest import columns, keep_points, rand_complex, rand_tensor_mc, tensor_product
+from reference_cohomology import reference_edge_composite_check
 from reference_spectral import (assert_agrees_with_reference, limit_abutment, rank_table_pairs,
                                 reference_abutment)
 from reference_split import koszul_half, reference_split_column_report
@@ -262,27 +266,65 @@ def test_split_column_report_flags_a_dropped_wedge_slot(rng, want_zeros):
         assert got == reference_split_column_report(mc, koszul_half(mc, "complement"), bad)
 
 
-def test_edge_composite_check(rng):
-    # explicit square with identity maps: the composite is nonzero
+def edge_cases(rng):
+    """The lattices of the edge-check tests: identity squares and cubes
+    (nonzero composite), a square with a zero axis map (zero composite), a
+    single axis (nothing to check) and six random tensor lattices."""
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
-    mc = tensor_product([seg, seg])
-    assert edge_composite_check(LatticeSequences(mc)) == []
-    # a factor with zero differential gives a zero composite; still consistent
     seg0 = CochainComplex(F, {0: 1, 1: 1}, {})
-    mc = tensor_product([seg, seg0])
-    assert edge_composite_check(LatticeSequences(mc)) == []
-    # single axis: nothing to check
-    mc = tensor_product([seg])
-    assert edge_composite_check(LatticeSequences(mc)) == []
-    for _ in range(6):
-        m = rand_tensor_mc(F, rng, max_axes=3, coin=False)
-        assert edge_composite_check(LatticeSequences(m)) == []
+    fixed = [tensor_product([seg, seg]), tensor_product([seg, seg, seg]),
+             tensor_product([seg, seg0]), tensor_product([seg])]
+    return fixed + [rand_tensor_mc(F, rng, max_axes=3, coin=False) for _ in range(6)]
 
 
-def test_region_convergence_report_clean(rng):
-    for _ in range(8):
-        mc = rand_tensor_mc(F, rng, max_axes=3)
-        assert region_convergence_report(mc) == []
+def test_edge_composite_check(rng):
+    """The span route is clean on every edge case and agrees with the
+    representative route (``reference_edge_composite_check``)."""
+    for mc in edge_cases(rng):
+        seqs = LatticeSequences(mc)
+        assert edge_composite_check(seqs) == reference_edge_composite_check(seqs) == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_edge_composite_check_flags_a_scaled_composite(n, monkeypatch):
+    """psi scaled by 2 over F_65537 on the n-axis identity cube (c0 = 1,
+    psi != 0) is wrong by more than a sign: both routes say so."""
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
+    mc = tensor_product([seg] * n)
+    assert any(spectral.composite_along(mc, tuple(range(n))))
+
+    def doubled(mc, axes):
+        return [{i: F.normalize(2 * v) for i, v in col.items()}
+                for col in composite_along(mc, axes)]
+
+    monkeypatch.setattr(spectral, "composite_along", doubled)
+    monkeypatch.setattr(reference_cohomology, "composite_along", doubled)
+    want = ["page-n edge map differs from the composite differential by more than a sign"]
+    seqs = LatticeSequences(mc)
+    assert edge_composite_check(seqs) == reference_edge_composite_check(seqs) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_flipped_axis_sign_fails_validate_or_the_edge_check(n):
+    """Flipping the sign of one axis map at one point of the n-axis identity
+    cube, at every (point, axis) in turn, fails ``validate`` or the edge
+    check."""
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
+    mc = tensor_product([seg] * n)
+    for key, mat in mc.diffs.items():
+        bad = dataclasses.replace(mc, diffs={**mc.diffs, key: [
+            {i: F.normalize(-v) for i, v in col.items()} for col in mat]})
+        assert validate(bad) or edge_composite_check(LatticeSequences(bad)), key
+
+
+def test_region_convergence_report_clean():
+    """Region accounting is clean on 12 random lattices with up to 3 axes
+    over each of F_2, F_3, F_65537 and Q."""
+    for k, f in enumerate((PrimeField(2), PrimeField(3), F, RationalField())):
+        rng = np.random.default_rng(20240817 + k)
+        for _ in range(12):
+            mc = rand_tensor_mc(f, rng, max_axes=3)
+            assert region_convergence_report(LatticeSequences(mc)) == []
 
 
 def test_region_convergence_report_rational():
@@ -290,4 +332,4 @@ def test_region_convergence_report_rational():
     seg = CochainComplex(q, {0: 1, 1: 2}, {0: columns(q, [[1], [2]])})
     seg2 = CochainComplex(q, {0: 2, 1: 1}, {0: columns(q, [[3, 1]])})
     mc = tensor_product([seg, seg2])
-    assert region_convergence_report(mc) == []
+    assert region_convergence_report(LatticeSequences(mc)) == []
