@@ -30,7 +30,7 @@ fixtures (tensor products of complexes, Koszul complexes) and the
 representative-based references live with the tests.
 """
 
-from .errors import ContractError, FieldMismatchError, InputError, InternalCheckError
+from .errors import ContractError, InputError, InternalCheckError
 from .linalg import (
     DEFAULT_PRIME,
     Dense,
@@ -51,7 +51,6 @@ from .grading import (
     parse_monomial,
     product_sequence,
     support_mask,
-    window_degrees,
 )
 from .multicomplex import (
     CochainComplex,
@@ -86,7 +85,7 @@ from .cech import (
     degree_classes,
     piece_pattern,
 )
-from .mvss import VARIANTS, MvssRun
+from .mvss import VARIANTS
 
 __version__ = "0.1.0"
 
@@ -107,14 +106,12 @@ __all__ = [
     "ContractError",
     "DEFAULT_PRIME",
     "Dense",
-    "FieldMismatchError",
     "FilteredComplex",
     "InputError",
     "InternalCheckError",
     "LatticeSequences",
     "MonomialIdeal",
     "Multicomplex",
-    "MvssRun",
     "OracleCache",
     "Page",
     "PrimeField",
@@ -151,5 +148,4 @@ __all__ = [
     "support_mask",
     "totalize",
     "validate",
-    "window_degrees",
 ]

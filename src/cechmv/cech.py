@@ -27,10 +27,11 @@ interval among the thresholds {0} and {g_j}.  The window therefore splits
 into chambers (one interval per coordinate) of constant pattern, and
 ``degree_classes`` evaluates the pattern once per chamber, never per degree.
 Every audit is split into a class step, run once at a class's representative
-degree (its first member), and an assembly that copies the class results to
-the member degrees: ``verify_product_vs_interior`` is the class step of the
-verify34 task and ``issue_report`` its assembly.  ``cli.compute`` runs the
-class steps over a whole window.
+degree b0 (its first member), whose result names no degree, and an assembly
+that lists the class results under the member degrees:
+``verify_product_vs_interior`` is the class step of the verify34 task.
+``cli.compute`` runs the class steps over a whole window, and
+``cli.assemble_unit`` is the one assembly.
 
 A variable permutation sigma that maps every group onto itself relabels the
 support masks of a pattern, and a class step reads its degree only through
@@ -57,7 +58,6 @@ from .grading import (
     parse_monomial,
     product_sequence,
     support_mask,
-    window_degrees,
 )
 from .jsonout import PerDegree
 from .linalg import Columns, Dense, Field, rank
@@ -103,9 +103,6 @@ class CechProblem:
     def in_window(self, b: Exps) -> bool:
         lo, hi = self.window
         return len(b) == self.num_vars and all(a <= x <= c for x, a, c in zip(b, lo, hi))
-
-    def degrees(self) -> list[Exps]:
-        return [tuple(b) for b in window_degrees(self.window)]
 
     @staticmethod
     def from_text(field: Field, num_vars: int, groups: list[list[str]],
@@ -570,16 +567,6 @@ class OracleCache:
 # verifications
 
 
-def issue_report(results: list[tuple[list[Exps], list[dict]]], key: str) -> dict:
-    """Assembly of an audit whose class step returns a list of issues: each
-    issue listed under ``key`` for every member degree (class order, then
-    issue order, then member order)."""
-    issues = PerDegree("degree", [(b, issue) for members, class_issues in results
-                                  for issue in class_issues for b in members])
-    return {"degrees_checked": sum(len(members) for members, _ in results), key: issues,
-            "pass": not issues.items}
-
-
 def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cache: OracleCache,
                                b0: Exps) -> list[dict]:
     """Audit, at the representative degree b0 of a degree class, whose
@@ -593,8 +580,8 @@ def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cac
     * the four-term dimension identity
       h^{n-1} - dim M_b + dim ker - h^n = 0 holds.
 
-    Returns the issues found; ``issue_report`` lists them under every member
-    degree.
+    Returns the issues found; ``cli.assemble_unit`` lists them under every
+    member degree.
     """
     n = problem.n
     all_groups = tuple(range(n))

@@ -13,12 +13,15 @@ Two commands:
   library alike: the first class of each orbit of degree classes
   (``cech.class_orbits``) runs the class step of every task (``run_unit``,
   which calls ``cech.verify_product_vs_interior``, ``mvss.run_variant``,
-  ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) for the whole
-  orbit, and ``--jobs`` spreads the orbits over worker processes;
-  ``assemble_unit`` lists the class results under the member degrees, in
-  class order, and ``jsonout.dumps`` writes each class's record once.
-* ``selftest`` runs ``compute`` on small random problems and checks that
-  every task passes.  Deterministic for a fixed seed.
+  ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) at its
+  representative degree b0 for the whole orbit, and ``--jobs`` spreads the
+  orbits over worker processes.  A class step's result names no degree;
+  ``assemble_unit``, the one place where class results meet member lists,
+  lists them under the member degrees, in class order, and ``jsonout.dumps``
+  writes each class's record once.
+* ``selftest`` runs ``compute`` with every task the problem admits on small
+  random problems and checks that every task passes.  Deterministic for a
+  fixed seed.
 
 Report files contain no timestamps or absolute paths, so identical inputs
 produce byte-identical outputs regardless of worker count.
@@ -27,7 +30,6 @@ produce byte-identical outputs regardless of worker count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -35,14 +37,13 @@ import random
 import sys
 
 from .cech import (CechProblem, CohomologyTable, OracleCache, cech_multicomplex, class_orbits,
-                   degree_classes, issue_report, verify_product_vs_interior)
+                   degree_classes, verify_product_vs_interior)
 from .errors import ContractError, InputError, InternalCheckError
 from .grading import Exps, MonomialIdeal, product_sequence
 from .jsonout import PerDegree, dumps, plain
 from .linalg import DEFAULT_PRIME, PrimeField, RationalField
 from .multicomplex import validate
-from .mvss import (FILTRATION, ClassRun, MvssRun, degree_records, infinity_filtration_report,
-                   mv_les, run_variant)
+from .mvss import FILTRATION, ClassRun, infinity_filtration_report, mv_les, run_variant
 from .spectral import LatticeSequences, region_convergence_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
@@ -138,36 +139,36 @@ def check_pages(problem: CechProblem, pages: int | None, name: str) -> None:
 
 
 class DegreeClass:
-    """One degree class as its class steps see it: members, oracle cache, the
-    ``LatticeSequences`` of the lattice at members[0] (built on first use, so
-    verify34, props2 and the variants share its one Koszul split, filtered
-    complexes, spectral sequences and region complexes), and the variants'
-    runs so far."""
+    """One degree class as its class steps see it: its representative degree
+    b0, oracle cache, the ``LatticeSequences`` of the lattice at b0 (built on
+    first use, so verify34, props2 and the variants share its one Koszul
+    split, filtered complexes, spectral sequences and region complexes), and
+    the variants' runs so far."""
 
-    def __init__(self, problem: CechProblem, members: list[Exps]):
+    def __init__(self, problem: CechProblem, b0: Exps):
         self.problem = problem
-        self.members = members
+        self.b0 = b0
         self.cache = OracleCache(problem)
         self.runs: dict[tuple[str, int | None], ClassRun] = {}
 
     @functools.cached_property
     def sequences(self) -> LatticeSequences:
-        return LatticeSequences(cech_multicomplex(self.problem, self.members[0]))
+        return LatticeSequences(cech_multicomplex(self.problem, self.b0))
 
     def run(self, variant: str, pages: int | None) -> ClassRun:
         """The class run of ``variant`` with pages up to ``pages``, made once
         per (variant, pages)."""
         if (variant, pages) not in self.runs:
             self.runs[variant, pages] = run_variant(self.problem, variant, self.sequences,
-                                                    self.cache, self.members, pages_r=pages)
+                                                    self.cache, self.b0, pages_r=pages)
         return self.runs[variant, pages]
 
 
 def run_unit(klass: DegreeClass, unit: str, pages: int | None):
-    """Class step of one task for one degree class: a small picklable result
-    that ``assemble_unit`` combines over all classes.  ``les`` reuses the
-    class's 1a and 2a runs."""
-    problem, cache, b0 = klass.problem, klass.cache, klass.members[0]
+    """Class step of one task for one degree class: a small picklable result,
+    naming no degree, that ``assemble_unit`` combines over all classes.
+    ``les`` reuses the class's 1a and 2a runs."""
+    problem, cache, b0 = klass.problem, klass.cache, klass.b0
     if unit == "cohomology":
         return cache.column("product", tuple(range(problem.n)), "full", b0)
     if unit == "verify34":
@@ -183,18 +184,28 @@ def run_unit(klass: DegreeClass, unit: str, pages: int | None):
         run = klass.run(variant, pages)
         if variant == "1a" and problem.n == 3:
             fc = klass.sequences.filtered(FILTRATION["1a"])
-            return run, infinity_filtration_report(run, fc, cache)
+            return run, infinity_filtration_report(run, fc, cache, b0)
         return run, None
     if unit == "les":
-        return mv_les(klass.run("1a", pages), klass.run("2a", pages), cache)
+        return mv_les(klass.run("1a", pages), klass.run("2a", pages), cache, b0)
     raise InputError(f"unknown task {unit!r}")
+
+
+def _records(results: list[tuple[list[Exps], dict]]) -> dict:
+    """``les`` or ``infinity_filtration_report`` class records under their
+    member degrees, and the failing ones."""
+    degrees = PerDegree.by_degree(results)
+    failures = PerDegree("degree", [(b, rec) for b, rec in degrees.items if not rec["pass"]])
+    return {"degrees": degrees, "failures": failures, "pass": not failures.items}
 
 
 def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
                   results: list[tuple[list[Exps], object]]) -> tuple[dict, dict[str, str]]:
     """A task's report payload and files from (members, class step result)
-    for every class, in class order.  The classes of one symmetry orbit
-    share one step result, so a class run takes its members from here."""
+    for every class, in class order: the one place where class results meet
+    member degrees.  The classes of one orbit share one result object, which
+    is read, never changed."""
+    degrees = sum(len(members) for members, _ in results)
     if unit == "cohomology":
         length = len(product_sequence(problem.groups))
         table = CohomologyTable.from_classes(problem, length, "full", results)
@@ -206,31 +217,42 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
         }
         return payload, {"cohomology.csv": table.to_csv()}
     if unit in ("verify34", "props2"):
-        return issue_report(results, "mismatches" if unit == "verify34" else "violations"), {}
+        issues = PerDegree("degree", [(b, issue) for members, class_issues in results
+                                      for issue in class_issues for b in members])
+        key = "mismatches" if unit == "verify34" else "violations"
+        return {"degrees_checked": degrees, key: issues, "pass": not issues.items}, {}
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
-        run = MvssRun(problem, variant, [
-            dataclasses.replace(cls, members=members,
-                                pages=[p for p in cls.pages if pages is None or p.r <= pages])
-            for members, (cls, _inf) in results
-        ])
+        failures = [{"variant": variant, "degree": list(b), "kind": kind, **mm}
+                    for members, (cls, _inf) in results for b in members
+                    for kind, mms in (("e1", cls.e1_mismatches),
+                                      ("abutment", cls.abutment_mismatches))
+                    for mm in mms]
+        status = f"FAIL ({len(failures)} mismatches)" if failures else "pass"
         payload = {
-            "pass": run.ok,
-            "summary": run.summary_text(),
-            "failures": run.failures,
-            "classes": len(run.classes),
-            "stabilized_at": sorted(
-                {c.stabilized_at for c in run.classes if c.stabilized_at is not None}
-            ),
+            "pass": not failures,
+            "summary": f"variant {variant}: {degrees} degrees in {len(results)} classes, {status}",
+            "failures": failures,
+            "classes": len(results),
+            "stabilized_at": sorted({cls.stabilized_at for _m, (cls, _inf) in results
+                                     if cls.stabilized_at is not None}),
             "file": f"pages_{variant}.json",
         }
         if variant == "1a" and problem.n == 3:
             payload["infinity_filtration"] = {
-                "variant": "1a", **degree_records([(m, inf) for m, (_cls, inf) in results])}
+                "variant": "1a", **_records([(m, inf) for m, (_cls, inf) in results])}
             payload["pass"] = payload["pass"] and payload["infinity_filtration"]["pass"]
+        records = PerDegree.by_degree([(members, {
+            "variant": variant,
+            "pages": [pg.to_json() for pg in cls.pages if pages is None or pg.r <= pages],
+            "stabilized_at": cls.stabilized_at,
+            "e1_check": {"pass": not cls.e1_mismatches, "mismatches": cls.e1_mismatches},
+            "abutment_check": {"pass": not cls.abutment_mismatches,
+                               "mismatches": cls.abutment_mismatches},
+        }) for members, (cls, _inf) in results])
         return payload, {f"pages_{variant}.json": dumps({"variant": variant,
-                                                         "degrees": run.degrees()})}
-    rep = degree_records(results)  # the one task left is les
+                                                         "degrees": records})}
+    rep = _records(results)  # the one task left is les
     nontrivial = [
         (members, {"ranks": {k: {i: v for i, v in vv.items() if v}
                              for k, vv in rec["ranks"].items()}})
@@ -240,7 +262,7 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
     slim = {
         "pass": rep["pass"],
         "failures": rep["failures"],
-        "degrees_checked": len(rep["degrees"].items),
+        "degrees_checked": degrees,
         "nontrivial_degrees": PerDegree.by_degree(nontrivial),
     }
     return slim, {}
@@ -250,8 +272,8 @@ def _class_worker(args) -> list:
     """Every task's class step for one degree class, in task order; a failing
     step, or one that runs out of memory, yields its error and the other
     tasks still run."""
-    problem, tasks, pages, members = args
-    klass = DegreeClass(problem, members)
+    problem, tasks, pages, b0 = args
+    klass = DegreeClass(problem, b0)
     out = []
     for unit in tasks:
         try:
@@ -279,7 +301,7 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     classes = [members for _pat, members in by_pattern]
     orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
     reps = sorted(set(orbit))
-    work = [(problem, tasks, pages, classes[r]) for r in reps]
+    work = [(problem, tasks, pages, classes[r][0]) for r in reps]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
@@ -378,10 +400,12 @@ def cmd_selftest(args) -> int:
             groups.append(tuple(grp))
         quotient = MonomialIdeal(m, ())
         prob = CechProblem(f, m, tuple(groups), quotient, ((-2,) * m, (2,) * m))
-        report, _files = compute(prob, ["verify34", "mvss:2a"])
+        report, _files = compute(prob, [t for t in TASK_ORDER if t != "les" or n == 2])
         for unit, res in plain(report["results"]).items():
             if not res["pass"]:
-                issues = res.get("mismatches") or res.get("failures") or [res.get("internal_error")]
+                issues = (res.get("mismatches") or res.get("violations") or res.get("failures")
+                          or res.get("infinity_filtration", {}).get("failures")
+                          or [res.get("internal_error")])
                 failures.append(f"problem trial {trial} {unit}: {issues[:2]}")
 
     if failures:

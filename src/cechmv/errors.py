@@ -2,7 +2,7 @@
 
 InputError covers anything a caller or a job file can get wrong; the CLI maps
 it to exit code 1.  ContractError flags misuse of an internal API (wrong
-shapes, wrong field, region that is not a subquotient).  InternalCheckError is
+shapes, region that is not a subquotient).  InternalCheckError is
 raised when a structural self-check fails (a differential that does not
 square to zero, a spectral page that disagrees between two computation
 paths); it always indicates a bug, never bad input.
@@ -14,10 +14,6 @@ class InputError(ValueError):
 
 
 class ContractError(ValueError):
-    pass
-
-
-class FieldMismatchError(ContractError):
     pass
 
 

@@ -87,10 +87,6 @@ class MonomialIdeal:
                 minimal.append(g)
         object.__setattr__(self, "gens", tuple(minimal))
 
-    @staticmethod
-    def zero(num_vars: int) -> "MonomialIdeal":
-        return MonomialIdeal(num_vars, ())
-
 
 def localized_piece_dim(support: int, ideal: MonomialIdeal, degree: Exps) -> int:
     """dim of ((R/J)_w)_degree where w has the given support bitmask."""
@@ -118,9 +114,3 @@ def product_sequence(groups: tuple[tuple[Exps, ...], ...]) -> tuple[Exps, ...]:
             exps = monomial_mul(exps, gi[ci])
         out.append(exps)
     return tuple(out)
-
-
-def window_degrees(window: tuple[Exps, Exps]):
-    """All degrees of the closed box, in lexicographic order."""
-    lo, hi = window
-    return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])

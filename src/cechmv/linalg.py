@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, InputError
+from .errors import InputError
 
 DEFAULT_PRIME = 65537
 
@@ -99,11 +99,6 @@ class RationalField:
 
 
 Field = PrimeField | RationalField
-
-
-def same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise FieldMismatchError(f"mixed coefficient fields: {a.describe()} vs {b.describe()}")
 
 
 Columns = list[dict[int, object]]

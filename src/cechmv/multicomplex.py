@@ -60,11 +60,6 @@ class CochainComplex:
             return [{} for _ in range(self.dim(m))]
         return mat
 
-    def degree_range(self) -> tuple[int, int]:
-        if not self.dims:
-            return (0, -1)
-        return (min(self.dims), max(self.dims))
-
     def check_complex(self) -> None:
         for m in sorted(self.dims):
             if self.dim(m) and self.dim(m + 1) and self.dim(m + 2):

@@ -22,10 +22,11 @@ from the ``LatticeSequences`` of its lattice, which the region audits
 (``spectral.region_convergence_report``, the props2 task) read too.  First
 pages and abutments are checked dimensionwise against the independent
 oracle.  Every function here works on one degree class, at its
-representative degree: ``run_variant``, ``mv_les`` and
-``infinity_filtration_report`` are the class steps of the ``mvss:V`` and
-``les`` tasks, and ``MvssRun`` and ``degree_records`` assemble their results
-over the member degrees.  ``cli.compute`` runs them over a whole window.
+representative degree b0, and returns a result that names no degree:
+``run_variant``, ``mv_les`` and ``infinity_filtration_report`` are the class
+steps of the ``mvss:V`` and ``les`` tasks.  ``cli.compute`` runs them over a
+whole window, and ``cli.assemble_unit`` lists their results under the member
+degrees.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
 from .errors import InputError
 from .grading import Exps
-from .jsonout import PerDegree
 from .linalg import Columns, Subspace, mul, submatrix
 from .spectral import FilteredComplex, LatticeSequences, Page
 
@@ -85,60 +85,13 @@ def _expected_abutment(cache: OracleCache, variant: str, m: int, b: Exps) -> int
 
 @dataclass
 class ClassRun:
-    """One spectral-sequence computation, valid for every degree in members."""
+    """One spectral-sequence computation, valid for every degree of its class."""
 
-    members: list[Exps]
     pages: list[Page]
-    width: int
     stabilized_at: int | None
     einf_dims: dict[tuple[int, int], int]
-    h_dims: dict[int, int]
     e1_mismatches: list[dict]
     abutment_mismatches: list[dict]
-
-
-@dataclass
-class MvssRun:
-    """A variant over the window: its class runs, in class order."""
-
-    problem: CechProblem
-    variant: str
-    classes: list[ClassRun]
-
-    @property
-    def failures(self) -> list[dict]:
-        return [
-            {"variant": self.variant, "degree": list(b), "kind": kind, **mm}
-            for cls in self.classes
-            for b in cls.members
-            for kind, mms in (("e1", cls.e1_mismatches), ("abutment", cls.abutment_mismatches))
-            for mm in mms
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def degrees(self) -> PerDegree:
-        """The ``degrees`` list of ``pages_V.json``: one record per class."""
-        return PerDegree.by_degree([
-            (cls.members, {
-                "variant": self.variant,
-                "pages": [pg.to_json() for pg in cls.pages],
-                "stabilized_at": cls.stabilized_at,
-                "e1_check": {"pass": not cls.e1_mismatches, "mismatches": cls.e1_mismatches},
-                "abutment_check": {"pass": not cls.abutment_mismatches,
-                                   "mismatches": cls.abutment_mismatches},
-            })
-            for cls in self.classes
-        ])
-
-    def summary_text(self) -> str:
-        n_deg = sum(len(c.members) for c in self.classes)
-        status = "pass" if self.ok else f"FAIL ({len(self.failures)} mismatches)"
-        return (
-            f"variant {self.variant}: {n_deg} degrees in {len(self.classes)} classes, {status}"
-        )
 
 
 def _stabilized_at(pages: list[Page]) -> int | None:
@@ -157,14 +110,13 @@ def _stabilized_at(pages: list[Page]) -> int | None:
 
 
 def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cache: OracleCache,
-                members: list[Exps], pages_r: int | None = None) -> ClassRun:
+                b0: Exps, pages_r: int | None = None) -> ClassRun:
     """The chosen spectral sequence for one degree class: the variant's
     filtered complex, read from ``seqs``, the ``LatticeSequences`` of the
     class's full lattice, with its first page and abutment audited against
-    the oracle at the representative degree members[0]."""
+    the oracle at the representative degree b0."""
     if variant not in FILTRATION:
         raise InputError(f"unknown variant {variant!r}")
-    b0 = members[0]
     n = problem.n
     ss = seqs.sequence(FILTRATION[variant])
     fc = ss.fc
@@ -203,20 +155,17 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
             ab_mism.append({"m": m, "got": got, "want": want})
 
     return ClassRun(
-        members=members,
         pages=pages,
-        width=width,
         stabilized_at=_stabilized_at(pages),
         einf_dims=einf,
-        h_dims=h_dims,
         e1_mismatches=e1_mism,
         abutment_mismatches=ab_mism,
     )
 
 
-def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
-    """The two-group long exact sequence at the representative degree of the
-    class whose 1a and 2a runs are given, its exactness verified by rank
+def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache, b0: Exps) -> dict:
+    """The two-group long exact sequence at the representative degree b0 of
+    the class whose 1a and 2a runs are given, its exactness verified by rank
     bookkeeping.
 
     The connecting rank is inferred from exactness at the product term; the
@@ -224,16 +173,15 @@ def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
     are then checked against the boundary maps of the two first pages.
     """
     problem = cache.problem
-    b = run_1a.members[0]
     top = sum(len(g) for g in problem.groups) + 2
     p1a = run_1a.pages[1]
     p2a = run_2a.pages[1]
-    h_sum = {i: cache.raw("concat", (0, 1), "full", i, b) for i in range(top)}
+    h_sum = {i: cache.raw("concat", (0, 1), "full", i, b0) for i in range(top)}
     h_mid = {
-        i: cache.raw("concat", (0,), "full", i, b) + cache.raw("concat", (1,), "full", i, b)
+        i: cache.raw("concat", (0,), "full", i, b0) + cache.raw("concat", (1,), "full", i, b0)
         for i in range(top)
     }
-    h_prod = {i: cache.raw("product", (0, 1), "full", i, b) for i in range(top)}
+    h_prod = {i: cache.raw("product", (0, 1), "full", i, b0) for i in range(top)}
     alpha = {i: p1a.map_rank(0, i) for i in range(top)}
     beta = {i: p2a.map_rank(1, i - 1) for i in range(top)}
     delta = {i: h_prod[i] - beta[i] for i in range(top)}
@@ -260,14 +208,6 @@ def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache) -> dict:
         "joints": joints,
         "pass": ok,
     }
-
-
-def degree_records(results: list[tuple[list[Exps], dict]]) -> dict:
-    """Assembly of ``mv_les`` or ``infinity_filtration_report`` results from
-    (members, class record): the records per degree and the failing ones."""
-    degrees = PerDegree.by_degree(results)
-    failures = PerDegree("degree", [(b, rec) for b, rec in degrees.items if not rec["pass"]])
-    return {"degrees": degrees, "failures": failures, "pass": not failures.items}
 
 
 def _middle_piece(fc: FilteredComplex, m: int) -> tuple[int, bool]:
@@ -298,10 +238,11 @@ def _middle_piece(fc: FilteredComplex, m: int) -> tuple[int, bool]:
     return z1.dim - b1.dim - rank_psi - rank_phi, not grows(b2, mul(f, d12, phi_z0))
 
 
-def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: OracleCache) -> dict:
+def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: OracleCache,
+                               b0: Exps) -> dict:
     """For one three-group 1a class run whose filtered complex is ``fc``,
     recompute the three graded pieces of each abutment degree at the
-    representative degree from the first- and second-page maps and match
+    representative degree b0 from the first- and second-page maps and match
     them against the engine's limit page and the oracle.
 
     With d1 maps written phi (out of the leftmost column in the top relevant
@@ -316,7 +257,6 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
     recomputed independently from the dimensions of spans over the level
     blocks of ``fc`` (``_middle_piece``), which also checks psi' phi' = 0.
     """
-    b0 = cls.members[0]
     p1, p2 = cls.pages[1], cls.pages[2]
     einf = cls.einf_dims
     m_vals = sorted({p + q for (p, q) in einf} | {p + q for (p, q) in p1.cells} | {2, 3})

@@ -407,8 +407,13 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
       iota kappa = 0 kills the second summand, and d d = 0 its image.
 
     Needs n >= 2: for n = 1 the two cells coincide and the statement is empty.
+    Raises ContractError on a lattice with a point below 0 on some axis: the
+    argument above needs nonnegative points (Čech lattices have them).
     """
     mc = seqs.mc
+    if any(x < 0 for x in mc.box[0]):
+        raise ContractError(f"the page-n edge check needs a lattice on nonnegative points, "
+                            f"got one with lowest corner {mc.box[0]}")
     n = mc.n
     if n < 2:
         return []
@@ -477,7 +482,8 @@ def region_convergence_report(seqs: LatticeSequences) -> list[str]:
     by dimension), then the Koszul split (``split_column_report``) and the
     page-n edge map (``edge_composite_check``).  The sequences, the split
     and the region complexes are read from ``seqs``, the lattice's
-    ``LatticeSequences``."""
+    ``LatticeSequences``.  Like the edge check, raises ContractError on a
+    lattice with a point below 0 on some axis."""
     mc = seqs.mc
     bad: list[str] = []
     n = mc.n

@@ -2,8 +2,10 @@
 test lattices and complexes (``tensor_product``, ``koszul_complex``), the
 degree classes of a problem as the CLI's class steps see them, the two
 converters between dense numpy matrices and the package's sparse
-``{row: value}`` column lists, and the one from numpy matrices to the
-package's dense ``Dense`` rows.
+``{row: value}`` column lists, the one from numpy matrices to the package's
+dense ``Dense`` rows, and small helpers only the tests use (the window's
+degrees, the zero ideal, a complex's degree range, the field check of the
+references).
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -16,14 +18,47 @@ import itertools
 import numpy as np
 import pytest
 
-from cechmv import (CochainComplex, ContractError, Dense, Multicomplex, MvssRun, PrimeField,
+from cechmv import (CochainComplex, ContractError, Dense, MonomialIdeal, Multicomplex, PrimeField,
                     VARIANTS, degree_classes)
 from cechmv.cli import DegreeClass
-from cechmv.linalg import Columns, Field, same_field
+from cechmv.grading import Exps
+from cechmv.linalg import Columns, Field
 from cechmv.multicomplex import Point, _wedge_signs, add_e
+from cechmv.mvss import FILTRATION
 from reference_dense import dtype, zeros
 
 F = PrimeField(65537)
+
+
+class FieldMismatchError(ContractError):
+    pass
+
+
+def same_field(a: Field, b: Field) -> None:
+    if a != b:
+        raise FieldMismatchError(f"mixed coefficient fields: {a.describe()} vs {b.describe()}")
+
+
+def window_degrees(window: tuple[Exps, Exps]):
+    """All degrees of the closed box, in lexicographic order."""
+    lo, hi = window
+    return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+
+
+def degrees(problem) -> list[Exps]:
+    """Every degree of the problem's window, in lexicographic order."""
+    return [tuple(b) for b in window_degrees(problem.window)]
+
+
+def zero_ideal(num_vars: int) -> MonomialIdeal:
+    return MonomialIdeal(num_vars, ())
+
+
+def degree_range(cx: CochainComplex) -> tuple[int, int]:
+    """The lowest and highest degree of ``cx``; (0, -1) when it is zero."""
+    if not cx.dims:
+        return (0, -1)
+    return (min(cx.dims), max(cx.dims))
 
 
 def columns(f, a) -> list[dict]:
@@ -60,7 +95,7 @@ def tensor_product(factors: list[CochainComplex]) -> Multicomplex:
     for cx in factors[1:]:
         same_field(f, cx.field)
     n = len(factors)
-    ranges = [cx.degree_range() for cx in factors]
+    ranges = [degree_range(cx) for cx in factors]
     dims: dict[Point, int] = {}
     for q in itertools.product(*[range(a, b + 1) for a, b in ranges]):
         d = 1
@@ -155,16 +190,32 @@ def keep_points(mc: Multicomplex, keep) -> Multicomplex:
 
 
 def class_of(problem, b) -> DegreeClass:
-    """The degree class holding b."""
-    return next(DegreeClass(problem, members) for _pat, members in degree_classes(problem)
+    """The degree class holding b, at its representative degree."""
+    return next(DegreeClass(problem, members[0]) for _pat, members in degree_classes(problem)
                 if b in members)
 
 
-def window_runs(problem, variants=VARIANTS) -> dict[str, MvssRun]:
-    """Every variant's class runs over the window, in class order; each class
-    builds its lattice once for all variants."""
-    klasses = [DegreeClass(problem, members) for _pat, members in degree_classes(problem)]
-    return {v: MvssRun(problem, v, [k.run(v, None) for k in klasses]) for v in variants}
+def window_classes(problem) -> list[tuple[list[Exps], DegreeClass]]:
+    """(members, class) for every degree class of the window, in class order,
+    with every variant's run made; each class builds its lattice once for all
+    variants, and ``klass.run(v, None)`` returns the run made here."""
+    out = [(members, DegreeClass(problem, members[0])) for _pat, members in degree_classes(problem)]
+    for _members, klass in out:
+        for v in VARIANTS:
+            klass.run(v, None)
+    return out
+
+
+def run_width(klass: DegreeClass, variant: str) -> int:
+    """The filtration width ``mvss.run_variant`` computes the variant's pages
+    to: at least 1, and 1 for an empty complex."""
+    fc = klass.sequences.filtered(FILTRATION[variant])
+    return max(fc.width, 1) if fc.total.dims else 1
+
+
+def abutment_dims(klass: DegreeClass, variant: str) -> dict[int, int]:
+    """{m: dim H^m} of the variant's total complex, nonzero dimensions only."""
+    return klass.sequences.sequence(FILTRATION[variant]).infinity()[1]
 
 
 @pytest.fixture

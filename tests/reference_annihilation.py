@@ -15,6 +15,7 @@ from cechmv.errors import InputError
 from cechmv.grading import Exps, format_monomial, monomial_mul, product_sequence
 from cechmv.linalg import Columns, identity, mul
 from cechmv.multicomplex import augment_interior, restrict, totalize
+from conftest import degrees
 from reference_cohomology import cohomology_map
 
 
@@ -59,7 +60,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     if bound < 1:
         raise InputError("annihilation bound must be at least 1")
     gens = product_sequence(problem.groups)
-    if not any(problem.in_window(monomial_mul(b, g)) for b in problem.degrees() for g in set(gens)):
+    if not any(problem.in_window(monomial_mul(b, g)) for b in degrees(problem) for g in set(gens)):
         raise InputError("window too small to test annihilation for any exponent")
 
     # a fiber, and the map between two fibers, depend on their degrees only
@@ -87,7 +88,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     total_pairs = 0
     annihilated_pairs = 0
     inconclusive: list[dict] = []
-    for b in problem.degrees():
+    for b in degrees(problem):
         hdims = fiber(b).plus.cohomology_dims()
         for m, k in sorted(hdims.items()):
             if not k:

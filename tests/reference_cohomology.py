@@ -9,9 +9,10 @@ the dimensions of spans.
 """
 
 from cechmv.errors import ContractError
-from cechmv.linalg import Columns, Subspace, mul, pivot_pairs, same_field, submatrix
+from cechmv.linalg import Columns, Subspace, mul, pivot_pairs, submatrix
 from cechmv.multicomplex import CochainComplex, block_slices, composite_along
 from cechmv.spectral import FilteredComplex, LatticeSequences, _cell_spaces, filtration_from_blocks
+from conftest import same_field
 
 
 def coordinates(space: Subspace, v: dict) -> list | None:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cechmv import ContractError, FilteredComplex, InternalCheckError, SpectralSequence
-from cechmv.linalg import Field, same_field
-from conftest import dense
+from cechmv.linalg import Field
+from conftest import dense, same_field
 from reference_dense import dtype, rank, rref, zeros
 
 

@@ -47,8 +47,8 @@ from cechmv.multicomplex import add_e, block_slices
 from cechmv.mvss import (FILTRATION, VARIANTS, _expected_abutment, _expected_e1, _middle_piece,
                          infinity_filtration_report)
 from cechmv.spectral import LatticeSequences, _split_columns
-from conftest import (F, class_of, dense, keep_points, rand_complex, rand_tensor_mc,
-                      tensor_product, window_runs)
+from conftest import (F, abutment_dims, class_of, degrees, dense, keep_points, rand_complex,
+                      rand_tensor_mc, run_width, tensor_product, window_classes)
 from reference_cohomology import reference_middle_pieces
 from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
@@ -93,7 +93,7 @@ def sweep_results(sweep):
                         "verify": plain(report["results"]["verify34"])})
     elapsed = time.perf_counter() - t0
     for res in results:
-        res["runs"] = window_runs(res["problem"])
+        res["classes"] = window_classes(res["problem"])
     return results, elapsed
 
 
@@ -107,8 +107,8 @@ def test_product_sequence_matches_augmented_interior(sweep_results):
            if mm["check"] == "h"]
     assert bad == []
     assert all(res["verify"]["pass"] for res in results)
-    degrees = sum(res["verify"]["degrees_checked"] for res in results)
-    assert degrees == sum(len(list(res["problem"].degrees())) for res in results)
+    checked = sum(res["verify"]["degrees_checked"] for res in results)
+    assert checked == sum(len(degrees(res["problem"])) for res in results)
     assert elapsed < 300.0, f"sweep verification took {elapsed:.1f}s"
 
 
@@ -127,11 +127,12 @@ def test_limit_page_totals_match_abutment(sweep_results):
     results, _ = sweep_results
     for res in results:
         cache = res["cache"]
-        for variant, run in res["runs"].items():
-            for cls in run.classes:
-                assert cls.abutment_mismatches == [], (variant, cls.members[0])
-                b0 = cls.members[0]
-                totals = set(cls.h_dims) | {p + q for p, q in cls.einf_dims}
+        for variant in VARIANTS:
+            for members, klass in res["classes"]:
+                cls = klass.run(variant, None)
+                assert cls.abutment_mismatches == [], (variant, members[0])
+                b0 = members[0]
+                totals = set(abutment_dims(klass, variant)) | {p + q for p, q in cls.einf_dims}
                 for m in totals:
                     got = sum(d for (p, q), d in cls.einf_dims.items() if p + q == m)
                     want = _expected_abutment(cache, variant, m, b0)
@@ -144,13 +145,14 @@ def test_first_pages_match_cohomology_tables(sweep_results):
     results, _ = sweep_results
     for res in results:
         cache = res["cache"]
-        for variant, run in res["runs"].items():
-            for cls in run.classes:
-                assert cls.e1_mismatches == [], (variant, cls.members[0])
+        for variant in VARIANTS:
+            for members, klass in res["classes"]:
+                cls = klass.run(variant, None)
+                assert cls.e1_mismatches == [], (variant, members[0])
                 e1 = cls.pages[1]
                 for (p, q), d in e1.cells.items():
-                    want = _expected_e1(cache, variant, p, q, cls.members[0])
-                    assert d == want, (variant, cls.members[0], p, q, d, want)
+                    want = _expected_e1(cache, variant, p, q, members[0])
+                    assert d == want, (variant, members[0], p, q, d, want)
 
 
 def test_punctured_face_part_is_derived_from_the_one_split(sweep):
@@ -285,12 +287,13 @@ def test_page_structure_and_stabilization(sweep_results):
     results, _ = sweep_results
     n3_runs = 0
     for res in results:
-        for variant, run in res["runs"].items():
-            for cls in run.classes:
-                assert cls.stabilized_at is not None, (variant, cls.members[0])
-                assert cls.stabilized_at <= cls.width, (variant, cls.members[0])
+        for variant in VARIANTS:
+            for members, klass in res["classes"]:
+                cls = klass.run(variant, None)
+                assert cls.stabilized_at is not None, (variant, members[0])
+                assert cls.stabilized_at <= run_width(klass, variant), (variant, members[0])
                 if variant == "1a" and res["problem"].n == 3:
-                    assert cls.stabilized_at <= 3, cls.members[0]
+                    assert cls.stabilized_at <= 3, members[0]
                     n3_runs += 1
     assert n3_runs > 0
     probed = 0
@@ -298,8 +301,8 @@ def test_page_structure_and_stabilization(sweep_results):
                   if r["problem"].n == 3 and r["problem"].num_vars == 2)
     for variant in VARIANTS:
         fc = None
-        for cls in target["runs"][variant].classes:
-            mc = cech_multicomplex(target["problem"], cls.members[0])
+        for members, _klass in target["classes"]:
+            mc = cech_multicomplex(target["problem"], members[0])
             fc = LatticeSequences(mc).filtered(FILTRATION[variant])
             if fc.total.dims:
                 break
@@ -330,15 +333,14 @@ def test_engines_agree_on_the_sweep(sweep_results):
     results, _ = sweep_results
     compared = 0
     for res in results:
-        runs = res["runs"]
-        for i, cls0 in enumerate(runs["1a"].classes):
-            seqs = LatticeSequences(cech_multicomplex(res["problem"], cls0.members[0]))
-            for variant, run in runs.items():
-                cls = run.classes[i]
+        for members, klass in res["classes"]:
+            seqs = LatticeSequences(cech_multicomplex(res["problem"], members[0]))
+            for variant in VARIANTS:
+                cls = klass.run(variant, None)
                 fc = seqs.filtered(FILTRATION[variant])
                 if not fc.total.dims:
                     continue
-                assert len(cls.pages) == fc.width + 2, (variant, cls.members[0])
+                assert len(cls.pages) == fc.width + 2, (variant, members[0])
                 assert_agrees_with_reference(fc, cls.pages, cls.einf_dims)
                 compared += 1
     assert compared == 620
@@ -386,9 +388,9 @@ def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
     (``reference_middle_pieces``) catches or cannot map fails a row too."""
     scaled = caught = 0
     for prob, members, fc in three_group_filtrations(sweep, F):
-        klass = DegreeClass(prob, members)
+        klass = DegreeClass(prob, members[0])
         run = klass.run("1a", None)
-        assert infinity_filtration_report(run, fc, klass.cache)["pass"], members[0]
+        assert infinity_filtration_report(run, fc, klass.cache, members[0])["pass"], members[0]
         e1 = run.pages[1]
         for m, cols in fc.total.d.items():
             for j, col in enumerate(cols):
@@ -397,7 +399,7 @@ def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
                         continue
                     d = {**fc.total.d, m: cols[:j] + [{**col, i: F.normalize(2 * x)}] + cols[j + 1:]}
                     bent = FilteredComplex(dataclasses.replace(fc.total, d=d), fc.levels)
-                    rows = infinity_filtration_report(run, bent, klass.cache)["rows"]
+                    rows = infinity_filtration_report(run, bent, klass.cache, members[0])["rows"]
                     bad = [r["total_degree"] for r in rows if not r["ok"]]
                     assert all(e1.dim(1, t - 1) for t in bad), (members[0], m, i, j, bad)
                     gated = [r for r in rows if e1.dim(1, r["total_degree"] - 1)]

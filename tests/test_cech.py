@@ -28,17 +28,16 @@ from cechmv import (
     restrict,
     totalize,
     validate,
-    window_degrees,
 )
 from cechmv import cech
 from cechmv.jsonout import plain
-from conftest import dense
+from conftest import degrees, dense, window_degrees, zero_ideal
 from reference_annihilation import annihilation_report
 
 F = PrimeField(65537)
 X = (1, 0)
 Y = (0, 1)
-NOJ2 = MonomialIdeal.zero(2)
+NOJ2 = zero_ideal(2)
 
 
 def oracle_table(seq, quotient, window, mode="full"):
@@ -71,7 +70,7 @@ def test_problem_validation():
     with pytest.raises(InputError, match="lo > hi"):
         CechProblem(F, 2, ((X,),), NOJ2, ((1, 1), (-1, -1)))
     with pytest.raises(InputError, match="wrong variable count"):
-        CechProblem(F, 2, ((X,),), MonomialIdeal.zero(3), ((-1, -1), (1, 1)))
+        CechProblem(F, 2, ((X,),), zero_ideal(3), ((-1, -1), (1, 1)))
 
 
 def test_default_window_tracks_largest_exponent():
@@ -82,7 +81,7 @@ def test_default_window_tracks_largest_exponent():
 
 def test_degrees_and_classes():
     prob = problem(["x1", "x2"], window=((-3, -3), (3, 3)))
-    assert len(prob.degrees()) == 49
+    assert len(degrees(prob)) == 49
     classes = degree_classes(prob)
     assert [len(m) for _, m in classes] == [9, 12, 12, 16]
     # all-negative degrees share one pattern
@@ -95,7 +94,7 @@ def walk_classes(prob):
     """Reference for ``degree_classes``: every window degree grouped by its
     own piece pattern, classes in order of first member."""
     classes = {}
-    for b in prob.degrees():
+    for b in degrees(prob):
         classes.setdefault(piece_pattern(prob, b), []).append(b)
     return list(classes.items())
 
@@ -203,7 +202,7 @@ def test_chamber_runs_match_the_per_degree_classes(prob):
 
     want = per_degree_classes(prob)
     cuts = [sorted({0, *(g[j] for g in prob.quotient.gens)}) for j in range(prob.num_vars)]
-    chambers = {tuple(map(bisect.bisect_right, cuts, b)) for b in prob.degrees()}
+    chambers = {tuple(map(bisect.bisect_right, cuts, b)) for b in degrees(prob)}
     original, cech.piece_pattern = cech.piece_pattern, counted
     try:
         got = degree_classes(prob)
@@ -233,7 +232,7 @@ def test_classification_evaluates_one_pattern_per_chamber(monkeypatch):
 
 
 def test_cech_complex_hand_values():
-    J1 = MonomialIdeal.zero(1)
+    J1 = zero_ideal(1)
     cx = cech_slice(((1,),), J1, (-1,))
     assert cx.dims == {1: 1}
     assert cx.cohomology_dims() == {1: 1}
@@ -250,7 +249,7 @@ def test_cech_complex_hand_values():
 
 
 def test_cech_complex_truncated():
-    J1 = MonomialIdeal.zero(1)
+    J1 = zero_ideal(1)
     t = cech_slice(((1,),), J1, (2,), truncated=True)
     assert t.dims == {1: 1}
     assert t.cohomology_dims() == {1: 1}
@@ -289,7 +288,7 @@ def test_oracle_matches_engine_route(rng):
 
 
 def test_oracle_table_single_ideal():
-    J1 = MonomialIdeal.zero(1)
+    J1 = zero_ideal(1)
     table = oracle_table(((1,),), J1, ((-2,), (2,)))
     assert table.convention == "h"
     for b in range(-2, 3):
@@ -415,7 +414,7 @@ def test_csv_writer_peak_memory_stays_below_the_reference_on_a_wide_window():
 
 
 def test_oracle_truncated_convention():
-    table = oracle_table(((1,),), MonomialIdeal.zero(1), ((-2,), (2,)), mode="truncated")
+    table = oracle_table(((1,),), zero_ideal(1), ((-2,), (2,)), mode="truncated")
     assert table.convention == "hcheck"
     # index 0 is raw slot 1: the whole localization
     for b in range(-2, 3):
@@ -482,7 +481,7 @@ def test_verify_product_vs_interior_passes():
     ):
         rep = verify34(prob)
         assert rep["pass"], rep["mismatches"][:4]
-        assert rep["degrees_checked"] == len(prob.degrees())
+        assert rep["degrees_checked"] == len(degrees(prob))
 
 
 def test_verify_three_groups_three_vars():

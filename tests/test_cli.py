@@ -1,5 +1,6 @@
 """Command line front end: job parsing, outputs, exit codes, determinism."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -19,7 +20,7 @@ from cechmv import (CechProblem, InternalCheckError, LatticeSequences, MonomialI
                     SpectralSequence, cech, cli, multicomplex, mvss, spectral)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
-from cechmv.mvss import ClassRun, MvssRun
+from cechmv.mvss import ClassRun
 from cechmv.spectral import Page
 
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
@@ -785,7 +786,8 @@ def test_compute_rejects_unreadable_or_invalid_files(tmp_path, capsys):
 
 def test_selftest_passes_and_is_deterministic(capsys, monkeypatch):
     """Two runs with one seed pass the same five problems to ``compute``,
-    and another seed passes other ones."""
+    and another seed passes other ones; each problem runs every task it
+    admits, ``les`` only with two groups."""
     drawn: list = []
     compute = cli.compute
 
@@ -803,6 +805,9 @@ def test_selftest_passes_and_is_deterministic(capsys, monkeypatch):
     assert len(runs[0]) == 5
     assert runs[0] == runs[1]
     assert runs[0] != runs[2]
+    for problem, tasks in runs[0] + runs[2]:
+        assert tasks == [t for t in cli.TASK_ORDER if t != "les" or problem.n == 2]
+    assert {problem.n for problem, _tasks in runs[0] + runs[2]} == {1, 2}
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -888,6 +893,35 @@ mismatch_lists = st.lists(st.fixed_dictionaries(
      "want": st.integers(0, 3)}), max_size=2)
 
 
+def reference_variant_listing(variant: str, results) -> dict:
+    """What ``MvssRun`` listed for a variant over (members, (class run,
+    infinity record)) before ``assemble_unit`` took it over: the failures,
+    summary and ``degrees`` of ``pages_V.json``, one record per class spread
+    over its members."""
+    failures = [
+        {"variant": variant, "degree": list(b), "kind": kind, **mm}
+        for members, (cls, _inf) in results
+        for b in members
+        for kind, mms in (("e1", cls.e1_mismatches), ("abutment", cls.abutment_mismatches))
+        for mm in mms
+    ]
+    degrees = PerDegree.by_degree([
+        (members, {
+            "variant": variant,
+            "pages": [pg.to_json() for pg in cls.pages],
+            "stabilized_at": cls.stabilized_at,
+            "e1_check": {"pass": not cls.e1_mismatches, "mismatches": cls.e1_mismatches},
+            "abutment_check": {"pass": not cls.abutment_mismatches,
+                               "mismatches": cls.abutment_mismatches},
+        })
+        for members, (cls, _inf) in results
+    ])
+    n_deg = sum(len(members) for members, _ in results)
+    status = "pass" if not failures else f"FAIL ({len(failures)} mismatches)"
+    return {"failures": failures, "degrees": plain(degrees),
+            "summary": f"variant {variant}: {n_deg} degrees in {len(results)} classes, {status}"}
+
+
 @st.composite
 def variant_results(draw):
     """A problem, a variant, a page cap and synthetic class results (members,
@@ -901,8 +935,8 @@ def variant_results(draw):
     for label in sorted(set(labels)):
         members = [b for b, lab in zip(degrees, labels) if lab == label]
         pages = [Page(r, draw(cell_maps), draw(cell_maps)) for r in range(draw(st.integers(0, 4)))]
-        run = ClassRun(members, pages, max(len(pages) - 1, 1), draw(st.none() | st.integers(1, 4)),
-                       {}, {}, draw(mismatch_lists), draw(mismatch_lists))
+        run = ClassRun(pages, draw(st.none() | st.integers(1, 4)), {}, draw(mismatch_lists),
+                       draw(mismatch_lists))
         inf = None
         if variant == "1a" and n == 3:
             inf = {"rows": draw(st.lists(st.fixed_dictionaries(
@@ -920,9 +954,14 @@ def variant_results(draw):
 def test_pages_file_and_payload_match_whole_object_dumps(case):
     problem, variant, pages, results = case
     payload, files = cli.assemble_unit(problem, f"mvss:{variant}", pages, results)
-    kept = [dataclasses.replace(run, pages=[pg for pg in run.pages if pages is None or pg.r <= pages])
-            for _members, (run, _inf) in results]
-    degrees = plain(MvssRun(problem, variant, kept).degrees())
+    kept = [(members, (dataclasses.replace(run, pages=[pg for pg in run.pages
+                                                       if pages is None or pg.r <= pages]), inf))
+            for members, (run, inf) in results]
+    ref = reference_variant_listing(variant, kept)
+    degrees = ref["degrees"]
+    assert (payload["failures"], payload["summary"]) == (ref["failures"], ref["summary"])
+    assert payload["pass"] == (not ref["failures"] and payload.get(
+        "infinity_filtration", {"pass": True})["pass"])
     assert [e["degree"] for e in degrees] == sorted(list(b) for members, _ in results for b in members)
     assert all(pg["r"] <= pages for e in degrees for pg in e["pages"] if pages is not None)
     assert files[f"pages_{variant}.json"] == reference_dumps({"variant": variant, "degrees": degrees})
@@ -931,6 +970,31 @@ def test_pages_file_and_payload_match_whole_object_dumps(case):
         inf = plain(payload["infinity_filtration"])
         assert [e["degree"] for e in inf["degrees"]] == [e["degree"] for e in degrees]
         assert inf["failures"] == [e for e in inf["degrees"] if not e["pass"]]
+
+
+def test_a_class_run_shared_by_an_orbit_is_listed_under_each_classes_members():
+    """The classes of one orbit share one class run object: ``assemble_unit``
+    writes each class's own members into ``pages_V.json`` and the failures,
+    trims the pages in what it writes only, and leaves the object as it was."""
+    problem = CechProblem.from_text(PrimeField(65537), 2, [["x1"], ["x2"]],
+                                    window=((-1, -1), (1, 1)))
+    shared = ClassRun([Page(r, {(0, 1): 1}, {}) for r in range(4)], 1, {(0, 1): 1},
+                      [{"p": 0, "q": 1, "got": 1, "want": 0}], [])
+    other = ClassRun([Page(r, {}, {}) for r in range(4)], 1, {}, [], [])
+    before = copy.deepcopy(shared)
+    members = [[(-1, -1), (1, 1)], [(0, 0)], [(-1, 1), (0, 1), (1, -1)]]
+    results = [(members[0], (shared, None)), (members[1], (other, None)),
+               (members[2], (shared, None))]
+    payload, files = cli.assemble_unit(problem, "mvss:1b", 2, results)
+    assert shared == before
+    assert [f["degree"] for f in payload["failures"]] == [[-1, -1], [1, 1], [-1, 1], [0, 1],
+                                                          [1, -1]]
+    assert payload["summary"] == "variant 1b: 6 degrees in 3 classes, FAIL (5 mismatches)"
+    listed = json.loads(files["pages_1b.json"])["degrees"]
+    assert [e["degree"] for e in listed] == sorted(list(b) for m in members for b in m)
+    for e in listed:
+        assert [pg["r"] for pg in e["pages"]] == [0, 1, 2]
+        assert e["e1_check"]["pass"] == (tuple(e["degree"]) in members[1])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

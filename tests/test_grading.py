@@ -16,9 +16,9 @@ from cechmv import (
     parse_monomial,
     product_sequence,
     support_mask,
-    window_degrees,
 )
 from cechmv import cli
+from conftest import window_degrees, zero_ideal
 
 
 def test_parse_monomial_basics():
@@ -93,7 +93,7 @@ def test_support_mask_and_divisibility():
 def test_ideal_minimalizes_generators():
     J = MonomialIdeal(2, ((2, 0), (3, 0), (0, 1), (2, 1)))
     assert J.gens == ((0, 1), (2, 0))
-    assert MonomialIdeal.zero(3).gens == ()
+    assert zero_ideal(3).gens == ()
 
 
 def test_ideal_rejects_bad_generators():
@@ -104,7 +104,7 @@ def test_ideal_rejects_bad_generators():
 
 
 def test_piece_dim_plain_ring():
-    J = MonomialIdeal.zero(2)
+    J = zero_ideal(2)
     assert localized_piece_dim(0, J, (0, 0)) == 1
     assert localized_piece_dim(0, J, (2, 1)) == 1
     assert localized_piece_dim(0, J, (-1, 0)) == 0

@@ -15,7 +15,6 @@ from cechmv import (
     CochainComplex,
     ContractError,
     Dense,
-    FieldMismatchError,
     InputError,
     PrimeField,
     RationalField,
@@ -26,7 +25,7 @@ from cechmv import (
 )
 from cechmv import linalg
 from cechmv.linalg import pivot_pairs, submatrix
-from conftest import as_dense, columns, dense, rand_complex
+from conftest import FieldMismatchError, as_dense, columns, dense, rand_complex
 from reference_cohomology import cohomology_map, cohomology_reps, coordinates, quotient_reps
 # the dense reference: numpy arrays and their rref, and its own product,
 # kernels, solutions and subspaces from that rref

@@ -21,7 +21,7 @@ from cechmv.cli import DegreeClass, run_unit
 from cechmv.jsonout import plain
 from cechmv.mvss import FILTRATION
 from cechmv.spectral import LatticeSequences
-from conftest import class_of, window_runs
+from conftest import abutment_dims, class_of, degrees, run_width, window_classes
 
 F = PrimeField(65537)
 
@@ -41,7 +41,7 @@ def mvss_results(prob, variants=VARIANTS) -> dict[str, dict]:
 def test_unknown_variant_rejected():
     prob = problem(["x1", "x2"])
     with pytest.raises(InputError, match="unknown variant"):
-        DegreeClass(prob, prob.degrees()[:1]).run("3c", None)
+        DegreeClass(prob, degrees(prob)[0]).run("3c", None)
 
 
 def random_problem(rng):
@@ -80,11 +80,11 @@ def test_production_filtrations_are_subcomplexes(rng):
 
 def test_two_coordinate_ideals_all_variants():
     prob = problem(["x1", "x2"])
-    runs = window_runs(prob)
-    assert set(runs) == set(VARIANTS)
-    for v, run in runs.items():
-        assert run.ok, (v, run.failures[:3])
-        assert all(c.stabilized_at is not None and c.stabilized_at <= c.width for c in run.classes)
+    for members, klass in window_classes(prob):
+        assert set(klass.runs) == {(v, None) for v in VARIANTS}
+        for (v, _pages), c in klass.runs.items():
+            assert not c.e1_mismatches and not c.abutment_mismatches, (v, members[0])
+            assert c.stabilized_at is not None and c.stabilized_at <= run_width(klass, v)
 
 
 def test_first_page_cells_frozen_case():
@@ -93,10 +93,10 @@ def test_first_page_cells_frozen_case():
     assert cls.pages[1].cells == {(0, 2): 1}
     assert cls.stabilized_at == 1
     assert cls.einf_dims == {(0, 2): 1}
-    assert cls.h_dims == {2: 1}
+    assert abutment_dims(klass, "1a") == {2: 1}
     cls2 = klass.run("2a", None)
     assert cls2.pages[1].cells == {(2, 0): 1}
-    assert cls2.h_dims == {2: 1}
+    assert abutment_dims(klass, "2a") == {2: 1}
 
 
 def test_degree_report_shape():
@@ -129,9 +129,9 @@ def test_trivial_module_cube_cells():
     prob = problem(["x1", "x2"], quotient=("x1", "x2"), window=1)
     for v, res in mvss_results(prob).items():
         assert res["pass"], (v, res["failures"][:3])
-    cls = class_of(prob, (0, 0)).run("2a", None)
-    assert cls.pages[1].cells == {(1, -1): 2, (2, -1): 1}
-    assert cls.h_dims == {0: 1}
+    klass = class_of(prob, (0, 0))
+    assert klass.run("2a", None).pages[1].cells == {(1, -1): 2, (2, -1): 1}
+    assert abutment_dims(klass, "2a") == {0: 1}
 
 
 def test_rational_field_variant():
@@ -141,10 +141,9 @@ def test_rational_field_variant():
 
 def test_three_groups_three_vars_all_variants():
     prob = problem([["x1"], ["x2"], ["x3"]], num_vars=3, window=1)
-    runs = window_runs(prob)
-    for v, run in runs.items():
-        assert run.ok, (v, run.failures[:3])
-        for c in run.classes:
+    for members, klass in window_classes(prob):
+        for (v, _pages), c in klass.runs.items():
+            assert not c.e1_mismatches and not c.abutment_mismatches, (v, members[0])
             assert c.stabilized_at is not None and c.stabilized_at <= 3
 
 

@@ -317,6 +317,20 @@ def test_a_flipped_axis_sign_fails_validate_or_the_edge_check(n):
         assert validate(bad) or edge_composite_check(LatticeSequences(bad)), key
 
 
+def test_edge_check_refuses_a_lattice_with_a_negative_point():
+    """The exactness argument of the edge check needs nonnegative points: a
+    tensor lattice whose factors start at degree -1 raises from the edge
+    check and from the region audit that runs it, instead of a false
+    violation."""
+    seg = CochainComplex(F, {-1: 1, 0: 1}, {-1: columns(F, [[1]])})
+    for mc in (tensor_product([seg, seg]), tensor_product([seg, seg, seg])):
+        assert mc.box[0] == (-1,) * mc.n
+        with pytest.raises(ContractError, match="nonnegative points"):
+            edge_composite_check(LatticeSequences(mc))
+        with pytest.raises(ContractError, match="nonnegative points"):
+            region_convergence_report(LatticeSequences(mc))
+
+
 def test_region_convergence_report_clean():
     """Region accounting is clean on 12 random lattices with up to 3 axes
     over each of F_2, F_3, F_65537 and Q."""
