@@ -19,8 +19,11 @@ Two independent routes are kept deliberately separate:
   route always works on the whole sequence.
 
 The piece pattern of a degree (which localizations are alive) determines
-every matrix in both routes, so degrees with equal patterns are
-computationally identical; ``degree_classes`` groups a window by pattern.
+every matrix in both routes, and both read a degree only through it:
+``cech_multicomplex`` indexes ``piece_pattern``, and the oracle
+(``_oracle_vectors``, ``raw``) and verify34's dim M_b index
+``OracleCache.pattern``.  So degrees with equal patterns are computationally
+identical; ``degree_classes`` groups a window by pattern.
 A piece is alive when b_j >= 0 and b_j >= g_j hold for the right variables j
 and quotient generators g, so the pattern sees each b_j only through its
 interval among the thresholds {0} and {g_j}.  The window therefore splits
@@ -46,6 +49,7 @@ per orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -210,13 +214,15 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
 
     Every class step of an orbit gives the same result, so ``cli.compute``
     runs it once, at the orbit's first class.  A class step reads its degree
-    only through its pattern (the lattice's live entries, the oracle's
-    ``_vecs`` key and ``raw``'s mask-0 read), so the proof is in patterns
-    alone.  Let classes with patterns P and P' = sigma P be present.
-    sigma maps each group onto itself, so it permutes the generators of
-    group i by some pi_i with supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a
-    generator subset S_i is alive under P exactly when pi_i(S_i) is alive
-    under P', the support mask of the product being relabelled by sigma.
+    only through its pattern (``piece_pattern``, the one caller of
+    ``localized_piece_dim``: the lattice's live entries, the oracle's rank
+    vectors and its mask-0 reads, in ``raw`` and verify34's dim M_b), so the
+    proof is in patterns alone.  Let classes with patterns P and
+    P' = sigma P be present.  sigma maps each group onto itself, so it
+    permutes the generators of group i by some pi_i with
+    supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a generator subset S_i is
+    alive under P exactly when pi_i(S_i) is alive under P', the support
+    mask of the product being relabelled by sigma.
     So the two lattices have the same points and entry dimensions, and
     S -> pi(S) with the sign of each reordering is an isomorphism of
     multicomplexes that maps no entry off its lattice point.  It commutes
@@ -276,18 +282,11 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     if not problem.in_window(b):
         raise InputError(f"degree {b} outside the window {problem.window}")
     f = problem.field
-    J = problem.quotient
     groups = problem.groups
     n = problem.n
     sizes = [len(g) for g in groups]
     gmasks = [[support_mask(g) for g in grp] for grp in groups]
-    piece_cache: dict[int, int] = {}
-
-    def alive(mask: int) -> int:
-        if mask not in piece_cache:
-            piece_cache[mask] = localized_piece_dim(mask, J, b)
-        return piece_cache[mask]
-
+    alive = piece_pattern(problem, b)
     subset_lists = [
         {t: list(itertools.combinations(range(sz), t)) for t in range(sz + 1)} for sz in sizes
     ]
@@ -301,7 +300,7 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
             for i, s in enumerate(combo):
                 for k in s:
                     mask |= gmasks[i][k]
-            if alive(mask):
+            if alive[mask]:
                 kept.append(combo)
         if not kept:
             continue
@@ -421,26 +420,16 @@ class CohomologyTable:
 # the oracle: inline matrices, rank calls only
 
 
-def _oracle_vectors(field: Field, seq: tuple[Exps, ...], quotient: MonomialIdeal,
-                    b: Exps) -> tuple[list[int], list[int]]:
+def _oracle_vectors(field: Field, seq: tuple[Exps, ...],
+                    pattern: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Slot dimensions (0..L) and differential ranks (0..L-1) of the full
-    degree-b Čech complex on ``seq``, built directly from subsets."""
+    Čech complex on ``seq`` at a degree with piece pattern ``pattern``,
+    built directly from subsets."""
     length = len(seq)
-    piece: dict[tuple[int, ...], int] = {}
-    mask_cache: dict[int, int] = {}
-
-    def alive(s: tuple[int, ...]) -> int:
-        if s not in piece:
-            mk = 0
-            for i in s:
-                mk |= support_mask(seq[i])
-            if mk not in mask_cache:
-                mask_cache[mk] = localized_piece_dim(mk, quotient, b)
-            piece[s] = mask_cache[mk]
-        return piece[s]
-
+    masks = [support_mask(g) for g in seq]
     kept = [
-        [s for s in itertools.combinations(range(length), t) if alive(s)]
+        [s for s in itertools.combinations(range(length), t)
+         if pattern[functools.reduce(operator.or_, (masks[i] for i in s), 0)]]
         for t in range(length + 1)
     ]
     dims = [len(k) for k in kept]
@@ -522,11 +511,9 @@ class OracleCache:
 
     def vectors(self, seq: tuple[Exps, ...], b: Exps) -> tuple[list[int], list[int]]:
         """Slot dimensions and differential ranks of the reduced sequence."""
-        red = self.reduced(seq)
-        key = (red, self.pattern(b))
+        key = (self.reduced(seq), self.pattern(b))
         if key not in self._vecs:
-            self._vecs[key] = _oracle_vectors(self.problem.field, red,
-                                              self.problem.quotient, b)
+            self._vecs[key] = _oracle_vectors(self.problem.field, *key)
         return self._vecs[key]
 
     def raw(self, kind: str, subset: tuple[int, ...], mode: str, t: int, b: Exps) -> int:
@@ -535,7 +522,7 @@ class OracleCache:
         seq = self.seq(kind, subset)
         if not seq:
             if mode == "full":
-                return localized_piece_dim(0, self.problem.quotient, b) if t == 0 else 0
+                return self.pattern(b)[0] if t == 0 else 0
             return 0
         if t < 0 or t > len(seq) or (mode == "truncated" and t == 0):
             return 0
@@ -589,7 +576,7 @@ def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cac
     plus_h = seqs.region_h("augmented", all_groups)
     prod_len = len(cache.seq("product", all_groups))
     sub_h = {s: seqs.region_h("interior", s) for s in subsets}
-    m_dim = localized_piece_dim(0, problem.quotient, b0)
+    m_dim = cache.pattern(b0)[0]
     dker_lattice = sub_h[all_groups].get(n, 0)
     issues: list[dict] = []
     top_i = max(prod_len + 1, max(plus_h, default=0) - n + 2)

@@ -15,7 +15,9 @@ Two commands:
   which calls ``cech.verify_product_vs_interior``, ``mvss.run_variant``,
   ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) at its
   representative degree b0 for the whole orbit, and ``--jobs`` spreads the
-  orbits over worker processes.  A class step's result names no degree;
+  orbits over worker processes.  A class step reads two things: its
+  class's ``LatticeSequences`` (``DegreeClass.sequences``) and its degree
+  through the class's piece pattern.  Its result names no degree;
   ``assemble_unit``, the one place where class results meet member lists,
   lists them under the member degrees, in class order, and ``jsonout.dumps``
   writes each class's record once.
@@ -43,7 +45,7 @@ from .grading import Exps, MonomialIdeal, product_sequence
 from .jsonout import PerDegree, dumps, plain
 from .linalg import DEFAULT_PRIME, PrimeField, RationalField
 from .multicomplex import validate
-from .mvss import FILTRATION, ClassRun, infinity_filtration_report, mv_les, run_variant
+from .mvss import FILTRATION, infinity_filtration_report, mv_les, run_variant
 from .spectral import LatticeSequences, region_convergence_report
 
 TASK_ORDER = ("cohomology", "verify34", "props2", "mvss:1a", "mvss:1b", "mvss:2a", "mvss:2b", "les")
@@ -129,10 +131,12 @@ def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
 
 
 def check_pages(problem: CechProblem, pages: int | None, name: str) -> None:
-    """Refuses a ``pages`` past n + 2 for n groups: every filtration is at
-    most n + 1 wide, so no page after n + 1 changes, and a default run
-    writes pages up to n + 2 at most."""
+    """Refuses a ``pages`` below 0 or past n + 2 for n groups: every
+    filtration is at most n + 1 wide, so no page after n + 1 changes, and a
+    default run writes pages up to n + 2 at most."""
     top = problem.n + 2
+    if pages is not None and (type(pages) is not int or pages < 0):  # bool is not an int here
+        raise InputError(f"{name} must be a nonnegative integer, got {pages!r}")
     if pages is not None and pages > top:
         raise InputError(f"{name} must be at most {top}, n + 2 for n = {problem.n} generator "
                          f"groups (no page after {top - 1} changes), got {pages}")
@@ -140,63 +144,51 @@ def check_pages(problem: CechProblem, pages: int | None, name: str) -> None:
 
 class DegreeClass:
     """One degree class as its class steps see it: its representative degree
-    b0, oracle cache, the ``LatticeSequences`` of the lattice at b0 (built on
-    first use, so verify34, props2 and the variants share its one Koszul
-    split, filtered complexes, spectral sequences and region complexes), and
-    the variants' runs so far."""
+    b0, oracle cache, and the ``LatticeSequences`` of the lattice at b0
+    (built on first use, so every task of the class reads its one Koszul
+    split, filtered complexes, spectral sequences and region complexes)."""
 
     def __init__(self, problem: CechProblem, b0: Exps):
         self.problem = problem
         self.b0 = b0
         self.cache = OracleCache(problem)
-        self.runs: dict[tuple[str, int | None], ClassRun] = {}
 
     @functools.cached_property
     def sequences(self) -> LatticeSequences:
         return LatticeSequences(cech_multicomplex(self.problem, self.b0))
 
-    def run(self, variant: str, pages: int | None) -> ClassRun:
-        """The class run of ``variant`` with pages up to ``pages``, made once
-        per (variant, pages)."""
-        if (variant, pages) not in self.runs:
-            self.runs[variant, pages] = run_variant(self.problem, variant, self.sequences,
-                                                    self.cache, self.b0, pages_r=pages)
-        return self.runs[variant, pages]
-
 
 def run_unit(klass: DegreeClass, unit: str, pages: int | None):
     """Class step of one task for one degree class: a small picklable result,
     naming no degree, that ``assemble_unit`` combines over all classes.
-    ``les`` reuses the class's 1a and 2a runs."""
+    ``les`` reads the first pages of the class's 1a and 2a sequences."""
     problem, cache, b0 = klass.problem, klass.cache, klass.b0
-    if unit == "cohomology":
+    if unit == "cohomology":  # the one step that builds no lattice
         return cache.column("product", tuple(range(problem.n)), "full", b0)
+    seqs = klass.sequences
     if unit == "verify34":
-        return verify_product_vs_interior(problem, klass.sequences, cache, b0)
+        return verify_product_vs_interior(problem, seqs, cache, b0)
     if unit == "props2":
-        mc = klass.sequences.mc
-        bad = validate(mc)
-        if mc.dims:
-            bad.extend(region_convergence_report(klass.sequences))
+        bad = validate(seqs.mc)
+        if seqs.mc.dims:
+            bad.extend(region_convergence_report(seqs))
         return [{"message": msg} for msg in bad]
     if unit.startswith("mvss:"):
         variant = unit.split(":", 1)[1]
-        run = klass.run(variant, pages)
+        run = run_variant(problem, variant, seqs, cache, b0, pages_r=pages)
         if variant == "1a" and problem.n == 3:
-            fc = klass.sequences.filtered(FILTRATION["1a"])
-            return run, infinity_filtration_report(run, fc, cache, b0)
+            return run, infinity_filtration_report(seqs.sequence(FILTRATION["1a"]), cache, b0)
         return run, None
     if unit == "les":
-        return mv_les(klass.run("1a", pages), klass.run("2a", pages), cache, b0)
+        return mv_les(seqs.sequence(FILTRATION["1a"]).page(1),
+                      seqs.sequence(FILTRATION["2a"]).page(1), cache, b0)
     raise InputError(f"unknown task {unit!r}")
 
 
-def _records(results: list[tuple[list[Exps], dict]]) -> dict:
-    """``les`` or ``infinity_filtration_report`` class records under their
-    member degrees, and the failing ones."""
-    degrees = PerDegree.by_degree(results)
-    failures = PerDegree("degree", [(b, rec) for b, rec in degrees.items if not rec["pass"]])
-    return {"degrees": degrees, "failures": failures, "pass": not failures.items}
+def _failures(results: list[tuple[list[Exps], dict]]) -> PerDegree:
+    """The member degrees of the failing classes, each with its class's
+    ``les`` or ``infinity_filtration_report`` record, sorted by degree."""
+    return PerDegree.by_degree([(members, rec) for members, rec in results if not rec["pass"]])
 
 
 def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
@@ -239,9 +231,11 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
             "file": f"pages_{variant}.json",
         }
         if variant == "1a" and problem.n == 3:
-            payload["infinity_filtration"] = {
-                "variant": "1a", **_records([(m, inf) for m, (_cls, inf) in results])}
-            payload["pass"] = payload["pass"] and payload["infinity_filtration"]["pass"]
+            inf = [(members, rep) for members, (_cls, rep) in results]
+            bad = _failures(inf)
+            payload["infinity_filtration"] = {"variant": "1a", "degrees": PerDegree.by_degree(inf),
+                                              "failures": bad, "pass": not bad.items}
+            payload["pass"] = payload["pass"] and not bad.items
         records = PerDegree.by_degree([(members, {
             "variant": variant,
             "pages": [pg.to_json() for pg in cls.pages if pages is None or pg.r <= pages],
@@ -252,7 +246,7 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
         }) for members, (cls, _inf) in results])
         return payload, {f"pages_{variant}.json": dumps({"variant": variant,
                                                          "degrees": records})}
-    rep = _records(results)  # the one task left is les
+    failures = _failures(results)  # the one task left is les
     nontrivial = [
         (members, {"ranks": {k: {i: v for i, v in vv.items() if v}
                              for k, vv in rec["ranks"].items()}})
@@ -260,8 +254,8 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
         if any(v for vv in rec["dims"].values() for v in vv.values())
     ]
     slim = {
-        "pass": rep["pass"],
-        "failures": rep["failures"],
+        "pass": not failures.items,
+        "failures": failures,
         "degrees_checked": degrees,
         "nontrivial_degrees": PerDegree.by_degree(nontrivial),
     }
@@ -295,8 +289,10 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     worker processes and never more than the orbits or the CPUs, give every
     class its orbit's step results, and assemble each task over the classes.
     Returns the report and the contents of every output file by name,
-    ``report.json`` among them."""
+    ``report.json`` among them.  Refuses what ``check_tasks`` and
+    ``check_pages`` refuse with ``InputError``."""
     tasks = check_tasks(problem, tasks)
+    check_pages(problem, pages, "pages")
     by_pattern = degree_classes(problem)
     classes = [members for _pat, members in by_pattern]
     orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
@@ -347,8 +343,6 @@ def cmd_compute(args) -> int:
     try:
         if args.jobs < 0:
             raise InputError(f"--jobs must be a nonnegative integer, got {args.jobs}")
-        if args.pages is not None and args.pages < 0:
-            raise InputError(f"--pages must be a nonnegative integer, got {args.pages}")
         problem, tasks, job_pages = load_job(args.job)
         pages = args.pages if args.pages is not None else job_pages
         check_pages(problem, pages, "pages" if args.pages is None else "--pages")

@@ -24,9 +24,12 @@ pages and abutments are checked dimensionwise against the independent
 oracle.  Every function here works on one degree class, at its
 representative degree b0, and returns a result that names no degree:
 ``run_variant``, ``mv_les`` and ``infinity_filtration_report`` are the class
-steps of the ``mvss:V`` and ``les`` tasks.  ``cli.compute`` runs them over a
-whole window, and ``cli.assemble_unit`` lists their results under the member
-degrees.
+steps of the ``mvss:V`` and ``les`` tasks.  Each reads the class's
+spectral sequences (``run_variant`` the variant's, ``mv_les`` the first
+pages of 1a and 2a, ``infinity_filtration_report`` the 1a sequence), and
+b0 only through the oracle, which reads it through the piece pattern.
+``cli.compute`` runs them over a whole window, and ``cli.assemble_unit``
+lists their results under the member degrees.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .cech import CechProblem, OracleCache, cech_multicomplex  # noqa: F401
 from .errors import InputError
 from .grading import Exps
 from .linalg import Columns, Subspace, mul, submatrix
-from .spectral import FilteredComplex, LatticeSequences, Page
+from .spectral import FilteredComplex, LatticeSequences, Page, SpectralSequence
 
 VARIANTS = ("1a", "1b", "2a", "2b")
 
@@ -89,7 +92,6 @@ class ClassRun:
 
     pages: list[Page]
     stabilized_at: int | None
-    einf_dims: dict[tuple[int, int], int]
     e1_mismatches: list[dict]
     abutment_mismatches: list[dict]
 
@@ -123,8 +125,7 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
     pages = ss.pages_up_to(r_top)
-    page_inf, h_dims = ss.infinity()
-    einf = dict(page_inf.cells)
+    h_dims = ss.infinity()[1]
 
     # first-page audit (engine coordinates)
     e1 = pages[1]
@@ -157,16 +158,15 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
     return ClassRun(
         pages=pages,
         stabilized_at=_stabilized_at(pages),
-        einf_dims=einf,
         e1_mismatches=e1_mism,
         abutment_mismatches=ab_mism,
     )
 
 
-def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache, b0: Exps) -> dict:
+def mv_les(p1a: Page, p2a: Page, cache: OracleCache, b0: Exps) -> dict:
     """The two-group long exact sequence at the representative degree b0 of
-    the class whose 1a and 2a runs are given, its exactness verified by rank
-    bookkeeping.
+    the class whose 1a and 2a first pages are given, its exactness verified
+    by rank bookkeeping.
 
     The connecting rank is inferred from exactness at the product term; the
     two independent joint identities (at the sum term and at the middle term)
@@ -174,8 +174,6 @@ def mv_les(run_1a: ClassRun, run_2a: ClassRun, cache: OracleCache, b0: Exps) -> 
     """
     problem = cache.problem
     top = sum(len(g) for g in problem.groups) + 2
-    p1a = run_1a.pages[1]
-    p2a = run_2a.pages[1]
     h_sum = {i: cache.raw("concat", (0, 1), "full", i, b0) for i in range(top)}
     h_mid = {
         i: cache.raw("concat", (0,), "full", i, b0) + cache.raw("concat", (1,), "full", i, b0)
@@ -238,9 +236,8 @@ def _middle_piece(fc: FilteredComplex, m: int) -> tuple[int, bool]:
     return z1.dim - b1.dim - rank_psi - rank_phi, not grows(b2, mul(f, d12, phi_z0))
 
 
-def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: OracleCache,
-                               b0: Exps) -> dict:
-    """For one three-group 1a class run whose filtered complex is ``fc``,
+def infinity_filtration_report(ss: SpectralSequence, cache: OracleCache, b0: Exps) -> dict:
+    """For the 1a spectral sequence ``ss`` of one three-group degree class,
     recompute the three graded pieces of each abutment degree at the
     representative degree b0 from the first- and second-page maps and match
     them against the engine's limit page and the oracle.
@@ -255,10 +252,10 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
 
     Where the middle cell of the first page is nonzero, the middle piece is
     recomputed independently from the dimensions of spans over the level
-    blocks of ``fc`` (``_middle_piece``), which also checks psi' phi' = 0.
+    blocks of ``ss.fc`` (``_middle_piece``), which also checks psi' phi' = 0.
     """
-    p1, p2 = cls.pages[1], cls.pages[2]
-    einf = cls.einf_dims
+    p1, p2 = ss.page(1), ss.page(2)
+    einf = ss.infinity()[0].cells
     m_vals = sorted({p + q for (p, q) in einf} | {p + q for (p, q) in p1.cells} | {2, 3})
 
     def nullity(p, q):
@@ -279,7 +276,7 @@ def infinity_filtration_report(cls: ClassRun, fc: FilteredComplex, cache: Oracle
         got = {(0, m): top, (1, m - 1): mid, (2, m - 2): bottom}
         oracle_total = cache.raw("product", (0, 1, 2), "full", m - 2, b0)
         row_ok = got == want and sum(got.values()) == oracle_total
-        if p1.dim(1, m - 1) and _middle_piece(fc, m) != (mid, True):
+        if p1.dim(1, m - 1) and _middle_piece(ss.fc, m) != (mid, True):
             row_ok = False
         rows.append(
             {

@@ -254,9 +254,6 @@ class LatticeSequences:
     def cube_total(self) -> CochainComplex:
         return totalize(cube_extension(self.mc))
 
-    def filtered(self, kind: str) -> FilteredComplex:
-        return self.sequence(kind).fc
-
     def sequence(self, kind: str) -> SpectralSequence:
         if kind not in self._sequences:
             n = self.mc.n
@@ -419,7 +416,7 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
         return []
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
-    fc = filtration_from_blocks(seqs.filtered("truncated face").total, lambda q: sum(q) - q[0])
+    fc = filtration_from_blocks(seqs.sequence("truncated face").fc.total, lambda q: sum(q) - q[0])
     if not fc.total.dims:
         return []
     z, b = _cell_spaces(fc, n, 0, n - 1)

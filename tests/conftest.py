@@ -24,7 +24,7 @@ from cechmv.cli import DegreeClass
 from cechmv.grading import Exps
 from cechmv.linalg import Columns, Field
 from cechmv.multicomplex import Point, _wedge_signs, add_e
-from cechmv.mvss import FILTRATION
+from cechmv.mvss import FILTRATION, ClassRun, run_variant
 from reference_dense import dtype, zeros
 
 F = PrimeField(65537)
@@ -195,27 +195,36 @@ def class_of(problem, b) -> DegreeClass:
                 if b in members)
 
 
-def window_classes(problem) -> list[tuple[list[Exps], DegreeClass]]:
-    """(members, class) for every degree class of the window, in class order,
-    with every variant's run made; each class builds its lattice once for all
-    variants, and ``klass.run(v, None)`` returns the run made here."""
-    out = [(members, DegreeClass(problem, members[0])) for _pat, members in degree_classes(problem)]
-    for _members, klass in out:
-        for v in VARIANTS:
-            klass.run(v, None)
+def class_run(klass: DegreeClass, variant: str) -> ClassRun:
+    """The class step of ``mvss:<variant>`` on ``klass``, with default pages."""
+    return run_variant(klass.problem, variant, klass.sequences, klass.cache, klass.b0)
+
+
+def window_classes(problem) -> list[tuple[list[Exps], DegreeClass, dict[str, ClassRun]]]:
+    """(members, class, {variant: run}) for every degree class of the window,
+    in class order; each class builds its lattice once for all variants."""
+    out = []
+    for _pat, members in degree_classes(problem):
+        klass = DegreeClass(problem, members[0])
+        out.append((members, klass, {v: class_run(klass, v) for v in VARIANTS}))
     return out
 
 
 def run_width(klass: DegreeClass, variant: str) -> int:
     """The filtration width ``mvss.run_variant`` computes the variant's pages
     to: at least 1, and 1 for an empty complex."""
-    fc = klass.sequences.filtered(FILTRATION[variant])
+    fc = klass.sequences.sequence(FILTRATION[variant]).fc
     return max(fc.width, 1) if fc.total.dims else 1
 
 
 def abutment_dims(klass: DegreeClass, variant: str) -> dict[int, int]:
     """{m: dim H^m} of the variant's total complex, nonzero dimensions only."""
     return klass.sequences.sequence(FILTRATION[variant]).infinity()[1]
+
+
+def limit_cells(klass: DegreeClass, variant: str) -> dict[tuple[int, int], int]:
+    """The nonzero cells of the variant's limit page."""
+    return klass.sequences.sequence(FILTRATION[variant]).infinity()[0].cells
 
 
 @pytest.fixture

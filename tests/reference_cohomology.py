@@ -147,7 +147,7 @@ def reference_edge_composite_check(seqs: LatticeSequences) -> list[str]:
         return []
     f = mc.field
     c0 = mc.entry_dim((0,) * n)
-    fc = filtration_from_blocks(seqs.filtered("truncated face").total, lambda q: sum(q) - q[0])
+    fc = filtration_from_blocks(seqs.sequence("truncated face").fc.total, lambda q: sum(q) - q[0])
     if not fc.total.dims:
         return []
     z, b = _cell_spaces(fc, n, 0, n - 1)

@@ -14,6 +14,7 @@ inclusion-exclusion of level-block ranks, so any violation fails the run
 instead of passing silently.
 """
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -47,8 +48,8 @@ from cechmv.multicomplex import add_e, block_slices
 from cechmv.mvss import (FILTRATION, VARIANTS, _expected_abutment, _expected_e1, _middle_piece,
                          infinity_filtration_report)
 from cechmv.spectral import LatticeSequences, _split_columns
-from conftest import (F, abutment_dims, class_of, degrees, dense, keep_points, rand_complex,
-                      rand_tensor_mc, run_width, tensor_product, window_classes)
+from conftest import (F, abutment_dims, class_of, degrees, dense, keep_points, limit_cells,
+                      rand_complex, rand_tensor_mc, run_width, tensor_product, window_classes)
 from reference_cohomology import reference_middle_pieces
 from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
@@ -128,13 +129,13 @@ def test_limit_page_totals_match_abutment(sweep_results):
     for res in results:
         cache = res["cache"]
         for variant in VARIANTS:
-            for members, klass in res["classes"]:
-                cls = klass.run(variant, None)
-                assert cls.abutment_mismatches == [], (variant, members[0])
+            for members, klass, runs in res["classes"]:
+                assert runs[variant].abutment_mismatches == [], (variant, members[0])
                 b0 = members[0]
-                totals = set(abutment_dims(klass, variant)) | {p + q for p, q in cls.einf_dims}
+                einf = limit_cells(klass, variant)
+                totals = set(abutment_dims(klass, variant)) | {p + q for p, q in einf}
                 for m in totals:
-                    got = sum(d for (p, q), d in cls.einf_dims.items() if p + q == m)
+                    got = sum(d for (p, q), d in einf.items() if p + q == m)
                     want = _expected_abutment(cache, variant, m, b0)
                     assert got == want, (variant, b0, m, got, want)
 
@@ -146,8 +147,8 @@ def test_first_pages_match_cohomology_tables(sweep_results):
     for res in results:
         cache = res["cache"]
         for variant in VARIANTS:
-            for members, klass in res["classes"]:
-                cls = klass.run(variant, None)
+            for members, _klass, runs in res["classes"]:
+                cls = runs[variant]
                 assert cls.e1_mismatches == [], (variant, members[0])
                 e1 = cls.pages[1]
                 for (p, q), d in e1.cells.items():
@@ -288,8 +289,8 @@ def test_page_structure_and_stabilization(sweep_results):
     n3_runs = 0
     for res in results:
         for variant in VARIANTS:
-            for members, klass in res["classes"]:
-                cls = klass.run(variant, None)
+            for members, klass, runs in res["classes"]:
+                cls = runs[variant]
                 assert cls.stabilized_at is not None, (variant, members[0])
                 assert cls.stabilized_at <= run_width(klass, variant), (variant, members[0])
                 if variant == "1a" and res["problem"].n == 3:
@@ -301,9 +302,9 @@ def test_page_structure_and_stabilization(sweep_results):
                   if r["problem"].n == 3 and r["problem"].num_vars == 2)
     for variant in VARIANTS:
         fc = None
-        for members, _klass in target["classes"]:
+        for members, _klass, _runs in target["classes"]:
             mc = cech_multicomplex(target["problem"], members[0])
-            fc = LatticeSequences(mc).filtered(FILTRATION[variant])
+            fc = LatticeSequences(mc).sequence(FILTRATION[variant]).fc
             if fc.total.dims:
                 break
         if fc is None or not fc.total.dims:
@@ -333,15 +334,15 @@ def test_engines_agree_on_the_sweep(sweep_results):
     results, _ = sweep_results
     compared = 0
     for res in results:
-        for members, klass in res["classes"]:
+        for members, klass, runs in res["classes"]:
             seqs = LatticeSequences(cech_multicomplex(res["problem"], members[0]))
             for variant in VARIANTS:
-                cls = klass.run(variant, None)
-                fc = seqs.filtered(FILTRATION[variant])
+                cls = runs[variant]
+                fc = seqs.sequence(FILTRATION[variant]).fc
                 if not fc.total.dims:
                     continue
                 assert len(cls.pages) == fc.width + 2, (variant, members[0])
-                assert_agrees_with_reference(fc, cls.pages, cls.einf_dims)
+                assert_agrees_with_reference(fc, cls.pages, limit_cells(klass, variant))
                 compared += 1
     assert compared == 620
 
@@ -354,7 +355,7 @@ def three_group_filtrations(problems, field):
             prob = dataclasses.replace(prob, field=field)
             for _pat, members in degree_classes(prob):
                 yield prob, members, LatticeSequences(
-                    cech_multicomplex(prob, members[0])).filtered(FILTRATION["1a"])
+                    cech_multicomplex(prob, members[0])).sequence(FILTRATION["1a"]).fc
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, RationalField()],
@@ -389,9 +390,9 @@ def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
     scaled = caught = 0
     for prob, members, fc in three_group_filtrations(sweep, F):
         klass = DegreeClass(prob, members[0])
-        run = klass.run("1a", None)
-        assert infinity_filtration_report(run, fc, klass.cache, members[0])["pass"], members[0]
-        e1 = run.pages[1]
+        ss = klass.sequences.sequence(FILTRATION["1a"])
+        assert infinity_filtration_report(ss, klass.cache, members[0])["pass"], members[0]
+        e1 = ss.page(1)
         for m, cols in fc.total.d.items():
             for j, col in enumerate(cols):
                 for i, x in col.items():
@@ -399,7 +400,11 @@ def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
                         continue
                     d = {**fc.total.d, m: cols[:j] + [{**col, i: F.normalize(2 * x)}] + cols[j + 1:]}
                     bent = FilteredComplex(dataclasses.replace(fc.total, d=d), fc.levels)
-                    rows = infinity_filtration_report(run, bent, klass.cache, members[0])["rows"]
+                    # the pages and limit already computed from the unscaled
+                    # complex, shared by a copy that reads ``bent`` for the spans
+                    bent_ss = copy.copy(ss)
+                    bent_ss.fc = bent
+                    rows = infinity_filtration_report(bent_ss, klass.cache, members[0])["rows"]
                     bad = [r["total_degree"] for r in rows if not r["ok"]]
                     assert all(e1.dim(1, t - 1) for t in bad), (members[0], m, i, j, bad)
                     gated = [r for r in rows if e1.dim(1, r["total_degree"] - 1)]

@@ -595,7 +595,7 @@ def test_oracle_equals_unreduced_reference(field):
                         continue
                     key = (seq, piece_pattern(prob, b))
                     if key not in reference:
-                        reference[key] = cech._oracle_vectors(field, seq, prob.quotient, b)
+                        reference[key] = cech._oracle_vectors(field, *key)
                     swept += len(_minimal_supports(seq)) >= 2
                     for mode in ("full", "truncated"):
                         for t in range(len(seq) + 2):

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmv import (CechProblem, InternalCheckError, LatticeSequences, MonomialIdeal, PrimeField,
-                    SpectralSequence, cech, cli, multicomplex, mvss, spectral)
+from cechmv import (CechProblem, InputError, InternalCheckError, LatticeSequences, MonomialIdeal,
+                    PrimeField, SpectralSequence, cech, cli, multicomplex, mvss, spectral)
 from cechmv.cli import main
 from cechmv.jsonout import PerDegree, dumps, plain
 from cechmv.mvss import ClassRun
@@ -277,6 +277,20 @@ def test_a_valid_pages_flag_overrides_an_oversized_job_pages(tmp_path):
     assert max(pg["r"] for e in degrees for pg in e["pages"]) == 1
 
 
+@pytest.mark.parametrize("pages", [-1, 4, 200, True])
+def test_library_compute_refuses_what_the_command_refuses(pages):
+    """``compute`` refuses a ``pages`` outside 0..n+2 (3 for one group), or
+    one that is not an integer, as ``cechmv compute`` does, before any work;
+    the cap itself is accepted."""
+    problem = CechProblem.from_text(PrimeField(65537), 1, [["x1"]])
+    with pytest.raises(InputError, match="pages must be"):
+        cli.compute(problem, ["mvss:1a"], pages=pages)
+    report, files = cli.compute(problem, ["mvss:1a"], pages=3)
+    assert report["pass"] is True
+    assert {pg["r"] for e in json.loads(files["pages_1a.json"])["degrees"]
+            for pg in e["pages"]} <= {0, 1, 2, 3}
+
+
 def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):
     job = write_job(tmp_path, BASE_JOB)
     out = tmp_path / "taken"
@@ -327,9 +341,9 @@ def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
         finally:
             supports.pop()
 
-    def bounded_oracle_vectors(field, seq, quotient, b):
+    def bounded_oracle_vectors(field, seq, pattern):
         assert len(seq) <= supports[-1], f"oracle complex on {len(seq)} terms"
-        return oracle_vectors(field, seq, quotient, b)
+        return oracle_vectors(field, seq, pattern)
 
     def bounded_rank(field, mat):
         bound = math.comb(supports[-1], supports[-1] // 2)
@@ -438,15 +452,15 @@ def test_compute_builds_one_lattice_per_orbit_of_symmetric_classes(tmp_path, mon
      {"verify_product_vs_interior": 1, "run_variant": 4, "infinity_filtration_report": 1,
       "mv_les": 0}),
     (dict(BASE_JOB, window=[[-2, -2], [2, 2]], tasks=["les"]),
-     {"verify_product_vs_interior": 0, "run_variant": 2, "infinity_filtration_report": 0,
+     {"verify_product_vs_interior": 0, "run_variant": 0, "infinity_filtration_report": 0,
       "mv_les": 1}),
 ])
 def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_class):
     """The class steps ``compute`` runs are the functions the benchmark
     tracer wraps by name, at every ``cechmv`` module that binds them, so the
     tracer's per-layer metrics for them count real work: one call per degree
-    class, and per class and variant for ``run_variant`` (``les`` runs 1a and
-    2a itself when no ``mvss`` task has).  No variable permutation fixes
+    class, and per class and variant for ``run_variant`` (``les`` runs none: it
+    reads the first pages of the class's 1a and 2a sequences).  No variable permutation fixes
     these jobs' groups, so every class is its own orbit."""
     calls = dict.fromkeys(per_class, 0)
 
@@ -470,6 +484,30 @@ def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_cl
     classes = len(cech.degree_classes(problem))
     assert classes > 1
     assert calls == {name: k * classes for name, k in per_class.items()}
+
+
+@pytest.mark.parametrize("name", ["two_by_four", "two_ideals"])
+def test_les_alone_reads_the_first_pages_and_runs_no_variant(monkeypatch, name):
+    """``les`` without the ``mvss:1a`` and ``mvss:2a`` tasks writes the
+    ``les`` payload of the whole job, byte for byte, and calls
+    ``run_variant`` not once: it reads the two first pages from the class's
+    sequences."""
+    problem, tasks, pages = cli.load_job(str(JOBS_DIR / f"{name}.json"))
+    assert {"mvss:1a", "mvss:2a", "les"} <= set(tasks)
+    full, _files = cli.compute(problem, tasks, pages)
+    runs = []
+    original = cli.run_variant
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_variant", counted)
+    alone, files = cli.compute(problem, ["les"], pages)
+    assert runs == []
+    assert sorted(files) == ["report.json"]
+    assert alone["pass"] is True
+    assert dumps(alone["results"]["les"]) == dumps(full["results"]["les"])
 
 
 @pytest.mark.parametrize("body", [
@@ -935,7 +973,7 @@ def variant_results(draw):
     for label in sorted(set(labels)):
         members = [b for b, lab in zip(degrees, labels) if lab == label]
         pages = [Page(r, draw(cell_maps), draw(cell_maps)) for r in range(draw(st.integers(0, 4)))]
-        run = ClassRun(pages, draw(st.none() | st.integers(1, 4)), {}, draw(mismatch_lists),
+        run = ClassRun(pages, draw(st.none() | st.integers(1, 4)), draw(mismatch_lists),
                        draw(mismatch_lists))
         inf = None
         if variant == "1a" and n == 3:
@@ -978,9 +1016,9 @@ def test_a_class_run_shared_by_an_orbit_is_listed_under_each_classes_members():
     trims the pages in what it writes only, and leaves the object as it was."""
     problem = CechProblem.from_text(PrimeField(65537), 2, [["x1"], ["x2"]],
                                     window=((-1, -1), (1, 1)))
-    shared = ClassRun([Page(r, {(0, 1): 1}, {}) for r in range(4)], 1, {(0, 1): 1},
+    shared = ClassRun([Page(r, {(0, 1): 1}, {}) for r in range(4)], 1,
                       [{"p": 0, "q": 1, "got": 1, "want": 0}], [])
-    other = ClassRun([Page(r, {}, {}) for r in range(4)], 1, {}, [], [])
+    other = ClassRun([Page(r, {}, {}) for r in range(4)], 1, [], [])
     before = copy.deepcopy(shared)
     members = [[(-1, -1), (1, 1)], [(0, 0)], [(-1, 1), (0, 1), (1, -1)]]
     results = [(members[0], (shared, None)), (members[1], (other, None)),

@@ -219,7 +219,7 @@ def test_drop_axis_top():
     assert dropped == totalize(keep_points(mc, lambda q: q[0] < 1))
     # variant 1a's face filtration drops the top wedge level n the same way
     ls = LatticeSequences(mc)
-    assert ls.filtered("truncated face").p_max < mc.n == ls.filtered("face").p_max
+    assert ls.sequence("truncated face").fc.p_max < mc.n == ls.sequence("face").fc.p_max
 
 
 def test_line_complex():

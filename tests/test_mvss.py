@@ -21,7 +21,8 @@ from cechmv.cli import DegreeClass, run_unit
 from cechmv.jsonout import plain
 from cechmv.mvss import FILTRATION
 from cechmv.spectral import LatticeSequences
-from conftest import abutment_dims, class_of, degrees, run_width, window_classes
+from conftest import (abutment_dims, class_of, class_run, degrees, limit_cells, run_width,
+                      window_classes)
 
 F = PrimeField(65537)
 
@@ -41,7 +42,7 @@ def mvss_results(prob, variants=VARIANTS) -> dict[str, dict]:
 def test_unknown_variant_rejected():
     prob = problem(["x1", "x2"])
     with pytest.raises(InputError, match="unknown variant"):
-        DegreeClass(prob, degrees(prob)[0]).run("3c", None)
+        class_run(DegreeClass(prob, degrees(prob)[0]), "3c")
 
 
 def random_problem(rng):
@@ -70,7 +71,7 @@ def test_production_filtrations_are_subcomplexes(rng):
         for _pat, members in degree_classes(prob):
             seqs = LatticeSequences(cech_multicomplex(prob, members[0]))
             for variant in VARIANTS:
-                fc = seqs.filtered(FILTRATION[variant])
+                fc = seqs.sequence(FILTRATION[variant]).fc
                 assert {d: len(lv) for d, lv in fc.levels.items()} == fc.total.dims
                 fc.validate()
                 if fc.total.dims:
@@ -80,21 +81,21 @@ def test_production_filtrations_are_subcomplexes(rng):
 
 def test_two_coordinate_ideals_all_variants():
     prob = problem(["x1", "x2"])
-    for members, klass in window_classes(prob):
-        assert set(klass.runs) == {(v, None) for v in VARIANTS}
-        for (v, _pages), c in klass.runs.items():
+    for members, klass, runs in window_classes(prob):
+        assert set(runs) == set(VARIANTS)
+        for v, c in runs.items():
             assert not c.e1_mismatches and not c.abutment_mismatches, (v, members[0])
             assert c.stabilized_at is not None and c.stabilized_at <= run_width(klass, v)
 
 
 def test_first_page_cells_frozen_case():
     klass = class_of(problem(["x1", "x2"]), (-1, -1))
-    cls = klass.run("1a", None)
+    cls = class_run(klass, "1a")
     assert cls.pages[1].cells == {(0, 2): 1}
     assert cls.stabilized_at == 1
-    assert cls.einf_dims == {(0, 2): 1}
+    assert limit_cells(klass, "1a") == {(0, 2): 1}
     assert abutment_dims(klass, "1a") == {2: 1}
-    cls2 = klass.run("2a", None)
+    cls2 = class_run(klass, "2a")
     assert cls2.pages[1].cells == {(2, 0): 1}
     assert abutment_dims(klass, "2a") == {2: 1}
 
@@ -130,7 +131,7 @@ def test_trivial_module_cube_cells():
     for v, res in mvss_results(prob).items():
         assert res["pass"], (v, res["failures"][:3])
     klass = class_of(prob, (0, 0))
-    assert klass.run("2a", None).pages[1].cells == {(1, -1): 2, (2, -1): 1}
+    assert class_run(klass, "2a").pages[1].cells == {(1, -1): 2, (2, -1): 1}
     assert abutment_dims(klass, "2a") == {0: 1}
 
 
@@ -141,8 +142,8 @@ def test_rational_field_variant():
 
 def test_three_groups_three_vars_all_variants():
     prob = problem([["x1"], ["x2"], ["x3"]], num_vars=3, window=1)
-    for members, klass in window_classes(prob):
-        for (v, _pages), c in klass.runs.items():
+    for members, _klass, runs in window_classes(prob):
+        for v, c in runs.items():
             assert not c.e1_mismatches and not c.abutment_mismatches, (v, members[0])
             assert c.stabilized_at is not None and c.stabilized_at <= 3
 

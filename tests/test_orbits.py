@@ -223,6 +223,37 @@ def test_planted_problems_share_class_steps():
     assert sum(merged["broken"]) >= len(merged["broken"]) / 4
 
 
+@pytest.mark.parametrize("name", ["two_by_four", "three_ideals"])
+def test_class_steps_read_their_degree_only_through_the_pattern(monkeypatch, name):
+    """The premise of ``class_orbits``' proof: every class step of every task
+    the job's problem admits reads its degree only through its piece
+    pattern, so ``localized_piece_dim`` is never called outside
+    ``piece_pattern``."""
+    import cechmv
+
+    inside = []
+    pattern, piece = cech.piece_pattern, cech.localized_piece_dim
+
+    def guarded_pattern(problem, b):
+        inside.append(b)
+        try:
+            return pattern(problem, b)
+        finally:
+            inside.pop()
+
+    def guarded_piece(support, ideal, degree):
+        assert inside, f"degree {degree} read outside piece_pattern"
+        return piece(support, ideal, degree)
+
+    monkeypatch.setattr(cech, "piece_pattern", guarded_pattern)
+    for mod in (cechmv, cechmv.grading, cech):
+        monkeypatch.setattr(mod, "localized_piece_dim", guarded_piece)
+    problem = load(ROOT / "jobs" / f"{name}.json")
+    report, _files = cli.compute(problem, [t for t in cli.TASK_ORDER
+                                           if t != "les" or problem.n == 2])
+    assert report["pass"] is True and len(report["results"]) == (8 if problem.n == 2 else 7)
+
+
 @pytest.mark.parametrize("seed", range(56))
 def test_orbit_reuse_writes_what_class_by_class_writes(seed, monkeypatch):
     """The equality gate: ``compute`` with orbit reuse gives the report and

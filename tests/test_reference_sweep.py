@@ -71,8 +71,8 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
         for b in (richest[1][0], classes[int(rng.integers(len(classes)))][1][0]):
             seqs = LatticeSequences(cech_multicomplex(prob, b))
             for variant in VARIANTS:
-                yield (k, prob.groups, b, variant), seqs.filtered(FILTRATION[variant])
-            yield (k, prob.groups, b, "face"), seqs.filtered("face")
+                yield (k, prob.groups, b, variant), seqs.sequence(FILTRATION[variant]).fc
+            yield (k, prob.groups, b, "face"), seqs.sequence("face").fc
     for k in range(tensors):
         mc = rand_tensor_mc(field, rng, max_axes=3)
         yield (k, "coordinate"), coordinate_filtration(totalize(mc), 0)
@@ -81,7 +81,7 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
         yield (k, "count"), nonzero_count_filtration(totalize(mc))
         seqs = LatticeSequences(mc)
         for kind in REGION_FILTRATIONS:
-            yield (k, kind), seqs.filtered(kind)
+            yield (k, kind), seqs.sequence(kind).fc
 
 
 # (field, Čech problems, tensor multicomplexes, filtered complexes compared)
