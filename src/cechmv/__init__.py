@@ -15,7 +15,8 @@ The package is organized bottom-up:
   differential per axis, totalization, the restriction of a totalization
   to a region, the face half of the Koszul split and the cube extension.
 * :mod:`cechmv.spectral` -- spectral sequences of coordinate filtrations,
-  with one list of int levels per degree, every page counted from the
+  each built by ``filtration_from_blocks`` as one list of int levels per
+  degree, every page (``SpectralSequence.page``) counted from the
   persistence pairs of one column reduction.
 * :mod:`cechmv.cech` -- Čech complexes of monomial ideal sequences, the
   closed-form dimension oracle, and the product-vs-interior audits.
@@ -25,9 +26,10 @@ The package is organized bottom-up:
   window, and the ``cechmv`` command line front end, whose ``selftest``
   runs ``compute`` on small random problems.
 
-Every module holds only what ``compute`` runs; the builders of test
-fixtures (tensor products of complexes, Koszul complexes) and the
-representative-based references live with the tests.
+Every module holds only what ``compute`` runs (a tier-1 gate,
+``tests/test_imports.py::test_every_function_is_run_by_compute``, fails on a
+function it does not call); test fixtures, references and test-only helpers
+live with the tests.
 """
 
 from .errors import ContractError, InputError, InternalCheckError
@@ -44,7 +46,6 @@ from .linalg import (
 )
 from .grading import (
     MonomialIdeal,
-    format_monomial,
     localized_piece_dim,
     monomial_divides,
     monomial_mul,
@@ -69,10 +70,8 @@ from .spectral import (
     LatticeSequences,
     Page,
     SpectralSequence,
-    coordinate_filtration,
     edge_composite_check,
     filtration_from_blocks,
-    nonzero_count_filtration,
     region_convergence_report,
     split_column_report,
 )
@@ -123,13 +122,11 @@ __all__ = [
     "cech_multicomplex",
     "composite_along",
     "compute",
-    "coordinate_filtration",
     "cube_extension",
     "default_window",
     "degree_classes",
     "edge_composite_check",
     "filtration_from_blocks",
-    "format_monomial",
     "is_prime",
     "koszul_split",
     "line_complex",

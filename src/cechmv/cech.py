@@ -361,9 +361,6 @@ class CohomologyTable:
         return CohomologyTable(problem.num_vars, i_max, problem.window,
                                "h" if mode == "full" else "hcheck", dims)
 
-    def get(self, i: int, b: Exps) -> int:
-        return self.dims.get((i, b), 0)
-
     def to_csv(self) -> str:
         """The dense table as CSV: the header ``i,b1,...,bm,dim``, then one
         row ``i,b1,...,bm,dim`` per index i in 0..i_max and window degree b,

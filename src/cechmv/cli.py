@@ -109,19 +109,19 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
         ):
             raise InputError(f"window must be [[lo_1..lo_{m}], [hi_1..hi_{m}]]")
         window = (tuple(w[0]), tuple(w[1]))
-    tasks = raw["tasks"]
-    if not isinstance(tasks, list) or not tasks or not all(isinstance(t, str) for t in tasks):
-        raise InputError("tasks must be a nonempty list of task names")
     pages = raw.get("pages")
     if pages is not None and (type(pages) is not int or pages < 0):
         raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     problem = CechProblem.from_text(field, m, groups, quo, window)
-    return problem, check_tasks(problem, tasks), pages
+    return problem, check_tasks(problem, raw["tasks"]), pages
 
 
 def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
     """The tasks to run on ``problem``, each once, in ``TASK_ORDER``; refuses
-    an unknown task, and ``les`` unless there are exactly two groups."""
+    anything but a nonempty list of task names, an unknown task, and ``les``
+    unless there are exactly two groups."""
+    if not isinstance(tasks, list) or not tasks or not all(isinstance(t, str) for t in tasks):
+        raise InputError("tasks must be a nonempty list of task names")
     for t in tasks:
         if t not in TASK_ORDER:
             raise InputError(f"unknown task {t!r}; choose from {', '.join(TASK_ORDER)}")
@@ -161,6 +161,8 @@ class DegreeClass:
 def run_unit(klass: DegreeClass, unit: str, pages: int | None):
     """Class step of one task for one degree class: a small picklable result,
     naming no degree, that ``assemble_unit`` combines over all classes.
+    An ``mvss:`` step returns (run, report): the report is variant 1a's
+    ``infinity_filtration_report`` when there are three groups, else None.
     ``les`` reads the first pages of the class's 1a and 2a sequences."""
     problem, cache, b0 = klass.problem, klass.cache, klass.b0
     if unit == "cohomology":  # the one step that builds no lattice
@@ -230,8 +232,8 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
                                      if cls.stabilized_at is not None}),
             "file": f"pages_{variant}.json",
         }
-        if variant == "1a" and problem.n == 3:
-            inf = [(members, rep) for members, (_cls, rep) in results]
+        inf = [(members, rep) for members, (_cls, rep) in results if rep is not None]
+        if inf:  # run_unit returned limit-filtration reports
             bad = _failures(inf)
             payload["infinity_filtration"] = {"variant": "1a", "degrees": PerDegree.by_degree(inf),
                                               "failures": bad, "pass": not bad.items}

@@ -46,11 +46,6 @@ def parse_monomial(text: str, num_vars: int) -> Exps:
     return tuple(exps)
 
 
-def format_monomial(exps: Exps) -> str:
-    parts = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e > 0]
-    return "*".join(parts) if parts else "1"
-
-
 def monomial_mul(a: Exps, b: Exps) -> Exps:
     return tuple(x + y for x, y in zip(a, b))
 

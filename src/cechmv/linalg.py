@@ -82,9 +82,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def describe(self) -> str:
-        return f"F_{self.p}"
-
 
 @dataclass(frozen=True)
 class RationalField:
@@ -93,9 +90,6 @@ class RationalField:
 
     def inv_scalar(self, a):
         return Fraction(1, 1) / a
-
-    def describe(self) -> str:
-        return "Q"
 
 
 Field = PrimeField | RationalField

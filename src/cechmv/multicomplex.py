@@ -37,8 +37,8 @@ from .linalg import Columns, Field, identity, mul, neg, pivot_pairs, submatrix
 Point = tuple[int, ...]
 
 
-def add_e(q: Point, i: int, step: int = 1) -> Point:
-    return q[:i] + (q[i] + step,) + q[i + 1 :]
+def add_e(q: Point, i: int) -> Point:
+    return q[:i] + (q[i] + 1,) + q[i + 1 :]
 
 
 @dataclass(frozen=True)

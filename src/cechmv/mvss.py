@@ -124,7 +124,7 @@ def run_variant(problem: CechProblem, variant: str, seqs: LatticeSequences, cach
     fc = ss.fc
     width = max(fc.width, 1) if fc.total.dims else 1
     r_top = max(width + 1, pages_r if pages_r is not None else 0)
-    pages = ss.pages_up_to(r_top)
+    pages = [ss.page(r) for r in range(r_top + 1)]
     h_dims = ss.infinity()[1]
 
     # first-page audit (engine coordinates)

@@ -2,7 +2,10 @@
 
 Every filtration here is a coordinate filtration: each coordinate of the
 total complex carries one integer level (``levels[m]`` is a list of Python
-ints), and F^p(m) is spanned by the degree-m coordinates of level >= p.  For
+ints), and F^p(m) is spanned by the degree-m coordinates of level >= p.
+``filtration_from_blocks`` builds each: a totalization's coordinates take
+a score of their block's lattice point (the wedge degree for the face
+filtrations, the count of nonzero lattice coordinates for the count ones).  For
 such a filtration every cell and every differential rank is a count of
 persistence pairs (the pairing lemma of Cohen-Steiner, Edelsbrunner and
 Morozov; pages from pairs as in Basu and Parida).  The pairs of d_m come from one reduction per degree,
@@ -18,9 +21,10 @@ level, ties in coordinate order.  With
     rank of d_r out of (p, q) = mu_{p+q}(p, p+r).
 
 Gaps are below the filtration width, so pages past the width are stable and
-carry no nonzero differentials.  The limit page is the page at the width,
-and it is also the abutment: over a field the graded pieces of the
-filtration induced on H^m are the E_inf cells of total degree m, so
+carry no nonzero differentials; ``SpectralSequence.page(r)`` is the one
+way to read a page.  The limit page is the page at the width, and it is
+also the abutment: over a field the graded pieces of the filtration
+induced on H^m are the E_inf cells of total degree m, so
 ``SpectralSequence.infinity`` returns the limit page with {m: dim H^m}, the
 sums of its cells, once per sequence.
 
@@ -34,7 +38,8 @@ degree class share every page, abutment and region complex.
 
 The split audit (``split_column_report``) reads the complement half of the
 split from one-point lattices, once per (field, coordinate signs, entry
-dimension) in each process, so that half is never built over a lattice.
+dimension) in each process, and keeps only its cohomology, so that half is
+never built over a lattice.
 """
 
 from __future__ import annotations
@@ -80,15 +85,6 @@ class FilteredComplex:
     def p_max(self) -> int:
         return max((max(lv) for lv in self.levels.values() if lv), default=0)
 
-    def validate(self) -> None:
-        """Check that d lowers no level, so every F^p is a subcomplex."""
-        for m in sorted(self.total.d):
-            src, tgt = self.levels[m], self.levels[m + 1]
-            low = [tgt[i] for j, col in enumerate(self.total.d[m]) for i in col if tgt[i] < src[j]]
-            if low:
-                raise ContractError(f"filtration not stable under d at level {min(low) + 1}, "
-                                    f"degree {m}")
-
     @property
     def width(self) -> int:
         return self.p_max - self.p_min + 1
@@ -103,19 +99,6 @@ def filtration_from_blocks(tot: CochainComplex, level_of_block) -> FilteredCompl
     levels = {m: [lv for key, d in blk for lv in [level_of_block(key)] * d]
               for m, blk in blocks.items()}
     return FilteredComplex(tot, levels)
-
-
-def coordinate_filtration(tot: CochainComplex, axis: int) -> FilteredComplex:
-    """Filter a totalization by the value of one lattice coordinate."""
-    return filtration_from_blocks(tot, itemgetter(axis))
-
-
-def nonzero_count_filtration(tot: CochainComplex, skip_axis: int | None = None) -> FilteredComplex:
-    """Filter a totalization by how many coordinates are nonzero, optionally
-    ignoring one axis entirely (used for the cube-extended complex, whose
-    extra direction does not participate in the count)."""
-    return filtration_from_blocks(
-        tot, lambda q: sum(1 for i, x in enumerate(q) if x != 0 and i != skip_axis))
 
 
 @dataclass(frozen=True)
@@ -199,9 +182,6 @@ class SpectralSequence:
             self._infinity = (page, dict(h_dims))
         return self._infinity
 
-    def pages_up_to(self, r_top: int) -> list[Page]:
-        return [self.page(r) for r in range(r_top + 1)]
-
 
 class LatticeSequences:
     """What the audits of a degree class read off its lattice multicomplex,
@@ -258,18 +238,18 @@ class LatticeSequences:
         if kind not in self._sequences:
             n = self.mc.n
             if kind == "face":
-                fc = coordinate_filtration(self.face_total, 0)
+                tot, score = self.face_total, itemgetter(0)
             elif kind == "truncated face":
-                fc = coordinate_filtration(restrict(self.face_total, lambda k: k[0] < n), 0)
+                tot, score = restrict(self.face_total, lambda k: k[0] < n), itemgetter(0)
             elif kind == "punctured face":
-                fc = coordinate_filtration(restrict(self.face_total, lambda k: any(k[1:])), 0)
+                tot, score = restrict(self.face_total, lambda k: any(k[1:])), itemgetter(0)
             elif kind == "cube count":
-                fc = nonzero_count_filtration(self.cube_total, skip_axis=0)
+                tot, score = self.cube_total, lambda k: sum(1 for x in k[1:] if x)
             elif kind == "punctured count":
-                fc = nonzero_count_filtration(restrict(self.total, any))
+                tot, score = restrict(self.total, any), lambda k: sum(1 for x in k if x)
             else:
                 raise ContractError(f"unknown lattice filtration {kind!r}")
-            self._sequences[kind] = SpectralSequence(fc)
+            self._sequences[kind] = SpectralSequence(filtration_from_blocks(tot, score))
         return self._sequences[kind]
 
     def region(self, kind: str, axes: tuple[int, ...]) -> CochainComplex:
@@ -299,8 +279,9 @@ class LatticeSequences:
 def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
     """The wedge columns of the two halves of the Koszul split at a lattice
     point whose coordinates have the signs ``signs`` (each -1, 0 or 1) and
-    whose entry has dimension ``dim``, each with its cohomology:
-    ``((complement, h), (face, h))``.
+    whose entry has dimension ``dim``: ``(complement_h, (face, face_h))``,
+    the complement column's cohomology, and the face column with its
+    cohomology (the audit compares a lattice's face column with it).
 
     Neither column depends on the lattice's maps, so both are those of the
     one-point lattice at ``signs``, each checked and reduced once per key."""
@@ -311,7 +292,7 @@ def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
     ))
     complement.check_complex()
     face.check_complex()
-    return (complement, complement.cohomology_dims()), (face, face.cohomology_dims())
+    return complement.cohomology_dims(), (face, face.cohomology_dims())
 
 
 def split_column_report(mc: Multicomplex, face_half: Multicomplex) -> list[str]:
@@ -332,7 +313,7 @@ def split_column_report(mc: Multicomplex, face_half: Multicomplex) -> list[str]:
     for q in mc.points():
         dq = mc.entry_dim(q)
         want = dq if all(x > 0 for x in q) else 0
-        (_, complement_h), (face_ref, face_h) = _split_columns(
+        complement_h, (face_ref, face_h) = _split_columns(
             mc.field, tuple((x > 0) - (x < 0) for x in q), dq)
         col = line_complex(face_half, 0, (0,) + q)
         if col.dims != face_ref.dims or col.d != face_ref.d:

@@ -5,7 +5,8 @@ converters between dense numpy matrices and the package's sparse
 ``{row: value}`` column lists, the one from numpy matrices to the package's
 dense ``Dense`` rows, and small helpers only the tests use (the window's
 degrees, the zero ideal, a complex's degree range, the field check of the
-references).
+references, a field's name, a monomial's text, a table's cell, the count
+filtration's level and the check that a filtration is stable under d).
 
 Random complexes are built with square-zero enforced by construction (a map
 is zeroed whenever it would compose nonzero with its predecessor), so every
@@ -18,8 +19,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cechmv import (CochainComplex, ContractError, Dense, MonomialIdeal, Multicomplex, PrimeField,
-                    VARIANTS, degree_classes)
+from cechmv import (CochainComplex, CohomologyTable, ContractError, Dense, FilteredComplex,
+                    MonomialIdeal, Multicomplex, PrimeField, VARIANTS, degree_classes)
 from cechmv.cli import DegreeClass
 from cechmv.grading import Exps
 from cechmv.linalg import Columns, Field
@@ -34,9 +35,40 @@ class FieldMismatchError(ContractError):
     pass
 
 
+def describe(f: Field) -> str:
+    """The field's name in test ids and messages: F_p or Q."""
+    return f"F_{f.p}" if isinstance(f, PrimeField) else "Q"
+
+
 def same_field(a: Field, b: Field) -> None:
     if a != b:
-        raise FieldMismatchError(f"mixed coefficient fields: {a.describe()} vs {b.describe()}")
+        raise FieldMismatchError(f"mixed coefficient fields: {describe(a)} vs {describe(b)}")
+
+
+def format_monomial(exps: Exps) -> str:
+    parts = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e > 0]
+    return "*".join(parts) if parts else "1"
+
+
+def table_get(table: CohomologyTable, i: int, b: Exps) -> int:
+    """The table's dimension at index i and degree b, 0 where it holds none."""
+    return table.dims.get((i, b), 0)
+
+
+def nonzero_count(q: Point) -> int:
+    """The count filtration's level of a block at lattice point q: how many
+    of its coordinates are nonzero."""
+    return sum(1 for x in q if x)
+
+
+def validate_filtration(fc: FilteredComplex) -> None:
+    """Check that d lowers no level, so every F^p is a subcomplex."""
+    for m in sorted(fc.total.d):
+        src, tgt = fc.levels[m], fc.levels[m + 1]
+        low = [tgt[i] for j, col in enumerate(fc.total.d[m]) for i in col if tgt[i] < src[j]]
+        if low:
+            raise ContractError(f"filtration not stable under d at level {min(low) + 1}, "
+                                f"degree {m}")
 
 
 def window_degrees(window: tuple[Exps, Exps]):

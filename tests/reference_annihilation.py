@@ -12,10 +12,10 @@ builds by patching that one binding.
 from cechmv import cech
 from cechmv.cech import CechProblem, OracleCache
 from cechmv.errors import InputError
-from cechmv.grading import Exps, format_monomial, monomial_mul, product_sequence
+from cechmv.grading import Exps, monomial_mul, product_sequence
 from cechmv.linalg import Columns, identity, mul
 from cechmv.multicomplex import augment_interior, restrict, totalize
-from conftest import degrees
+from conftest import degrees, format_monomial
 from reference_cohomology import cohomology_map
 
 

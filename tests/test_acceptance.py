@@ -48,8 +48,9 @@ from cechmv.multicomplex import add_e, block_slices
 from cechmv.mvss import (FILTRATION, VARIANTS, _expected_abutment, _expected_e1, _middle_piece,
                          infinity_filtration_report)
 from cechmv.spectral import LatticeSequences, _split_columns
-from conftest import (F, abutment_dims, class_of, degrees, dense, keep_points, limit_cells,
-                      rand_complex, rand_tensor_mc, run_width, tensor_product, window_classes)
+from conftest import (F, abutment_dims, class_of, degrees, dense, describe, keep_points,
+                      limit_cells, rand_complex, rand_tensor_mc, run_width, tensor_product,
+                      window_classes)
 from reference_cohomology import reference_middle_pieces
 from reference_dense import zeros
 from reference_spectral import ReferenceSpectralSequence, assert_agrees_with_reference
@@ -227,11 +228,12 @@ def test_kernel_and_cokernel_columns_collapse(sweep):
 def test_cached_split_columns_are_the_whole_half_columns(sweep):
     """Gate: at every point of the sweep's lattices and of 100 random tensor
     multicomplexes, 25 each over F_2, F_3, F_65537 and Q (20 with up to 4
-    axes, and 5 whose factors start at degree -2 or -1), the complement and
-    face columns cached for the point's key (field, coordinate signs, entry
-    dim) are ``line_complex`` of the whole-lattice halves, with their
-    cohomology.  The key separates fields: F_2 and F_3 get distinct entries
-    at the same pattern."""
+    axes, and 5 whose factors start at degree -2 or -1), the face column
+    cached for the point's key (field, coordinate signs, entry dim) is
+    ``line_complex`` of the whole-lattice face half, and the cached
+    cohomology of each half's column is that of the whole-lattice half's.
+    The key separates fields: F_2 and F_3 get distinct entries at the same
+    pattern."""
     lattices = [cech_multicomplex(prob, members[0])
                 for prob in sweep for _pat, members in degree_classes(prob)]
     for k, f in enumerate((PrimeField(2), PrimeField(3), F, RationalField())):
@@ -245,10 +247,10 @@ def test_cached_split_columns_are_the_whole_half_columns(sweep):
         for q in mc.points():
             key = (mc.field, tuple((x > 0) - (x < 0) for x in q), mc.entry_dim(q))
             keys.add(key)
-            for (col, h), half in zip(_split_columns(*key), halves):
-                want = line_complex(half, 0, (0,) + q)
-                assert col == want, (mc.n, q)
-                assert h == want.cohomology_dims(), (mc.n, q)
+            complement_h, (face, face_h) = _split_columns(*key)
+            want = [line_complex(half, 0, (0,) + q) for half in halves]
+            assert face == want[1], (mc.n, q)
+            assert [complement_h, face_h] == [w.cohomology_dims() for w in want], (mc.n, q)
     assert len(keys) > 100 and {key[0] for key in keys} == {PrimeField(2), PrimeField(3), F,
                                                            RationalField()}
     assert any(-1 in key[1] for key in keys)
@@ -359,7 +361,7 @@ def three_group_filtrations(problems, field):
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, RationalField()],
-                         ids=lambda f: f.describe())
+                         ids=describe)
 def test_middle_piece_matches_the_first_page_route(sweep, field):
     """Gate 7c: on every variant-1a filtration of the three-group classes of
     the sweep and of ``jobs/three_ideals.json``, the middle piece and the

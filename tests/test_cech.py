@@ -31,7 +31,7 @@ from cechmv import (
 )
 from cechmv import cech
 from cechmv.jsonout import plain
-from conftest import degrees, dense, window_degrees, zero_ideal
+from conftest import degrees, dense, table_get, window_degrees, zero_ideal
 from reference_annihilation import annihilation_report
 
 F = PrimeField(65537)
@@ -292,8 +292,8 @@ def test_oracle_table_single_ideal():
     table = oracle_table(((1,),), J1, ((-2,), (2,)))
     assert table.convention == "h"
     for b in range(-2, 3):
-        assert table.get(1, (b,)) == (1 if b < 0 else 0)
-        assert table.get(0, (b,)) == 0
+        assert table_get(table, 1, (b,)) == (1 if b < 0 else 0)
+        assert table_get(table, 0, (b,)) == 0
     csv = table.to_csv()
     assert csv.splitlines()[0] == "i,b1,dim"
     assert len(csv.splitlines()) == 1 + 2 * 5
@@ -307,15 +307,15 @@ def test_oracle_table_two_variables():
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 1 if b1 < 0 and b2 < 0 else 0
-            assert table.get(2, (b1, b2)) == want
-            assert table.get(0, (b1, b2)) == 0
-            assert table.get(1, (b1, b2)) == 0
+            assert table_get(table, 2, (b1, b2)) == want
+            assert table_get(table, 0, (b1, b2)) == 0
+            assert table_get(table, 1, (b1, b2)) == 0
     # single product generator (xy): cohomology in slot 1 off the positive quadrant
     t2 = oracle_table(((1, 1),), NOJ2, ((-2, -2), (2, 2)))
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 0 if (b1 >= 0 and b2 >= 0) else 1
-            assert t2.get(1, (b1, b2)) == want
+            assert table_get(t2, 1, (b1, b2)) == want
 
 
 def test_oracle_table_with_quotient():
@@ -325,8 +325,8 @@ def test_oracle_table_with_quotient():
     for b1 in range(-2, 3):
         for b2 in range(-2, 3):
             want = 1 if b1 == 0 and b2 < 0 else 0
-            assert table.get(1, (b1, b2)) == want, (b1, b2)
-            assert table.get(2, (b1, b2)) == 0
+            assert table_get(table, 1, (b1, b2)) == want, (b1, b2)
+            assert table_get(table, 2, (b1, b2)) == 0
     # M = k: everything reduces to the origin in slot 0
     J0 = MonomialIdeal(2, (X, Y))
     t0 = oracle_table((X, Y), J0, ((-2, -2), (2, 2)))
@@ -418,7 +418,7 @@ def test_oracle_truncated_convention():
     assert table.convention == "hcheck"
     # index 0 is raw slot 1: the whole localization
     for b in range(-2, 3):
-        assert table.get(0, (b,)) == 1
+        assert table_get(table, 0, (b,)) == 1
 
 
 def test_cech_multicomplex_shapes():
@@ -461,7 +461,7 @@ def test_oracle_cache_raw_and_tables():
     assert cache.raw("concat", (), "full", 0, (-1, 0)) == 0
     assert cache.raw("concat", (), "truncated", 0, (1, 1)) == 0
     table = cache.table("concat", (0, 1), "full")
-    assert table.get(2, (-1, -1)) == 1
+    assert table_get(table, 2, (-1, -1)) == 1
     with pytest.raises(InputError, match="unknown sequence kind"):
         cache.seq("weird", (0,))
 

@@ -26,12 +26,30 @@ from cechmv.spectral import Page
 JOBS_DIR = Path(__file__).resolve().parent.parent / "jobs"
 
 # sha256 of every file the example jobs write, recorded before compute was
-# restructured around degree classes
+# restructured around degree classes (three_term_quotient's and
+# rational_all_tasks's before the call coverage gate moved test-only code
+# out of the package)
 EXAMPLE_DIGESTS = {
     "mixed_quotient": {
         "cohomology.csv": "99354f6495356f360d479e513ef05247152496a88de5c140e4cd3304eb85b3b7",
         "pages_2b.json": "5f1b611f4643ff6998d370f21a1f940bb4620d446de08c8b3d056ce26afbb867",
         "report.json": "4a8dfdfe0a355f798c54bb1492a8a50fad2bde1f7661a2d2909fcd4383c2132f",
+    },
+    "rational_all_tasks": {
+        "cohomology.csv": "b50473870ddbc197656c487f1a4ad344b04fb5659cb82c423bc58ccf7dbdb3c0",
+        "pages_1a.json": "7430a2860d9d193fb49fe6b7c2b034e281c4536e470beb95857bf2f9480d35ef",
+        "pages_1b.json": "95c0807014eb373236d4b1472b11fee45a98d70c681f0fee8fdbb5823a86172b",
+        "pages_2a.json": "0cfb02906fe0de43094fb3cec21072bc83a1ddd5e8058d60e6486cb01862f932",
+        "pages_2b.json": "ecd68430ec6efe8bac08e5ce2abd5dfb57d14efabdbfe477373a615412ce940d",
+        "report.json": "8193994d05efd3b68fc2ec068a37aad5cbac0e171ea39d68ca95836923e97412",
+    },
+    "three_term_quotient": {
+        "cohomology.csv": "35c9e7f85619fd035192dd87b1001479251d95ab7d1018d43bf0a89bbd9628e1",
+        "pages_1a.json": "be549c8c2142a25cb9538b67d040eea5e96388cebe24fc9af88c882a5d408531",
+        "pages_1b.json": "4aaa78f89a5c4203ca365ce76c2e988e51e9db797aaffabef92ba2c771a2c442",
+        "pages_2a.json": "7c6ec77c606068293190791320d1a691294105fb56c22c269ea9277390f65562",
+        "pages_2b.json": "94c49fa5cacffa92eaba54c3dea1d183ca6a89b21d30b10ffcccc8e8974eb96f",
+        "report.json": "70588b13a04ebf3d7abf3f96a23e7f7f5625c8344027790c2ce943bce82803fa",
     },
     "three_ideals": {
         "cohomology.csv": "f7bffc285c94bb3ed02e823e149c1ca7ac4b1dcfc40c0684b384e5326de96793",
@@ -289,6 +307,19 @@ def test_library_compute_refuses_what_the_command_refuses(pages):
     assert report["pass"] is True
     assert {pg["r"] for e in json.loads(files["pages_1a.json"])["degrees"]
             for pg in e["pages"]} <= {0, 1, 2, 3}
+
+
+def test_library_compute_refuses_an_empty_task_list(tmp_path, capsys):
+    """``compute`` with no task refuses, with the message ``cechmv compute``
+    gives for a job whose task list is empty, and writes nothing."""
+    message = "tasks must be a nonempty list of task names"
+    problem = CechProblem.from_text(PrimeField(65537), 1, [["x1"]])
+    with pytest.raises(InputError, match=message):
+        cli.compute(problem, [])
+    out = tmp_path / "out"
+    assert main(["compute", write_job(tmp_path, dict(BASE_JOB, tasks=[])), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_compute_refuses_an_output_path_that_is_a_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cechmv import (
     InputError,
     MonomialIdeal,
-    format_monomial,
     localized_piece_dim,
     monomial_divides,
     monomial_mul,
@@ -18,7 +17,7 @@ from cechmv import (
     support_mask,
 )
 from cechmv import cli
-from conftest import window_degrees, zero_ideal
+from conftest import format_monomial, window_degrees, zero_ideal
 
 
 def test_parse_monomial_basics():

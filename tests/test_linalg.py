@@ -25,7 +25,7 @@ from cechmv import (
 )
 from cechmv import linalg
 from cechmv.linalg import pivot_pairs, submatrix
-from conftest import FieldMismatchError, as_dense, columns, dense, rand_complex
+from conftest import FieldMismatchError, as_dense, columns, dense, describe, rand_complex
 from reference_cohomology import cohomology_map, cohomology_reps, coordinates, quotient_reps
 # the dense reference: numpy arrays and their rref, and its own product,
 # kernels, solutions and subspaces from that rref
@@ -152,7 +152,7 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
         cols_a = columns(f, a)
         before = copy.deepcopy(cols_a)
         pairs = pivot_pairs(f, cols_a)
-        assert sorted(j for _, j in pairs) == rref(f, as_dense(a))[1], (f.describe(), data)
+        assert sorted(j for _, j in pairs) == rref(f, as_dense(a))[1], (describe(f), data)
         assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs) <= k
         for r in range(rows + 1):
             # the rank of the bottom r rows' left c columns is the number of
@@ -160,7 +160,7 @@ def test_pivot_pairs_follow_the_pairing_lemma(drawn, den):
             pivots = rref(f, as_dense(a[rows - r:]))[1]
             for c in range(cols + 1):
                 inside = sum(1 for i, j in pairs if i >= rows - r and j < c)
-                assert inside == sum(1 for j in pivots if j < c), (f.describe(), data, r, c)
+                assert inside == sum(1 for j in pivots if j < c), (describe(f), data, r, c)
         assert cols_a == before
 
 
@@ -181,7 +181,7 @@ def test_rref_on_dense_rows_matches_the_numpy_reference(drawn, den):
             R, piv = rref(f, d)
             want, want_piv = dense_rref(f, part)
             assert isinstance(R, Dense) and R.shape == want.shape == part.shape
-            assert R == want.tolist() and piv == want_piv, (f.describe(), data)
+            assert R == want.tolist() and piv == want_piv, (describe(f), data)
             if f is not Q:
                 assert all(type(x) is int and 0 <= x < f.p for row in R for x in row)
             assert rank(f, d) == len(piv) == dense_rank(f, part)
@@ -213,7 +213,7 @@ def test_mul_equals_the_dense_product(drawn, den):
         da, db = _field_matrix(f, a, den, cols=k), _field_matrix(f, b, den, cols=c)
         got = mul(f, columns(f, da), columns(f, db))
         assert len(got) == c
-        assert got == columns(f, dense_mul(f, da, db)), (f.describe(), a, b)
+        assert got == columns(f, dense_mul(f, da, db)), (describe(f), a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,4 +443,4 @@ def test_cohomology_reps_and_maps_match_the_dense_reference(seed):
             imgs = dense_mul(f, chain[m], cycles.T).T
             want = Subspace.from_rows(f, tgt.dim(m), np.concatenate([imgs, bounds.basis])).dim \
                 - bounds.dim
-            assert got == want == h_c.get(m, 0), (f.describe(), m, got, want)
+            assert got == want == h_c.get(m, 0), (describe(f), m, got, want)

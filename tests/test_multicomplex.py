@@ -284,9 +284,11 @@ def test_box_is_derived_from_the_points(rng):
         point = Multicomplex(F, 2, {signs: 2}, {})
         halves = [koszul_half(point, kind) for kind in ("complement", "face")]
         assert bool(halves[0].dims) == any(x > 0 for x in signs)
-        for half, (col, _h) in zip(halves, _split_columns(F, signs, 2)):
+        complement_h, (face, _h) = _split_columns(F, signs, 2)
+        for half in halves:
             assert_box_and_lines(half)
-            assert col == line_complex(half, 0, (0,) + signs)
+        cols = [line_complex(half, 0, (0,) + signs) for half in halves]
+        assert complement_h == cols[0].cohomology_dims() and face == cols[1]
 
 
 def test_composite_along():

@@ -93,6 +93,7 @@ def test_committed_jobs_and_workloads_have_the_expected_orbits():
         "wide-window": (81, 55), "oracle-long": (21, 16), "four_ideals": (16, 16),
         "three_ideals": (8, 8), "two_ideals": (4, 4), "mixed_quotient": (6, 6),
         "page-heavy": (1, 1), "twelve_generators": (1, 1), "fifteen_generators": (1, 1),
+        "three_term_quotient": (12, 12), "rational_all_tasks": (11, 11),
     }
     paths = [*(ROOT / "jobs").glob("*.json"), *(ROOT / "perfbench" / "workloads").glob("*.json")]
     found = {p.stem: orbit_count(load(p)) for p in paths if p.stem in expected}
