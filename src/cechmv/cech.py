@@ -20,10 +20,11 @@ Two independent routes are kept deliberately separate:
 
 The piece pattern of a degree (which localizations are alive) determines
 every matrix in both routes, and both read a degree only through it:
-``cech_multicomplex`` indexes ``piece_pattern``, and the oracle
-(``_oracle_vectors``, ``raw``) and verify34's dim M_b index
-``OracleCache.pattern``.  So degrees with equal patterns are computationally
-identical; ``degree_classes`` groups a window by pattern.
+``cech_multicomplex`` is given the class's pattern from ``degree_classes``,
+which groups a window by pattern, and the oracle (``_oracle_vectors``,
+``raw``) and verify34's dim M_b index its own ``OracleCache.pattern``.  So
+degrees with equal patterns are computationally identical, and every audit
+comparing the routes also checks the classification at the class's degree.
 A piece is alive when b_j >= 0 and b_j >= g_j hold for the right variables j
 and quotient generators g, so the pattern sees each b_j only through its
 interval among the thresholds {0} and {g_j}.  The window therefore splits
@@ -54,7 +55,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .grading import (
     Exps,
     MonomialIdeal,
@@ -103,10 +104,6 @@ class CechProblem:
     @property
     def n(self) -> int:
         return len(self.groups)
-
-    def in_window(self, b: Exps) -> bool:
-        lo, hi = self.window
-        return len(b) == self.num_vars and all(a <= x <= c for x, a, c in zip(b, lo, hi))
 
     @staticmethod
     def from_text(field: Field, num_vars: int, groups: list[list[str]],
@@ -214,10 +211,10 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
 
     Every class step of an orbit gives the same result, so ``cli.compute``
     runs it once, at the orbit's first class.  A class step reads its degree
-    only through its pattern (``piece_pattern``, the one caller of
-    ``localized_piece_dim``: the lattice's live entries, the oracle's rank
-    vectors and its mask-0 reads, in ``raw`` and verify34's dim M_b), so the
-    proof is in patterns alone.  Let classes with patterns P and
+    only through its pattern (the lattice's live entries, and, through
+    ``piece_pattern``, the one caller of ``localized_piece_dim``, the
+    oracle's rank vectors and its mask-0 reads, in ``raw`` and verify34's
+    dim M_b), so the proof is in patterns alone.  Let classes with patterns P and
     P' = sigma P be present.  sigma maps each group onto itself, so it
     permutes the generators of group i by some pi_i with
     supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a generator subset S_i is
@@ -270,8 +267,9 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
 # engine-side constructions
 
 
-def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
-    """The n-axis lattice of iterated Čech slots at degree b.
+def cech_multicomplex(problem: CechProblem, pattern: tuple[int, ...]) -> Multicomplex:
+    """The n-axis lattice of iterated Čech slots at a degree with piece
+    pattern ``pattern``; ``ContractError`` if its length is not 2^m.
 
     The entry at q = (q_1..q_n) is the sum over choices of a q_i-subset S_i of
     each group of the piece of R/J localized at the product of all chosen
@@ -279,19 +277,17 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
     axes commute.  The totalization of the result ``mc`` without its origin
     entry is ``restrict(totalize(mc), any)``.
     """
-    if not problem.in_window(b):
-        raise InputError(f"degree {b} outside the window {problem.window}")
+    if len(pattern) != 1 << problem.num_vars:
+        raise ContractError(f"a pattern of {len(pattern)} entries, not 2^{problem.num_vars}")
     f = problem.field
     groups = problem.groups
     n = problem.n
     sizes = [len(g) for g in groups]
     gmasks = [[support_mask(g) for g in grp] for grp in groups]
-    alive = piece_pattern(problem, b)
     subset_lists = [
         {t: list(itertools.combinations(range(sz), t)) for t in range(sz + 1)} for sz in sizes
     ]
     dims: dict[Point, int] = {}
-    pblocks: dict[Point, tuple] = {}
     index: dict[Point, dict[tuple, int]] = {}
     for q in itertools.product(*[range(sz + 1) for sz in sizes]):
         kept = []
@@ -300,12 +296,11 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
             for i, s in enumerate(combo):
                 for k in s:
                     mask |= gmasks[i][k]
-            if alive[mask]:
+            if pattern[mask]:
                 kept.append(combo)
         if not kept:
             continue
         dims[q] = len(kept)
-        pblocks[q] = tuple((combo, 1) for combo in kept)
         index[q] = {combo: pos for pos, combo in enumerate(kept)}
     signs = (f.normalize(1), f.normalize(-1))
     diffs: dict[tuple[Point, int], Columns] = {}
@@ -328,7 +323,7 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
                         col[row] = signs[sum(1 for k in s if k < j) % 2]
                 columns.append(col)
             diffs[(q, i)] = columns
-    return Multicomplex(f, n, dims, diffs, pblocks)
+    return Multicomplex(f, n, dims, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -337,61 +332,62 @@ def cech_multicomplex(problem: CechProblem, b: Exps) -> Multicomplex:
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions per (index i, multidegree b) over a window, for i in
-    0..i_max.
-
-    ``convention`` records what index 0 means: "h" tables hold the cohomology
-    of the full complex by raw slot degree; "hcheck" tables hold the truncated
-    complex's cohomology shifted down by one (index i is raw slot i+1).
-    """
+    """Dimensions per index i in 0..i_max and degree b of a window, as class
+    columns (members, {i: dim}); every other (i, b) has dimension 0.  The
+    writers refuse a nonzero dimension outside 0..i_max or the window with
+    ``ContractError``.  ``convention`` records what index 0 means: "h" tables
+    hold the cohomology of the full complex by raw slot degree; "hcheck"
+    tables hold the truncated complex's cohomology shifted down by one
+    (index i is raw slot i+1)."""
 
     num_vars: int
     i_max: int
     window: Window
     convention: str
-    dims: dict[tuple[int, Exps], int]
+    columns: list[tuple[list[Exps], dict[int, int]]]
 
-    @staticmethod
-    def from_classes(problem: CechProblem, length: int, mode: str,
-                     columns: list[tuple[list[Exps], dict[int, int]]]) -> "CohomologyTable":
-        """Assemble the window table of a length-``length`` sequence from
-        per-class columns (members, {i: dim}); see ``OracleCache.column``."""
-        dims = {(i, b): h for members, col in columns for b in members for i, h in col.items()}
-        i_max = length if mode == "full" else max(length - 1, 0)
-        return CohomologyTable(problem.num_vars, i_max, problem.window,
-                               "h" if mode == "full" else "hcheck", dims)
+    def _cells(self) -> dict[int, list[tuple[int, Exps, int]]]:
+        """i -> [(position of b in the window's lex order, b, dim)] over the
+        nonzero dimensions, in column order."""
+        lo, hi = self.window
+        strides = list(itertools.accumulate([z - a + 1 for a, z in zip(lo[:0:-1], hi[:0:-1])],
+                                            operator.mul, initial=1))[::-1]
+        base = sum(map(operator.mul, lo, strides))  # so that lo sits at 0
+        cells: dict[int, list[tuple[int, Exps, int]]] = {}
+        for members, col in self.columns:
+            col = {i: h for i, h in col.items() if h}
+            if bad := col.keys() - range(self.i_max + 1):
+                raise ContractError(f"index {min(bad)} outside 0..{self.i_max}")
+            for b in members if col else ():
+                if not (len(b) == len(lo) and all(map(operator.le, lo, b))
+                        and all(map(operator.le, b, hi))):
+                    raise ContractError(f"degree {b} outside the window {self.window}")
+                pos = sum(map(operator.mul, b, strides)) - base
+                for i, h in col.items():
+                    cells.setdefault(i, []).append((pos, b, h))
+        return cells
 
     def to_csv(self) -> str:
         """The dense table as CSV: the header ``i,b1,...,bm,dim``, then one
         row ``i,b1,...,bm,dim`` per index i in 0..i_max and window degree b,
-        index-major with the degrees in lex order, zeros included.  Entries
-        of ``dims`` above ``i_max`` or outside the window are not written.
+        index-major with the degrees in lex order, zeros included.
 
         Every zero row ``b1,...,bm,0`` is built once and shared by all
         indices; each index's chunk is one ``str.join`` over them whose
         separator carries the ``i,`` prefix, with that index's nonzero cells
         patched in for the join only.
         """
-        lo, hi = self.window
-        values = [[str(v) for v in range(a, z + 1)] for a, z in zip(lo, hi)]
-        strides = [1] * len(lo)
-        for j in range(len(lo) - 1, 0, -1):
-            strides[j - 1] = strides[j] * len(values[j])
+        cells = self._cells()
+        values = [[str(v) for v in range(a, z + 1)] for a, z in zip(*self.window)]
         rows = list(map(",".join, itertools.product(*values, ("0",))))
-        base = sum(map(operator.mul, lo, strides))  # so that lo sits at 0
-        # i -> (lex position, dim); the loop below reads only i in 0..i_max
-        cells: dict[int, list[tuple[int, int]]] = {}
-        for (i, b), h in self.dims.items():
-            if len(b) == len(lo) and all(map(operator.le, lo, b)) and all(map(operator.le, b, hi)):
-                cells.setdefault(i, []).append((sum(map(operator.mul, b, strides)) - base, h))
         chunks = [",".join(["i", *(f"b{j + 1}" for j in range(self.num_vars)), "dim"])]
         for i in range(self.i_max + 1):
             patched = cells.get(i, [])
-            zeros = [rows[pos] for pos, _ in patched]
-            for (pos, h), zero in zip(patched, zeros):
+            zeros = [rows[pos] for pos, _b, _h in patched]
+            for (pos, _b, h), zero in zip(patched, zeros):
                 rows[pos] = f"{zero[:-1]}{h}"
             chunks.append(f"{i}," + f"\n{i},".join(rows) if rows else "")
-            for (pos, _), zero in zip(patched, zeros):
+            for (pos, _b, _h), zero in zip(patched, zeros):
                 rows[pos] = zero
         # the peak is the final join: free the zero rows before it, and add
         # the trailing newline as an empty last chunk, not by copying the text
@@ -404,7 +400,7 @@ class CohomologyTable:
         in (i, b) order, one shared record per distinct (i, dim)."""
         records: dict[tuple[int, int], dict] = {}
         entries = [(b, records.setdefault((i, d), {"i": i, "dim": d}))
-                   for (i, b), d in sorted(self.dims.items()) if d]
+                   for i, cells in sorted(self._cells().items()) for _pos, b, d in sorted(cells)]
         return {
             "convention": self.convention,
             "i_range": [0, self.i_max],
@@ -541,10 +537,12 @@ class OracleCache:
         return {t if mode == "full" else t - 1: h for t, h in raw.items() if h}
 
     def table(self, kind: str, subset: tuple[int, ...], mode: str) -> CohomologyTable:
+        """The window table of the sequence, one column per degree class."""
+        length, full = len(self.seq(kind, subset)), mode == "full"
         columns = [(members, self.column(kind, subset, mode, members[0]))
                    for _pat, members in degree_classes(self.problem)]
-        return CohomologyTable.from_classes(self.problem, len(self.seq(kind, subset)), mode,
-                                            columns)
+        return CohomologyTable(self.problem.num_vars, length if full else max(length - 1, 0),
+                               self.problem.window, "h" if full else "hcheck", columns)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Two commands:
   over the job's degree window, writes ``cohomology.csv``,
   ``pages_<variant>.json`` and an aggregate ``report.json`` to the output
   directory, and prints a one-line summary per task.  Exit code 0 means all
-  verifications passed, 1 means the input was rejected or an output file
-  could not be written, 2 means some verification failed.
+  verifications passed, 1 means the input or the command line was rejected
+  or an output file could not be written, 2 means some verification failed.
 
   ``compute`` is the one driver of a whole window, for the command and the
   library alike: the first class of each orbit of degree classes
@@ -16,11 +16,11 @@ Two commands:
   ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) at its
   representative degree b0 for the whole orbit, and ``--jobs`` spreads the
   orbits over worker processes.  A class step reads two things: its
-  class's ``LatticeSequences`` (``DegreeClass.sequences``) and its degree
-  through the class's piece pattern.  Its result names no degree;
-  ``assemble_unit``, the one place where class results meet member lists,
-  lists them under the member degrees, in class order, and ``jsonout.dumps``
-  writes each class's record once.
+  class's ``LatticeSequences`` (``DegreeClass.sequences``), built from the
+  pattern ``cech.degree_classes`` found, and the oracle at b0.  Its result
+  names no degree; ``assemble_unit``, the one place where class results
+  meet member lists, lists them under the member degrees, in class order,
+  and ``jsonout.dumps`` writes each class's record once.
 * ``selftest`` runs ``compute`` with every task the problem admits on small
   random problems and checks that every task passes.  Deterministic for a
   fixed seed.
@@ -109,11 +109,10 @@ def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
         ):
             raise InputError(f"window must be [[lo_1..lo_{m}], [hi_1..hi_{m}]]")
         window = (tuple(w[0]), tuple(w[1]))
-    pages = raw.get("pages")
-    if pages is not None and (type(pages) is not int or pages < 0):
-        raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     problem = CechProblem.from_text(field, m, groups, quo, window)
-    return problem, check_tasks(problem, raw["tasks"]), pages
+    tasks, pages = check_tasks(problem, raw["tasks"]), raw.get("pages")
+    check_pages(problem, pages)
+    return problem, tasks, pages
 
 
 def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
@@ -130,32 +129,33 @@ def check_tasks(problem: CechProblem, tasks: list[str]) -> list[str]:
     return [t for t in TASK_ORDER if t in tasks]
 
 
-def check_pages(problem: CechProblem, pages: int | None, name: str) -> None:
+def check_pages(problem: CechProblem, pages: int | None) -> None:
     """Refuses a ``pages`` below 0 or past n + 2 for n groups: every
     filtration is at most n + 1 wide, so no page after n + 1 changes, and a
     default run writes pages up to n + 2 at most."""
     top = problem.n + 2
     if pages is not None and (type(pages) is not int or pages < 0):  # bool is not an int here
-        raise InputError(f"{name} must be a nonnegative integer, got {pages!r}")
+        raise InputError(f"pages must be a nonnegative integer, got {pages!r}")
     if pages is not None and pages > top:
-        raise InputError(f"{name} must be at most {top}, n + 2 for n = {problem.n} generator "
+        raise InputError(f"pages must be at most {top}, n + 2 for n = {problem.n} generator "
                          f"groups (no page after {top - 1} changes), got {pages}")
 
 
 class DegreeClass:
-    """One degree class as its class steps see it: its representative degree
-    b0, oracle cache, and the ``LatticeSequences`` of the lattice at b0
-    (built on first use, so every task of the class reads its one Koszul
-    split, filtered complexes, spectral sequences and region complexes)."""
+    """One degree class as its class steps see it: its piece pattern, its
+    representative degree b0, an oracle cache, and the ``LatticeSequences``
+    of the lattice built from the pattern (on first use, so every task of the
+    class reads its one Koszul split, filtered complexes and sequences)."""
 
-    def __init__(self, problem: CechProblem, b0: Exps):
+    def __init__(self, problem: CechProblem, pattern: tuple[int, ...], b0: Exps):
         self.problem = problem
+        self.pattern = pattern
         self.b0 = b0
         self.cache = OracleCache(problem)
 
     @functools.cached_property
     def sequences(self) -> LatticeSequences:
-        return LatticeSequences(cech_multicomplex(self.problem, self.b0))
+        return LatticeSequences(cech_multicomplex(self.problem, self.pattern))
 
 
 def run_unit(klass: DegreeClass, unit: str, pages: int | None):
@@ -201,12 +201,13 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
     is read, never changed."""
     degrees = sum(len(members) for members, _ in results)
     if unit == "cohomology":
-        length = len(product_sequence(problem.groups))
-        table = CohomologyTable.from_classes(problem, length, "full", results)
+        table = CohomologyTable(problem.num_vars, len(product_sequence(problem.groups)),
+                                problem.window, "h", results)
         payload = {
             "pass": True,
             "file": "cohomology.csv",
-            "nonzero_entries": sum(1 for v in table.dims.values() if v),
+            "nonzero_entries": sum(len(members) for members, col in results
+                                   for h in col.values() if h),
             "table": table.to_json(),
         }
         return payload, {"cohomology.csv": table.to_csv()}
@@ -268,8 +269,8 @@ def _class_worker(args) -> list:
     """Every task's class step for one degree class, in task order; a failing
     step, or one that runs out of memory, yields its error and the other
     tasks still run."""
-    problem, tasks, pages, b0 = args
-    klass = DegreeClass(problem, b0)
+    problem, tasks, pages, pattern, b0 = args
+    klass = DegreeClass(problem, pattern, b0)
     out = []
     for unit in tasks:
         try:
@@ -294,12 +295,12 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     ``report.json`` among them.  Refuses what ``check_tasks`` and
     ``check_pages`` refuse with ``InputError``."""
     tasks = check_tasks(problem, tasks)
-    check_pages(problem, pages, "pages")
+    check_pages(problem, pages)
     by_pattern = degree_classes(problem)
     classes = [members for _pat, members in by_pattern]
     orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
     reps = sorted(set(orbit))
-    work = [(problem, tasks, pages, classes[r][0]) for r in reps]
+    work = [(problem, tasks, pages, by_pattern[r][0], classes[r][0]) for r in reps]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
@@ -345,9 +346,7 @@ def cmd_compute(args) -> int:
     try:
         if args.jobs < 0:
             raise InputError(f"--jobs must be a nonnegative integer, got {args.jobs}")
-        problem, tasks, job_pages = load_job(args.job)
-        pages = args.pages if args.pages is not None else job_pages
-        check_pages(problem, pages, "pages" if args.pages is None else "--pages")
+        problem, tasks, pages = load_job(args.job)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as e:
@@ -423,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("job", help="path to the job file")
     pc.add_argument("--out", default=".", help="output directory (default: current)")
     pc.add_argument("--jobs", type=int, default=0, help="worker processes (default: cpu count)")
-    pc.add_argument("--pages", type=int, default=None, help="highest page to include in dumps")
     pc.set_defaults(func=cmd_compute)
     ps = sub.add_parser("selftest", help="run compute on small random problems")
     ps.add_argument("--seed", type=int, default=0)
@@ -434,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error; 2 means a failed verification
+        return 1 if e.code else 0
     return args.func(args)
 
 

@@ -4,8 +4,9 @@ degree classes of a problem as the CLI's class steps see them, the two
 converters between dense numpy matrices and the package's sparse
 ``{row: value}`` column lists, the one from numpy matrices to the package's
 dense ``Dense`` rows, and small helpers only the tests use (the window's
-degrees, the zero ideal, a complex's degree range, the field check of the
-references, a field's name, a monomial's text, a table's cell, the count
+degrees and its membership test, the zero ideal, a complex's degree range,
+the field check of the references, a field's name, a monomial's text, a
+table's cell, the generator subsets of a Čech lattice entry, the count
 filtration's level and the check that a filtration is stable under d).
 
 Random complexes are built with square-zero enforced by construction (a map
@@ -14,13 +15,16 @@ generated multicomplex is valid by design and the tests probe the machinery,
 not the generator.
 """
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 
 from cechmv import (CochainComplex, CohomologyTable, ContractError, Dense, FilteredComplex,
-                    MonomialIdeal, Multicomplex, PrimeField, VARIANTS, degree_classes)
+                    MonomialIdeal, Multicomplex, PrimeField, VARIANTS, degree_classes,
+                    support_mask)
 from cechmv.cli import DegreeClass
 from cechmv.grading import Exps
 from cechmv.linalg import Columns, Field
@@ -52,7 +56,19 @@ def format_monomial(exps: Exps) -> str:
 
 def table_get(table: CohomologyTable, i: int, b: Exps) -> int:
     """The table's dimension at index i and degree b, 0 where it holds none."""
-    return table.dims.get((i, b), 0)
+    return next((col.get(i, 0) for members, col in table.columns if b in members), 0)
+
+
+def alive_subsets(problem, pattern: tuple[int, ...], q: Point) -> list[tuple]:
+    """The basis of the entry at q of ``cech_multicomplex(problem, pattern)``
+    in its column order: the choices (S_1..S_n) of a q_i-subset S_i of each
+    group's generator indices whose product is alive under ``pattern``."""
+    masks = [[support_mask(g) for g in grp] for grp in problem.groups]
+    choices = itertools.product(*(itertools.combinations(range(len(grp)), t)
+                                  for grp, t in zip(problem.groups, q)))
+    return [combo for combo in choices
+            if pattern[functools.reduce(operator.or_, (masks[i][k] for i, s in enumerate(combo)
+                                                       for k in s), 0)]]
 
 
 def nonzero_count(q: Point) -> int:
@@ -80,6 +96,12 @@ def window_degrees(window: tuple[Exps, Exps]):
 def degrees(problem) -> list[Exps]:
     """Every degree of the problem's window, in lexicographic order."""
     return [tuple(b) for b in window_degrees(problem.window)]
+
+
+def in_window(problem, b: Exps) -> bool:
+    """Whether b is a degree of the problem's window."""
+    lo, hi = problem.window
+    return len(b) == problem.num_vars and all(a <= x <= c for x, a, c in zip(b, lo, hi))
 
 
 def zero_ideal(num_vars: int) -> MonomialIdeal:
@@ -223,7 +245,7 @@ def keep_points(mc: Multicomplex, keep) -> Multicomplex:
 
 def class_of(problem, b) -> DegreeClass:
     """The degree class holding b, at its representative degree."""
-    return next(DegreeClass(problem, members[0]) for _pat, members in degree_classes(problem)
+    return next(DegreeClass(problem, pat, members[0]) for pat, members in degree_classes(problem)
                 if b in members)
 
 
@@ -236,8 +258,8 @@ def window_classes(problem) -> list[tuple[list[Exps], DegreeClass, dict[str, Cla
     """(members, class, {variant: run}) for every degree class of the window,
     in class order; each class builds its lattice once for all variants."""
     out = []
-    for _pat, members in degree_classes(problem):
-        klass = DegreeClass(problem, members[0])
+    for pat, members in degree_classes(problem):
+        klass = DegreeClass(problem, pat, members[0])
         out.append((members, klass, {v: class_run(klass, v) for v in VARIANTS}))
     return out
 

@@ -15,23 +15,26 @@ from cechmv.errors import InputError
 from cechmv.grading import Exps, monomial_mul, product_sequence
 from cechmv.linalg import Columns, identity, mul
 from cechmv.multicomplex import augment_interior, restrict, totalize
-from conftest import degrees, format_monomial
+from conftest import alive_subsets, degrees, format_monomial, in_window
 from reference_cohomology import cohomology_map
 
 
 class _AugmentedFiber:
-    """Degree-b augmented interior complex plus the bookkeeping needed to map
-    its basis elements across degrees (each element is a choice of generator
-    subsets, whose localization support never changes)."""
+    """Augmented interior complex at a degree with piece pattern ``pattern``,
+    plus the bookkeeping needed to map its basis elements across degrees
+    (each element is a choice of generator subsets, whose localization
+    support never changes)."""
 
-    def __init__(self, problem: CechProblem, b: Exps):
+    def __init__(self, problem: CechProblem, pattern: tuple[int, ...]):
         self.problem = problem
-        mc = cech.cech_multicomplex(problem, b)
+        mc = cech.cech_multicomplex(problem, pattern)
         # the interior: the points with every coordinate positive
         self.plus = augment_interior(mc, tuple(range(problem.n)), restrict(totalize(mc), all))
 
         def basis(q) -> list:  # the origin entry is one piece, so one "aug" element
-            return ["aug"] if q == "aug" else [(q, combo) for combo, _ in mc.point_blocks[q]]
+            if q == "aug":
+                return ["aug"]
+            return [(q, combo) for combo in alive_subsets(problem, pattern, q)]
 
         self.keys = {m: [k for q, _ in blk for k in basis(q)] for m, blk in self.plus.blocks.items()}
         self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}
@@ -60,7 +63,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     if bound < 1:
         raise InputError("annihilation bound must be at least 1")
     gens = product_sequence(problem.groups)
-    if not any(problem.in_window(monomial_mul(b, g)) for b in degrees(problem) for g in set(gens)):
+    if not any(in_window(problem, monomial_mul(b, g)) for b in degrees(problem) for g in set(gens)):
         raise InputError("window too small to test annihilation for any exponent")
 
     # a fiber, and the map between two fibers, depend on their degrees only
@@ -72,7 +75,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
     def fiber(b: Exps) -> _AugmentedFiber:
         pat = cache.pattern(b)
         if pat not in fibers:
-            fibers[pat] = _AugmentedFiber(problem, b)
+            fibers[pat] = _AugmentedFiber(problem, pat)
         return fibers[pat]
 
     def induced(b: Exps, g: Exps) -> dict[int, Columns]:
@@ -101,7 +104,7 @@ def annihilation_report(problem: CechProblem, bound: int, cache: OracleCache | N
                 ran_out = False
                 for nstep in range(1, bound + 1):
                     nxt = monomial_mul(cur, g)
-                    if not problem.in_window(nxt):
+                    if not in_window(problem, nxt):
                         ran_out = True
                         break
                     # no map at m means no classes at cur, so cum has no rows

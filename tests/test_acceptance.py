@@ -164,8 +164,8 @@ def test_punctured_face_part_is_derived_from_the_one_split(sweep):
     blocks.  Variant 1b is built that way."""
     checked = 0
     for prob in sweep:
-        for _pat, members in degree_classes(prob):
-            mc = cech_multicomplex(prob, members[0])
+        for pat, members in degree_classes(prob):
+            mc = cech_multicomplex(prob, pat)
             got = restrict(LatticeSequences(mc).face_total, lambda k: any(k[1:]))
             want = totalize(koszul_split(keep_points(mc, any)))
             assert got == want, members[0]
@@ -198,8 +198,8 @@ def test_restrict_is_the_totalized_point_restriction(sweep):
     for _ in range(40):
         mc = rand_tensor_mc(F, rng, coin=False)
         lattices += [mc, koszul_split(mc)]
-    lattices += [cech_multicomplex(prob, members[0])
-                 for prob in sweep for _pat, members in degree_classes(prob)]
+    lattices += [cech_multicomplex(prob, pat)
+                 for prob in sweep for pat, _members in degree_classes(prob)]
     selected = 0
     for mc in lattices:
         tot = totalize(mc)
@@ -216,8 +216,8 @@ def test_kernel_and_cokernel_columns_collapse(sweep):
     cohomology only in column degree 1 and the quotient part only in 0, both
     of the interior entry's dimension."""
     for prob in sweep:
-        for _pat, members in degree_classes(prob):
-            mc = cech_multicomplex(prob, members[0])
+        for pat, members in degree_classes(prob):
+            mc = cech_multicomplex(prob, pat)
             assert split_column_report(mc, koszul_split(mc)) == [], (prob.groups, members[0])
     rng = np.random.default_rng(20240824)
     for trial in range(100):
@@ -234,8 +234,8 @@ def test_cached_split_columns_are_the_whole_half_columns(sweep):
     cohomology of each half's column is that of the whole-lattice half's.
     The key separates fields: F_2 and F_3 get distinct entries at the same
     pattern."""
-    lattices = [cech_multicomplex(prob, members[0])
-                for prob in sweep for _pat, members in degree_classes(prob)]
+    lattices = [cech_multicomplex(prob, pat)
+                for prob in sweep for pat, _members in degree_classes(prob)]
     for k, f in enumerate((PrimeField(2), PrimeField(3), F, RationalField())):
         rng = np.random.default_rng(20261019 + k)
         lattices += [rand_tensor_mc(f, rng, max_axes=4) for _ in range(20)]
@@ -304,8 +304,8 @@ def test_page_structure_and_stabilization(sweep_results):
                   if r["problem"].n == 3 and r["problem"].num_vars == 2)
     for variant in VARIANTS:
         fc = None
-        for members, _klass, _runs in target["classes"]:
-            mc = cech_multicomplex(target["problem"], members[0])
+        for _members, klass, _runs in target["classes"]:
+            mc = cech_multicomplex(target["problem"], klass.pattern)
             fc = LatticeSequences(mc).sequence(FILTRATION[variant]).fc
             if fc.total.dims:
                 break
@@ -337,7 +337,7 @@ def test_engines_agree_on_the_sweep(sweep_results):
     compared = 0
     for res in results:
         for members, klass, runs in res["classes"]:
-            seqs = LatticeSequences(cech_multicomplex(res["problem"], members[0]))
+            seqs = LatticeSequences(cech_multicomplex(res["problem"], klass.pattern))
             for variant in VARIANTS:
                 cls = runs[variant]
                 fc = seqs.sequence(FILTRATION[variant]).fc
@@ -350,14 +350,14 @@ def test_engines_agree_on_the_sweep(sweep_results):
 
 
 def three_group_filtrations(problems, field):
-    """(problem, class members, variant-1a filtered complex) of every class
-    of the three-group ``problems``, over ``field``."""
+    """(problem, pattern, members, variant-1a filtered complex) of every
+    degree class of the three-group ``problems``, over ``field``."""
     for prob in problems:
         if prob.n == 3:
             prob = dataclasses.replace(prob, field=field)
-            for _pat, members in degree_classes(prob):
-                yield prob, members, LatticeSequences(
-                    cech_multicomplex(prob, members[0])).sequence(FILTRATION["1a"]).fc
+            for pat, members in degree_classes(prob):
+                yield prob, pat, members, LatticeSequences(
+                    cech_multicomplex(prob, pat)).sequence(FILTRATION["1a"]).fc
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F, RationalField()],
@@ -371,7 +371,7 @@ def test_middle_piece_matches_the_first_page_route(sweep, field):
     total degree where a block is nonempty."""
     problems = sweep + [load_job(str(JOBS_DIR / "three_ideals.json"))[0]]
     seen = {"classes": 0, "middle cells": 0, "middle pieces": 0}
-    for _prob, members, fc in three_group_filtrations(problems, field):
+    for _prob, _pat, members, fc in three_group_filtrations(problems, field):
         degrees = sorted(set(fc.total.dims) | {m + 1 for m in fc.total.dims})
         got = {m: _middle_piece(fc, m) for m in degrees}
         assert got == reference_middle_pieces(fc, degrees), (members[0], got)
@@ -390,8 +390,8 @@ def test_scaled_off_diagonal_entries_fail_the_middle_check(sweep):
     unscaled complex), and every entry whose scaling the first-page route
     (``reference_middle_pieces``) catches or cannot map fails a row too."""
     scaled = caught = 0
-    for prob, members, fc in three_group_filtrations(sweep, F):
-        klass = DegreeClass(prob, members[0])
+    for prob, pat, members, fc in three_group_filtrations(sweep, F):
+        klass = DegreeClass(prob, pat, members[0])
         ss = klass.sequences.sequence(FILTRATION["1a"])
         assert infinity_filtration_report(ss, klass.cache, members[0])["pass"], members[0]
         e1 = ss.page(1)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cechmv import (
     CechProblem,
     CohomologyTable,
+    ContractError,
     InputError,
     MonomialIdeal,
     OracleCache,
@@ -31,7 +32,8 @@ from cechmv import (
 )
 from cechmv import cech
 from cechmv.jsonout import plain
-from conftest import degrees, dense, table_get, window_degrees, zero_ideal
+from conftest import (alive_subsets, degrees, dense, in_window, table_get, window_degrees,
+                      zero_ideal)
 from reference_annihilation import annihilation_report
 
 F = PrimeField(65537)
@@ -49,7 +51,8 @@ def oracle_table(seq, quotient, window, mode="full"):
 
 def cech_slice(seq, quotient, b, truncated=False):
     """Degree-b slice of the Čech complex on ``seq``: its one-group lattice, totalized."""
-    mc = cech_multicomplex(CechProblem(F, len(b), (tuple(seq),), quotient, (b, b)), b)
+    prob = CechProblem(F, len(b), (tuple(seq),), quotient, (b, b))
+    mc = cech_multicomplex(prob, piece_pattern(prob, b))
     tot = totalize(mc)
     return restrict(tot, any) if truncated else tot
 
@@ -76,7 +79,7 @@ def test_problem_validation():
 def test_default_window_tracks_largest_exponent():
     prob = CechProblem.from_text(F, 2, [["x1^2"], ["x2"]], ["x2^3"])
     assert prob.window == ((-3, -4), (3, 4))
-    assert prob.in_window((0, -4)) and not prob.in_window((4, 0))
+    assert in_window(prob, (0, -4)) and not in_window(prob, (4, 0))
 
 
 def test_degrees_and_classes():
@@ -228,7 +231,7 @@ def test_classification_evaluates_one_pattern_per_chamber(monkeypatch):
     # thresholds {0, 2} cut x1 and x2 into 3 intervals, {0} cuts the others
     # into 2: 3 * 3 * 2**4 chambers
     assert len(calls) <= 144
-    assert all(prob.in_window(b) for b in calls)
+    assert all(in_window(prob, b) for b in calls)
 
 
 def test_cech_complex_hand_values():
@@ -330,7 +333,7 @@ def test_oracle_table_with_quotient():
     # M = k: everything reduces to the origin in slot 0
     J0 = MonomialIdeal(2, (X, Y))
     t0 = oracle_table((X, Y), J0, ((-2, -2), (2, 2)))
-    assert dict(t0.dims) == {(0, (0, 0)): 1}
+    assert [(members, col) for members, col in t0.columns if col] == [([(0, 0)], {0: 1})]
 
 
 def reference_csv(table: CohomologyTable) -> str:
@@ -338,8 +341,10 @@ def reference_csv(table: CohomologyTable) -> str:
     lookup, keyed by the degree's text, per (index, degree)."""
     keys = [",".join(map(str, b)) for b in window_degrees(table.window)]
     by_i: dict[int, dict[str, int]] = {}
-    for (i, b), h in table.dims.items():
-        by_i.setdefault(i, {})[",".join(map(str, b))] = h
+    for members, col in table.columns:
+        for b in members:
+            for i, h in col.items():
+                by_i.setdefault(i, {})[",".join(map(str, b))] = h
     chunks = [",".join(["i", *(f"b{j + 1}" for j in range(table.num_vars)), "dim"])]
     for i in range(table.i_max + 1):
         col = by_i.get(i, {})
@@ -350,8 +355,9 @@ def reference_csv(table: CohomologyTable) -> str:
 @st.composite
 def csv_tables(draw):
     """Tables over 1..6 coordinates, each negative-only, positive-only, mixed
-    or of width 1, with sparse or dense ``dims``, explicit zeros, and entries
-    above ``i_max``, below 0 or outside the window, which are not written."""
+    or of width 1, whose one to five columns share a sparse or dense part of
+    the window's degrees, in no order, with explicit zeros among their
+    dimensions."""
     lo, hi = [], []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["negative", "positive", "mixed", "single"]))
@@ -372,24 +378,47 @@ def csv_tables(draw):
     degrees = list(window_degrees(window))
     rng = draw(st.randoms(use_true_random=False))
     density = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
-    dims = {(i, b): rng.randrange(12) for i in range(i_max + 1) for b in degrees
-            if rng.random() < density}
-    for _ in range(draw(st.integers(0, 4))):
-        b = list(rng.choice(degrees))
-        j = rng.randrange(len(b))
-        b[j] = rng.choice([lo[j] - 1, hi[j] + 1])
-        dims[(rng.randrange(i_max + 1), tuple(b))] = rng.randrange(1, 12)
-    for _ in range(draw(st.integers(0, 4))):
-        i = rng.choice([-1, i_max + 1, i_max + 3])
-        dims[(i, rng.choice(degrees))] = rng.randrange(1, 12)
-    return CohomologyTable(len(lo), i_max, window, "h", dims)
+    columns = [([], {i: rng.randrange(12) for i in range(i_max + 1) if rng.random() < 0.6})
+               for _ in range(draw(st.integers(1, 5)))]
+    members = [b for b in degrees if rng.random() < density]
+    rng.shuffle(members)
+    for b in members:
+        rng.choice(columns)[0].append(b)
+    return CohomologyTable(len(lo), i_max, window, "h", columns)
 
 
 @settings(max_examples=150, deadline=None)
 @given(csv_tables())
-@example(CohomologyTable(2, 1, ((0, 1), (1, 0)), "h", {(0, (0, 0)): 1}))  # an empty window
+@example(CohomologyTable(2, 1, ((0, 1), (1, 0)), "h", []))  # an empty window
 def test_csv_writer_matches_the_row_by_row_reference(table):
     assert table.to_csv() == reference_csv(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_tables())
+def test_json_entries_list_the_nonzero_cells_in_index_and_degree_order(table):
+    cells = sorted((i, b, h) for members, col in table.columns for b in members
+                   for i, h in col.items() if h)
+    assert plain(table.to_json())["entries"] == [{"i": i, "b": list(b), "dim": h}
+                                                 for i, b, h in cells]
+
+
+@pytest.mark.parametrize("columns,message", [
+    ([([(0, 0), (2, 0)], {0: 1})], r"degree \(2, 0\) outside the window"),
+    ([([(0, 0)], {0: 1}), ([(1, 1)], {2: 3})], "index 2 outside 0..1"),
+    ([([(1, 0)], {-1: 1})], "index -1 outside 0..1"),
+])
+def test_table_writers_refuse_a_cell_they_cannot_write(columns, message):
+    """A nonzero dimension outside the window or the index range is refused,
+    not dropped; a zero one writes nothing wherever it is."""
+    table = CohomologyTable(2, 1, ((0, 0), (1, 1)), "h", columns)
+    for writer in (CohomologyTable.to_csv, CohomologyTable.to_json):
+        with pytest.raises(ContractError, match=message):
+            writer(table)
+    zeros = CohomologyTable(2, 1, ((0, 0), (1, 1)), "h",
+                            [(members, dict.fromkeys(col, 0)) for members, col in columns])
+    assert zeros.to_csv() == CohomologyTable(2, 1, ((0, 0), (1, 1)), "h", []).to_csv()
+    assert plain(zeros.to_json())["entries"] == []
 
 
 def test_csv_writer_peak_memory_stays_below_the_reference_on_a_wide_window():
@@ -423,26 +452,29 @@ def test_oracle_truncated_convention():
 
 def test_cech_multicomplex_shapes():
     prob = problem(["x1", "x2"], window=((-3, -3), (3, 3)))
-    mc = cech_multicomplex(prob, (-1, -1))
+    mc = cech_multicomplex(prob, piece_pattern(prob, (-1, -1)))
     assert mc.dims == {(1, 1): 1}
     assert validate(mc) == []
-    full = cech_multicomplex(prob, (0, 0))
+    pattern = piece_pattern(prob, (0, 0))
+    full = cech_multicomplex(prob, pattern)
     assert full.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert full.point_blocks[(1, 1)] == ((((0,), (0,)), 1),)
+    assert full.point_blocks is None  # only the tests read provenance, from alive_subsets
+    assert alive_subsets(prob, pattern, (1, 1)) == [((0,), (0,))]
     tot = totalize(full)
     tot.check_complex()
     assert tot.cohomology_dims() == {}
     punct = restrict(tot, any)
     assert punct.dims == {1: 2, 2: 1} and 0 not in punct.blocks  # no origin entry
-    with pytest.raises(InputError, match="outside the window"):
-        cech_multicomplex(prob, (9, 9))
+    # the builder evaluates no pattern, so a degree in place of one is refused
+    with pytest.raises(ContractError, match=r"a pattern of 2 entries, not 2\^2"):
+        cech_multicomplex(prob, (0, 0))
 
 
 def test_cech_multicomplex_two_generator_group(rng):
     prob = problem([["x1", "x2"], ["x1^2"]], window=((-2, -2), (2, 2)))
     for _ in range(6):
         b = tuple(int(x) for x in rng.integers(-2, 3, size=2))
-        mc = cech_multicomplex(prob, b)
+        mc = cech_multicomplex(prob, piece_pattern(prob, b))
         assert validate(mc) == []
         totalize(mc).check_complex()
 

@@ -148,23 +148,15 @@ def test_compute_is_deterministic_across_runs_and_workers(tmp_path):
         assert len(blobs) == 1, f"{name} differs between runs"
 
 
-def test_pages_flag_truncates_dumps(tmp_path):
-    body = dict(BASE_JOB, tasks=["mvss:2a"])
-    job = write_job(tmp_path, body)
-    out = tmp_path / "out"
-    assert main(["compute", job, "--out", str(out), "--pages", "1"]) == 0
-    pages = json.loads((out / "pages_2a.json").read_text())
-    for entry in pages["degrees"]:
-        assert all(pg["r"] <= 1 for pg in entry["pages"])
-
-
 def test_job_pages_field_used_when_flag_absent(tmp_path):
-    body = dict(BASE_JOB, tasks=["mvss:1a"], pages=0)
-    job = write_job(tmp_path, body)
-    out = tmp_path / "out"
-    assert main(["compute", job, "--out", str(out)]) == 0
-    pages = json.loads((out / "pages_1a.json").read_text())
-    assert all(pg["r"] == 0 for e in pages["degrees"] for pg in e["pages"])
+    """The job's ``pages`` field, the one way to set a page limit, truncates
+    the page dumps."""
+    for variant, pages in (("1a", 0), ("2a", 1)):
+        body = dict(BASE_JOB, tasks=[f"mvss:{variant}"], pages=pages)
+        out = tmp_path / f"out{variant}"
+        assert main(["compute", write_job(tmp_path, body), "--out", str(out)]) == 0
+        dump = json.loads((out / f"pages_{variant}.json").read_text())
+        assert {pg["r"] for e in dump["degrees"] for pg in e["pages"]} == set(range(pages + 1))
 
 
 def test_default_window_and_rational_field(tmp_path):
@@ -257,8 +249,8 @@ def test_compute_rejects_bad_jobs(tmp_path, capsys, patch, message):
 
 @pytest.mark.parametrize(
     "flags,message",
-    [(["--pages", "-1"], "--pages"), (["--jobs", "-1"], "--jobs"),
-     (["--pages", "1000000"], "--pages must be at most 4")],
+    # the page limit is a job field only: the flag is an unknown argument
+    [(["--pages", "1"], "--pages"), (["--jobs", "-1"], "--jobs")],
 )
 def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     job = write_job(tmp_path, BASE_JOB)
@@ -268,16 +260,14 @@ def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["job", "flag"])
-def test_pages_past_n_plus_2_are_refused(tmp_path, capsys, where):
+def test_pages_past_n_plus_2_are_refused(tmp_path, capsys):
     """Every filtration of n groups is at most n + 1 wide, so a default run
     writes pages up to n + 2; a larger ``pages`` is refused before any work."""
     n = len(BASE_JOB["groups"])
     for pages, code in ((n + 2, 0), (n + 3, 1)):
-        body = dict(BASE_JOB, tasks=["mvss:1a"], **({"pages": pages} if where == "job" else {}))
-        flags = ["--pages", str(pages)] if where == "flag" else []
+        body = dict(BASE_JOB, tasks=["mvss:1a"], pages=pages)
         out = tmp_path / f"out{pages}"
-        assert main(["compute", write_job(tmp_path, body), "--out", str(out), *flags]) == code
+        assert main(["compute", write_job(tmp_path, body), "--out", str(out)]) == code
         if code:
             assert f"must be at most {n + 2}" in capsys.readouterr().err
             assert not out.exists()
@@ -286,13 +276,21 @@ def test_pages_past_n_plus_2_are_refused(tmp_path, capsys, where):
             assert max(pg["r"] for e in degrees for pg in e["pages"]) <= n + 2
 
 
-def test_a_valid_pages_flag_overrides_an_oversized_job_pages(tmp_path):
-    """Only the ``pages`` in effect is checked: ``--pages`` wins over the job's."""
-    body = dict(BASE_JOB, tasks=["mvss:1a"], pages=1000000)
-    out = tmp_path / "out"
-    assert main(["compute", write_job(tmp_path, body), "--out", str(out), "--pages", "1"]) == 0
-    degrees = json.loads((out / "pages_1a.json").read_text())["degrees"]
-    assert max(pg["r"] for e in degrees for pg in e["pages"]) == 1
+@pytest.mark.parametrize("args,message", [
+    (["compute", "JOB", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["compute"], "the following arguments are required: job"),
+    (["compute", "JOB", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["selftest", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_1_with_the_parsers_message(tmp_path, capsys, args, message):
+    """A command line the parser refuses is an input error, exit 1, not the
+    exit 2 of a failed verification; ``--help`` still exits 0."""
+    job = write_job(tmp_path, BASE_JOB)
+    assert main([job if a == "JOB" else a for a in args]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert main(["compute", "--help"]) == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pages", [-1, 4, 200, True])
@@ -467,13 +465,52 @@ def test_compute_builds_one_lattice_per_orbit_of_symmetric_classes(tmp_path, mon
     builds = []
     original = cech.cech_multicomplex
 
-    def counted(problem, b):
-        builds.append(b)
-        return original(problem, b)
+    def counted(problem, pattern):
+        builds.append(pattern)
+        return original(problem, pattern)
 
     monkeypatch.setattr(cli, "cech_multicomplex", counted)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
-    assert builds == [(-1, -1), (-1, 0), (0, 0)]
+    assert builds == [cech.piece_pattern(problem, b) for b in [(-1, -1), (-1, 0), (0, 0)]]
+
+
+@pytest.mark.parametrize("path,calls", [("jobs/two_by_four.json", 16 + 6),
+                                        ("perfbench/workloads/lattice-window.json", 16 + 10)])
+def test_compute_evaluates_one_pattern_per_chamber_and_one_per_orbit(monkeypatch, path, calls):
+    """The classification evaluates the piece pattern once per chamber (16
+    on both jobs), and each orbit's step once more, in its oracle; the
+    lattice is built from the class's pattern, which it does not evaluate
+    again."""
+    problem, tasks, pages = cli.load_job(str(JOBS_DIR.parent / path))
+    patterns = [pat for pat, _members in cech.degree_classes(problem)]
+    assert len(set(cech.class_orbits(problem, patterns))) == calls - 16
+    original, seen = cech.piece_pattern, []
+
+    def counted(problem, b):
+        seen.append(b)
+        return original(problem, b)
+
+    monkeypatch.setattr(cech, "piece_pattern", counted)
+    report, _files = cli.compute(problem, tasks, pages)
+    assert report["pass"] is True and len(seen) == calls
+
+
+def test_a_class_given_another_class_pattern_fails_its_audits():
+    """The lattice is built from the pattern ``compute`` passes and the
+    oracle evaluates its own at b0, so every audit comparing the two also
+    checks the classification: a class given the pattern of a class whose
+    oracle answers differ reports mismatches in verify34 and in every
+    variant, and passes with its own pattern."""
+    problem, _tasks, _pages = cli.load_job(str(JOBS_DIR / "two_ideals.json"))
+    (pat, members), (other, others) = cech.degree_classes(problem)[::3]  # (-3, -3) and (0, 0)
+    column = cech.OracleCache(problem).column
+    assert [column("product", (0, 1), "full", c[0]) for c in (members, others)] == [{1: 1}, {}]
+    for pattern, ok in ((pat, True), (other, False)):
+        klass = cli.DegreeClass(problem, pattern, members[0])
+        assert (cli.run_unit(klass, "verify34", None) == []) is ok
+        for variant in mvss.VARIANTS:
+            run, _inf = cli.run_unit(klass, f"mvss:{variant}", None)
+            assert (run.e1_mismatches == run.abutment_mismatches == []) is ok, variant
 
 
 @pytest.mark.parametrize("body,per_class", [

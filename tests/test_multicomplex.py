@@ -122,8 +122,8 @@ def test_validate_matches_the_normalized_products(field):
     problem = CechProblem(field, problem.num_vars, problem.groups, problem.quotient,
                           problem.window)
     lattices = [rand_tensor_mc(field, rng, max_axes=3) for _ in range(40)]
-    lattices += [cech_multicomplex(problem, members[0])
-                 for _pat, members in degree_classes(problem)[:8]]
+    lattices += [cech_multicomplex(problem, pat)
+                 for pat, _members in degree_classes(problem)[:8]]
     broken = 0
     for k, mc in enumerate(lattices):
         if k % 2 and mc.diffs:
@@ -265,8 +265,8 @@ def test_box_is_derived_from_the_points(rng):
     jobs = Path(__file__).resolve().parents[1] / "jobs"
     for name in ("two_ideals", "mixed_quotient"):
         problem, _tasks, _pages = load_job(str(jobs / f"{name}.json"))
-        for _pat, members in degree_classes(problem):
-            assert_box_and_lines(cech_multicomplex(problem, members[0]))
+        for pat, members in degree_classes(problem):
+            assert_box_and_lines(cech_multicomplex(problem, pat))
     gap = CochainComplex(F, {-1: 2, 1: 1, 2: 1}, {1: columns(F, [[1]])})  # nothing at 0
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     for factors in ([gap], [gap, seg], [seg, gap, gap]):

@@ -17,7 +17,7 @@ from cechmv import (
     degree_classes,
 )
 from cechmv import cli
-from cechmv.cli import DegreeClass, run_unit
+from cechmv.cli import run_unit
 from cechmv.jsonout import plain
 from cechmv.mvss import FILTRATION
 from cechmv.spectral import LatticeSequences
@@ -42,7 +42,7 @@ def mvss_results(prob, variants=VARIANTS) -> dict[str, dict]:
 def test_unknown_variant_rejected():
     prob = problem(["x1", "x2"])
     with pytest.raises(InputError, match="unknown variant"):
-        class_run(DegreeClass(prob, degrees(prob)[0]), "3c")
+        class_run(class_of(prob, degrees(prob)[0]), "3c")
 
 
 def random_problem(rng):
@@ -68,8 +68,8 @@ def test_production_filtrations_are_subcomplexes(rng):
     assembled = set()
     for _ in range(12):
         prob = random_problem(rng)
-        for _pat, members in degree_classes(prob):
-            seqs = LatticeSequences(cech_multicomplex(prob, members[0]))
+        for pat, members in degree_classes(prob):
+            seqs = LatticeSequences(cech_multicomplex(prob, pat))
             for variant in VARIANTS:
                 fc = seqs.sequence(FILTRATION[variant]).fc
                 assert {d: len(lv) for d, lv in fc.levels.items()} == fc.total.dims

@@ -176,10 +176,10 @@ def test_candidate_family_finds_the_full_group_orbits(path):
     assert cech.class_orbits(problem, patterns) == full_group_orbits(problem, patterns)
 
 
-def lattice_profile(problem: CechProblem, b):
+def lattice_profile(problem: CechProblem, pattern):
     """Entry dimension at every point and rank of every axis map of the
-    lattice at b."""
-    mc = cech_multicomplex(problem, b)
+    lattice built from ``pattern``."""
+    mc = cech_multicomplex(problem, pattern)
     return mc.dims, {key: len(pivot_pairs(problem.field, mat)) for key, mat in mc.diffs.items()}
 
 
@@ -206,8 +206,8 @@ def test_symmetric_degrees_have_isomorphic_lattices():
         assert cech.variable_symmetries(problem), name
         for k, r in enumerate(orbit):
             if k != r:
-                b, root = classes[k][1][0], classes[r][1][0]
-                assert lattice_profile(problem, b) == lattice_profile(problem, root), (name, b)
+                got, want = (lattice_profile(problem, classes[c][0]) for c in (k, r))
+                assert got == want, (name, classes[k][1][0])
                 shared += 1
     assert shared > 300
 

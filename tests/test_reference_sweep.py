@@ -68,8 +68,9 @@ def filtered_complexes(field, rng, problems: int, tensors: int):
         prob = random_problem(field, rng)
         classes = degree_classes(prob)
         richest = max(classes, key=lambda c: sum(c[0]))
-        for b in (richest[1][0], classes[int(rng.integers(len(classes)))][1][0]):
-            seqs = LatticeSequences(cech_multicomplex(prob, b))
+        for pat, members in (richest, classes[int(rng.integers(len(classes)))]):
+            b = members[0]
+            seqs = LatticeSequences(cech_multicomplex(prob, pat))
             for variant in VARIANTS:
                 yield (k, prob.groups, b, variant), seqs.sequence(FILTRATION[variant]).fc
             yield (k, prob.groups, b, "face"), seqs.sequence("face").fc
@@ -126,8 +127,8 @@ def test_edge_check_from_spans_matches_the_representatives(field, problems, tens
         prob = random_problem(field, rng)
         classes = degree_classes(prob)
         rng.integers(len(classes))  # the sweep's draw of a random class, so the problems agree
-        for _pat, members in classes:
-            seqs = LatticeSequences(cech_multicomplex(prob, members[0]))
+        for pat, members in classes:
+            seqs = LatticeSequences(cech_multicomplex(prob, pat))
             got, want = edge_composite_check(seqs), reference_edge_composite_check(seqs)
             assert got == want == [], (describe(field), k, members[0], got, want)
             live += prob.n >= 2 and seqs.mc.entry_dim((0,) * prob.n) > 0
