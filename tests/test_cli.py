@@ -148,15 +148,26 @@ def test_compute_is_deterministic_across_runs_and_workers(tmp_path):
         assert len(blobs) == 1, f"{name} differs between runs"
 
 
+def test_pages_flag_truncates_dumps(tmp_path):
+    """The page limit, once a ``--pages`` flag, is the job's ``pages`` field:
+    ``pages: 1`` writes the 2a pages up to r = 1."""
+    body = dict(BASE_JOB, tasks=["mvss:2a"], pages=1)
+    job = write_job(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["compute", job, "--out", str(out)]) == 0
+    pages = json.loads((out / "pages_2a.json").read_text())
+    assert {pg["r"] for e in pages["degrees"] for pg in e["pages"]} == {0, 1}
+
+
 def test_job_pages_field_used_when_flag_absent(tmp_path):
     """The job's ``pages`` field, the one way to set a page limit, truncates
     the page dumps."""
-    for variant, pages in (("1a", 0), ("2a", 1)):
-        body = dict(BASE_JOB, tasks=[f"mvss:{variant}"], pages=pages)
-        out = tmp_path / f"out{variant}"
-        assert main(["compute", write_job(tmp_path, body), "--out", str(out)]) == 0
-        dump = json.loads((out / f"pages_{variant}.json").read_text())
-        assert {pg["r"] for e in dump["degrees"] for pg in e["pages"]} == set(range(pages + 1))
+    body = dict(BASE_JOB, tasks=["mvss:1a"], pages=0)
+    job = write_job(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["compute", job, "--out", str(out)]) == 0
+    pages = json.loads((out / "pages_1a.json").read_text())
+    assert all(pg["r"] == 0 for e in pages["degrees"] for pg in e["pages"])
 
 
 def test_default_window_and_rational_field(tmp_path):
@@ -260,10 +271,22 @@ def test_compute_rejects_bad_flags(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-def test_pages_past_n_plus_2_are_refused(tmp_path, capsys):
+@pytest.mark.parametrize("where", ["job", "flag"])
+def test_pages_past_n_plus_2_are_refused(tmp_path, capsys, where):
     """Every filtration of n groups is at most n + 1 wide, so a default run
-    writes pages up to n + 2; a larger ``pages`` is refused before any work."""
+    writes pages up to n + 2; a larger ``pages`` is refused before any work.
+    The job field is the one place to set it: on the command line,
+    ``--pages`` is refused as an unknown argument whatever its value."""
     n = len(BASE_JOB["groups"])
+    if where == "flag":
+        for pages in (n + 2, n + 3):
+            body = dict(BASE_JOB, tasks=["mvss:1a"])
+            out = tmp_path / f"out{pages}"
+            flags = ["--pages", str(pages)]
+            assert main(["compute", write_job(tmp_path, body), "--out", str(out), *flags]) == 1
+            assert f"unrecognized arguments: --pages {pages}" in capsys.readouterr().err
+            assert not out.exists()
+        return
     for pages, code in ((n + 2, 0), (n + 3, 1)):
         body = dict(BASE_JOB, tasks=["mvss:1a"], pages=pages)
         out = tmp_path / f"out{pages}"
