@@ -275,7 +275,9 @@ def cech_multicomplex(problem: CechProblem, pattern: tuple[int, ...]) -> Multico
     each group of the piece of R/J localized at the product of all chosen
     generators; axis i acts by that group's alternating-sign maps, and the
     axes commute.  The totalization of the result ``mc`` without its origin
-    entry is ``restrict(totalize(mc), any)``.
+    entry is ``restrict(totalize(mc), any)``; ``LatticeSequences`` selects
+    the same blocks, keyed ``(0,) + q``, from the totalization of the cube
+    extension (layer 0 without its origin).
     """
     if len(pattern) != 1 << problem.num_vars:
         raise ContractError(f"a pattern of {len(pattern)} entries, not 2^{problem.num_vars}")
@@ -552,7 +554,7 @@ class OracleCache:
 def verify_product_vs_interior(problem: CechProblem, seqs: LatticeSequences, cache: OracleCache,
                                b0: Exps) -> list[dict]:
     """Audit, at the representative degree b0 of a degree class, whose
-    lattice's region complexes ``seqs`` holds, the dimension identities tying
+    lattice's region cohomology ``seqs`` reads, the dimension identities tying
     the interior of the Čech lattice to the single product-sequence complex:
 
     * raw H^{i+n-1} of the augmented interior equals the product oracle's H^i;

@@ -11,10 +11,12 @@ commuting convention from the anticommuting one, so only the commuting one
 is stored.
 
 Every region the rest of the package compares (faces, punctured faces,
-interiors, the top-dropped face half) is a subquotient of one totalization:
-a face is a quotient complex, the other kinds are subcomplexes of the
-relevant face quotient, and ``restrict`` selects any of them as the blocks of
-the totalization whose lattice points lie in the region.
+interiors and augmented interiors, the top-dropped face half) is a
+subquotient of one totalization, of the face half of the split below or of
+the cube extension, whose layer 0 is the lattice itself: a face is a
+quotient complex, the other kinds are subcomplexes of the relevant face
+quotient, and ``restrict`` selects any of them as the blocks of the
+totalization whose lattice points lie in the region.
 
 The unit-Koszul scaffold on a lattice splits into a subobject supported off
 the coordinate faces and a face-supported quotient.  Only the quotient, the
@@ -257,36 +259,27 @@ def composite_along(mc: Multicomplex, axes: tuple[int, ...]) -> Columns:
     return mat
 
 
-def augment_interior(mc: Multicomplex, axes: tuple[int, ...],
-                     tot: CochainComplex) -> CochainComplex:
-    """``tot``, the totalization of the interior of ``mc`` along ``axes``,
-    with the origin entry glued in one degree below the interior's start, via
-    the composite differential.
+def augment_interior(tot: CochainComplex, axes: tuple[int, ...]) -> CochainComplex:
+    """The augmented interior of a lattice along ``axes`` (i_1 < ... < i_p),
+    read off ``tot``, the totalization of the lattice's cube extension: its
+    blocks positive exactly on ``axes``, in both layers.
 
-    For axes (i_1 < ... < i_p) the interior totalization starts in degree p
-    with the single entry at e_{i_1}+...+e_{i_p}; the augmentation adds C^0 in
-    degree p-1 mapping by d^{i_p} o ... o d^{i_1}.
+    Layer 0 gives the interior, which starts in degree p with the single
+    entry at e_{i_1}+...+e_{i_p}; layer -1 gives the cube vertex at the same
+    point, a copy of the origin entry C^0 in degree p-1, mapping by the
+    composite d^{i_p} o ... o d^{i_1} (``cube_extension``).
     """
-    axes = tuple(sorted(axes))
     if not axes:
         raise InputError("augmentation needs a nonempty axis subset")
-    if len(set(axes)) != len(axes) or any(i < 0 or i >= mc.n for i in axes):
-        raise ContractError(f"bad axis subset {axes} for n={mc.n}")
+    n = next((len(key) - 1 for blk in (tot.blocks or {}).values() for key, _ in blk), None)
+    if len(set(axes)) != len(axes) or any(i < 0 or (n is not None and i >= n) for i in axes):
+        raise ContractError(f"bad axis subset {tuple(sorted(axes))} for n={n}")
+    out = restrict(tot, lambda k: all((x > 0) == (i in axes) for i, x in enumerate(k[1:])))
     p = len(axes)
-    c0 = mc.entry_dim((0,) * mc.n)
-    if c0 == 0:
-        return tot
-    comp = composite_along(mc, axes)
-    dims = dict(tot.dims)
-    dims[p - 1] = c0
-    d = dict(tot.d)
-    if tot.dim(p):
-        d[p - 1] = comp
-        if tot.dim(p + 1) and any(mul(mc.field, tot.matrix(p), comp)):
+    if out.dim(p - 1) and out.dim(p) and out.dim(p + 1):
+        if any(mul(out.field, out.matrix(p), out.matrix(p - 1))):
             raise InternalCheckError("augmentation composite does not land in the kernel")
-    blocks = dict(tot.blocks or {})
-    blocks[p - 1] = (("aug", c0),)
-    return CochainComplex(mc.field, dims, d, blocks)
+    return out
 
 
 def _wedge_signs(field: Field, s: tuple[int, ...], n: int, index: dict) -> dict[int, object]:

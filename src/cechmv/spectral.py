@@ -30,11 +30,11 @@ sums of its cells, once per sequence.
 
 ``LatticeSequences`` holds what the audits read off one lattice: the face
 half of its one Koszul split, the five filtered complexes built from it and
-the lattice (the four Mayer-Vietoris variants and the untruncated face
-filtration), one spectral sequence per filtered complex, and the face,
-interior and augmented-interior region complexes with their cohomology.  So
+the lattice's cube extension (the four Mayer-Vietoris variants and the
+untruncated face filtration), one spectral sequence per filtered complex,
+and the cohomology of the face, interior and augmented-interior regions.  So
 the region audits, the product-vs-interior audit and the variant runs of a
-degree class share every page, abutment and region complex.
+degree class share every page, abutment and region cohomology.
 
 The split audit (``split_column_report``) reads the complement half of the
 split from one-point lattices, once per (field, coordinate signs, entry
@@ -184,14 +184,16 @@ class SpectralSequence:
 
 
 class LatticeSequences:
-    """What the audits of a degree class read off its lattice multicomplex,
-    each built once, on first use: the filtered complexes, one spectral
-    sequence per filtered complex, and the complex and cohomology of each
-    lattice region.
+    """What the audits of a degree class read off its lattice multicomplex:
+    the filtered complexes and one spectral sequence per filtered complex,
+    each built once, on first use, and the cohomology of each lattice
+    region.
 
-    All of them come from three totalizations: of the lattice, of its face
-    half (``koszul_split``), and of its cube extension.  Every other complex is a block selection of one of the
-    three (``restrict``), so the five filtered complexes are
+    All of them come from two totalizations: of the face half of the
+    lattice's split (``koszul_split``), and of its cube extension, whose
+    layer 0 is the lattice's totalization block for block.  Every other
+    complex is a block selection of one of the two (``restrict``), so the
+    five filtered complexes are
 
       face             wedge degree on the face half;
       truncated face   the same without the top wedge level n (variant 1a);
@@ -200,31 +202,31 @@ class LatticeSequences:
                        split (variant 1b);
       cube count       nonzero-coordinate count on the cube extension, the
                        extra direction not counted (variant 2a);
-      punctured count  nonzero-coordinate count on the lattice without its
-                       origin (variant 2b).
+      punctured count  the same on layer 0 without its origin: the lattice
+                       without its origin (variant 2b).
 
-    The regions, keyed by (kind, axes):
+    The regions, keyed by (kind, axes), are cube blocks too:
 
-      face        the points of the lattice that are zero on ``axes``
+      face        the layer-0 points that are zero on ``axes``
                   (``()``: the lattice);
-      interior    the points positive exactly on ``axes``;
-      augmented   that interior with the origin entry glued one degree below
-                  it (``augment_interior``).
+      interior    the layer-0 points positive exactly on ``axes``;
+      augmented   the points of both layers positive exactly on ``axes``
+                  (``augment_interior``): the interior and the cube vertex
+                  e_axes, which is the origin entry glued one degree below
+                  it.
+
+    ``region`` builds a region's complex afresh on each call, and only its
+    cohomology is kept (``region_h``).
     """
 
     def __init__(self, mc: Multicomplex):
         self.mc = mc
         self._sequences: dict[str, SpectralSequence] = {}
-        self._regions: dict[tuple[str, tuple[int, ...]], CochainComplex] = {}
         self._region_h: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
 
     @cached_property
     def face_half(self) -> Multicomplex:
         return koszul_split(self.mc)
-
-    @cached_property
-    def total(self) -> CochainComplex:
-        return totalize(self.mc)
 
     @cached_property
     def face_total(self) -> CochainComplex:
@@ -246,29 +248,28 @@ class LatticeSequences:
             elif kind == "cube count":
                 tot, score = self.cube_total, lambda k: sum(1 for x in k[1:] if x)
             elif kind == "punctured count":
-                tot, score = restrict(self.total, any), lambda k: sum(1 for x in k if x)
+                tot, score = (restrict(self.cube_total, lambda k: k[0] == 0 and any(k[1:])),
+                              lambda k: sum(1 for x in k[1:] if x))
             else:
                 raise ContractError(f"unknown lattice filtration {kind!r}")
             self._sequences[kind] = SpectralSequence(filtration_from_blocks(tot, score))
         return self._sequences[kind]
 
     def region(self, kind: str, axes: tuple[int, ...]) -> CochainComplex:
-        key = (kind, axes)
-        if key not in self._regions:
-            if kind == "face":
-                tot = restrict(self.total, lambda q: not any(q[i] for i in axes))
-            elif kind == "interior":
-                tot = restrict(self.total,
-                               lambda q: all((x > 0) == (i in axes) for i, x in enumerate(q)))
-            elif kind == "augmented":
-                tot = augment_interior(self.mc, axes, self.region("interior", axes))
-            else:
-                raise ContractError(f"unknown lattice region {kind!r}")
-            self._regions[key] = tot
-        return self._regions[key]
+        """The complex of a region, selected from the cube total; not kept."""
+        if kind == "face":
+            return restrict(self.cube_total,
+                            lambda k: k[0] == 0 and not any(k[1 + i] for i in axes))
+        if kind == "interior":
+            return restrict(self.cube_total, lambda k: k[0] == 0 and all(
+                (x > 0) == (i in axes) for i, x in enumerate(k[1:])))
+        if kind == "augmented":
+            return augment_interior(self.cube_total, axes)
+        raise ContractError(f"unknown lattice region {kind!r}")
 
     def region_h(self, kind: str, axes: tuple[int, ...]) -> dict[int, int]:
-        """Cohomology dimensions of ``region(kind, axes)``."""
+        """Cohomology dimensions of ``region(kind, axes)``, whose complex is
+        dropped once they are read."""
         key = (kind, axes)
         if key not in self._region_h:
             self._region_h[key] = self.region(kind, axes).cohomology_dims()
@@ -459,7 +460,7 @@ def region_convergence_report(seqs: LatticeSequences) -> list[str]:
     cohomologies and abutments against the direct target cohomologies (all
     by dimension), then the Koszul split (``split_column_report``) and the
     page-n edge map (``edge_composite_check``).  The sequences, the split
-    and the region complexes are read from ``seqs``, the lattice's
+    and the region cohomologies are read from ``seqs``, the lattice's
     ``LatticeSequences``.  Like the edge check, raises ContractError on a
     lattice with a point below 0 on some axis."""
     mc = seqs.mc

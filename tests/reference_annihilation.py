@@ -14,7 +14,7 @@ from cechmv.cech import CechProblem, OracleCache
 from cechmv.errors import InputError
 from cechmv.grading import Exps, monomial_mul, product_sequence
 from cechmv.linalg import Columns, identity, mul
-from cechmv.multicomplex import augment_interior, restrict, totalize
+from cechmv.multicomplex import augment_interior, cube_extension, totalize
 from conftest import alive_subsets, degrees, format_monomial, in_window
 from reference_cohomology import cohomology_map
 
@@ -28,15 +28,17 @@ class _AugmentedFiber:
     def __init__(self, problem: CechProblem, pattern: tuple[int, ...]):
         self.problem = problem
         mc = cech.cech_multicomplex(problem, pattern)
-        # the interior: the points with every coordinate positive
-        self.plus = augment_interior(mc, tuple(range(problem.n)), restrict(totalize(mc), all))
+        # the interior (every coordinate positive) with the cube vertex
+        # (-1, 1, ..., 1), the origin entry, glued below it
+        self.plus = augment_interior(totalize(cube_extension(mc)), tuple(range(problem.n)))
 
-        def basis(q) -> list:  # the origin entry is one piece, so one "aug" element
-            if q == "aug":
-                return ["aug"]
-            return [(q, combo) for combo in alive_subsets(problem, pattern, q)]
+        def basis(key) -> list:  # the origin entry is one piece, so one element
+            if key[0] < 0:
+                return [key]
+            return [(key, combo) for combo in alive_subsets(problem, pattern, key[1:])]
 
-        self.keys = {m: [k for q, _ in blk for k in basis(q)] for m, blk in self.plus.blocks.items()}
+        self.keys = {m: [k for key, _ in blk for k in basis(key)]
+                     for m, blk in self.plus.blocks.items()}
         self.positions = {m: {k: i for i, k in enumerate(keys)} for m, keys in self.keys.items()}
 
 

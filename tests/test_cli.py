@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -681,7 +682,7 @@ def count_builds(monkeypatch) -> list[dict]:
                   totalizations of it;
       restricted  per region ``("region", kind, axes)`` or filtered complex
                   ``("filtered", kind)``, the restrictions made to build it;
-      augmented   per axes, the interiors glued to the origin entry.
+      augmented   per axes, the augmented interiors read off the cube total.
     """
     per_class: list[dict] = []
     worker, init = cli._class_worker, SpectralSequence.__init__
@@ -734,11 +735,12 @@ def count_builds(monkeypatch) -> list[dict]:
         bump("restricted", building[-1])
         return out
 
-    def counted_augment(mc, axes, tot):
-        # glued onto the one restriction to its own interior
-        assert ("region", "interior", axes) in per_class[-1]["made_by"][id(tot)]
+    def counted_augment(tot, axes):
+        # read off the class's one cube total
+        (seqs,) = per_class[-1]["lattices"]
+        assert tot is seqs.__dict__.get("cube_total")
         bump("augmented", axes)
-        return augment(mc, axes, tot)
+        return augment(tot, axes)
 
     def counted_split(mc):
         bump("splits", None)
@@ -771,10 +773,11 @@ def count_builds(monkeypatch) -> list[dict]:
 
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
 def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypatch, name):
-    """Per degree class, verify34 and props2 totalize the lattice, the face
-    half of its split and its cube extension at most once each, build every
-    region and filtered complex with at most one restriction of one of them,
-    and glue each augmented interior once, onto that interior."""
+    """Per degree class, verify34 and props2 totalize the face half of the
+    lattice's split and its cube extension at most once each, and never the
+    lattice itself; they build every region and filtered complex with at
+    most one restriction of one of the two, and read each augmented interior
+    off the cube total once."""
     body = json.loads((JOBS_DIR / f"{name}.json").read_text())
     body["tasks"] = ["verify34", "props2"]
     per_class = count_builds(monkeypatch)
@@ -784,17 +787,17 @@ def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypa
     n = problem.n
     subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
     assert len(per_class) == len(cech.degree_classes(problem)) > 1
-    faces_built = all_three = 0
+    faces_built = both = 0
     for calls in per_class:
-        assert set(calls["totalized"]) <= {"lattice", "face half", "cube"}
+        assert set(calls["totalized"]) <= {"face half", "cube"}
         assert set(calls["totalized"].values()) == {1}
-        all_three += len(calls["totalized"]) == 3
+        both += len(calls["totalized"]) == 2
         assert set(calls["restricted"].values()) == {1}
         assert {("region", "interior", s) for s in subsets} <= set(calls["restricted"])
         faces_built += ("region", "face", ()) in calls["restricted"]
         assert set(calls["augmented"].values()) == {1}
         assert tuple(range(n)) in calls["augmented"]
-    assert faces_built and all_three  # props2 read the face regions and every filtration
+    assert faces_built and both  # props2 read the face regions and every filtration
 
 
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
@@ -807,9 +810,41 @@ def test_verify34_builds_no_split_sequence_or_face_region(tmp_path, monkeypatch,
     assert len(per_class) > 1
     for calls in per_class:
         assert calls["splits"] == {} and calls["sequences"] == {}
-        assert calls["totalized"] == {"lattice": 1}
-        assert {key[:2] for key in calls["restricted"]} == {("region", "interior")}
+        assert calls["totalized"] == {"cube": 1}
+        assert {key[:2] for key in calls["restricted"]} == {("region", "interior"),
+                                                            ("region", "augmented")}
         assert len(calls["augmented"]) == 1
+
+
+def test_region_complexes_are_dropped_once_their_cohomology_is_read(tmp_path, monkeypatch):
+    """verify34 and props2 on ``three_ideals``: every region complex built
+    is dead once ``region_h`` returns, so a class keeps only the cohomology.
+    A region that keeps every block is the cube total itself, which the
+    class holds for its cube count filtration, and is not counted."""
+    region, region_h = LatticeSequences.region, LatticeSequences.region_h
+    built: list = []  # (kind, weakref) of the region complexes of the current region_h call
+    kinds = set()
+
+    def tracked_region(self, kind, axes):
+        out = region(self, kind, axes)
+        if out is not self.__dict__.get("cube_total"):
+            built.append((kind, weakref.ref(out)))
+        return out
+
+    def checked_region_h(self, kind, axes):
+        built.clear()
+        h = region_h(self, kind, axes)
+        kinds.update(k for k, _ in built)
+        assert [k for k, ref in built if ref() is not None] == []
+        return h
+
+    monkeypatch.setattr(LatticeSequences, "region", tracked_region)
+    monkeypatch.setattr(LatticeSequences, "region_h", checked_region_h)
+    body = json.loads((JOBS_DIR / "three_ideals.json").read_text())
+    body["tasks"] = ["verify34", "props2"]
+    job = write_job(tmp_path, body)
+    assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert kinds == {"face", "interior", "augmented"}
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):

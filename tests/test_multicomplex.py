@@ -1,6 +1,8 @@
 """Lattice multicomplexes: validation, signs, totalization, regions, scaffolds."""
 
+import inspect
 import itertools
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from cechmv import (
     totalize,
     validate,
 )
+from cechmv import spectral
 from cechmv.cli import load_job
 from cechmv.linalg import mul
 from cechmv.multicomplex import add_e
@@ -34,9 +37,11 @@ from cechmv.spectral import _split_columns
 from conftest import columns, dense, keep_points, koszul_complex, rand_tensor_mc, tensor_product
 from reference_cohomology import cohomology_map, cohomology_reps
 from reference_dense import zeros
+from reference_regions import glue_origin, lift, reference_region
 from reference_split import koszul_half
 
 F = PrimeField(65537)
+JOBS = Path(__file__).resolve().parents[1] / "jobs"
 
 
 def unit_square():
@@ -185,16 +190,72 @@ def points(tot):
 
 
 def test_region_membership():
+    """Every region is a block selection of the cube total, so its blocks are
+    keyed by cube points: (0,) + q for the lattice point q."""
     seg = CochainComplex(F, {v: 1 for v in range(4)}, {})  # k at 0..3, zero maps
     ls = LatticeSequences(tensor_product([seg, seg]))
     face = points(ls.region("face", (1,)))  # q2 = 0
-    assert {(3, 0), (0, 0)} <= face and (1, 1) not in face
-    assert points(ls.region("face", ())) == set(ls.mc.dims)
+    assert {(0, 3, 0), (0, 0, 0)} <= face and (0, 1, 1) not in face
+    assert points(ls.region("face", ())) == {(0,) + q for q in ls.mc.dims}
     inter = points(ls.region("interior", (0,)))
-    assert (1, 0) in inter and (1, 1) not in inter and (0, 0) not in inter
-    assert (2, 3) in points(ls.region("interior", (0, 1)))
+    assert (0, 1, 0) in inter and (0, 1, 1) not in inter and (0, 0, 0) not in inter
+    assert (0, 2, 3) in points(ls.region("interior", (0, 1)))
+    assert points(ls.region("augmented", (0,))) == inter | {(-1, 1, 0)}
     with pytest.raises(ContractError, match="unknown lattice region"):
         ls.region("corner", (0,))
+
+
+def region_mismatches(mc) -> list[tuple]:
+    """The regions and the punctured count total of ``LatticeSequences(mc)``
+    that differ from the reference built from ``totalize(mc)``
+    (``reference_region``), compared matrix for matrix."""
+    seqs, n = LatticeSequences(mc), mc.n
+    bad = []
+    for kind, low in (("face", 0), ("interior", 1), ("augmented", 1)):
+        for axes in (s for p in range(low, n + 1) for s in itertools.combinations(range(n), p)):
+            if seqs.region(kind, axes) != reference_region(mc, kind, axes):
+                bad.append((kind, axes))
+    if seqs.sequence("punctured count").fc.total != lift(restrict(totalize(mc), any)):
+        bad.append(("punctured count",))
+    return bad
+
+
+def job_lattices():
+    """The lattice of every degree class of every committed job but the
+    3x5 and 3x6 ones (``fifteen_generators*``, ``eighteen_generators*``)."""
+    for path in sorted(JOBS.glob("*.json")):
+        if not path.name.startswith(("fifteen", "eighteen")):
+            problem, _tasks, _pages = load_job(str(path))
+            for pat, _members in degree_classes(problem):
+                yield cech_multicomplex(problem, pat)
+
+
+def test_regions_are_blocks_of_the_cube_total(rng):
+    """Each face, interior and augmented interior selected from the cube
+    total, and the punctured count total, equals the one restricted from the
+    lattice's own totalization, with the origin entry glued onto each
+    interior by hand, on random tensor lattices and on every degree class of
+    the committed jobs but the 3x5 and 3x6 ones."""
+    lattices = [rand_tensor_mc(F, rng) for _ in range(12)] + list(job_lattices())
+    assert any(mc.entry_dim((0,) * mc.n) for mc in lattices)
+    assert any(not mc.entry_dim((0,) * mc.n) for mc in lattices)
+    for mc in lattices:
+        assert region_mismatches(mc) == []
+
+
+def test_an_interior_without_the_layer_filter_is_caught(monkeypatch):
+    """Mutation check of the identity above: an interior selected from both
+    layers of the cube total, not layer 0 alone, picks up the glued origin
+    entry, and the comparison names every interior of a lattice with an
+    origin entry."""
+    source = textwrap.dedent(inspect.getsource(LatticeSequences.region))
+    filtered = "lambda k: k[0] == 0 and all("
+    assert source.count(filtered) == 1
+    namespace = dict(vars(spectral))
+    exec(source.replace(filtered, "lambda k: all("), namespace)
+    monkeypatch.setattr(LatticeSequences, "region", namespace["region"])
+    mc = unit_square()
+    assert region_mismatches(mc) == [("interior", (0,)), ("interior", (1,)), ("interior", (0, 1))]
 
 
 def test_restrict_and_puncture():
@@ -262,9 +323,8 @@ def test_box_is_derived_from_the_points(rng):
     extensions of random lattices, and of both Koszul halves of one-point
     lattices, whose complement half is empty at points with no positive
     coordinate."""
-    jobs = Path(__file__).resolve().parents[1] / "jobs"
     for name in ("two_ideals", "mixed_quotient"):
-        problem, _tasks, _pages = load_job(str(jobs / f"{name}.json"))
+        problem, _tasks, _pages = load_job(str(JOBS / f"{name}.json"))
         for pat, members in degree_classes(problem):
             assert_box_and_lines(cech_multicomplex(problem, pat))
     gap = CochainComplex(F, {-1: 2, 1: 1, 2: 1}, {1: columns(F, [[1]])})  # nothing at 0
@@ -300,26 +360,45 @@ def test_composite_along():
 
 def test_augment_interior_unit_square():
     mc = unit_square()
-    inner = restrict(totalize(mc), all)
-    plus = augment_interior(mc, (0, 1), inner)
+    cube_total = totalize(cube_extension(mc))
+    plus = augment_interior(cube_total, (0, 1))
     assert plus.dims == {1: 1, 2: 1}
     assert dense(F, plus.matrix(1), 1).tolist() == [[1]]
-    assert plus.blocks[1] == (("aug", 1),)
+    assert plus.blocks[1] == (((-1, 1, 1), 1),)
     assert plus.cohomology_dims() == {}
+    assert plus == glue_origin(mc, (0, 1), lift(restrict(totalize(mc), all)))
     with pytest.raises(InputError, match="nonempty axis subset"):
-        augment_interior(mc, (), inner)
-    with pytest.raises(ContractError):
-        augment_interior(mc, (0, 0), inner)
-    with pytest.raises(ContractError):
-        augment_interior(mc, (0, 7), inner)
+        augment_interior(cube_total, ())
+    with pytest.raises(ContractError, match=r"bad axis subset \(0, 0\) for n=2"):
+        augment_interior(cube_total, (0, 0))
+    with pytest.raises(ContractError, match=r"bad axis subset \(0, 7\) for n=2"):
+        augment_interior(cube_total, (0, 7))
 
 
 def test_augment_interior_single_axis():
     seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
     mc = tensor_product([seg])
-    plus = augment_interior(mc, (0,), restrict(totalize(mc), all))
+    plus = augment_interior(totalize(cube_extension(mc)), (0,))
     assert plus.dims == {0: 1, 1: 1}
     assert plus.cohomology_dims() == {}
+    # an empty lattice has no block to read the arity from, and no region
+    empty = totalize(cube_extension(Multicomplex(F, 2, {}, {})))
+    assert augment_interior(empty, (0, 1)).dims == {}
+
+
+def test_augment_interior_checks_the_glued_composite():
+    """On the line k -> k -> k, augmenting along its axis glues the origin
+    onto the points 1 and 2 by the first map; when the second map is 1, not
+    0, d o d is nonzero at the glued degree and the result is refused."""
+    for second, ok in ((0, True), (1, False)):
+        mc = Multicomplex(F, 1, {(0,): 1, (1,): 1, (2,): 1},
+                          {((0,), 0): columns(F, [[1]]), ((1,), 0): columns(F, [[second]])})
+        tot = totalize(cube_extension(mc))
+        if ok:
+            assert augment_interior(tot, (0,)).dims == {0: 1, 1: 1, 2: 1}
+        else:
+            with pytest.raises(InternalCheckError, match="does not land in the kernel"):
+                augment_interior(tot, (0,))
 
 
 def test_cube_extension_shape_and_cohomology(rng):
