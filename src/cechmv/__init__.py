@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .grading import (
     MonomialIdeal,
-    localized_piece_dim,
     monomial_divides,
     monomial_mul,
     parse_monomial,
@@ -130,7 +129,6 @@ __all__ = [
     "is_prime",
     "koszul_split",
     "line_complex",
-    "localized_piece_dim",
     "monomial_divides",
     "monomial_mul",
     "mul",

@@ -37,15 +37,16 @@ that lists the class results under the member degrees:
 ``cli.compute`` runs the class steps over a whole window, and
 ``cli.assemble_unit`` is the one assembly.
 
-A variable permutation sigma that maps every group onto itself relabels the
-support masks of a pattern, and a class step reads its degree only through
-its pattern.  So when sigma maps the pattern of one class onto the pattern
-of another, sigma maps the first lattice isomorphically onto the second,
-point by point, and every oracle sequence onto itself, and the two classes
-give equal class results; the quotient plays no part.  The classes fall
-into orbits; ``class_orbits`` finds them among transpositions and double
-transpositions of the variables, and ``cli.compute`` runs one class step
-per orbit.
+A class step reads its pattern only at unions of generator supports
+(``support_unions``), so classes whose patterns agree there give equal class
+results.  A variable permutation sigma that maps every group onto itself
+relabels the support masks of a pattern; when sigma maps the reads of one
+class onto those of another, sigma maps the first lattice isomorphically onto
+the second, point by point, and every oracle sequence onto itself, and the
+two classes give equal class results too; the quotient plays no part.  The
+classes fall into orbits under both links (``class_orbits``, with sigma among
+transpositions and double transpositions of the variables), and
+``cli.compute`` runs one class step per orbit.
 """
 
 from __future__ import annotations
@@ -56,14 +57,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ContractError, InputError
-from .grading import (
-    Exps,
-    MonomialIdeal,
-    localized_piece_dim,
-    parse_monomial,
-    product_sequence,
-    support_mask,
-)
+from .grading import Exps, MonomialIdeal, parse_monomial, product_sequence, support_mask
 from .jsonout import PerDegree
 from .linalg import Columns, Dense, Field, rank
 from .multicomplex import Multicomplex, Point
@@ -133,9 +127,21 @@ def default_window(num_vars: int, groups, quotient: MonomialIdeal) -> Window:
 
 def piece_pattern(problem: CechProblem, b: Exps) -> tuple[int, ...]:
     """Aliveness of every localization support at degree b.  All complexes the
-    problem can produce at b are determined by this tuple."""
+    problem can produce at b are determined by this tuple.
+
+    The piece of R/J localized at a monomial of support mask is alive when
+    b_j >= 0 for every variable j outside mask, and no quotient generator g
+    has g_j <= b_j for all those j; that is, when mask contains the "below
+    zero" mask {j : b_j < 0} and, for every g, does not contain its "does
+    not fit" mask {j : g_j > b_j}."""
     m = problem.num_vars
-    return tuple(localized_piece_dim(mask, problem.quotient, b) for mask in range(1 << m))
+    if len(b) != m:
+        raise ContractError(f"degree {b} has wrong length for {m} variables")
+    neg = sum(1 << j for j, e in enumerate(b) if e < 0)
+    misfits = [sum(1 << j for j, (t, e) in enumerate(zip(g, b)) if t > e)
+               for g in problem.quotient.gens]
+    return tuple(int(mask & neg == neg and all(mask & f != f for f in misfits))
+                 for mask in range(1 << m))
 
 
 def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exps]]]:
@@ -145,14 +151,16 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
     Per coordinate j, the sorted thresholds {0} and {g_j : g a quotient
     generator} cut the integers into intervals, and so the window's values
     of b_j into runs, each inside one interval; a chamber is a product of
-    runs, one per coordinate.  Every test in ``localized_piece_dim`` compares
-    some b_j with one of these thresholds, and those comparisons cannot
-    change inside an interval, so the pattern is constant on a chamber.  The
+    runs, one per coordinate.  Every test in ``piece_pattern`` compares some
+    b_j with one of these thresholds, and those comparisons cannot change
+    inside an interval, so the pattern is constant on a chamber.  The
     chambers are walked once, in lex order, and the pattern is evaluated at
     each chamber's first degree (the starts of its runs), which is also the
     first member of its class when the chamber is the class's first.  A
-    class's members are the products of its chambers' runs, merged in lex
-    order when it has several chambers.
+    class's members are the products of its chambers' runs.  When the
+    chambers are every product of their runs on each coordinate (a grid, one
+    chamber included), the members are the product of those runs' unions,
+    already in lex order; any other class's members are sorted.
     """
     lo, hi = problem.window
     runs = []
@@ -164,9 +172,14 @@ def degree_classes(problem: CechProblem) -> list[tuple[tuple[int, ...], list[Exp
     for chamber in itertools.product(*runs):
         pat = piece_pattern(problem, tuple(r.start for r in chamber))
         by_pat.setdefault(pat, []).append(chamber)
-    return [(pat, list(itertools.product(*chambers[0])) if len(chambers) == 1
-             else sorted(itertools.chain.from_iterable(itertools.product(*c) for c in chambers)))
-            for pat, chambers in by_pat.items()]
+    return [(pat, _members(chambers)) for pat, chambers in by_pat.items()]
+
+
+def _members(chambers: list[tuple[range, ...]]) -> list[Exps]:
+    axes = [sorted(set(rs), key=operator.attrgetter("start")) for rs in zip(*chambers)]
+    if len(chambers) == functools.reduce(operator.mul, map(len, axes)):
+        return list(itertools.product(*(itertools.chain(*rs) for rs in axes)))
+    return sorted(itertools.chain.from_iterable(itertools.product(*c) for c in chambers))
 
 
 def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
@@ -202,25 +215,30 @@ def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
 
 def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[int]:
     """For each degree class, given by its piece pattern in class order, the
-    index of the first class of its orbit under ``variable_symmetries``.
+    index of the first class of its orbit.
 
-    A symmetry sigma acts on patterns by relabelling the support masks:
-    (sigma P)[sigma(mask)] = P[mask].  The orbits are the connected
-    components of the classes under "sigma maps one present pattern to the
-    other"; only patterns that some degree of the window has are linked.
+    The reads of a pattern P are its entries at ``support_unions``: mask 0
+    and every union of generator supports.  A symmetry sigma from
+    ``variable_symmetries`` acts on patterns by relabelling the support
+    masks: (sigma P)[sigma(mask)] = P[mask].  Two classes are linked when
+    their reads agree, or when sigma P has the reads of the other; the
+    orbits are the connected components.
 
     Every class step of an orbit gives the same result, so ``cli.compute``
     runs it once, at the orbit's first class.  A class step reads its degree
-    only through its pattern (the lattice's live entries, and, through
-    ``piece_pattern``, the one caller of ``localized_piece_dim``, the
-    oracle's rank vectors and its mask-0 reads, in ``raw`` and verify34's
-    dim M_b), so the proof is in patterns alone.  Let classes with patterns P and
-    P' = sigma P be present.  sigma maps each group onto itself, so it
-    permutes the generators of group i by some pi_i with
-    supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a generator subset S_i is
-    alive under P exactly when pi_i(S_i) is alive under P', the support
-    mask of the product being relabelled by sigma.
-    So the two lattices have the same points and entry dimensions, and
+    only through its pattern, and only at unions of generator supports: a
+    lattice entry, a choice of generator subsets, is alive when P is at the
+    support of their product, which is the union of their supports; the
+    oracle's rank vectors read P at unions of the supports of a reduced
+    sequence, each of which is the support of a generator or of a product of
+    generators; and the oracle's other reads (the empty sequence in ``raw``
+    and verify34's dim M_b) are at mask 0.  Results name no degree, so
+    classes with equal reads give equal results.  Let P' = sigma P.  sigma
+    maps each group onto itself, so it permutes the generators of group i by
+    some pi_i with supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a generator
+    subset S_i is alive under P exactly when pi_i(S_i) is alive under P',
+    the support mask of the product being relabelled by sigma.  So the two
+    lattices have the same points and entry dimensions, and
     S -> pi(S) with the sign of each reordering is an isomorphism of
     multicomplexes that maps no entry off its lattice point.  It commutes
     with the Koszul split, the totalizations, the coordinate filtrations and
@@ -230,18 +248,17 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
     are mapped onto themselves too, so its Čech complexes under P and P'
     are isomorphic and its ranks agree.  The points q, the axis order and
     every group subset a record names are unchanged, so every issue and
-    failure record agrees as well.  Whether sigma fixes the quotient does
-    not enter: it only decides whether P' is the pattern of sigma(b), and
-    two classes are linked only when P' is present.  A permutation of the
-    groups is not used: it would move points and group subsets, and
-    verify34's ``subset`` and props2's point ``q`` would have to be
-    relabelled.
+    failure record agrees as well, and a class with the reads of P' gives
+    them too.  Whether sigma fixes the quotient does not enter: no degree
+    need have the pattern P'.  A permutation of the groups is not used: it
+    would move points and group subsets, and verify34's ``subset`` and
+    props2's point ``q`` would have to be relabelled.
     """
     orbit = list(range(len(patterns)))
-    sigmas = variable_symmetries(problem) if len(patterns) > 1 else []
-    if not sigmas:
+    if len(patterns) < 2:
         return orbit
-    index = {pat: k for k, pat in enumerate(patterns)}
+    reads = operator.itemgetter(*support_unions(problem))
+    index: dict[object, int] = {}
 
     def root(k: int) -> int:
         while orbit[k] != k:
@@ -249,18 +266,32 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
             k = orbit[k]
         return k
 
-    for sigma in sigmas:
+    def link(k: int, other: int) -> None:
+        a, c = root(k), root(other)
+        orbit[max(a, c)] = min(a, c)  # so each root is its component's first class
+
+    for k, pat in enumerate(patterns):
+        link(k, index.setdefault(reads(pat), k))
+    for sigma in variable_symmetries(problem):
         image = [0] * (1 << problem.num_vars)  # image[mask] = sigma(mask), itself an involution
         for mask in range(1, len(image)):
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
-        relabel = operator.itemgetter(*image)  # a pattern of b to that of sigma(b)
+        relabel = operator.itemgetter(*image)  # P to sigma P
         for k, pat in enumerate(patterns):
-            other = index.get(relabel(pat))
+            other = index.get(reads(relabel(pat)))
             if other is not None:
-                a, c = root(k), root(other)
-                orbit[max(a, c)] = min(a, c)  # so each root is its component's first class
+                link(k, other)
     return [root(k) for k in range(len(patterns))]
+
+
+def support_unions(problem: CechProblem) -> list[int]:
+    """The support masks of the products of every set of generators, of any
+    groups, ascending; the empty product's mask 0 included."""
+    unions = {0}
+    for g in itertools.chain.from_iterable(problem.groups):
+        unions |= {u | support_mask(g) for u in unions}
+    return sorted(unions)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +379,10 @@ class CohomologyTable:
     convention: str
     columns: list[tuple[list[Exps], dict[int, int]]]
 
+    @functools.cached_property
     def _cells(self) -> dict[int, list[tuple[int, Exps, int]]]:
         """i -> [(position of b in the window's lex order, b, dim)] over the
-        nonzero dimensions, in column order."""
+        nonzero dimensions, in column order; computed once for both writers."""
         lo, hi = self.window
         strides = list(itertools.accumulate([z - a + 1 for a, z in zip(lo[:0:-1], hi[:0:-1])],
                                             operator.mul, initial=1))[::-1]
@@ -360,13 +392,16 @@ class CohomologyTable:
             col = {i: h for i, h in col.items() if h}
             if bad := col.keys() - range(self.i_max + 1):
                 raise ContractError(f"index {min(bad)} outside 0..{self.i_max}")
-            for b in members if col else ():
-                if not (len(b) == len(lo) and all(map(operator.le, lo, b))
-                        and all(map(operator.le, b, hi))):
-                    raise ContractError(f"degree {b} outside the window {self.window}")
-                pos = sum(map(operator.mul, b, strides)) - base
-                for i, h in col.items():
-                    cells.setdefault(i, []).append((pos, b, h))
+            if not col:
+                continue
+            if not (set(map(len, members)) <= {len(lo)} and all(
+                    a <= min(v) and max(v) <= z for a, z, v in zip(lo, hi, zip(*members)))):
+                b = next(b for b in members if not (len(b) == len(lo) and all(
+                    map(operator.le, lo, b)) and all(map(operator.le, b, hi))))
+                raise ContractError(f"degree {b} outside the window {self.window}")
+            positions = [sum(map(operator.mul, b, strides)) - base for b in members]
+            for i, h in col.items():
+                cells.setdefault(i, []).extend(zip(positions, members, itertools.repeat(h)))
         return cells
 
     def to_csv(self) -> str:
@@ -379,7 +414,7 @@ class CohomologyTable:
         separator carries the ``i,`` prefix, with that index's nonzero cells
         patched in for the join only.
         """
-        cells = self._cells()
+        cells = self._cells
         values = [[str(v) for v in range(a, z + 1)] for a, z in zip(*self.window)]
         rows = list(map(",".join, itertools.product(*values, ("0",))))
         chunks = [",".join(["i", *(f"b{j + 1}" for j in range(self.num_vars)), "dim"])]
@@ -402,7 +437,7 @@ class CohomologyTable:
         in (i, b) order, one shared record per distinct (i, dim)."""
         records: dict[tuple[int, int], dict] = {}
         entries = [(b, records.setdefault((i, d), {"i": i, "dim": d}))
-                   for i, cells in sorted(self._cells().items()) for _pos, b, d in sorted(cells)]
+                   for i, cells in sorted(self._cells.items()) for _pos, b, d in sorted(cells)]
         return {
             "convention": self.convention,
             "i_range": [0, self.i_max],

@@ -284,6 +284,14 @@ def _class_worker(args) -> list:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (under ``taskset -c 0``, one), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
             jobs: int = 1) -> tuple[dict, dict[str, str]]:
     """Run ``tasks`` over the window of ``problem``: classify the window once,
@@ -301,7 +309,7 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
     reps = sorted(set(orbit))
     work = [(problem, tasks, pages, by_pattern[r][0], classes[r][0]) for r in reps]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    workers = min(jobs, len(work), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
@@ -354,7 +362,7 @@ def cmd_compute(args) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    report, files = compute(problem, tasks, pages, args.jobs or os.cpu_count() or 1)
+    report, files = compute(problem, tasks, pages, args.jobs or _usable_cpus())
     for name, content in sorted(files.items()):
         try:
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="run the tasks of a JSON job file")
     pc.add_argument("job", help="path to the job file")
     pc.add_argument("--out", default=".", help="output directory (default: current)")
-    pc.add_argument("--jobs", type=int, default=0, help="worker processes (default: cpu count)")
+    pc.add_argument("--jobs", type=int, default=0, help="worker processes (default: usable CPUs)")
     pc.set_defaults(func=cmd_compute)
     ps = sub.add_parser("selftest", help="run compute on small random problems")
     ps.add_argument("--seed", type=int, default=0)

@@ -11,6 +11,7 @@ data reduces to integer tests on exponent vectors:
 
 Supports of inverted monomials are kept as bitmasks over the variables: the
 piece only depends on the support, never on the exponents of w.
+``cech.piece_pattern`` evaluates this test at every support of a degree.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import ContractError, InputError
+from .errors import InputError
 
 Exps = tuple[int, ...]
 
@@ -81,20 +82,6 @@ class MonomialIdeal:
             if not any(monomial_divides(h, g) for h in minimal):
                 minimal.append(g)
         object.__setattr__(self, "gens", tuple(minimal))
-
-
-def localized_piece_dim(support: int, ideal: MonomialIdeal, degree: Exps) -> int:
-    """dim of ((R/J)_w)_degree where w has the given support bitmask."""
-    m = ideal.num_vars
-    if len(degree) != m:
-        raise ContractError(f"degree {degree} has wrong length for {m} variables")
-    for j in range(m):
-        if not (support >> j) & 1 and degree[j] < 0:
-            return 0
-    for g in ideal.gens:
-        if all((support >> j) & 1 or g[j] <= degree[j] for j in range(m)):
-            return 0
-    return 1
 
 
 def product_sequence(groups: tuple[tuple[Exps, ...], ...]) -> tuple[Exps, ...]:

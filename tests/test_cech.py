@@ -2,6 +2,7 @@
 the lattice route to the product-sequence route."""
 
 import bisect
+import functools
 import hashlib
 import itertools
 import json
@@ -419,6 +420,73 @@ def test_table_writers_refuse_a_cell_they_cannot_write(columns, message):
                             [(members, dict.fromkeys(col, 0)) for members, col in columns])
     assert zeros.to_csv() == CohomologyTable(2, 1, ((0, 0), (1, 1)), "h", []).to_csv()
     assert plain(zeros.to_json())["entries"] == []
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("bad,message", [
+    ((1, -1, 0), r"\(1, -1, 0\) outside"), ((1, 0, 3), r"\(1, 0, 3\) outside"),
+    ((-1, 1, 1), r"\(-1, 1, 1\) outside"), ((1, 1), r"\(1, 1\) outside"),
+    ((1, 1, 1, 1), r"\(1, 1, 1, 1\) outside"),
+])
+def test_table_writers_refuse_a_bad_member_anywhere_in_a_column(where, bad, message):
+    """A member outside the window on one coordinate, or of the wrong length,
+    is refused at any place in a column, and the message names the first
+    bad member; the members around it are inside."""
+    window = ((0, 0, 0), (2, 2, 2))
+    members = [(0, 0, 0), (0, 1, 2), (1, 0, 1), (2, 2, 2), (1, 2, 0)]
+    members.insert(where, bad)
+    later = (2, 3, 2)  # a second bad member after the first
+    columns = [([(0, 0, 1)], {0: 1}), (members + [later], {1: 2})]
+    table = CohomologyTable(3, 1, window, "h", columns)
+    for writer in (CohomologyTable.to_csv, CohomologyTable.to_json):
+        with pytest.raises(ContractError, match=message + " the window"):
+            writer(table)
+
+
+def test_both_table_writers_share_one_cell_computation(monkeypatch):
+    """``to_csv`` and ``to_json`` read the cells of one computation, which
+    gives what a fresh table's writers give."""
+    original = CohomologyTable.__dict__["_cells"].func
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(CohomologyTable, "_cells")
+    columns = [([(0, 0), (1, 1)], {0: 2, 1: 1}), ([(0, 1)], {1: 3}), ([(1, 0)], {})]
+    table = CohomologyTable(2, 1, ((0, 0), (1, 1)), "h", columns)
+    want = (table.to_csv(), plain(table.to_json()))
+    monkeypatch.setattr(CohomologyTable, "_cells", prop)
+    fresh = CohomologyTable(2, 1, ((0, 0), (1, 1)), "h", columns)
+    assert (fresh.to_csv(), plain(fresh.to_json())) == want
+    assert calls == [fresh]
+
+
+def grid_chambers(runs_per_axis, keep):
+    """The chambers (products of runs) of ``runs_per_axis`` in lex order,
+    those for which ``keep(index tuple)`` holds."""
+    return [tuple(axis[k] for axis, k in zip(runs_per_axis, ks))
+            for ks in itertools.product(*(range(len(axis)) for axis in runs_per_axis)) if keep(ks)]
+
+
+@pytest.mark.parametrize("name,keep", [
+    ("grid", lambda ks: True),
+    ("subgrid", lambda ks: ks[0] != 1 and ks[2] != 0),
+    ("one chamber", lambda ks: ks == (2, 1, 1)),
+    ("L shape", lambda ks: ks[0] == 0 or ks[1] == 0),
+    ("diagonal", lambda ks: ks[0] == ks[1]),
+    ("grid less one", lambda ks: ks != (1, 1, 0)),
+])
+def test_class_members_are_the_sorted_union_of_their_chambers(name, keep):
+    """Grid classes (every product of their runs) take the product of the
+    runs' unions, the others a sort: both give the lex-ordered members."""
+    runs = [[range(-3, -1), range(-1, 0), range(0, 2)], [range(-2, 0), range(0, 3)],
+            [range(-1, 0), range(0, 1), range(1, 4)]]
+    chambers = grid_chambers(runs, keep)
+    want = sorted(itertools.chain.from_iterable(itertools.product(*c) for c in chambers))
+    assert cech._members(chambers) == want, name
 
 
 def test_csv_writer_peak_memory_stays_below_the_reference_on_a_wide_window():

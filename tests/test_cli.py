@@ -418,12 +418,11 @@ def test_wall_jobs_pass_within_the_minimal_support_bound(tmp_path, monkeypatch):
         assert got == WALL_DIGESTS[name]
 
 
-def test_compute_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+def serial_pool(monkeypatch) -> list[int]:
+    """Replace ``multiprocessing.Pool`` by a pool that maps in this process;
+    returns the list its worker counts are appended to."""
     import multiprocessing
 
-    body = dict(BASE_JOB, window=[[-2, -2], [2, 2]])
-    problem, tasks, _pages = cli.load_job(write_job(tmp_path, body))
-    assert len(cech.degree_classes(problem)) > 3
     started = []
 
     class SerialPool:
@@ -442,10 +441,45 @@ def test_compute_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
             return [fn(w) for w in work]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return started
+
+
+def test_compute_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    body = dict(BASE_JOB, window=[[-2, -2], [2, 2]])
+    problem, tasks, _pages = cli.load_job(write_job(tmp_path, body))
+    assert len(cech.degree_classes(problem)) > 3
+    started = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     report, files = cli.compute(problem, tasks, jobs=10**6)
     assert started == [3]
     assert (report, files) == cli.compute(problem, tasks, jobs=1)
+
+
+def test_worker_cap_counts_the_cpus_the_process_may_use(tmp_path, monkeypatch):
+    """Under ``taskset -c 0`` (an affinity of one CPU on a machine of 8),
+    ``compute`` at ``--jobs 2`` and ``--jobs 0`` opens no pool and writes
+    what ``--jobs 1`` writes; with three CPUs allowed, ``--jobs 0`` opens a
+    pool of three; where the platform has no affinity, the CPU count caps."""
+    problem, _tasks, _pages = cli.load_job(str(JOBS_DIR / "two_by_four.json"))
+    tasks = ["cohomology", "verify34"]
+    want = cli.compute(problem, tasks, jobs=1)
+    assert len(set(cech.class_orbits(problem, [p for p, _m in cech.degree_classes(problem)]))) > 3
+    started = serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.compute(problem, tasks, jobs=2) == want
+    job = write_job(tmp_path, dict(json.loads((JOBS_DIR / "two_by_four.json").read_text()),
+                                   tasks=tasks))
+    assert main(["compute", job, "--out", str(tmp_path / "one"), "--jobs", "0"]) == 0
+    assert started == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert main(["compute", job, "--out", str(tmp_path / "three"), "--jobs", "0"]) == 0
+    assert started == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.compute(problem, tasks, jobs=10**6) == want
+    assert started == [3, 6]  # 6 orbits, under 8 CPUs
+    for out in ("one", "three"):
+        assert (tmp_path / out / "report.json").read_text() == want[1]["report.json"]
 
 
 def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monkeypatch):

@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechmv import (
+    CechProblem,
+    ContractError,
     InputError,
     MonomialIdeal,
-    localized_piece_dim,
+    PrimeField,
     monomial_divides,
     monomial_mul,
     parse_monomial,
     product_sequence,
+    piece_pattern,
     support_mask,
 )
 from cechmv import cli
 from conftest import format_monomial, window_degrees, zero_ideal
+from reference_pieces import localized_piece_dim
 
 
 def test_parse_monomial_basics():
@@ -136,6 +140,40 @@ def test_piece_dim_quotient_kills_inverted_nilpotents():
             assert localized_piece_dim(0b11, J, (b1, b2)) == 0
     assert localized_piece_dim(0b10, J, (2, -4)) == 1
     assert localized_piece_dim(0b10, J, (3, -4)) == 0
+
+
+@st.composite
+def pieces_cases(draw):
+    """A degree with negative coordinates allowed, and a quotient that is
+    empty, contains 1, or has up to three generators."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    b = tuple(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m)))
+    gen = st.lists(st.integers(min_value=0, max_value=3), min_size=m, max_size=m).map(tuple)
+    kind = draw(st.sampled_from(["empty", "unit", "drawn"]))
+    gens = [] if kind == "empty" else draw(st.lists(gen, min_size=1, max_size=3))
+    if kind == "unit":
+        gens.append((0,) * m)
+    return m, b, MonomialIdeal(m, tuple(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces_cases())
+def test_piece_pattern_matches_the_piece_dimension_mask_by_mask(case):
+    m, b, quotient = case
+    problem = CechProblem(PrimeField(5), m, (((1,) * m,),), quotient, ((-3,) * m, (3,) * m))
+    pattern = piece_pattern(problem, b)
+    assert pattern == tuple(localized_piece_dim(mask, quotient, b) for mask in range(1 << m))
+    if (0,) * m in quotient.gens:  # R/R = 0: no piece is alive
+        assert not any(pattern)
+
+
+@pytest.mark.parametrize("b", [(0,), (0, 0, 0), ()])
+def test_piece_pattern_refuses_a_degree_of_the_wrong_length(b):
+    problem = CechProblem(PrimeField(5), 2, (((1, 0),),), zero_ideal(2), ((0, 0), (1, 1)))
+    with pytest.raises(ContractError, match="wrong length for 2 variables"):
+        piece_pattern(problem, b)
+    with pytest.raises(ContractError, match="wrong length for 2 variables"):
+        localized_piece_dim(0, zero_ideal(2), b)
 
 
 def test_product_sequence_order():
