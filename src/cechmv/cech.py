@@ -39,14 +39,15 @@ that lists the class results under the member degrees:
 
 A class step reads its pattern only at unions of generator supports
 (``support_unions``), so classes whose patterns agree there give equal class
-results.  A variable permutation sigma that maps every group onto itself
+results.  A variable permutation sigma that permutes the groups by some pi
 relabels the support masks of a pattern; when sigma maps the reads of one
-class onto those of another, sigma maps the first lattice isomorphically onto
-the second, point by point, and every oracle sequence onto itself, and the
-two classes give equal class results too; the quotient plays no part.  The
-classes fall into orbits under both links (``class_orbits``, with sigma among
-transpositions and double transpositions of the variables), and
-``cli.compute`` runs one class step per orbit.
+class onto those of another, sigma maps the first lattice isomorphically
+onto the second, its axes permuted by pi, and the two classes give equal
+class results but for records naming a group subset or a lattice point; the
+quotient plays no part.  The classes fall into orbits under both links
+(``class_orbits``, with sigma among transpositions and double
+transpositions of the variables), and ``cli.compute`` runs one class step
+per orbit.
 """
 
 from __future__ import annotations
@@ -183,17 +184,19 @@ def _members(chambers: list[tuple[range, ...]]) -> list[Exps]:
 
 
 def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
-    """Variable permutations that map every group onto itself, compared as
-    a multiset; a permutation sigma is the tuple with sigma[j] the image of
+    """Variable permutations that map the multiset of groups, each compared
+    as a multiset, onto itself: sigma(G_i) = G_pi(i) for a permutation pi of
+    the groups.  A permutation sigma is the tuple with sigma[j] the image of
     variable j.  The quotient need not be fixed (``class_orbits``).
 
     Only transpositions and products of two disjoint transpositions are
     tried, and only swaps of variables with equal signatures (the sorted
-    exponents of the variable in each group), which every such sigma
+    per-group sorted exponents of the variable), which every such sigma
     preserves.  Every candidate is verified, so each returned sigma is a
     symmetry; one that is missed only costs reuse."""
     m = problem.num_vars
-    signatures = [tuple(tuple(sorted(g[j] for g in grp)) for grp in problem.groups)
+    groups = sorted(map(sorted, problem.groups))
+    signatures = [sorted(tuple(sorted(g[j] for g in grp)) for grp in problem.groups)
                   for j in range(m)]
     swaps = [(a, c) for a, c in itertools.combinations(range(m), 2)
              if signatures[a] == signatures[c]]
@@ -204,18 +207,26 @@ def variable_symmetries(problem: CechProblem) -> list[tuple[int, ...]]:
         sigma = list(range(m))
         for a, c in swap_list:
             sigma[a], sigma[c] = c, a
-
-        def image(g: Exps) -> Exps:  # sigma(g)_{sigma(j)} = g_j; sigma is an involution
-            return tuple(g[sigma[j]] for j in range(m))
-
-        if all(sorted(map(image, grp)) == sorted(grp) for grp in problem.groups):
+        if sorted(sorted(_image(sigma, g) for g in grp) for grp in problem.groups) == groups:
             kept.append(tuple(sigma))
     return kept
 
 
-def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[int]:
+def _image(sigma, g: Exps) -> Exps:
+    """sigma(g), with sigma(g)_{sigma(j)} = g_j; sigma is an involution."""
+    return tuple(map(g.__getitem__, sigma))
+
+
+def _moves_groups(problem: CechProblem, sigma) -> bool:
+    """Whether sigma maps some group onto another group."""
+    return any(sorted(_image(sigma, g) for g in grp) != sorted(grp) for grp in problem.groups)
+
+
+def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]],
+                 move_groups: bool = True) -> list[int]:
     """For each degree class, given by its piece pattern in class order, the
-    index of the first class of its orbit.
+    index of the first class of its orbit; without ``move_groups``, of its
+    orbit under the links that fix every group.
 
     The reads of a pattern P are its entries at ``support_unions``: mask 0
     and every union of generator supports.  A symmetry sigma from
@@ -224,9 +235,10 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
     their reads agree, or when sigma P has the reads of the other; the
     orbits are the connected components.
 
-    Every class step of an orbit gives the same result, so ``cli.compute``
-    runs it once, at the orbit's first class.  A class step reads its degree
-    only through its pattern, and only at unions of generator supports: a
+    Every class step of an orbit gives the same result, but for records
+    that name groups, so ``cli.compute`` runs it once, at the orbit's first
+    class.  A class step reads its degree only
+    through its pattern, and only at unions of generator supports: a
     lattice entry, a choice of generator subsets, is alive when P is at the
     support of their product, which is the union of their supports; the
     oracle's rank vectors read P at unions of the supports of a reduced
@@ -234,25 +246,28 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
     generators; and the oracle's other reads (the empty sequence in ``raw``
     and verify34's dim M_b) are at mask 0.  Results name no degree, so
     classes with equal reads give equal results.  Let P' = sigma P.  sigma
-    maps each group onto itself, so it permutes the generators of group i by
-    some pi_i with supp(g_{pi_i(k)}) = sigma(supp(g_k)), and a generator
-    subset S_i is alive under P exactly when pi_i(S_i) is alive under P',
-    the support mask of the product being relabelled by sigma.  So the two
-    lattices have the same points and entry dimensions, and
-    S -> pi(S) with the sign of each reordering is an isomorphism of
-    multicomplexes that maps no entry off its lattice point.  It commutes
-    with the Koszul split, the totalizations, the coordinate filtrations and
-    the regions, which are all defined point by point, so every dimension
-    and rank of their pages and cohomologies agrees.  The oracle's sequences
-    (concatenations and products of groups, and their support reductions)
-    are mapped onto themselves too, so its Čech complexes under P and P'
-    are isomorphic and its ranks agree.  The points q, the axis order and
-    every group subset a record names are unchanged, so every issue and
-    failure record agrees as well, and a class with the reads of P' gives
-    them too.  Whether sigma fixes the quotient does not enter: no degree
-    need have the pattern P'.  A permutation of the groups is not used: it
-    would move points and group subsets, and verify34's ``subset`` and
-    props2's point ``q`` would have to be relabelled.
+    maps the generators of group i onto those of group pi(i), with
+    supp(sigma(g)) = sigma(supp(g)), so a choice of generator subsets S_i
+    is alive under P exactly when the choice sigma(S_i) in group pi(i) is
+    alive under P'.  Sending S to sigma(S), with the sign of each
+    reordering, maps the lattice of P onto that of P', point q to the point
+    with coordinate pi(i) equal to q_i: an isomorphism of multicomplexes up
+    to the permutation pi of the axes.  The Koszul split and the regions (on
+    axes I to those on pi(I)) are defined point by point, the totalizations
+    agree up to signs, and the wedge-degree and nonzero-count filtrations
+    are symmetric in the axes, so every dimension and rank of the pages,
+    limits and region cohomologies agrees.  sigma maps the oracle's
+    sequences of a group subset I onto those of pi(I), and the oracle is
+    read at all groups or summed over the subsets of a size.  So the pages,
+    ``stabilized_at``, the e1 and abutment mismatches, the limit-filtration
+    rows, the ``les`` records and the cohomology column are equal, and a
+    class with the reads of P' gives them too.  The records that name a
+    group subset or a lattice point (verify34's ``subset``, props2's
+    messages, exception texts) are equal when pi is the identity, and
+    otherwise when there are none, which ``cli._clean`` checks before a
+    result crosses a sigma that moves a group (``move_groups``).  Whether
+    sigma fixes the quotient does not enter: no degree need have the
+    pattern P'.
     """
     orbit = list(range(len(patterns)))
     if len(patterns) < 2:
@@ -273,6 +288,8 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[
     for k, pat in enumerate(patterns):
         link(k, index.setdefault(reads(pat), k))
     for sigma in variable_symmetries(problem):
+        if not move_groups and _moves_groups(problem, sigma):
+            continue
         image = [0] * (1 << problem.num_vars)  # image[mask] = sigma(mask), itself an involution
         for mask in range(1, len(image)):
             low = mask & -mask

@@ -15,12 +15,13 @@ Two commands:
   which calls ``cech.verify_product_vs_interior``, ``mvss.run_variant``,
   ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) at its
   representative degree b0 for the whole orbit, and ``--jobs`` spreads the
-  orbits over worker processes.  A class step reads two things: its
+  orbits over worker processes; a result crosses a symmetry that permutes
+  the groups only when it is ``_clean``.  A class step reads two things: its
   class's ``LatticeSequences`` (``DegreeClass.sequences``), built from the
   pattern ``cech.degree_classes`` found, and the oracle at b0.  Its result
   names no degree; ``assemble_unit``, the one place where class results
   meet member lists, lists them under the member degrees, in class order,
-  and ``jsonout.dumps`` writes each class's record once.
+  and ``jsonout.dumps`` writes each step's record once.
 * ``selftest`` runs ``compute`` with every task the problem admits on small
   random problems and checks that every task passes.  Deterministic for a
   fixed seed.
@@ -239,14 +240,17 @@ def assemble_unit(problem: CechProblem, unit: str, pages: int | None,
             payload["infinity_filtration"] = {"variant": "1a", "degrees": PerDegree.by_degree(inf),
                                               "failures": bad, "pass": not bad.items}
             payload["pass"] = payload["pass"] and not bad.items
-        records = PerDegree.by_degree([(members, {
+        runs = {id(cls): cls for _members, (cls, _inf) in results}
+        record = {key: {  # one per step result, shared by the classes of its orbit
             "variant": variant,
             "pages": [pg.to_json() for pg in cls.pages if pages is None or pg.r <= pages],
             "stabilized_at": cls.stabilized_at,
             "e1_check": {"pass": not cls.e1_mismatches, "mismatches": cls.e1_mismatches},
             "abutment_check": {"pass": not cls.abutment_mismatches,
                                "mismatches": cls.abutment_mismatches},
-        }) for members, (cls, _inf) in results])
+        } for key, cls in runs.items()}
+        records = PerDegree.by_degree([(members, record[id(cls)])
+                                       for members, (cls, _inf) in results])
         return payload, {f"pages_{variant}.json": dumps({"variant": variant,
                                                          "degrees": records})}
     failures = _failures(results)  # the one task left is les
@@ -284,6 +288,14 @@ def _class_worker(args) -> list:
     return out
 
 
+def _clean(tasks: list[str], step: list) -> bool:
+    """Whether a class step's results hold across a group permutation: no
+    task raised, and verify34 and props2, whose records name groups and
+    points, found nothing."""
+    return not any(isinstance(res, Exception) or (unit in ("verify34", "props2") and res)
+                   for unit, res in zip(tasks, step))
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the platform
     has one (under ``taskset -c 0``, one), else the machine's CPU count."""
@@ -299,6 +311,8 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     (``cech.class_orbits``), at the orbit's first class, in at most ``jobs``
     worker processes and never more than the orbits or the CPUs, give every
     class its orbit's step results, and assemble each task over the classes.
+    A result that is not ``_clean`` goes only to the classes linked to its
+    class without moving a group; the others run their own step after.
     Returns the report and the contents of every output file by name,
     ``report.json`` among them.  Refuses what ``check_tasks`` and
     ``check_pages`` refuse with ``InputError``."""
@@ -306,19 +320,23 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     check_pages(problem, pages)
     by_pattern = degree_classes(problem)
     classes = [members for _pat, members in by_pattern]
-    orbit = class_orbits(problem, [pat for pat, _members in by_pattern])
+    patterns = [pat for pat, _members in by_pattern]
+    orbit, fixing = class_orbits(problem, patterns), class_orbits(problem, patterns, False)
     reps = sorted(set(orbit))
-    work = [(problem, tasks, pages, by_pattern[r][0], classes[r][0]) for r in reps]
-    workers = min(jobs, len(work), _usable_cpus())
+    work = [(problem, tasks, pages, pat, members[0]) for pat, members in by_pattern]
+    workers = min(jobs, len(reps), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            rep_steps = pool.map(_class_worker, work, chunksize=1)
+            rep_steps = pool.map(_class_worker, [work[r] for r in reps], chunksize=1)
     else:
-        rep_steps = [_class_worker(w) for w in work]
+        rep_steps = [_class_worker(work[r]) for r in reps]
     step_of = dict(zip(reps, rep_steps))
-    steps = [step_of[r] for r in orbit]
+    # an orbit's step that is not clean goes only to its group-fixing orbits
+    source = [r if _clean(tasks, step_of[r]) else f for r, f in zip(orbit, fixing)]
+    step_of.update((f, _class_worker(work[f])) for f in sorted(set(source) - step_of.keys()))
+    steps = [step_of[s] for s in source]
     files: dict[str, str] = {}
     report = {
         "job": {

@@ -483,12 +483,14 @@ def test_worker_cap_counts_the_cpus_the_process_may_use(tmp_path, monkeypatch):
 
 
 def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monkeypatch):
+    """One classification, and one lattice per class step: x1 <-> x2 swaps
+    the two groups, so the 4 classes of this window take 3 steps."""
     body = dict(BASE_JOB, window=[[-2, -2], [2, 2]],
                 tasks=["cohomology", "verify34", "props2", "mvss:1a", "mvss:1b",
                        "mvss:2a", "mvss:2b", "les"])
     problem, _tasks, _pages = cli.load_job(write_job(tmp_path, body))
-    classes = len(cech.degree_classes(problem))
-    assert classes > 1
+    steps = step_count(problem)
+    assert (len(cech.degree_classes(problem)), steps) == (4, 3)
     calls = {"degree_classes": 0, "cech_multicomplex": 0}
 
     def counted(name, original):
@@ -505,7 +507,13 @@ def test_compute_classifies_once_and_builds_one_lattice_per_class(tmp_path, monk
                 monkeypatch.setattr(mod, name, counted(name, original))
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
-    assert calls == {"degree_classes": 1, "cech_multicomplex": classes}
+    assert calls == {"degree_classes": 1, "cech_multicomplex": steps}
+
+
+def step_count(problem) -> int:
+    """The class steps ``compute`` runs on ``problem`` when every step is
+    clean: one per orbit of its degree classes."""
+    return len(set(cech.class_orbits(problem, [p for p, _m in cech.degree_classes(problem)])))
 
 
 def test_compute_builds_one_lattice_per_orbit_of_symmetric_classes(tmp_path, monkeypatch):
@@ -533,7 +541,7 @@ def test_compute_builds_one_lattice_per_orbit_of_symmetric_classes(tmp_path, mon
 
 
 @pytest.mark.parametrize("path,calls", [("jobs/two_by_four.json", 16 + 6),
-                                        ("perfbench/workloads/lattice-window.json", 16 + 10)])
+                                        ("perfbench/workloads/lattice-window.json", 16 + 7)])
 def test_compute_evaluates_one_pattern_per_chamber_and_one_per_orbit(monkeypatch, path, calls):
     """The classification evaluates the piece pattern once per chamber (16
     on both jobs), and each orbit's step once more, in its oracle; the
@@ -585,9 +593,9 @@ def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_cl
     """The class steps ``compute`` runs are the functions the benchmark
     tracer wraps by name, at every ``cechmv`` module that binds them, so the
     tracer's per-layer metrics for them count real work: one call per degree
-    class, and per class and variant for ``run_variant`` (``les`` runs none: it
-    reads the first pages of the class's 1a and 2a sequences).  No variable permutation fixes
-    these jobs' groups, so every class is its own orbit."""
+    class step, and per step and variant for ``run_variant`` (``les`` runs
+    none: it reads the first pages of the class's 1a and 2a sequences).  The
+    variable swaps permute these jobs' groups, so the classes share steps."""
     calls = dict.fromkeys(per_class, 0)
 
     def counted(name, original):
@@ -607,9 +615,9 @@ def test_compute_runs_the_traced_class_steps(tmp_path, monkeypatch, body, per_cl
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     problem, _tasks, _pages = cli.load_job(job)
-    classes = len(cech.degree_classes(problem))
-    assert classes > 1
-    assert calls == {name: k * classes for name, k in per_class.items()}
+    steps = step_count(problem)
+    assert 1 < steps < len(cech.degree_classes(problem))
+    assert calls == {name: k * steps for name, k in per_class.items()}
 
 
 @pytest.mark.parametrize("name", ["two_by_four", "two_ideals"])
@@ -662,7 +670,7 @@ def test_compute_reduces_each_degree_once(tmp_path, monkeypatch, body):
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
 def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_path, monkeypatch,
                                                                         name):
-    """Per degree class, props2 and the four variants read one Koszul split
+    """Per class step, props2 and the four variants read one Koszul split
     and five spectral sequences (props2's face filtration and the variants'
     four, which are props2's other three), and each sequence finds its
     limit page and abutment once."""
@@ -699,7 +707,7 @@ def test_props2_and_variants_share_one_split_and_sequence_per_filtration(tmp_pat
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     problem, _tasks, _pages = cli.load_job(job)
-    assert len(per_class) == len(cech.degree_classes(problem)) > 1
+    assert len(per_class) == step_count(problem) > 1
     for calls in per_class:
         assert calls["splits"] == 1
         assert len(calls["sequences"]) == 5
@@ -807,7 +815,7 @@ def count_builds(monkeypatch) -> list[dict]:
 
 @pytest.mark.parametrize("name", ["two_ideals", "three_ideals"])
 def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypatch, name):
-    """Per degree class, verify34 and props2 totalize the face half of the
+    """Per class step, verify34 and props2 totalize the face half of the
     lattice's split and its cube extension at most once each, and never the
     lattice itself; they build every region and filtered complex with at
     most one restriction of one of the two, and read each augmented interior
@@ -820,7 +828,7 @@ def test_verify34_and_props2_build_each_region_once_per_class(tmp_path, monkeypa
     problem, _tasks, _pages = cli.load_job(job)
     n = problem.n
     subsets = [s for p in range(1, n + 1) for s in itertools.combinations(range(n), p)]
-    assert len(per_class) == len(cech.degree_classes(problem)) > 1
+    assert len(per_class) == step_count(problem) > 1
     faces_built = both = 0
     for calls in per_class:
         assert set(calls["totalized"]) <= {"face half", "cube"}
@@ -927,7 +935,8 @@ def test_failure_under_orbit_reuse_is_reported_as_class_by_class(tmp_path, monke
     monkeypatch.setattr(SpectralSequence, "_pairs", failing)
     tasks = ["cohomology", "verify34", "mvss:1b", "mvss:2a", "les"]
     reused = cli.compute(problem, tasks)
-    monkeypatch.setattr(cli, "class_orbits", lambda problem, patterns: list(range(len(patterns))))
+    monkeypatch.setattr(cli, "class_orbits",
+                        lambda problem, patterns, move_groups=True: list(range(len(patterns))))
     alone = cli.compute(problem, tasks)
     assert reused == alone
     for unit in ("mvss:1b", "mvss:2a", "les"):
@@ -1041,13 +1050,19 @@ def reference_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-# what the report trees hold: scalars, lists, and dicts keyed by strings or
-# by integers (the per-index maps of les)
+# what the report trees hold: scalars (non-ASCII text included), lists and
+# tuples, empty containers inside lists, lists of lists of dicts (as the
+# pages' cells and maps), and dicts keyed by strings or by integers (the
+# per-index maps of les)
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
-              st.text(max_size=4)),
+              st.text(max_size=4), st.sampled_from(["Čech", "é\u2028", "\U0001d53d", "\x00\x7f"])),
     lambda kids: st.one_of(
         st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.lists(st.one_of(kids, st.sampled_from([[], {}, ()])), max_size=3),
+        st.lists(st.lists(st.dictionaries(st.text(max_size=3), kids, max_size=2), max_size=2),
+                 max_size=2),
         st.dictionaries(st.text(max_size=4), kids, max_size=3),
         st.dictionaries(st.integers(-12, 12), kids, max_size=3),
     ),
@@ -1213,3 +1228,23 @@ def test_written_json_is_in_canonical_form(tmp_path, body, jobs):
     report = json.loads((out / "report.json").read_text())
     assert ("infinity_filtration" in report["results"]["mvss:1a"]) == (len(body["groups"]) == 3)
 
+
+
+def test_each_pages_file_encodes_one_record_per_class_step(monkeypatch):
+    """On ``lattice-window`` (16 classes, 7 class steps), the ``degrees`` of
+    each ``pages_V.json`` hold one record object per class step of its
+    variant, shared by every member degree of the step's classes, so the
+    writer encodes 7 records per file, and the file is what the whole-object
+    encoding writes."""
+    problem, tasks, pages = cli.load_job(str(JOBS_DIR.parent / "perfbench" / "workloads"
+                                             / "lattice-window.json"))
+    written = []
+    monkeypatch.setattr(cli, "dumps", lambda obj: written.append(obj) or dumps(obj))
+    _report, files = cli.compute(problem, tasks, pages)
+    listings = [obj for obj in written if set(obj) == {"variant", "degrees"}]
+    assert [obj["variant"] for obj in listings] == ["1a", "1b", "2a", "2b"]
+    assert step_count(problem) == 7
+    for obj in listings:
+        assert len(obj["degrees"].items) == 625
+        assert len({id(rec) for _b, rec in obj["degrees"].items}) == 7
+        assert files[f"pages_{obj['variant']}.json"] == reference_dumps(plain(obj))

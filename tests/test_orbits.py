@@ -32,7 +32,7 @@ def orbit_count(problem: CechProblem) -> tuple[int, int]:
     return len(patterns), len(set(cech.class_orbits(problem, patterns)))
 
 
-def class_by_class(problem, patterns):
+def class_by_class(problem, patterns, move_groups=True):
     return list(range(len(patterns)))
 
 
@@ -48,12 +48,14 @@ def act(sigma, g):
     return tuple(out)
 
 
-def planted_problem(seed: int) -> tuple[CechProblem, tuple[int, ...], str]:
+def planted_problem(seed: int, swap_groups: bool = False) -> tuple[CechProblem, tuple[int, ...], str]:
     """A problem whose groups are closed under a drawn involution sigma of
     3-5 variables, over one of four fields, with 2-3 groups; its quotient is
     zero, closed under sigma, or one monomial that sigma moves ("broken"),
     and about a quarter of the windows are not mapped onto themselves by
-    sigma.  Returns (problem, sigma, quotient kind)."""
+    sigma.  With ``swap_groups``, two of the groups are a drawn group G and
+    sigma(G), which is another group, and a third, drawn as above, is added
+    on about half the draws.  Returns (problem, sigma, quotient kind)."""
     rng = random.Random(seed)
     m = rng.randint(3, 5)
     moved = rng.sample(range(m), 4 if m >= 4 and rng.random() < 0.5 else 2)
@@ -74,6 +76,14 @@ def planted_problem(seed: int) -> tuple[CechProblem, tuple[int, ...], str]:
         closed = sorted(drawn | {act(sigma, g) for g in drawn})
         rng.shuffle(closed)
         groups.append(tuple(closed))
+    if swap_groups:
+        while True:
+            drawn = tuple({monomial(1) for _ in range(rng.randint(1, 2))})
+            image = tuple(act(sigma, g) for g in drawn)
+            if sorted(image) != sorted(drawn):
+                break
+        groups = [drawn, image, *groups[:rng.randint(0, 1)]]
+        rng.shuffle(groups)
     kind = ("none", "closed", "broken")[seed % 3]
     gens = ()
     if kind != "none":
@@ -92,15 +102,22 @@ def planted_problem(seed: int) -> tuple[CechProblem, tuple[int, ...], str]:
     return CechProblem(field, m, tuple(groups), quotient, (lo, hi)), sigma, kind
 
 
+def group_swap_problem(seed: int) -> tuple[CechProblem, tuple[int, ...], str]:
+    return planted_problem(seed, swap_groups=True)
+
+
 def test_committed_jobs_and_workloads_have_the_expected_orbits():
     """(classes, orbits) of every committed job and benchmark workload.  On
     ``wide-window`` and ``wide_seven`` the symmetries alone leave 55 orbits
     each (``test_candidate_family_finds_the_full_group_orbits``); equal
-    reads at the generator-support unions link them into 21 and 16."""
+    reads at the generator-support unions link them into 21 and 16.  The
+    symmetries that permute the groups take ``lattice-window`` from 10
+    orbits to 7, ``four_ideals`` from 16 to 6, ``three_ideals`` from 8 to 4
+    and ``two_ideals`` from 4 to 3."""
     expected = {
-        "two_by_four": (16, 6), "wide_seven": (161, 16), "lattice-window": (16, 10),
-        "wide-window": (81, 21), "oracle-long": (21, 16), "four_ideals": (16, 16),
-        "three_ideals": (8, 8), "two_ideals": (4, 4), "mixed_quotient": (6, 6),
+        "two_by_four": (16, 6), "wide_seven": (161, 16), "lattice-window": (16, 7),
+        "wide-window": (81, 21), "oracle-long": (21, 16), "four_ideals": (16, 6),
+        "three_ideals": (8, 4), "two_ideals": (4, 3), "mixed_quotient": (6, 6),
         "page-heavy": (1, 1), "twelve_generators": (1, 1), "fifteen_generators": (1, 1),
         "three_term_quotient": (12, 12), "rational_all_tasks": (11, 11),
     }
@@ -109,13 +126,21 @@ def test_committed_jobs_and_workloads_have_the_expected_orbits():
     assert found == expected
 
 
+def maps_groups_onto_groups(perm, problem) -> bool:
+    """Whether ``perm`` maps the multiset of groups, each a multiset of
+    generators, onto itself."""
+    return (sorted(sorted(act(perm, g) for g in grp) for grp in problem.groups)
+            == sorted(sorted(grp) for grp in problem.groups))
+
+
 def test_kept_permutations_are_symmetries():
-    """Each kept sigma maps every group onto itself, and the search keeps
-    every transposition and double transposition that does, among all of
-    them, whether or not it fixes the quotient: the planted sigma is kept
-    for every quotient kind, "broken" included."""
-    for seed in range(40):
-        problem, sigma, kind = planted_problem(seed)
+    """Each kept sigma maps the multiset of groups onto itself, and the
+    search keeps every transposition and double transposition that does,
+    among all of them, whether or not it fixes the quotient: the planted
+    sigma is kept for every quotient kind, "broken" included, on the draws
+    whose sigma fixes every group and on those whose sigma swaps two."""
+    for problem, sigma, kind in (draw(seed) for seed in range(40)
+                                 for draw in (planted_problem, group_swap_problem)):
         m = problem.num_vars
         kept = cech.variable_symmetries(problem)
         assert sigma in kept, kind
@@ -127,9 +152,7 @@ def test_kept_permutations_are_symmetries():
             for a, c in chosen:
                 perm[a], perm[c] = c, a
             perm = tuple(perm)
-            symmetric = all(sorted(act(perm, g) for g in grp) == sorted(grp)
-                            for grp in problem.groups)
-            if symmetric:
+            if maps_groups_onto_groups(perm, problem):
                 family.add(perm)
         assert set(kept) == family
 
@@ -150,8 +173,8 @@ def test_swap_that_moves_the_quotient_is_kept(monkeypatch):
 
 
 def full_group_orbits(problem: CechProblem, patterns) -> list[int]:
-    """The orbits under every permutation of the variables that maps each
-    group onto itself, by brute force."""
+    """The orbits under every permutation of the variables that maps the
+    multiset of groups onto itself, by brute force."""
     m = problem.num_vars
     index = {pat: k for k, pat in enumerate(patterns)}
     orbit = list(range(len(patterns)))
@@ -162,7 +185,7 @@ def full_group_orbits(problem: CechProblem, patterns) -> list[int]:
         return k
 
     for perm in itertools.permutations(range(m)):
-        if any(sorted(act(perm, g) for g in grp) != sorted(grp) for grp in problem.groups):
+        if not maps_groups_onto_groups(perm, problem):
             continue
         for k, pat in enumerate(patterns):
             image = [0] * len(pat)
@@ -178,7 +201,8 @@ def full_group_orbits(problem: CechProblem, patterns) -> list[int]:
 @pytest.mark.parametrize("path", ["jobs/two_by_four.json", "jobs/wide_seven.json",
                                   "perfbench/workloads/lattice-window.json",
                                   "perfbench/workloads/wide-window.json",
-                                  "perfbench/workloads/oracle-long.json"])
+                                  "perfbench/workloads/oracle-long.json",
+                                  "jobs/four_ideals.json", "jobs/three_ideals.json"])
 def test_candidate_family_finds_the_full_group_orbits(path, monkeypatch):
     """The symmetry orbits alone: with every mask read (so that only equal
     full patterns have equal reads), ``class_orbits`` finds the orbits of
@@ -189,40 +213,58 @@ def test_candidate_family_finds_the_full_group_orbits(path, monkeypatch):
     assert cech.class_orbits(problem, patterns) == full_group_orbits(problem, patterns)
 
 
-def lattice_profile(problem: CechProblem, pattern):
+def lattice_profile(problem: CechProblem, pattern, pi=None):
     """Entry dimension at every point and rank of every axis map of the
-    lattice built from ``pattern``."""
+    lattice built from ``pattern``, with axis i renamed pi[i]."""
     mc = cech_multicomplex(problem, pattern)
-    return mc.dims, {key: len(pivot_pairs(problem.field, mat)) for key, mat in mc.diffs.items()}
+    pi = pi or range(problem.n)
+
+    def point(q):
+        out = [0] * len(q)
+        for i, x in enumerate(q):
+            out[pi[i]] = x
+        return tuple(out)
+
+    return ({point(q): d for q, d in mc.dims.items()},
+            {(point(q), pi[i]): len(pivot_pairs(problem.field, mat))
+             for (q, i), mat in mc.diffs.items()})
 
 
 def symmetric_cases():
     for path in ("jobs/two_by_four.json", "jobs/wide_seven.json",
-                 "perfbench/workloads/lattice-window.json"):
+                 "perfbench/workloads/lattice-window.json", "jobs/four_ideals.json",
+                 "jobs/three_ideals.json"):
         yield path, load(ROOT / path)
     for seed in range(30):  # every quotient kind keeps sigma, "broken" included
-        problem, _sigma, _kind = planted_problem(seed)
-        window = default_window(problem.num_vars, problem.groups, problem.quotient)
-        yield f"planted {seed}", dataclasses.replace(problem, window=window)
+        for draw in (planted_problem, group_swap_problem):
+            problem, _sigma, _kind = draw(seed)
+            window = default_window(problem.num_vars, problem.groups, problem.quotient)
+            yield f"{draw.__name__} {seed}", dataclasses.replace(problem, window=window)
 
 
 def test_symmetric_degrees_have_isomorphic_lattices():
     """Every class's lattice, at its first member, has the entry dimensions
     at every point and the ranks of every axis map of its orbit's first
-    class's lattice.  (The pattern of sigma(b) is that of b relabelled only
-    when sigma fixes the quotient, so the classes are compared, not b with
-    sigma(b).)"""
-    shared = 0
+    class's lattice, up to a permutation pi of the axes, which is the
+    identity when the two classes are linked without moving a group.  (The
+    pattern of sigma(b) is that of b relabelled only when sigma fixes the
+    quotient, so the classes are compared, not b with sigma(b).)"""
+    shared = moved = 0
     for name, problem in symmetric_cases():
         classes = degree_classes(problem)
-        orbit = cech.class_orbits(problem, [pat for pat, _members in classes])
+        patterns = [pat for pat, _members in classes]
+        orbit, fixing = (cech.class_orbits(problem, patterns, move) for move in (True, False))
         assert cech.variable_symmetries(problem), name
         for k, r in enumerate(orbit):
-            if k != r:
-                got, want = (lattice_profile(problem, classes[c][0]) for c in (k, r))
-                assert got == want, (name, classes[k][1][0])
-                shared += 1
-    assert shared > 300
+            if k == r:
+                continue
+            want = lattice_profile(problem, classes[r][0])
+            perms = [None] if fixing[k] == r else itertools.permutations(range(problem.n))
+            assert any(lattice_profile(problem, classes[k][0], pi) == want for pi in perms), (
+                name, classes[k][1][0])
+            shared += 1
+            moved += fixing[k] != r
+    assert shared > 300 and moved > 100
 
 
 def test_planted_problems_share_class_steps():
@@ -235,6 +277,19 @@ def test_planted_problems_share_class_steps():
             orbit_count(p)[1] < orbit_count(p)[0])
     assert sum(merged["fixed"]) >= len(merged["fixed"]) / 2
     assert sum(merged["broken"]) >= len(merged["broken"]) / 4
+
+
+def test_group_swap_draws_share_class_steps_across_groups():
+    """The gate's group-swap draws are not vacuous: on at least two thirds
+    of them (16 of 24) the symmetries that swap two groups link orbits that
+    the others leave apart."""
+    moved = 0
+    for seed in range(24):
+        problem, _sigma, _kind = group_swap_problem(seed)
+        patterns = [pat for pat, _members in degree_classes(problem)]
+        moved += (len(set(cech.class_orbits(problem, patterns)))
+                  < len(set(cech.class_orbits(problem, patterns, False))))
+    assert moved >= 16
 
 
 class GuardedRead(Exception):
@@ -411,6 +466,9 @@ def gate_problem(case) -> CechProblem:
         return problem
     if case.startswith("reads "):
         return reads_problem(int(case.split()[1]))
+    if case.startswith("swap "):
+        problem, _sigma, _kind = group_swap_problem(int(case.split()[1]))
+        return problem
     return load(ROOT / case)
 
 
@@ -423,13 +481,20 @@ def reused_and_alone(problem: CechProblem, monkeypatch):
         return reused, cli.compute(problem, every_task(problem))
 
 
-@pytest.mark.parametrize("case", [*range(56), "perfbench/workloads/wide-window.json",
-                                  "jobs/wide_seven.json", *(f"reads {s}" for s in range(20))])
+GATE_JOBS = ["perfbench/workloads/wide-window.json", "jobs/wide_seven.json",
+             "perfbench/workloads/lattice-window.json", "jobs/four_ideals.json",
+             "jobs/three_ideals.json", "jobs/two_ideals.json"]
+
+
+@pytest.mark.parametrize("case", [*range(56), *GATE_JOBS, *(f"reads {s}" for s in range(20)),
+                                  *(f"swap {s}" for s in range(24))])
 def test_orbit_reuse_writes_what_class_by_class_writes(case, monkeypatch):
     """The equality gate: ``compute`` with orbit reuse gives the report and
     every file of ``compute`` with every class its own orbit, on the planted
-    symmetric draws, on ``wide-window`` and ``wide_seven``, and on draws
-    whose classes are linked by equal reads."""
+    symmetric draws, on ``wide-window``, ``wide_seven``, ``lattice-window``
+    and the jobs whose symmetries permute the groups, on draws whose
+    classes are linked by equal reads, and on draws whose sigma swaps two
+    groups."""
     reused, alone = reused_and_alone(gate_problem(case), monkeypatch)
     assert reused[1] == alone[1]
     assert reused[0] == alone[0]
@@ -453,18 +518,56 @@ def test_a_key_that_drops_a_union_fails_the_equality_gate(union, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_swap_that_moves_a_group_fails_the_equality_gate(seed, monkeypatch):
-    """The gate above sees a wrong symmetry: with every transposition of the
-    variables kept, some of which move a group, ``compute`` with orbit reuse
-    returns another report or other files than class by class on these
-    planted problems."""
+    """The gate above sees a wrong symmetry: with the transpositions of the
+    variables kept that send some group onto a set that is no group,
+    ``compute`` with orbit reuse returns another report or other files than
+    class by class on these planted problems."""
     problem, _sigma, _kind = planted_problem(seed)
+    groups = {tuple(sorted(grp)) for grp in problem.groups}
     swaps = []
     for a, c in itertools.combinations(range(problem.num_vars), 2):
         sigma = list(range(problem.num_vars))
         sigma[a], sigma[c] = c, a
-        swaps.append(tuple(sigma))
-    assert set(swaps) - set(cech.variable_symmetries(problem))
+        if any(tuple(sorted(act(sigma, g) for g in grp)) not in groups for grp in problem.groups):
+            swaps.append(tuple(sigma))
+    assert swaps
     tasks = every_task(problem)
     alone = cli.compute(problem, tasks)
     monkeypatch.setattr(cech, "variable_symmetries", lambda problem: swaps)
     assert cli.compute(problem, tasks) != alone
+
+
+def label_first_interior(monkeypatch):
+    """Make verify34 report a label-dependent issue: a ``truncated`` issue
+    naming the first group subset whose interior region has nonzero
+    cohomology.  A group permutation moves that subset."""
+    verify = cli.verify_product_vs_interior
+
+    def labelled(problem, seqs, cache, b0):
+        issues = verify(problem, seqs, cache, b0)
+        subsets = (s for p in range(1, problem.n + 1)
+                   for s in itertools.combinations(range(problem.n), p))
+        first = next((s for s in subsets if any(seqs.region_h("interior", s).values())), None)
+        if first is not None:
+            issues.append({"check": "truncated", "subset": list(first), "i": 0, "got": 1,
+                           "want": 0})
+        return issues
+
+    monkeypatch.setattr(cli, "verify_product_vs_interior", labelled)
+
+
+@pytest.mark.parametrize("path", ["jobs/three_ideals.json", "jobs/four_ideals.json",
+                                  "perfbench/workloads/lattice-window.json"])
+def test_a_labelled_issue_does_not_cross_a_group_permutation(path, monkeypatch):
+    """The clean-result rule: with verify34 reporting an issue that names a
+    group subset, a class linked to its orbit only through a symmetry that
+    moves a group runs its own step, and ``compute`` with orbit reuse still
+    gives what it gives class by class.  With the rule taken away, every
+    result crosses and the two differ."""
+    problem = load(ROOT / path)
+    label_first_interior(monkeypatch)
+    reused, alone = reused_and_alone(problem, monkeypatch)
+    assert json.loads(reused[1]["report.json"])["results"]["verify34"]["pass"] is False
+    assert reused == alone
+    monkeypatch.setattr(cli, "_clean", lambda tasks, step: True)
+    assert cli.compute(problem, every_task(problem)) != alone
