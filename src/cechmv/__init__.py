@@ -59,7 +59,6 @@ from .multicomplex import (
     composite_along,
     cube_extension,
     koszul_split,
-    line_complex,
     restrict,
     totalize,
     validate,
@@ -128,7 +127,6 @@ __all__ = [
     "filtration_from_blocks",
     "is_prime",
     "koszul_split",
-    "line_complex",
     "monomial_divides",
     "monomial_mul",
     "mul",

@@ -380,7 +380,12 @@ def cmd_compute(args) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    report, files = compute(problem, tasks, pages, args.jobs or _usable_cpus())
+    try:
+        report, files = compute(problem, tasks, pages, args.jobs or _usable_cpus())
+    except MemoryError:  # outside a class step, which reports its own
+        print("error: out of memory: the job needs more than this process can allocate",
+              file=sys.stderr)
+        return 1
     for name, content in sorted(files.items()):
         try:
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:

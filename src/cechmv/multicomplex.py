@@ -21,7 +21,7 @@ totalization whose lattice points lie in the region.
 The unit-Koszul scaffold on a lattice splits into a subobject supported off
 the coordinate faces and a face-supported quotient.  Only the quotient, the
 face half (``koszul_split``), feeds a spectral sequence, so it is the only
-half built over a whole lattice.
+half built over a whole lattice, and only its totalization is kept.
 
 Every map is a list of sparse ``{row: value}`` columns (``linalg``), and
 every builder here writes its columns directly.
@@ -87,7 +87,6 @@ class Multicomplex:
     n: int
     dims: dict[Point, int]
     diffs: dict[tuple[Point, int], Columns]
-    point_blocks: dict[Point, tuple] | None = None  # provenance of per-point sums
 
     @cached_property
     def box(self) -> tuple[Point, Point]:
@@ -232,22 +231,6 @@ def restrict(tot: CochainComplex, keep) -> CochainComplex:
                           {m: keys for m, (keys, _) in kept.items()})
 
 
-def line_complex(mc: Multicomplex, axis: int, base: Point) -> CochainComplex:
-    """The single complex along one axis through ``base`` (other coords fixed)."""
-    lo, hi = mc.box
-    dims = {}
-    d = {}
-    for v in range(lo[axis], hi[axis] + 1):
-        q = base[:axis] + (v,) + base[axis + 1 :]
-        if mc.entry_dim(q):
-            dims[v] = mc.entry_dim(q)
-    for v in list(dims):
-        q = base[:axis] + (v,) + base[axis + 1 :]
-        if (q, axis) in mc.diffs and dims.get(v + 1):
-            d[v] = mc.diffs[(q, axis)]
-    return CochainComplex(mc.field, dims, d)
-
-
 def composite_along(mc: Multicomplex, axes: tuple[int, ...]) -> Columns:
     """Composite differential from the origin entry along the given axes, in
     the listed order.  Zero entries along the path give zero columns."""
@@ -300,9 +283,9 @@ def koszul_split(mc: Multicomplex) -> Multicomplex:
     the scaffold supported on the coordinate faces, where wedge slot I keeps
     the points with q_i = 0 for all i in I.
 
-    Axis 0 of the half is the wedge degree p; slots are indexed by the
-    p-subsets I of the original axes in lexicographic order.  The other half
-    is never built over a lattice (``spectral._split_columns``).
+    Axis 0 of the half is the wedge degree p; the entry at (p,) + q sums one
+    copy of C^q per kept p-subset I of the original axes, in lexicographic
+    order.  The other half is never built over a lattice (``spectral``).
     """
     return _koszul_half(mc, lambda I, q: all(q[i] == 0 for i in I))
 
@@ -313,26 +296,17 @@ def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
     n = mc.n
     f = mc.field
     subsets = {p: list(itertools.combinations(range(n), p)) for p in range(n + 1)}
-    dims: dict[Point, int] = {}
-    pblocks: dict[Point, tuple] = {}
-    for q in mc.points():
-        dq = mc.entry_dim(q)
-        for p in range(n + 1):
-            allowed = [I for I in subsets[p] if keep(I, q)]
-            if not allowed:
-                continue
-            point = (p,) + q
-            dims[point] = dq * len(allowed)
-            pblocks[point] = tuple((I, dq) for I in allowed)
+    slots = {(p,) + q: allowed for q in mc.points() for p in range(n + 1)
+             if (allowed := [I for I in subsets[p] if keep(I, q)])}
+    dims = {point: mc.entry_dim(point[1:]) * len(allowed) for point, allowed in slots.items()}
     diffs: dict[tuple[Point, int], Columns] = {}
-    for point in dims:
+    for point, allowed in slots.items():
         p, q = point[0], point[1:]
         dq = mc.entry_dim(q)
-        allowed = [I for I, _ in pblocks[point]]
         # wedge axis
         target = (p + 1,) + q
-        if target in dims:
-            t_index = {I: k for k, (I, _) in enumerate(pblocks[target])}
+        if target in slots:
+            t_index = {I: k for k, I in enumerate(slots[target])}
             columns: Columns = []
             for I in allowed:
                 signs = _wedge_signs(f, I, n, t_index)
@@ -342,9 +316,9 @@ def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
         for i in range(n):
             tq = add_e(q, i)
             tpoint = (p,) + tq
-            if tpoint not in dims or (q, i) not in mc.diffs:
+            if tpoint not in slots or (q, i) not in mc.diffs:
                 continue
-            t_offs = {I: k * mc.entry_dim(tq) for k, (I, _) in enumerate(pblocks[tpoint])}
+            t_offs = {I: k * mc.entry_dim(tq) for k, I in enumerate(slots[tpoint])}
             block = mc.diffs[(q, i)]
             columns = []
             for I in allowed:
@@ -354,7 +328,7 @@ def _koszul_half(mc: Multicomplex, keep) -> Multicomplex:
                 else:
                     columns.extend({} for _ in range(dq))
             diffs[(point, i + 1)] = columns
-    return Multicomplex(f, n + 1, dims, diffs, pblocks)
+    return Multicomplex(f, n + 1, dims, diffs)
 
 
 def cube_extension(mc: Multicomplex) -> Multicomplex:

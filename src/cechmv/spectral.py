@@ -28,18 +28,20 @@ induced on H^m are the E_inf cells of total degree m, so
 ``SpectralSequence.infinity`` returns the limit page with {m: dim H^m}, the
 sums of its cells, once per sequence.
 
-``LatticeSequences`` holds what the audits read off one lattice: the face
-half of its one Koszul split, the five filtered complexes built from it and
-the lattice's cube extension (the four Mayer-Vietoris variants and the
-untruncated face filtration), one spectral sequence per filtered complex,
+``LatticeSequences`` holds what the audits read off one lattice: the
+totalized face half of its one Koszul split, the five filtered complexes
+built from it and the lattice's cube extension (the four Mayer-Vietoris
+variants and the untruncated face filtration), one spectral sequence per
+filtered complex,
 and the cohomology of the face, interior and augmented-interior regions.  So
 the region audits, the product-vs-interior audit and the variant runs of a
 degree class share every page, abutment and region cohomology.
 
-The split audit (``split_column_report``) reads the complement half of the
-split from one-point lattices, once per (field, coordinate signs, entry
-dimension) in each process, and keeps only its cohomology, so that half is
-never built over a lattice.
+The split audit (``split_column_report``) reads each wedge column of the
+face half off that total, and the complement half's from one-point
+lattices, once per (field, coordinate signs, entry dimension) in each
+process, keeping only its cohomology, so that half is never built over a
+lattice.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .multicomplex import (
     composite_along,
     cube_extension,
     koszul_split,
-    line_complex,
     restrict,
     totalize,
 )
@@ -190,10 +191,10 @@ class LatticeSequences:
     region.
 
     All of them come from two totalizations: of the face half of the
-    lattice's split (``koszul_split``), and of its cube extension, whose
-    layer 0 is the lattice's totalization block for block.  Every other
-    complex is a block selection of one of the two (``restrict``), so the
-    five filtered complexes are
+    lattice's split (``koszul_split``), dropped once totalized, and of its
+    cube extension, whose layer 0 is the lattice's totalization block for
+    block.  Every other complex is a block selection of one of the two
+    (``restrict``), so the five filtered complexes are
 
       face             wedge degree on the face half;
       truncated face   the same without the top wedge level n (variant 1a);
@@ -225,12 +226,8 @@ class LatticeSequences:
         self._region_h: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
 
     @cached_property
-    def face_half(self) -> Multicomplex:
-        return koszul_split(self.mc)
-
-    @cached_property
     def face_total(self) -> CochainComplex:
-        return totalize(self.face_half)
+        return totalize(koszul_split(self.mc))
 
     @cached_property
     def cube_total(self) -> CochainComplex:
@@ -276,6 +273,20 @@ class LatticeSequences:
         return self._region_h[key]
 
 
+def _wedge_columns(tot: CochainComplex, points):
+    """The wedge-direction column over each lattice point q of ``points``
+    in ``tot``, a totalized Koszul half: its block (p,) + q sits in degree
+    p + |q|, and its maps are blocks of the total's maps, since the wedge
+    axis carries no totalization sign."""
+    where = {key: (m, range(sl.start, sl.stop)) for m, blk in tot.blocks.items()
+             for key, sl in block_slices(blk).items()}
+    for q in points:
+        spans = {p: where[(p,) + q] for p in range(len(q) + 1) if (p,) + q in where}
+        d = {p: submatrix(tot.matrix(m), spans[p + 1][1], cols)
+             for p, (m, cols) in spans.items() if p + 1 in spans}
+        yield CochainComplex(tot.field, {p: len(cols) for p, (_, cols) in spans.items()}, d)
+
+
 @cache
 def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
     """The wedge columns of the two halves of the Koszul split at a lattice
@@ -285,20 +296,22 @@ def _split_columns(field: Field, signs: Point, dim: int) -> tuple:
     cohomology (the audit compares a lattice's face column with it).
 
     Neither column depends on the lattice's maps, so both are those of the
-    one-point lattice at ``signs``, each checked and reduced once per key."""
+    one-point lattice at ``signs``, read off its totalized halves as the
+    audit reads a lattice's, each checked and reduced once per key."""
     point = Multicomplex(field, len(signs), {signs: dim}, {})
-    complement, face = (line_complex(_koszul_half(point, keep), 0, (0,) + signs) for keep in (
+    halves = (_koszul_half(point, keep) for keep in (
         lambda I, q: any(q[i] > 0 for i in I),  # off the coordinate faces
         lambda I, q: all(q[i] == 0 for i in I),  # on them, as in ``koszul_split``
     ))
+    complement, face = (next(_wedge_columns(totalize(half), [signs])) for half in halves)
     complement.check_complex()
     face.check_complex()
     return complement.cohomology_dims(), (face, face.cohomology_dims())
 
 
-def split_column_report(mc: Multicomplex, face_half: Multicomplex) -> list[str]:
-    """Per-point audit of the Koszul split of ``mc``, whose face half is
-    ``face_half`` (``koszul_split(mc)``).
+def split_column_report(mc: Multicomplex, face_total: CochainComplex) -> list[str]:
+    """Per-point audit of the Koszul split of ``mc``, whose totalized face
+    half is ``face_total`` (``totalize(koszul_split(mc))``).
 
     For each lattice point q of the input, the wedge-direction column of the
     complement half must have cohomology only in wedge degree 1 and the face
@@ -306,17 +319,17 @@ def split_column_report(mc: Multicomplex, face_half: Multicomplex) -> list[str]:
     when q has all coordinates positive and zero otherwise.
 
     The complement column's cohomology is the cached one of its key
-    (``_split_columns``).  The face column is read from ``face_half``; when
-    it equals the key's reference column it has the cached cohomology, and
-    otherwise it is checked and reduced here.
+    (``_split_columns``).  The face column is read from ``face_total``
+    (``_wedge_columns``); when it equals the key's reference column it has
+    the cached cohomology, and otherwise it is checked and reduced here.
     """
     bad: list[str] = []
-    for q in mc.points():
+    points = mc.points()
+    for q, col in zip(points, _wedge_columns(face_total, points)):
         dq = mc.entry_dim(q)
         want = dq if all(x > 0 for x in q) else 0
         complement_h, (face_ref, face_h) = _split_columns(
             mc.field, tuple((x > 0) - (x < 0) for x in q), dq)
-        col = line_complex(face_half, 0, (0,) + q)
         if col.dims != face_ref.dims or col.d != face_ref.d:
             col.check_complex()
             face_h = col.cohomology_dims()
@@ -371,6 +384,8 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     block over the origin with the origin entry, it checks
 
       dim Z - dim B = c0, the origin entry's dimension;
+      the block holds n c0 coordinates, its n slots (the (n-1)-subsets in
+        lexicographic order) each a copy of the origin entry;
       rank iota(Z) = c0;
       for one sign s, W + span{(d z - s psi iota z)|block : z in Z} = W.
 
@@ -418,12 +433,16 @@ def edge_composite_check(seqs: LatticeSequences) -> list[str]:
     if src is None:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
+    if src.stop - src.start != n * c0:
+        bad.append(f"wedge-{n - 1} block over the origin has {src.stop - src.start} "
+                   f"coordinates, expected {n * c0}")
+        return bad
+    # slot s, the s-th (n-1)-subset in lexicographic order, misses axis n-1-s
     ident = [{} for _ in range(tot.dim(n - 1))]
-    for subset, sl in block_slices(seqs.face_half.point_blocks[top_point]).items():
-        missing = next(i for i in range(n) if i not in subset)
-        sign = f.normalize(-1 if missing % 2 else 1)
-        for k in range(sl.stop - sl.start):
-            ident[src.start + sl.start + k] = {k: sign}
+    for s in range(n):
+        sign = f.normalize(-1 if (n - 1 - s) % 2 else 1)
+        for k in range(c0):
+            ident[src.start + s * c0 + k] = {k: sign}
     origin = mul(f, ident, z.columns)
     if len(pivot_pairs(f, origin)) != c0:
         bad.append("source-cell identification with the origin entry is singular")
@@ -510,6 +529,6 @@ def region_convergence_report(seqs: LatticeSequences) -> list[str]:
                 bad.append(f"{tag}: abutment H^{m} = {got_h.get(m, 0)}, "
                            f"expected {want_h.get(m, 0)}")
 
-    bad.extend(split_column_report(mc, seqs.face_half))
+    bad.extend(split_column_report(mc, seqs.face_total))
     bad.extend(edge_composite_check(seqs))
     return bad

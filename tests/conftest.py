@@ -233,14 +233,19 @@ def rand_tensor_mc(f, rng, max_axes=3, max_dim=3, coin=True):
 
 def keep_points(mc: Multicomplex, keep) -> Multicomplex:
     """The entries of ``mc`` at the points where ``keep`` holds, with the maps
-    between them and their block provenance: the reference for
-    ``multicomplex.restrict``, which selects the same blocks of the
-    totalization."""
+    between them: the reference for ``multicomplex.restrict``, which selects
+    the same blocks of the totalization."""
     dims = {q: d for q, d in mc.dims.items() if keep(q)}
     diffs = {(q, i): m for (q, i), m in mc.diffs.items() if q in dims and add_e(q, i) in dims}
-    pb = ({q: b for q, b in mc.point_blocks.items() if q in dims}
-          if mc.point_blocks is not None else None)
-    return Multicomplex(mc.field, mc.n, dims, diffs, pb)
+    return Multicomplex(mc.field, mc.n, dims, diffs)
+
+
+def face_slots(point: Point) -> list[tuple[int, ...]]:
+    """The wedge slots of the face half's entry at ``point`` = (p,) + q, in
+    the order ``koszul_split`` sums their copies of C^q: the p-subsets I of
+    the lattice axes with q_i = 0 for every i in I, in lexicographic order."""
+    p, q = point[0], point[1:]
+    return [I for I in itertools.combinations(range(len(q)), p) if not any(q[i] for i in I)]
 
 
 def class_of(problem, b) -> DegreeClass:

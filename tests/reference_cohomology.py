@@ -12,7 +12,7 @@ from cechmv.errors import ContractError
 from cechmv.linalg import Columns, Subspace, mul, pivot_pairs, submatrix
 from cechmv.multicomplex import CochainComplex, block_slices, composite_along
 from cechmv.spectral import FilteredComplex, LatticeSequences, _cell_spaces, filtration_from_blocks
-from conftest import same_field
+from conftest import face_slots, same_field
 
 
 def coordinates(space: Subspace, v: dict) -> list | None:
@@ -170,12 +170,17 @@ def reference_edge_composite_check(seqs: LatticeSequences) -> list[str]:
     if src is None:
         bad.append(f"no wedge-(n-1) block over the origin in degree {n - 1}")
         return bad
+    slots = face_slots(top_point)
+    if src.stop - src.start != c0 * len(slots):
+        bad.append(f"wedge-{n - 1} block over the origin has {src.stop - src.start} "
+                   f"coordinates, expected {c0 * len(slots)}")
+        return bad
     ident = [{} for _ in range(tot.dim(n - 1))]
-    for subset, sl in block_slices(seqs.face_half.point_blocks[top_point]).items():
+    for s, subset in enumerate(slots):
         missing = next(i for i in range(n) if i not in subset)
         sign = f.normalize(-1 if missing % 2 else 1)
-        for k in range(sl.stop - sl.start):
-            ident[src.start + sl.start + k] = {k: sign}
+        for k in range(c0):
+            ident[src.start + s * c0 + k] = {k: sign}
     origin = mul(f, ident, reps)  # the origin element of each source representative
     if len(pivot_pairs(f, origin)) != c0:
         bad.append("source-cell identification with the origin entry is singular")

@@ -1,14 +1,16 @@
 """Whole-lattice halves of the Koszul split and the per-point split audit,
 kept as references for ``koszul_split`` and ``spectral.split_column_report``.
 
-The package builds only the face half over a lattice; the complement half's
-wedge columns come from one-point lattices.  ``koszul_half`` builds either
-half over the whole lattice, and ``reference_split_column_report`` reads,
-checks and reduces both halves' columns at every point, with no cache.
+The package keeps only the face half's totalization over a lattice, and
+reads the complement half's wedge columns from one-point lattices.
+``koszul_half`` builds either half over the whole lattice as a
+multicomplex, ``line_complex`` reads the single complex along one axis of
+a multicomplex, and ``reference_split_column_report`` reads, checks and
+reduces both halves' wedge columns at every point, with no cache.
 """
 
-from cechmv import Multicomplex, line_complex
-from cechmv.multicomplex import _koszul_half
+from cechmv import CochainComplex, Multicomplex
+from cechmv.multicomplex import Point, _koszul_half
 
 RULES = {
     # wedge slot I keeps the points with some q_i > 0, i in I
@@ -22,6 +24,22 @@ def koszul_half(mc: Multicomplex, kind: str) -> Multicomplex:
     """The ``kind`` ("complement" or "face") half of the unit-Koszul scaffold
     on ``mc``."""
     return _koszul_half(mc, RULES[kind])
+
+
+def line_complex(mc: Multicomplex, axis: int, base: Point) -> CochainComplex:
+    """The single complex along one axis through ``base`` (other coords fixed)."""
+    lo, hi = mc.box
+    dims = {}
+    d = {}
+    for v in range(lo[axis], hi[axis] + 1):
+        q = base[:axis] + (v,) + base[axis + 1 :]
+        if mc.entry_dim(q):
+            dims[v] = mc.entry_dim(q)
+    for v in list(dims):
+        q = base[:axis] + (v,) + base[axis + 1 :]
+        if (q, axis) in mc.diffs and dims.get(v + 1):
+            d[v] = mc.diffs[(q, axis)]
+    return CochainComplex(mc.field, dims, d)
 
 
 def reference_split_column_report(mc: Multicomplex, complement: Multicomplex,

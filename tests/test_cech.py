@@ -526,7 +526,7 @@ def test_cech_multicomplex_shapes():
     pattern = piece_pattern(prob, (0, 0))
     full = cech_multicomplex(prob, pattern)
     assert full.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert full.point_blocks is None  # only the tests read provenance, from alive_subsets
+    assert not hasattr(full, "point_blocks")  # the tests read provenance from alive_subsets
     assert alive_subsets(prob, pattern, (1, 1)) == [((0,), (0,))]
     tot = totalize(full)
     tot.check_complex()

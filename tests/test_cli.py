@@ -721,13 +721,18 @@ def count_builds(monkeypatch) -> list[dict]:
     class:
 
       totalized   per input ("lattice", "face half", "cube" or "other"), the
-                  totalizations of it;
+                  totalizations of it, the face half being what the wrapped
+                  ``koszul_split`` returned; the one-point halves the split
+                  audit totalizes for its per-process reference columns
+                  (``spectral._split_columns``) are no class build and are
+                  not counted;
       restricted  per region ``("region", kind, axes)`` or filtered complex
                   ``("filtered", kind)``, the restrictions made to build it;
       augmented   per axes, the augmented interiors read off the cube total.
     """
     per_class: list[dict] = []
-    worker, init = cli._class_worker, SpectralSequence.__init__
+    worker, init, split_columns = (cli._class_worker, SpectralSequence.__init__,
+                                   spectral._split_columns)
     seqs_init, region, sequence = (LatticeSequences.__init__, LatticeSequences.region,
                                    LatticeSequences.sequence)
     restrict, totalize = multicomplex.restrict, multicomplex.totalize
@@ -741,8 +746,8 @@ def count_builds(monkeypatch) -> list[dict]:
 
     def counted_worker(args):
         per_class.append({"totalized": {}, "restricted": {}, "augmented": {}, "splits": {},
-                          "sequences": {}, "lattices": [], "cubes": [], "made_by": {},
-                          "alive": []})
+                          "sequences": {}, "lattices": [], "halves": [], "cubes": [],
+                          "made_by": {}, "alive": []})
         return worker(args)
 
     def counted_seqs_init(self, mc):
@@ -758,11 +763,20 @@ def count_builds(monkeypatch) -> list[dict]:
                 building.pop()
         return wrapped
 
+    def counted_split_columns(*key):
+        building.append(("split columns",))
+        try:
+            return split_columns(*key)
+        finally:
+            building.pop()
+
     def counted_totalize(mc):
+        if building and building[-1] == ("split columns",):
+            return totalize(mc)  # a cached one-point reference, no class build
         (seqs,) = per_class[-1]["lattices"]
         if mc is seqs.mc:
             bump("totalized", "lattice")
-        elif mc is seqs.__dict__.get("face_half"):
+        elif any(mc is h for h in per_class[-1]["halves"]):
             bump("totalized", "face half")
         elif any(mc is c for c in per_class[-1]["cubes"]):
             bump("totalized", "cube")
@@ -786,7 +800,9 @@ def count_builds(monkeypatch) -> list[dict]:
 
     def counted_split(mc):
         bump("splits", None)
-        return split(mc)
+        out = split(mc)
+        per_class[-1]["halves"].append(out)
+        return out
 
     def counted_cube(mc):
         out = cube(mc)
@@ -799,6 +815,7 @@ def count_builds(monkeypatch) -> list[dict]:
 
     monkeypatch.setattr(cli, "_class_worker", counted_worker)
     monkeypatch.setattr(SpectralSequence, "__init__", counted_init)
+    monkeypatch.setattr(spectral, "_split_columns", counted_split_columns)
     monkeypatch.setattr(LatticeSequences, "__init__", counted_seqs_init)
     monkeypatch.setattr(LatticeSequences, "region", builder(region, "region"))
     # a filtered complex is built with its spectral sequence
@@ -887,6 +904,50 @@ def test_region_complexes_are_dropped_once_their_cohomology_is_read(tmp_path, mo
     job = write_job(tmp_path, body)
     assert main(["compute", job, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
     assert kinds == {"face", "interior", "augmented"}
+
+
+def test_face_half_is_dropped_once_totalized(monkeypatch):
+    """On every class of ``three_ideals``, once props2 has run on the class
+    (it reads the face total, and so builds it), the face half that
+    ``koszul_split`` returned is dead while the class lives: the class
+    keeps only its totalization."""
+    split = spectral.koszul_split
+    halves: list = []
+
+    def tracked_split(mc):
+        out = split(mc)
+        halves.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(spectral, "koszul_split", tracked_split)
+    problem, _tasks, _pages = cli.load_job(str(JOBS_DIR / "three_ideals.json"))
+    built = 0
+    for pattern, members in cech.degree_classes(problem):
+        klass = cli.DegreeClass(problem, pattern, members[0])
+        assert cli.run_unit(klass, "props2", None) == []
+        if klass.sequences.mc.dims:
+            assert "face_total" in klass.sequences.__dict__
+            built += 1
+        assert [ref for ref in halves if ref() is not None] == []
+    assert built > 1 and len(halves) == built
+
+
+def test_memory_error_outside_a_class_step_is_an_error_not_a_traceback(tmp_path, monkeypatch,
+                                                                       capsys):
+    """Running out of memory before any class step, here while classifying
+    the window, ends ``compute`` with exit 1 and a one-line error."""
+    def out_of_memory(problem):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "degree_classes", out_of_memory)
+    job = write_job(tmp_path, BASE_JOB)
+    out = tmp_path / "out"
+    assert main(["compute", job, "--out", str(out), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err + captured.out
+    assert not (out / "report.json").exists()
 
 
 def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):

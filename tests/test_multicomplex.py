@@ -24,7 +24,6 @@ from cechmv import (
     cube_extension,
     degree_classes,
     koszul_split,
-    line_complex,
     restrict,
     totalize,
     validate,
@@ -34,11 +33,12 @@ from cechmv.cli import load_job
 from cechmv.linalg import mul
 from cechmv.multicomplex import add_e
 from cechmv.spectral import _split_columns
-from conftest import columns, dense, keep_points, koszul_complex, rand_tensor_mc, tensor_product
+from conftest import (columns, dense, face_slots, keep_points, koszul_complex, rand_tensor_mc,
+                      tensor_product)
 from reference_cohomology import cohomology_map, cohomology_reps
 from reference_dense import zeros
 from reference_regions import glue_origin, lift, reference_region
-from reference_split import koszul_half
+from reference_split import koszul_half, line_complex
 
 F = PrimeField(65537)
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
@@ -434,10 +434,14 @@ def test_koszul_split_partitions_the_scaffold(rng):
 
 
 def test_koszul_split_blocks_are_lexicographic():
+    """The face half sums the wedge slots of an entry in lexicographic
+    order: over the origin of the unit square, slot (0,) comes first, and
+    the Koszul map into slot (0, 1) is -1 on it and +1 on slot (1,)."""
     mc = unit_square()
     face = koszul_split(mc)
-    blocks = face.point_blocks[(1, 0, 0)]
-    assert [I for I, _ in blocks] == [(0,), (1,)]
+    assert face_slots((1, 0, 0)) == [(0,), (1,)]
+    assert face.entry_dim((1, 0, 0)) == 2
+    assert face.diffs[(1, 0, 0), 0] == [{0: F.normalize(-1)}, {0: 1}]
     # at the interior point only the complement half carries wedge slots
     assert face.entry_dim((1, 1, 1)) == 0
     assert koszul_half(mc, "complement").entry_dim((1, 1, 1)) == 2

@@ -221,7 +221,7 @@ def test_rational_field_engine():
 def test_split_column_report_clean_on_random_lattices(rng):
     for _ in range(12):
         mc = rand_tensor_mc(F, rng, max_axes=3)
-        assert split_column_report(mc, koszul_split(mc)) == []
+        assert split_column_report(mc, totalize(koszul_split(mc))) == []
 
 
 def split_mutation_cases(rng, want_zeros: int, count: int = 12):
@@ -233,7 +233,7 @@ def split_mutation_cases(rng, want_zeros: int, count: int = 12):
         mc = rand_tensor_mc(F, rng, max_axes=3)
         points = [q for q in mc.points() if sum(x == 0 for x in q) >= want_zeros]
         if points:
-            assert split_column_report(mc, koszul_split(mc)) == []
+            assert split_column_report(mc, totalize(koszul_split(mc))) == []
             cases.append((mc, points[int(rng.integers(0, len(points)))]))
     return cases
 
@@ -241,7 +241,8 @@ def split_mutation_cases(rng, want_zeros: int, count: int = 12):
 def test_split_column_report_raises_on_a_scaled_wedge_entry(rng):
     """One wedge entry of the face half scaled by 2, at a point with two
     zero coordinates (so its column has three degrees), breaks d o d = 0
-    there: the audit raises what the per-point reference raises."""
+    there: the audit of the mutated half's totalization raises what the
+    per-point reference raises on the half."""
     for mc, q in split_mutation_cases(rng, want_zeros=2):
         face = koszul_split(mc)
         wedge = [dict(col) for col in face.diffs[((0,) + q, 0)]]
@@ -251,20 +252,20 @@ def test_split_column_report_raises_on_a_scaled_wedge_entry(rng):
         with pytest.raises(InternalCheckError) as want:
             reference_split_column_report(mc, koszul_half(mc, "complement"), bad)
         with pytest.raises(InternalCheckError, match="d o d != 0") as got:
-            split_column_report(mc, bad)
+            split_column_report(mc, totalize(bad))
         assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("want_zeros", [0, 1])
 def test_split_column_report_flags_a_dropped_wedge_slot(rng, want_zeros):
     """The face half without the top wedge slot of the column over one
-    point (its column stays a complex) gets the per-point reference's
-    messages, and at least one."""
+    point (its column stays a complex), totalized, gets the per-point
+    reference's messages on the half, and at least one."""
     for mc, q in split_mutation_cases(rng, want_zeros):
         face = koszul_split(mc)
         top = max(point for point in face.dims if point[1:] == q)
         bad = keep_points(face, lambda point: point != top)
-        got = split_column_report(mc, bad)
+        got = split_column_report(mc, totalize(bad))
         assert got, (q, top)
         assert got == reference_split_column_report(mc, koszul_half(mc, "complement"), bad)
 
@@ -305,6 +306,51 @@ def test_edge_composite_check_flags_a_scaled_composite(n, monkeypatch):
     want = ["page-n edge map differs from the composite differential by more than a sign"]
     seqs = LatticeSequences(mc)
     assert edge_composite_check(seqs) == reference_edge_composite_check(seqs) == want
+
+
+def resize_origin_wedge_block(tot: CochainComplex, n: int, extra: int) -> CochainComplex:
+    """``tot``, the face total of a lattice with n axes, with the wedge-(n-1)
+    block over the origin, the last block of degree n-1, one coordinate
+    longer (``extra`` = 1) or shorter (-1) at its end.  A coordinate added
+    there is the image of one added at the end of the wedge-(n-2) block over
+    the origin, the last of degree n-2, so every page-1 cell is kept."""
+    lo, hi = n - 2, n - 1
+    for m in (lo, hi):
+        assert tot.blocks[m][-1][0] == (m,) + (0,) * n
+    grown = (hi,) if extra < 0 else (lo, hi)
+    blocks = {m: blk[:-1] + ((blk[-1][0], blk[-1][1] + extra),) if m in grown else blk
+              for m, blk in tot.blocks.items()}
+    dims = {m: d + extra if m in grown else d for m, d in tot.dims.items()}
+    d = dict(tot.d)
+    if extra > 0:
+        d[lo] = tot.matrix(lo) + [{tot.dim(hi): 1}]
+        d[hi] = tot.matrix(hi) + [{}]
+    else:
+        d[lo] = [{r: v for r, v in col.items() if r < dims[hi]} for col in tot.matrix(lo)]
+        d[hi] = tot.matrix(hi)[:-1]
+    return CochainComplex(tot.field, dims, d, blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_edge_composite_check_flags_a_resized_origin_wedge_block(n):
+    """The edge check reads the wedge-(n-1) block over the origin as n
+    slots of c0 coordinates each, in lexicographic order.  On the n-axis
+    identity cube (c0 = 1), a face total whose block holds n + 1 coordinates
+    but whose page-n cells are intact is reported by both routes for its
+    block size; one whose block holds n - 1 is reported, as the reference
+    reports it."""
+    seg = CochainComplex(F, {0: 1, 1: 1}, {0: columns(F, [[1]])})
+    mc = tensor_product([seg] * n)
+    for extra in (1, -1):
+        seqs = LatticeSequences(mc)
+        seqs.__dict__["face_total"] = resize_origin_wedge_block(seqs.face_total, n, extra)
+        got = edge_composite_check(seqs)
+        assert got == reference_edge_composite_check(seqs)
+        if extra > 0:
+            assert got == [f"wedge-{n - 1} block over the origin has {n + 1} coordinates, "
+                           f"expected {n}"]
+        else:
+            assert got, extra
 
 
 @pytest.mark.parametrize("n", [2, 3])
