@@ -47,7 +47,7 @@ class results but for records naming a group subset or a lattice point; the
 quotient plays no part.  The classes fall into orbits under both links
 (``class_orbits``, with sigma among transpositions and double
 transpositions of the variables), and ``cli.compute`` runs one class step
-per orbit.
+per orbit, whose result no other class shares when it holds such a record.
 """
 
 from __future__ import annotations
@@ -217,16 +217,9 @@ def _image(sigma, g: Exps) -> Exps:
     return tuple(map(g.__getitem__, sigma))
 
 
-def _moves_groups(problem: CechProblem, sigma) -> bool:
-    """Whether sigma maps some group onto another group."""
-    return any(sorted(_image(sigma, g) for g in grp) != sorted(grp) for grp in problem.groups)
-
-
-def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]],
-                 move_groups: bool = True) -> list[int]:
+def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]]) -> list[int]:
     """For each degree class, given by its piece pattern in class order, the
-    index of the first class of its orbit; without ``move_groups``, of its
-    orbit under the links that fix every group.
+    index of the first class of its orbit.
 
     The reads of a pattern P are its entries at ``support_unions``: mask 0
     and every union of generator supports.  A symmetry sigma from
@@ -263,11 +256,10 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]],
     rows, the ``les`` records and the cohomology column are equal, and a
     class with the reads of P' gives them too.  The records that name a
     group subset or a lattice point (verify34's ``subset``, props2's
-    messages, exception texts) are equal when pi is the identity, and
-    otherwise when there are none, which ``cli._clean`` checks before a
-    result crosses a sigma that moves a group (``move_groups``).  Whether
-    sigma fixes the quotient does not enter: no degree need have the
-    pattern P'.
+    messages, exception texts) need not be equal when pi moves a group, so
+    ``cli.compute`` shares a result that holds any (one that is not
+    ``cli._clean``) with no other class.  Whether sigma fixes the quotient
+    does not enter: no degree need have the pattern P'.
     """
     orbit = list(range(len(patterns)))
     if len(patterns) < 2:
@@ -288,8 +280,6 @@ def class_orbits(problem: CechProblem, patterns: list[tuple[int, ...]],
     for k, pat in enumerate(patterns):
         link(k, index.setdefault(reads(pat), k))
     for sigma in variable_symmetries(problem):
-        if not move_groups and _moves_groups(problem, sigma):
-            continue
         image = [0] * (1 << problem.num_vars)  # image[mask] = sigma(mask), itself an involution
         for mask in range(1, len(image)):
             low = mask & -mask

@@ -15,8 +15,8 @@ Two commands:
   which calls ``cech.verify_product_vs_interior``, ``mvss.run_variant``,
   ``mvss.infinity_filtration_report`` and ``mvss.mv_les``) at its
   representative degree b0 for the whole orbit, and ``--jobs`` spreads the
-  orbits over worker processes; a result crosses a symmetry that permutes
-  the groups only when it is ``_clean``.  A class step reads two things: its
+  orbits over worker processes; a result that is not ``_clean`` is shared
+  with no other class.  A class step reads two things: its
   class's ``LatticeSequences`` (``DegreeClass.sequences``), built from the
   pattern ``cech.degree_classes`` found, and the oracle at b0.  Its result
   names no degree; ``assemble_unit``, the one place where class results
@@ -67,11 +67,21 @@ def _parse_field(obj) -> PrimeField | RationalField:
     raise InputError(f"unknown field description {obj!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; ``InputError`` if it names a key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"job file repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_job(path: str) -> tuple[CechProblem, list[str], int | None]:
     """Parse and validate a job file; returns (problem, tasks, pages)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise InputError(f"cannot read job file: {e}")
     except json.JSONDecodeError as e:
@@ -289,7 +299,7 @@ def _class_worker(args) -> list:
 
 
 def _clean(tasks: list[str], step: list) -> bool:
-    """Whether a class step's results hold across a group permutation: no
+    """Whether a class step's results hold for every class of its orbit: no
     task raised, and verify34 and props2, whose records name groups and
     points, found nothing."""
     return not any(isinstance(res, Exception) or (unit in ("verify34", "props2") and res)
@@ -311,8 +321,8 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     (``cech.class_orbits``), at the orbit's first class, in at most ``jobs``
     worker processes and never more than the orbits or the CPUs, give every
     class its orbit's step results, and assemble each task over the classes.
-    A result that is not ``_clean`` goes only to the classes linked to its
-    class without moving a group; the others run their own step after.
+    A result that is not ``_clean`` is its own class's alone: the other
+    classes of that orbit run their own steps after the pool, in class order.
     Returns the report and the contents of every output file by name,
     ``report.json`` among them.  Refuses what ``check_tasks`` and
     ``check_pages`` refuse with ``InputError``."""
@@ -321,7 +331,7 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     by_pattern = degree_classes(problem)
     classes = [members for _pat, members in by_pattern]
     patterns = [pat for pat, _members in by_pattern]
-    orbit, fixing = class_orbits(problem, patterns), class_orbits(problem, patterns, False)
+    orbit = class_orbits(problem, patterns)
     reps = sorted(set(orbit))
     work = [(problem, tasks, pages, pat, members[0]) for pat, members in by_pattern]
     workers = min(jobs, len(reps), _usable_cpus())
@@ -333,10 +343,9 @@ def compute(problem: CechProblem, tasks: list[str], pages: int | None = None,
     else:
         rep_steps = [_class_worker(work[r]) for r in reps]
     step_of = dict(zip(reps, rep_steps))
-    # an orbit's step that is not clean goes only to its group-fixing orbits
-    source = [r if _clean(tasks, step_of[r]) else f for r, f in zip(orbit, fixing)]
-    step_of.update((f, _class_worker(work[f])) for f in sorted(set(source) - step_of.keys()))
-    steps = [step_of[s] for s in source]
+    # a step that is not clean is shared with no other class
+    steps = [step_of[r] if r == k or _clean(tasks, step_of[r]) else _class_worker(work[k])
+             for k, r in enumerate(orbit)]
     files: dict[str, str] = {}
     report = {
         "job": {

@@ -259,6 +259,25 @@ def test_compute_rejects_bad_jobs(tmp_path, capsys, patch, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"field": {"prime": 65537}, "variables": 2, "groups": [["x1"], ["x2"]], '
+     '"tasks": ["cohomology"], "field": {"prime": 3}, "tasks": ["mvss:1a"]}', "field"),
+    ('{"field": {"prime": 65537, "prime": 3}, "variables": 2, "groups": [["x1"], ["x2"]], '
+     '"tasks": ["cohomology"]}', "prime"),
+])
+def test_compute_refuses_a_key_given_twice(tmp_path, capsys, text, key):
+    """A key given twice, at the top or inside ``field``, is refused with
+    exit 1 and one error line naming it, not read as its last value."""
+    job = tmp_path / "job.json"
+    job.write_text(text)
+    out = tmp_path / "out"
+    assert main(["compute", str(job), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: job file repeats the key {key!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags,message",
     # the page limit is a job field only: the flag is an unknown argument
@@ -978,8 +997,8 @@ def test_internal_error_names_first_failing_class(tmp_path, monkeypatch):
 def test_failure_under_orbit_reuse_is_reported_as_class_by_class(tmp_path, monkeypatch):
     """A fault that every class hits, on a job whose classes share steps
     across orbits: the failing task names the same degree and message as a
-    run with every class its own orbit, because the first failing class is
-    the first class of its orbit and runs its own step."""
+    run with every class its own orbit, because a step that raised is shared
+    with no other class, and every class of its orbit runs its own."""
     body = json.loads((JOBS_DIR / "two_by_four.json").read_text())
     problem = CechProblem.from_text(PrimeField(65537), 4, body["groups"],
                                     window=((-1,) * 4, (1,) * 4))
@@ -997,7 +1016,7 @@ def test_failure_under_orbit_reuse_is_reported_as_class_by_class(tmp_path, monke
     tasks = ["cohomology", "verify34", "mvss:1b", "mvss:2a", "les"]
     reused = cli.compute(problem, tasks)
     monkeypatch.setattr(cli, "class_orbits",
-                        lambda problem, patterns, move_groups=True: list(range(len(patterns))))
+                        lambda problem, patterns: list(range(len(patterns))))
     alone = cli.compute(problem, tasks)
     assert reused == alone
     for unit in ("mvss:1b", "mvss:2a", "les"):

@@ -235,7 +235,9 @@ def test_regions_are_blocks_of_the_cube_total(rng):
     total, and the punctured count total, equals the one restricted from the
     lattice's own totalization, with the origin entry glued onto each
     interior by hand, on random tensor lattices and on every degree class of
-    the committed jobs but the 3x5 and 3x6 ones."""
+    the committed jobs but the 3x5 and 3x6 ones: 267 classes, among them
+    the 32 five-axis lattices of ``five_cycle_f2``, which take most of the
+    time."""
     lattices = [rand_tensor_mc(F, rng) for _ in range(12)] + list(job_lattices())
     assert any(mc.entry_dim((0,) * mc.n) for mc in lattices)
     assert any(not mc.entry_dim((0,) * mc.n) for mc in lattices)

@@ -32,7 +32,7 @@ def orbit_count(problem: CechProblem) -> tuple[int, int]:
     return len(patterns), len(set(cech.class_orbits(problem, patterns)))
 
 
-def class_by_class(problem, patterns, move_groups=True):
+def class_by_class(problem, patterns):
     return list(range(len(patterns)))
 
 
@@ -46,6 +46,20 @@ def act(sigma, g):
     for j, e in enumerate(g):
         out[sigma[j]] = e
     return tuple(out)
+
+
+def moves_groups(problem, sigma) -> bool:
+    """Whether sigma maps some group onto another group."""
+    return any(sorted(act(sigma, g) for g in grp) != sorted(grp) for grp in problem.groups)
+
+
+def group_fixing_orbits(problem, patterns):
+    """``class_orbits`` with only the symmetries that fix every group: the
+    orbits under equal reads and the links that move no group."""
+    fixing = [s for s in cech.variable_symmetries(problem) if not moves_groups(problem, s)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cech, "variable_symmetries", lambda problem: fixing)
+        return cech.class_orbits(problem, patterns)
 
 
 def planted_problem(seed: int, swap_groups: bool = False) -> tuple[CechProblem, tuple[int, ...], str]:
@@ -113,13 +127,15 @@ def test_committed_jobs_and_workloads_have_the_expected_orbits():
     reads at the generator-support unions link them into 21 and 16.  The
     symmetries that permute the groups take ``lattice-window`` from 10
     orbits to 7, ``four_ideals`` from 16 to 6, ``three_ideals`` from 8 to 4
-    and ``two_ideals`` from 4 to 3."""
+    and ``two_ideals`` from 4 to 3.  Each of the five symmetries of
+    ``five_cycle_f2`` moves a group, and they take it from 32 orbits to 8."""
     expected = {
         "two_by_four": (16, 6), "wide_seven": (161, 16), "lattice-window": (16, 7),
         "wide-window": (81, 21), "oracle-long": (21, 16), "four_ideals": (16, 6),
         "three_ideals": (8, 4), "two_ideals": (4, 3), "mixed_quotient": (6, 6),
         "page-heavy": (1, 1), "twelve_generators": (1, 1), "fifteen_generators": (1, 1),
         "three_term_quotient": (12, 12), "rational_all_tasks": (11, 11),
+        "five_cycle_f2": (32, 8),
     }
     paths = [*(ROOT / "jobs").glob("*.json"), *(ROOT / "perfbench" / "workloads").glob("*.json")]
     found = {p.stem: orbit_count(load(p)) for p in paths if p.stem in expected}
@@ -253,7 +269,8 @@ def test_symmetric_degrees_have_isomorphic_lattices():
     for name, problem in symmetric_cases():
         classes = degree_classes(problem)
         patterns = [pat for pat, _members in classes]
-        orbit, fixing = (cech.class_orbits(problem, patterns, move) for move in (True, False))
+        orbit = cech.class_orbits(problem, patterns)
+        fixing = group_fixing_orbits(problem, patterns)
         assert cech.variable_symmetries(problem), name
         for k, r in enumerate(orbit):
             if k == r:
@@ -288,7 +305,7 @@ def test_group_swap_draws_share_class_steps_across_groups():
         problem, _sigma, _kind = group_swap_problem(seed)
         patterns = [pat for pat, _members in degree_classes(problem)]
         moved += (len(set(cech.class_orbits(problem, patterns)))
-                  < len(set(cech.class_orbits(problem, patterns, False))))
+                  < len(set(group_fixing_orbits(problem, patterns))))
     assert moved >= 16
 
 
@@ -408,7 +425,7 @@ def test_class_steps_read_their_pattern_only_at_support_unions(monkeypatch, path
     supports, on every committed job but the 3x5 and 3x6 classes and on the
     four workloads."""
     problem = load(ROOT / path)
-    assert len(GUARDED_JOBS) == 13
+    assert len(GUARDED_JOBS) == 14
     guard_patterns(monkeypatch, problem)
     report, _files = cli.compute(problem, every_task(problem))
     assert report["pass"] is True and len(report["results"]) == len(every_task(problem))
@@ -560,10 +577,9 @@ def label_first_interior(monkeypatch):
                                   "perfbench/workloads/lattice-window.json"])
 def test_a_labelled_issue_does_not_cross_a_group_permutation(path, monkeypatch):
     """The clean-result rule: with verify34 reporting an issue that names a
-    group subset, a class linked to its orbit only through a symmetry that
-    moves a group runs its own step, and ``compute`` with orbit reuse still
-    gives what it gives class by class.  With the rule taken away, every
-    result crosses and the two differ."""
+    group subset, the result is shared with no other class, and ``compute``
+    with orbit reuse still gives what it gives class by class.  With the
+    rule taken away, every result crosses and the two differ."""
     problem = load(ROOT / path)
     label_first_interior(monkeypatch)
     reused, alone = reused_and_alone(problem, monkeypatch)
@@ -571,3 +587,26 @@ def test_a_labelled_issue_does_not_cross_a_group_permutation(path, monkeypatch):
     assert reused == alone
     monkeypatch.setattr(cli, "_clean", lambda tasks, step: True)
     assert cli.compute(problem, every_task(problem)) != alone
+
+
+@pytest.mark.parametrize("path, steps", [("jobs/three_ideals.json", 8),
+                                         ("jobs/four_ideals.json", 12),
+                                         ("perfbench/workloads/lattice-window.json", 12),
+                                         ("perfbench/workloads/wide-window.json", 43)])
+def test_a_result_that_is_not_clean_is_shared_with_no_class(path, steps, monkeypatch):
+    """With verify34 reporting an issue that names a group subset, every
+    other class of an orbit whose first step is not clean runs its own step,
+    whether it is linked by a symmetry or by equal reads: ``cohomology`` and
+    ``verify34`` run ``steps`` class steps (``lattice-window`` has 7 orbits
+    and ``wide-window`` 21), and ``compute`` gives what it gives class by
+    class."""
+    problem = load(ROOT / path)
+    label_first_interior(monkeypatch)
+    worker, calls = cli._class_worker, []
+    monkeypatch.setattr(cli, "_class_worker", lambda args: calls.append(args[4]) or worker(args))
+    tasks = ["cohomology", "verify34"]
+    reused = cli.compute(problem, tasks)
+    assert reused[0]["results"]["verify34"]["pass"] is False
+    assert len(calls) == len(set(calls)) == steps
+    monkeypatch.setattr(cli, "class_orbits", class_by_class)
+    assert cli.compute(problem, tasks) == reused
